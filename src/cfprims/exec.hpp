@@ -128,17 +128,6 @@ void exec_crs_gather(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem, in
   }
 }
 
-/// Uncertified form: always takes the lane path.
-template <typename T, typename WarpOf, typename AddrOf, typename Sink>
-void exec_crs_gather(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem, int w,
-                     int rounds, int vwarps, const CrsCharge& charge, WarpOf&& warp_of,
-                     AddrOf&& addr_of, Sink&& sink) {
-  exec_crs_gather(ctx, shmem, w, rounds, vwarps, charge,
-                  static_cast<const verify::CfCertificate*>(nullptr),
-                  std::forward<WarpOf>(warp_of), std::forward<AddrOf>(addr_of),
-                  std::forward<Sink>(sink));
-}
-
 /// Mirror image of exec_crs_gather for warp-wide writes: `source(vw, lane,
 /// j)` supplies the element each lane stores to `addr_of(vw, lane, j)`.
 template <typename T, typename WarpOf, typename AddrOf, typename Source>
@@ -281,17 +270,6 @@ void exec_stride_scatter(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem
       });
 }
 
-/// Uncertified form: always takes the lane path.
-template <typename T, typename WarpOf, typename AddrOf, typename Source>
-void exec_crs_scatter(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem, int w,
-                      int rounds, int vwarps, const CrsCharge& charge, WarpOf&& warp_of,
-                      AddrOf&& addr_of, Source&& source) {
-  exec_crs_scatter(ctx, shmem, w, rounds, vwarps, charge,
-                   static_cast<const verify::CfCertificate*>(nullptr),
-                   std::forward<WarpOf>(warp_of), std::forward<AddrOf>(addr_of),
-                   std::forward<Source>(source));
-}
-
 /// Staged shared-to-shared copy (the block-sort cf_permute idiom): all
 /// warps cooperatively move `count` elements from `src` to `dst`, warp k
 /// handling lanes [k*w, k*w + w) of each block-wide chunk of u elements.
@@ -370,16 +348,6 @@ void exec_shared_copy(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& src,
                   /*dependent=*/false);
     }
   }
-}
-
-/// Uncertified form: always takes the lane path.
-template <typename T, typename SrcOf, typename DstOf>
-void exec_shared_copy(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& src,
-                      gpusim::SharedTile<T>& dst, std::int64_t count, SrcOf&& src_of,
-                      DstOf&& dst_of) {
-  exec_shared_copy(ctx, src, dst, count,
-                   static_cast<const verify::CfCertificate*>(nullptr),
-                   std::forward<SrcOf>(src_of), std::forward<DstOf>(dst_of));
 }
 
 }  // namespace cfmerge::cfprims

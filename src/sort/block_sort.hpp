@@ -149,7 +149,7 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
       // Copy linear -> CF layout; reads are contiguous (conflict free),
       // writes are contiguous runs through pi/rho (also conflict free).
       cfprims::exec_shared_copy(
-          ctx, shmem, *staging, tile, [](std::int64_t pos) { return pos; },
+          ctx, shmem, *staging, tile, /*cert=*/nullptr, [](std::int64_t pos) { return pos; },
           [&](std::int64_t pos) {
             const std::int64_t pair_base = div_pair(pos) * (2 * run);
             const std::int64_t local = pos - pair_base;

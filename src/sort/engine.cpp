@@ -14,11 +14,7 @@ void ScratchArena::clear() {
   std::erase_if(slots_, [](const Slot& s) { return !s.in_use; });
 }
 
-void ScratchArena::release(std::size_t slot) {
-  Slot& s = slots_[slot];
-  s.in_use = false;
-  s.bytes = s.measure(s.storage.get());
-}
+void ScratchArena::release(std::size_t slot) { slots_[slot].in_use = false; }
 
 EngineStats SortEngine::stats() const {
   EngineStats s = stats_;
@@ -57,6 +53,38 @@ void SortEngine::set_plan_cache_enabled(bool enabled) {
 void SortEngine::set_plan_capacity(std::size_t capacity) {
   capacity_ = capacity;
   evict_to_capacity(capacity_);
+}
+
+std::shared_ptr<void> SortEngine::take_idle(const PlanKey& key) {
+  if (cache_enabled_) {
+    for (std::size_t i = 0; i < free_plans_.size(); ++i) {
+      if (free_plans_[i].key == key) {
+        std::shared_ptr<void> plan = std::move(free_plans_[i].plan);
+        free_plans_.erase(free_plans_.begin() + static_cast<std::ptrdiff_t>(i));
+        ++stats_.plan_hits;
+        return plan;
+      }
+    }
+  }
+  ++stats_.plan_misses;
+  return nullptr;
+}
+
+void SortEngine::persist(const PlanKey& key, int passes) {
+  // Warm-start: an attached store answers "has any process planned this
+  // exact request on this exact device before?".  The kernel graph itself
+  // cannot live on disk (its bodies capture live buffers), so a disk hit
+  // warms the metadata and the counters, not the build; the expensive
+  // persisted payload is the autotuner's (analysis/autotune.cpp), which
+  // shares this store.
+  if (store_ == nullptr) return;
+  const std::vector<std::byte> skey = detail::plan_store_key(launcher_->device().digest(), key);
+  if (store_->lookup(skey).has_value()) return;
+  cache::ByteWriter meta;
+  meta.u8(1);         // metadata record version
+  meta.i64(passes);   // 0 for the kinds without merge passes
+  meta.i64(key.n_padded);
+  store_->insert(skey, meta.data());
 }
 
 void SortEngine::release_plan(const PlanKey& key, std::shared_ptr<void> plan,

@@ -7,21 +7,22 @@
 //    batch shape digest, MergeConfig) — the kernel-graph structure is a
 //    pure function of that key (merge-path partitioning fixes the pass and
 //    tile decisions from n_padded and cfg alone), so a plan built once can
-//    execute any input of the same shape.  A plan owns BOTH its
-//    KernelGraph template and every buffer the graph's bodies capture
-//    (buf/tmp/boundaries, or the batched staging/packed/descriptor
-//    arrays), which closes the latent lifetime footgun of the free
-//    functions: the storage a body references can no longer die or move
-//    while the graph is still runnable.  Executing a cached plan is
-//    "rebind by refilling": copy the new input into the plan's buffers
-//    (sentinel tails refreshed) and Launcher::run the graph again — the
-//    KernelGraph replay contract (kernel_graph.hpp) guarantees reports
-//    bit-identical to a freshly enqueued pipeline.
+//    execute any input of the same shape.  Every kind — sort, multiway,
+//    permute/transpose, batched — is one detail::Plan<T> made by a small
+//    builder that calls the kind's enqueue_*_pipeline.  A plan owns BOTH
+//    its KernelGraph template and every buffer the graph's bodies capture,
+//    which closes the latent lifetime footgun of the free functions: the
+//    storage a body references can no longer die or move while the graph
+//    is still runnable.  Executing a cached plan is "rebind by refilling":
+//    copy the new input into the plan's buffers (sentinel tails refreshed)
+//    and Launcher::run the graph again — the KernelGraph replay contract
+//    (kernel_graph.hpp) guarantees reports bit-identical to a freshly
+//    enqueued pipeline.
 //
 //  * a **scratch arena**: a pool of typed, reusable vectors for per-call
-//    scratch that is not part of any plan (today: merge_sort_by_key's
-//    KeyValue pair buffer).  acquire<T>(n) hands out an RAII Lease; the
-//    backing allocation returns to the pool when the lease drops.
+//    scratch that is not part of any plan (today: the *_by_key entry
+//    points' KeyValue pair buffer).  acquire<T>(n) hands out an RAII Lease;
+//    the backing allocation returns to the pool when the lease drops.
 //
 //  * optionally a **persistent store** (set_store): plan identity is
 //    content-addressed (sort/plan_key.hpp), so a cache::PlanCacheStore can
@@ -38,20 +39,18 @@
 // every acquire a miss, which is what `cfsort --no-plan-cache` uses to
 // show the un-amortized cost.
 //
-// The four free entry points (merge_sort, merge_sort_by_key, batched_merge,
-// segmented_sort) are thin wrappers: one-shot engine use, reports
+// The six free entry points (merge_sort, merge_sort_by_key,
+// merge_sort_multiway, merge_sort_multiway_by_key, segmented_sort,
+// batched_merge) are thin wrappers: one-shot engine use, reports
 // bit-identical to the pre-engine implementations (asserted by
 // test_sort_engine across thread counts and GraphExec modes).
 #pragma once
 
 #include <algorithm>
-#include <array>
-#include <cassert>
 #include <cstdint>
-#include <limits>
 #include <memory>
-#include <optional>
 #include <stdexcept>
+#include <string>
 #include <typeindex>
 #include <utility>
 #include <vector>
@@ -116,44 +115,14 @@ struct EngineStats {
 /// caller at a time.
 class ScratchArena {
  public:
-  template <typename T>
-  class Lease {
-   public:
-    Lease() = default;
-    Lease(Lease&& o) noexcept : arena_(o.arena_), slot_(o.slot_), vec_(o.vec_) {
-      o.arena_ = nullptr;
-      o.vec_ = nullptr;
-    }
-    Lease& operator=(Lease&& o) noexcept {
-      if (this != &o) {
-        reset();
-        arena_ = std::exchange(o.arena_, nullptr);
-        slot_ = o.slot_;
-        vec_ = std::exchange(o.vec_, nullptr);
-      }
-      return *this;
-    }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    ~Lease() { reset(); }
-
-    [[nodiscard]] std::vector<T>& operator*() const { return *vec_; }
-    [[nodiscard]] std::vector<T>* operator->() const { return vec_; }
-
-   private:
-    friend class ScratchArena;
-    Lease(ScratchArena* arena, std::size_t slot, std::vector<T>* vec)
-        : arena_(arena), slot_(slot), vec_(vec) {}
-    void reset() {
-      if (arena_ != nullptr) arena_->release(slot_);
-      arena_ = nullptr;
-      vec_ = nullptr;
-    }
-
-    ScratchArena* arena_ = nullptr;
-    std::size_t slot_ = 0;
-    std::vector<T>* vec_ = nullptr;
+  /// Returns a leased slot to the pool; the vector itself stays pooled.
+  struct Release {
+    ScratchArena* arena = nullptr;
+    std::size_t slot = 0;
+    void operator()(const void*) const { arena->release(slot); }
   };
+  template <typename T>
+  using Lease = std::unique_ptr<std::vector<T>, Release>;
 
   template <typename T>
   [[nodiscard]] Lease<T> acquire(std::size_t n) {
@@ -164,18 +133,18 @@ class ScratchArena {
         ++reuses_;
         auto* vec = static_cast<std::vector<T>*>(s.storage.get());
         vec->resize(n);
-        return Lease<T>(this, i, vec);
+        return Lease<T>(vec, Release{this, i});
       }
     }
     ++allocs_;
     auto storage = std::make_shared<std::vector<T>>(n);
     auto* vec = storage.get();
-    slots_.push_back(Slot{std::type_index(typeid(T)), true, 0, std::move(storage),
+    slots_.push_back(Slot{std::type_index(typeid(T)), true, std::move(storage),
                           [](const void* p) -> std::uint64_t {
                             const auto* v = static_cast<const std::vector<T>*>(p);
                             return v->capacity() * sizeof(T);
                           }});
-    return Lease<T>(this, slots_.size() - 1, vec);
+    return Lease<T>(vec, Release{this, slots_.size() - 1});
   }
 
   /// Bytes currently held by the pool (leased or idle).
@@ -190,7 +159,6 @@ class ScratchArena {
   struct Slot {
     std::type_index type;
     bool in_use = false;
-    std::uint64_t bytes = 0;  ///< measured at release (capacity * sizeof)
     std::shared_ptr<void> storage;
     std::uint64_t (*measure)(const void*) = nullptr;
   };
@@ -218,30 +186,32 @@ inline std::vector<std::byte> plan_store_key(std::uint64_t device_digest,
   return w.take();
 }
 
-/// A cached single-array sort plan: the enqueued pipeline of
-/// enqueue_sort_pipeline plus the storage its bodies capture.  Plans are
-/// heap-allocated and pinned (no copy/move): the graph's kernel bodies
-/// hold references into buf/tmp/boundaries.
+/// A cached plan of any kind: an enqueued KernelGraph plus every buffer its
+/// bodies capture.  Plans are heap-allocated and pinned (no copy/move): the
+/// graph's kernel bodies hold references into the buffers.  The builders
+/// below fix what each buffer means:
+///
+///   sort, multiway   buf = input, tmp = ping-pong partner, boundaries = co-ranks
+///   permute          buf = input, tmp = output
+///   batched          buf = staging, tmp = packed output, boundaries and batch
 template <typename T>
-struct SortPlanT {
-  MergeConfig cfg;
-  std::int64_t n_padded = 0;
-  int passes = 0;
+struct Plan {
   std::vector<T> buf, tmp;
   std::vector<std::int64_t> boundaries;
-  std::vector<T>* result = nullptr;  ///< buf or tmp, fixed by the pass count
+  BatchLayout batch;                 ///< batched only
+  int passes = 0;                    ///< global merge passes (sort, multiway)
+  std::vector<T>* result = nullptr;  ///< buf or tmp: holds the output after a run
   gpusim::KernelGraph graph;
 
-  SortPlanT(const MergeConfig& c, std::int64_t np) : cfg(c), n_padded(np) {
-    buf.assign(static_cast<std::size_t>(np), padding_sentinel<T>::value());
-    gpusim::Stream stream = graph.stream();
-    result = enqueue_sort_pipeline(stream, buf, tmp, boundaries, np, cfg, passes);
-  }
-  SortPlanT(const SortPlanT&) = delete;
-  SortPlanT& operator=(const SortPlanT&) = delete;
+  /// A plan whose input buffer is `n_padded` sentinels (every kind but batched).
+  explicit Plan(std::int64_t n_padded = 0)
+      : buf(static_cast<std::size_t>(n_padded), padding_sentinel<T>::value()) {}
+  Plan(const Plan&) = delete;
+  Plan& operator=(const Plan&) = delete;
 
-  /// Rebind: load the next input.  The sentinel tail is rewritten because a
-  /// previous execution leaves buf holding that run's intermediate data.
+  /// Rebind a padded plan: load the next input.  The sentinel tail is
+  /// rewritten because a previous execution leaves buf holding that run's
+  /// intermediate data.
   void load(const std::vector<T>& data) {
     std::copy(data.begin(), data.end(), buf.begin());
     std::fill(buf.begin() + static_cast<std::ptrdiff_t>(data.size()), buf.end(),
@@ -250,284 +220,54 @@ struct SortPlanT {
 
   [[nodiscard]] std::uint64_t footprint_bytes() const {
     return (buf.capacity() + tmp.capacity()) * sizeof(T) +
-           boundaries.capacity() * sizeof(std::int64_t);
+           batch.tiles.capacity() * sizeof(BatchTile) +
+           batch.pair_tile0.capacity() * sizeof(int) +
+           (batch.out_sizes.capacity() + boundaries.capacity()) * sizeof(std::int64_t);
   }
 };
 
-/// A cached k-way sort plan: enqueue_multiway_pipeline's graph plus the
-/// storage its bodies capture.  Keyed under Kind::Multiway; every knob —
-/// (k, variant) included — lives in config_digest(MultiwayConfig).
+// One builder per plan kind; each calls that kind's enqueue_*_pipeline.
+
 template <typename T>
-struct MultiwayPlanT {
-  MultiwayConfig cfg;
-  std::int64_t n_padded = 0;
-  int passes = 0;
-  std::vector<T> buf, tmp;
-  std::vector<std::int64_t> boundaries;
-  std::vector<T>* result = nullptr;  ///< buf or tmp, fixed by the pass count
-  gpusim::KernelGraph graph;
+std::shared_ptr<Plan<T>> build_sort_plan(const MergeConfig& cfg, std::int64_t n_padded) {
+  auto plan = std::make_shared<Plan<T>>(n_padded);
+  gpusim::Stream stream = plan->graph.stream();
+  plan->result = enqueue_sort_pipeline(stream, plan->buf, plan->tmp, plan->boundaries,
+                                       n_padded, cfg, plan->passes);
+  return plan;
+}
 
-  MultiwayPlanT(const MultiwayConfig& c, std::int64_t np, int warp_size)
-      : cfg(c), n_padded(np) {
-    buf.assign(static_cast<std::size_t>(np), padding_sentinel<T>::value());
-    gpusim::Stream stream = graph.stream();
-    result = enqueue_multiway_pipeline(stream, buf, tmp, boundaries, np, cfg, warp_size,
-                                       passes);
-  }
-  MultiwayPlanT(const MultiwayPlanT&) = delete;
-  MultiwayPlanT& operator=(const MultiwayPlanT&) = delete;
-
-  void load(const std::vector<T>& data) {
-    std::copy(data.begin(), data.end(), buf.begin());
-    std::fill(buf.begin() + static_cast<std::ptrdiff_t>(data.size()), buf.end(),
-              padding_sentinel<T>::value());
-  }
-
-  [[nodiscard]] std::uint64_t footprint_bytes() const {
-    return (buf.capacity() + tmp.capacity()) * sizeof(T) +
-           boundaries.capacity() * sizeof(std::int64_t);
-  }
-};
-
-/// A cached permute/transpose plan: the one-kernel cfprims pipeline plus
-/// its input and output buffers.  Keyed under Kind::Permute / Transpose;
-/// the (op, inverse) direction bits live in config_digest(PermuteConfig).
 template <typename T>
-struct PermutePlanT {
-  cfprims::PermuteConfig cfg;
-  std::int64_t n_padded = 0;
-  std::vector<T> buf, out;
-  gpusim::KernelGraph graph;
+std::shared_ptr<Plan<T>> build_multiway_plan(const MultiwayConfig& cfg, std::int64_t n_padded,
+                                             int warp_size) {
+  auto plan = std::make_shared<Plan<T>>(n_padded);
+  gpusim::Stream stream = plan->graph.stream();
+  plan->result = enqueue_multiway_pipeline(stream, plan->buf, plan->tmp, plan->boundaries,
+                                           n_padded, cfg, warp_size, plan->passes);
+  return plan;
+}
 
-  PermutePlanT(const cfprims::PermuteConfig& c, std::int64_t np) : cfg(c), n_padded(np) {
-    buf.assign(static_cast<std::size_t>(np), padding_sentinel<T>::value());
-    out.assign(static_cast<std::size_t>(np), padding_sentinel<T>::value());
-    gpusim::Stream stream = graph.stream();
-    cfprims::enqueue_permute_pipeline(stream, buf, out, np, cfg);
-  }
-  PermutePlanT(const PermutePlanT&) = delete;
-  PermutePlanT& operator=(const PermutePlanT&) = delete;
-
-  void load(const std::vector<T>& data) {
-    std::copy(data.begin(), data.end(), buf.begin());
-    std::fill(buf.begin() + static_cast<std::ptrdiff_t>(data.size()), buf.end(),
-              padding_sentinel<T>::value());
-  }
-
-  [[nodiscard]] std::uint64_t footprint_bytes() const {
-    return (buf.capacity() + out.capacity()) * sizeof(T);
-  }
-};
-
-/// A cached batched-merge plan: the staging layout, per-tile descriptors,
-/// both kernel nodes per pair, and the packed output buffer.  The staging
-/// sentinel pads are written once at build time — kernels only read
-/// staging, so rebinding just overwrites the real |A| / |B| prefixes.
 template <typename T>
-struct BatchedPlanT {
-  MergeConfig cfg;
-  std::int64_t elements = 0;  ///< total real output elements of the shape
-  std::vector<T> staging;
-  std::vector<T> packed;
-  std::vector<BatchTile> tiles;
-  std::vector<int> pair_tile0;
-  std::vector<std::int64_t> out_sizes;
-  std::vector<std::int64_t> boundaries;
-  gpusim::KernelGraph graph;
+std::shared_ptr<Plan<T>> build_permute_plan(const cfprims::PermuteConfig& cfg,
+                                            std::int64_t n_padded) {
+  auto plan = std::make_shared<Plan<T>>(n_padded);
+  plan->tmp.assign(plan->buf.size(), padding_sentinel<T>::value());
+  gpusim::Stream stream = plan->graph.stream();
+  cfprims::enqueue_permute_pipeline(stream, plan->buf, plan->tmp, n_padded, cfg);
+  plan->result = &plan->tmp;
+  return plan;
+}
 
-  BatchedPlanT(const std::vector<std::vector<T>>& as, const std::vector<std::vector<T>>& bs,
-               const MergeConfig& c)
-      : cfg(c) {
-    const std::int64_t tile = cfg.tile();
-    const T sentinel = padding_sentinel<T>::value();
-
-    // Stage every pair as [A pad | B pad] with both runs padded to the same
-    // multiple of the tile, and precompute per-tile descriptors.
-    pair_tile0.resize(as.size());
-    out_sizes.resize(as.size());
-    std::int64_t packed_out = 0;
-    for (std::size_t p = 0; p < as.size(); ++p) {
-      pair_tile0[p] = static_cast<int>(tiles.size());
-      const auto na = static_cast<std::int64_t>(as[p].size());
-      const auto nb = static_cast<std::int64_t>(bs[p].size());
-      out_sizes[p] = na + nb;
-      elements += na + nb;
-      const std::int64_t run = std::max<std::int64_t>(
-          {(na + tile - 1) / tile * tile, (nb + tile - 1) / tile * tile, tile});
-      const std::int64_t a_base = static_cast<std::int64_t>(staging.size());
-      staging.insert(staging.end(), as[p].begin(), as[p].end());
-      staging.resize(static_cast<std::size_t>(a_base + run), sentinel);
-      const std::int64_t b_base = static_cast<std::int64_t>(staging.size());
-      staging.insert(staging.end(), bs[p].begin(), bs[p].end());
-      staging.resize(static_cast<std::size_t>(b_base + run), sentinel);
-      for (std::int64_t d = 0; d < 2 * run; d += tile) {
-        tiles.push_back({static_cast<std::int32_t>(p), a_base, b_base, run, run, d,
-                         packed_out + d});
-      }
-      packed_out += 2 * run;
-    }
-    packed.resize(static_cast<std::size_t>(packed_out));
-    boundaries.assign(tiles.size(), 0);
-
-    // Two graph nodes per pair — partition -> merge, no cross-pair edges —
-    // exactly the free batched_merge's enqueue, with the bodies capturing
-    // plan members instead of stack locals.
-    const int regs = cfg.variant == Variant::CFMerge
-                         ? cost::cfmerge_regs_per_thread(cfg.e)
-                         : cost::baseline_regs_per_thread(cfg.e);
-    for (std::size_t p = 0; p < as.size(); ++p) {
-      const int t0 = pair_tile0[p];
-      const int tcount =
-          (p + 1 < as.size() ? pair_tile0[p + 1] : static_cast<int>(tiles.size())) - t0;
-
-      // Stage 1: per-tile co-rank of this pair's tiles (each simulated
-      // thread resolves one tile's start diagonal; the descriptor read is
-      // charged).
-      const int pblocks = (tcount + cfg.u - 1) / cfg.u;
-      const gpusim::NodeId partition = graph.add(
-          "batched_partition", gpusim::LaunchShape{pblocks, cfg.u, 0, 24},
-          [this, t0, tcount](gpusim::BlockContext& ctx) {
-            ctx.phase("partition.search");
-            const int w = ctx.lanes();
-            assert(w <= gpusim::kMaxLanes);
-            for (int warp = 0; warp < ctx.warps(); ++warp) {
-              std::array<mergepath::LaneSearch, gpusim::kMaxLanes> lanes{};
-              std::array<const BatchTile*, gpusim::kMaxLanes> desc{};
-              bool any = false;
-              std::array<std::int64_t, gpusim::kMaxLanes> daddr;
-              daddr.fill(gpusim::kInactiveLane);
-              for (int lane = 0; lane < w; ++lane) {
-                const std::int64_t local =
-                    static_cast<std::int64_t>(ctx.block_id()) * cfg.u + warp * w + lane;
-                if (local >= tcount) continue;
-                const std::int64_t t = t0 + local;
-                const auto& bt = tiles[static_cast<std::size_t>(t)];
-                desc[static_cast<std::size_t>(lane)] = &bt;
-                daddr[static_cast<std::size_t>(lane)] =
-                    t * static_cast<std::int64_t>(sizeof(BatchTile));
-                lanes[static_cast<std::size_t>(lane)].init(bt.diag0, bt.ra, bt.rb);
-                any = true;
-              }
-              if (!any) continue;
-              ctx.charge_gmem(
-                  warp,
-                  std::span<const std::int64_t>(daddr.data(), static_cast<std::size_t>(w)),
-                  8, /*dependent=*/true);  // descriptor fetch
-              std::array<std::int64_t, gpusim::kMaxLanes> pa;
-              std::array<std::int64_t, gpusim::kMaxLanes> pb;
-              gpusim::GlobalView<const T> g(ctx, std::span<const T>(staging), 0);
-              auto probe = [&](std::span<const std::int64_t> a_addr, std::span<T> a_val,
-                               std::span<const std::int64_t> b_addr, std::span<T> b_val) {
-                for (int lane = 0; lane < w; ++lane) {
-                  const auto l = static_cast<std::size_t>(lane);
-                  pa[l] = a_addr[l] == gpusim::kInactiveLane || desc[l] == nullptr
-                              ? gpusim::kInactiveLane
-                              : desc[l]->a_base + a_addr[l];
-                  pb[l] = b_addr[l] == gpusim::kInactiveLane || desc[l] == nullptr
-                              ? gpusim::kInactiveLane
-                              : desc[l]->b_base + b_addr[l];
-                }
-                ctx.charge_compute(warp, cost::kSearchIterInstrs);
-                std::array<T, gpusim::kMaxLanes> av{};
-                std::array<T, gpusim::kMaxLanes> bv{};
-                g.gather(warp, std::span<const std::int64_t>(pa.data(), a_val.size()),
-                         std::span<T>(av.data(), a_val.size()), /*dependent=*/true);
-                g.gather(warp, std::span<const std::int64_t>(pb.data(), b_val.size()),
-                         std::span<T>(bv.data(), b_val.size()), /*dependent=*/false);
-                std::copy(av.begin(), av.begin() + static_cast<std::ptrdiff_t>(w),
-                          a_val.begin());
-                std::copy(bv.begin(), bv.begin() + static_cast<std::ptrdiff_t>(w),
-                          b_val.begin());
-              };
-              mergepath::warp_corank_search<T>(
-                  std::span<mergepath::LaneSearch>(lanes.data(),
-                                                   static_cast<std::size_t>(w)),
-                  probe, std::less<T>{});
-              for (int lane = 0; lane < w; ++lane) {
-                const std::int64_t local =
-                    static_cast<std::int64_t>(ctx.block_id()) * cfg.u + warp * w + lane;
-                if (local >= tcount) continue;
-                boundaries[static_cast<std::size_t>(t0 + local)] =
-                    lanes[static_cast<std::size_t>(lane)].lo;
-              }
-            }
-          });
-
-      // Stage 2: one merge block per output tile of this pair.
-      graph.add(
-          "batched_merge",
-          gpusim::LaunchShape{tcount, cfg.u, static_cast<std::size_t>(tile) * sizeof(T),
-                              regs},
-          [this, t0, tcount, tile](gpusim::BlockContext& ctx) {
-            const std::int64_t local = ctx.block_id();
-            const auto t = static_cast<std::size_t>(t0 + local);
-            const BatchTile& bt = tiles[t];
-            ctx.phase("merge.load");
-            {
-              // Descriptor + both boundary co-ranks: one small global read.
-              const auto w = static_cast<std::size_t>(ctx.lanes());
-              assert(w <= static_cast<std::size_t>(gpusim::kMaxLanes));
-              std::array<std::int64_t, gpusim::kMaxLanes> addr;
-              addr.fill(gpusim::kInactiveLane);
-              addr[0] = static_cast<std::int64_t>(t);
-              gpusim::GlobalView<const std::int64_t> bv(
-                  ctx, std::span<const std::int64_t>(boundaries), 0);
-              std::array<std::int64_t, gpusim::kMaxLanes> tmp;
-              bv.gather(0, std::span<const std::int64_t>(addr.data(), w),
-                        std::span<std::int64_t>(tmp.data(), w));
-            }
-            const std::int64_t a0 = boundaries[t];
-            const bool last_tile_of_pair = local + 1 == tcount;
-            const std::int64_t diag1 = bt.diag0 + tile;
-            const std::int64_t a1 = last_tile_of_pair && diag1 >= bt.ra + bt.rb
-                                        ? bt.ra
-                                        : boundaries[t + 1];
-            const std::int64_t b0 = bt.diag0 - a0;
-            const std::int64_t la = a1 - a0;
-            const std::int64_t lb = tile - la;
-
-            gpusim::GlobalView<const T> gin(ctx, std::span<const T>(staging), 0);
-            gpusim::GlobalView<T> gout(
-                ctx,
-                std::span<T>(packed).subspan(static_cast<std::size_t>(bt.out_base),
-                                             static_cast<std::size_t>(tile)),
-                bt.out_base);
-            merge_window_core<T>(ctx, gin, gout, bt.a_base + a0, bt.b_base + b0, la, lb,
-                                 cfg, std::less<T>{});
-          },
-          {partition});
-    }
-  }
-  BatchedPlanT(const BatchedPlanT&) = delete;
-  BatchedPlanT& operator=(const BatchedPlanT&) = delete;
-
-  /// Rebind: overwrite each run's real prefix.  The sentinel pads between
-  /// runs persist from build time (kernels never write staging).
-  void load(const std::vector<std::vector<T>>& as, const std::vector<std::vector<T>>& bs) {
-    for (std::size_t p = 0; p < as.size(); ++p) {
-      const BatchTile& first = tiles[static_cast<std::size_t>(pair_tile0[p])];
-      std::copy(as[p].begin(), as[p].end(),
-                staging.begin() + static_cast<std::ptrdiff_t>(first.a_base));
-      std::copy(bs[p].begin(), bs[p].end(),
-                staging.begin() + static_cast<std::ptrdiff_t>(first.b_base));
-    }
-  }
-
-  /// Unpack the packed output (dropping sentinel tails) into `outs`.
-  void unpack(std::vector<std::vector<T>>& outs) const {
-    for (std::size_t p = 0; p < out_sizes.size(); ++p) {
-      const std::int64_t off = tiles[static_cast<std::size_t>(pair_tile0[p])].out_base;
-      outs[p].assign(packed.begin() + static_cast<std::ptrdiff_t>(off),
-                     packed.begin() + static_cast<std::ptrdiff_t>(off + out_sizes[p]));
-    }
-  }
-
-  [[nodiscard]] std::uint64_t footprint_bytes() const {
-    return (staging.capacity() + packed.capacity()) * sizeof(T) +
-           tiles.capacity() * sizeof(BatchTile) + pair_tile0.capacity() * sizeof(int) +
-           (out_sizes.capacity() + boundaries.capacity()) * sizeof(std::int64_t);
-  }
-};
+template <typename T>
+std::shared_ptr<Plan<T>> build_batched_plan(const std::vector<std::vector<T>>& as,
+                                            const std::vector<std::vector<T>>& bs,
+                                            const MergeConfig& cfg) {
+  auto plan = std::make_shared<Plan<T>>();
+  enqueue_batched_pipeline(plan->graph, as, bs, plan->buf, plan->tmp, plan->batch,
+                           plan->boundaries, cfg);
+  plan->result = &plan->tmp;
+  return plan;
+}
 
 }  // namespace detail
 
@@ -550,35 +290,9 @@ class SortEngine {
                   gpusim::GraphExec mode = gpusim::GraphExec::Overlap) {
     validate_merge_config(launcher_->device(), cfg);
     const MergeConfig certified = with_certs(cfg);
-
-    SortReport report;
-    report.n = static_cast<std::int64_t>(data.size());
-    if (report.n == 0) return report;
-
-    const std::int64_t tile = certified.tile();
-    const std::int64_t n_padded = (report.n + tile - 1) / tile * tile;
-    report.n_padded = n_padded;
-
-    const PlanKey key{PlanKey::Kind::Sort, type_digest<T>(), n_padded, 0,
-                      config_digest(certified)};
-    auto plan = acquire_plan<detail::SortPlanT<T>>(key, [&] {
-      return std::make_shared<detail::SortPlanT<T>>(certified, n_padded);
+    return sort_padded(data, PlanKey::Kind::Sort, certified, mode, [&](std::int64_t np) {
+      return detail::build_sort_plan<T>(certified, np);
     });
-    plan->load(data);
-    report.passes = plan->passes;
-
-    launcher_->clear_history();
-    const gpusim::GraphReport g = launcher_->run(plan->graph, mode);
-
-    std::copy(plan->result->begin(), plan->result->begin() + report.n, data.begin());
-    report.kernels = g.kernels;
-    report.microseconds = g.serial_microseconds;
-    report.makespan_microseconds = g.makespan_microseconds;
-    report.graph_levels = g.levels;
-    report.totals = launcher_->total_counters();
-    report.phases = launcher_->phase_counters();
-    cache_plan(key, std::move(plan));
-    return report;
   }
 
   /// merge_sort_multiway through the engine: the k-way pipeline under the
@@ -587,40 +301,11 @@ class SortEngine {
   SortReport sort_multiway(std::vector<T>& data, const MultiwayConfig& cfg,
                            gpusim::GraphExec mode = gpusim::GraphExec::Overlap) {
     validate_multiway_config(launcher_->device(), cfg);
-    MultiwayConfig certified = cfg;
-    certified.certs = resolve_tile_certs(launcher_->device().warp_size, cfg.e);
-
-    SortReport report;
-    report.n = static_cast<std::int64_t>(data.size());
-    if (report.n == 0) return report;
-
-    const std::int64_t tile = cfg.tile();
-    const std::int64_t n_padded = (report.n + tile - 1) / tile * tile;
-    report.n_padded = n_padded;
-
-    // Every multiway knob — (k, variant) included — is folded by the one
-    // uniform config_digest helper; no ad-hoc per-call-site digesting.
-    const PlanKey key{PlanKey::Kind::Multiway, type_digest<T>(), n_padded, 0,
-                      config_digest(cfg)};
+    const MultiwayConfig certified = with_certs(cfg);
     const int warp_size = launcher_->device().warp_size;
-    auto plan = acquire_plan<detail::MultiwayPlanT<T>>(key, [&] {
-      return std::make_shared<detail::MultiwayPlanT<T>>(certified, n_padded, warp_size);
+    return sort_padded(data, PlanKey::Kind::Multiway, certified, mode, [&](std::int64_t np) {
+      return detail::build_multiway_plan<T>(certified, np, warp_size);
     });
-    plan->load(data);
-    report.passes = plan->passes;
-
-    launcher_->clear_history();
-    const gpusim::GraphReport g = launcher_->run(plan->graph, mode);
-
-    std::copy(plan->result->begin(), plan->result->begin() + report.n, data.begin());
-    report.kernels = g.kernels;
-    report.microseconds = g.serial_microseconds;
-    report.makespan_microseconds = g.makespan_microseconds;
-    report.graph_levels = g.levels;
-    report.totals = launcher_->total_counters();
-    report.phases = launcher_->phase_counters();
-    cache_plan(key, std::move(plan));
-    return report;
   }
 
   /// Standalone cf_permute / cf_transpose through the engine: one cached
@@ -639,34 +324,14 @@ class SortEngine {
     report.inverse = cfg.inverse;
     report.e = cfg.e;
     report.u = cfg.u;
-    report.n = static_cast<std::int64_t>(data.size());
-    if (report.n == 0) return report;
-
-    const std::int64_t tile = cfg.tile();
-    const std::int64_t n_padded = (report.n + tile - 1) / tile * tile;
-    report.n_padded = n_padded;
-
-    // The (op, inverse) direction bits are folded by config_digest — the
-    // same uniform helper every plan kind goes through.
-    const auto kind = cfg.op == cfprims::PermuteOp::kTranspose
-                          ? PlanKey::Kind::Transpose
-                          : PlanKey::Kind::Permute;
-    const PlanKey key{kind, type_digest<T>(), n_padded, 0, config_digest(cfg)};
-    auto plan = acquire_plan<detail::PermutePlanT<T>>(
-        key, [&] { return std::make_shared<detail::PermutePlanT<T>>(cfg, n_padded); });
-    plan->load(data);
-
-    launcher_->clear_history();
-    const gpusim::GraphReport g = launcher_->run(plan->graph, mode);
-
-    data.assign(plan->out.begin(), plan->out.end());
-    report.kernels = g.kernels;
-    report.microseconds = g.serial_microseconds;
-    report.makespan_microseconds = g.makespan_microseconds;
-    report.graph_levels = g.levels;
-    report.totals = launcher_->total_counters();
-    report.phases = launcher_->phase_counters();
-    cache_plan(key, std::move(plan));
+    const auto kind = cfg.op == cfprims::PermuteOp::kTranspose ? PlanKey::Kind::Transpose
+                                                               : PlanKey::Kind::Permute;
+    execute_padded(
+        report, data, kind, cfg, mode,
+        [&](std::int64_t np) { return detail::build_permute_plan<T>(cfg, np); },
+        [&](const detail::Plan<T>& plan) {
+          data.assign(plan.result->begin(), plan.result->end());
+        });
     return report;
   }
 
@@ -675,17 +340,8 @@ class SortEngine {
   SortReport sort_multiway_by_key(std::vector<K>& keys, std::vector<V>& values,
                                   const MultiwayConfig& cfg,
                                   gpusim::GraphExec mode = gpusim::GraphExec::Overlap) {
-    if (keys.size() != values.size())
-      throw std::invalid_argument("merge_sort_multiway_by_key: keys/values size mismatch");
-    auto lease = arena_.acquire<KeyValue<K, V>>(keys.size());
-    std::vector<KeyValue<K, V>>& pairs = *lease;
-    for (std::size_t i = 0; i < keys.size(); ++i) pairs[i] = {keys[i], values[i]};
-    const SortReport report = sort_multiway(pairs, cfg, mode);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      keys[i] = pairs[i].key;
-      values[i] = pairs[i].value;
-    }
-    return report;
+    return sort_key_value(keys, values, "merge_sort_multiway_by_key",
+                          [&](auto& pairs) { return sort_multiway(pairs, cfg, mode); });
   }
 
   /// merge_sort_by_key through the engine: the KeyValue pair buffer comes
@@ -694,17 +350,8 @@ class SortEngine {
   SortReport sort_by_key(std::vector<K>& keys, std::vector<V>& values,
                          const MergeConfig& cfg,
                          gpusim::GraphExec mode = gpusim::GraphExec::Overlap) {
-    if (keys.size() != values.size())
-      throw std::invalid_argument("merge_sort_by_key: keys/values size mismatch");
-    auto lease = arena_.acquire<KeyValue<K, V>>(keys.size());
-    std::vector<KeyValue<K, V>>& pairs = *lease;
-    for (std::size_t i = 0; i < keys.size(); ++i) pairs[i] = {keys[i], values[i]};
-    const SortReport report = sort(pairs, cfg, mode);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      keys[i] = pairs[i].key;
-      values[i] = pairs[i].value;
-    }
-    return report;
+    return sort_key_value(keys, values, "merge_sort_by_key",
+                          [&](auto& pairs) { return sort(pairs, cfg, mode); });
   }
 
   /// segmented_sort through the engine: every non-empty segment acquires a
@@ -722,13 +369,7 @@ class SortEngine {
     report.segments = static_cast<int>(segments.size());
     report.per_segment.reserve(segments.size());
 
-    struct Held {
-      PlanKey key;
-      std::shared_ptr<detail::SortPlanT<T>> plan;
-    };
-    std::vector<Held> held;
-
-    const std::int64_t tile = cfg.tile();
+    std::vector<std::pair<PlanKey, std::shared_ptr<detail::Plan<T>>>> held;
     gpusim::KernelGraph graph;
     for (std::vector<T>& seg : segments) {
       SegmentedSortReport::Segment info;
@@ -736,40 +377,25 @@ class SortEngine {
       info.first_kernel = graph.size();
       report.elements += info.n;
       if (info.n > 0) {
-        const std::int64_t n_padded = (info.n + tile - 1) / tile * tile;
-        const PlanKey key{PlanKey::Kind::Sort, type_digest<T>(), n_padded, 0,
-                          config_digest(certified)};
-        auto plan = acquire_plan<detail::SortPlanT<T>>(key, [&] {
-          return std::make_shared<detail::SortPlanT<T>>(certified, n_padded);
-        });
+        const PlanKey key = padded_key<T>(PlanKey::Kind::Sort, info.n, certified);
+        auto plan = acquire_plan<T>(
+            key, [&] { return detail::build_sort_plan<T>(certified, key.n_padded); });
         plan->load(seg);
         info.passes = plan->passes;
         graph.append(plan->graph);
         info.kernel_count = graph.size() - info.first_kernel;
-        held.push_back({key, std::move(plan)});
+        held.emplace_back(key, std::move(plan));
       }
       report.per_segment.push_back(info);
     }
 
-    launcher_->clear_history();
-    const gpusim::GraphReport g = launcher_->run(graph, mode);
+    run(report, graph, mode);
 
     std::size_t si = 0;
     for (std::vector<T>& seg : segments) {
-      if (seg.empty()) continue;
-      const detail::SortPlanT<T>& plan = *held[si++].plan;
-      std::copy(plan.result->begin(),
-                plan.result->begin() + static_cast<std::ptrdiff_t>(seg.size()),
-                seg.begin());
+      if (!seg.empty()) unpack_sorted(*held[si++].second, seg);
     }
-
-    report.serial_microseconds = g.serial_microseconds;
-    report.makespan_microseconds = g.makespan_microseconds;
-    report.graph_levels = g.levels;
-    report.kernels = g.kernels;
-    report.totals = launcher_->total_counters();
-    report.phases = launcher_->phase_counters();
-    for (Held& h : held) cache_plan(h.key, std::move(h.plan));
+    for (auto& [key, plan] : held) cache_plan(key, std::move(plan));
     return report;
   }
 
@@ -800,23 +426,13 @@ class SortEngine {
     const PlanKey key{PlanKey::Kind::Batched, type_digest<T>(),
                       static_cast<std::int64_t>(as.size()), digest,
                       config_digest(certified)};
-    auto plan = acquire_plan<detail::BatchedPlanT<T>>(key, [&] {
-      return std::make_shared<detail::BatchedPlanT<T>>(as, bs, certified);
-    });
-    plan->load(as, bs);
-    report.elements = plan->elements;
-
-    launcher_->clear_history();
-    const gpusim::GraphReport g = launcher_->run(plan->graph, mode);
-
-    plan->unpack(outs);
-    report.microseconds = g.serial_microseconds;
-    report.makespan_microseconds = g.makespan_microseconds;
-    report.graph_levels = g.levels;
-    report.kernels = g.kernels;
-    report.totals = launcher_->total_counters();
-    report.phases = launcher_->phase_counters();
-    cache_plan(key, std::move(plan));
+    execute<T>(
+        report, key, mode, [&] { return detail::build_batched_plan<T>(as, bs, certified); },
+        [&](detail::Plan<T>& plan) {
+          plan.batch.load(as, bs, plan.buf);
+          report.elements = plan.batch.elements;
+        },
+        [&](const detail::Plan<T>& plan) { plan.batch.unpack(*plan.result, outs); });
     return report;
   }
 
@@ -858,63 +474,130 @@ class SortEngine {
     std::uint64_t released_at = 0;
   };
 
-  /// Copies `cfg` with the conflict-freedom certificate bundle for the
-  /// launcher's warp width resolved in (memoized process-wide; a few
-  /// symbolic proofs on the first call per (w, E)).  PlanKey equality
-  /// ignores the bundle — it is a pure function of (warp_size, e).
-  [[nodiscard]] MergeConfig with_certs(const MergeConfig& cfg) const {
-    MergeConfig out = cfg;
+  /// Copies `cfg` (a MergeConfig or MultiwayConfig) with the
+  /// conflict-freedom certificate bundle for the launcher's warp width
+  /// resolved in (memoized process-wide; a few symbolic proofs on the first
+  /// call per (w, E)).  PlanKey equality ignores the bundle — it is a pure
+  /// function of (warp_size, e).
+  template <typename Cfg>
+  [[nodiscard]] Cfg with_certs(const Cfg& cfg) const {
+    Cfg out = cfg;
     out.certs = resolve_tile_certs(launcher_->device().warp_size, cfg.e);
     return out;
   }
 
-  template <typename Plan, typename Build>
-  std::shared_ptr<Plan> acquire_plan(const PlanKey& key, Build&& build) {
-    if (cache_enabled_) {
-      for (std::size_t i = 0; i < free_plans_.size(); ++i) {
-        if (free_plans_[i].key == key) {
-          auto plan = std::static_pointer_cast<Plan>(std::move(free_plans_[i].plan));
-          free_plans_.erase(free_plans_.begin() + static_cast<std::ptrdiff_t>(i));
-          ++stats_.plan_hits;
-          return plan;
-        }
-      }
-    }
-    ++stats_.plan_misses;
+  /// The key of a single-array plan: `n` padded to the config's tile.
+  template <typename T, typename Cfg>
+  [[nodiscard]] static PlanKey padded_key(PlanKey::Kind kind, std::int64_t n, const Cfg& cfg) {
+    const std::int64_t tile = cfg.tile();
+    return {kind, type_digest<T>(), (n + tile - 1) / tile * tile, 0, config_digest(cfg)};
+  }
 
-    // Warm-start: an attached store answers "has any process planned this
-    // exact request on this exact device before?".  The kernel graph itself
-    // cannot live on disk (its bodies capture live buffers), so a disk hit
-    // warms the metadata and the counters, not the build; the expensive
-    // persisted payload is the autotuner's (analysis/autotune.cpp), which
-    // shares this store.
-    bool persisted = false;
-    std::vector<std::byte> skey;
-    if (store_ != nullptr) {
-      skey = detail::plan_store_key(launcher_->device().digest(), key);
-      persisted = store_->lookup(skey).has_value();
+  /// Copies the first seg.size() elements of a sort plan's result over `seg`.
+  template <typename T>
+  static void unpack_sorted(const detail::Plan<T>& plan, std::vector<T>& seg) {
+    std::copy(plan.result->begin(),
+              plan.result->begin() + static_cast<std::ptrdiff_t>(seg.size()), seg.begin());
+  }
+
+  /// Runs `graph` on a cleared launcher and copies the graph timing and
+  /// the launcher's counters into `report`.
+  template <typename Report>
+  void run(Report& report, const gpusim::KernelGraph& graph, gpusim::GraphExec mode) {
+    launcher_->clear_history();
+    gpusim::GraphReport g = launcher_->run(graph, mode);
+    if constexpr (requires { report.serial_microseconds; }) {
+      report.serial_microseconds = g.serial_microseconds;
+    } else {
+      report.microseconds = g.serial_microseconds;
     }
-    auto plan = build();
-    if (store_ != nullptr && !persisted) {
-      cache::ByteWriter meta;
-      meta.u8(1);  // metadata record version
-      if constexpr (requires { plan->passes; }) {
-        meta.i64(plan->passes);
-      } else {
-        meta.i64(0);
-      }
-      meta.i64(key.n_padded);
-      store_->insert(skey, meta.data());
+    report.makespan_microseconds = g.makespan_microseconds;
+    report.graph_levels = g.levels;
+    report.kernels = std::move(g.kernels);
+    report.totals = launcher_->total_counters();
+    report.phases = launcher_->phase_counters();
+  }
+
+  /// The one execute path: acquire the plan for `key` (building it on a
+  /// miss), load the input, run the graph, unpack the output, and hand the
+  /// plan back to the cache.
+  template <typename T, typename Report, typename Build, typename Load, typename Unpack>
+  void execute(Report& report, const PlanKey& key, gpusim::GraphExec mode, Build&& build,
+               Load&& load, Unpack&& unpack) {
+    std::shared_ptr<detail::Plan<T>> plan = acquire_plan<T>(key, build);
+    load(*plan);
+    run(report, plan->graph, mode);
+    unpack(std::as_const(*plan));
+    cache_plan(key, std::move(plan));
+  }
+
+  /// execute() for the single-array kinds: pads `data` to the tile
+  /// multiple and loads it with a sentinel tail.  Empty input returns with
+  /// report.n = 0 and no plan traffic.
+  template <typename T, typename Report, typename Cfg, typename Build, typename Unpack>
+  void execute_padded(Report& report, const std::vector<T>& data, PlanKey::Kind kind,
+                      const Cfg& cfg, gpusim::GraphExec mode, Build&& build, Unpack&& unpack) {
+    report.n = static_cast<std::int64_t>(data.size());
+    if (report.n == 0) return;
+    const PlanKey key = padded_key<T>(kind, report.n, cfg);
+    report.n_padded = key.n_padded;
+    execute<T>(
+        report, key, mode, [&] { return build(key.n_padded); },
+        [&](detail::Plan<T>& plan) { plan.load(data); }, unpack);
+  }
+
+  /// sort / sort_multiway: execute_padded, then copy the sorted prefix back.
+  template <typename T, typename Cfg, typename Build>
+  SortReport sort_padded(std::vector<T>& data, PlanKey::Kind kind, const Cfg& cfg,
+                         gpusim::GraphExec mode, Build&& build) {
+    SortReport report;
+    execute_padded(report, data, kind, cfg, mode, build, [&](const detail::Plan<T>& plan) {
+      report.passes = plan.passes;
+      unpack_sorted(plan, data);
+    });
+    return report;
+  }
+
+  /// The *_by_key staging: pairs (keys, values) into an arena-leased
+  /// KeyValue buffer, sorts it with `sort_pairs`, and splits it back.
+  template <typename K, typename V, typename SortPairs>
+  SortReport sort_key_value(std::vector<K>& keys, std::vector<V>& values, const char* entry,
+                            SortPairs&& sort_pairs) {
+    if (keys.size() != values.size())
+      throw std::invalid_argument(std::string(entry) + ": keys/values size mismatch");
+    auto lease = arena_.acquire<KeyValue<K, V>>(keys.size());
+    std::vector<KeyValue<K, V>>& pairs = *lease;
+    for (std::size_t i = 0; i < keys.size(); ++i) pairs[i] = {keys[i], values[i]};
+    const SortReport report = sort_pairs(pairs);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      keys[i] = pairs[i].key;
+      values[i] = pairs[i].value;
     }
+    return report;
+  }
+
+  /// An idle plan for `key` (a hit), else a fresh build() (a miss).
+  template <typename T, typename Build>
+  std::shared_ptr<detail::Plan<T>> acquire_plan(const PlanKey& key, Build&& build) {
+    if (std::shared_ptr<void> idle = take_idle(key))
+      return std::static_pointer_cast<detail::Plan<T>>(std::move(idle));
+    std::shared_ptr<detail::Plan<T>> plan = build();
+    persist(key, plan->passes);
     return plan;
   }
 
-  template <typename Plan>
-  void cache_plan(const PlanKey& key, std::shared_ptr<Plan> plan) {
+  template <typename T>
+  void cache_plan(const PlanKey& key, std::shared_ptr<detail::Plan<T>> plan) {
     const std::uint64_t bytes = plan->footprint_bytes();
     release_plan(key, std::move(plan), bytes);
   }
 
+  /// Removes and returns an idle plan for `key` (a hit), or returns null
+  /// after counting a miss.
+  std::shared_ptr<void> take_idle(const PlanKey& key);
+  /// Writes a freshly built plan's metadata to the attached store unless a
+  /// previous process already persisted it.
+  void persist(const PlanKey& key, int passes);
   void release_plan(const PlanKey& key, std::shared_ptr<void> plan,
                     std::uint64_t bytes);
   void evict_to_capacity(std::size_t capacity);

@@ -23,11 +23,82 @@ TEST(KeyValueStruct, ComparesByKeyOnly) {
   EXPECT_TRUE(a == c);  // key equality
 }
 
-TEST(PaddingSentinel, MaxForScalarsAndPairs) {
+TEST(PaddingSentinel, TopOfOrderForScalarsAndPairs) {
   EXPECT_EQ(padding_sentinel<int>::value(), std::numeric_limits<int>::max());
-  EXPECT_EQ(padding_sentinel<float>::value(), std::numeric_limits<float>::max());
+  EXPECT_EQ(padding_sentinel<float>::value(), std::numeric_limits<float>::infinity());
   const auto kv = padding_sentinel<KeyValue<int, double>>::value();
   EXPECT_EQ(kv.key, std::numeric_limits<int>::max());
+  const auto fkv = padding_sentinel<KeyValue<float, int>>::value();
+  EXPECT_EQ(fkv.key, std::numeric_limits<float>::infinity());
+}
+
+namespace {
+
+/// Ragged float data salted with both infinities and both finite extremes.
+std::vector<float> extreme_floats(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const float specials[] = {std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::max(),
+                            std::numeric_limits<float>::lowest()};
+  std::vector<float> v(n);
+  for (auto& x : v) {
+    x = rng() % 8 == 0 ? specials[rng() % 4]
+                       : static_cast<float>(static_cast<int>(rng() % 20001) - 10000);
+  }
+  return v;
+}
+
+std::vector<float> stable_sorted(std::vector<float> v) {
+  std::stable_sort(v.begin(), v.end());
+  return v;
+}
+
+}  // namespace
+
+TEST(PaddingSentinel, RaggedFloatExtremesSortLikeStableSort) {
+  // Real +inf values must survive the tail truncation: padding that sorts
+  // before +inf would come back in their place.
+  gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(8));
+  const auto input = extreme_floats(777, 11);
+  const auto expect = stable_sorted(input);
+  for (const Variant v : {Variant::Baseline, Variant::CFMerge}) {
+    MergeConfig cfg;
+    cfg.e = 5;
+    cfg.u = 16;
+    cfg.variant = v;
+    auto data = input;
+    merge_sort(launcher, data, cfg);
+    EXPECT_EQ(data, expect) << "merge_sort variant " << static_cast<int>(v);
+
+    std::vector<std::vector<float>> segments = {extreme_floats(37, 12), {},
+                                                extreme_floats(203, 13)};
+    segmented_sort(launcher, segments, cfg);
+    EXPECT_EQ(segments[0], stable_sorted(extreme_floats(37, 12)));
+    EXPECT_EQ(segments[2], stable_sorted(extreme_floats(203, 13)));
+
+    std::vector<std::vector<float>> as = {stable_sorted(extreme_floats(61, 14)),
+                                          stable_sorted(extreme_floats(5, 15))};
+    std::vector<std::vector<float>> bs = {stable_sorted(extreme_floats(19, 16)),
+                                          stable_sorted(extreme_floats(90, 17))};
+    std::vector<std::vector<float>> outs;
+    batched_merge(launcher, as, bs, outs, cfg);
+    for (std::size_t p = 0; p < as.size(); ++p) {
+      std::vector<float> merged = as[p];
+      merged.insert(merged.end(), bs[p].begin(), bs[p].end());
+      EXPECT_EQ(outs[p], stable_sorted(merged)) << "batched pair " << p;
+    }
+  }
+  for (const MultiwayVariant v : {MultiwayVariant::CFCascade, MultiwayVariant::LoserTree}) {
+    MultiwayConfig cfg;
+    cfg.e = 5;
+    cfg.u = 16;
+    cfg.k = 4;
+    cfg.variant = v;
+    auto data = input;
+    merge_sort_multiway(launcher, data, cfg);
+    EXPECT_EQ(data, expect) << "multiway k=4 variant " << static_cast<int>(v);
+  }
 }
 
 namespace {

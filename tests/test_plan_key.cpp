@@ -2,17 +2,25 @@
 // digests are distinct across the element types the engine plans for and
 // never depend on type names; DeviceSpec::digest() hashes exactly the
 // planning-relevant fields; config_digest folds every semantic knob; and a
-// PlanKey sweep across all plan kinds serializes to unique store keys.
+// PlanKey sweep across all plan kinds serializes to unique store keys;
+// one key per kind is pinned as literal bytes, and SortEngine must store
+// its plan metadata under exactly those keys.
 #include "sort/plan_key.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <initializer_list>
 #include <set>
 #include <vector>
 
 #include "cache/serial.hpp"
+#include "cache/store.hpp"
 #include "gpusim/device_spec.hpp"
+#include "gpusim/launcher.hpp"
+#include "numtheory/hash.hpp"
+#include "sort/engine.hpp"
 #include "sort/key_value.hpp"
 
 using namespace cfmerge;
@@ -239,6 +247,120 @@ TEST(PlanKey, SerializeDeserializeRoundTrips) {
   ASSERT_TRUE(back.deserialize(r));
   EXPECT_TRUE(r.at_end());
   EXPECT_EQ(back, key);
+}
+
+namespace {
+
+std::vector<std::byte> bytes(std::initializer_list<int> values) {
+  std::vector<std::byte> out;
+  for (const int v : values) out.push_back(static_cast<std::byte>(v));
+  return out;
+}
+
+/// One concrete int32 key per plan kind, built the way SortEngine keys its
+/// plans, with the canonical bytes each must serialize to.
+struct GoldenKey {
+  const char* kind;
+  PlanKey key;
+  std::vector<std::byte> serialized;
+};
+
+// The golden configurations: the paper's (E, u) = (15, 512), and u = 256
+// for the k = 4 cascade (its tile must fit on the device).
+MergeConfig golden_merge() { return MergeConfig{}; }
+MultiwayConfig golden_multiway() {
+  MultiwayConfig mw;
+  mw.u = 256;
+  return mw;
+}
+cfprims::PermuteConfig golden_permute() { return cfprims::PermuteConfig{}; }
+cfprims::PermuteConfig golden_transpose() {
+  cfprims::PermuteConfig t;
+  t.op = cfprims::PermuteOp::kTranspose;
+  t.inverse = true;
+  return t;
+}
+
+std::vector<GoldenKey> golden_keys() {
+  const TypeDigest ti32 = type_digest<std::int32_t>();
+  const MergeConfig m = golden_merge();
+  std::uint64_t shape = numtheory::kFnvOffset;  // pairs (100, 37), (0, 8000)
+  for (const std::uint64_t len : {100u, 37u, 0u, 8000u}) shape = numtheory::fnv1a(shape, len);
+  return {
+      {"sort", {PlanKey::Kind::Sort, ti32, 15360, 0, config_digest(m)},
+       bytes({0x01, 0x00, 0x00, 0x00, 0x00, 0x01, 0xaa, 0xb4, 0xaf, 0xe3, 0x72, 0x7f, 0xb3,
+              0x00, 0x3c, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+              0x00, 0x00, 0x00, 0x61, 0xb0, 0xae, 0xf6, 0x0e, 0x5d, 0x64, 0x6f})},
+      {"multiway", {PlanKey::Kind::Multiway, ti32, 15360, 0, config_digest(golden_multiway())},
+       bytes({0x01, 0x00, 0x00, 0x00, 0x02, 0x01, 0xaa, 0xb4, 0xaf, 0xe3, 0x72, 0x7f, 0xb3,
+              0x00, 0x3c, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+              0x00, 0x00, 0x00, 0x87, 0x1f, 0x74, 0xf8, 0x84, 0xf3, 0xfe, 0x1f})},
+      {"permute", {PlanKey::Kind::Permute, ti32, 15360, 0, config_digest(golden_permute())},
+       bytes({0x01, 0x00, 0x00, 0x00, 0x03, 0x01, 0xaa, 0xb4, 0xaf, 0xe3, 0x72, 0x7f, 0xb3,
+              0x00, 0x3c, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+              0x00, 0x00, 0x00, 0x33, 0x95, 0xa3, 0xed, 0xb8, 0xd1, 0x73, 0xfd})},
+      {"transpose",
+       {PlanKey::Kind::Transpose, ti32, 15360, 0, config_digest(golden_transpose())},
+       bytes({0x01, 0x00, 0x00, 0x00, 0x04, 0x01, 0xaa, 0xb4, 0xaf, 0xe3, 0x72, 0x7f, 0xb3,
+              0x00, 0x3c, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+              0x00, 0x00, 0x00, 0x13, 0xc7, 0x7d, 0xe5, 0xf9, 0x82, 0x70, 0xcd})},
+      {"batched", {PlanKey::Kind::Batched, ti32, 2, shape, config_digest(m)},
+       bytes({0x01, 0x00, 0x00, 0x00, 0x01, 0x01, 0xaa, 0xb4, 0xaf, 0xe3, 0x72, 0x7f, 0xb3,
+              0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x81, 0xb2, 0x72, 0x2c, 0x73,
+              0x14, 0xc7, 0xe7, 0x61, 0xb0, 0xae, 0xf6, 0x0e, 0x5d, 0x64, 0x6f})},
+  };
+}
+
+}  // namespace
+
+TEST(PlanKey, SerializedBytesArePinnedForEveryKind) {
+  // The serialized key is the persistent store key: any byte change orphans
+  // every plan cache on disk, so it may only change with a schema bump.
+  for (const GoldenKey& g : golden_keys()) {
+    SCOPED_TRACE(g.kind);
+    EXPECT_EQ(g.key.serialized(), g.serialized);
+  }
+}
+
+TEST(PlanKey, EngineStoresEachKindUnderItsGoldenKey) {
+  // Every entry point must key its plan exactly as the golden keys do, and
+  // write the metadata record (u8 1, i64 passes, i64 n_padded) under it.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "cfmerge_golden_plan_keys";
+  std::filesystem::remove_all(dir);
+  gpusim::Launcher launcher(gpusim::DeviceSpec::rtx2080ti());
+  SortEngine engine(launcher);
+  cache::PlanCacheStore store(dir);
+  engine.set_store(&store);
+
+  const std::vector<GoldenKey> golden = golden_keys();
+  std::vector<std::int32_t> data(15000, 7);
+  engine.sort(data, golden_merge());
+  data.assign(15000, 7);
+  engine.sort_multiway(data, golden_multiway());
+  data.assign(15000, 7);
+  engine.permute(data, golden_permute());
+  data.assign(15000, 7);
+  engine.permute(data, golden_transpose());
+  const std::vector<std::vector<std::int32_t>> as = {std::vector<std::int32_t>(100), {}};
+  const std::vector<std::vector<std::int32_t>> bs = {std::vector<std::int32_t>(37),
+                                                     std::vector<std::int32_t>(8000)};
+  std::vector<std::vector<std::int32_t>> outs;
+  engine.batched_merge(as, bs, outs, golden_merge());
+
+  const std::int64_t passes[] = {1, 1, 0, 0, 0};
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    SCOPED_TRACE(golden[i].kind);
+    cache::ByteWriter meta;
+    meta.u8(1);
+    meta.i64(passes[i]);
+    meta.i64(golden[i].key.n_padded);
+    const auto stored =
+        store.lookup(detail::plan_store_key(launcher.device().digest(), golden[i].key));
+    ASSERT_TRUE(stored.has_value());
+    EXPECT_EQ(*stored, meta.take());
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(PlanKey, DeserializeRejectsSchemaVersionMismatch) {

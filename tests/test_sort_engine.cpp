@@ -81,6 +81,76 @@ void expect_reports_eq(const sort::BatchedMergeReport& a,
   expect_kernels_eq(a.kernels, b.kernels);
 }
 
+void expect_reports_eq(const cfprims::PermuteReport& a, const cfprims::PermuteReport& b) {
+  EXPECT_EQ(a.op, b.op);
+  EXPECT_EQ(a.inverse, b.inverse);
+  EXPECT_EQ(a.n, b.n);
+  EXPECT_EQ(a.n_padded, b.n_padded);
+  EXPECT_EQ(a.graph_levels, b.graph_levels);
+  EXPECT_EQ(a.totals, b.totals);
+  EXPECT_EQ(a.phases, b.phases);
+  EXPECT_DOUBLE_EQ(a.microseconds, b.microseconds);
+  EXPECT_DOUBLE_EQ(a.makespan_microseconds, b.makespan_microseconds);
+  expect_kernels_eq(a.kernels, b.kernels);
+}
+
+/// A batched_merge call's inputs and outputs.
+struct Batch {
+  std::vector<std::vector<int>> as, bs, outs;
+  bool operator==(const Batch&) const = default;
+};
+
+/// Three sorted pairs of fixed lengths; `seed` picks the values only.
+Batch sorted_batch(std::uint64_t seed) {
+  Batch batch;
+  for (int p = 0; p < 3; ++p) {
+    auto a = random_vec(60 + p * 10, seed + static_cast<std::uint64_t>(p));
+    auto b = random_vec(40, seed + 10 + static_cast<std::uint64_t>(p));
+    std::sort(a.begin(), a.end());
+    std::sort(b.begin(), b.end());
+    batch.as.push_back(std::move(a));
+    batch.bs.push_back(std::move(b));
+  }
+  return batch;
+}
+
+/// Replay contract of one plan kind.  `call(engine, io, mode)` runs `io`
+/// through the engine (leaving the output in it) and returns the report.
+/// For every mode and worker count, one engine runs `a` cold, replays `a`,
+/// then replays `b` (same plan key); each result must equal a cold
+/// single-threaded call on a fresh engine, output and report alike.
+template <typename Input, typename Call>
+void expect_replay_matches_cold(const Input& a, const Input& b, Call&& call) {
+  auto fresh = [&](const Input& input) {
+    Launcher launcher(DeviceSpec::tiny(8));
+    launcher.set_threads(1);
+    sort::SortEngine engine(launcher);
+    Input io = input;
+    auto report = call(engine, io, GraphExec::Overlap);
+    return std::make_pair(io, report);
+  };
+  const auto ref_a = fresh(a);
+  const auto ref_b = fresh(b);
+
+  for (const GraphExec mode : {GraphExec::Serial, GraphExec::Overlap}) {
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE((mode == GraphExec::Serial ? "serial" : "overlap") +
+                   std::string(" threads=") + std::to_string(threads));
+      Launcher launcher(DeviceSpec::tiny(8));
+      launcher.set_threads(threads);
+      sort::SortEngine engine(launcher);
+      for (const auto* ref : {&ref_a, &ref_a, &ref_b}) {
+        Input io = ref == &ref_b ? b : a;
+        const auto report = call(engine, io, mode);
+        EXPECT_EQ(io, ref->first);
+        expect_reports_eq(report, ref->second);
+      }
+      EXPECT_EQ(engine.stats().plan_misses, 1u);
+      EXPECT_EQ(engine.stats().plan_hits, 2u);
+    }
+  }
+}
+
 }  // namespace
 
 TEST(SortEngine, PlanCacheCountsHitsMissesAndBytes) {
@@ -170,34 +240,44 @@ TEST(SortEngine, ClearPlansAndDisabledCacheForceRebuilds) {
 }
 
 TEST(SortEngine, ReplayBitIdenticalToColdForEveryModeAndWorkerCount) {
-  const auto cfg = tiny_cfg();
-  const auto input = random_vec(16 * 5 * 3 + 7, 11);
-
-  // Reference: cold single-threaded run through a fresh engine.
-  Launcher ref_launcher(DeviceSpec::tiny(8));
-  ref_launcher.set_threads(1);
-  sort::SortEngine ref_engine(ref_launcher);
-  auto ref_data = input;
-  const sort::SortReport ref = ref_engine.sort(ref_data, cfg);
-  EXPECT_TRUE(std::is_sorted(ref_data.begin(), ref_data.end()));
-
-  for (const GraphExec mode : {GraphExec::Serial, GraphExec::Overlap}) {
-    for (const int threads : {1, 2, 4}) {
-      SCOPED_TRACE((mode == GraphExec::Serial ? "serial" : "overlap") +
-                   std::string(" threads=") + std::to_string(threads));
-      Launcher launcher(DeviceSpec::tiny(8));
-      launcher.set_threads(threads);
-      sort::SortEngine engine(launcher);
-      auto cold = input;
-      const sort::SortReport cold_rep = engine.sort(cold, cfg, mode);
-      auto warm = input;
-      const sort::SortReport warm_rep = engine.sort(warm, cfg, mode);  // replay
-      EXPECT_EQ(engine.stats().plan_hits, 1u);
-      EXPECT_EQ(cold, ref_data);
-      EXPECT_EQ(warm, ref_data);
-      expect_reports_eq(cold_rep, ref);
-      expect_reports_eq(warm_rep, ref);
-    }
+  // Every plan kind replays its first input, then a different, shorter
+  // input of the same padded length, whose tail the previous run left
+  // holding stale intermediate data.  A batched key fixes every (|A|, |B|),
+  // so its second input keeps the shape and changes the values.
+  const auto a = random_vec(16 * 5 * 3 + 7, 11);
+  const auto b = random_vec(16 * 5 * 3 + 1, 12);
+  {
+    SCOPED_TRACE("sort");
+    expect_replay_matches_cold(a, b, [](sort::SortEngine& e, std::vector<int>& d,
+                                        GraphExec mode) { return e.sort(d, tiny_cfg(), mode); });
+  }
+  for (const sort::MultiwayVariant v :
+       {sort::MultiwayVariant::CFCascade, sort::MultiwayVariant::LoserTree}) {
+    SCOPED_TRACE("multiway k=4 variant " + std::to_string(static_cast<int>(v)));
+    sort::MultiwayConfig cfg;
+    cfg.e = 5;
+    cfg.u = 16;
+    cfg.k = 4;
+    cfg.variant = v;
+    expect_replay_matches_cold(a, b, [&](sort::SortEngine& e, std::vector<int>& d,
+                                         GraphExec mode) { return e.sort_multiway(d, cfg, mode); });
+  }
+  for (const cfprims::PermuteOp op : {cfprims::PermuteOp::kPermute, cfprims::PermuteOp::kTranspose}) {
+    SCOPED_TRACE(op == cfprims::PermuteOp::kPermute ? "permute" : "transpose");
+    cfprims::PermuteConfig cfg;
+    cfg.op = op;
+    cfg.e = 5;
+    cfg.u = 16;
+    expect_replay_matches_cold(a, b, [&](sort::SortEngine& e, std::vector<int>& d,
+                                         GraphExec mode) { return e.permute(d, cfg, mode); });
+  }
+  {
+    SCOPED_TRACE("batched");
+    expect_replay_matches_cold(sorted_batch(20), sorted_batch(60),
+                               [](sort::SortEngine& e, Batch& batch, GraphExec mode) {
+                                 return e.batched_merge(batch.as, batch.bs, batch.outs,
+                                                        tiny_cfg(), mode);
+                               });
   }
 }
 
