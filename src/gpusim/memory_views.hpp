@@ -2,7 +2,9 @@
 //
 //  * SharedTile<T>  — a block's shared memory allocation.  Warp-wide
 //    gather/scatter go through the bank-conflict model; `raw()` provides
-//    uncharged access for test setup and verification.
+//    uncharged access for test setup and verification.  Data-dependent
+//    kernels (merge-path search, serial merge) decide on uncharged `peek()`
+//    reads and report each warp-wide row through `charge_row()`.
 //  * GlobalView<T>  — a window onto a "global memory" host buffer.  Warp-wide
 //    access goes through the coalescing model.
 //
@@ -55,21 +57,36 @@ class SharedTile {
                             is_write);
   }
 
-  /// Warp-wide load: out[lane] = shared[addrs[lane]] for active lanes.
+  /// Charges and audits one warp-wide access without moving data: the
+  /// accounting half of gather/scatter.  Kernels that decide their values
+  /// through peek() report the rows the device issues here, so counters,
+  /// chains, trace and audit see exactly what gather/scatter would show.
   /// `scattered` marks data-dependent address patterns (performance hint
   /// only; forwarded to the bank-conflict model).
+  SharedAccessCost charge_row(int warp, std::span<const std::int64_t> addrs, bool is_write,
+                              bool dependent = true, bool scattered = false) {
+    const SharedAccessCost c = ctx_->charge_shared(warp, addrs, dependent, is_write, scattered);
+    if (auto* au = ctx_->audit())
+      au->on_shared_access(ctx_->block_id(), tile_id_, warp, ctx_->current_phase(), addrs,
+                           is_write, ctx_->lanes(), c.conflicts);
+    return c;
+  }
+
+  /// Uncharged read of the word at `pos`.  The caller must report the
+  /// device's access through charge_row.
+  [[nodiscard]] const T& peek(std::int64_t pos) const {
+    assert(pos >= 0 && static_cast<std::size_t>(pos) < data_.size());
+    return data_[static_cast<std::size_t>(pos)];
+  }
+
+  /// Warp-wide load: out[lane] = shared[addrs[lane]] for active lanes.
   SharedAccessCost gather(int warp, std::span<const std::int64_t> addrs, std::span<T> out,
                           bool dependent = true, bool scattered = false) {
     assert(out.size() >= addrs.size());
-    const SharedAccessCost c =
-        ctx_->charge_shared(warp, addrs, dependent, /*is_write=*/false, scattered);
-    if (auto* au = ctx_->audit())
-      au->on_shared_access(ctx_->block_id(), tile_id_, warp, ctx_->current_phase(),
-                           addrs, /*is_write=*/false, ctx_->lanes(), c.conflicts);
+    const SharedAccessCost c = charge_row(warp, addrs, /*is_write=*/false, dependent, scattered);
     for (std::size_t l = 0; l < addrs.size(); ++l) {
       if (addrs[l] == kInactiveLane) continue;
-      assert(addrs[l] >= 0 && static_cast<std::size_t>(addrs[l]) < data_.size());
-      out[l] = data_[static_cast<std::size_t>(addrs[l])];
+      out[l] = peek(addrs[l]);
     }
     return c;
   }
@@ -80,10 +97,7 @@ class SharedTile {
   SharedAccessCost scatter(int warp, std::span<const std::int64_t> addrs,
                            std::span<const T> in, bool dependent = true) {
     assert(in.size() >= addrs.size());
-    const SharedAccessCost c = ctx_->charge_shared(warp, addrs, dependent, /*is_write=*/true);
-    if (auto* au = ctx_->audit())
-      au->on_shared_access(ctx_->block_id(), tile_id_, warp, ctx_->current_phase(),
-                           addrs, /*is_write=*/true, ctx_->lanes(), c.conflicts);
+    const SharedAccessCost c = charge_row(warp, addrs, /*is_write=*/true, dependent);
     for (std::size_t l = 0; l < addrs.size(); ++l) {
       if (addrs[l] == kInactiveLane) continue;
       assert(addrs[l] >= 0 && static_cast<std::size_t>(addrs[l]) < data_.size());

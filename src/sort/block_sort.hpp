@@ -96,11 +96,10 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
     ctx.phase("bsort.search");
     const FastDiv div_pair(2 * run);
     std::vector<ThreadSplit> splits(static_cast<std::size_t>(u));
-    std::array<LanePair, gpusim::kMaxLanes> pairs;
-    std::array<LanePair, gpusim::kMaxLanes> end_pairs;
-    std::array<std::int64_t, gpusim::kMaxLanes> pbase;
-    std::array<std::int64_t, gpusim::kMaxLanes> start;
-    std::array<std::int64_t, gpusim::kMaxLanes> end;
+    // Lane w is the next warp's first thread (one past the tile for the
+    // last warp); warp_split_search reads its start as lane w-1's end.
+    std::array<LanePair, gpusim::kMaxLanes + 1> pairs;
+    std::array<std::int64_t, gpusim::kMaxLanes + 1> pbase;
     const auto pos_a = [&pbase](int lane, std::int64_t x) {
       return pbase[static_cast<std::size_t>(lane)] + x;
     };
@@ -108,35 +107,17 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
       return pbase[static_cast<std::size_t>(lane)] + run + y;
     };
     for (int warp = 0; warp < ctx.warps(); ++warp) {
-      for (int lane = 0; lane < w; ++lane) {
-        const int i = warp * w + lane;
-        const std::int64_t out0 = static_cast<std::int64_t>(i) * e;
+      for (int lane = 0; lane <= w; ++lane) {
+        const std::int64_t out0 = static_cast<std::int64_t>(warp * w + lane) * e;
         const std::int64_t pair_base = div_pair(out0) * (2 * run);
         pbase[static_cast<std::size_t>(lane)] = pair_base;
         pairs[static_cast<std::size_t>(lane)] = {run, run, out0 - pair_base};
-        end_pairs[static_cast<std::size_t>(lane)] = {run, run, out0 - pair_base + e};
       }
-      // Two lockstep searches per warp: the start and end diagonals of every
-      // lane (the end co-rank equals the next thread's start, but a lane
-      // cannot read a different warp's result without extra traffic).
-      warp_shared_corank(ctx, warp, shmem,
-                         std::span<const LanePair>(pairs.data(), static_cast<std::size_t>(w)),
-                         pos_a, pos_b, cmp,
-                         std::span<std::int64_t>(start.data(), static_cast<std::size_t>(w)));
-      warp_shared_corank(
-          ctx, warp, shmem,
-          std::span<const LanePair>(end_pairs.data(), static_cast<std::size_t>(w)), pos_a,
-          pos_b, cmp, std::span<std::int64_t>(end.data(), static_cast<std::size_t>(w)));
-      for (int lane = 0; lane < w; ++lane) {
-        const int i = warp * w + lane;
-        const std::int64_t out0 = static_cast<std::int64_t>(i) * e;
-        const std::int64_t local = out0 - div_pair(out0) * (2 * run);
-        auto& s = splits[static_cast<std::size_t>(i)];
-        s.a_off = start[static_cast<std::size_t>(lane)];
-        s.a_size = end[static_cast<std::size_t>(lane)] - s.a_off;
-        s.b_off = local - s.a_off;
-        s.b_size = e - s.a_size;
-      }
+      warp_split_search(ctx, warp, shmem,
+                        std::span<const LanePair>(pairs.data(), static_cast<std::size_t>(w) + 1),
+                        pos_a, pos_b, cmp,
+                        std::span<ThreadSplit>(splits).subspan(
+                            static_cast<std::size_t>(warp * w), static_cast<std::size_t>(w)));
     }
 
     ctx.phase("bsort.merge");

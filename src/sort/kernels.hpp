@@ -3,24 +3,28 @@
 //  * TileLayout          — where a block's A/B lists live in shared memory
 //                          (linear for the baseline, rho(A ∪ pi(B)) for
 //                          CF-Merge).
-//  * load_tile/store_tile — staged, coalesced global <-> shared copies.
-//  * block_corank_splits — lockstep warp merge-path search in shared memory,
-//                          producing every thread's (a_i, |A_i|).
-//  * regs_to_shared      — write the block register file back to shared
-//                          (stride-E pattern, optionally through rho).
+//  * load_tile/store_tile — staged, coalesced global <-> shared copies, and
+//                          their certified closed-form twins
+//                          load/store_tile_affine.
+//  * warp_split_search   — one lockstep merge-path search per warp over the
+//                          w thread start diagonals plus the next thread's,
+//                          producing every thread's split (a_i, |A_i|, b_i,
+//                          |B_i|); decided on uncharged reads, charged as
+//                          the device's start and end probe rows.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "gather/permutation.hpp"
 #include "gpusim/memory_views.hpp"
-#include "mergepath/merge_path.hpp"
 #include "sort/cost_model.hpp"
 
 namespace cfmerge::verify {
@@ -305,57 +309,115 @@ struct ThreadSplit {
   std::int64_t b_size = 0;  ///< |B_i|
 };
 
-/// Per-lane list geometry for the lockstep search: each lane may work on its
-/// own pair of lists (block sort rounds have several pairs per warp).
-/// A plain aggregate — the shared-position translators are passed to
-/// warp_shared_corank as inlineable callables, not stored per lane.
+/// List geometry of one lane of the lockstep search: each lane may work on
+/// its own pair of lists (block sort rounds have several pairs per warp).
+/// The shared-position translators are passed to warp_split_search as
+/// inlineable callables, not stored per lane.
 struct LanePair {
   std::int64_t na = 0;    ///< size of the lane's A list
   std::int64_t nb = 0;    ///< size of the lane's B list
-  std::int64_t diag = 0;  ///< output diagonal to resolve (< 0 = masked lane)
+  std::int64_t diag = 0;  ///< the lane's start diagonal within its pair
 };
 
-/// Lockstep merge-path search for one warp: resolves lane l's co-rank for
-/// pairs[l].diag into out_co[l].  `pos_a(lane, x)` / `pos_b(lane, y)`
-/// translate list offsets to physical shared positions.  Issues two charged
-/// shared accesses per iteration (probe of A and of B); idle lanes are
-/// masked.  Allocation-free: all per-lane state lives on the stack.
+/// Merge-path splits of one warp's threads, from one lockstep search.
+///
+/// `pairs` holds w + 1 lanes: the warp's w threads plus the thread after
+/// them (the next warp's first thread, or one past the tile).  Merge-path
+/// partitions are contiguous, so thread l's end diagonal is thread l+1's
+/// start diagonal and its end co-rank is thread l+1's start co-rank — one
+/// search over w + 1 start diagonals resolves both ends of every split.  A
+/// lane whose successor starts a new list pair (diag 0) ends at its own
+/// pair end instead (co-rank na); both of those searches are empty.
+///
+/// Accounting: the device runs two lockstep searches per warp, start
+/// diagonals then end diagonals, each round one kSearchIterInstrs, an A
+/// probe row and a B probe row.  The host decides every lane on uncharged
+/// peek() reads, then reports those rows through the charged, audited
+/// SharedTile::charge_row: the start rows are lanes [0, w) of each round,
+/// the end rows lanes [1, w].  The end search of lane l is lane l+1's
+/// start search step for step (or empty on both sides), so the shifted
+/// rows are exactly what a second search would issue — without assuming
+/// the comparison is monotone over the data.
+///
+/// `pos_a(lane, x)` / `pos_b(lane, y)` translate list offsets of lane
+/// 0..w to physical shared positions.  Writes splits[0, w).
 template <typename T, typename PosA, typename PosB, typename Cmp>
-void warp_shared_corank(gpusim::BlockContext& ctx, int warp,
-                        gpusim::SharedTile<T>& shmem, std::span<const LanePair> pairs,
-                        PosA&& pos_a, PosB&& pos_b, Cmp cmp,
-                        std::span<std::int64_t> out_co) {
-  const std::size_t w = pairs.size();
-  assert(w <= static_cast<std::size_t>(gpusim::kMaxLanes));
-  assert(out_co.size() >= w);
-  std::array<mergepath::LaneSearch, gpusim::kMaxLanes> lanes{};
-  for (std::size_t l = 0; l < w; ++l) {
-    if (pairs[l].diag < 0) continue;  // masked lane
-    lanes[l].init(pairs[l].diag, pairs[l].na, pairs[l].nb);
+void warp_split_search(gpusim::BlockContext& ctx, int warp, gpusim::SharedTile<T>& shmem,
+                       std::span<const LanePair> pairs, PosA&& pos_a, PosB&& pos_b, Cmp cmp,
+                       std::span<ThreadSplit> splits) {
+  constexpr std::size_t kRow = gpusim::kMaxLanes + 1;
+  // Longest search supported: list pairs below 2^32 elements per side, far
+  // beyond any shared-memory tile.
+  constexpr int kMaxSearchRounds = 32;
+  assert(pairs.size() >= 2 && pairs.size() <= kRow);
+  const std::size_t w = pairs.size() - 1;
+  assert(splits.size() >= w);
+
+  std::array<std::int64_t, kRow> lo;
+  std::array<std::int64_t, kRow> hi;
+  std::int64_t widest = 0;
+  for (std::size_t j = 0; j <= w; ++j) {
+    lo[j] = std::max<std::int64_t>(0, pairs[j].diag - pairs[j].nb);
+    hi[j] = std::min(pairs[j].diag, pairs[j].na);
+    widest = std::max(widest, hi[j] - lo[j]);
   }
-  std::array<std::int64_t, gpusim::kMaxLanes> pa;
-  std::array<std::int64_t, gpusim::kMaxLanes> pb;
-  auto probe = [&](std::span<const std::int64_t> a_addr, std::span<T> a_val,
-                   std::span<const std::int64_t> b_addr, std::span<T> b_val) {
-    for (std::size_t l = 0; l < w; ++l) {
-      pa[l] = a_addr[l] == gpusim::kInactiveLane
-                  ? gpusim::kInactiveLane
-                  : pos_a(static_cast<int>(l), a_addr[l]);
-      pb[l] = b_addr[l] == gpusim::kInactiveLane
-                  ? gpusim::kInactiveLane
-                  : pos_b(static_cast<int>(l), b_addr[l]);
+  const int max_rounds = std::bit_width(static_cast<std::uint64_t>(widest));
+  if (max_rounds > kMaxSearchRounds)
+    throw std::length_error("warp_split_search: list pair exceeds 2^32 elements");
+
+  // Round r's probe positions of lane j, kInactiveLane once it is done.
+  std::array<std::int64_t, kMaxSearchRounds * kRow> rows_a;
+  std::array<std::int64_t, kMaxSearchRounds * kRow> rows_b;
+  int start_rounds = 0;  // rounds with a probing lane in [0, w)
+  int end_rounds = 0;    // rounds with a probing lane in [1, w]
+  for (int r = 0; r < max_rounds; ++r) {
+    std::int64_t* ra = rows_a.data() + static_cast<std::size_t>(r) * kRow;
+    std::int64_t* rb = rows_b.data() + static_cast<std::size_t>(r) * kRow;
+    for (std::size_t j = 0; j <= w; ++j) {
+      if (lo[j] >= hi[j]) {
+        ra[j] = gpusim::kInactiveLane;
+        rb[j] = gpusim::kInactiveLane;
+        continue;
+      }
+      if (j < w) start_rounds = r + 1;
+      if (j > 0) end_rounds = r + 1;
+      const std::int64_t mid = lo[j] + (hi[j] - lo[j]) / 2;
+      ra[j] = pos_a(static_cast<int>(j), mid);
+      rb[j] = pos_b(static_cast<int>(j), pairs[j].diag - 1 - mid);
+      // Take A[mid] into the prefix unless B[diag-1-mid] < A[mid].
+      if (cmp(shmem.peek(rb[j]), shmem.peek(ra[j])))
+        hi[j] = mid;
+      else
+        lo[j] = mid + 1;
     }
-    ctx.charge_compute(warp, cost::kSearchIterInstrs);
-    // Probe addresses are data dependent — tell the bank-conflict model to
-    // skip its conflict-free screening pass.
-    shmem.gather(warp, std::span<const std::int64_t>(pa.data(), w), a_val,
-                 /*dependent=*/true, /*scattered=*/true);
-    shmem.gather(warp, std::span<const std::int64_t>(pb.data(), w), b_val,
-                 /*dependent=*/true, /*scattered=*/true);
+  }
+
+  const auto report = [&](int rounds, std::size_t first_lane) {
+    for (int r = 0; r < rounds; ++r) {
+      const std::size_t row = static_cast<std::size_t>(r) * kRow + first_lane;
+      ctx.charge_compute(warp, cost::kSearchIterInstrs);
+      shmem.charge_row(warp, std::span<const std::int64_t>(rows_a.data() + row, w),
+                       /*is_write=*/false, /*dependent=*/true, /*scattered=*/true);
+      shmem.charge_row(warp, std::span<const std::int64_t>(rows_b.data() + row, w),
+                       /*is_write=*/false, /*dependent=*/true, /*scattered=*/true);
+    }
   };
-  mergepath::warp_corank_search<T>(std::span<mergepath::LaneSearch>(lanes.data(), w),
-                                   probe, cmp);
-  for (std::size_t l = 0; l < w; ++l) out_co[l] = lanes[l].lo;
+  report(start_rounds, 0);
+  report(end_rounds, 1);
+
+  for (std::size_t l = 0; l < w; ++l) {
+    const LanePair& p = pairs[l];
+    const bool pair_end = pairs[l + 1].diag == 0;
+    assert(pair_end || (pairs[l + 1].na == p.na && pairs[l + 1].nb == p.nb &&
+                        pairs[l + 1].diag > p.diag));
+    const std::int64_t end_diag = pair_end ? p.na + p.nb : pairs[l + 1].diag;
+    const std::int64_t end_co = pair_end ? p.na : lo[l + 1];
+    ThreadSplit& s = splits[l];
+    s.a_off = lo[l];
+    s.a_size = end_co - lo[l];
+    s.b_off = p.diag - lo[l];
+    s.b_size = end_diag - p.diag - s.a_size;
+  }
 }
 
 }  // namespace cfmerge::sort

@@ -31,6 +31,7 @@
 #include "gather/dual_gather.hpp"
 #include "gpusim/launcher.hpp"
 #include "gpusim/memory_views.hpp"
+#include "mergepath/merge_path.hpp"
 #include "sort/block_sort.hpp"
 #include "sort/certs.hpp"
 #include "sort/kernels.hpp"
@@ -213,32 +214,16 @@ void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T
   {
     const auto pos_a = [&](int, std::int64_t x) { return layout.pos_a(x); };
     const auto pos_b = [&](int, std::int64_t y) { return layout.pos_b(y); };
-    std::array<LanePair, gpusim::kMaxLanes> pairs;
-    std::array<LanePair, gpusim::kMaxLanes> end_pairs;
-    std::array<std::int64_t, gpusim::kMaxLanes> start;
-    std::array<std::int64_t, gpusim::kMaxLanes> end;
+    std::array<LanePair, gpusim::kMaxLanes + 1> pairs;
     for (int warp = 0; warp < ctx.warps(); ++warp) {
-      for (int lane = 0; lane < w; ++lane) {
-        const std::int64_t d = static_cast<std::int64_t>(warp * w + lane) * e;
-        pairs[static_cast<std::size_t>(lane)] = {la, lb, d};
-        end_pairs[static_cast<std::size_t>(lane)] = {la, lb, d + e};
-      }
-      warp_shared_corank(ctx, warp, shmem,
-                         std::span<const LanePair>(pairs.data(), static_cast<std::size_t>(w)),
-                         pos_a, pos_b, cmp,
-                         std::span<std::int64_t>(start.data(), static_cast<std::size_t>(w)));
-      warp_shared_corank(
-          ctx, warp, shmem,
-          std::span<const LanePair>(end_pairs.data(), static_cast<std::size_t>(w)), pos_a,
-          pos_b, cmp, std::span<std::int64_t>(end.data(), static_cast<std::size_t>(w)));
-      for (int lane = 0; lane < w; ++lane) {
-        const int i = warp * w + lane;
-        auto& s = splits[static_cast<std::size_t>(i)];
-        s.a_off = start[static_cast<std::size_t>(lane)];
-        s.a_size = end[static_cast<std::size_t>(lane)] - s.a_off;
-        s.b_off = static_cast<std::int64_t>(i) * e - s.a_off;
-        s.b_size = e - s.a_size;
-      }
+      for (int lane = 0; lane <= w; ++lane)
+        pairs[static_cast<std::size_t>(lane)] = {
+            la, lb, static_cast<std::int64_t>(warp * w + lane) * e};
+      warp_split_search(ctx, warp, shmem,
+                        std::span<const LanePair>(pairs.data(), static_cast<std::size_t>(w) + 1),
+                        pos_a, pos_b, cmp,
+                        std::span<ThreadSplit>(splits).subspan(
+                            static_cast<std::size_t>(warp * w), static_cast<std::size_t>(w)));
     }
   }
 

@@ -351,41 +351,29 @@ void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalVi
 
       // Per-virtual-thread merge-path splits within the pair.
       ctx.phase("merge.search");
-      std::vector<std::int64_t> a_off(static_cast<std::size_t>(u_pair));
-      std::vector<std::int64_t> a_size(static_cast<std::size_t>(u_pair));
+      std::vector<ThreadSplit> splits(static_cast<std::size_t>(u_pair));
       {
         const auto pos_a = [&](int, std::int64_t x) { return rb + pr.pos_a(x); };
         const auto pos_b = [&](int, std::int64_t y) { return rb + pr.pos_b(y); };
-        std::array<LanePair, gpusim::kMaxLanes> pairs;
-        std::array<LanePair, gpusim::kMaxLanes> end_pairs;
-        std::array<std::int64_t, gpusim::kMaxLanes> start;
-        std::array<std::int64_t, gpusim::kMaxLanes> end;
+        std::array<LanePair, gpusim::kMaxLanes + 1> pairs;
         for (int vw = 0; vw < vwarps; ++vw) {
           const int pw = static_cast<int>((vglobal + vw) % ctx.warps());
-          for (int lane = 0; lane < w; ++lane) {
-            const std::int64_t d = static_cast<std::int64_t>(vw * w + lane) * e;
-            pairs[static_cast<std::size_t>(lane)] = {pr.la, pr.lb, d};
-            end_pairs[static_cast<std::size_t>(lane)] = {pr.la, pr.lb, d + e};
-          }
-          warp_shared_corank(ctx, pw, shmem,
-                             std::span<const LanePair>(pairs.data(),
-                                                       static_cast<std::size_t>(w)),
-                             pos_a, pos_b, cmp,
-                             std::span<std::int64_t>(start.data(),
+          for (int lane = 0; lane <= w; ++lane)
+            pairs[static_cast<std::size_t>(lane)] = {
+                pr.la, pr.lb, static_cast<std::int64_t>(vw * w + lane) * e};
+          warp_split_search(
+              ctx, pw, shmem,
+              std::span<const LanePair>(pairs.data(), static_cast<std::size_t>(w) + 1), pos_a,
+              pos_b, cmp,
+              std::span<ThreadSplit>(splits).subspan(static_cast<std::size_t>(vw * w),
                                                      static_cast<std::size_t>(w)));
-          warp_shared_corank(ctx, pw, shmem,
-                             std::span<const LanePair>(end_pairs.data(),
-                                                       static_cast<std::size_t>(w)),
-                             pos_a, pos_b, cmp,
-                             std::span<std::int64_t>(end.data(),
-                                                     static_cast<std::size_t>(w)));
-          for (int lane = 0; lane < w; ++lane) {
-            const int i = vw * w + lane;
-            a_off[static_cast<std::size_t>(i)] = start[static_cast<std::size_t>(lane)];
-            a_size[static_cast<std::size_t>(i)] =
-                end[static_cast<std::size_t>(lane)] - start[static_cast<std::size_t>(lane)];
-          }
         }
+      }
+      std::vector<std::int64_t> a_off(static_cast<std::size_t>(u_pair));
+      std::vector<std::int64_t> a_size(static_cast<std::size_t>(u_pair));
+      for (std::size_t i = 0; i < splits.size(); ++i) {
+        a_off[i] = splits[i].a_off;
+        a_size[i] = splits[i].a_size;
       }
 
       // Dual subsequence gather + register network (the proven 2-way core).

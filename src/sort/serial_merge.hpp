@@ -13,7 +13,6 @@
 #include <array>
 #include <cassert>
 #include <functional>
-#include <limits>
 #include <span>
 
 #include "gpusim/memory_views.hpp"
@@ -37,6 +36,13 @@ struct MergeLaneDesc {
 /// `a_pos(off)` / `b_pos(off)` translate *block-local list offsets* into
 /// physical shared positions (identity + la-offset for the baseline linear
 /// layout).  `lanes` holds one descriptor per thread.
+///
+/// Per warp the device issues the A-head row, the B-head row, then one row
+/// per output step fetching the successor of each lane's consumed head
+/// (inactive once that list is exhausted; a step in which every lane is
+/// exhausted charges nothing).  The host keeps that step-major shape with a
+/// branch-free lane step: heads are read uncharged through peek() and each
+/// row is reported through SharedTile::charge_row.
 template <typename T, typename APos, typename BPos, typename Cmp = std::less<T>>
 void warp_serial_merge(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem,
                        std::span<const MergeLaneDesc> lanes, int e, APos&& a_pos,
@@ -45,88 +51,52 @@ void warp_serial_merge(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem,
   const int warps = ctx.warps();
   assert(static_cast<int>(lanes.size()) == ctx.threads());
   assert(w <= gpusim::kMaxLanes);
+  constexpr auto kIdle = gpusim::kInactiveLane;
+  const auto lw = static_cast<std::size_t>(w);
 
-  // All per-lane state on the stack: this body runs once per simulated
-  // block, so heap vectors here dominated the allocator profile.
-  std::array<std::int64_t, gpusim::kMaxLanes> addr_buf;
-  std::array<T, gpusim::kMaxLanes> fetched_buf{};
-  const std::span<std::int64_t> addr(addr_buf.data(), static_cast<std::size_t>(w));
-  const std::span<T> fetched(fetched_buf.data(), static_cast<std::size_t>(w));
-
-  struct LaneState {
-    std::int64_t next_a;  ///< next unread offset of A_i
-    std::int64_t next_b;
-    T head_a;
-    T head_b;
-    bool has_a;
-    bool has_b;
-  };
-  std::array<LaneState, gpusim::kMaxLanes> st{};
+  // Per lane: the next unread offset of A_i / B_i (its head) and the end.
+  std::array<std::int64_t, gpusim::kMaxLanes> ia;
+  std::array<std::int64_t, gpusim::kMaxLanes> ib;
+  std::array<std::int64_t, gpusim::kMaxLanes> a_end;
+  std::array<std::int64_t, gpusim::kMaxLanes> b_end;
+  std::array<std::int64_t, gpusim::kMaxLanes> addr;
+  const std::span<const std::int64_t> row(addr.data(), lw);
 
   for (int warp = 0; warp < warps; ++warp) {
+    const MergeLaneDesc* d = lanes.data() + static_cast<std::size_t>(warp) * lw;
     ctx.charge_compute(warp, cost::kThreadSetupInstrs);
-    // Preload the A heads (one warp access), then the B heads.
-    for (int lane = 0; lane < w; ++lane) {
-      const auto& d = lanes[static_cast<std::size_t>(warp * w + lane)];
-      st[static_cast<std::size_t>(lane)] = LaneState{d.a_begin + 1, d.b_begin + 1, T{}, T{},
-                                                     d.a_size > 0, d.b_size > 0};
-      addr[static_cast<std::size_t>(lane)] =
-          d.a_size > 0 ? a_pos(d.a_begin) : gpusim::kInactiveLane;
+    for (std::size_t l = 0; l < lw; ++l) {
+      ia[l] = d[l].a_begin;
+      ib[l] = d[l].b_begin;
+      a_end[l] = d[l].a_begin + d[l].a_size;
+      b_end[l] = d[l].b_begin + d[l].b_size;
+      addr[l] = d[l].a_size > 0 ? a_pos(d[l].a_begin) : kIdle;
     }
-    shmem.gather(warp, addr, fetched, /*dependent=*/true, /*scattered=*/true);
-    for (int lane = 0; lane < w; ++lane)
-      if (st[static_cast<std::size_t>(lane)].has_a)
-        st[static_cast<std::size_t>(lane)].head_a = fetched[static_cast<std::size_t>(lane)];
+    shmem.charge_row(warp, row, /*is_write=*/false, /*dependent=*/true, /*scattered=*/true);
+    for (std::size_t l = 0; l < lw; ++l)
+      addr[l] = d[l].b_size > 0 ? b_pos(d[l].b_begin) : kIdle;
+    shmem.charge_row(warp, row, /*is_write=*/false, /*dependent=*/true, /*scattered=*/true);
 
-    for (int lane = 0; lane < w; ++lane) {
-      const auto& d = lanes[static_cast<std::size_t>(warp * w + lane)];
-      addr[static_cast<std::size_t>(lane)] =
-          d.b_size > 0 ? b_pos(d.b_begin) : gpusim::kInactiveLane;
-    }
-    shmem.gather(warp, addr, fetched, /*dependent=*/true, /*scattered=*/true);
-    for (int lane = 0; lane < w; ++lane)
-      if (st[static_cast<std::size_t>(lane)].has_b)
-        st[static_cast<std::size_t>(lane)].head_b = fetched[static_cast<std::size_t>(lane)];
-
-    // E lockstep output steps.
-    std::array<char, gpusim::kMaxLanes> consumed_a{};
+    T* out = regs.data() + static_cast<std::size_t>(warp) * lw * static_cast<std::size_t>(e);
     for (int step = 0; step < e; ++step) {
-      // Decide the winner per lane and emit it; queue the successor fetch.
-      for (int lane = 0; lane < w; ++lane) {
-        const int i = warp * w + lane;
-        const auto& d = lanes[static_cast<std::size_t>(i)];
-        auto& s = st[static_cast<std::size_t>(lane)];
-        assert(s.has_a || s.has_b);
-        const bool take_a = s.has_a && (!s.has_b || !cmp(s.head_b, s.head_a));
-        consumed_a[static_cast<std::size_t>(lane)] = take_a;
-        regs[static_cast<std::size_t>(i) * static_cast<std::size_t>(e) +
-             static_cast<std::size_t>(step)] = take_a ? s.head_a : s.head_b;
-        if (take_a) {
-          if (s.next_a < d.a_begin + d.a_size) {
-            addr[static_cast<std::size_t>(lane)] = a_pos(s.next_a++);
-          } else {
-            s.has_a = false;
-            addr[static_cast<std::size_t>(lane)] = gpusim::kInactiveLane;
-          }
-        } else {
-          if (s.next_b < d.b_begin + d.b_size) {
-            addr[static_cast<std::size_t>(lane)] = b_pos(s.next_b++);
-          } else {
-            s.has_b = false;
-            addr[static_cast<std::size_t>(lane)] = gpusim::kInactiveLane;
-          }
-        }
+      for (std::size_t l = 0; l < lw; ++l) {
+        const bool has_a = ia[l] < a_end[l];
+        const bool has_b = ib[l] < b_end[l];
+        assert(has_a || has_b);
+        // An exhausted list's head reads word 0 instead; the select below
+        // never takes it.
+        const T& va = shmem.peek(has_a ? a_pos(ia[l]) : 0);
+        const T& vb = shmem.peek(has_b ? b_pos(ib[l]) : 0);
+        const bool take_a = has_a & (!has_b | !cmp(vb, va));
+        out[l * static_cast<std::size_t>(e) + static_cast<std::size_t>(step)] =
+            take_a ? va : vb;
+        ia[l] += take_a;
+        ib[l] += !take_a;
+        const bool more = take_a ? ia[l] < a_end[l] : ib[l] < b_end[l];
+        addr[l] = more ? (take_a ? a_pos(ia[l]) : b_pos(ib[l])) : kIdle;
       }
       ctx.charge_compute(warp, cost::kMergeStepInstrs);
-      shmem.gather(warp, addr, fetched, /*dependent=*/true, /*scattered=*/true);
-      for (int lane = 0; lane < w; ++lane) {
-        auto& s = st[static_cast<std::size_t>(lane)];
-        const bool act = addr[static_cast<std::size_t>(lane)] != gpusim::kInactiveLane;
-        const bool ca = consumed_a[static_cast<std::size_t>(lane)] != 0;
-        // The fetched value replaces the head that was just consumed.
-        s.head_a = act && ca ? fetched[static_cast<std::size_t>(lane)] : s.head_a;
-        s.head_b = act && !ca ? fetched[static_cast<std::size_t>(lane)] : s.head_b;
-      }
+      shmem.charge_row(warp, row, /*is_write=*/false, /*dependent=*/true, /*scattered=*/true);
     }
   }
 }

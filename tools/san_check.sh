@@ -16,7 +16,10 @@
 #           cached plans own the buffers their kernel bodies capture and the
 #           scratch arena recycles allocations across leases, so
 #           use-after-free/leak bugs in that ownership story surface as hard
-#           failures.
+#           failures.  The kernel suites (serial merge, block sort, merge
+#           pass, multiway, access stream) cover the merge-path search and
+#           serial merge, which read shared words at computed positions
+#           through SharedTile::peek — ASan sees any read past a tile.
 # undefined runs the whole tier-1 test suite under UBSan with
 #           -fno-sanitize-recover=all: any signed overflow, bad shift,
 #           misaligned access or invalid enum load aborts the test binary.
@@ -33,7 +36,8 @@ case "$MODE" in
   address)
     DEFAULT_BUILD=build-asan
     TARGETS="test_launcher test_kernel_graph test_sort_engine test_merge_sort \
-             test_segmented_sort test_batched_merge"
+             test_segmented_sort test_batched_merge test_serial_merge \
+             test_block_sort test_merge_pass test_multiway_sort test_access_stream"
     ;;
   undefined)
     DEFAULT_BUILD=build-ubsan
