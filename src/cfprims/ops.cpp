@@ -140,8 +140,8 @@ class CfGatherPrim final : public CFPrimitive {
   [[nodiscard]] PrimitiveLowering lower(const PrimShape& s) const override {
     PrimitiveLowering lo;
     lo.shape = s;
-    // The merge tile is staged from global by load_tile before the gather
-    // rounds read it — extern-initialized for the safety dataflow.
+    // The merge tile is staged from global by exec_staged_copy before the
+    // gather rounds read it — extern-initialized for the safety dataflow.
     lo.tiles = {{s.tile(), /*extern_init=*/true}};
     lo.facts = {{verify::kSymU, s.w}};
     lo.delegate_cf_gather = true;

@@ -40,7 +40,7 @@
 #include "cfprims/exec.hpp"
 #include "gather/permutation.hpp"
 #include "gpusim/launcher.hpp"
-#include "sort/kernels.hpp"
+#include "sort/cost_model.hpp"
 #include "verify/certificate.hpp"
 
 namespace cfmerge::cfprims {
@@ -142,15 +142,14 @@ void permute_tile_body(gpusim::BlockContext& ctx, std::span<const T> in,
   const verify::CfCertificate* stage_cert = verify::certify("cf_stage", w, e);
 
   phase("load");
-  sort::load_tile_affine(ctx, gin, shmem, tile, 0, sort::AffineMap{0, 1}, stage_cert);
+  exec_staged_copy(ctx, gin, shmem, tile, stage_cert, UnitStep{}, UnitStep{});
   ctx.barrier();
 
   if (!transpose || !cfg.inverse) {
     // Stage the tile into the sigma layout: contiguous reads, writes
     // conflict-free because banks of sigma are wE-periodic.
     phase("stage");
-    exec_shared_copy(ctx, shmem, staged, tile, op_cert,
-                     [](std::int64_t t) { return t; },
+    exec_staged_copy(ctx, shmem, staged, tile, op_cert, UnitStep{},
                      [&](std::int64_t t) { return sigma(t); });
     ctx.barrier();
     // CRS gather: regs[i][j] = staged[sigma(iE+j)] = in[iE+j].
@@ -210,14 +209,13 @@ void permute_tile_body(gpusim::BlockContext& ctx, std::span<const T> in,
         });
     ctx.barrier();
     phase("unstage");
-    exec_shared_copy(ctx, staged, shmem, tile, op_cert,
-                     [&](std::int64_t t) { return rho(t); },
-                     [](std::int64_t t) { return t; });
+    exec_staged_copy(ctx, staged, shmem, tile, op_cert,
+                     [&](std::int64_t t) { return rho(t); }, UnitStep{});
     ctx.barrier();
   }
 
   phase("store");
-  sort::store_tile_affine(ctx, shmem, gout, tile, sort::AffineMap{0, 1}, 0, stage_cert);
+  exec_staged_copy(ctx, shmem, gout, tile, stage_cert, UnitStep{}, UnitStep{});
 }
 
 /// Enqueues the one-kernel permute pipeline for a padded buffer onto

@@ -14,7 +14,6 @@
 #include "cfprims/exec.hpp"
 #include "gather/schedule.hpp"
 #include "gpusim/memory_views.hpp"
-#include "sort/cost_model.hpp"
 
 namespace cfmerge::gather {
 
@@ -40,91 +39,15 @@ inline std::int64_t cf_position_of_b(const BReversal& pi, const CircularShift& r
 ///
 /// Charges: E warp-wide shared reads per warp (each conflict-free) plus the
 /// index arithmetic of Algorithm 1.  `cert` is the cf_gather certificate
-/// (or null for the lane-accurate path).
+/// (or null for the lane-accurate path).  The block-wide instance of
+/// cfprims::exec_cf_gather.
 template <typename T>
 void dual_subsequence_gather(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem,
                              const RoundSchedule& sched, std::span<T> regs,
-                             const verify::CfCertificate* cert = nullptr,
-                             int first_thread = 0, std::int64_t base = 0) {
-  const GatherShape& s = sched.shape();
-  assert(ctx.lanes() == s.w);
-  assert(first_thread % s.w == 0 && first_thread >= 0);
-  assert(first_thread + s.u <= ctx.threads());
-  assert(regs.size() >= (static_cast<std::size_t>(first_thread) +
-                         static_cast<std::size_t>(s.u)) *
-                            static_cast<std::size_t>(s.e));
-  const int vwarps = s.u / s.w;
-  const int first_warp = first_thread / s.w;
-
-  if (cert != nullptr && ctx.bulk_shared() && s.e > 0) {
-    // Bulk fast path: the generic executor's exact closed-form charges, but
-    // the data moved as the two contiguous raw runs each thread reads.
-    // Thread i's round-j element is A_i[m] for m = (j - k) mod E < |A_i|
-    // (raw index a_i + m, ascending in m), and otherwise the B element at
-    // raw index (la + lb - E) - b_i + m — also ascending in m.  The
-    // register slot of the m-th element is (k + m) mod E, a rotation, so
-    // the whole per-thread gather is two run copies plus a rotating slot
-    // index — no per-element mod-E arithmetic (sched.read computes the
-    // same function; pinned by tests/test_bulk_charge.cpp).
-    const std::span<const T> data = std::as_const(shmem).raw();
-    const std::int64_t e = s.e;
-    const bool ident = sched.rho().identity();
-    for (int vw = 0; vw < vwarps; ++vw) {
-      const int pw = first_warp + vw;
-      ctx.charge_compute(pw, cfprims::kGatherCharge.setup +
-                                 static_cast<std::uint64_t>(e) *
-                                     cfprims::kGatherCharge.round);
-      for (int lane = 0; lane < s.w; ++lane) {
-        const int i = vw * s.w + lane;
-        const std::int64_t aoff = sched.a_offset(i);
-        const std::int64_t asz = sched.a_size(i);
-        const std::int64_t b0 = s.la + s.lb - e - sched.b_offset(i);
-        T* r = regs.data() + (static_cast<std::size_t>(first_thread) +
-                              static_cast<std::size_t>(i)) *
-                                 static_cast<std::size_t>(e);
-        std::int64_t j = aoff % e;  // register slot of the m = 0 element
-        if (ident) {
-          for (std::int64_t m = 0; m < asz; ++m) {
-            r[j] = data[static_cast<std::size_t>(base + aoff + m)];
-            if (++j == e) j = 0;
-          }
-          for (std::int64_t m = asz; m < e; ++m) {
-            r[j] = data[static_cast<std::size_t>(base + b0 + m)];
-            if (++j == e) j = 0;
-          }
-        } else {
-          const CircularShift& rho = sched.rho();
-          for (std::int64_t m = 0; m < asz; ++m) {
-            r[j] = data[static_cast<std::size_t>(base + rho(aoff + m))];
-            if (++j == e) j = 0;
-          }
-          for (std::int64_t m = asz; m < e; ++m) {
-            r[j] = data[static_cast<std::size_t>(base + rho(b0 + m))];
-            if (++j == e) j = 0;
-          }
-        }
-      }
-      ctx.charge_shared_crs(pw,
-                            gpusim::CrsAccessDesc{.rounds = static_cast<int>(e),
-                                                  .dependent_rounds = static_cast<int>(e),
-                                                  .active_lanes = s.w,
-                                                  .is_write = false});
-    }
-    return;
-  }
-
-  // The cf_gather primitive's executor: per-warp setup (k = a_i mod E and
-  // the two list offsets), then one CRS read per round.
-  cfprims::exec_crs_gather(
-      ctx, shmem, s.w, s.e, vwarps, cfprims::kGatherCharge, cert,
-      [first_warp](int vw) { return first_warp + vw; },
-      [&](int vw, int lane, int j) {
-        return base + sched.read(vw * s.w + lane, j).phys;
-      },
-      [&](int vw, int lane, int j, const T& v) {
-        const int i = first_thread + vw * s.w + lane;
-        regs[static_cast<std::size_t>(i) * s.e + static_cast<std::size_t>(j)] = v;
-      });
+                             const verify::CfCertificate* cert = nullptr) {
+  assert(sched.shape().u <= ctx.threads());
+  cfprims::exec_cf_gather(ctx, shmem, sched, /*base=*/0, cert, [](int vw) { return vw; },
+                          regs);
 }
 
 /// Inverse procedure: writes each thread's E register items into shared

@@ -184,7 +184,9 @@ GraphReport Launcher::run(const KernelGraph& graph, GraphExec mode) {
     }
   };
 
-  if (mode == GraphExec::Serial || pool_size <= 1) {
+  // An auditor keys its shadow state by block id, which is unique only
+  // within one kernel, so audited graphs also run one kernel at a time.
+  if (mode == GraphExec::Serial || pool_size <= 1 || audit_ != nullptr) {
     // One kernel at a time in enqueue order — the pre-graph launch cadence
     // (each node's blocks still use the pool).
     for (int i = 0; i < graph.size(); ++i) {

@@ -25,6 +25,8 @@ namespace cfmerge::gpusim {
 template <typename T>
 class SharedTile {
  public:
+  using value_type = T;
+
   SharedTile(BlockContext& ctx, std::size_t n)
       : ctx_(&ctx), data_(n), tile_id_(ctx.next_tile_id()) {
     ctx.add_shared_bytes(n * sizeof(T));
@@ -158,19 +160,19 @@ class GlobalView {
   }
 
   /// Uncharged whole-view access for certified bulk paths; the caller must
-  /// charge the movement itself (charge_run below).
+  /// charge the movement itself (charge_run below, through
+  /// cfprims::charge_certified).
   [[nodiscard]] std::span<T> raw() { return data_; }
   [[nodiscard]] std::span<const value_type> raw() const { return data_; }
 
   /// Charges one warp-wide access to `n` contiguous view elements starting
   /// at element `first` — the closed form of gather/scatter over an
-  /// ascending (or descending: same transaction footprint) run.  Caller
-  /// must have checked ctx.bulk_global().
-  void charge_run(int warp, std::int64_t first, std::int64_t n, bool dependent,
-                  bool is_write) {
+  /// ascending (or descending: same transaction footprint) run, read or
+  /// written alike.  Caller must have checked ctx.bulk_global().
+  void charge_run(int warp, std::int64_t first, std::int64_t n, bool dependent) {
     assert(first >= 0 && n > 0 && first + n <= size());
     ctx_->charge_gmem_run(warp, (base_ + first) * static_cast<std::int64_t>(sizeof(T)),
-                          n, static_cast<int>(sizeof(T)), dependent, is_write);
+                          n, static_cast<int>(sizeof(T)), dependent);
   }
 
   [[nodiscard]] BlockContext& context() const { return *ctx_; }

@@ -32,7 +32,6 @@
 #include "sort/odd_even.hpp"
 #include <memory>
 
-#include "gather/dual_gather.hpp"
 #include "gather/schedule.hpp"
 #include "sort/serial_merge.hpp"
 
@@ -65,7 +64,8 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
 
   // --- load tile (coalesced reads, linear shared writes) ----------------
   ctx.phase("bsort.load");
-  load_tile_affine(ctx, global, shmem, tile, 0, AffineMap{0, 1}, certs.stage);
+  cfprims::exec_staged_copy(ctx, global, shmem, tile, certs.stage, cfprims::UnitStep{},
+                            cfprims::UnitStep{});
   ctx.barrier();
 
   // --- per-thread register sort -----------------------------------------
@@ -129,8 +129,8 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
       ctx.phase("bsort.cf_permute");
       // Copy linear -> CF layout; reads are contiguous (conflict free),
       // writes are contiguous runs through pi/rho (also conflict free).
-      cfprims::exec_shared_copy(
-          ctx, shmem, *staging, tile, /*cert=*/nullptr, [](std::int64_t pos) { return pos; },
+      cfprims::exec_staged_copy(
+          ctx, shmem, *staging, tile, /*cert=*/nullptr, cfprims::UnitStep{},
           [&](std::int64_t pos) {
             const std::int64_t pair_base = div_pair(pos) * (2 * run);
             const std::int64_t local = pos - pair_base;
@@ -157,8 +157,12 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
         gather::RoundSchedule sched(shape, std::move(a_off), std::move(a_size));
         // The pair base is a multiple of w (2*run = u_pair*E, w | u_pair),
         // so per-pair bank residues match the whole-tile cf_gather proof.
-        gather::dual_subsequence_gather(ctx, *staging, sched, std::span<T>(regs),
-                                        certs.gather, first_thread, pair_base);
+        const int first_warp = first_thread / w;
+        cfprims::exec_cf_gather(
+            ctx, *staging, sched, pair_base, certs.gather,
+            [first_warp](int vw) { return first_warp + vw; },
+            std::span<T>(regs).subspan(static_cast<std::size_t>(pair_base),
+                                       static_cast<std::size_t>(2 * run)));
       }
       // Data-oblivious register merge per thread.
       for (int warp = 0; warp < ctx.warps(); ++warp) {
@@ -196,7 +200,8 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
 
   // --- store tile --------------------------------------------------------
   ctx.phase("bsort.store");
-  store_tile_affine(ctx, shmem, global, tile, AffineMap{0, 1}, 0, certs.stage);
+  cfprims::exec_staged_copy(ctx, shmem, global, tile, certs.stage, cfprims::UnitStep{},
+                            cfprims::UnitStep{});
 }
 
 }  // namespace cfmerge::sort

@@ -3,14 +3,14 @@
 //  * TileLayout          — where a block's A/B lists live in shared memory
 //                          (linear for the baseline, rho(A ∪ pi(B)) for
 //                          CF-Merge).
-//  * load_tile/store_tile — staged, coalesced global <-> shared copies, and
-//                          their certified closed-form twins
-//                          load/store_tile_affine.
+//  * FastDiv             — division by a loop-invariant divisor.
 //  * warp_split_search   — one lockstep merge-path search per warp over the
 //                          w thread start diagonals plus the next thread's,
 //                          producing every thread's split (a_i, |A_i|, b_i,
 //                          |B_i|); decided on uncharged reads, charged as
 //                          the device's start and end probe rows.
+//
+// Tile staging (global <-> shared copies) is cfprims::exec_staged_copy.
 #pragma once
 
 #include <algorithm>
@@ -20,16 +20,10 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
-#include <utility>
-#include <vector>
 
 #include "gather/permutation.hpp"
 #include "gpusim/memory_views.hpp"
 #include "sort/cost_model.hpp"
-
-namespace cfmerge::verify {
-struct CfCertificate;
-}
 
 namespace cfmerge::sort {
 
@@ -73,72 +67,6 @@ class TileLayout {
   gather::CircularShift rho_;
 };
 
-/// Copies `count` elements, with `src(t)` giving the global element index and
-/// `dst(t)` the shared position of logical element t.  All warps participate;
-/// warp k handles lanes [k*w, k*w + w) of each block-wide chunk of u
-/// elements.  Global reads are coalesced when `src` is affine; only each
-/// warp's first request pays the DRAM latency (streaming).
-template <typename T, typename GV, typename Src, typename Dst>
-void load_tile(gpusim::BlockContext& ctx, GV& global, gpusim::SharedTile<T>& shmem,
-               std::int64_t count, Src&& src, Dst&& dst) {
-  const int w = ctx.lanes();
-  const int u = ctx.threads();
-  assert(w <= gpusim::kMaxLanes);
-  std::array<std::int64_t, gpusim::kMaxLanes> gaddr;
-  std::array<std::int64_t, gpusim::kMaxLanes> saddr;
-  std::array<T, gpusim::kMaxLanes> vals{};
-  const std::span<T> vspan(vals.data(), static_cast<std::size_t>(w));
-  for (int warp = 0; warp < ctx.warps(); ++warp) {
-    bool first = true;
-    for (std::int64_t base = static_cast<std::int64_t>(warp) * w; base < count;
-         base += u) {
-      for (int lane = 0; lane < w; ++lane) {
-        const std::int64_t t = base + lane;
-        const bool active = t < count;
-        gaddr[static_cast<std::size_t>(lane)] = active ? src(t) : gpusim::kInactiveLane;
-        saddr[static_cast<std::size_t>(lane)] = active ? dst(t) : gpusim::kInactiveLane;
-      }
-      ctx.charge_compute(warp, cost::kCopyChunkInstrs);
-      global.gather(warp, std::span<const std::int64_t>(gaddr.data(), vspan.size()),
-                    vspan, /*dependent=*/first);
-      shmem.scatter(warp, std::span<const std::int64_t>(saddr.data(), vspan.size()),
-                    vspan, /*dependent=*/false);
-      first = false;
-    }
-  }
-}
-
-/// Mirror image of load_tile: shared -> global.
-template <typename T, typename GV, typename Src, typename Dst>
-void store_tile(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem, GV& global,
-                std::int64_t count, Src&& src, Dst&& dst) {
-  const int w = ctx.lanes();
-  const int u = ctx.threads();
-  assert(w <= gpusim::kMaxLanes);
-  std::array<std::int64_t, gpusim::kMaxLanes> gaddr;
-  std::array<std::int64_t, gpusim::kMaxLanes> saddr;
-  std::array<T, gpusim::kMaxLanes> vals{};
-  const std::span<T> vspan(vals.data(), static_cast<std::size_t>(w));
-  for (int warp = 0; warp < ctx.warps(); ++warp) {
-    bool first = true;
-    for (std::int64_t base = static_cast<std::int64_t>(warp) * w; base < count;
-         base += u) {
-      for (int lane = 0; lane < w; ++lane) {
-        const std::int64_t t = base + lane;
-        const bool active = t < count;
-        saddr[static_cast<std::size_t>(lane)] = active ? src(t) : gpusim::kInactiveLane;
-        gaddr[static_cast<std::size_t>(lane)] = active ? dst(t) : gpusim::kInactiveLane;
-      }
-      ctx.charge_compute(warp, cost::kCopyChunkInstrs);
-      shmem.gather(warp, std::span<const std::int64_t>(saddr.data(), vspan.size()),
-                   vspan, /*dependent=*/first);
-      global.scatter(warp, std::span<const std::int64_t>(gaddr.data(), vspan.size()),
-                     vspan, /*dependent=*/false);
-      first = false;
-    }
-  }
-}
-
 /// Exact division by a loop-invariant divisor via one 64-bit multiply and
 /// shift (round-up reciprocal: M = ceil(2^64 / d), q = hi64(n * M)).  Exact
 /// for every non-negative dividend and divisor below 2^32 — which covers
@@ -165,141 +93,6 @@ struct FastDiv {
     return d == 1 ? n : q;
   }
 };
-
-/// A unit-step affine address map t -> base + step*t (step in {+1, -1}):
-/// the address families of every tile staging copy whose layout shift is
-/// the identity.  Probed off a position lambda by affine_map_of.
-struct AffineMap {
-  std::int64_t base = 0;
-  int step = 1;
-};
-
-/// Derives the AffineMap of `pos` over [0, count).  The caller guarantees
-/// `pos` is affine with unit step on that domain (checked in debug builds);
-/// gate on the layout's shift being the identity before calling.
-template <typename Pos>
-[[nodiscard]] AffineMap affine_map_of(Pos&& pos, std::int64_t count) {
-  AffineMap m;
-  if (count > 0) m.base = pos(0);
-  if (count > 1) m.step = static_cast<int>(pos(1) - m.base);
-  assert(count <= 1 || m.step == 1 || m.step == -1);
-  assert(count <= 0 || pos(count - 1) == m.base + m.step * (count - 1));
-  return m;
-}
-
-/// load_tile for a unit-step affine destination map and a contiguous
-/// ascending global source starting at view element `gsrc0`.  With a
-/// cf_stage certificate and no per-lane observers (bulk_global), the copy
-/// charges each warp chunk in closed form — unit-stride warp windows hit
-/// distinct banks at any base, which the certificate proves — and moves the
-/// tile with one std::copy / reverse_copy.  Counters and chains are
-/// bit-identical to load_tile (pinned by tests/test_bulk_charge.cpp).
-template <typename T, typename GV>
-void load_tile_affine(gpusim::BlockContext& ctx, GV& global,
-                      gpusim::SharedTile<T>& shmem, std::int64_t count,
-                      std::int64_t gsrc0, AffineMap dst,
-                      const verify::CfCertificate* cert) {
-  if (count <= 0) return;
-  assert(dst.step == 1 || dst.step == -1);
-  if (cert == nullptr || !ctx.bulk_global()) {
-    load_tile(ctx, global, shmem, count,
-              [gsrc0](std::int64_t t) { return gsrc0 + t; },
-              [dst](std::int64_t t) { return dst.base + dst.step * t; });
-    return;
-  }
-  const int w = ctx.lanes();
-  const int u = ctx.threads();
-  for (int warp = 0; warp < ctx.warps(); ++warp) {
-    const std::int64_t first_el = static_cast<std::int64_t>(warp) * w;
-    if (first_el >= count) continue;
-    int chunks = 0;
-    bool first = true;
-    for (std::int64_t base = first_el; base < count; base += u) {
-      const std::int64_t active = std::min<std::int64_t>(w, count - base);
-      global.charge_run(warp, gsrc0 + base, active, /*dependent=*/first,
-                        /*is_write=*/false);
-      first = false;
-      ++chunks;
-    }
-    ctx.charge_compute(warp,
-                       static_cast<std::uint64_t>(chunks) * cost::kCopyChunkInstrs);
-    ctx.charge_shared_crs(warp, gpusim::CrsAccessDesc{.rounds = chunks,
-                                                      .active_lanes = w,
-                                                      .base = dst.base,
-                                                      .stride = dst.step,
-                                                      .is_write = true});
-  }
-  const auto g = global.raw();
-  const std::span<T> tile = shmem.raw();
-  assert(gsrc0 >= 0 && gsrc0 + count <= static_cast<std::int64_t>(g.size()));
-  const auto src_begin = g.begin() + static_cast<std::ptrdiff_t>(gsrc0);
-  const auto src_end = src_begin + static_cast<std::ptrdiff_t>(count);
-  if (dst.step == 1) {
-    assert(dst.base >= 0 &&
-           dst.base + count <= static_cast<std::int64_t>(tile.size()));
-    std::copy(src_begin, src_end, tile.begin() + static_cast<std::ptrdiff_t>(dst.base));
-  } else {
-    const std::int64_t lo = dst.base - count + 1;
-    assert(lo >= 0 && dst.base < static_cast<std::int64_t>(tile.size()));
-    std::reverse_copy(src_begin, src_end,
-                      tile.begin() + static_cast<std::ptrdiff_t>(lo));
-  }
-}
-
-/// Mirror image of load_tile_affine: shared (unit-step affine source map)
-/// -> contiguous ascending global starting at view element `gdst0`.
-template <typename T, typename GV>
-void store_tile_affine(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem,
-                       GV& global, std::int64_t count, AffineMap src,
-                       std::int64_t gdst0, const verify::CfCertificate* cert) {
-  if (count <= 0) return;
-  assert(src.step == 1 || src.step == -1);
-  if (cert == nullptr || !ctx.bulk_global()) {
-    store_tile(ctx, shmem, global, count,
-               [src](std::int64_t t) { return src.base + src.step * t; },
-               [gdst0](std::int64_t t) { return gdst0 + t; });
-    return;
-  }
-  const int w = ctx.lanes();
-  const int u = ctx.threads();
-  for (int warp = 0; warp < ctx.warps(); ++warp) {
-    const std::int64_t first_el = static_cast<std::int64_t>(warp) * w;
-    if (first_el >= count) continue;
-    int chunks = 0;
-    for (std::int64_t base = first_el; base < count; base += u) {
-      const std::int64_t active = std::min<std::int64_t>(w, count - base);
-      global.charge_run(warp, gdst0 + base, active, /*dependent=*/false,
-                        /*is_write=*/true);
-      ++chunks;
-    }
-    ctx.charge_compute(warp,
-                       static_cast<std::uint64_t>(chunks) * cost::kCopyChunkInstrs);
-    // The first chunk's shared gather is on the chain (dependent), the rest
-    // pipeline — exactly store_tile's `first` flag.
-    ctx.charge_shared_crs(warp, gpusim::CrsAccessDesc{.rounds = chunks,
-                                                      .dependent_rounds = 1,
-                                                      .active_lanes = w,
-                                                      .base = src.base,
-                                                      .stride = src.step,
-                                                      .is_write = false});
-  }
-  const std::span<const T> tile = std::as_const(shmem).raw();
-  const auto g = global.raw();
-  assert(gdst0 >= 0 && gdst0 + count <= static_cast<std::int64_t>(g.size()));
-  const auto dst_begin = g.begin() + static_cast<std::ptrdiff_t>(gdst0);
-  if (src.step == 1) {
-    assert(src.base >= 0 &&
-           src.base + count <= static_cast<std::int64_t>(tile.size()));
-    const auto src_begin = tile.begin() + static_cast<std::ptrdiff_t>(src.base);
-    std::copy(src_begin, src_begin + static_cast<std::ptrdiff_t>(count), dst_begin);
-  } else {
-    const std::int64_t lo = src.base - count + 1;
-    assert(lo >= 0 && src.base < static_cast<std::int64_t>(tile.size()));
-    const auto src_begin = tile.begin() + static_cast<std::ptrdiff_t>(lo);
-    std::reverse_copy(src_begin, src_begin + static_cast<std::ptrdiff_t>(count),
-                      dst_begin);
-  }
-}
 
 /// One thread's merge assignment within a block-local pair of lists.
 struct ThreadSplit {

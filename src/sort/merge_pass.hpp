@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "cfprims/exec.hpp"
-#include "gather/dual_gather.hpp"
+#include "gather/schedule.hpp"
 #include "gpusim/launcher.hpp"
 #include "gpusim/memory_views.hpp"
 #include "mergepath/merge_path.hpp"
@@ -190,21 +190,21 @@ void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T
   // ("each thread block reorders elements during the initial transfer from
   // global memory into shared memory" — Section 5).  When the layout's
   // shift is the identity (linear, coprime CF, or the no-rho ablation) both
-  // position maps are unit-step affine runs, covered by the cf_stage proof.
+  // position maps are unit-step runs (pi reverses B), covered by the
+  // cf_stage proof.
   if (!layout.is_cf() || layout.rho().identity()) {
-    load_tile_affine(ctx, gin, shmem, la, a_src,
-                     affine_map_of([&](std::int64_t t) { return layout.pos_a(t); }, la),
-                     cfg.certs.stage);
-    load_tile_affine(ctx, gin, shmem, lb, b_src,
-                     affine_map_of([&](std::int64_t t) { return layout.pos_b(t); }, lb),
-                     cfg.certs.stage);
+    cfprims::exec_staged_copy(ctx, gin, shmem, la, cfg.certs.stage,
+                              cfprims::UnitStep{a_src}, cfprims::UnitStep{layout.pos_a(0)});
+    cfprims::exec_staged_copy(ctx, gin, shmem, lb, cfg.certs.stage,
+                              cfprims::UnitStep{b_src},
+                              cfprims::UnitStep{layout.pos_b(0), layout.is_cf() ? -1 : 1});
   } else {
-    load_tile(ctx, gin, shmem, la,
-              [&](std::int64_t t) { return a_src + t; },
-              [&](std::int64_t t) { return layout.pos_a(t); });
-    load_tile(ctx, gin, shmem, lb,
-              [&](std::int64_t t) { return b_src + t; },
-              [&](std::int64_t t) { return layout.pos_b(t); });
+    cfprims::exec_staged_copy(ctx, gin, shmem, la, /*cert=*/nullptr,
+                              cfprims::UnitStep{a_src},
+                              [&](std::int64_t t) { return layout.pos_a(t); });
+    cfprims::exec_staged_copy(ctx, gin, shmem, lb, /*cert=*/nullptr,
+                              cfprims::UnitStep{b_src},
+                              [&](std::int64_t t) { return layout.pos_b(t); });
   }
   ctx.barrier();
 
@@ -258,8 +258,8 @@ void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T
           });
     } else {
       gather::RoundSchedule sched(shape, std::move(a_off), std::move(a_size));
-      gather::dual_subsequence_gather(ctx, shmem, sched, std::span<T>(regs),
-                                      cfg.certs.gather);
+      cfprims::exec_cf_gather(ctx, shmem, sched, /*base=*/0, cfg.certs.gather,
+                              [](int vw) { return vw; }, std::span<T>(regs));
     }
     // Data-oblivious register merge.
     for (int warp = 0; warp < ctx.warps(); ++warp) {
@@ -314,10 +314,11 @@ void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T
   }
   ctx.barrier();
   if (!out_rho || out_shift.identity()) {
-    store_tile_affine(ctx, shmem, gout, tile, AffineMap{0, 1}, 0, cfg.certs.stage);
+    cfprims::exec_staged_copy(ctx, shmem, gout, tile, cfg.certs.stage, cfprims::UnitStep{},
+                              cfprims::UnitStep{});
   } else {
-    store_tile(ctx, shmem, gout, tile, [&](std::int64_t t) { return out_pos(t); },
-               [](std::int64_t t) { return t; });
+    cfprims::exec_staged_copy(ctx, shmem, gout, tile, /*cert=*/nullptr, out_pos,
+                              cfprims::UnitStep{});
   }
 }
 

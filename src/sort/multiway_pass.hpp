@@ -202,32 +202,6 @@ void warp_multiway_corank(gpusim::BlockContext& ctx, int warp, int k,
   }
 }
 
-/// Fills shared positions dst(t), t in [0, count), with `value` — charged
-/// like the store half of load_tile (all warps, strided chunks).
-template <typename T, typename Dst>
-void fill_shared(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem,
-                 std::int64_t count, Dst&& dst, const T& value) {
-  const int w = ctx.lanes();
-  const int u = ctx.threads();
-  std::array<std::int64_t, gpusim::kMaxLanes> addr;
-  std::array<T, gpusim::kMaxLanes> vals;
-  vals.fill(value);
-  for (int warp = 0; warp < ctx.warps(); ++warp) {
-    for (std::int64_t base = static_cast<std::int64_t>(warp) * w; base < count;
-         base += u) {
-      for (int lane = 0; lane < w; ++lane) {
-        const std::int64_t t = base + lane;
-        addr[static_cast<std::size_t>(lane)] = t < count ? dst(t) : gpusim::kInactiveLane;
-      }
-      ctx.charge_compute(warp, cost::kCopyChunkInstrs);
-      shmem.scatter(warp,
-                    std::span<const std::int64_t>(addr.data(), static_cast<std::size_t>(w)),
-                    std::span<const T>(vals.data(), static_cast<std::size_t>(w)),
-                    /*dependent=*/false);
-    }
-  }
-}
-
 }  // namespace detail
 
 /// Stage 1: k-way partition kernel.  boundaries is a flat (num_tiles+1) x k
@@ -321,15 +295,15 @@ void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalVi
       if (pr.size() == 0) continue;
       const std::int64_t na = leaves[2 * p].len;
       const std::int64_t nbr = leaves[2 * p + 1].len;
-      load_tile(ctx, gin, shmem, na,
-                [&](std::int64_t t) { return seg_src[2 * p] + t; },
-                [&](std::int64_t t) { return rb + pr.pos_a(t); });
-      load_tile(ctx, gin, shmem, nbr,
-                [&](std::int64_t t) { return seg_src[2 * p + 1] + t; },
-                [&](std::int64_t t) { return rb + pr.pos_b(t); });
-      detail::fill_shared(ctx, shmem, pr.lb - nbr,
-                          [&](std::int64_t t) { return rb + pr.pos_b(nbr + t); },
-                          padding_sentinel<T>::value());
+      cfprims::exec_staged_copy(ctx, gin, shmem, na, /*cert=*/nullptr,
+                                cfprims::UnitStep{seg_src[2 * p]},
+                                [&](std::int64_t t) { return rb + pr.pos_a(t); });
+      cfprims::exec_staged_copy(ctx, gin, shmem, nbr, /*cert=*/nullptr,
+                                cfprims::UnitStep{seg_src[2 * p + 1]},
+                                [&](std::int64_t t) { return rb + pr.pos_b(t); });
+      cfprims::exec_staged_copy(ctx, cfprims::Fill<T>{padding_sentinel<T>::value()}, shmem,
+                                pr.lb - nbr, /*cert=*/nullptr, cfprims::UnitStep{},
+                                [&](std::int64_t t) { return rb + pr.pos_b(nbr + t); });
     }
   }
   ctx.barrier();
@@ -387,15 +361,8 @@ void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalVi
       // Each pair is an instance of the proven 2-way schedule at a constant
       // buffer offset (a uniform shift preserves bank distinctness), so the
       // cf_gather certificate applies per pair.
-      cfprims::exec_crs_gather(
-          ctx, shmem, w, e, vwarps, cfprims::kGatherCharge, cfg.certs.gather, pair_warp,
-          [&](int vw, int lane, int j) {
-            return rb + pr.base + sched.read(vw * w + lane, j).phys;
-          },
-          [&](int vw, int lane, int j, const T& v) {
-            regs[static_cast<std::size_t>(vw * w + lane) * static_cast<std::size_t>(e) +
-                 static_cast<std::size_t>(j)] = v;
-          });
+      cfprims::exec_cf_gather(ctx, shmem, sched, rb + pr.base, cfg.certs.gather, pair_warp,
+                              std::span<T>(regs));
       for (int vw = 0; vw < vwarps; ++vw) {
         for (int lane = 0; lane < w; ++lane) {
           std::span<T> r(regs.data() + static_cast<std::size_t>(vw * w + lane) *
@@ -435,9 +402,9 @@ void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalVi
   // Coalesced store of the real ranks (sentinels sit at ranks >= tile).
   ctx.phase("merge.store");
   const std::int64_t ob = (plan.levels() % 2) * cap;
-  store_tile(ctx, shmem, gout, tile,
-             [&](std::int64_t t) { return ob + plan.out_pos(t); },
-             [](std::int64_t t) { return t; });
+  cfprims::exec_staged_copy(ctx, shmem, gout, tile, /*cert=*/nullptr,
+                            [&](std::int64_t t) { return ob + plan.out_pos(t); },
+                            cfprims::UnitStep{});
 }
 
 /// LoserTree merge core: linear shared layout, per-thread k-way replacement
@@ -463,9 +430,10 @@ void multiway_losertree_core(gpusim::BlockContext& ctx, GIn& gin,
     seg_off[static_cast<std::size_t>(s)] =
         seg_off[static_cast<std::size_t>(s - 1)] + seg_len[static_cast<std::size_t>(s - 1)];
   for (int s = 0; s < k; ++s)
-    load_tile(ctx, gin, shmem, seg_len[static_cast<std::size_t>(s)],
-              [&](std::int64_t t) { return seg_src[static_cast<std::size_t>(s)] + t; },
-              [&](std::int64_t t) { return seg_off[static_cast<std::size_t>(s)] + t; });
+    cfprims::exec_staged_copy(ctx, gin, shmem, seg_len[static_cast<std::size_t>(s)],
+                              /*cert=*/nullptr,
+                              cfprims::UnitStep{seg_src[static_cast<std::size_t>(s)]},
+                              cfprims::UnitStep{seg_off[static_cast<std::size_t>(s)]});
   ctx.barrier();
 
   // Per-thread k-vector co-ranks at every thread's start diagonal.
@@ -599,31 +567,14 @@ void multiway_losertree_core(gpusim::BlockContext& ctx, GIn& gin,
   }
   ctx.barrier();
 
-  // Stride-E write-back (linear, like the 2-way baseline), coalesced store.
+  // Stride-E write-back (linear, like the 2-way baseline, but on the lane
+  // path: the loser tree is the uncertified baseline), coalesced store.
   ctx.phase("merge.store");
-  {
-    std::array<std::int64_t, gpusim::kMaxLanes> addr;
-    std::array<T, gpusim::kMaxLanes> vals{};
-    for (int warp = 0; warp < ctx.warps(); ++warp) {
-      for (int j = 0; j < e; ++j) {
-        for (int lane = 0; lane < w; ++lane) {
-          const int i = warp * w + lane;
-          addr[static_cast<std::size_t>(lane)] = static_cast<std::int64_t>(i) * e + j;
-          vals[static_cast<std::size_t>(lane)] =
-              regs[static_cast<std::size_t>(i) * static_cast<std::size_t>(e) +
-                   static_cast<std::size_t>(j)];
-        }
-        ctx.charge_compute(warp, cost::kCopyChunkInstrs);
-        shmem.scatter(warp,
-                      std::span<const std::int64_t>(addr.data(),
-                                                    static_cast<std::size_t>(w)),
-                      std::span<const T>(vals.data(), static_cast<std::size_t>(w)));
-      }
-    }
-  }
+  cfprims::exec_stride_scatter(ctx, shmem, w, e, ctx.warps(), cfprims::kCopyCharge,
+                               /*cert=*/nullptr, std::span<const T>(regs));
   ctx.barrier();
-  store_tile(ctx, shmem, gout, tile, [](std::int64_t t) { return t; },
-             [](std::int64_t t) { return t; });
+  cfprims::exec_staged_copy(ctx, shmem, gout, tile, /*cert=*/nullptr, cfprims::UnitStep{},
+                            cfprims::UnitStep{});
 }
 
 /// Stage 2: k-way merge kernel body for one output tile.

@@ -3,9 +3,9 @@
 // A CfCertificate is the process-wide memo of one successful
 // verify_primitive run: "primitive `name` at family (w, E) is proven
 // conflict-free".  Call sites that execute a certified access pattern may
-// hand the token to the cfprims executors / tile stagers, which then charge
-// shared-memory rounds in closed form (BlockContext::charge_shared_crs)
-// instead of materializing per-lane addresses — see
+// hand the token to the cfprims executors, which then charge whole
+// progressions in closed form (cfprims::charge_certified) instead of
+// materializing per-lane addresses — see
 // docs/architecture.md, "Accounting fast paths".
 //
 // certify() is memoized (positive AND negative) behind a mutex: the first

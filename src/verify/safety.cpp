@@ -422,8 +422,8 @@ std::int64_t gather_read_phys(ScheduleVariant variant, int e, std::int64_t la,
   return variant == ScheduleVariant::kNoRhoShift ? raw : rho(raw);
 }
 
-/// The fill map of load_tile's TileLayout for the variant: where A element x
-/// and B element y land in shared memory.
+/// The fill map of the staged tile load's TileLayout for the variant: where
+/// A element x and B element y land in shared memory.
 std::int64_t fill_pos_a(ScheduleVariant variant, const gather::CircularShift& rho,
                         std::int64_t x) {
   return variant == ScheduleVariant::kNoRhoShift ? x : rho(x);

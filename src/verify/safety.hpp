@@ -48,7 +48,7 @@ namespace cfmerge::verify {
 [[nodiscard]] ProofObject verify_primitive_safety(std::string_view name, int w,
                                                   int e);
 
-/// Safety proof for the pairwise CF merge pass (load_tile fill, merge-path
+/// Safety proof for the pairwise CF merge pass (staged tile fill, merge-path
 /// probes, CF gather, stride/rank output scatter) as composed in
 /// sort/merge_pass.hpp.
 [[nodiscard]] ProofObject verify_merge_safety(int w, int e);

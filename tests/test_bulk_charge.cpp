@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "sort/engine.hpp"
+#include "sort/merge_arrays.hpp"
 
 using namespace cfmerge;
 using namespace cfmerge::sort;
@@ -43,6 +44,9 @@ struct Observed {
   std::uint64_t lane_charges = 0;
 };
 
+/// The entry point a case drives.
+enum class Entry { kSort, kPermute, kTranspose, kBatched, kMergeArrays };
+
 struct BulkCase {
   int w = 8;
   int e = 5;
@@ -53,8 +57,36 @@ struct BulkCase {
   MultiwayVariant mvariant = MultiwayVariant::CFCascade;    // multiway only
   bool cf_blocksort = false;
   bool disable_rho = false;
-  std::string tag;
+  Entry entry = Entry::kSort;
+  bool inverse = false;  ///< permute / transpose only
+  std::string tag{};
 };
+
+MergeConfig merge_config(const BulkCase& c) {
+  MergeConfig cfg;
+  cfg.e = c.e;
+  cfg.u = c.u;
+  cfg.variant = c.variant;
+  cfg.cf_blocksort = c.cf_blocksort;
+  cfg.disable_rho = c.disable_rho;
+  return cfg;
+}
+
+/// Splits `data` into `pairs` sorted list pairs of ragged lengths (A and B
+/// take 1/3 and 2/3 of each share).
+void split_pairs(const std::vector<int>& data, int pairs, std::vector<std::vector<int>>& as,
+                 std::vector<std::vector<int>>& bs) {
+  const auto share = static_cast<std::ptrdiff_t>(data.size()) / pairs;
+  for (int p = 0; p < pairs; ++p) {
+    const auto first = data.begin() + share * p;
+    const auto last = p + 1 == pairs ? data.end() : first + share;
+    const auto mid = first + (last - first) / 3;
+    as.emplace_back(first, mid);
+    bs.emplace_back(mid, last);
+    std::sort(as.back().begin(), as.back().end());
+    std::sort(bs.back().begin(), bs.back().end());
+  }
+}
 
 Observed run_sort(const BulkCase& c, bool bulk, int threads, std::vector<int> data) {
   DeviceSpec dev = DeviceSpec::tiny(c.w);
@@ -63,34 +95,62 @@ Observed run_sort(const BulkCase& c, bool bulk, int threads, std::vector<int> da
   launcher.set_threads(threads);
   SortEngine engine(launcher);
 
-  SortReport report;
-  if (c.k == 0) {
-    MergeConfig cfg;
-    cfg.e = c.e;
-    cfg.u = c.u;
-    cfg.variant = c.variant;
-    cfg.cf_blocksort = c.cf_blocksort;
-    cfg.disable_rho = c.disable_rho;
-    report = engine.sort(data, cfg);
-  } else {
-    MultiwayConfig cfg;
-    cfg.e = c.e;
-    cfg.u = c.u;
-    cfg.k = c.k;
-    cfg.variant = c.mvariant;
-    cfg.cf_blocksort = c.cf_blocksort;
-    report = engine.sort_multiway(data, cfg);
-  }
-
   Observed obs;
-  obs.data = std::move(data);
-  obs.phases = report.phases;
-  obs.totals = report.totals;
-  obs.microseconds = report.microseconds;
-  for (const gpusim::KernelReport& k : report.kernels) {
-    obs.mean_chains.push_back(k.mean_block_chain);
-    obs.max_chains.push_back(k.max_block_chain);
+  const auto observe = [&obs](const auto& report) {
+    obs.phases = report.phases;
+    obs.totals = report.totals;
+    obs.microseconds = report.microseconds;
+    for (const gpusim::KernelReport& k : report.kernels) {
+      obs.mean_chains.push_back(k.mean_block_chain);
+      obs.max_chains.push_back(k.max_block_chain);
+    }
+  };
+  switch (c.entry) {
+    case Entry::kSort:
+      if (c.k == 0) {
+        observe(engine.sort(data, merge_config(c)));
+      } else {
+        MultiwayConfig cfg;
+        cfg.e = c.e;
+        cfg.u = c.u;
+        cfg.k = c.k;
+        cfg.variant = c.mvariant;
+        cfg.cf_blocksort = c.cf_blocksort;
+        observe(engine.sort_multiway(data, cfg));
+      }
+      break;
+    case Entry::kPermute:
+    case Entry::kTranspose: {
+      cfprims::PermuteConfig cfg;
+      cfg.op = c.entry == Entry::kPermute ? cfprims::PermuteOp::kPermute
+                                          : cfprims::PermuteOp::kTranspose;
+      cfg.e = c.e;
+      cfg.u = c.u;
+      cfg.inverse = c.inverse;
+      observe(engine.permute(data, cfg));
+      break;
+    }
+    case Entry::kBatched: {
+      std::vector<std::vector<int>> as;
+      std::vector<std::vector<int>> bs;
+      std::vector<std::vector<int>> outs;
+      split_pairs(data, 3, as, bs);
+      observe(engine.batched_merge(as, bs, outs, merge_config(c)));
+      data.clear();
+      for (const auto& o : outs) data.insert(data.end(), o.begin(), o.end());
+      break;
+    }
+    case Entry::kMergeArrays: {
+      std::vector<std::vector<int>> as;
+      std::vector<std::vector<int>> bs;
+      split_pairs(data, 1, as, bs);
+      MergeConfig cfg = merge_config(c);
+      cfg.certs = resolve_tile_certs(c.w, c.e);
+      observe(merge_arrays(launcher, as[0], bs[0], data, cfg));
+      break;
+    }
   }
+  obs.data = std::move(data);
   obs.bulk_charges = launcher.bulk_charges();
   obs.lane_charges = launcher.lane_charges();
   return obs;
@@ -151,6 +211,41 @@ std::vector<BulkCase> bulk_cases() {
     c.mvariant = MultiwayVariant::LoserTree;
     add(c, "w8_E5_losertree_k4");
   }
+  const auto shape_tag = [](int w, int e, const std::string& what) {
+    std::string tag = "w";
+    tag += std::to_string(w);
+    tag += "_E";
+    tag += std::to_string(e);
+    tag += "_";
+    return tag + what;
+  };
+  // Standalone permute / transpose, both directions, coprime (rho is the
+  // identity) and non-coprime E.
+  for (const bool inverse : {false, true}) {
+    const std::string dir = inverse ? "_inverse" : "";
+    for (const Entry entry : {Entry::kPermute, Entry::kTranspose}) {
+      const std::string op = entry == Entry::kPermute ? "permute" : "transpose";
+      for (const auto& [w, e] : {std::pair{8, 6}, std::pair{8, 5}, std::pair{32, 8}}) {
+        BulkCase c{w, e, 2 * w, 0, 2 * w * e * 3 + 5};
+        c.entry = entry;
+        c.inverse = inverse;
+        add(c, shape_tag(w, e, op + dir));
+      }
+    }
+  }
+  // batched_merge and merge_arrays: the merge window on ragged lists.
+  for (const auto& [e, variant, name] :
+       {std::tuple{5, Variant::CFMerge, "cf"}, std::tuple{6, Variant::CFMerge, "cf"},
+        std::tuple{5, Variant::Baseline, "baseline"}}) {
+    for (const Entry entry : {Entry::kBatched, Entry::kMergeArrays}) {
+      BulkCase c{8, e, 16, 0, 16 * e * 6 + 7};
+      c.variant = variant;
+      c.entry = entry;
+      add(c, shape_tag(8, e, name + std::string(entry == Entry::kBatched
+                                                    ? "_batched"
+                                                    : "_merge_arrays")));
+    }
+  }
   return cases;
 }
 
@@ -162,12 +257,13 @@ TEST_P(BulkChargeCases, CountersBitIdenticalAcrossAccountingPaths) {
   const BulkCase c = GetParam();
   const std::vector<int> input =
       rand_vec(static_cast<std::uint64_t>(c.n) * 31 + c.e, c.n);
-  std::vector<int> expect = input;
-  std::sort(expect.begin(), expect.end());
-
   const Observed lane = run_sort(c, /*bulk=*/false, /*threads=*/1, input);
   const Observed bulk = run_sort(c, /*bulk=*/true, /*threads=*/1, input);
-  EXPECT_EQ(lane.data, expect);
+  if (c.entry == Entry::kSort) {
+    std::vector<int> expect = input;
+    std::sort(expect.begin(), expect.end());
+    EXPECT_EQ(lane.data, expect);
+  }
   expect_identical(lane, bulk, "bulk vs lane, sequential");
 
   // The bulk path must actually fire when enabled, and never when disabled.

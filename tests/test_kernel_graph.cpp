@@ -7,11 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <random>
+#include <string>
+#include <thread>
 
 #include "gpusim/launcher.hpp"
 #include "sort/merge_sort.hpp"
+#include "verify/shadow.hpp"
 
 using namespace cfmerge;
 using namespace cfmerge::gpusim;
@@ -113,6 +118,31 @@ TEST(KernelGraph, DependentKernelsObserveWriterResults) {
     launcher.run(g, GraphExec::Overlap);
     EXPECT_TRUE(reader_saw_all.load()) << "threads=" << threads;
   }
+}
+
+TEST(KernelGraph, AuditedKernelsOfOneWavefrontRunOneAtATime) {
+  // An auditor keys its shadow state by block id, which repeats across
+  // kernels: with one attached, Overlap mode runs the independent kernels of
+  // a wavefront one after another (each kernel's blocks still share the
+  // pool), or the shadow state of two kernels' block 0 would mix.
+  Launcher launcher(DeviceSpec::tiny(8));
+  launcher.set_threads(4);
+  verify::ShadowChecker checker;
+  launcher.set_audit(&checker);
+  std::array<std::atomic<int>, 2> active{};
+  std::atomic<bool> overlapped{false};
+  KernelGraph g;
+  for (const int k : {0, 1}) {
+    g.add("k" + std::to_string(k), LaunchShape{32, 8, 0, 8}, [&, k](BlockContext&) {
+      ++active[static_cast<std::size_t>(k)];
+      if (active[static_cast<std::size_t>(1 - k)] > 0) overlapped = true;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      if (active[static_cast<std::size_t>(1 - k)] > 0) overlapped = true;
+      --active[static_cast<std::size_t>(k)];
+    });
+  }
+  launcher.run(g, GraphExec::Overlap);
+  EXPECT_FALSE(overlapped.load());
 }
 
 TEST(KernelGraph, HistoryMatchesLaunchByLaunchBitIdentically) {

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""cf_lint — the raw-shared-access lint gate.
+"""cf_lint — the raw-shared-access and closed-form-charge lint gates.
 
-Every stride-E shared-memory access pattern in kernel code is supposed to go
-through the certified executors in src/cfprims/ (exec_crs_gather and
-friends): those are the only call sites the Pass 1 conflict-freedom and
-Pass 3 safety certificates cover, and the only ones the bulk accounting /
-certified-skip audit paths can elide.  A SharedTile touched directly —
+Every affine shared-memory access pattern in kernel code is supposed to go
+through the certified executors in src/cfprims/ (exec_crs_gather,
+exec_staged_copy, exec_cf_gather and friends): those are the only call sites
+the Pass 1 conflict-freedom and Pass 3 safety certificates cover, and the
+only ones the bulk accounting / certified-skip audit paths can elide.  A SharedTile touched directly —
 .gather() / .scatter() / .raw() / .certified_raw() / .peek() — outside
 src/cfprims/ is therefore either (a) a deliberately uncertified access
 family (data-dependent serial merge, the conflicted bitonic baseline, ...)
@@ -13,12 +13,20 @@ or (b) a bug waiting to bypass the verifier.  A kernel that decides on
 uncharged .peek() reads must report the device's rows through
 .charge_row(), which is the access model itself and is not flagged.
 
-This lint finds every such direct touch and requires it to be covered by an
+Gate 1 finds every such direct touch and requires it to be covered by an
 ALLOWLIST entry carrying a reason.  Unexplained touches fail the build; so
 do stale allowlist entries (zero unexplained entries, in both directions).
 
-Mechanics: for each C++ file under src/ (excluding src/cfprims/, which owns
-the executors, and src/gpusim/memory_views.hpp, which defines SharedTile),
+Gate 2 has no allowlist: the closed-form charging primitives
+(charge_shared_crs, charge_run, charge_gmem_run) may only be called under
+src/cfprims/ (through cfprims::charge_certified, the one bulk charging path)
+and src/gpusim/ (which defines them).  A call anywhere else in the C++
+sources — src/, tests/, bench/, examples/, tools/ — fails the lint: a
+closed-form charge outside cfprims would be an uncertified bulk path.
+
+Mechanics (gate 1): for each C++ file under src/ (excluding src/cfprims/,
+which owns the executors, and src/gpusim/memory_views.hpp, which defines
+SharedTile),
 collect the names of variables declared with type SharedTile<...> (plain,
 reference, parameter or unique_ptr), then flag every `name.method(` /
 `name->method(` / `std::as_const(name).method(` use of a shared-access
@@ -39,6 +47,11 @@ SRC = REPO / "src"
 # Direct SharedTile methods that move data or escape the access model.
 METHODS = ("gather", "scatter", "raw", "certified_raw", "peek")
 
+# Closed-form charging primitives (gate 2) and the trees allowed to call them.
+CHARGE_RE = re.compile(r"\b(charge_shared_crs|charge_run|charge_gmem_run)\s*\(")
+CHARGE_OWNERS = ("src/cfprims/", "src/gpusim/")
+CHARGE_TREES = ("src", "tests", "bench", "examples", "tools")
+
 # path (relative to repo root) -> {method -> reason}.  A "*" method covers
 # every method in that file.  Every entry must match at least one flagged
 # site or the lint fails (no stale suppressions).
@@ -54,27 +67,14 @@ ALLOWLIST: dict[str, dict[str, str]] = {
              "is to show what uncertified stride patterns cost",
     },
     "src/sort/kernels.hpp": {
-        "gather": "store_tile lane path: shared->global staging at stride 1, "
-                  "charged exactly, audited per lane",
         "peek": "merge-path probe reads of warp_split_search: data-dependent "
                 "diagonal search, outside any affine family; every start and "
                 "end probe row is charged and audited through charge_row",
-        "scatter": "tile load/store lane path: global<->shared staging at "
-                   "stride 1/E, charged exactly, audited per lane",
-        "raw": "load/store_tile_affine bulk fast path, gated on "
-               "ctx.bulk_shared() (never taken under audit) and charged via "
-               "charge_shared_crs like the cfprims executors",
     },
     "src/sort/multiway_pass.hpp": {
-        "gather": "k-way cascade head reads and loser-tree baseline: "
-                  "data-dependent rank selection, outside any affine family",
-        "scatter": "cascade fill and loser-tree baseline writes: "
-                   "data-dependent ranks, audited per lane",
-    },
-    "src/gather/dual_gather.hpp": {
-        "raw": "head-flag precompute for the certified executor: a read-only "
-               "const raw() peek used to build the schedule that is then run "
-               "through cfprims::exec_crs_gather/scatter",
+        "gather": "loser-tree baseline: its k-way co-rank probes and "
+                  "replacement reads pick addresses by key comparison, "
+                  "outside any affine family; charged and audited per lane",
     },
 }
 
@@ -110,6 +110,26 @@ def flag_file(path: Path) -> list[tuple[int, str, str]]:
         for m in AS_CONST_RE.finditer(line):
             if m.group(1) in names:
                 out.append((i, m.group(1), m.group(2)))
+    return out
+
+
+def flag_charges() -> list[str]:
+    """Gate 2: closed-form charge calls outside src/cfprims/ and src/gpusim/."""
+    out = []
+    for tree in CHARGE_TREES:
+        for path in sorted((REPO / tree).rglob("*")):
+            rel = path.relative_to(REPO).as_posix()
+            if path.suffix not in (".hpp", ".cpp") or rel.startswith(CHARGE_OWNERS):
+                continue
+            for i, line in enumerate(path.read_text().splitlines(), 1):
+                if line.lstrip().startswith("//"):
+                    continue
+                for m in CHARGE_RE.finditer(line):
+                    out.append(
+                        f"{rel}:{i}: closed-form charge `{m.group(1)}()` outside "
+                        f"src/cfprims/ and src/gpusim/ — charge through a cfprims "
+                        f"executor (cfprims::charge_certified)"
+                    )
     return out
 
 
@@ -153,6 +173,9 @@ def main() -> int:
         if (rel, method) not in used_entries
     ]
 
+    charges = flag_charges()
+    violations += charges
+
     for v in violations:
         print(f"cf_lint: VIOLATION {v}")
     for s in stale:
@@ -160,7 +183,8 @@ def main() -> int:
     ok = not violations and not stale
     print(
         f"cf_lint: {flagged_total} direct accesses in {len(files)} files, "
-        f"{len(violations)} unexplained, {len(stale)} stale allowlist entries "
+        f"{len(violations) - len(charges)} unexplained, {len(stale)} stale allowlist "
+        f"entries, {len(charges)} closed-form charges outside cfprims/gpusim "
         f"-> {'OK' if ok else 'FAIL'}"
     )
     return 0 if ok else 1
