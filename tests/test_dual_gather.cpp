@@ -10,6 +10,7 @@
 #include <random>
 
 #include "gpusim/launcher.hpp"
+#include "verify/certificate.hpp"
 
 using namespace cfmerge;
 using namespace cfmerge::gather;
@@ -163,4 +164,50 @@ TEST(DualGather, SharedAccessCountIsExactlyEPerWarp) {
                   });
   EXPECT_EQ(launcher.total_counters().shared_accesses,
             static_cast<std::uint64_t>(e) * (u / w));
+}
+
+TEST(DualGather, CertifiedRunCopiesMatchTheLanePath) {
+  // exec_cf_gather's bulk path moves each thread's A_i and B_i as two raw
+  // runs into rotating register slots.  The merge kernels sort registers
+  // afterwards, which hides the slot order, so compare the registers of
+  // the bulk and lane paths directly — at a nonzero tile offset and with
+  // virtual warps issued out of order, as in the cascade.
+  for (const auto& [w, e, warps] : std::vector<std::tuple<int, int, int>>{
+           {8, 5, 2}, {8, 6, 3}, {32, 15, 2}, {32, 16, 1}, {4, 4, 2}}) {
+    SCOPED_TRACE("w=" + std::to_string(w) + " e=" + std::to_string(e));
+    const int u = w * warps;
+    const std::int64_t base = 3 * w;  // keeps every bank residue
+    const auto tile_words = static_cast<std::size_t>(u) * static_cast<std::size_t>(e);
+    Fixtureish fx(w, e, u, static_cast<std::uint64_t>(w * 17 + e));
+    const verify::CfCertificate* cert = verify::certify("cf_gather", w, e);
+    ASSERT_NE(cert, nullptr);
+    auto run = [&](bool bulk) {
+      gpusim::DeviceSpec dev = gpusim::DeviceSpec::tiny(w);
+      dev.bulk_charge = bulk;
+      gpusim::Launcher launcher(dev);
+      std::vector<int> regs(tile_words, -1);
+      launcher.launch("gather", gpusim::LaunchShape{1, u, 0, 32},
+                      [&](gpusim::BlockContext& ctx) {
+                        gpusim::SharedTile<int> tile(
+                            ctx, static_cast<std::size_t>(base) + tile_words);
+                        gpusim::SharedTile<int> layout(ctx, tile_words);
+                        RoundSchedule sched(fx.shape, fx.a_off, fx.a_size);
+                        fx.fill(layout, sched);
+                        std::copy(layout.raw().begin(), layout.raw().end(),
+                                  tile.raw().begin() + base);
+                        cfprims::exec_cf_gather(
+                            ctx, tile, sched, base, cert,
+                            [warps](int vw) { return warps - 1 - vw; }, std::span<int>(regs));
+                      });
+      EXPECT_EQ(launcher.bulk_charges() > 0, bulk);
+      return std::pair{regs, launcher.history().front()};
+    };
+    const auto [lane_regs, lane_report] = run(false);
+    const auto [bulk_regs, bulk_report] = run(true);
+    EXPECT_EQ(bulk_regs, lane_regs);
+    EXPECT_EQ(bulk_report.counters, lane_report.counters);
+    EXPECT_EQ(bulk_report.mean_block_chain, lane_report.mean_block_chain);
+    EXPECT_EQ(bulk_report.max_block_chain, lane_report.max_block_chain);
+    EXPECT_EQ(lane_report.counters.total().bank_conflicts, 0u);
+  }
 }
