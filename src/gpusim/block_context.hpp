@@ -74,7 +74,7 @@ class BlockContext {
   [[nodiscard]] const PhaseCounters& counters() const { return counters_; }
 
   // --- charging primitives --------------------------------------------
-  // Both primitives are defined inline (below the class): they are called
+  // The primitives are defined inline (in or below the class): they are called
   // once per simulated warp access and inlining them — together with the
   // inline cost models they call — collapses the whole accounting path
   // into the kernel loops.
@@ -86,7 +86,17 @@ class BlockContext {
   /// shared_access_cost); it never changes the result.
   SharedAccessCost charge_shared(int warp, std::span<const std::int64_t> addrs,
                                  bool dependent = true, bool is_write = false,
-                                 bool scattered_hint = false);
+                                 bool scattered_hint = false) {
+    return charge_shared_costed(warp, addrs,
+                                shared_access_cost(addrs, dev_->warp_size, scattered_hint),
+                                dependent, is_write);
+  }
+  /// charge_shared with the access cost `c` already computed — by
+  /// shared_access_cost or shared_access_cost_pair over these exact
+  /// addresses on this device's bank count.  The one body that updates the
+  /// shared counters, the warp chain and the trace; returns `c`.
+  SharedAccessCost charge_shared_costed(int warp, std::span<const std::int64_t> addrs,
+                                        SharedAccessCost c, bool dependent, bool is_write);
   /// One warp-wide global access (byte addresses).  `dependent` charges the
   /// full DRAM latency on the warp chain; pass false for accesses that
   /// pipeline behind a previous one (e.g. the tail of a streaming tile
@@ -249,11 +259,10 @@ class BlockContext {
   std::uint64_t lane_charges_ = 0;
 };
 
-inline SharedAccessCost BlockContext::charge_shared(int warp,
-                                                    std::span<const std::int64_t> addrs,
-                                                    bool dependent, bool is_write,
-                                                    bool scattered_hint) {
-  const SharedAccessCost c = shared_access_cost(addrs, dev_->warp_size, scattered_hint);
+inline SharedAccessCost BlockContext::charge_shared_costed(int warp,
+                                                           std::span<const std::int64_t> addrs,
+                                                           SharedAccessCost c,
+                                                           bool dependent, bool is_write) {
   if (c.active_lanes == 0) return c;
   ++lane_charges_;
   if (trace_ != nullptr)

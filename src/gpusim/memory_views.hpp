@@ -4,7 +4,8 @@
 //    gather/scatter go through the bank-conflict model; `raw()` provides
 //    uncharged access for test setup and verification.  Data-dependent
 //    kernels (merge-path search, serial merge) decide on uncharged `peek()`
-//    reads and report each warp-wide row through `charge_row()`.
+//    reads and report each warp-wide row through `charge_row()` (or
+//    `charge_row_costed()` when the row's cost was computed beforehand).
 //  * GlobalView<T>  — a window onto a "global memory" host buffer.  Warp-wide
 //    access goes through the coalescing model.
 //
@@ -67,7 +68,14 @@ class SharedTile {
   /// only; forwarded to the bank-conflict model).
   SharedAccessCost charge_row(int warp, std::span<const std::int64_t> addrs, bool is_write,
                               bool dependent = true, bool scattered = false) {
-    const SharedAccessCost c = ctx_->charge_shared(warp, addrs, dependent, is_write, scattered);
+    return charge_row_costed(warp, addrs, shared_access_cost(addrs, ctx_->lanes(), scattered),
+                             is_write, dependent);
+  }
+  /// charge_row with the access cost `c` already computed (see
+  /// BlockContext::charge_shared_costed); returns `c`.
+  SharedAccessCost charge_row_costed(int warp, std::span<const std::int64_t> addrs,
+                                     SharedAccessCost c, bool is_write, bool dependent = true) {
+    ctx_->charge_shared_costed(warp, addrs, c, dependent, is_write);
     if (auto* au = ctx_->audit())
       au->on_shared_access(ctx_->block_id(), tile_id_, warp, ctx_->current_phase(), addrs,
                            is_write, ctx_->lanes(), c.conflicts);

@@ -26,6 +26,7 @@ std::span<const int> shared_access_degrees(std::span<const std::int64_t> addrs, 
   for (int i = 0; i < n; ++i) {
     const std::int64_t a = addrs[static_cast<std::size_t>(i)];
     if (a == kInactiveLane) continue;
+    if (a < 0) throw std::invalid_argument("shared_access_degrees: negative shared address");
     if (++active > kMaxLanes)
       throw std::invalid_argument("shared_access_degrees: too many lanes");
     const auto b = static_cast<std::size_t>(static_cast<std::uint64_t>(a) %

@@ -8,7 +8,8 @@
 //                          w thread start diagonals plus the next thread's,
 //                          producing every thread's split (a_i, |A_i|, b_i,
 //                          |B_i|); decided on uncharged reads, charged as
-//                          the device's start and end probe rows.
+//                          the device's start and end probe rows (each
+//                          round's pair costed in one pass).
 //
 // Tile staging (global <-> shared copies) is cfprims::exec_staged_copy.
 #pragma once
@@ -126,11 +127,12 @@ struct LanePair {
 /// diagonals then end diagonals, each round one kSearchIterInstrs, an A
 /// probe row and a B probe row.  The host decides every lane on uncharged
 /// peek() reads, then reports those rows through the charged, audited
-/// SharedTile::charge_row: the start rows are lanes [0, w) of each round,
-/// the end rows lanes [1, w].  The end search of lane l is lane l+1's
-/// start search step for step (or empty on both sides), so the shifted
-/// rows are exactly what a second search would issue — without assuming
-/// the comparison is monotone over the data.
+/// SharedTile::charge_row_costed: the start rows are lanes [0, w) of each
+/// round, the end rows lanes [1, w].  The end search of lane l is lane
+/// l+1's start search step for step (or empty on both sides), so the
+/// shifted rows are exactly what a second search would issue — without
+/// assuming the comparison is monotone over the data.  Both rows of a
+/// round are costed in one gpusim::shared_access_cost_pair pass.
 ///
 /// `pos_a(lane, x)` / `pos_b(lane, y)` translate list offsets of lane
 /// 0..w to physical shared positions.  Writes splits[0, w).
@@ -185,18 +187,33 @@ void warp_split_search(gpusim::BlockContext& ctx, int warp, gpusim::SharedTile<T
     }
   }
 
-  const auto report = [&](int rounds, std::size_t first_lane) {
+  // Cost both rows of every round first, then charge in device order.
+  std::array<gpusim::SharedAccessPairCost, kMaxSearchRounds> cost_a;
+  std::array<gpusim::SharedAccessPairCost, kMaxSearchRounds> cost_b;
+  const int banks = ctx.lanes();
+  for (int r = 0; r < std::max(start_rounds, end_rounds); ++r) {
+    const std::size_t row = static_cast<std::size_t>(r) * kRow;
+    const auto ri = static_cast<std::size_t>(r);
+    cost_a[ri] = gpusim::shared_access_cost_pair(
+        std::span<const std::int64_t>(rows_a.data() + row, w + 1), banks);
+    cost_b[ri] = gpusim::shared_access_cost_pair(
+        std::span<const std::int64_t>(rows_b.data() + row, w + 1), banks);
+  }
+
+  const auto report = [&](int rounds, std::size_t first_lane,
+                          gpusim::SharedAccessCost gpusim::SharedAccessPairCost::*side) {
     for (int r = 0; r < rounds; ++r) {
       const std::size_t row = static_cast<std::size_t>(r) * kRow + first_lane;
+      const auto ri = static_cast<std::size_t>(r);
       ctx.charge_compute(warp, cost::kSearchIterInstrs);
-      shmem.charge_row(warp, std::span<const std::int64_t>(rows_a.data() + row, w),
-                       /*is_write=*/false, /*dependent=*/true, /*scattered=*/true);
-      shmem.charge_row(warp, std::span<const std::int64_t>(rows_b.data() + row, w),
-                       /*is_write=*/false, /*dependent=*/true, /*scattered=*/true);
+      shmem.charge_row_costed(warp, std::span<const std::int64_t>(rows_a.data() + row, w),
+                              cost_a[ri].*side, /*is_write=*/false);
+      shmem.charge_row_costed(warp, std::span<const std::int64_t>(rows_b.data() + row, w),
+                              cost_b[ri].*side, /*is_write=*/false);
     }
   };
-  report(start_rounds, 0);
-  report(end_rounds, 1);
+  report(start_rounds, 0, &gpusim::SharedAccessPairCost::first);
+  report(end_rounds, 1, &gpusim::SharedAccessPairCost::shifted);
 
   for (std::size_t l = 0; l < w; ++l) {
     const LanePair& p = pairs[l];

@@ -3,13 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "numtheory/numtheory.hpp"
 
 using cfmerge::gpusim::kInactiveLane;
+using cfmerge::gpusim::kMaxLanes;
 using cfmerge::gpusim::shared_access_cost;
+using cfmerge::gpusim::shared_access_cost_pair;
 using cfmerge::gpusim::shared_access_degrees;
 
 namespace {
@@ -114,4 +119,54 @@ TEST(SharedAccess, RejectsBadArguments) {
   EXPECT_THROW((void)shared_access_cost(addrs, 100), std::invalid_argument);
   std::vector<int> small(3);
   EXPECT_THROW((void)shared_access_degrees(addrs, 12, small), std::invalid_argument);
+}
+
+TEST(SharedAccess, RejectsNegativeAddresses) {
+  // -1 is the idle sentinel; any other negative address is a caller bug.
+  // It must throw on every path — the conflict-free screen, the bitmap
+  // dedup (whose map it would otherwise index out of bounds) and the chain
+  // walk — in release builds too.
+  for (const std::int64_t bad : {std::int64_t{-2}, std::int64_t{-65}, INT64_MIN}) {
+    const std::vector<std::int64_t> distinct_banks{0, 1, bad, 3};
+    const std::vector<std::int64_t> conflicted{0, 4, bad, 8};
+    const std::vector<std::int64_t> large{0, 4, bad, std::int64_t{1} << 20};
+    const std::vector<std::int64_t> alone{kInactiveLane, bad, kInactiveLane, kInactiveLane};
+    for (const auto* addrs : {&distinct_banks, &conflicted, &large, &alone}) {
+      for (const bool hint : {false, true})
+        EXPECT_THROW((void)shared_access_cost(*addrs, 4, hint), std::invalid_argument)
+            << bad << " hint=" << hint;
+      std::vector<int> scratch(4);
+      EXPECT_THROW((void)shared_access_degrees(*addrs, 4, scratch), std::invalid_argument);
+    }
+    // The pair form: a bad address in the shared core or in either edge.
+    for (std::size_t at = 0; at < 5; ++at) {
+      std::vector<std::int64_t> row{0, 4, 8, 1, 5};
+      row[at] = bad;
+      EXPECT_THROW((void)shared_access_cost_pair(row, 4), std::invalid_argument)
+          << bad << " at lane " << at;
+    }
+  }
+}
+
+TEST(SharedAccessPair, CostsBothShiftedRows) {
+  // Lanes [0, 4) conflict twice in bank 0 (0, 4, 8); lanes [1, 4] replace
+  // lane 0's address by a broadcast of lane 1's.
+  const std::vector<std::int64_t> row{0, 4, 8, 1, 4};
+  const auto pair = shared_access_cost_pair(row, 4);
+  EXPECT_EQ(pair.first.cycles, 3);
+  EXPECT_EQ(pair.first.conflicts, 2);
+  EXPECT_EQ(pair.first.active_lanes, 4);
+  EXPECT_EQ(pair.shifted.cycles, 2);
+  EXPECT_EQ(pair.shifted.conflicts, 1);
+  EXPECT_EQ(pair.shifted.active_lanes, 4);
+}
+
+TEST(SharedAccessPair, RejectsBadArguments) {
+  const std::vector<std::int64_t> row(5, 0);
+  EXPECT_THROW((void)shared_access_cost_pair(row, 0), std::invalid_argument);
+  EXPECT_THROW((void)shared_access_cost_pair(row, 65), std::invalid_argument);
+  EXPECT_THROW((void)shared_access_cost_pair(std::span(row).first(1), 4),
+               std::invalid_argument);
+  const std::vector<std::int64_t> wide(static_cast<std::size_t>(kMaxLanes) + 2, 0);
+  EXPECT_THROW((void)shared_access_cost_pair(wide, 4), std::invalid_argument);
 }

@@ -3,12 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <sstream>
+#include <vector>
 
 #include "analysis/trace_replay.hpp"
 #include "gpusim/launcher.hpp"
 #include "gpusim/memory_views.hpp"
+#include "sort/engine.hpp"
 #include "sort/merge_sort.hpp"
 
 using namespace cfmerge;
@@ -91,21 +94,78 @@ TEST(Tracing, TraceConflictsMatchCounters) {
             report.merge_conflicts());
 }
 
+namespace {
+
+/// Checks the recorded conflicts against the DMM direct-map replay, an
+/// independent cost implementation: in total, and for the merge-path search
+/// phases, whose rows conflict in every variant.
+void expect_direct_map_reproduces(const TraceSink& sink, int w, const char* what) {
+  const auto direct = analysis::replay_shared(sink, dmm::DirectMap(w));
+  EXPECT_EQ(direct.total_conflicts, sink.shared_conflicts()) << what;
+  const auto shared_events =
+      std::count_if(sink.events().begin(), sink.events().end(), [](const TraceEvent& e) {
+        return e.kind == AccessKind::SharedRead || e.kind == AccessKind::SharedWrite;
+      });
+  EXPECT_EQ(direct.shared_accesses, shared_events) << what;
+  for (const char* phase : {"bsort.search", "merge.search"}) {
+    const auto search = analysis::replay_shared(sink, dmm::DirectMap(w), phase);
+    EXPECT_GT(search.total_conflicts, 0) << what << " " << phase;
+    EXPECT_EQ(search.total_conflicts, sink.shared_conflicts(phase)) << what << " " << phase;
+  }
+}
+
+}  // namespace
+
 TEST(TraceReplay, DirectMapReproducesRecordedConflicts) {
   std::mt19937_64 rng(2);
-  Launcher launcher(DeviceSpec::tiny(8));
+  const auto keys = [&rng](std::size_t n, int range) {
+    std::vector<int> data(n);
+    for (auto& x : data) x = static_cast<int>(rng() % static_cast<std::uint64_t>(range));
+    return data;
+  };
+  {
+    Launcher launcher(DeviceSpec::tiny(8));
+    TraceSink sink;
+    launcher.set_trace(&sink);
+    sort::MergeConfig cfg;
+    cfg.e = 6;
+    cfg.u = 16;
+    cfg.variant = sort::Variant::Baseline;
+    std::vector<int> data = keys(16 * 6 * 4, 1000);
+    sort::merge_sort(launcher, data, cfg);
+    expect_direct_map_reproduces(sink, 8, "baseline w=8");
+  }
+
+  // The paper's 32-bank device with ragged sizes, one run per sort family:
+  // this drives the specialized 32-bank costing end to end, including the
+  // search's start/end row pairs costed in one pass.
+  const DeviceSpec w32 = DeviceSpec::scaled_turing(4);
+  for (const auto variant : {sort::Variant::Baseline, sort::Variant::CFMerge}) {
+    Launcher launcher(w32);
+    TraceSink sink;
+    launcher.set_trace(&sink);
+    sort::MergeConfig cfg;
+    cfg.e = 7;
+    cfg.u = 64;
+    cfg.variant = variant;
+    std::vector<int> data = keys(4 * 448 + 101, 100000);
+    sort::merge_sort(launcher, data, cfg);
+    EXPECT_TRUE(std::is_sorted(data.begin(), data.end()));
+    expect_direct_map_reproduces(
+        sink, 32, variant == sort::Variant::CFMerge ? "cf w=32" : "baseline w=32");
+  }
+  Launcher launcher(w32);
   TraceSink sink;
   launcher.set_trace(&sink);
-  sort::MergeConfig cfg;
-  cfg.e = 6;
-  cfg.u = 16;
-  cfg.variant = sort::Variant::Baseline;
-  std::vector<int> data(16 * 6 * 4);
-  for (auto& x : data) x = static_cast<int>(rng() % 1000);
-  sort::merge_sort(launcher, data, cfg);
-
-  const auto direct = analysis::replay_shared(sink, dmm::DirectMap(8));
-  EXPECT_EQ(direct.total_conflicts, sink.shared_conflicts());
+  sort::MultiwayConfig cfg;
+  cfg.e = 7;
+  cfg.u = 64;
+  cfg.k = 4;
+  cfg.variant = sort::MultiwayVariant::CFCascade;
+  std::vector<int> data = keys(9 * 448 + 37, 100000);
+  sort::merge_sort_multiway(launcher, data, cfg);
+  EXPECT_TRUE(std::is_sorted(data.begin(), data.end()));
+  expect_direct_map_reproduces(sink, 32, "k=4 cascade w=32");
 }
 
 TEST(TraceReplay, AlternativeMappingsChangeThePicture) {

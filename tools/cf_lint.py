@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""cf_lint — the raw-shared-access and closed-form-charge lint gates.
+"""cf_lint — the raw-shared-access, closed-form-charge and known-cost lint gates.
 
 Every affine shared-memory access pattern in kernel code is supposed to go
 through the certified executors in src/cfprims/ (exec_crs_gather,
@@ -23,6 +23,13 @@ src/cfprims/ (through cfprims::charge_certified, the one bulk charging path)
 and src/gpusim/ (which defines them).  A call anywhere else in the C++
 sources — src/, tests/, bench/, examples/, tools/ — fails the lint: a
 closed-form charge outside cfprims would be an uncertified bulk path.
+
+Gate 3 has no allowlist either: the known-cost charge forms
+(BlockContext::charge_shared_costed, SharedTile::charge_row_costed) trust a
+cost computed elsewhere, so they may only be called under src/gpusim/
+(which defines them) and from src/sort/kernels.hpp (warp_split_search,
+which prices each start/end probe row pair with shared_access_cost_pair).
+Anywhere else a site could charge a cost it did not compute.
 
 Mechanics (gate 1): for each C++ file under src/ (excluding src/cfprims/,
 which owns the executors, and src/gpusim/memory_views.hpp, which defines
@@ -51,6 +58,10 @@ METHODS = ("gather", "scatter", "raw", "certified_raw", "peek")
 CHARGE_RE = re.compile(r"\b(charge_shared_crs|charge_run|charge_gmem_run)\s*\(")
 CHARGE_OWNERS = ("src/cfprims/", "src/gpusim/")
 CHARGE_TREES = ("src", "tests", "bench", "examples", "tools")
+
+# Known-cost charge forms (gate 3) and the only files allowed to call them.
+COSTED_RE = re.compile(r"\b(charge_shared_costed|charge_row_costed)\s*\(")
+COSTED_OWNERS = ("src/gpusim/", "src/sort/kernels.hpp")
 
 # path (relative to repo root) -> {method -> reason}.  A "*" method covers
 # every method in that file.  Every entry must match at least one flagged
@@ -113,24 +124,37 @@ def flag_file(path: Path) -> list[tuple[int, str, str]]:
     return out
 
 
-def flag_charges() -> list[str]:
-    """Gate 2: closed-form charge calls outside src/cfprims/ and src/gpusim/."""
+def flag_gated_calls(pattern: re.Pattern[str], owners: tuple[str, ...],
+                     message: str) -> list[str]:
+    """Calls matching `pattern` in the C++ sources outside `owners`."""
     out = []
     for tree in CHARGE_TREES:
         for path in sorted((REPO / tree).rglob("*")):
             rel = path.relative_to(REPO).as_posix()
-            if path.suffix not in (".hpp", ".cpp") or rel.startswith(CHARGE_OWNERS):
+            if path.suffix not in (".hpp", ".cpp") or rel.startswith(owners):
                 continue
             for i, line in enumerate(path.read_text().splitlines(), 1):
                 if line.lstrip().startswith("//"):
                     continue
-                for m in CHARGE_RE.finditer(line):
-                    out.append(
-                        f"{rel}:{i}: closed-form charge `{m.group(1)}()` outside "
-                        f"src/cfprims/ and src/gpusim/ — charge through a cfprims "
-                        f"executor (cfprims::charge_certified)"
-                    )
+                for m in pattern.finditer(line):
+                    out.append(f"{rel}:{i}: `{m.group(1)}()` {message}")
     return out
+
+
+def flag_charges() -> list[str]:
+    """Gate 2: closed-form charge calls outside src/cfprims/ and src/gpusim/."""
+    return flag_gated_calls(
+        CHARGE_RE, CHARGE_OWNERS,
+        "closed-form charge outside src/cfprims/ and src/gpusim/ — charge "
+        "through a cfprims executor (cfprims::charge_certified)")
+
+
+def flag_costed() -> list[str]:
+    """Gate 3: known-cost charge calls outside src/gpusim/ and kernels.hpp."""
+    return flag_gated_calls(
+        COSTED_RE, COSTED_OWNERS,
+        "known-cost charge outside src/gpusim/ and src/sort/kernels.hpp — "
+        "charge through charge_shared / charge_row, which compute the cost")
 
 
 def main() -> int:
@@ -174,7 +198,8 @@ def main() -> int:
     ]
 
     charges = flag_charges()
-    violations += charges
+    costed = flag_costed()
+    violations += charges + costed
 
     for v in violations:
         print(f"cf_lint: VIOLATION {v}")
@@ -183,9 +208,10 @@ def main() -> int:
     ok = not violations and not stale
     print(
         f"cf_lint: {flagged_total} direct accesses in {len(files)} files, "
-        f"{len(violations) - len(charges)} unexplained, {len(stale)} stale allowlist "
-        f"entries, {len(charges)} closed-form charges outside cfprims/gpusim "
-        f"-> {'OK' if ok else 'FAIL'}"
+        f"{len(violations) - len(charges) - len(costed)} unexplained, {len(stale)} "
+        f"stale allowlist entries, {len(charges)} closed-form charges outside "
+        f"cfprims/gpusim, {len(costed)} known-cost charges outside "
+        f"gpusim/kernels.hpp -> {'OK' if ok else 'FAIL'}"
     )
     return 0 if ok else 1
 

@@ -21,7 +21,9 @@
 #           serial merge, which read shared words at computed positions
 #           through SharedTile::peek — ASan sees any read past a tile.  The
 #           bulk-charge, cfprims and dual-gather suites drive the certified
-#           bulk movers, which index raw tile and view spans directly.
+#           bulk movers, which index raw tile and view spans directly.  The
+#           two shared-memory suites drive the bank-conflict model, whose
+#           dedup bitmap is indexed by shared address.
 # undefined runs the whole tier-1 test suite under UBSan with
 #           -fno-sanitize-recover=all: any signed overflow, bad shift,
 #           misaligned access or invalid enum load aborts the test binary.
@@ -40,7 +42,8 @@ case "$MODE" in
     TARGETS="test_launcher test_kernel_graph test_sort_engine test_merge_sort \
              test_segmented_sort test_batched_merge test_serial_merge \
              test_block_sort test_merge_pass test_multiway_sort test_access_stream \
-             test_bulk_charge test_cfprims test_cfprims_golden test_dual_gather"
+             test_bulk_charge test_cfprims test_cfprims_golden test_dual_gather \
+             test_shared_memory test_shared_memory_oracle"
     ;;
   undefined)
     DEFAULT_BUILD=build-ubsan
