@@ -12,7 +12,7 @@
 
 #include "analysis/table.hpp"
 #include "gpusim/launcher.hpp"
-#include "sort/serial_merge.hpp"
+#include "sort/kernels.hpp"
 #include "worstcase/builder.hpp"
 #include "worstcase/predict.hpp"
 

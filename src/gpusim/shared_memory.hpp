@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -294,6 +295,46 @@ template <int kBanks>
   return {with_edge(lead), with_edge(tail)};
 }
 
+/// The computation behind shared_access_cost_distinct: a per-bank lane
+/// histogram with a running maximum.  With every active address distinct,
+/// a bank's lane count is its distinct-address count, so there is nothing
+/// to dedup and no address domain to respect.  Idle lanes land in the
+/// well-defined garbage bank of the unsigned modulo and add zero to it.
+template <int kBanks>
+[[nodiscard]] inline SharedAccessCost shared_access_cost_distinct_impl(
+    std::span<const std::int64_t> addrs, int banks) {
+  const auto nb = static_cast<std::uint64_t>(kBanks > 0 ? kBanks : banks);
+  std::array<std::int8_t, (kBanks > 0 ? kBanks : kMaxLanes)> cnt{};
+  int active = 0;
+  int max_degree = 0;
+  std::uint64_t bad = 0;
+  for (const std::int64_t a : addrs) {
+    const int act = a != kInactiveLane;
+    bad |= static_cast<std::uint64_t>(a < kInactiveLane);
+    const auto b = static_cast<std::size_t>(static_cast<std::uint64_t>(a) % nb);
+    const int c = cnt[b] + act;
+    cnt[b] = static_cast<std::int8_t>(c);
+    max_degree = c > max_degree ? c : max_degree;
+    active += act;
+  }
+  if (bad != 0)
+    throw std::invalid_argument("shared_access_cost_distinct: negative shared address");
+  SharedAccessCost cost;
+  cost.active_lanes = active;
+  cost.cycles = max_degree;
+  cost.conflicts = max_degree > 0 ? max_degree - 1 : 0;
+  return cost;
+}
+
+/// True if no two active lanes of `addrs` share an address (O(n^2); the
+/// debug-build precondition check of shared_access_cost_distinct).
+[[nodiscard]] inline bool active_addresses_distinct(std::span<const std::int64_t> addrs) {
+  for (std::size_t i = 0; i < addrs.size(); ++i)
+    for (std::size_t j = i + 1; j < addrs.size(); ++j)
+      if (addrs[i] != kInactiveLane && addrs[i] == addrs[j]) return false;
+  return true;
+}
+
 /// Calls `f(std::integral_constant<int, kBanks>{})` with the compile-time
 /// specialization for `banks`: the real-device bank counts (w = 32 is the
 /// paper's device; 4..64 cover DeviceSpec::tiny in tests), 0 (runtime
@@ -351,6 +392,27 @@ template <typename F>
     throw std::invalid_argument("shared_access_cost_pair: lane count out of range");
   return detail::with_bank_count(banks, [&](auto kb) {
     return detail::shared_access_cost_pair_impl<decltype(kb)::value>(row, banks);
+  });
+}
+
+/// Costs one warp-wide shared access whose active addresses are pairwise
+/// distinct — exactly shared_access_cost(addrs, banks) under that
+/// precondition, with the same argument checks and address contract.  With
+/// no broadcast to fold, the cost is the largest per-bank lane count: one
+/// histogram pass, no dedup bitmap and no lane compaction.  Made for the
+/// serial merge's fetch rows (sort::warp_serial_merge), whose lanes read
+/// inside disjoint merge-path partitions.  Builds without NDEBUG assert the
+/// precondition.
+[[nodiscard]] inline SharedAccessCost shared_access_cost_distinct(
+    std::span<const std::int64_t> addrs, int banks) {
+  if (banks <= 0 || banks > kMaxLanes)
+    throw std::invalid_argument("shared_access_cost_distinct: bank count out of range");
+  if (addrs.size() > static_cast<std::size_t>(kMaxLanes))
+    throw std::invalid_argument("shared_access_cost_distinct: too many lanes");
+  assert(detail::active_addresses_distinct(addrs) &&
+         "shared_access_cost_distinct: two active lanes share an address");
+  return detail::with_bank_count(banks, [&](auto kb) {
+    return detail::shared_access_cost_distinct_impl<decltype(kb)::value>(addrs, banks);
   });
 }
 

@@ -145,8 +145,7 @@ void enqueue_batched_pipeline(gpusim::KernelGraph& graph,
   packed.resize(static_cast<std::size_t>(packed_out));
   boundaries.assign(tiles.size(), 0);
 
-  const int regs = cfg.variant == Variant::CFMerge ? cost::cfmerge_regs_per_thread(cfg.e)
-                                                   : cost::baseline_regs_per_thread(cfg.e);
+  const int regs = cfg.regs_per_thread();
   for (std::size_t p = 0; p < as.size(); ++p) {
     const int t0 = layout.pair_tile0[p];
     const int tcount =
@@ -156,7 +155,8 @@ void enqueue_batched_pipeline(gpusim::KernelGraph& graph,
     // resolves one tile's start diagonal; the descriptor read is charged).
     const int pblocks = (tcount + cfg.u - 1) / cfg.u;
     const gpusim::NodeId partition = graph.add(
-        "batched_partition", gpusim::LaunchShape{pblocks, cfg.u, 0, 24},
+        "batched_partition",
+        gpusim::LaunchShape{pblocks, cfg.u, 0, cost::kPartitionRegsPerThread},
         [&tiles, &staging, &boundaries, u = cfg.u, t0, tcount](gpusim::BlockContext& ctx) {
           ctx.phase("partition.search");
           const int w = ctx.lanes();

@@ -33,7 +33,6 @@
 #include <memory>
 
 #include "gather/schedule.hpp"
-#include "sort/serial_merge.hpp"
 
 namespace cfmerge::sort {
 

@@ -30,6 +30,9 @@ inline constexpr int kThreadSetupInstrs = 8;
 /// extra registers for the permutation indices.
 inline constexpr int baseline_regs_per_thread(int e) { return e + 10; }
 inline constexpr int cfmerge_regs_per_thread(int e) { return e + 14; }
+/// The partition kernels (one merge-path co-rank search per thread, no
+/// shared memory).
+inline constexpr int kPartitionRegsPerThread = 24;
 /// The k-way merge kernel additionally tracks per-sequence pointers and
 /// cached heads (LoserTree) or the cascade's pair bookkeeping (CFCascade).
 inline constexpr int multiway_regs_per_thread(int e, int k) { return e + 14 + 2 * k; }

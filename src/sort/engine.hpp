@@ -288,7 +288,7 @@ class SortEngine {
   template <typename T>
   SortReport sort(std::vector<T>& data, const MergeConfig& cfg,
                   gpusim::GraphExec mode = gpusim::GraphExec::Overlap) {
-    validate_merge_config(launcher_->device(), cfg);
+    validate_merge_config(launcher_->device(), cfg, sizeof(T));
     const MergeConfig certified = with_certs(cfg);
     return sort_padded(data, PlanKey::Kind::Sort, certified, mode, [&](std::int64_t np) {
       return detail::build_sort_plan<T>(certified, np);
@@ -300,7 +300,7 @@ class SortEngine {
   template <typename T>
   SortReport sort_multiway(std::vector<T>& data, const MultiwayConfig& cfg,
                            gpusim::GraphExec mode = gpusim::GraphExec::Overlap) {
-    validate_multiway_config(launcher_->device(), cfg);
+    validate_multiway_config(launcher_->device(), cfg, sizeof(T));
     const MultiwayConfig certified = with_certs(cfg);
     const int warp_size = launcher_->device().warp_size;
     return sort_padded(data, PlanKey::Kind::Multiway, certified, mode, [&](std::int64_t np) {
@@ -362,7 +362,7 @@ class SortEngine {
   SegmentedSortReport segmented_sort(std::vector<std::vector<T>>& segments,
                                      const MergeConfig& cfg,
                                      gpusim::GraphExec mode = gpusim::GraphExec::Overlap) {
-    validate_merge_config(launcher_->device(), cfg);
+    validate_merge_config(launcher_->device(), cfg, sizeof(T));
     const MergeConfig certified = with_certs(cfg);
 
     SegmentedSortReport report;
@@ -410,7 +410,7 @@ class SortEngine {
                                    gpusim::GraphExec mode = gpusim::GraphExec::Overlap) {
     if (as.size() != bs.size())
       throw std::invalid_argument("batched_merge: pair count mismatch");
-    validate_merge_config(launcher_->device(), cfg);
+    validate_merge_config(launcher_->device(), cfg, sizeof(T));
     const MergeConfig certified = with_certs(cfg);
 
     BatchedMergeReport report;

@@ -10,6 +10,11 @@
 //                          |B_i|); decided on uncharged reads, charged as
 //                          the device's start and end probe rows (each
 //                          round's pair costed in one pass).
+//  * warp_serial_merge   — the baseline per-thread sequential merge out of
+//                          shared memory (Thrust's; the routine whose bank
+//                          conflicts the paper eliminates); decided lane by
+//                          lane on uncharged reads, charged as the device's
+//                          head and per-step fetch rows.
 //
 // Tile staging (global <-> shared copies) is cfprims::exec_staged_copy.
 #pragma once
@@ -19,8 +24,10 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "gather/permutation.hpp"
 #include "gpusim/memory_views.hpp"
@@ -227,6 +234,99 @@ void warp_split_search(gpusim::BlockContext& ctx, int warp, gpusim::SharedTile<T
     s.a_size = end_co - lo[l];
     s.b_off = p.diag - lo[l];
     s.b_size = end_diag - p.diag - s.a_size;
+  }
+}
+
+/// Per-thread split description for a warp-synchronous merge step: the
+/// thread's A_i and B_i as block-local list offsets.
+struct MergeLaneDesc {
+  std::int64_t a_begin = 0;  ///< first A offset (block-local)
+  std::int64_t a_size = 0;
+  std::int64_t b_begin = 0;
+  std::int64_t b_size = 0;
+};
+
+/// Merges, for every thread of the block, A_i and B_i out of `shmem` into
+/// the block register file `regs` (thread i's outputs at regs[i*E .. i*E+E)).
+///
+/// `a_pos(off)` / `b_pos(off)` translate *block-local list offsets* into
+/// physical shared positions (identity + la-offset for the baseline linear
+/// layout).  `lanes` holds one descriptor per thread; every thread merges
+/// exactly E elements.
+///
+/// Accounting: per warp the device issues the A-head row, the B-head row,
+/// then one row per output step fetching the successor of each lane's
+/// consumed head (inactive once that list is exhausted; a step in which
+/// every lane is exhausted charges nothing, but the auditor still sees it).
+/// The fetch addresses are data dependent, so a step's w fetches can
+/// collide in one bank — up to w-fold serialization (the paper's Section 4
+/// inputs force exactly this).  The host decides first: lane by lane, it
+/// merges the lane's E outputs with both heads and both offsets held in
+/// locals, peek()ing only the successor it fetched, and fills the warp's
+/// (E + 2) x w address table.  Then it charges the rows in device order
+/// through SharedTile::charge_row_costed.  Merge-path partitions are
+/// disjoint and A and B occupy disjoint positions, so no two active lanes
+/// of a row share an address: each row is costed by
+/// gpusim::shared_access_cost_distinct.
+template <typename T, typename APos, typename BPos, typename Cmp = std::less<T>>
+void warp_serial_merge(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem,
+                       std::span<const MergeLaneDesc> lanes, int e, APos&& a_pos,
+                       BPos&& b_pos, std::span<T> regs, Cmp cmp = Cmp{}) {
+  const int w = ctx.lanes();
+  assert(static_cast<int>(lanes.size()) == ctx.threads());
+  assert(w <= gpusim::kMaxLanes);
+  constexpr auto kIdle = gpusim::kInactiveLane;
+  const auto lw = static_cast<std::size_t>(w);
+  const auto le = static_cast<std::size_t>(e);
+
+  // Row r at [r * w, r * w + w): row 0 the A heads, row 1 the B heads,
+  // row 2 + s the fetches of step s.
+  std::vector<std::int64_t> table((le + 2) * lw);
+  for (int warp = 0; warp < ctx.warps(); ++warp) {
+    const MergeLaneDesc* d = lanes.data() + static_cast<std::size_t>(warp) * lw;
+    T* out = regs.data() + static_cast<std::size_t>(warp) * lw * le;
+    for (std::size_t l = 0; l < lw; ++l) {
+      std::int64_t ia = d[l].a_begin;
+      std::int64_t ib = d[l].b_begin;
+      const std::int64_t a_end = ia + d[l].a_size;
+      const std::int64_t b_end = ib + d[l].b_size;
+      table[l] = ia < a_end ? a_pos(ia) : kIdle;
+      table[lw + l] = ib < b_end ? b_pos(ib) : kIdle;
+      // An empty list's head reads word 0 instead; the select below never
+      // takes it.
+      T va = shmem.peek(ia < a_end ? table[l] : 0);
+      T vb = shmem.peek(ib < b_end ? table[lw + l] : 0);
+      T* o = out + l * le;
+      std::int64_t* fetch = table.data() + 2 * lw + l;
+      for (std::size_t s = 0; s < le; ++s, fetch += lw) {
+        const bool has_a = ia < a_end;
+        const bool has_b = ib < b_end;
+        assert(has_a || has_b);
+        const bool take_a = has_a & (!has_b | !cmp(vb, va));
+        o[s] = take_a ? va : vb;
+        ia += take_a;
+        ib += !take_a;
+        const bool more = take_a ? ia < a_end : ib < b_end;
+        const std::int64_t next = more ? (take_a ? a_pos(ia) : b_pos(ib)) : kIdle;
+        *fetch = next;
+        const T& fetched = shmem.peek(more ? next : 0);
+        va = more & take_a ? fetched : va;
+        vb = more & !take_a ? fetched : vb;
+      }
+    }
+
+    const auto charge = [&](std::size_t r) {
+      const std::span<const std::int64_t> row(table.data() + r * lw, lw);
+      shmem.charge_row_costed(warp, row, gpusim::shared_access_cost_distinct(row, w),
+                              /*is_write=*/false);
+    };
+    ctx.charge_compute(warp, cost::kThreadSetupInstrs);
+    charge(0);
+    charge(1);
+    for (std::size_t s = 0; s < le; ++s) {
+      ctx.charge_compute(warp, cost::kMergeStepInstrs);
+      charge(2 + s);
+    }
   }
 }
 

@@ -40,7 +40,7 @@ template <typename T>
 MergeReport merge_arrays(gpusim::Launcher& launcher, const std::vector<T>& a,
                          const std::vector<T>& b, std::vector<T>& out,
                          const MergeConfig& cfg) {
-  validate_merge_config(launcher.device(), cfg);
+  validate_merge_config(launcher.device(), cfg, sizeof(T));
 
   MergeReport report;
   report.na = static_cast<std::int64_t>(a.size());
@@ -66,11 +66,11 @@ MergeReport merge_arrays(gpusim::Launcher& launcher, const std::vector<T>& a,
   const int num_tiles = static_cast<int>(2 * run / tile);
   std::vector<std::int64_t> boundaries(static_cast<std::size_t>(num_tiles) + 1, 0);
 
-  const int regs = cfg.variant == Variant::CFMerge ? cost::cfmerge_regs_per_thread(cfg.e)
-                                                   : cost::baseline_regs_per_thread(cfg.e);
+  const int regs = cfg.regs_per_thread();
   const int pblocks =
       static_cast<int>((static_cast<std::int64_t>(boundaries.size()) + cfg.u - 1) / cfg.u);
-  launcher.launch("merge_partition", gpusim::LaunchShape{pblocks, cfg.u, 0, 24},
+  launcher.launch("merge_partition",
+                  gpusim::LaunchShape{pblocks, cfg.u, 0, cost::kPartitionRegsPerThread},
                   [&](gpusim::BlockContext& ctx) {
                     merge_partition_body<T>(ctx, std::span<const T>(src), geom, tile,
                                             std::span<std::int64_t>(boundaries));

@@ -31,6 +31,7 @@
 #include "gather/schedule.hpp"
 #include "gpusim/launcher.hpp"
 #include "gpusim/memory_views.hpp"
+#include "gpusim/occupancy.hpp"
 #include "mergepath/merge_path.hpp"
 #include "sort/block_sort.hpp"
 #include "sort/certs.hpp"
@@ -65,17 +66,42 @@ struct MergeConfig {
   TileCerts certs{};
 
   [[nodiscard]] std::int64_t tile() const { return static_cast<std::int64_t>(u) * e; }
+  /// Registers per thread of the tile kernels (block sort, merge pass).
+  [[nodiscard]] int regs_per_thread() const {
+    return variant == Variant::CFMerge ? cost::cfmerge_regs_per_thread(e)
+                                       : cost::baseline_regs_per_thread(e);
+  }
 };
+
+/// True if one block of `threads` threads using `shared_bytes` of shared
+/// memory and `regs` registers per thread is resident on an SM of `dev`.
+[[nodiscard]] inline bool block_fits(const gpusim::DeviceSpec& dev, int threads,
+                                     std::size_t shared_bytes, int regs) {
+  return gpusim::compute_occupancy(dev, threads, shared_bytes, regs).blocks_per_sm > 0;
+}
 
 /// Validates the MergeConfig invariants shared by every sort entry point
 /// (merge_sort, merge_arrays, batched_merge, segmented_sort), so the
-/// rejection messages stay uniform.  Throws std::invalid_argument naming
-/// the first violated constraint.
-inline void validate_merge_config(const gpusim::DeviceSpec& dev, const MergeConfig& cfg) {
+/// rejection messages stay uniform.  `elem_bytes` is the size of the
+/// sorted element type: every block the config launches — a tile kernel's
+/// u threads over u*E elements of shared memory (twice that with the CF
+/// block-sort staging buffer) and a partition kernel's u threads — must fit
+/// on an SM, so a config that cannot run is rejected before any kernel
+/// does.  Throws std::invalid_argument naming the first violated constraint.
+inline void validate_merge_config(const gpusim::DeviceSpec& dev, const MergeConfig& cfg,
+                                  std::size_t elem_bytes) {
   if (cfg.e <= 0) throw std::invalid_argument("MergeConfig: E must be positive");
   if (cfg.u <= 0) throw std::invalid_argument("MergeConfig: u must be positive");
   if (cfg.u % dev.warp_size != 0)
     throw std::invalid_argument("MergeConfig: u must be a multiple of the warp size");
+  const std::size_t staging = cfg.variant == Variant::CFMerge && cfg.cf_blocksort ? 2 : 1;
+  const std::size_t tile_bytes = static_cast<std::size_t>(cfg.tile()) * elem_bytes * staging;
+  // A thread holds its E elements in registers, so an E beyond the SM's
+  // register file never fits (checked first: the estimate would overflow).
+  if (cfg.e > dev.registers_per_sm ||
+      !block_fits(dev, cfg.u, tile_bytes, cfg.regs_per_thread()) ||
+      !block_fits(dev, cfg.u, 0, cost::kPartitionRegsPerThread))
+    throw std::invalid_argument("MergeConfig: block does not fit on an SM");
 }
 
 /// Geometry of one pass: which pair a global output position belongs to.

@@ -78,8 +78,7 @@ std::vector<T>* enqueue_sort_pipeline(gpusim::Stream& stream, std::vector<T>& bu
                                       int& passes) {
   const std::int64_t tile = cfg.tile();
   const int num_tiles = static_cast<int>(n_padded / tile);
-  const int regs = cfg.variant == Variant::CFMerge ? cost::cfmerge_regs_per_thread(cfg.e)
-                                                   : cost::baseline_regs_per_thread(cfg.e);
+  const int regs = cfg.regs_per_thread();
   tmp.resize(static_cast<std::size_t>(n_padded));
   boundaries.assign(static_cast<std::size_t>(num_tiles) + 1, 0);
 
@@ -110,7 +109,7 @@ std::vector<T>* enqueue_sort_pipeline(gpusim::Stream& stream, std::vector<T>& bu
 
     const auto nb = static_cast<std::int64_t>(boundaries.size());
     const int pblocks = static_cast<int>((nb + cfg.u - 1) / cfg.u);
-    gpusim::LaunchShape pshape{pblocks, cfg.u, 0, 24};
+    gpusim::LaunchShape pshape{pblocks, cfg.u, 0, cost::kPartitionRegsPerThread};
     stream.enqueue("merge_partition", pshape,
                    [src, &boundaries, geom, tile](gpusim::BlockContext& ctx) {
                      merge_partition_body<T>(ctx, std::span<const T>(*src), geom, tile,

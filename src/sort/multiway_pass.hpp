@@ -60,15 +60,24 @@ struct MultiwayConfig {
   TileCerts certs{};
 
   [[nodiscard]] std::int64_t tile() const { return static_cast<std::int64_t>(u) * e; }
+  /// Shared elements per block of the k-way merge kernel on a `w`-lane
+  /// device: the cascade's two ping-pong buffers, or one tile.
+  [[nodiscard]] std::int64_t merge_shared_elems(int w) const {
+    return variant == MultiwayVariant::CFCascade
+               ? 2 * gather::CascadePlan::capacity(tile(), w, e, k)
+               : tile();
+  }
 };
 
 /// Largest supported merge arity (bounds the per-lane head/pointer arrays).
 inline constexpr int kMaxMultiwayK = 16;
 
 /// Validates the MultiwayConfig invariants shared by every multiway entry
-/// point.  Throws std::invalid_argument naming the first violated constraint.
+/// point.  As in validate_merge_config, every block the config launches
+/// must fit on an SM (`elem_bytes` is the element size).  Throws
+/// std::invalid_argument naming the first violated constraint.
 inline void validate_multiway_config(const gpusim::DeviceSpec& dev,
-                                     const MultiwayConfig& cfg) {
+                                     const MultiwayConfig& cfg, std::size_t elem_bytes) {
   if (cfg.e <= 0) throw std::invalid_argument("MultiwayConfig: E must be positive");
   if (cfg.u <= 0) throw std::invalid_argument("MultiwayConfig: u must be positive");
   if (cfg.u % dev.warp_size != 0)
@@ -77,6 +86,14 @@ inline void validate_multiway_config(const gpusim::DeviceSpec& dev,
     throw std::invalid_argument("MultiwayConfig: k must be in [2, 16]");
   if (cfg.variant == MultiwayVariant::CFCascade && (cfg.k & (cfg.k - 1)) != 0)
     throw std::invalid_argument("MultiwayConfig: CFCascade requires a power-of-two k");
+  const std::int64_t bsort_elems = cfg.tile() * (cfg.cf_blocksort ? 2 : 1);
+  const auto shared_elems =
+      static_cast<std::size_t>(std::max(bsort_elems, cfg.merge_shared_elems(dev.warp_size)));
+  if (cfg.e > dev.registers_per_sm ||
+      !block_fits(dev, cfg.u, shared_elems * elem_bytes,
+                  cost::multiway_regs_per_thread(cfg.e, cfg.k)) ||
+      !block_fits(dev, cfg.u, 0, cost::kPartitionRegsPerThread))
+    throw std::invalid_argument("MultiwayConfig: block does not fit on an SM");
 }
 
 /// Geometry of one k-way pass: which group of k runs an output position

@@ -51,11 +51,7 @@ std::vector<T>* enqueue_multiway_pipeline(gpusim::Stream& stream, std::vector<T>
 
   // --- stage 2: k-way merge passes -----------------------------------------
   const std::size_t mshared =
-      cfg.variant == MultiwayVariant::CFCascade
-          ? static_cast<std::size_t>(
-                2 * gather::CascadePlan::capacity(tile, warp_size, cfg.e, cfg.k)) *
-                sizeof(T)
-          : static_cast<std::size_t>(tile) * sizeof(T);
+      static_cast<std::size_t>(cfg.merge_shared_elems(warp_size)) * sizeof(T);
 
   std::vector<T>* src = &buf;
   std::vector<T>* dst = &tmp;
@@ -66,7 +62,7 @@ std::vector<T>* enqueue_multiway_pipeline(gpusim::Stream& stream, std::vector<T>
 
     const auto nb = static_cast<std::int64_t>(num_tiles) + 1;
     const int pblocks = static_cast<int>((nb + cfg.u - 1) / cfg.u);
-    gpusim::LaunchShape pshape{pblocks, cfg.u, 0, 24};
+    gpusim::LaunchShape pshape{pblocks, cfg.u, 0, cost::kPartitionRegsPerThread};
     stream.enqueue("multiway_partition", pshape,
                    [src, &boundaries, geom, tile](gpusim::BlockContext& ctx) {
                      multiway_partition_body<T>(ctx, std::span<const T>(*src), geom, tile,

@@ -28,7 +28,7 @@
 
 #include <vector>
 
-#include "sort/serial_merge.hpp"
+#include "sort/kernels.hpp"
 #include "verify/lower.hpp"
 #include "verify/proof.hpp"
 #include "worstcase/sequence.hpp"

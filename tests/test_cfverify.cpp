@@ -16,7 +16,7 @@
 #include "gpusim/shared_memory.hpp"
 #include "numtheory/numtheory.hpp"
 #include "sort/bitonic.hpp"
-#include "sort/serial_merge.hpp"
+#include "sort/kernels.hpp"
 #include "worstcase/builder.hpp"
 #include "worstcase/predict.hpp"
 

@@ -1,6 +1,6 @@
 // Tests of the baseline warp-synchronous sequential merge — correctness and
 // its bank-conflict behaviour (the phenomenon the paper eliminates).
-#include "sort/serial_merge.hpp"
+#include "sort/kernels.hpp"
 
 #include <gtest/gtest.h>
 
@@ -156,9 +156,9 @@ TEST(SerialMerge, AlignedScansConflict) {
 // ---------------------------------------------------------------------------
 // Reference model: the lockstep loop warp_serial_merge replaced.  Branchy
 // per-lane state, every head fetched through SharedTile::gather.  The
-// rewritten kernel decides on uncharged reads and reports rows through
-// charge_row; it must reproduce this model's registers, counters, chains
-// and audited row stream exactly.
+// kernel decides on uncharged reads and reports rows through
+// charge_row_costed; it must reproduce this model's registers, counters,
+// chains and audited row stream exactly.
 
 namespace {
 

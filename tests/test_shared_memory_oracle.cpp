@@ -9,14 +9,18 @@
 // all-same-address warp — for both values of the scattered_hint, which must
 // never change the result.  The pair form (shared_access_cost_pair) is
 // checked against two oracle calls on its overlapping rows, and addresses at
-// or above the bitmap dedup's 2^16 domain exercise the chain fallback.
+// or above the bitmap dedup's 2^16 domain exercise the chain fallback.  The
+// distinct-address form (shared_access_cost_distinct) is checked on rows
+// whose active addresses are pairwise distinct, its only domain.
 #include "gpusim/shared_memory.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <random>
+#include <stdexcept>
 #include <span>
 #include <utility>
 #include <vector>
@@ -24,6 +28,7 @@
 using cfmerge::gpusim::kInactiveLane;
 using cfmerge::gpusim::kMaxLanes;
 using cfmerge::gpusim::shared_access_cost;
+using cfmerge::gpusim::shared_access_cost_distinct;
 using cfmerge::gpusim::shared_access_cost_pair;
 using cfmerge::gpusim::shared_access_degrees;
 using cfmerge::gpusim::SharedAccessCost;
@@ -100,6 +105,24 @@ void expect_pair_matches_oracle(std::span<const std::int64_t> row, int banks) {
 
 constexpr int kWidths[] = {4, 8, 16, 32, 64};
 constexpr std::int64_t kDedupDomain = std::int64_t{1} << 16;
+
+/// `n` lanes, each idle with probability `p_idle`, the active ones holding
+/// pairwise distinct addresses drawn from [base, base + span).
+std::vector<std::int64_t> distinct_row(std::mt19937_64& rng, std::size_t n, double p_idle,
+                                       std::int64_t base, std::int64_t span) {
+  std::vector<std::int64_t> pool(static_cast<std::size_t>(span));
+  for (std::size_t i = 0; i < pool.size(); ++i) pool[i] = base + static_cast<std::int64_t>(i);
+  std::shuffle(pool.begin(), pool.end(), rng);
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  std::vector<std::int64_t> row(n);
+  for (std::size_t l = 0; l < n; ++l) row[l] = coin(rng) < p_idle ? kInactiveLane : pool[l];
+  return row;
+}
+
+void expect_distinct_matches_oracle(std::span<const std::int64_t> row, int banks) {
+  expect_same(shared_access_cost_distinct(row, banks), oracle_cost(row, banks), "distinct",
+              banks);
+}
 
 }  // namespace
 
@@ -281,4 +304,93 @@ TEST(SharedAccessOracle, AddressesAtAndAboveTheDedupDomain) {
     expect_matches_oracle(std::span<const std::int64_t>(edge_row).last(lanes), w);
     expect_pair_matches_oracle(edge_row, w);
   }
+}
+
+TEST(SharedAccessDistinctOracle, RandomizedDistinctRows) {
+  // Full warps at every supported width, from dense conflicts (a pool of
+  // 2w addresses) to sparse ones, from all-active to almost-idle rows.
+  std::mt19937_64 rng(20261018);
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  for (const int w : kWidths) {
+    const auto lanes = static_cast<std::size_t>(w);
+    for (int trial = 0; trial < 400; ++trial) {
+      const std::int64_t span = (trial % 2 == 0 ? 2 : 16) * std::int64_t{w};
+      const double p_idle = trial % 4 < 2 ? 0.0 : coin(rng);
+      const auto row = distinct_row(rng, lanes, p_idle, 0, span);
+      expect_distinct_matches_oracle(row, w);
+      if (HasFailure()) return;
+    }
+    // Stride-w rows: every active lane in one bank, the worst case.
+    std::vector<std::int64_t> row(lanes);
+    for (std::size_t l = 0; l < lanes; ++l) row[l] = static_cast<std::int64_t>(l) * w + 3;
+    expect_distinct_matches_oracle(row, w);
+  }
+}
+
+TEST(SharedAccessDistinctOracle, NonPowerOfTwoBanksAndPartialRows) {
+  // Bank counts outside the compile-time set take the runtime-modulo
+  // specialization; rows shorter than the bank count leave banks unused.
+  std::mt19937_64 rng(4243);
+  for (const int banks : {3, 24, 48, 4, 32}) {
+    for (int n = 0; n <= banks; ++n) {
+      for (int trial = 0; trial < 20; ++trial) {
+        const double p_idle = trial % 3 == 0 ? 0.3 : 0.0;
+        const auto row =
+            distinct_row(rng, static_cast<std::size_t>(n), p_idle, 0, 3 * std::int64_t{banks});
+        expect_distinct_matches_oracle(row, banks);
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(SharedAccessDistinctOracle, IdleRowsAndAddressesBeyondTheDedupDomain) {
+  // The histogram has no address domain: rows at, straddling and far above
+  // 2^16 cost like any other.  All-idle rows cost nothing.
+  std::mt19937_64 rng(65537);
+  for (const int w : kWidths) {
+    const auto lanes = static_cast<std::size_t>(w);
+    expect_distinct_matches_oracle(std::vector<std::int64_t>(lanes, kInactiveLane), w);
+    const SharedAccessCost idle =
+        shared_access_cost_distinct(std::vector<std::int64_t>(lanes, kInactiveLane), w);
+    EXPECT_EQ(idle.cycles, 0);
+    EXPECT_EQ(idle.conflicts, 0);
+    EXPECT_EQ(idle.active_lanes, 0);
+    for (const std::int64_t base :
+         {kDedupDomain - 2 * w, kDedupDomain, std::int64_t{1} << 40}) {
+      for (int trial = 0; trial < 100; ++trial) {
+        const auto row = distinct_row(rng, lanes, 0.2, base, 4 * std::int64_t{w});
+        expect_distinct_matches_oracle(row, w);
+        if (HasFailure()) return;
+      }
+    }
+    // One lane active.
+    std::vector<std::int64_t> one(lanes, kInactiveLane);
+    one[lanes / 2] = kDedupDomain + 5;
+    expect_distinct_matches_oracle(one, w);
+  }
+}
+
+TEST(SharedAccessDistinctOracle, RejectsBadArguments) {
+  std::vector<std::int64_t> row{0, 9, kInactiveLane, -2};
+  EXPECT_THROW((void)shared_access_cost_distinct(row, 4), std::invalid_argument);
+  row[3] = std::numeric_limits<std::int64_t>::min();
+  EXPECT_THROW((void)shared_access_cost_distinct(row, 4), std::invalid_argument);
+  row[3] = 6;
+  EXPECT_NO_THROW((void)shared_access_cost_distinct(row, 4));
+  EXPECT_THROW((void)shared_access_cost_distinct(row, 0), std::invalid_argument);
+  EXPECT_THROW((void)shared_access_cost_distinct(row, kMaxLanes + 1), std::invalid_argument);
+  const std::vector<std::int64_t> wide(static_cast<std::size_t>(kMaxLanes) + 1, kInactiveLane);
+  EXPECT_THROW((void)shared_access_cost_distinct(wide, 32), std::invalid_argument);
+}
+
+TEST(SharedAccessDistinctOracle, DuplicateAddressTripsTheDebugPrecondition) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the distinct-address precondition is asserted only without NDEBUG";
+#else
+  // Two lanes broadcasting one word break the precondition: the histogram
+  // alone would charge them as a 2-way conflict.
+  const std::vector<std::int64_t> row{7, kInactiveLane, 7, 3};
+  EXPECT_DEATH((void)shared_access_cost_distinct(row, 4), "share an address");
+#endif
 }

@@ -28,7 +28,9 @@ Gate 3 has no allowlist either: the known-cost charge forms
 (BlockContext::charge_shared_costed, SharedTile::charge_row_costed) trust a
 cost computed elsewhere, so they may only be called under src/gpusim/
 (which defines them) and from src/sort/kernels.hpp (warp_split_search,
-which prices each start/end probe row pair with shared_access_cost_pair).
+which prices each start/end probe row pair with shared_access_cost_pair, and
+warp_serial_merge, which prices its distinct-address fetch rows with
+shared_access_cost_distinct).
 Anywhere else a site could charge a cost it did not compute.
 
 Mechanics (gate 1): for each C++ file under src/ (excluding src/cfprims/,
@@ -67,20 +69,17 @@ COSTED_OWNERS = ("src/gpusim/", "src/sort/kernels.hpp")
 # every method in that file.  Every entry must match at least one flagged
 # site or the lint fails (no stale suppressions).
 ALLOWLIST: dict[str, dict[str, str]] = {
-    "src/sort/serial_merge.hpp": {
-        "peek": "serial-merge head reads: the next address comes from a key "
-                "comparison, not an affine schedule, so no certificate can "
-                "cover it; every step's fetch row is charged and audited per "
-                "lane through charge_row",
-    },
     "src/sort/bitonic.hpp": {
         "*": "the deliberately conflicted bitonic baseline: its whole point "
              "is to show what uncertified stride patterns cost",
     },
     "src/sort/kernels.hpp": {
-        "peek": "merge-path probe reads of warp_split_search: data-dependent "
-                "diagonal search, outside any affine family; every start and "
-                "end probe row is charged and audited through charge_row",
+        "peek": "merge-path probe reads of warp_split_search and head reads "
+                "of warp_serial_merge: the next address comes from a key "
+                "comparison (diagonal search, serial merge step), outside any "
+                "affine family, so no certificate can cover it; every probe "
+                "row and every step's fetch row is charged and audited per "
+                "lane through charge_row_costed",
     },
     "src/sort/multiway_pass.hpp": {
         "gather": "loser-tree baseline: its k-way co-rank probes and "

@@ -77,6 +77,12 @@
 //     --trace=<file.csv>                          dump the access trace
 //     --cf-blocksort                              enable the CF block-sort
 //
+// Exit status: 0 on success; 1 on a failed self-check (unsorted output,
+// shadow violation, unwritable trace); 2 on a usage error — an unknown or
+// malformed flag, or a configuration the sorters reject (E or u out of
+// range, a block that does not fit on an SM, a negative --n), reported as
+// "cfsort: <message>".
+//
 // Examples:
 //   cfsort --algo=baseline --dist=worst-case --n=491520 --profile
 //   cfsort --algo=cf --json | jq .throughput_elem_per_us
@@ -95,6 +101,7 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <stdexcept>
 #include <string>
 
 #include "cfmerge.hpp"
@@ -239,7 +246,7 @@ std::vector<std::vector<std::int32_t>> split_segments(const std::vector<std::int
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Options o = parse(argc, argv);  // mutable: --tune overrides o.e / o.u
   gpusim::DeviceSpec dev = make_device(o.device);
   dev.bulk_charge = !o.no_bulk_charge;
@@ -571,4 +578,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cfsort: warning: could not persist plan cache to %s\n",
                  store->file_path().string().c_str());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  // Bad flag values and configs the sorters reject surface as
+  // std::logic_error subtypes — std::invalid_argument, std::length_error,
+  // std::out_of_range (std::stoi, validate_merge_config,
+  // workloads::generate, ...): report them as usage errors instead of
+  // aborting.
+  try {
+    return run(argc, argv);
+  } catch (const std::logic_error& e) {
+    std::fprintf(stderr, "cfsort: %s\n", e.what());
+    return 2;
+  }
 }
