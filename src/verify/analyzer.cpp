@@ -26,20 +26,6 @@ namespace {
 
 using numtheory::mod;
 
-/// Deterministic split-pattern generator (splitmix-style LCG); the analyzer
-/// must be reproducible, so no std::random devices.
-class Lcg {
- public:
-  explicit Lcg(std::uint64_t seed) : x_(seed) {}
-  std::uint64_t next() {
-    x_ = x_ * 6364136223846793005ULL + 1442695040888963407ULL;
-    return x_ >> 33;
-  }
-
- private:
-  std::uint64_t x_;
-};
-
 /// Structured + seeded-random per-thread |A_i| vectors, all in [0, E].
 std::vector<std::vector<std::int64_t>> sample_asizes(int u, int e, int random_trials,
                                                      std::uint64_t seed) {
@@ -59,9 +45,7 @@ std::vector<std::vector<std::int64_t>> sample_asizes(int u, int e, int random_tr
   Lcg rng(seed);
   for (int t = 0; t < random_trials; ++t) {
     std::vector<std::int64_t> v(un);
-    for (int i = 0; i < u; ++i)
-      v[static_cast<std::size_t>(i)] =
-          static_cast<std::int64_t>(rng.next() % static_cast<std::uint64_t>(e + 1));
+    for (int i = 0; i < u; ++i) v[static_cast<std::size_t>(i)] = rng.below_eq(e);
     out.push_back(std::move(v));
   }
   return out;
@@ -86,11 +70,6 @@ Env make_env(int i, int j, std::int64_t a, std::int64_t asz, int u, std::int64_t
   env.set(kSymU, u);
   env.set(kSymLa, la);
   return env;
-}
-
-void fail(ProofStep& st, std::string detail) {
-  st.status = StepStatus::kFailed;
-  st.detail = std::move(detail);
 }
 
 // ---------------------------------------------------------------------------
@@ -799,66 +778,56 @@ WorstCaseAnalysis analyze_worstcase_warp(const worstcase::Params& p) {
 // Sweep
 // ---------------------------------------------------------------------------
 
+void verify_family(VerifyReport& rep, const VerifyOptions& opts, int w, int e) {
+  if (w <= 0 || e <= 1 || e > w)
+    throw std::invalid_argument("verify_family: need w > 0 and 1 < E <= w");
+  for (const cfprims::CFPrimitive* prim : cfprims::registry()) {
+    if (!prim->supports(w, e)) continue;
+    const bool broken = !prim->expected_conflict_free(w, e);
+    if (broken && !opts.broken) continue;
+    (broken ? rep.refutations : rep.proofs).push_back(verify_primitive(*prim, w, e));
+  }
+  if (opts.multiway)
+    for (const int k : opts.ks) rep.proofs.push_back(verify_multiway_cascade(w, e, k));
+  if (opts.safety) {
+    // Pass 3: memory safety of every registered primitive at (w, E), the
+    // composite kernels built from them, and witness-backed refutation of
+    // the deliberately unsafe ablations.
+    for (const cfprims::CFPrimitive* prim : cfprims::registry())
+      if (prim->supports(w, e))
+        rep.safety_proofs.push_back(verify_primitive_safety(*prim, w, e));
+    for (const CompositeKernel& kernel : composite_kernels()) {
+      if (!kernel.per_arity) {
+        rep.safety_proofs.push_back(verify_composite_safety(kernel, w, e));
+      } else if (opts.multiway) {
+        for (const int k : opts.ks)
+          rep.safety_proofs.push_back(verify_composite_safety(kernel, w, e, k));
+      }
+    }
+    for (const cfprims::CFPrimitive* prim : cfprims::safety_ablations())
+      if (prim->supports(w, e))
+        rep.safety_refutations.push_back(verify_primitive_safety(*prim, w, e));
+  }
+  if (opts.worstcase) rep.worstcase.push_back(analyze_worstcase_warp({w, e}));
+}
+
+void verify_width(VerifyReport& rep, const VerifyOptions& opts, int w, int direct_e) {
+  if (opts.multiway && opts.broken)
+    for (const int k : opts.ks)
+      rep.refutations.push_back(refute_multiway_direct(w, direct_e, k));
+  if (opts.bitonic) {
+    const std::int64_t tile = 4 * static_cast<std::int64_t>(w);
+    rep.proofs.push_back(verify_bitonic_exchange(tile, w, /*padded=*/true));
+    rep.proofs.push_back(verify_bitonic_exchange(tile, w, /*padded=*/false));
+    rep.refutations.push_back(refute_bitonic_unpadded(tile, w));
+  }
+}
+
 VerifyReport verify_all(const VerifyOptions& opts) {
   VerifyReport rep;
   for (const int w : opts.widths) {
-    for (int e = 2; e <= w; ++e) {
-      // The (w, E) primitive sweep: every registered CFPrimitive through
-      // the one generic lowering path.  cf_gather's proof (produced via
-      // delegation) doubles as the two-way lemma the cascades reuse.
-      ProofObject two_way;
-      if (opts.primitives) {
-        for (const cfprims::CFPrimitive* prim : cfprims::registry()) {
-          if (!prim->supports(w, e)) continue;
-          const bool broken = !prim->expected_conflict_free(w, e);
-          if (broken && !opts.broken) continue;
-          ProofObject po = verify_primitive(*prim, w, e);
-          if (!broken && prim->name() == "cf_gather") two_way = po;
-          (broken ? rep.refutations : rep.proofs).push_back(std::move(po));
-        }
-      } else {
-        two_way = verify_cf_gather(w, e, ScheduleVariant::kFull);
-        rep.proofs.push_back(two_way);
-        if (opts.broken) {
-          rep.refutations.push_back(
-              verify_cf_gather(w, e, ScheduleVariant::kNoBReversal));
-          if (numtheory::gcd(w, e) > 1)
-            rep.refutations.push_back(
-                verify_cf_gather(w, e, ScheduleVariant::kNoRhoShift));
-        }
-      }
-      if (opts.multiway)
-        for (const int k : opts.ks)
-          rep.proofs.push_back(verify_multiway_cascade(w, e, k, &two_way));
-      if (opts.safety) {
-        // Pass 3: memory safety of every registered primitive at (w, E),
-        // the composite schedules built from them, and witness-backed
-        // refutation of the deliberately unsafe ablations.
-        for (const cfprims::CFPrimitive* prim : cfprims::registry()) {
-          if (!prim->supports(w, e)) continue;
-          rep.safety_proofs.push_back(verify_primitive_safety(*prim, w, e));
-        }
-        rep.safety_proofs.push_back(verify_merge_safety(w, e));
-        rep.safety_proofs.push_back(verify_blocksort_safety(w, e));
-        if (opts.multiway)
-          for (const int k : opts.ks)
-            rep.safety_proofs.push_back(verify_multiway_safety(w, e, k));
-        for (const cfprims::CFPrimitive* prim : cfprims::safety_ablations()) {
-          if (!prim->supports(w, e)) continue;
-          rep.safety_refutations.push_back(verify_primitive_safety(*prim, w, e));
-        }
-      }
-      if (opts.worstcase) rep.worstcase.push_back(analyze_worstcase_warp({w, e}));
-    }
-    if (opts.multiway && opts.broken)
-      for (const int k : opts.ks)
-        rep.refutations.push_back(refute_multiway_direct(w, std::max(2, w / 2), k));
-    if (opts.bitonic) {
-      const std::int64_t tile = 4 * static_cast<std::int64_t>(w);
-      rep.proofs.push_back(verify_bitonic_exchange(tile, w, /*padded=*/true));
-      rep.proofs.push_back(verify_bitonic_exchange(tile, w, /*padded=*/false));
-      rep.refutations.push_back(refute_bitonic_unpadded(tile, w));
-    }
+    for (int e = 2; e <= w; ++e) verify_family(rep, opts, w, e);
+    verify_width(rep, opts, w, std::max(2, w / 2));
   }
   return rep;
 }

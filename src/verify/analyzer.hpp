@@ -46,11 +46,9 @@ namespace cfmerge::verify {
 /// 2-way schedule, the inter-stage rank scatter is a lane-invariant stride-E
 /// stream under rho (a complete residue system per round), and the
 /// CascadePlan's pair bases and padded lengths are wE-aligned so none of it
-/// shifts banks.  `k` must be a power of two >= 2.  When the caller already
-/// holds the (w, E) 2-way proof it can pass it via `stage_proof` to avoid
-/// recomputing it (verify_all does).
-[[nodiscard]] ProofObject verify_multiway_cascade(int w, int e, int k,
-                                                  const ProofObject* stage_proof = nullptr);
+/// shifts banks.  The stage step cites the memoized cf_gather certificate
+/// (verify::certify).  `k` must be a power of two >= 2.
+[[nodiscard]] ProofObject verify_multiway_cascade(int w, int e, int k);
 
 /// Refutes the (false) claim that a *single-phase* k-ary gather over a linear
 /// k-segment shared layout — the access pattern of the multiway_losertree
@@ -85,25 +83,33 @@ struct SerialMergeBounds {
 [[nodiscard]] SerialMergeBounds serial_merge_conflict_bounds(
     const std::vector<sort::MergeLaneDesc>& lanes, int w, int e, std::int64_t la);
 
-/// Full sweep used by cfverify and the CI job: CF gather proofs for every
-/// w in `widths` × 1 < E <= w, broken-variant refutations, Theorem 8
-/// analyses and bitonic profiles.
+/// What a verifier sweep covers (cfverify and the CI job).
 struct VerifyOptions {
   std::vector<int> widths = {4, 8, 16, 32, 64};
-  bool broken = true;     ///< include no-pi / no-rho refutations
+  bool broken = true;     ///< include the broken-primitive and direct k-ary refutations
   bool worstcase = true;  ///< include Theorem 8 analyses
   bool bitonic = true;    ///< include bitonic exchange profiles
   bool multiway = true;   ///< include k-way cascade proofs + direct refutations
-  /// Sweep every registered CFPrimitive through the generic lowering path
-  /// (verify_primitive); when false, only the legacy cf_gather proof runs.
-  bool primitives = true;
   /// Pass 3 — static memory safety (verify/safety): bounds,
   /// init-before-read and race-freedom for every registered primitive plus
-  /// the merge/multiway/blocksort composites, and witness-backed refutation
-  /// of the cfprims::safety_ablations().
+  /// the composite kernels, and witness-backed refutation of the
+  /// cfprims::safety_ablations().
   bool safety = true;
   std::vector<int> ks = {2, 4, 8};  ///< merge arities for the multiway sweep
 };
+
+/// Appends the (w, e) family to `rep`: every registered CFPrimitive through
+/// verify_primitive (broken ones as refutations), the k-way cascades, Pass 3
+/// (primitives, composite kernels, safety ablations) and the Theorem 8
+/// analysis.  Throws std::invalid_argument for a (w, e) outside 1 < E <= w.
+void verify_family(VerifyReport& rep, const VerifyOptions& opts, int w, int e);
+
+/// Appends the per-width entries to `rep`: the direct k-ary refutations at
+/// (w, direct_e) and the bitonic profiles of a 4w tile.
+void verify_width(VerifyReport& rep, const VerifyOptions& opts, int w, int direct_e);
+
+/// Full sweep: verify_family for every w in `widths` x 1 < E <= w, then
+/// verify_width at E = max(2, w/2).
 [[nodiscard]] VerifyReport verify_all(const VerifyOptions& opts = {});
 
 }  // namespace cfmerge::verify

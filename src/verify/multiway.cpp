@@ -5,9 +5,10 @@
 // to the proven 2-way schedule plus three new obligations:
 //
 //   stage-gather-reduction  every cascade stage gathers through the 2-way
-//                           cf_gather layout of its pair; the (w, E) proof
-//                           applies verbatim because pair bases are wE
-//                           multiples (banks unchanged by the shift)
+//                           cf_gather layout of its pair; the memoized
+//                           (w, E) cf_gather certificate applies verbatim
+//                           because pair bases are wE multiples (banks
+//                           unchanged by the shift)
 //   pad-alignment           CascadePlan only pads at level 0 and keeps every
 //                           pair base and padded length a multiple of wE,
 //                           within the static capacity bound
@@ -42,30 +43,13 @@
 #include "gather/schedule.hpp"
 #include "gpusim/shared_memory.hpp"
 #include "numtheory/numtheory.hpp"
+#include "verify/certificate.hpp"
 
 namespace cfmerge::verify {
 
 namespace {
 
 using numtheory::mod;
-
-/// Deterministic generator, mirroring the analyzer's reproducibility rule.
-class Lcg {
- public:
-  explicit Lcg(std::uint64_t seed) : x_(seed) {}
-  std::uint64_t next() {
-    x_ = x_ * 6364136223846793005ULL + 1442695040888963407ULL;
-    return x_ >> 33;
-  }
-
- private:
-  std::uint64_t x_;
-};
-
-void fail(ProofStep& st, std::string detail) {
-  st.status = StepStatus::kFailed;
-  st.detail = std::move(detail);
-}
 
 /// Structured + seeded-random k-way segment windows summing to at most
 /// `tile` (the merge-path splits a tile can present to CascadePlan).
@@ -96,8 +80,7 @@ std::vector<std::vector<std::int64_t>> sample_seglens(std::int64_t tile, int k,
   Lcg rng(seed);
   for (int t = 0; t < random_trials; ++t) {
     std::vector<std::int64_t> cuts(kn - 1);
-    for (auto& c : cuts)
-      c = static_cast<std::int64_t>(rng.next() % static_cast<std::uint64_t>(tile + 1));
+    for (auto& c : cuts) c = rng.below_eq(tile);
     std::sort(cuts.begin(), cuts.end());
     std::vector<std::int64_t> v(kn);
     std::int64_t prev = 0;
@@ -253,7 +236,7 @@ void check_scatter_bank_crs(ProofStep& st, int w, int e) {
 /// dynamic-cost screening of sampled gather/scatter/store rows.  `thorough`
 /// sweeps every virtual warp and round of the sampled tiles; otherwise a
 /// boundary subset keeps the full (w, E, k) sweep affordable.
-void check_plan_faithfulness(ProofStep& st, int w, int e, int k,
+void check_plan_faithfulness(ProofStep& st, int w, int e,
                              const std::vector<std::vector<std::int64_t>>& samples,
                              bool thorough) {
   const std::int64_t we = static_cast<std::int64_t>(w) * e;
@@ -318,8 +301,7 @@ void check_plan_faithfulness(ProofStep& st, int w, int e, int k,
         {
           Lcg rng(0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(l * 131 + p));
           std::vector<std::int64_t> v(un);
-          for (auto& x : v)
-            x = static_cast<std::int64_t>(rng.next() % static_cast<std::uint64_t>(e + 1));
+          for (auto& x : v) x = rng.below_eq(e);
           asz_samples.push_back(std::move(v));
         }
         for (const auto& asz : asz_samples) {
@@ -382,8 +364,7 @@ void check_plan_faithfulness(ProofStep& st, int w, int e, int k,
 
 }  // namespace
 
-ProofObject verify_multiway_cascade(int w, int e, int k,
-                                    const ProofObject* stage_proof) {
+ProofObject verify_multiway_cascade(int w, int e, int k) {
   validate_multiway_family(w, e, k);
   ProofObject po;
   po.schedule = "multiway_cascade";
@@ -398,23 +379,16 @@ ProofObject verify_multiway_cascade(int w, int e, int k,
   // Step 1: every stage gather is the proven 2-way schedule.
   {
     auto& st = po.add_step("stage-gather-reduction");
-    ProofObject local;
-    const ProofObject* two = stage_proof;
-    if (two == nullptr || two->w != w || two->e != e || two->schedule != "cf_gather") {
-      local = verify_cf_gather(w, e, ScheduleVariant::kFull);
-      two = &local;
-    }
-    if (two->proved()) {
+    if (certify("cf_gather", w, e) != nullptr) {
       std::ostringstream os;
       os << "each of the " << std::bit_width(static_cast<unsigned>(k)) - 1
          << " cascade stages gathers through the 2-way cf_gather layout of its "
-            "pair; the (w=" << w << ", E=" << e << ") proof ("
-         << two->steps.size()
-         << " steps) applies verbatim since pair bases are wE multiples";
+            "pair; the memoized cf_gather certificate at (w=" << w << ", E=" << e
+         << ") applies verbatim since pair bases are wE multiples";
       st.detail = os.str();
     } else {
-      fail(st, "underlying 2-way cf_gather proof is not proved at (w=" +
-                   std::to_string(w) + ", E=" + std::to_string(e) + ")");
+      fail(st, "no cf_gather certificate at (w=" + std::to_string(w) +
+                   ", E=" + std::to_string(e) + ")");
     }
   }
 
@@ -424,7 +398,7 @@ ProofObject verify_multiway_cascade(int w, int e, int k,
   check_scatter_residue(po.add_step("scatter-residue"), e, w);
   check_scatter_bank_crs(po.add_step("scatter-bank-crs"), w, e);
   const bool thorough = e == std::max(2, w / 2);
-  check_plan_faithfulness(po.add_step("plan-faithfulness"), w, e, k, samples,
+  check_plan_faithfulness(po.add_step("plan-faithfulness"), w, e, samples,
                           thorough);
 
   bool any_failed = false;

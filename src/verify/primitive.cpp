@@ -12,11 +12,6 @@ namespace cfmerge::verify {
 
 namespace {
 
-void fail(ProofStep& st, std::string detail) {
-  st.status = StepStatus::kFailed;
-  st.detail = std::move(detail);
-}
-
 /// lower:<stream> — the affine IR evaluates to the primitive's concrete
 /// address on every (thread, round) of the verification shape.
 void check_stream_faithfulness(ProofObject& po, const cfprims::AccessStream& st) {

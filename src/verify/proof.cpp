@@ -30,9 +30,19 @@ std::string Counterexample::str() const {
   return os.str();
 }
 
+void fail(ProofStep& step, std::string detail) {
+  step.status = StepStatus::kFailed;
+  step.detail = std::move(detail);
+}
+
 ProofStep& ProofObject::add_step(std::string name) {
   steps.push_back(ProofStep{std::move(name), StepStatus::kPassed, {}});
   return steps.back();
+}
+
+void ProofObject::settle_safety_verdict() {
+  if (verdict != Verdict::kProved && counterexample.kind.empty())
+    verdict = Verdict::kRefutedNoWitness;
 }
 
 }  // namespace cfmerge::verify

@@ -25,6 +25,24 @@ struct ProofStep {
   std::string detail;  ///< evidence (derivation, table summary) or failure reason
 };
 
+/// Marks `step` failed with the failure reason.
+void fail(ProofStep& step, std::string detail);
+
+/// Deterministic split sampler (64-bit LCG, Knuth's MMIX constants): every
+/// prover samples from a fixed seed, so proofs are reproducible.
+struct Lcg {
+  std::uint64_t state;
+  explicit Lcg(std::uint64_t seed) : state(seed) {}
+  std::uint64_t next() {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  }
+  /// Uniform in [0, n].
+  std::int64_t below_eq(std::int64_t n) {
+    return static_cast<std::int64_t>(next() % static_cast<std::uint64_t>(n + 1));
+  }
+};
+
 /// A concrete bank collision: two lanes of one warp whose round-j reads land
 /// in the same bank, together with the schedule instance that produces it.
 /// The static safety pass (Pass 3) reuses the same carrier for its
@@ -78,6 +96,9 @@ struct ProofObject {
 
   [[nodiscard]] bool proved() const { return verdict == Verdict::kProved; }
   ProofStep& add_step(std::string name);
+  /// Pass 3 witnesses name their violated property in `kind`: a refuted
+  /// safety proof whose counterexample has none becomes kRefutedNoWitness.
+  void settle_safety_verdict();
 };
 
 /// Static analysis of the baseline serial merge on a Theorem 8 worst-case

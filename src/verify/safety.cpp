@@ -3,6 +3,7 @@
 #include "verify/safety.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <sstream>
@@ -13,6 +14,7 @@
 #include "gather/permutation.hpp"
 #include "numtheory/numtheory.hpp"
 #include "verify/affine.hpp"
+#include "verify/certificate.hpp"
 #include "verify/lower.hpp"
 
 namespace cfmerge::verify {
@@ -29,21 +31,6 @@ using cfprims::PrimShape;
 /// coverage lemma uses 100..102).
 constexpr SymId kSymM = 103;
 
-/// Deterministic split sampler seed (mirrors the Pass 1 analyzer's habit of
-/// fixed-seed reproducible sampling).
-struct Lcg {
-  std::uint64_t state;
-  explicit Lcg(std::uint64_t seed) : state(seed) {}
-  std::uint64_t next() {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    return state >> 33;
-  }
-  /// Uniform in [0, n].
-  std::int64_t below_eq(std::int64_t n) {
-    return static_cast<std::int64_t>(next() % static_cast<std::uint64_t>(n + 1));
-  }
-};
-
 std::int64_t tile_words(const PrimitiveLowering& lo, int tile_idx) {
   if (lo.tiles.empty()) return lo.shape.tile();
   return lo.tiles[static_cast<std::size_t>(tile_idx)].words;
@@ -53,8 +40,7 @@ std::int64_t tile_words(const PrimitiveLowering& lo, int tile_idx) {
 /// their own step.
 void fail_step(ProofObject& po, ProofStep& step, std::string detail,
                Counterexample cex) {
-  step.status = StepStatus::kFailed;
-  step.detail = std::move(detail);
+  fail(step, std::move(detail));
   if (po.verdict == Verdict::kProved) {
     po.verdict = Verdict::kCounterexample;
     po.counterexample = std::move(cex);
@@ -351,8 +337,7 @@ ProofObject stream_safety(const CFPrimitive& prim, int w, int e) {
     }
   }
 
-  if (po.verdict != Verdict::kProved && po.counterexample.kind.empty())
-    po.verdict = Verdict::kRefutedNoWitness;
+  po.settle_safety_verdict();
   return po;
 }
 
@@ -538,56 +523,35 @@ ProofObject gather_family_safety(const CFPrimitive& prim, ScheduleVariant varian
     }
   }
 
-  if (po.verdict != Verdict::kProved && po.counterexample.kind.empty())
-    po.verdict = Verdict::kRefutedNoWitness;
+  po.settle_safety_verdict();
   return po;
 }
 
-// ---- composite schedules -----------------------------------------------
+// ---- composite kernels ---------------------------------------------------
 
-/// Cites a component primitive's safety proof inside a composite proof:
-/// the step passes iff the component family is proved at (w, e).
-void cite_component(ProofObject& po, const char* step_name, const char* prim_name,
-                    int w, int e) {
-  ProofStep& step = po.add_step(step_name);
-  const CFPrimitive* prim = cfprims::find_primitive(prim_name);
-  if (prim == nullptr || !prim->supports(w, e)) {
-    step.status = StepStatus::kFailed;
-    step.detail = std::string("component ") + prim_name + " unavailable at (w, E)";
-    if (po.verdict == Verdict::kProved) po.verdict = Verdict::kRefutedNoWitness;
-    return;
+/// The block sort's thread-sort phases read and rewrite slots i*E + j across
+/// a barrier; the map tiles [0, uE) exactly once for any gcd(w, E), which is
+/// the bounds + race + coverage argument in one scan.  cf_stride, the
+/// registered form of this map, only exists for gcd(w, E) = 1.
+void stride_phase_bijection(ProofObject& po, ProofStep& step, int w, int e) {
+  for (const int u : {2 * w, 3 * w}) {
+    const std::int64_t tile = static_cast<std::int64_t>(u) * e;
+    std::vector<char> cover(static_cast<std::size_t>(tile), 0);
+    for (std::int64_t i = 0; i < u; ++i)
+      for (int j = 0; j < e; ++j) {
+        const std::int64_t r = i * e + j;
+        if (r < 0 || r >= tile || cover[static_cast<std::size_t>(r)] != 0) {
+          fail_step(po, step, "stride phase not a bijection",
+                    make_cex(PrimShape{w, e, u, 0}, "write-write-race", 1, j,
+                             static_cast<int>(i), static_cast<int>(i), r, r));
+          return;
+        }
+        cover[static_cast<std::size_t>(r)] = 1;
+      }
   }
-  ProofObject comp = verify_primitive_safety(*prim, w, e);
-  if (comp.proved()) {
-    std::ostringstream os;
-    os << "component " << prim_name << " safety proved (" << comp.steps.size()
-       << " steps)";
-    step.detail = os.str();
-  } else {
-    fail_step(po, step, std::string("component ") + prim_name + " refuted",
-              comp.counterexample);
-  }
-}
-
-void add_probe_note(ProofObject& po) {
-  ProofStep& step = po.add_step("data-dependent-probes");
-  step.status = StepStatus::kSkipped;
   step.detail =
-      "merge-path probe reads are value-dependent and outside the affine "
-      "IR; they stay on the audited lane path (never certified-skip) and "
-      "are covered by the fill-initialization argument plus the dynamic "
-      "ShadowChecker";
-}
-
-ProofObject composite_base(std::string name, int w, int e, int k) {
-  ProofObject po;
-  po.schedule = std::move(name);
-  po.family = po.schedule;
-  po.w = w;
-  po.e = e;
-  po.k = k;
-  po.d = numtheory::gcd(w, e);
-  return po;
+      "slots i*E + j tile [0, uE) exactly once at u = 2w and u = 3w "
+      "(division algorithm, gcd-independent)";
 }
 
 }  // namespace
@@ -610,136 +574,93 @@ ProofObject verify_primitive_safety(std::string_view name, int w, int e) {
   return verify_primitive_safety(*prim, w, e);
 }
 
-ProofObject verify_merge_safety(int w, int e) {
-  ProofObject po = composite_base("merge", w, e, 0);
-  po.scope =
-      "sort/merge_pass.hpp composition: staged fill, merge-path search, CF "
-      "gather, output scatter — each barrier-separated; components certified "
-      "per family, composition steps exhaustive";
-
-  cite_component(po, "fill-component:cf_stage", "cf_stage", w, e);
-  cite_component(po, "gather-component:cf_gather", "cf_gather", w, e);
-  add_probe_note(po);
-
-  {
-    // The output epoch writes merged rank r = iE + j of each thread (the CF
-    // path routes ranks through the out_pos map, a bijection by
-    // sortedness); iE + j itself tiles [0, uE) exactly once.
-    ProofStep& step = po.add_step("store-scatter-bijective");
-    const int u = 2 * w;
-    const std::int64_t tile = static_cast<std::int64_t>(u) * e;
-    std::vector<char> cover(static_cast<std::size_t>(tile), 0);
-    bool ok = true;
-    for (std::int64_t i = 0; i < u && ok; ++i)
-      for (int j = 0; j < e && ok; ++j) {
-        const std::int64_t r = i * e + j;
-        if (r < 0 || r >= tile || cover[static_cast<std::size_t>(r)] != 0) {
-          fail_step(po, step, "rank scatter not a bijection",
-                    make_cex(PrimShape{w, e, u, 0}, "write-write-race", 2, j,
-                             static_cast<int>(i), static_cast<int>(i), r, r));
-          ok = false;
-        } else {
-          cover[static_cast<std::size_t>(r)] = 1;
-        }
-      }
-    if (ok)
-      step.detail =
-          "ranks i*E + j tile [0, uE) exactly once (division algorithm); the "
-          "CF out_pos routing is a bijection of the same rank set";
-  }
-
-  {
-    ProofStep& step = po.add_step("epoch-order");
-    step.detail =
-        "barriers separate fill -> search/merge -> store (merge_pass.hpp); "
-        "each epoch reads only tiles fully written by earlier epochs";
-  }
-
-  if (po.verdict != Verdict::kProved && po.counterexample.kind.empty())
-    po.verdict = Verdict::kRefutedNoWitness;
-  return po;
+const std::vector<CompositeKernel>& composite_kernels() {
+  static const std::vector<CompositeKernel> kernels = {
+      {"merge",
+       "sort/merge_pass.hpp composition: staged fill, merge-path search, CF "
+       "gather, rank-scatter store — each barrier-separated; every component "
+       "cites its memoized safety certificate",
+       {{"fill-component:cf_stage", "cf_stage"},
+        {"gather-component:cf_gather", "cf_gather"},
+        {"store-component:cf_rank_scatter", "cf_rank_scatter"}},
+       "epoch-order",
+       "barriers separate fill -> search/merge -> store (merge_pass.hpp); "
+       "each epoch reads only tiles fully written by earlier epochs",
+       false},
+      {"blocksort",
+       "sort/block_sort.hpp composition: staged load, stride-E thread phases, "
+       "CF merge rounds with the staging copy, staged store — each "
+       "barrier-separated; every component cites its memoized safety "
+       "certificate, the stride phase is scanned by hand",
+       {{"load-component:cf_stage", "cf_stage"},
+        {"thread-sort-stride-bijective", ""},
+        {"merge-gather-component:cf_gather", "cf_gather"},
+        {"staging-copy-component:cf_stage", "cf_stage"}},
+       "epoch-order",
+       "barriers separate load -> thread sort -> each merge round -> store "
+       "(block_sort.hpp); every read tile is fully written beforehand",
+       false},
+      {"multiway",
+       "sort/multiway_pass.hpp cascade: fill, then per level a CF gather of "
+       "the live half and a rho rank scatter into the other half, barrier per "
+       "level; every component cites its memoized safety certificate",
+       {{"fill-component:cf_stage", "cf_stage"},
+        {"gather-component:cf_gather", "cf_gather"},
+        {"scatter-component:cf_rank_scatter", "cf_rank_scatter"}},
+       "level-ping-pong",
+       "level L reads the half written by level L-1 (or the fill) and "
+       "rank-scatters rho(i*E + j) — a bijection of the other half, so the "
+       "next level's read set is fully covered; a barrier closes each level",
+       true},
+  };
+  return kernels;
 }
 
-ProofObject verify_multiway_safety(int w, int e, int k) {
-  ProofObject po = composite_base("multiway", w, e, k);
-  po.scope =
-      "sort/multiway_pass.hpp cascade: fill, then per level a CF gather of "
-      "the live half and a rho rank scatter into the other half, barrier per "
-      "level; components certified per family";
+ProofObject verify_composite_safety(const CompositeKernel& kernel, int w, int e,
+                                    int k) {
+  if (kernel.per_arity != (k > 0))
+    throw std::invalid_argument("verify_composite_safety: " +
+                                std::string(kernel.name) +
+                                (kernel.per_arity ? " needs" : " takes no") +
+                                " merge arity k");
+  ProofObject po;
+  po.schedule = std::string(kernel.name);
+  po.family = po.schedule;
+  po.w = w;
+  po.e = e;
+  po.k = k;
+  po.d = numtheory::gcd(w, e);
+  po.scope = std::string(kernel.scope);
 
-  cite_component(po, "fill-component:cf_stage", "cf_stage", w, e);
-  cite_component(po, "gather-component:cf_gather", "cf_gather", w, e);
-  cite_component(po, "scatter-component:cf_rank_scatter", "cf_rank_scatter", w, e);
-  add_probe_note(po);
-
-  {
-    ProofStep& step = po.add_step("level-ping-pong");
-    int levels = 0;
-    for (int x = 1; x < k; x *= 2) ++levels;
-    std::ostringstream os;
-    os << levels
-       << " cascade level(s): level L reads the half written by level L-1 "
-          "(or the fill) and rank-scatters rho(i*E + j) — a bijection of the "
-          "other half, so the next level's read set is fully covered; a "
-          "barrier closes each level";
-    step.detail = os.str();
+  std::ostringstream at;
+  at << " at (w=" << w << ", E=" << e << ")";
+  for (const CompositeStep& c : kernel.steps) {
+    ProofStep& step = po.add_step(std::string(c.name));
+    const std::string prim(c.primitive);
+    if (prim.empty())
+      stride_phase_bijection(po, step, w, e);
+    else if (certify_safety(prim, w, e) != nullptr)
+      step.detail = "cites the memoized " + prim + " safety certificate" + at.str();
+    else
+      fail_step(po, step, "component " + prim + " has no safety certificate" + at.str(),
+                Counterexample{});
   }
 
-  if (po.verdict != Verdict::kProved && po.counterexample.kind.empty())
-    po.verdict = Verdict::kRefutedNoWitness;
-  return po;
-}
+  ProofStep& probes = po.add_step("data-dependent-probes");
+  probes.status = StepStatus::kSkipped;
+  probes.detail =
+      "merge-path probe reads are value-dependent and outside the affine "
+      "IR; they stay on the audited lane path (never certified-skip) and "
+      "are covered by the fill-initialization argument plus the dynamic "
+      "ShadowChecker";
 
-ProofObject verify_blocksort_safety(int w, int e) {
-  ProofObject po = composite_base("blocksort", w, e, 0);
-  po.scope =
-      "sort/block_sort.hpp composition: staged load, stride-E thread phases, "
-      "CF merge rounds with the staging copy, staged store — each "
-      "barrier-separated; components certified per family";
+  ProofStep& glue = po.add_step(std::string(kernel.glue_step));
+  glue.detail = std::string(kernel.glue);
+  if (kernel.per_arity)
+    glue.detail = std::to_string(std::bit_width(static_cast<unsigned>(k - 1))) +
+                  " cascade level(s): " + glue.detail;
 
-  cite_component(po, "load-component:cf_stage", "cf_stage", w, e);
-
-  {
-    // The thread-sort phases read and rewrite slots i*E + j across a
-    // barrier; the map tiles [0, uE) exactly once for any gcd(w, E), which
-    // is the bounds + race + coverage argument in one scan.
-    ProofStep& step = po.add_step("thread-sort-stride-bijective");
-    bool ok = true;
-    for (const int u : {2 * w, 3 * w}) {
-      const std::int64_t tile = static_cast<std::int64_t>(u) * e;
-      std::vector<char> cover(static_cast<std::size_t>(tile), 0);
-      for (std::int64_t i = 0; i < u && ok; ++i)
-        for (int j = 0; j < e && ok; ++j) {
-          const std::int64_t r = i * e + j;
-          if (r < 0 || r >= tile || cover[static_cast<std::size_t>(r)] != 0) {
-            fail_step(po, step, "stride phase not a bijection",
-                      make_cex(PrimShape{w, e, u, 0}, "write-write-race", 1, j,
-                               static_cast<int>(i), static_cast<int>(i), r, r));
-            ok = false;
-          } else {
-            cover[static_cast<std::size_t>(r)] = 1;
-          }
-        }
-    }
-    if (ok)
-      step.detail =
-          "slots i*E + j tile [0, uE) exactly once at u = 2w and u = 3w "
-          "(division algorithm, gcd-independent)";
-  }
-
-  cite_component(po, "merge-gather-component:cf_gather", "cf_gather", w, e);
-  cite_component(po, "staging-copy-component:cf_stage", "cf_stage", w, e);
-  add_probe_note(po);
-
-  {
-    ProofStep& step = po.add_step("epoch-order");
-    step.detail =
-        "barriers separate load -> thread sort -> each merge round -> store "
-        "(block_sort.hpp); every read tile is fully written beforehand";
-  }
-
-  if (po.verdict != Verdict::kProved && po.counterexample.kind.empty())
-    po.verdict = Verdict::kRefutedNoWitness;
+  po.settle_safety_verdict();
   return po;
 }
 

@@ -27,8 +27,13 @@
 //
 // Proofs thread into verify::certify_safety (certificate.hpp) so the
 // executors can elide per-access shadow audits for statically-certified
-// phases (Launcher audit=certified-skip mode).
+// phases (Launcher audit=certified-skip mode).  The composite kernels use
+// the same memo: each component step of verify_composite_safety cites
+// certify_safety for its primitive instead of re-running that proof.
 #pragma once
+
+#include <string_view>
+#include <vector>
 
 #include "cfprims/primitive.hpp"
 #include "verify/proof.hpp"
@@ -48,17 +53,36 @@ namespace cfmerge::verify {
 [[nodiscard]] ProofObject verify_primitive_safety(std::string_view name, int w,
                                                   int e);
 
-/// Safety proof for the pairwise CF merge pass (staged tile fill, merge-path
-/// probes, CF gather, stride/rank output scatter) as composed in
-/// sort/merge_pass.hpp.
-[[nodiscard]] ProofObject verify_merge_safety(int w, int e);
+/// One step of a composite kernel's safety proof: the registered primitive
+/// whose memoized safety certificate (certify_safety) it cites, or, when
+/// `primitive` is empty, the block sort's stride-phase bijection, checked by
+/// hand because cf_stride registers only for gcd(w, E) = 1.
+struct CompositeStep {
+  std::string_view name;       ///< proof step name, e.g. "fill-component:cf_stage"
+  std::string_view primitive;  ///< cited registry primitive; empty = hand step
+};
 
-/// Safety proof for the k-way multiway cascade (fill, per-level CF gather +
-/// rank scatter ping-pong) as composed in sort/multiway_pass.hpp.
-[[nodiscard]] ProofObject verify_multiway_safety(int w, int e, int k);
+/// A sort kernel composed from registered primitives, its components in
+/// kernel order plus the barrier argument ("glue") that chains them.
+struct CompositeKernel {
+  std::string_view name;   ///< proof schedule and family: "merge", ...
+  std::string_view scope;
+  std::vector<CompositeStep> steps;
+  std::string_view glue_step;  ///< name of the barrier-order step
+  std::string_view glue;       ///< its evidence
+  bool per_arity = false;      ///< proved once per merge arity k (multiway)
+};
 
-/// Safety proof for the block sort (staged load, stride-E thread phases,
-/// CF merge rounds with the staging copy) as composed in sort/block_sort.hpp.
-[[nodiscard]] ProofObject verify_blocksort_safety(int w, int e);
+/// The composite kernels in sweep order: the pairwise merge pass
+/// (sort/merge_pass.hpp), the block sort (sort/block_sort.hpp) and the k-way
+/// cascade (sort/multiway_pass.hpp).
+[[nodiscard]] const std::vector<CompositeKernel>& composite_kernels();
+
+/// Safety proof of one composite kernel at (w, e): every component step
+/// cites its primitive's memoized safety certificate, then the
+/// data-dependent probe note and the glue step.  `k` is the merge arity of
+/// a per_arity kernel and 0 otherwise (std::invalid_argument if not).
+[[nodiscard]] ProofObject verify_composite_safety(const CompositeKernel& kernel,
+                                                  int w, int e, int k = 0);
 
 }  // namespace cfmerge::verify

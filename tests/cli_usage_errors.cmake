@@ -1,0 +1,47 @@
+# CLI test: a tool must reject bad input as a usage error — exit status 2
+# and a "<tool>: <message>" first line on stderr — never abort.
+#
+#   cmake -DTOOL=<path to cfsort or cfverify> -P cli_usage_errors.cmake
+if(NOT TOOL)
+  message(FATAL_ERROR "pass -DTOOL=<path to the cfsort or cfverify binary>")
+endif()
+get_filename_component(tool_name "${TOOL}" NAME_WE)
+
+# run_case(<expected first stderr line> <tool args>...)
+function(run_case expected)
+  execute_process(COMMAND ${TOOL} ${ARGN}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  string(REGEX REPLACE "\n.*" "" first "${err}")
+  string(STRIP "${first}" first)
+  string(JOIN " " args ${ARGN})
+  if(NOT rc STREQUAL "2" OR NOT first STREQUAL expected)
+    message(SEND_ERROR "${tool_name} ${args}: want exit 2 and '${expected}', "
+                       "got exit '${rc}' and '${first}'")
+  else()
+    message(STATUS "${tool_name} ${args}: exit 2, '${first}'")
+  endif()
+endfunction()
+
+if(tool_name STREQUAL "cfsort")
+  # A block that does not fit on an SM: rejected before any kernel runs.
+  run_case("cfsort: MergeConfig: block does not fit on an SM"
+           --device=tiny:8,2 --n=50001)
+  run_case("cfsort: MultiwayConfig: block does not fit on an SM" --k=4 --n=50000)
+  run_case("cfsort: generate: negative n" --n=-5)
+  run_case("cfsort: MergeConfig: E must be positive" --e=0)
+elseif(tool_name STREQUAL "cfverify")
+  run_case("cfverify: stoi" --w=abc --e=4)
+  run_case("cfverify: verify_family: need w > 0 and 1 < E <= w" --w=8 --e=1)
+  run_case("cfverify: verify_family: need w > 0 and 1 < E <= w" --w=8 --e=9)
+  run_case("cfverify: verify_bitonic: warp width must be a power of two"
+           --widths=3 --quiet)
+  run_case("cfverify: refute_multiway_direct: need w > 0 and 1 < E <= w"
+           --widths=0 --quiet)
+  run_case("cfverify: stoi" --widths=x)
+  run_case("cfverify: shared_access_cost: bank count out of range"
+           --w=200 --e=4 --quiet)
+  # The legacy cf_gather-only fork is gone; its flag is an unknown argument.
+  run_case("cfverify: unknown argument: --no-primitives" --no-primitives)
+else()
+  message(FATAL_ERROR "no usage-error cases for '${tool_name}'")
+endif()

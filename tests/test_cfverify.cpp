@@ -310,24 +310,38 @@ TEST(CfVerify, VerifyAllReportIsOkAndSerializes) {
   // arity, and refutes cf_gather_no_pi always and cf_gather_no_rho +
   // cf_permute_no_rho when gcd(w, E) > 1; every width additionally carries
   // the bitonic profiles and the per-k direct claims.
+  //
+  // Pass 3 safety-proves every registry primitive the family supports
+  // (CF and broken alike), the merge and blocksort composites and one
+  // multiway composite per arity, and refutes both safety ablations.
   constexpr std::size_t kCfPrimitives = 7;
   constexpr std::size_t kBrokenCoprime = 1;   // cf_gather_no_pi
   constexpr std::size_t kBrokenSharedD = 2;   // *_no_rho variants
+  constexpr std::size_t kSafetyAblations = 2;  // off-by-wE, read-before-scatter
   std::size_t want_refutations = 0;
   std::size_t want_proofs = 0;
+  std::size_t want_safety_proofs = 0;
+  std::size_t want_safety_refutations = 0;
   for (const int w : opts.widths) {
     ++want_refutations;  // bitonic cf claim
     want_refutations += opts.ks.size();  // direct k-ary claims
     want_proofs += 2;  // bitonic padded + unpadded profile
     for (int e = 2; e <= w; ++e) {
+      const bool coprime = numtheory::gcd(w, e) == 1;
+      const std::size_t supported =  // registry primitives supported at (w, E)
+          kCfPrimitives + kBrokenCoprime + (coprime ? 1 : kBrokenSharedD);
       want_proofs += kCfPrimitives + opts.ks.size();
-      if (numtheory::gcd(w, e) == 1) ++want_proofs;  // cf_stride
+      if (coprime) ++want_proofs;  // cf_stride
       want_refutations += kBrokenCoprime;
-      if (numtheory::gcd(w, e) > 1) want_refutations += kBrokenSharedD;
+      if (!coprime) want_refutations += kBrokenSharedD;
+      want_safety_proofs += supported + 2 + opts.ks.size();  // + merge, blocksort
+      want_safety_refutations += kSafetyAblations;
     }
   }
   EXPECT_EQ(report.proofs.size(), want_proofs);
   EXPECT_EQ(report.refutations.size(), want_refutations);
+  EXPECT_EQ(report.safety_proofs.size(), want_safety_proofs);
+  EXPECT_EQ(report.safety_refutations.size(), want_safety_refutations);
 
   std::ostringstream os;
   analysis::write_json(os, report);

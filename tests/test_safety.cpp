@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "cfprims/primitive.hpp"
 #include "verify/certificate.hpp"
@@ -100,38 +103,65 @@ TEST(Safety, AblationsRefuteAcrossTheGrid) {
 }
 
 TEST(Safety, CompositeSchedulesProve) {
-  for (const int w : {8, 16, 32}) {
-    for (const int e : {3, 4, 8}) {
-      const ProofObject merge = verify_merge_safety(w, e);
-      EXPECT_TRUE(merge.proved()) << "merge w=" << w << " E=" << e << " step '"
-                                  << failed_step(merge) << "'";
-      const ProofObject bs = verify_blocksort_safety(w, e);
-      EXPECT_TRUE(bs.proved()) << "blocksort w=" << w << " E=" << e << " step '"
-                               << failed_step(bs) << "'";
-      for (const int k : {2, 4, 8}) {
-        const ProofObject mw = verify_multiway_safety(w, e, k);
-        EXPECT_TRUE(mw.proved()) << "multiway w=" << w << " E=" << e
-                                 << " k=" << k << " step '" << failed_step(mw)
-                                 << "'";
-      }
-    }
+  for (const CompositeKernel& kernel : composite_kernels()) {
+    const std::vector<int> ks =
+        kernel.per_arity ? std::vector<int>{2, 4, 8} : std::vector<int>{0};
+    for (const int w : {8, 16, 32})
+      for (const int e : {3, 4, 8})
+        for (const int k : ks) {
+          const ProofObject po = verify_composite_safety(kernel, w, e, k);
+          EXPECT_TRUE(po.proved()) << kernel.name << " w=" << w << " E=" << e
+                                   << " k=" << k << " step '" << failed_step(po)
+                                   << "'";
+        }
   }
 }
 
 TEST(Safety, CompositeProofsCiteComponentCertificates) {
   // A composite derivation is structured: it must cite the primitive
-  // families it is built from, so a future primitive refutation breaks the
-  // composite proof too.
-  const ProofObject po = verify_merge_safety(16, 4);
-  ASSERT_TRUE(po.proved());
-  std::set<std::string> cited;
-  for (const ProofStep& s : po.steps) {
-    const std::size_t mark = s.name.find("-component:");
-    if (mark != std::string::npos)
-      cited.insert(s.name.substr(mark + std::string("-component:").size()));
+  // families it is built from, each through its memoized safety
+  // certificate, so a future primitive refutation breaks the composite
+  // proof too.  The merge pass's store is the registered cf_rank_scatter.
+  const std::map<std::string, std::set<std::string>> want = {
+      {"merge", {"cf_stage", "cf_gather", "cf_rank_scatter"}},
+      {"blocksort", {"cf_stage", "cf_gather"}},
+      {"multiway", {"cf_stage", "cf_gather", "cf_rank_scatter"}},
+  };
+  const std::string tag = "-component:";
+  std::set<std::string> covered;
+  for (const CompositeKernel& kernel : composite_kernels()) {
+    const std::string name(kernel.name);
+    ASSERT_TRUE(want.count(name)) << "no expectation for composite " << name;
+    covered.insert(name);
+    const ProofObject po =
+        verify_composite_safety(kernel, 16, 4, kernel.per_arity ? 4 : 0);
+    ASSERT_TRUE(po.proved()) << name << " step '" << failed_step(po) << "'";
+    std::set<std::string> cited;
+    for (const ProofStep& s : po.steps) {
+      const std::size_t mark = s.name.find(tag);
+      if (mark == std::string::npos) continue;
+      const std::string prim = s.name.substr(mark + tag.size());
+      cited.insert(prim);
+      EXPECT_NE(s.detail.find("memoized " + prim + " safety certificate"),
+                std::string::npos)
+          << name << " step " << s.name << ": " << s.detail;
+    }
+    EXPECT_EQ(cited, want.at(name)) << name;
   }
-  EXPECT_TRUE(cited.count("cf_stage")) << "merge proof does not cite cf_stage";
-  EXPECT_TRUE(cited.count("cf_gather")) << "merge proof does not cite cf_gather";
+  EXPECT_EQ(covered.size(), want.size()) << "a composite kernel is missing";
+}
+
+TEST(Safety, CompositeWithoutComponentCertificateIsRefuted) {
+  // E > w is outside every component's domain: no certificate to cite, so
+  // each component step fails and the proof is refuted without a witness.
+  const CompositeKernel& merge = composite_kernels().front();
+  ASSERT_EQ(merge.name, "merge");
+  const ProofObject po = verify_composite_safety(merge, 8, 9);
+  EXPECT_EQ(po.verdict, Verdict::kRefutedNoWitness);
+  EXPECT_EQ(failed_step(po), "fill-component:cf_stage");
+  EXPECT_THROW((void)verify_composite_safety(merge, 8, 4, 2), std::invalid_argument);
+  EXPECT_THROW((void)verify_composite_safety(composite_kernels().back(), 8, 4),
+               std::invalid_argument);
 }
 
 TEST(Safety, UnknownPrimitiveThrows) {

@@ -1,20 +1,21 @@
 // cfverify — static bank-conflict verifier + shared-memory shadow checker.
 //
 //   cfverify [options]
-//     --all                        full sweep: CF gather proofs for every
-//                                  w in {4,8,16,32,64} x 1 < E <= w, broken-
-//                                  variant refutations, Theorem 8 analyses
+//     --all                        full sweep: every registered CF primitive
+//                                  proved (broken variants refuted) for every
+//                                  w in {4,8,16,32,64} x 1 < E <= w, k-way
+//                                  cascades, Pass 3 safety proofs and
+//                                  ablation refutations, Theorem 8 analyses
 //                                  and bitonic profiles (the default when no
 //                                  --w/--e is given)
-//     --w=W --e=E                  verify one (w, E) family only (plus its
-//                                  broken variants and Theorem 8 analysis)
+//     --w=W --e=E                  verify one (w, E) family only: the same
+//                                  per-family sweep body, plus the direct
+//                                  k-ary refutations at (W, E) and the
+//                                  bitonic profiles of width W
 //     --widths=4,8,16              override the sweep widths
 //     --ks=2,4,8                   override the multiway merge arities (each
 //                                  must be a power of two >= 2)
 //     --no-broken                  skip the deliberately-broken refutations
-//     --no-primitives              skip the registered-CFPrimitive sweep and
-//                                  fall back to the legacy cf_gather-only
-//                                  proofs
 //     --no-worstcase               skip the Theorem 8 analyses
 //     --no-bitonic                 skip the bitonic exchange profiles
 //     --no-multiway                skip the k-way cascade proofs and the
@@ -30,7 +31,8 @@
 //     --quiet                      suppress the per-proof text table
 //
 // Exit status: 0 when every required proof holds, every broken schedule is
-// refuted and the shadow checker is clean; 1 otherwise; 2 on usage errors.
+// refuted and the shadow checker is clean; 1 otherwise; 2 on usage errors
+// (unknown flags, malformed numbers, a (w, E) outside the verifier's range).
 //
 // Examples:
 //   cfverify --all --json | jq .ok
@@ -42,6 +44,7 @@
 #include <iostream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -55,14 +58,7 @@ struct Options {
   bool all = false;
   int w = 0;
   int e = 0;
-  std::vector<int> widths = {4, 8, 16, 32, 64};
-  std::vector<int> ks = {2, 4, 8};
-  bool broken = true;
-  bool primitives = true;
-  bool worstcase = true;
-  bool bitonic = true;
-  bool multiway = true;
-  bool safety = true;
+  verify::VerifyOptions sweep;
   bool shadow = false;
   bool json = false;
   bool quiet = false;
@@ -72,9 +68,8 @@ struct Options {
   if (msg) std::fprintf(stderr, "cfverify: %s\n", msg);
   std::fprintf(stderr,
                "usage: cfverify [--all] [--w=W --e=E] [--widths=4,8,...] [--ks=2,4,...]\n"
-               "                [--no-broken] [--no-primitives] [--no-worstcase]\n"
-               "                [--no-bitonic] [--no-multiway] [--no-safety] [--shadow]\n"
-               "                [--json]\n"
+               "                [--no-broken] [--no-worstcase] [--no-bitonic]\n"
+               "                [--no-multiway] [--no-safety] [--shadow] [--json]\n"
                "                [--quiet]\n");
   std::exit(msg ? 2 : 0);
 }
@@ -103,14 +98,13 @@ Options parse(int argc, char** argv) {
     else if (a == "--all") o.all = true;
     else if (auto v = val("--w"); !v.empty()) o.w = std::stoi(v);
     else if (auto v = val("--e"); !v.empty()) o.e = std::stoi(v);
-    else if (auto v = val("--widths"); !v.empty()) o.widths = parse_int_list(v, "--widths");
-    else if (auto v = val("--ks"); !v.empty()) o.ks = parse_int_list(v, "--ks");
-    else if (a == "--no-broken") o.broken = false;
-    else if (a == "--no-primitives") o.primitives = false;
-    else if (a == "--no-worstcase") o.worstcase = false;
-    else if (a == "--no-bitonic") o.bitonic = false;
-    else if (a == "--no-multiway") o.multiway = false;
-    else if (a == "--no-safety") o.safety = false;
+    else if (auto v = val("--widths"); !v.empty()) o.sweep.widths = parse_int_list(v, "--widths");
+    else if (auto v = val("--ks"); !v.empty()) o.sweep.ks = parse_int_list(v, "--ks");
+    else if (a == "--no-broken") o.sweep.broken = false;
+    else if (a == "--no-worstcase") o.sweep.worstcase = false;
+    else if (a == "--no-bitonic") o.sweep.bitonic = false;
+    else if (a == "--no-multiway") o.sweep.multiway = false;
+    else if (a == "--no-safety") o.sweep.safety = false;
     else if (a == "--shadow") o.shadow = true;
     else if (a == "--json") o.json = true;
     else if (a == "--quiet") o.quiet = true;
@@ -118,72 +112,10 @@ Options parse(int argc, char** argv) {
   }
   if ((o.w != 0) != (o.e != 0)) usage("--w and --e must be given together");
   if (o.w != 0 && o.all) usage("--all and --w/--e are mutually exclusive");
-  for (const int k : o.ks)
+  for (const int k : o.sweep.ks)
     if (k < 2 || (k & (k - 1)) != 0)
       usage("--ks: every arity must be a power of two >= 2");
   return o;
-}
-
-/// Single-family report: the same shape verify_all produces for one (w, E) —
-/// every registered CFPrimitive through the generic lowering path, then the
-/// cascades (reusing cf_gather's proof as the two-way lemma), Theorem 8 and
-/// the bitonic profiles.
-verify::VerifyReport verify_one(const Options& o) {
-  verify::VerifyReport report;
-  verify::ProofObject two_way;
-  if (o.primitives) {
-    for (const cfprims::CFPrimitive* prim : cfprims::registry()) {
-      if (!prim->supports(o.w, o.e)) continue;
-      const bool broken = !prim->expected_conflict_free(o.w, o.e);
-      if (broken && !o.broken) continue;
-      verify::ProofObject po = verify::verify_primitive(*prim, o.w, o.e);
-      if (!broken && prim->name() == "cf_gather") two_way = po;
-      (broken ? report.refutations : report.proofs).push_back(std::move(po));
-    }
-  } else {
-    two_way = verify::verify_cf_gather(o.w, o.e);
-    report.proofs.push_back(two_way);
-    if (o.broken) {
-      report.refutations.push_back(
-          verify::verify_cf_gather(o.w, o.e, verify::ScheduleVariant::kNoBReversal));
-      if (numtheory::gcd(static_cast<std::int64_t>(o.w),
-                         static_cast<std::int64_t>(o.e)) > 1)
-        report.refutations.push_back(
-            verify::verify_cf_gather(o.w, o.e, verify::ScheduleVariant::kNoRhoShift));
-    }
-  }
-  if (o.multiway)
-    for (const int k : o.ks) {
-      report.proofs.push_back(verify::verify_multiway_cascade(o.w, o.e, k, &two_way));
-      if (o.broken)
-        report.refutations.push_back(verify::refute_multiway_direct(o.w, o.e, k));
-    }
-  if (o.safety) {
-    for (const cfprims::CFPrimitive* prim : cfprims::registry()) {
-      if (!prim->supports(o.w, o.e)) continue;
-      report.safety_proofs.push_back(verify::verify_primitive_safety(*prim, o.w, o.e));
-    }
-    report.safety_proofs.push_back(verify::verify_merge_safety(o.w, o.e));
-    report.safety_proofs.push_back(verify::verify_blocksort_safety(o.w, o.e));
-    if (o.multiway)
-      for (const int k : o.ks)
-        report.safety_proofs.push_back(verify::verify_multiway_safety(o.w, o.e, k));
-    for (const cfprims::CFPrimitive* prim : cfprims::safety_ablations()) {
-      if (!prim->supports(o.w, o.e)) continue;
-      report.safety_refutations.push_back(
-          verify::verify_primitive_safety(*prim, o.w, o.e));
-    }
-  }
-  if (o.worstcase)
-    report.worstcase.push_back(
-        verify::analyze_worstcase_warp(worstcase::Params{o.w, o.e}));
-  if (o.bitonic) {
-    const std::int64_t tile = 4 * static_cast<std::int64_t>(o.w);
-    report.proofs.push_back(verify::verify_bitonic_exchange(tile, o.w, true));
-    report.proofs.push_back(verify::verify_bitonic_exchange(tile, o.w, false));
-    report.refutations.push_back(verify::refute_bitonic_unpadded(tile, o.w));
-  }
-  return report;
 }
 
 /// Dynamic shadow-checked launches: a small CF merge sort end to end plus a
@@ -248,7 +180,7 @@ verify::ShadowSummary run_shadow() {
 void print_text(const verify::VerifyReport& report) {
   auto line = [](const verify::ProofObject& p, bool want_proved) {
     const char* mark = (p.proved() == want_proved) ? "ok " : "FAIL";
-    char arity[8] = "    ";
+    char arity[16] = "    ";
     if (p.k > 0) std::snprintf(arity, sizeof arity, "k=%-2d", p.k);
     std::printf("  [%s] %-22s w=%-3d E=%-3d %s d=%lld  %s\n", mark, p.schedule.c_str(),
                 p.w, p.e, arity, static_cast<long long>(p.d),
@@ -349,25 +281,15 @@ void print_text(const verify::VerifyReport& report) {
   std::printf("verdict: %s\n", report.ok() ? "OK" : "FAIL");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const Options o = parse(argc, argv);
 
   verify::VerifyReport report;
   if (o.w != 0) {
-    report = verify_one(o);
+    verify::verify_family(report, o.sweep, o.w, o.e);
+    verify::verify_width(report, o.sweep, o.w, o.e);
   } else {
-    verify::VerifyOptions vo;
-    vo.widths = o.widths;
-    vo.broken = o.broken;
-    vo.primitives = o.primitives;
-    vo.worstcase = o.worstcase;
-    vo.bitonic = o.bitonic;
-    vo.multiway = o.multiway;
-    vo.safety = o.safety;
-    vo.ks = o.ks;
-    report = verify_all(vo);
+    report = verify_all(o.sweep);
   }
   if (o.shadow) report.shadow = run_shadow();
 
@@ -377,4 +299,18 @@ int main(int argc, char** argv) {
     print_text(report);
 
   return report.ok() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Malformed numbers (std::stoi) and a (w, E) or width the verifier rejects
+  // surface as std::logic_error subtypes: report them as usage errors
+  // instead of aborting.
+  try {
+    return run(argc, argv);
+  } catch (const std::logic_error& e) {
+    std::fprintf(stderr, "cfverify: %s\n", e.what());
+    return 2;
+  }
 }
