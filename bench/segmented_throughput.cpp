@@ -93,7 +93,7 @@ bool reports_identical(const sort::SegmentedSortReport& a,
 
 int main(int argc, char** argv) {
   int max_segments = 32;
-  std::int64_t total = 512 * 15 * 64;
+  long long total = 512 * 15 * 64;  // %lld's type, not std::int64_t (long on LP64)
   int threads = 0;
   for (int i = 1; i < argc; ++i) {
     std::sscanf(argv[i], "--segments=%d", &max_segments);
@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
 
   std::printf("Segmented sort throughput: CF-Merge, %lld elements total,\n"
               "pseudo-random segment sizes (seed 7)\n\n",
-              static_cast<long long>(total));
+              total);
 
   analysis::Table t("graph overlap vs serial launch cadence");
   t.set_header({"segments", "serial (us)", "makespan (us)", "overlap", "elem/us",

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdlib>
 #include <exception>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
+
+#include "gpusim/parse_int.hpp"
 
 namespace cfmerge::gpusim {
 
@@ -22,12 +26,10 @@ int resolve_threads(int requested) {
   if (requested < 0)
     throw std::invalid_argument("Launcher: thread count must be non-negative");
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("CFMERGE_SIM_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-    if (n == 0 && env[0] == '0') return hardware_threads();
-  }
-  return 1;
+  const char* env = std::getenv("CFMERGE_SIM_THREADS");
+  if (env == nullptr || *env == '\0') return 1;
+  const int n = parse_int<int>(env, "CFMERGE_SIM_THREADS", 0);
+  return n == 0 ? hardware_threads() : n;
 }
 
 /// What one simulated block produces, reduced into the report in block
@@ -47,15 +49,6 @@ struct BlockOutcome {
 struct WorkItem {
   int node = 0;
   int block = 0;
-};
-
-/// Joins the pool on scope exit so a throw never leaks running threads.
-struct PoolJoiner {
-  std::vector<std::thread>& pool;
-  ~PoolJoiner() {
-    for (std::thread& t : pool)
-      if (t.joinable()) t.join();
-  }
 };
 
 /// Simulates one block of one kernel into its private outcome slot.
@@ -104,12 +97,105 @@ KernelReport reduce_node(const DeviceSpec& dev, const std::string& name,
 
 }  // namespace
 
+namespace detail {
+
+/// The launcher's persistent helper threads.  run() hands a wavefront of
+/// `count` independent items to the calling thread plus `workers - 1`
+/// helpers, which all claim items from one atomic cursor; between wavefronts
+/// the helpers park on a condition variable.  Completion is signalled under
+/// the mutex, so everything a helper wrote happens-before run() returns.
+class WorkerPool {
+ public:
+  using Job = std::function<void(std::size_t)>;
+
+  WorkerPool() = default;
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
+
+  ~WorkerPool() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    wake_.notify_all();
+    for (std::thread& t : helpers_) t.join();
+  }
+
+  /// Runs job(k) for every k in [0, count) on the calling thread and
+  /// `workers - 1` helpers (started on first need), and returns once every
+  /// item is done.  `job` must not throw.
+  void run(int workers, std::size_t count, const Job& job) {
+    const int helpers = workers - 1;
+    while (static_cast<int>(helpers_.size()) < helpers)
+      helpers_.emplace_back(&WorkerPool::helper_loop, this, static_cast<int>(helpers_.size()));
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      job_ = &job;
+      count_ = count;
+      next_.store(0, std::memory_order_relaxed);
+      active_ = helpers;
+      pending_ = helpers;
+      ++generation_;
+    }
+    wake_.notify_all();
+    drain();
+    std::unique_lock<std::mutex> lock(mu_);
+    done_.wait(lock, [&] { return pending_ == 0; });
+  }
+
+ private:
+  void drain() {
+    for (;;) {
+      const std::size_t k = next_.fetch_add(1, std::memory_order_relaxed);
+      if (k >= count_) return;
+      (*job_)(k);
+    }
+  }
+
+  /// Helper `index` joins every wavefront that asks for more than `index`
+  /// helpers; a new helper's index is at least every earlier wavefront's
+  /// helper count, so it never joins a wavefront that is already running.
+  void helper_loop(int index) {
+    std::uint64_t seen = 0;
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      wake_.wait(lock, [&] { return stop_ || (generation_ != seen && index < active_); });
+      if (stop_) return;
+      seen = generation_;
+      lock.unlock();
+      drain();
+      lock.lock();
+      if (--pending_ == 0) done_.notify_one();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable wake_;  // helpers: a new wavefront or stop
+  std::condition_variable done_;  // caller: every helper of the wavefront finished
+  // Guarded by mu_.
+  bool stop_ = false;
+  std::uint64_t generation_ = 0;
+  int active_ = 0;   // helpers that join the current wavefront
+  int pending_ = 0;  // of those, the ones still draining
+  const Job* job_ = nullptr;
+  std::size_t count_ = 0;
+  // The item cursor, shared by the caller and the active helpers.
+  std::atomic<std::size_t> next_{0};
+  std::vector<std::thread> helpers_;  // last: the threads use every member above
+};
+
+}  // namespace detail
+
 Launcher::Launcher(DeviceSpec dev) : dev_(std::move(dev)) {
   dev_.validate();
   if (dev_.l2_bytes > 0)
     l2_ = std::make_unique<L2Cache>(dev_.l2_bytes, dev_.transaction_bytes, dev_.l2_ways);
   threads_ = resolve_threads(dev_.sim_threads);
 }
+
+Launcher::~Launcher() = default;
+Launcher::Launcher(Launcher&&) noexcept = default;
+Launcher& Launcher::operator=(Launcher&&) noexcept = default;
 
 void Launcher::set_threads(int n) { threads_ = resolve_threads(n); }
 
@@ -122,6 +208,14 @@ KernelReport Launcher::launch(const std::string& name, const LaunchShape& shape,
 }
 
 GraphReport Launcher::run(const KernelGraph& graph, GraphExec mode) {
+  if (running_)
+    throw std::logic_error("Launcher::run: not re-entrant (a kernel body ran its launcher)");
+  running_ = true;
+  struct Running {
+    bool& flag;
+    ~Running() { flag = false; }
+  } running{running_};
+
   GraphReport out;
   if (graph.empty()) return out;
   const std::vector<KernelNode>& nodes = graph.nodes();
@@ -148,34 +242,24 @@ GraphReport Launcher::run(const KernelGraph& graph, GraphExec mode) {
 
   // Runs a list of mutually independent work items.  Sequentially the first
   // exception propagates directly; on the pool all items are drained and the
-  // earliest (enqueue id, block id) failure is rethrown after the join.
-  // Either way the launcher commits nothing on a throw.
+  // earliest (enqueue id, block id) failure is rethrown once every worker
+  // finished.  Either way the launcher commits nothing on a throw.
   auto run_items = [&](const std::vector<WorkItem>& items) {
     const int workers = std::min<int>(pool_size, static_cast<int>(items.size()));
     if (workers <= 1) {
       for (const WorkItem& it : items) simulate(it);
       return;
     }
-    std::atomic<std::size_t> next{0};
-    auto drain = [&]() {
-      for (;;) {
-        const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
-        if (k >= items.size()) return;
-        try {
-          simulate(items[k]);
-        } catch (...) {
-          outcomes[static_cast<std::size_t>(items[k].node)]
-                  [static_cast<std::size_t>(items[k].block)]
-                      .error = std::current_exception();
-        }
+    if (pool_ == nullptr) pool_ = std::make_unique<detail::WorkerPool>();
+    pool_->run(workers, items.size(), [&](std::size_t k) {
+      try {
+        simulate(items[k]);
+      } catch (...) {
+        outcomes[static_cast<std::size_t>(items[k].node)]
+                [static_cast<std::size_t>(items[k].block)]
+                    .error = std::current_exception();
       }
-    };
-    {
-      std::vector<std::thread> pool;
-      PoolJoiner joiner{pool};
-      pool.reserve(static_cast<std::size_t>(workers));
-      for (int t = 0; t < workers; ++t) pool.emplace_back(drain);
-    }
+    });
     for (const WorkItem& it : items) {
       const std::exception_ptr& err = outcomes[static_cast<std::size_t>(it.node)]
                                               [static_cast<std::size_t>(it.block)]

@@ -3,7 +3,9 @@
 //
 // A "kernel" is any callable void(BlockContext&).  The model is
 // deterministic and blocks are independent, so the launcher may simulate
-// them on a pool of host threads (see set_threads / DeviceSpec::sim_threads).
+// them on several host threads (see set_threads / DeviceSpec::sim_threads):
+// the calling thread plus helpers from a pool the launcher creates at its
+// first parallel wavefront and keeps, parked, until it is destroyed.
 // Each block accumulates into private per-block state which is then reduced
 // in block order, so the resulting KernelReport — counters, chains, timing —
 // is bit-identical to the sequential execution no matter how many worker
@@ -43,6 +45,10 @@
 #include "gpusim/timing.hpp"
 
 namespace cfmerge::gpusim {
+
+namespace detail {
+class WorkerPool;
+}  // namespace detail
 
 struct KernelReport {
   std::string name;
@@ -87,6 +93,10 @@ struct GraphReport {
 class Launcher {
  public:
   explicit Launcher(DeviceSpec dev);
+  /// Stops and joins the worker pool's helper threads.
+  ~Launcher();
+  Launcher(Launcher&&) noexcept;
+  Launcher& operator=(Launcher&&) noexcept;
 
   /// The device L2 model, or nullptr when disabled.
   [[nodiscard]] L2Cache* l2() const { return l2_.get(); }
@@ -116,8 +126,12 @@ class Launcher {
   ///   n >= 1  use exactly n workers (1 = sequential, the default);
   ///   n == 0  resolve from the CFMERGE_SIM_THREADS environment variable
   ///           (where 0 itself means std::thread::hardware_concurrency),
-  ///           falling back to 1 when unset.
-  /// Reports are bit-identical for every value; see the header comment.
+  ///           falling back to 1 when unset or empty.
+  /// A wavefront of m blocks runs on min(n, m) workers: the calling thread
+  /// and min(n, m) - 1 pool helpers.  Throws std::invalid_argument for a
+  /// negative n or a CFMERGE_SIM_THREADS that is not a whole non-negative
+  /// integer.  Reports are bit-identical for every value; see the header
+  /// comment.
   void set_threads(int n);
   /// The resolved worker-thread count used by subsequent launches.
   [[nodiscard]] int threads() const { return threads_; }
@@ -125,8 +139,8 @@ class Launcher {
   /// Runs `body` for each of `shape.blocks` blocks and returns the report.
   /// The report is also appended to the launch history.  When the body
   /// throws for any block, the exception of the lowest-id failing block is
-  /// rethrown after all workers have been joined, and neither the history,
-  /// nor the attached trace sink, nor any launcher statistic is modified.
+  /// rethrown after every worker finished, and neither the history, nor the
+  /// attached trace sink, nor any launcher statistic is modified.
   KernelReport launch(const std::string& name, const LaunchShape& shape,
                       const std::function<void(BlockContext&)>& body);
 
@@ -138,8 +152,10 @@ class Launcher {
   /// the launcher forces the sequential fallback exactly as launch does.
   /// When any kernel body throws, the exception of the earliest failing
   /// (enqueue id, block id) in the earliest failing wavefront is rethrown
-  /// after all workers joined, and neither the history, nor the attached
-  /// trace sink, nor any launcher statistic is modified.
+  /// after every worker finished, and neither the history, nor the attached
+  /// trace sink, nor any launcher statistic is modified.  Not re-entrant: a
+  /// kernel body that calls run or launch on the launcher running it gets
+  /// std::logic_error.
   GraphReport run(const KernelGraph& graph, GraphExec mode = GraphExec::Overlap);
 
   [[nodiscard]] const std::vector<KernelReport>& history() const { return history_; }
@@ -179,6 +195,8 @@ class Launcher {
   std::uint64_t bulk_charges_ = 0;
   std::uint64_t lane_charges_ = 0;
   std::uint64_t audit_skipped_accesses_ = 0;
+  bool running_ = false;  // inside run(); guards against re-entry
+  std::unique_ptr<detail::WorkerPool> pool_;  // created at the first parallel wavefront
 };
 
 }  // namespace cfmerge::gpusim

@@ -29,15 +29,19 @@ if(tool_name STREQUAL "cfsort")
   run_case("cfsort: MultiwayConfig: block does not fit on an SM" --k=4 --n=50000)
   run_case("cfsort: generate: negative n" --n=-5)
   run_case("cfsort: MergeConfig: E must be positive" --e=0)
+  # Integer flags are parsed whole: a suffix is an error, not ignored.
+  run_case("cfsort: --n: not an integer: '100k'" --n=100k)
+  run_case("cfsort: --threads: not an integer: '4x'" --threads=4x)
 elseif(tool_name STREQUAL "cfverify")
-  run_case("cfverify: stoi" --w=abc --e=4)
+  run_case("cfverify: --w: not an integer: 'abc'" --w=abc --e=4)
+  run_case("cfverify: --w: not an integer: '8x'" --w=8x --e=4)
   run_case("cfverify: verify_family: need w > 0 and 1 < E <= w" --w=8 --e=1)
   run_case("cfverify: verify_family: need w > 0 and 1 < E <= w" --w=8 --e=9)
   run_case("cfverify: verify_bitonic: warp width must be a power of two"
            --widths=3 --quiet)
   run_case("cfverify: refute_multiway_direct: need w > 0 and 1 < E <= w"
            --widths=0 --quiet)
-  run_case("cfverify: stoi" --widths=x)
+  run_case("cfverify: --widths: not an integer: 'x'" --widths=x)
   run_case("cfverify: shared_access_cost: bank count out of range"
            --w=200 --e=4 --quiet)
   # The legacy cf_gather-only fork is gone; its flag is an unknown argument.

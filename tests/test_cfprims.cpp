@@ -170,7 +170,7 @@ TEST(CfprimsPermute, ForwardAppliesRhoAndRoundTripsConflictFree) {
       const std::int64_t tile = cfg.tile();
       // Two shared tiles per block; skip shapes the tiny device can't host.
       if (2 * tile * static_cast<std::int64_t>(sizeof(std::int32_t)) >
-          launcher.device().shared_bytes_per_sm)
+          static_cast<std::int64_t>(launcher.device().shared_bytes_per_sm))
         continue;
       const auto in = random_vec(3 * tile, 7 * static_cast<std::uint64_t>(w) + e);
 
@@ -205,7 +205,7 @@ TEST(CfprimsTranspose, TransposesAndRoundTripsConflictFree) {
       cfg.u = 2 * w;
       const std::int64_t tile = cfg.tile();
       if (2 * tile * static_cast<std::int64_t>(sizeof(std::int32_t)) >
-          launcher.device().shared_bytes_per_sm)
+          static_cast<std::int64_t>(launcher.device().shared_bytes_per_sm))
         continue;
       const auto in = random_vec(2 * tile, 11 * static_cast<std::uint64_t>(w) + e);
 

@@ -6,9 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdlib>
+#include <mutex>
 #include <numeric>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "gpusim/memory_views.hpp"
@@ -372,4 +380,267 @@ TEST(LauncherParallel, DataParallelKernelStillMovesData) {
   for (int b = 0; b < 16; ++b)
     for (int i = 0; i < 16; ++i)
       EXPECT_EQ(data[static_cast<std::size_t>(b * 16 + i)], b * 16 + 15 - i);
+}
+
+TEST(LauncherParallel, SimThreadsEnvironmentIsParsedStrictly) {
+  // Sets CFMERGE_SIM_THREADS for the scope and restores the caller's value.
+  struct EnvGuard {
+    std::optional<std::string> saved;
+    EnvGuard() {
+      if (const char* v = std::getenv("CFMERGE_SIM_THREADS")) saved = v;
+    }
+    ~EnvGuard() {
+      if (saved)
+        setenv("CFMERGE_SIM_THREADS", saved->c_str(), 1);
+      else
+        unsetenv("CFMERGE_SIM_THREADS");
+    }
+  } guard;
+  Launcher launcher(DeviceSpec::tiny(8));
+
+  setenv("CFMERGE_SIM_THREADS", "3", 1);
+  launcher.set_threads(0);
+  EXPECT_EQ(launcher.threads(), 3);
+  EXPECT_EQ(Launcher(DeviceSpec::tiny(8)).threads(), 3);  // sim_threads = 0 reads it too
+  setenv("CFMERGE_SIM_THREADS", "0", 1);  // 0 = hardware concurrency
+  launcher.set_threads(0);
+  EXPECT_GE(launcher.threads(), 1);
+  setenv("CFMERGE_SIM_THREADS", "", 1);  // empty = unset
+  launcher.set_threads(0);
+  EXPECT_EQ(launcher.threads(), 1);
+  unsetenv("CFMERGE_SIM_THREADS");
+  launcher.set_threads(0);
+  EXPECT_EQ(launcher.threads(), 1);
+
+  for (const char* bad : {"abc", "-3", "4x", " 4", "+4", "99999999999"}) {
+    SCOPED_TRACE(std::string("CFMERGE_SIM_THREADS=") + bad);
+    setenv("CFMERGE_SIM_THREADS", bad, 1);
+    EXPECT_THROW(launcher.set_threads(0), std::invalid_argument);
+    EXPECT_THROW(Launcher{DeviceSpec::tiny(8)}, std::invalid_argument);
+    try {
+      launcher.set_threads(0);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("CFMERGE_SIM_THREADS"), std::string::npos);
+    }
+    EXPECT_EQ(launcher.threads(), 1);  // a rejected value changes nothing
+    launcher.set_threads(2);           // an explicit count ignores the variable
+    EXPECT_EQ(launcher.threads(), 2);
+    launcher.set_threads(1);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The persistent worker pool: one set of helper threads per launcher, reused
+// by every parallel wavefront, with the calling thread draining items too.
+// No test here starts more than 7 threads.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// A three-node graph: two independent kernels in one wavefront, then a
+/// kernel depending on both.
+KernelGraph mixed_graph() {
+  KernelGraph g;
+  const NodeId a = g.add("a", LaunchShape{9, 16, 0, 16}, mixed_traffic_body);
+  const NodeId b = g.add("b", LaunchShape{5, 16, 0, 16}, mixed_traffic_body);
+  g.add("c", LaunchShape{13, 16, 0, 16}, mixed_traffic_body, {a, b});
+  return g;
+}
+
+void expect_graph_bit_identical(const GraphReport& a, const GraphReport& b) {
+  ASSERT_EQ(a.kernels.size(), b.kernels.size());
+  for (std::size_t i = 0; i < a.kernels.size(); ++i)
+    expect_bit_identical(a.kernels[i], b.kernels[i]);
+  EXPECT_EQ(a.finish_microseconds, b.finish_microseconds);
+  EXPECT_EQ(a.serial_microseconds, b.serial_microseconds);
+  EXPECT_EQ(a.makespan_microseconds, b.makespan_microseconds);
+  EXPECT_EQ(a.levels, b.levels);
+}
+
+/// Records which host threads ran blocks.
+struct ThreadLog {
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  void record() {
+    std::lock_guard<std::mutex> lock(mu);
+    ids.insert(std::this_thread::get_id());
+  }
+};
+
+/// A block body that waits until `parties` blocks have arrived, so the run
+/// completes promptly only when that many workers run blocks at once.  It
+/// gives up after a timeout, so a launcher with too few workers fails the
+/// test's thread-count check instead of hanging.
+struct Rendezvous {
+  explicit Rendezvous(int n) : parties(n) {}
+  int parties;
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+  void arrive() {
+    std::unique_lock<std::mutex> lock(mu);
+    ++arrived;
+    cv.notify_all();
+    cv.wait_for(lock, std::chrono::seconds(10), [&] { return arrived >= parties; });
+  }
+};
+
+/// Runs `parties` blocks on `launcher`, each waiting for all the others;
+/// returns the distinct thread ids that ran them.
+std::set<std::thread::id> run_rendezvous(Launcher& launcher, int parties) {
+  Rendezvous meet(parties);
+  ThreadLog log;
+  launcher.launch("rendezvous", LaunchShape{parties, 8, 0, 8}, [&](BlockContext&) {
+    log.record();
+    meet.arrive();
+  });
+  return log.ids;
+}
+
+}  // namespace
+
+TEST(LauncherPool, OneLauncherReusedAcrossThreadCountsIsBitIdentical) {
+  Launcher seq(DeviceSpec::tiny(8));
+  seq.set_threads(1);
+  const LaunchShape shape{13, 16, 0, 16};
+  const KernelReport ref_launch = seq.launch("mixed", shape, mixed_traffic_body);
+  const KernelGraph graph = mixed_graph();
+  const GraphReport ref_graph = seq.run(graph);
+
+  Launcher pooled(DeviceSpec::tiny(8));
+  const int cycle[] = {1, 4, 2, 7, 1};
+  for (int round = 0; round < 24; ++round) {
+    const int threads = cycle[round % 5];
+    pooled.set_threads(threads);
+    SCOPED_TRACE("round " + std::to_string(round) + ", threads=" + std::to_string(threads));
+    expect_bit_identical(ref_launch, pooled.launch("mixed", shape, mixed_traffic_body));
+    const GraphExec mode = round % 2 == 0 ? GraphExec::Overlap : GraphExec::Serial;
+    expect_graph_bit_identical(ref_graph, pooled.run(graph, mode));
+  }
+  EXPECT_EQ(pooled.history().size(), 24u * 4u);
+}
+
+TEST(LauncherPool, ThrowingRunThenCleanRunsOnTheSamePool) {
+  Launcher seq(DeviceSpec::tiny(8));
+  const GraphReport ref = seq.run(mixed_graph());
+
+  Launcher launcher(DeviceSpec::tiny(8));
+  launcher.set_threads(4);
+  TraceSink sink;
+  launcher.set_trace(&sink);
+  EXPECT_EQ(launcher.run(mixed_graph()).kernels.size(), 3u);  // the pool is live
+  const std::size_t events = sink.size();
+  launcher.clear_history();
+
+  KernelGraph faulty;
+  faulty.add("ok", LaunchShape{6, 8, 0, 8},
+             [](BlockContext& ctx) { ctx.charge_compute(0, 1); });
+  faulty.add("bad", LaunchShape{16, 8, 0, 8}, [](BlockContext& ctx) {
+    ctx.charge_compute(0, 1);
+    if (ctx.block_id() % 4 == 3)
+      throw std::runtime_error("block " + std::to_string(ctx.block_id()));
+  });
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    try {
+      launcher.run(faulty);
+      ADD_FAILURE() << "the faulty graph did not throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "block 3");  // earliest failing (enqueue id, block id)
+    }
+    EXPECT_TRUE(launcher.history().empty());
+    EXPECT_EQ(launcher.total_counters().warp_instructions, 0u);
+    EXPECT_EQ(sink.size(), events);
+  }
+
+  launcher.set_trace(nullptr);
+  for (int round = 0; round < 3; ++round)
+    expect_graph_bit_identical(ref, launcher.run(mixed_graph()));
+  EXPECT_EQ(launcher.history().size(), 9u);
+}
+
+TEST(LauncherPool, MovedLauncherKeepsRunningInParallel) {
+  Launcher a(DeviceSpec::tiny(8));
+  a.set_threads(4);
+  EXPECT_EQ(run_rendezvous(a, 4).size(), 4u);  // three live helpers
+
+  Launcher b(std::move(a));
+  EXPECT_EQ(b.threads(), 4);
+  EXPECT_EQ(run_rendezvous(b, 4).size(), 4u);
+
+  Launcher c(DeviceSpec::tiny(8));
+  c.set_threads(2);
+  EXPECT_EQ(run_rendezvous(c, 2).size(), 2u);  // c's own helper, joined by the assignment
+  c = std::move(b);
+  EXPECT_EQ(c.threads(), 4);
+  EXPECT_EQ(run_rendezvous(c, 4).size(), 4u);
+
+  Launcher seq(DeviceSpec::tiny(8));
+  expect_graph_bit_identical(seq.run(mixed_graph()), c.run(mixed_graph()));
+  // a and b are moved-from; they are destroyed at scope exit.
+}
+
+TEST(LauncherPool, BlocksRunOnTheCallerAndAtMostThreadsWorkers) {
+  Launcher launcher(DeviceSpec::tiny(8));
+  for (const int threads : {1, 2, 3, 7}) {
+    launcher.set_threads(threads);
+    for (const int blocks : {1, 2, 5, 40}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " blocks=" + std::to_string(blocks));
+      ThreadLog log;
+      launcher.launch("ids", LaunchShape{blocks, 8, 0, 8}, [&](BlockContext& ctx) {
+        log.record();
+        ctx.charge_compute(0, 1);
+      });
+      EXPECT_GE(log.ids.size(), 1u);
+      EXPECT_LE(log.ids.size(), static_cast<std::size_t>(std::min(threads, blocks)));
+      if (std::min(threads, blocks) == 1) {
+        EXPECT_EQ(log.ids.count(std::this_thread::get_id()), 1u);  // the inline path
+      }
+    }
+  }
+  // When every worker must hold a block at once, all min(threads, blocks)
+  // workers run, and the calling thread is one of them.
+  for (const int threads : {2, 4, 7}) {
+    launcher.set_threads(threads);
+    const std::set<std::thread::id> ids = run_rendezvous(launcher, threads);
+    EXPECT_EQ(ids.size(), static_cast<std::size_t>(threads));
+    EXPECT_EQ(ids.count(std::this_thread::get_id()), 1u);
+  }
+}
+
+TEST(LauncherPool, KernelBodyRunningItsOwnLauncherIsRejected) {
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Launcher launcher(DeviceSpec::tiny(8));
+    launcher.set_threads(threads);
+    const LaunchShape shape{8, 8, 0, 8};
+    KernelGraph inner;
+    inner.add("inner", shape, [](BlockContext&) {});
+
+    // Every block, on the caller or on a helper, gets the error.
+    std::atomic<int> rejected{0};
+    const KernelReport r = launcher.launch("outer", shape, [&](BlockContext& ctx) {
+      try {
+        launcher.run(inner);
+      } catch (const std::logic_error&) {
+        rejected.fetch_add(1, std::memory_order_relaxed);
+      }
+      ctx.charge_compute(0, 1);
+    });
+    EXPECT_EQ(rejected.load(), 8);
+    EXPECT_EQ(r.total().warp_instructions, 8u);
+    EXPECT_EQ(launcher.history().size(), 1u);
+
+    // Uncaught, it fails the outer run, which commits nothing.
+    EXPECT_THROW(launcher.launch("outer", shape, [&](BlockContext&) { launcher.run(inner); }),
+                 std::logic_error);
+    EXPECT_EQ(launcher.history().size(), 1u);
+
+    // The launcher stays usable, and a body may run a different launcher.
+    Launcher other(DeviceSpec::tiny(8));
+    launcher.launch("outer", shape, [&](BlockContext& ctx) {
+      if (ctx.block_id() == 0) other.run(inner);
+    });
+    EXPECT_EQ(launcher.history().size(), 2u);
+    EXPECT_EQ(other.history().size(), 1u);
+  }
 }

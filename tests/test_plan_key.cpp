@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <initializer_list>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "cache/serial.hpp"
@@ -126,14 +127,18 @@ namespace {
 /// Collects `key` into `seen`, asserting both the struct and its canonical
 /// serialization are new (the serialized form is the persistent store key,
 /// so a struct-level collision AND a byte-level collision are each bugs).
-void expect_unique(std::set<std::vector<std::byte>>& seen, const PlanKey& key) {
-  EXPECT_TRUE(seen.insert(key.serialized()).second);
+/// The bytes are held as a std::string: GCC 12 misreports std::less over
+/// std::vector<std::byte> as an out-of-bounds memcmp (-Wstringop-overread).
+void expect_unique(std::set<std::string>& seen, const PlanKey& key) {
+  const std::vector<std::byte> bytes = key.serialized();
+  const std::string text(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+  EXPECT_TRUE(seen.insert(text).second);
 }
 
 }  // namespace
 
 TEST(PlanKey, UniqueAcrossKindsAndEveryConfigKnob) {
-  std::set<std::vector<std::byte>> seen;
+  std::set<std::string> seen;
   const TypeDigest ti32 = type_digest<std::int32_t>();
 
   // Pairwise sort: every MergeConfig knob must reach the key.

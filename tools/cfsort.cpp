@@ -107,6 +107,7 @@
 #include "cfmerge.hpp"
 
 using namespace cfmerge;
+using gpusim::parse_int;
 
 namespace {
 
@@ -168,21 +169,23 @@ Options parse(int argc, char** argv) {
     else if (auto v = val("--op"); !v.empty()) o.op = v;
     else if (auto v = val("--algo"); !v.empty()) o.algo = v;
     else if (auto v = val("--dist"); !v.empty()) o.dist = v;
-    else if (auto v = val("--n"); !v.empty()) o.n = std::stoll(v);
-    else if (auto v = val("--e"); !v.empty()) o.e = std::stoi(v);
-    else if (auto v = val("--u"); !v.empty()) o.u = std::stoi(v);
-    else if (auto v = val("--k"); !v.empty()) o.k = std::stoi(v);
+    else if (auto v = val("--n"); !v.empty()) o.n = parse_int<std::int64_t>(v, "--n");
+    else if (auto v = val("--e"); !v.empty()) o.e = parse_int<int>(v, "--e");
+    else if (auto v = val("--u"); !v.empty()) o.u = parse_int<int>(v, "--u");
+    else if (auto v = val("--k"); !v.empty()) o.k = parse_int<int>(v, "--k");
     else if (auto v = val("--multiway"); !v.empty()) o.multiway = v;
     else if (auto v = val("--device"); !v.empty()) o.device = v;
-    else if (auto v = val("--seed"); !v.empty()) o.seed = std::stoull(v);
-    else if (auto v = val("--threads"); !v.empty()) o.threads = std::stoi(v);
-    else if (auto v = val("--segments"); !v.empty()) o.segments = std::stoi(v);
-    else if (auto v = val("--repeat"); !v.empty()) o.repeat = std::stoi(v);
+    else if (auto v = val("--seed"); !v.empty())
+      o.seed = parse_int<std::uint64_t>(v, "--seed");
+    else if (auto v = val("--threads"); !v.empty()) o.threads = parse_int<int>(v, "--threads");
+    else if (auto v = val("--segments"); !v.empty())
+      o.segments = parse_int<int>(v, "--segments");
+    else if (auto v = val("--repeat"); !v.empty()) o.repeat = parse_int<int>(v, "--repeat");
     else if (auto v = val("--trace"); !v.empty()) o.trace_path = v;
     else if (auto v = val("--plan-cache-dir"); !v.empty()) o.plan_cache_dir = v;
     else if (a == "--plan-cache-clear") o.plan_cache_clear = true;
     else if (a == "--tune") o.tune = 3;
-    else if (auto v = val("--tune"); !v.empty()) o.tune = std::stoi(v);
+    else if (auto v = val("--tune"); !v.empty()) o.tune = parse_int<int>(v, "--tune");
     else if (a == "--no-plan-cache") o.no_plan_cache = true;
     else if (a == "--no-bulk-charge") o.no_bulk_charge = true;
     else if (a == "--audit") o.audit = "full";
@@ -199,12 +202,13 @@ Options parse(int argc, char** argv) {
 gpusim::DeviceSpec make_device(const std::string& name) {
   if (name == "rtx2080ti") return gpusim::DeviceSpec::rtx2080ti();
   if (name.rfind("turing:", 0) == 0)
-    return gpusim::DeviceSpec::scaled_turing(std::stoi(name.substr(7)));
+    return gpusim::DeviceSpec::scaled_turing(parse_int<int>(name.substr(7), "--device"));
   if (name.rfind("tiny:", 0) == 0) {
     const std::string rest = name.substr(5);
     const auto comma = rest.find(',');
-    const int w = std::stoi(rest.substr(0, comma));
-    const int sms = comma == std::string::npos ? 2 : std::stoi(rest.substr(comma + 1));
+    const int w = parse_int<int>(rest.substr(0, comma), "--device");
+    const int sms =
+        comma == std::string::npos ? 2 : parse_int<int>(rest.substr(comma + 1), "--device");
     return gpusim::DeviceSpec::tiny(w, sms);
   }
   usage(("unknown device: " + name).c_str());
@@ -583,7 +587,7 @@ int run(int argc, char** argv) {
 int main(int argc, char** argv) {
   // Bad flag values and configs the sorters reject surface as
   // std::logic_error subtypes — std::invalid_argument, std::length_error,
-  // std::out_of_range (std::stoi, validate_merge_config,
+  // std::out_of_range (gpusim::parse_int, validate_merge_config,
   // workloads::generate, ...): report them as usage errors instead of
   // aborting.
   try {

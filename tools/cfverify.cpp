@@ -79,7 +79,7 @@ std::vector<int> parse_int_list(const std::string& csv, const char* flag) {
   std::stringstream ss(csv);
   std::string item;
   while (std::getline(ss, item, ','))
-    if (!item.empty()) out.push_back(std::stoi(item));
+    if (!item.empty()) out.push_back(gpusim::parse_int<int>(item, flag));
   if (out.empty()) usage((std::string(flag) + ": empty list").c_str());
   return out;
 }
@@ -96,8 +96,8 @@ Options parse(int argc, char** argv) {
     };
     if (a == "--help" || a == "-h") usage(nullptr);
     else if (a == "--all") o.all = true;
-    else if (auto v = val("--w"); !v.empty()) o.w = std::stoi(v);
-    else if (auto v = val("--e"); !v.empty()) o.e = std::stoi(v);
+    else if (auto v = val("--w"); !v.empty()) o.w = gpusim::parse_int<int>(v, "--w");
+    else if (auto v = val("--e"); !v.empty()) o.e = gpusim::parse_int<int>(v, "--e");
     else if (auto v = val("--widths"); !v.empty()) o.sweep.widths = parse_int_list(v, "--widths");
     else if (auto v = val("--ks"); !v.empty()) o.sweep.ks = parse_int_list(v, "--ks");
     else if (a == "--no-broken") o.sweep.broken = false;
@@ -304,7 +304,7 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Malformed numbers (std::stoi) and a (w, E) or width the verifier rejects
+  // Malformed numbers (gpusim::parse_int) and a (w, E) or width the verifier rejects
   // surface as std::logic_error subtypes: report them as usage errors
   // instead of aborting.
   try {

@@ -9,7 +9,10 @@
 #           executor tests with ThreadSanitizer and runs them with a parallel
 #           default executor (CFMERGE_SIM_THREADS=4), so every launch in
 #           every test — not just the explicitly parallel ones — exercises
-#           the pool.  TSan aborts on any data race, so a plain pass is the
+#           the pool.  The engine and batched-merge suites keep one launcher,
+#           and so one set of pooled helper threads, across hundreds of runs
+#           and destroy it with the engine, so TSan sees the whole pool
+#           lifetime.  TSan aborts on any data race, so a plain pass is the
 #           proof.
 # address   proves the engine/executor memory handling is clean
 #           (ASan + LeakSan).  The SortEngine suite is the interesting one —
@@ -35,7 +38,8 @@ MODE="${1:-}"
 case "$MODE" in
   thread)
     DEFAULT_BUILD=build-tsan
-    TARGETS="test_launcher test_merge_sort test_kernel_graph test_segmented_sort"
+    TARGETS="test_launcher test_merge_sort test_kernel_graph test_segmented_sort \
+             test_sort_engine test_batched_merge"
     ;;
   address)
     DEFAULT_BUILD=build-asan
