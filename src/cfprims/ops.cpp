@@ -61,8 +61,8 @@ AccessStream staged_stream(std::string name, bool is_write, const PrimShape& s,
   return st;
 }
 
-/// The CRS stream: thread i touches sigma(iE + j) in round j (sigma = rho,
-/// rho^-1, or the identity for the broken variant).
+}  // namespace
+
 AccessStream crs_stream(std::string name, bool is_write, const PrimShape& s,
                         bool inverse, bool with_rho) {
   AccessStream st;
@@ -84,6 +84,8 @@ AccessStream crs_stream(std::string name, bool is_write, const PrimShape& s,
   };
   return st;
 }
+
+namespace {
 
 /// The transposed-layout stream: thread i touches j*u + i in round j —
 /// lanes cover w consecutive slots, conflict-free for any u.

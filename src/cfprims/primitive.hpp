@@ -141,6 +141,14 @@ class CFPrimitive {
   [[nodiscard]] virtual PrimitiveLowering lower(const PrimShape& s) const = 0;
 };
 
+/// The stride-E CRS stream: thread i < u touches sigma(iE + j) in round j,
+/// sigma = rho, rho^-1 (`inverse`) or the identity (`!with_rho`).  The CRS
+/// primitives are built from it, and verify_cf_gather checks the gather's
+/// per-round banks (Corollary 3) through it.
+[[nodiscard]] AccessStream crs_stream(std::string name, bool is_write,
+                                      const PrimShape& s, bool inverse,
+                                      bool with_rho);
+
 /// All registered primitives in a stable order (conflict-free ones first,
 /// then the deliberately broken ablation variants).
 [[nodiscard]] const std::vector<const CFPrimitive*>& registry();

@@ -397,9 +397,9 @@ void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalVi
       // each round is a stride-E progression through rho' and conflict free.
       ctx.phase("merge.store");
       // The cf_rank_scatter primitive at gather cadence: the per-thread
-      // setup computes the parent's pos_a/pos_b bounds.  The piecewise
-      // parent map is machine-checked CF by verify/multiway.cpp; the
-      // cf_rank_scatter certificate stands in for the family.
+      // setup computes the parent's pos_a/pos_b bounds.  The cascade proof
+      // (verify/multiway.cpp) cites the cf_rank_scatter certificate for the
+      // piecewise parent map, both scatter directions included.
       cfprims::exec_crs_scatter(
           ctx, shmem, w, e, vwarps, cfprims::kGatherCharge, cfg.certs.rank_scatter,
           pair_warp,

@@ -9,11 +9,17 @@ namespace cfmerge::verify {
 
 using numtheory::mod;
 
+void Env::set(SymId s, std::int64_t v) {
+  if (s < 0 || s >= kSlots)
+    throw std::invalid_argument("verify::Env: symbol id out of range " + std::to_string(s));
+  values_[static_cast<std::size_t>(s)] = v;
+  bound_ |= 1U << s;
+}
+
 std::int64_t Env::get(SymId s) const {
-  const auto it = values_.find(s);
-  if (it == values_.end())
+  if (s < 0 || s >= kSlots || ((bound_ >> s) & 1U) == 0)
     throw std::invalid_argument("verify::Env: unbound symbol id " + std::to_string(s));
-  return it->second;
+  return values_[static_cast<std::size_t>(s)];
 }
 
 struct AffineExpr::Node {
@@ -32,24 +38,6 @@ using Op = Node::Op;
 
 std::shared_ptr<const Node> make(Node n) {
   return std::make_shared<const Node>(std::move(n));
-}
-
-std::int64_t eval_node(const Node& n, const Env& env) {
-  switch (n.op) {
-    case Op::kConst: return n.c;
-    case Op::kSym: return env.get(n.sym);
-    case Op::kAdd: return eval_node(*n.a, env) + eval_node(*n.b, env);
-    case Op::kMulC: return eval_node(*n.a, env) * n.c;
-    case Op::kModC: return mod(eval_node(*n.a, env), n.c);
-    case Op::kDivC: {
-      const auto d = numtheory::euclid_div(eval_node(*n.a, env), n.c);
-      return d.q;
-    }
-    case Op::kSelect:
-      return eval_node(*n.a, env) < eval_node(*n.b, env) ? eval_node(*n.t, env)
-                                                         : eval_node(*n.f, env);
-  }
-  throw std::logic_error("AffineExpr: bad node");
 }
 
 void str_node(const Node& n, std::ostream& os) {
@@ -357,14 +345,49 @@ AffineExpr AffineExpr::select(const AffineExpr& lhs, const AffineExpr& rhs,
   return AffineExpr(make(std::move(n)));
 }
 
-std::int64_t AffineExpr::eval(const Env& env) const {
-  if (!node_) throw std::logic_error("AffineExpr: empty expression");
-  return eval_node(*node_, env);
+FlatExpr::FlatExpr(const AffineExpr& e) : expr_(e) {
+  if (!e.node_) throw std::logic_error("AffineExpr: empty expression");
+  std::map<const Node*, int> slot;
+  const auto visit = [&](const auto& self, const Node* n) -> int {
+    if (n == nullptr) return -1;
+    if (const auto it = slot.find(n); it != slot.end()) return it->second;
+    const Step st{n, self(self, n->a.get()), self(self, n->b.get()),
+                  self(self, n->t.get()), self(self, n->f.get())};
+    steps_.push_back(st);
+    return slot[n] = static_cast<int>(steps_.size()) - 1;
+  };
+  visit(visit, e.node_.get());
+  values_.resize(steps_.size());
 }
 
-bool AffineExpr::select_takes_then(const Env& env) const {
-  if (!node_ || node_->op != Op::kSelect) return true;
-  return eval_node(*node_->a, env) < eval_node(*node_->b, env);
+void FlatExpr::run(const Env& env) const {
+  const auto at = [&](int i) { return values_[static_cast<std::size_t>(i)]; };
+  for (std::size_t k = 0; k < steps_.size(); ++k) {
+    const Step& s = steps_[k];
+    const Node& n = *s.node;
+    std::int64_t& v = values_[k];
+    switch (n.op) {
+      case Op::kConst: v = n.c; break;
+      case Op::kSym: v = env.get(n.sym); break;
+      case Op::kAdd: v = at(s.a) + at(s.b); break;
+      case Op::kMulC: v = at(s.a) * n.c; break;
+      case Op::kModC: v = mod(at(s.a), n.c); break;
+      case Op::kDivC: v = numtheory::euclid_div(at(s.a), n.c).q; break;
+      case Op::kSelect: v = at(s.a) < at(s.b) ? at(s.t) : at(s.f); break;
+    }
+  }
+}
+
+std::int64_t FlatExpr::eval(const Env& env) const {
+  run(env);
+  return values_.back();
+}
+
+bool FlatExpr::select_takes_then(const Env& env) const {
+  run(env);
+  const Step& root = steps_.back();
+  return root.node->op != Op::kSelect ||
+         values_[static_cast<std::size_t>(root.a)] < values_[static_cast<std::size_t>(root.b)];
 }
 
 std::string AffineExpr::str() const {

@@ -11,7 +11,7 @@
 // access pattern into this IR (src/verify/lower.*) and then reasons about it
 // two ways:
 //
-//  * concretely — eval() under an Env, used to cross-check the lowering
+//  * concretely — FlatExpr::eval under an Env, used to cross-check the lowering
 //    against the real RoundSchedule/kernel indexing and to materialize
 //    counterexample addresses;
 //  * symbolically — residue_mod() rewrites an expression into a linear
@@ -25,11 +25,13 @@
 // endpoint algebra in the warp-coverage lemma.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace cfmerge::verify {
 
@@ -37,14 +39,17 @@ namespace cfmerge::verify {
 /// lower.hpp); ids only need to be unique within one expression family.
 using SymId = int;
 
-/// Concrete values for the symbols of an expression.
+/// Concrete values for the symbols of an expression: one flat slot per id
+/// in [0, kSlots) (the lowering symbols), so evaluation never allocates.
 class Env {
  public:
-  void set(SymId s, std::int64_t v) { values_[s] = v; }
+  static constexpr SymId kSlots = 8;
+  void set(SymId s, std::int64_t v);
   [[nodiscard]] std::int64_t get(SymId s) const;
 
  private:
-  std::map<SymId, std::int64_t> values_;
+  std::array<std::int64_t, kSlots> values_{};
+  unsigned bound_ = 0;  ///< bit s set iff slot s holds a value
 };
 
 /// e ≡ c0 + Σ coeffs[s] · s (mod m): the result of congruence rewriting.
@@ -86,13 +91,6 @@ class AffineExpr {
   static AffineExpr select(const AffineExpr& lhs, const AffineExpr& rhs,
                            const AffineExpr& then_e, const AffineExpr& else_e);
 
-  /// Concrete evaluation; throws std::invalid_argument on an unbound symbol.
-  [[nodiscard]] std::int64_t eval(const Env& env) const;
-
-  /// Which branch select() would take under env: true = then-branch.  For
-  /// non-select expressions returns true.  Used by the lowering cross-checks.
-  [[nodiscard]] bool select_takes_then(const Env& env) const;
-
   /// Human-readable rendering, used in proof objects and counterexamples.
   [[nodiscard]] std::string str() const;
 
@@ -104,9 +102,38 @@ class AffineExpr {
   explicit AffineExpr(std::shared_ptr<const Node> n) : node_(std::move(n)) {}
   std::shared_ptr<const Node> node_;
 
+  friend class FlatExpr;
   friend std::optional<LinearResidue> residue_mod(const AffineExpr&, std::int64_t,
                                                   const SymbolFacts&);
   friend std::optional<SymInterval> interval_hull(const AffineExpr&, const SymRanges&);
+};
+
+/// An AffineExpr flattened for repeated concrete evaluation: each distinct
+/// node of the expression DAG once, operands first, so a subexpression the
+/// lowering shares (rho reads its argument five times) is computed once per
+/// call.  Every operation is total, so both arms of a select are computed.
+/// Evaluation reuses one scratch buffer: keep one FlatExpr per thread.
+class FlatExpr {
+ public:
+  explicit FlatExpr(const AffineExpr& e);
+
+  /// Concrete evaluation; throws std::invalid_argument on an unbound symbol.
+  [[nodiscard]] std::int64_t eval(const Env& env) const;
+
+  /// Which branch the root select takes under env: true = then-branch (and
+  /// for a non-select expression).  Used by the lowering cross-checks.
+  [[nodiscard]] bool select_takes_then(const Env& env) const;
+
+ private:
+  struct Step {
+    const AffineExpr::Node* node;
+    int a, b, t, f;  ///< operand slots, -1 when absent
+  };
+  void run(const Env& env) const;
+
+  AffineExpr expr_;  ///< keeps the nodes alive
+  std::vector<Step> steps_;
+  mutable std::vector<std::int64_t> values_;
 };
 
 /// Congruence rewriting: derives e ≡ c0 + Σ coeff·sym (mod m), or nullopt

@@ -1,7 +1,6 @@
 #include "verify/analyzer.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cassert>
 #include <optional>
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "cfprims/primitive.hpp"
-#include "gather/permutation.hpp"
 #include "gather/schedule.hpp"
 #include "gpusim/shared_memory.hpp"
 #include "numtheory/numtheory.hpp"
@@ -25,52 +23,6 @@ namespace cfmerge::verify {
 namespace {
 
 using numtheory::mod;
-
-/// Structured + seeded-random per-thread |A_i| vectors, all in [0, E].
-std::vector<std::vector<std::int64_t>> sample_asizes(int u, int e, int random_trials,
-                                                     std::uint64_t seed) {
-  const auto un = static_cast<std::size_t>(u);
-  std::vector<std::vector<std::int64_t>> out;
-  out.emplace_back(un, static_cast<std::int64_t>(e));  // all-A
-  out.emplace_back(un, std::int64_t{0});               // all-B
-  std::vector<std::int64_t> alt(un);
-  for (int i = 0; i < u; ++i) alt[static_cast<std::size_t>(i)] = i % 2 == 0 ? e : 0;
-  out.push_back(std::move(alt));
-  std::vector<std::int64_t> ramp(un);
-  for (int i = 0; i < u; ++i) ramp[static_cast<std::size_t>(i)] = i % (e + 1);
-  out.push_back(std::move(ramp));
-  std::vector<std::int64_t> partial(un, static_cast<std::int64_t>(e));
-  partial[0] = e / 2;  // one partial thread among all-A
-  out.push_back(std::move(partial));
-  Lcg rng(seed);
-  for (int t = 0; t < random_trials; ++t) {
-    std::vector<std::int64_t> v(un);
-    for (int i = 0; i < u; ++i) v[static_cast<std::size_t>(i)] = rng.below_eq(e);
-    out.push_back(std::move(v));
-  }
-  return out;
-}
-
-std::vector<std::int64_t> prefix_offsets(const std::vector<std::int64_t>& sizes) {
-  std::vector<std::int64_t> off(sizes.size());
-  std::int64_t acc = 0;
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    off[i] = acc;
-    acc += sizes[i];
-  }
-  return off;
-}
-
-Env make_env(int i, int j, std::int64_t a, std::int64_t asz, int u, std::int64_t la) {
-  Env env;
-  env.set(kSymThread, i);
-  env.set(kSymRound, j);
-  env.set(kSymAOff, a);
-  env.set(kSymASize, asz);
-  env.set(kSymU, u);
-  env.set(kSymLa, la);
-  return env;
-}
 
 // ---------------------------------------------------------------------------
 // verify_cf_gather steps
@@ -86,25 +38,25 @@ void check_lowering_faithfulness(ProofStep& st, const CfGatherLowering& lo) {
   }
   const int w = lo.w;
   const int e = lo.e;
+  const FlatExpr ir_raw(lo.raw);
+  const FlatExpr ir_phys(lo.phys);
   std::int64_t checked = 0;
   for (const int u : {w, 2 * w}) {
-    for (const auto& asz : sample_asizes(u, e, 4, 0x5eedULL)) {
-      const auto aoff = prefix_offsets(asz);
-      std::int64_t la = 0;
-      for (const auto s : asz) la += s;
-      const gather::GatherShape shape{w, e, u, la, static_cast<std::int64_t>(u) * e - la};
-      const gather::RoundSchedule sched(shape, aoff, asz);
+    for (const Split& sp : sample_splits(u, e, 4, 0x5eedULL)) {
+      const gather::GatherShape shape{w, e, u, sp.la,
+                                      static_cast<std::int64_t>(u) * e - sp.la};
+      const gather::RoundSchedule sched(shape, sp.a_off, sp.a_size);
       for (int i = 0; i < u; ++i) {
         for (int j = 0; j < e; ++j) {
-          const Env env = make_env(i, j, aoff[static_cast<std::size_t>(i)],
-                                   asz[static_cast<std::size_t>(i)], u, la);
+          const auto ui = static_cast<std::size_t>(i);
+          const Env env = cf_gather_env(i, j, sp.a_off[ui], sp.a_size[ui], u, sp.la);
           const gather::GatherRead r = sched.read(i, j);
-          const std::int64_t raw = lo.raw.eval(env);
-          const std::int64_t phys = lo.phys.eval(env);
+          const std::int64_t raw = ir_raw.eval(env);
+          const std::int64_t phys = ir_phys.eval(env);
           const std::int64_t want_phys =
               lo.variant == ScheduleVariant::kNoRhoShift ? r.raw : r.phys;
           if (raw != r.raw || phys != want_phys ||
-              lo.raw.select_takes_then(env) != r.from_a) {
+              ir_raw.select_takes_then(env) != r.from_a) {
             std::ostringstream os;
             os << "IR disagrees with RoundSchedule::read at u=" << u << " i=" << i
                << " j=" << j << ": IR raw=" << raw << " phys=" << phys
@@ -129,15 +81,17 @@ void check_lowering_faithfulness(ProofStep& st, const CfGatherLowering& lo) {
 /// of every schedule.
 void check_branch_totality(ProofStep& st, const CfGatherLowering& lo) {
   const int e = lo.e;
+  const FlatExpr ir_m(lo.m);
+  const FlatExpr ir_eidx(lo.e_idx);
   std::int64_t checked = 0;
   std::vector<std::vector<std::pair<std::int64_t, std::int64_t>>> first_period(
       static_cast<std::size_t>(e));
   for (std::int64_t a = 0; a < 2 * e; ++a) {
     std::vector<std::pair<std::int64_t, std::int64_t>> row;
     for (int j = 0; j < e; ++j) {
-      const Env env = make_env(0, j, a, 0, lo.w, 0);
-      const std::int64_t m = lo.m.eval(env);
-      const std::int64_t eidx = lo.e_idx.eval(env);
+      const Env env = cf_gather_env(0, j, a, 0, lo.w, 0);
+      const std::int64_t m = ir_m.eval(env);
+      const std::int64_t eidx = ir_eidx.eval(env);
       if (m < 0 || m >= e || eidx < 0 || eidx >= e || m + eidx != e - 1) {
         std::ostringstream os;
         os << "m + e_idx != E-1 at a=" << a << " j=" << j << " (m=" << m
@@ -267,119 +221,23 @@ void check_warp_window_coverage(ProofStep& st, const CfGatherLowering& lo) {
   st.detail = os.str();
 }
 
-/// bank(rho(m)) is periodic in m with period wE — so the per-period CRS
-/// table below covers every raw index of every schedule.
-void check_bank_periodicity(ProofStep& st, const CfGatherLowering& lo,
-                            const gather::CircularShift& rho) {
-  const std::int64_t we = static_cast<std::int64_t>(lo.w) * lo.e;
-  const bool identity = lo.variant == ScheduleVariant::kNoRhoShift;
-  for (std::int64_t m = 0; m < we; ++m) {
-    const std::int64_t b1 = mod(identity ? m : rho(m), lo.w);
-    const std::int64_t b2 = mod(identity ? m + we : rho(m + we), lo.w);
-    if (b1 != b2) {
-      fail(st, "bank(rho(m)) not wE-periodic at m=" + std::to_string(m));
-      return;
-    }
-  }
-  st.detail = "bank(rho(m + wE)) == bank(rho(m)) for all m in [0, wE)";
-}
-
-/// Corollary 3: for every round j, the banks of {rho(j + kE) : k in [0, w)}
-/// form a complete residue system mod w.  Returns the first collision.
-struct CrsFailure {
-  int j;
-  int k1;
-  int k2;
-};
-std::optional<CrsFailure> check_bank_crs(ProofStep& st, const CfGatherLowering& lo,
-                                         const gather::CircularShift& rho) {
-  const bool identity = lo.variant == ScheduleVariant::kNoRhoShift;
-  for (int j = 0; j < lo.e; ++j) {
-    std::array<int, gpusim::kMaxLanes> owner{};
-    owner.fill(-1);
-    for (int k = 0; k < lo.w; ++k) {
-      const std::int64_t raw = static_cast<std::int64_t>(k) * lo.e + j;
-      const auto bank = static_cast<std::size_t>(mod(identity ? raw : rho(raw), lo.w));
-      if (owner[bank] >= 0) {
-        std::ostringstream os;
-        os << "round " << j << ": slots k=" << owner[bank] << " and k=" << k
-           << " map to bank " << bank << " — {bank(rho(j + kE))} is not a "
-           << "complete residue system";
-        fail(st, os.str());
-        return CrsFailure{j, owner[bank], k};
-      }
-      owner[bank] = k;
-    }
-  }
-  std::ostringstream os;
-  os << "per-round bank tables are permutations of [0, " << lo.w << ") for all "
-     << lo.e << " rounds (d = " << numtheory::gcd(lo.w, lo.e) << ")";
-  st.detail = os.str();
-  return std::nullopt;
-}
-
-/// Constructive witness for the no-rho refutation: the all-A split makes
-/// thread k read raw index kE + j in round j, so a CRS failure (j, k1, k2)
-/// is immediately a concrete lane pair.
-Counterexample no_rho_witness(int w, int e, const CrsFailure& f) {
-  Counterexample ce;
-  ce.w = w;
-  ce.e = e;
-  ce.u = w;
-  ce.la = static_cast<std::int64_t>(w) * e;
-  ce.a_sizes.assign(static_cast<std::size_t>(w), e);
-  ce.round = f.j;
-  ce.lane1 = f.k1;
-  ce.lane2 = f.k2;
-  ce.addr1 = static_cast<std::int64_t>(f.k1) * e + f.j;
-  ce.addr2 = static_cast<std::int64_t>(f.k2) * e + f.j;
-  ce.bank = static_cast<int>(mod(ce.addr1, w));
-  return ce;
-}
-
 /// Bounded concrete search for a no-pi witness: evaluate the broken lowering
 /// over structured and seeded-random splits and scan each warp round for a
 /// same-bank pair of distinct physical addresses.
 std::optional<Counterexample> search_no_pi_witness(const CfGatherLowering& lo) {
-  const int w = lo.w;
-  const int e = lo.e;
-  for (const int u : {w, 2 * w}) {
-    for (const auto& asz : sample_asizes(u, e, 64, 0xbadb1Ull)) {
-      const auto aoff = prefix_offsets(asz);
-      std::int64_t la = 0;
-      for (const auto s : asz) la += s;
-      std::vector<std::int64_t> addrs(static_cast<std::size_t>(w));
-      for (int j = 0; j < e; ++j) {
-        for (int warp = 0; warp < u / w; ++warp) {
-          for (int lane = 0; lane < w; ++lane) {
-            const int i = warp * w + lane;
-            const Env env = make_env(i, j, aoff[static_cast<std::size_t>(i)],
-                                     asz[static_cast<std::size_t>(i)], u, la);
-            addrs[static_cast<std::size_t>(lane)] = lo.phys.eval(env);
-          }
-          for (int l1 = 0; l1 < w; ++l1) {
-            for (int l2 = l1 + 1; l2 < w; ++l2) {
-              const std::int64_t a1 = addrs[static_cast<std::size_t>(l1)];
-              const std::int64_t a2 = addrs[static_cast<std::size_t>(l2)];
-              if (a1 != a2 && mod(a1, w) == mod(a2, w)) {
-                Counterexample ce;
-                ce.w = w;
-                ce.e = e;
-                ce.u = u;
-                ce.la = la;
-                ce.a_sizes = asz;
-                ce.round = j;
-                ce.lane1 = warp * w + l1;
-                ce.lane2 = warp * w + l2;
-                ce.addr1 = a1;
-                ce.addr2 = a2;
-                ce.bank = static_cast<int>(mod(a1, w));
-                return ce;
-              }
-            }
-          }
-        }
-      }
+  const FlatExpr phys(lo.phys);
+  for (const int u : {lo.w, 2 * lo.w}) {
+    for (const Split& sp : sample_splits(u, lo.e, 64, 0xbadb1ULL)) {
+      const cfprims::ConflictScan scan = cfprims::scan_conflicts(
+          lo.w, lo.e, u, [&](std::int64_t i, std::int64_t j) {
+            const auto ui = static_cast<std::size_t>(i);
+            return phys.eval(cf_gather_env(i, j, sp.a_off[ui], sp.a_size[ui], u, sp.la));
+          });
+      if (!scan.found) continue;
+      Counterexample ce = bank_witness(scan, lo.w, lo.e, u);
+      ce.la = sp.la;
+      ce.a_sizes = sp.a_size;
+      return ce;
     }
   }
   return std::nullopt;
@@ -402,27 +260,28 @@ ProofObject verify_cf_gather(int w, int e, ScheduleVariant variant) {
   check_residue_invariant(po.add_step("residue-invariant"), lo);
   check_warp_window_coverage(po.add_step("warp-window-coverage"), lo);
 
-  const gather::CircularShift rho(w, e, 2 * static_cast<std::int64_t>(w) * e);
-  check_bank_periodicity(po.add_step("bank-periodicity"), lo, rho);
-  const auto crs_failure = check_bank_crs(po.add_step("bank-crs"), lo, rho);
-
-  bool any_failed = false;
-  for (const auto& st : po.steps) any_failed |= st.status == StepStatus::kFailed;
-  if (!any_failed) {
-    po.verdict = Verdict::kProved;
-    return po;
+  // Corollary 3 through the generic stream checks: by the residue invariant
+  // and the window coverage, a warp's round-j reads are sigma(iE + j) over
+  // its lanes, sigma = rho (the identity without rho).
+  const cfprims::PrimShape shape{w, e, 2 * w, 0};
+  const cfprims::AccessStream crs =
+      cfprims::crs_stream("crs", /*is_write=*/false, shape, /*inverse=*/false,
+                          variant != ScheduleVariant::kNoRhoShift);
+  check_stream_periodicity(po, crs, w);
+  check_stream_banks(po, crs, w, e, shape.u);
+  if (po.verdict == Verdict::kCounterexample) {
+    // The all-A split makes thread i read raw index iE + j in round j, so
+    // the banks witness is a lane pair of that real schedule.
+    Counterexample& ce = po.counterexample;
+    ce.u = (ce.lane2 / w + 1) * w;
+    ce.la = static_cast<std::int64_t>(ce.u) * e;
+    ce.a_sizes.assign(static_cast<std::size_t>(ce.u), e);
   }
 
-  po.verdict = Verdict::kRefutedNoWitness;
-  if (variant == ScheduleVariant::kNoRhoShift && crs_failure) {
-    po.counterexample = no_rho_witness(w, e, *crs_failure);
-    po.verdict = Verdict::kCounterexample;
-  } else if (variant == ScheduleVariant::kNoBReversal) {
-    if (auto ce = search_no_pi_witness(lo)) {
-      po.counterexample = *std::move(ce);
-      po.verdict = Verdict::kCounterexample;
-    }
-  }
+  std::optional<Counterexample> no_pi;
+  if (variant == ScheduleVariant::kNoBReversal && po.any_step_failed())
+    no_pi = search_no_pi_witness(lo);
+  po.settle_verdict(std::move(no_pi));
   return po;
 }
 
@@ -454,74 +313,30 @@ void bitonic_profile_validate(std::int64_t tile, int w) {
 
 BitonicProfile profile_bitonic(std::int64_t tile, int w, bool padded) {
   BitonicProfile prof;
+  // Worst row degree of `addr` over the w-aligned rows of [0, domain); the
+  // first colliding lane pair becomes the profile's witness.
+  const auto degree = [&](const AffineExpr& addr, std::int64_t domain, std::int64_t j) {
+    const FlatExpr ir(addr);
+    const cfprims::ConflictScan scan =
+        cfprims::scan_conflicts(w, 1, domain, [&](std::int64_t t, std::int64_t) {
+          Env env;
+          env.set(kSymThread, t);
+          return ir.eval(env);
+        });
+    if (scan.found && !prof.first_witness) {
+      prof.first_witness = bank_witness(scan, w, static_cast<int>(tile), 0);
+      prof.first_witness->round = static_cast<int>(j);
+    }
+    return scan.max_conflicts + 1;
+  };
 
   // Load/store phases address pad(t) for t in a w-aligned row.
-  {
-    std::vector<std::int64_t> addrs(static_cast<std::size_t>(w));
-    const AffineExpr t = AffineExpr::sym(kSymThread, "t");
-    const AffineExpr pad_t = lower_bitonic_pad(t, w, padded);
-    for (std::int64_t b0 = 0; b0 < tile; b0 += w) {
-      for (int lane = 0; lane < w; ++lane) {
-        Env env;
-        env.set(kSymThread, b0 + lane);
-        addrs[static_cast<std::size_t>(lane)] = pad_t.eval(env);
-      }
-      prof.linear_degree =
-          std::max(prof.linear_degree, gpusim::shared_access_cost(addrs, w).cycles);
-    }
-  }
-
-  const std::int64_t pairs = tile / 2;
-  for (std::int64_t j = pairs; j >= 1; j /= 2) {
+  prof.linear_degree =
+      degree(lower_bitonic_pad(AffineExpr::sym(kSymThread, "t"), w, padded), tile, 0);
+  for (std::int64_t j = tile / 2; j >= 1; j /= 2) {
     const BitonicPairLowering pl = lower_bitonic_pair(j, w, padded);
-    std::vector<std::int64_t> lo_addr(static_cast<std::size_t>(w));
-    std::vector<std::int64_t> hi_addr(static_cast<std::size_t>(w));
-    int max_degree = 1;
-    for (std::int64_t p0 = 0; p0 < pairs; p0 += w) {
-      for (int lane = 0; lane < w; ++lane) {
-        const std::int64_t p = p0 + lane;
-        if (p >= pairs) {
-          lo_addr[static_cast<std::size_t>(lane)] = gpusim::kInactiveLane;
-          hi_addr[static_cast<std::size_t>(lane)] = gpusim::kInactiveLane;
-          continue;
-        }
-        Env env;
-        env.set(kSymThread, p);
-        lo_addr[static_cast<std::size_t>(lane)] = pl.lo.eval(env);
-        hi_addr[static_cast<std::size_t>(lane)] = pl.hi.eval(env);
-      }
-      for (const auto* addrs : {&lo_addr, &hi_addr}) {
-        const auto cost = gpusim::shared_access_cost(*addrs, w);
-        max_degree = std::max(max_degree, cost.cycles);
-        if (cost.cycles > 1 && !prof.first_witness) {
-          // Record the first colliding lane pair as the concrete witness.
-          for (int l1 = 0; l1 < w && !prof.first_witness; ++l1) {
-            for (int l2 = l1 + 1; l2 < w && !prof.first_witness; ++l2) {
-              const std::int64_t a1 = (*addrs)[static_cast<std::size_t>(l1)];
-              const std::int64_t a2 = (*addrs)[static_cast<std::size_t>(l2)];
-              if (a1 == gpusim::kInactiveLane || a2 == gpusim::kInactiveLane ||
-                  a1 == a2 || mod(a1, w) != mod(a2, w))
-                continue;
-              prof.first_witness =
-                  Counterexample{w,
-                                 static_cast<int>(tile),
-                                 0,
-                                 0,
-                                 {},
-                                 static_cast<int>(j),
-                                 static_cast<int>(p0) + l1,
-                                 static_cast<int>(p0) + l2,
-                                 a1,
-                                 a2,
-                                 static_cast<int>(mod(a1, w)),
-                                 0,
-                                 {}};
-            }
-          }
-        }
-      }
-    }
-    prof.strides.push_back({j, max_degree});
+    const int lo_degree = degree(pl.lo, tile / 2, j);  // lo first: witness order
+    prof.strides.push_back({j, std::max(lo_degree, degree(pl.hi, tile / 2, j))});
   }
   return prof;
 }
@@ -573,12 +388,7 @@ ProofObject verify_bitonic_exchange(std::int64_t tile, int w, bool padded) {
     }
   }
 
-  bool any_failed = false;
-  for (const auto& st : po.steps) any_failed |= st.status == StepStatus::kFailed;
-  po.verdict = !any_failed ? Verdict::kProved
-               : prof.first_witness ? Verdict::kCounterexample
-                                    : Verdict::kRefutedNoWitness;
-  if (any_failed && prof.first_witness) po.counterexample = *prof.first_witness;
+  po.settle_verdict(prof.first_witness);
   return po;
 }
 
@@ -592,7 +402,6 @@ ProofObject refute_bitonic_unpadded(std::int64_t tile, int w) {
   po.scope = "claim: every substage of the unpadded exchange is conflict free";
 
   const BitonicProfile prof = profile_bitonic(tile, w, /*padded=*/false);
-  bool refuted = false;
   for (const auto& sd : prof.strides) {
     auto& st = po.add_step("stride-" + std::to_string(sd.j));
     if (sd.degree == 1) {
@@ -601,13 +410,9 @@ ProofObject refute_bitonic_unpadded(std::int64_t tile, int w) {
       fail(st, "stride " + std::to_string(sd.j) + " serializes with degree " +
                    std::to_string(sd.degree) +
                    " (structural: j < w leaves banks idle)");
-      refuted = true;
     }
   }
-  po.verdict = !refuted              ? Verdict::kProved
-               : prof.first_witness ? Verdict::kCounterexample
-                                    : Verdict::kRefutedNoWitness;
-  if (refuted && prof.first_witness) po.counterexample = *prof.first_witness;
+  po.settle_verdict(prof.first_witness);
   return po;
 }
 
@@ -779,8 +584,7 @@ WorstCaseAnalysis analyze_worstcase_warp(const worstcase::Params& p) {
 // ---------------------------------------------------------------------------
 
 void verify_family(VerifyReport& rep, const VerifyOptions& opts, int w, int e) {
-  if (w <= 0 || e <= 1 || e > w)
-    throw std::invalid_argument("verify_family: need w > 0 and 1 < E <= w");
+  validate_family("verify_family", w, e);
   for (const cfprims::CFPrimitive* prim : cfprims::registry()) {
     if (!prim->supports(w, e)) continue;
     const bool broken = !prim->expected_conflict_free(w, e);

@@ -10,11 +10,14 @@
 //   residue-invariant       raw ≡ j (mod E) on both branches, symbolically
 //   warp-window-coverage    a warp's round reads tile one full period mod wE
 //                           (exact LinearForm interval algebra)
-//   bank-periodicity        bank(rho(m)) has period wE in m
-//   bank-crs                {bank(rho(j + kE))} is a complete residue system
-//                           for every round j (Corollary 3)
+//   periodicity:crs         bank(sigma(iE + j)) has period w in the thread
+//   banks:crs               {bank(sigma(iE + j))} over a warp is a complete
+//                           residue system for every round j (Corollary 3)
 //
-// Together: the w reads of any warp in any round occupy w distinct banks,
+// The last two are the generic stream checks of verify/primitive.hpp run on
+// cfprims::crs_stream (sigma = rho; the identity without rho): the residue
+// invariant and the window coverage make a warp's round-j reads exactly that
+// stream.  Together: the w reads of any warp in any round occupy w distinct banks,
 // for every u that is a multiple of w and every merge-path split — without
 // simulating anything.  Broken variants (no pi / no rho) fail a step and the
 // analyzer produces a concrete counterexample lane pair, which the tests
@@ -43,11 +46,11 @@ namespace cfmerge::verify {
 
 /// Machine-checked conflict-freedom proof for the k-way cascade merge
 /// (multiway_cascade_core): every cascade stage is an instance of the proven
-/// 2-way schedule, the inter-stage rank scatter is a lane-invariant stride-E
-/// stream under rho (a complete residue system per round), and the
-/// CascadePlan's pair bases and padded lengths are wE-aligned so none of it
-/// shifts banks.  The stage step cites the memoized cf_gather certificate
-/// (verify::certify).  `k` must be a power of two >= 2.
+/// 2-way schedule, every inter-stage rank scatter is a round of the proven
+/// stride-E rank scatter, and the CascadePlan's pair bases and padded
+/// lengths are wE-aligned so none of it shifts banks.  The stage and scatter
+/// steps cite the memoized cf_gather and cf_rank_scatter certificates
+/// (verify::certify).  `k` must be a power of two in [2, sort::kMaxMultiwayK].
 [[nodiscard]] ProofObject verify_multiway_cascade(int w, int e, int k);
 
 /// Refutes the (false) claim that a *single-phase* k-ary gather over a linear
@@ -101,7 +104,8 @@ struct VerifyOptions {
 /// Appends the (w, e) family to `rep`: every registered CFPrimitive through
 /// verify_primitive (broken ones as refutations), the k-way cascades, Pass 3
 /// (primitives, composite kernels, safety ablations) and the Theorem 8
-/// analysis.  Throws std::invalid_argument for a (w, e) outside 1 < E <= w.
+/// analysis.  Throws std::invalid_argument for a (w, e) outside 1 < E <= w
+/// or a w past the simulator's 64 lanes.
 void verify_family(VerifyReport& rep, const VerifyOptions& opts, int w, int e);
 
 /// Appends the per-width entries to `rep`: the direct k-ary refutations at

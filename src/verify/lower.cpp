@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "numtheory/numtheory.hpp"
+#include "verify/proof.hpp"
 
 namespace cfmerge::verify {
 
@@ -39,8 +40,7 @@ AffineExpr lower_rho_inverse(const AffineExpr& raw, int w, int e) {
 }
 
 CfGatherLowering lower_cf_gather(int w, int e, ScheduleVariant variant) {
-  if (w <= 0 || e <= 1 || e > w)
-    throw std::invalid_argument("lower_cf_gather: need w > 0 and 1 < E <= w");
+  validate_family("lower_cf_gather", w, e);
 
   CfGatherLowering lo;
   lo.w = w;
@@ -75,6 +75,18 @@ CfGatherLowering lower_cf_gather(int w, int e, ScheduleVariant variant) {
   lo.raw = AffineExpr::select(lo.m, asz, lo.raw_a, lo.raw_b);
   lo.phys = variant == ScheduleVariant::kNoRhoShift ? lo.raw : lower_rho(lo.raw, w, e);
   return lo;
+}
+
+Env cf_gather_env(std::int64_t i, std::int64_t j, std::int64_t a, std::int64_t asz,
+                  std::int64_t u, std::int64_t la) {
+  Env env;
+  env.set(kSymThread, i);
+  env.set(kSymRound, j);
+  env.set(kSymAOff, a);
+  env.set(kSymASize, asz);
+  env.set(kSymU, u);
+  env.set(kSymLa, la);
+  return env;
 }
 
 AffineExpr lower_bitonic_pad(const AffineExpr& x, int w, bool padded) {

@@ -31,8 +31,6 @@ inline constexpr SymId kSymAOff = 2;    ///< a — thread's merge-path A offset 
 inline constexpr SymId kSymASize = 3;   ///< asz — |A_i|
 inline constexpr SymId kSymU = 4;       ///< u — threads per block
 inline constexpr SymId kSymLa = 5;      ///< la — block's |A|
-inline constexpr SymId kSymPairLen = 6; ///< padded cascade-pair length la'+lb'
-                                        ///< (a multiple of wE by construction)
 
 /// Which schedule the lowering models.
 enum class ScheduleVariant {
@@ -60,6 +58,12 @@ struct CfGatherLowering {
 [[nodiscard]] CfGatherLowering lower_cf_gather(int w, int e,
                                                ScheduleVariant variant =
                                                    ScheduleVariant::kFull);
+
+/// Binds lower_cf_gather's symbols for thread i in round j of a u-thread
+/// block with |A| = la, whose merge-path split gives the thread A offset a
+/// and |A_i| = asz.
+[[nodiscard]] Env cf_gather_env(std::int64_t i, std::int64_t j, std::int64_t a,
+                                std::int64_t asz, std::int64_t u, std::int64_t la);
 
 /// rho (CircularShift) applied to `raw`: partitions of P = wE/d elements,
 /// partition l circularly shifted forward by l mod d.  Identity when d == 1.

@@ -1,8 +1,9 @@
 // Pass 1 extension — conflict-freedom of the k-way cascade merge.
 //
 // verify_multiway_cascade machine-checks that multiway_cascade_core is
-// conflict free for a whole (w, E, k) family at once.  The argument reduces
-// to the proven 2-way schedule plus three new obligations:
+// conflict free for a whole (w, E, k) family at once.  It re-derives no bank
+// argument: both access patterns are registered primitives whose memoized
+// certificates it cites, and what is left is their glue:
 //
 //   stage-gather-reduction  every cascade stage gathers through the 2-way
 //                           cf_gather layout of its pair; the memoized
@@ -12,13 +13,13 @@
 //   pad-alignment           CascadePlan only pads at level 0 and keeps every
 //                           pair base and padded length a multiple of wE,
 //                           within the static capacity bound
-//   scatter-residue         the inter-stage rank scatter raw streams are
-//                           r = iE + j (left child, root) and
-//                           la'+lb'-1-r (right child): lane-invariant
-//                           residues mod E, derived symbolically
-//   scatter-bank-crs        every stride-E lane progression through rho hits
-//                           w distinct banks, exhaustively over one wE period
-//                           (covers both scatter directions by periodicity)
+//   scatter-component:cf_rank_scatter
+//                           cites the cf_rank_scatter certificate: given
+//                           pad-alignment, the left child and root scatter
+//                           base' + rho'(iE + j) is its round j, and the
+//                           pi-reflected right-child stream
+//                           la'+lb'-1-(iE + j) = i'E + (E-1-j) walks a
+//                           w-aligned warp onto the banks of round E-1-j
 //   plan-faithfulness       the closed forms above equal CascadePlan's
 //                           scatter_pos on sampled plans, and the concrete
 //                           gather/scatter/store rows of sampled tiles are
@@ -34,7 +35,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -43,13 +43,12 @@
 #include "gather/schedule.hpp"
 #include "gpusim/shared_memory.hpp"
 #include "numtheory/numtheory.hpp"
+#include "sort/multiway_pass.hpp"
 #include "verify/certificate.hpp"
 
 namespace cfmerge::verify {
 
 namespace {
-
-using numtheory::mod;
 
 /// Structured + seeded-random k-way segment windows summing to at most
 /// `tile` (the merge-path splits a tile can present to CascadePlan).
@@ -95,10 +94,11 @@ std::vector<std::vector<std::int64_t>> sample_seglens(std::int64_t tile, int k,
 }
 
 void validate_multiway_family(int w, int e, int k) {
-  if (w <= 0 || e <= 1 || e > w)
-    throw std::invalid_argument("verify_multiway: need w > 0 and 1 < E <= w");
-  if (k < 2 || !std::has_single_bit(static_cast<std::uint64_t>(k)))
-    throw std::invalid_argument("verify_multiway: k must be a power of two >= 2");
+  validate_family("verify_multiway", w, e);
+  if (k < 2 || k > sort::kMaxMultiwayK ||
+      !std::has_single_bit(static_cast<std::uint64_t>(k)))
+    throw std::invalid_argument("verify_multiway: k must be a power of two in [2, " +
+                                std::to_string(sort::kMaxMultiwayK) + "]");
 }
 
 /// True iff the warp row of addresses serializes (degree > 1).
@@ -169,69 +169,6 @@ void check_pad_alignment(ProofStep& st, int w, int e, int k,
   st.detail = os.str();
 }
 
-void check_scatter_residue(ProofStep& st, int e, int w) {
-  const AffineExpr i = AffineExpr::sym(kSymThread, "i");
-  const AffineExpr j = AffineExpr::sym(kSymRound, "j");
-  const AffineExpr plen = AffineExpr::sym(kSymPairLen, "plen");
-  const AffineExpr r = i.times(e) + j;
-  const AffineExpr raw_left = r;  // parent pos_a and the root layout
-  const AffineExpr raw_right = plen - AffineExpr::constant(1) - r;  // pi'
-  const SymbolFacts facts = {{kSymPairLen, static_cast<std::int64_t>(w) * e}};
-
-  const LinearResidue want_left{0, {{kSymRound, 1}}};
-  const LinearResidue want_right{static_cast<std::int64_t>(e) - 1,
-                                 {{kSymRound, static_cast<std::int64_t>(e) - 1}}};
-  const auto got_left = residue_mod(raw_left, e, facts);
-  const auto got_right = residue_mod(raw_right, e, facts);
-  if (!got_left || !(*got_left == want_left) || !got_right ||
-      !(*got_right == want_right)) {
-    std::ostringstream os;
-    os << "scatter residues underivable: left "
-       << (got_left ? got_left->str(e) : "<irreducible>") << ", right "
-       << (got_right ? got_right->str(e) : "<irreducible>");
-    fail(st, os.str());
-    return;
-  }
-  std::ostringstream os;
-  os << "rank r = iE + j: left-child/root scatter raw ≡ " << want_left.str(e)
-     << ", right-child raw ≡ " << want_right.str(e)
-     << " (mod E) — lane-invariant because E | iE and wE | la'+lb'; every "
-        "scatter round is a stride-E lane progression";
-  st.detail = os.str();
-}
-
-void check_scatter_bank_crs(ProofStep& st, int w, int e) {
-  const std::int64_t we = static_cast<std::int64_t>(w) * e;
-  const gather::CircularShift rho(w, e, 2 * we);
-  for (std::int64_t m = 0; m < we; ++m) {
-    if (mod(rho(m), w) != mod(rho(m + we), w)) {
-      fail(st, "bank(rho(m)) not wE-periodic at m=" + std::to_string(m));
-      return;
-    }
-  }
-  for (std::int64_t x0 = 0; x0 < we; ++x0) {
-    std::vector<int> owner(static_cast<std::size_t>(w), -1);
-    for (int lane = 0; lane < w; ++lane) {
-      const std::int64_t raw = x0 + static_cast<std::int64_t>(lane) * e;
-      const auto bank = static_cast<std::size_t>(mod(rho(raw), w));
-      if (owner[bank] >= 0) {
-        std::ostringstream os;
-        os << "alignment x0=" << x0 << ": lanes " << owner[bank] << " and " << lane
-           << " both map to bank " << bank;
-        fail(st, os.str());
-        return;
-      }
-      owner[bank] = lane;
-    }
-  }
-  std::ostringstream os;
-  os << "bank∘rho is wE-periodic and all " << we
-     << " alignments of the stride-E lane progression occupy " << w
-     << " distinct banks — covers ascending (left child, root) and "
-        "pi-reflected descending (right child) scatter streams";
-  st.detail = os.str();
-}
-
 /// Concrete cross-check of the symbolic model against CascadePlan plus a
 /// dynamic-cost screening of sampled gather/scatter/store rows.  `thorough`
 /// sweeps every virtual warp and round of the sampled tiles; otherwise a
@@ -296,27 +233,16 @@ void check_plan_faithfulness(ProofStep& st, int w, int e,
         // Stage-gather rows through the pair's 2-way schedule, all-A and a
         // seeded-random merge-path split.
         const auto un = static_cast<std::size_t>(u_pair);
-        std::vector<std::vector<std::int64_t>> asz_samples;
-        asz_samples.emplace_back(un, static_cast<std::int64_t>(e));
-        {
-          Lcg rng(0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(l * 131 + p));
-          std::vector<std::int64_t> v(un);
-          for (auto& x : v) x = rng.below_eq(e);
-          asz_samples.push_back(std::move(v));
-        }
-        for (const auto& asz : asz_samples) {
-          std::vector<std::int64_t> aoff(un);
-          std::int64_t acc = 0;
-          for (std::size_t t = 0; t < un; ++t) {
-            aoff[t] = acc;
-            acc += asz[t];
-          }
-          // Clamp the sampled |A| to the pair's real la by rescaling: the
-          // schedule only needs a_off/a_size consistent with *some* split of
-          // [0, la+lb); use the sampled sizes verbatim with la = acc.
-          const gather::GatherShape shape{w, e, static_cast<int>(u_pair), acc,
-                                          pr.size() - acc};
-          const gather::RoundSchedule sched(shape, aoff, asz);
+        std::vector<std::int64_t> random(un);
+        Lcg rng(0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(l * 131 + p));
+        for (auto& x : random) x = rng.below_eq(e);
+        for (const Split& sp : {make_split(std::vector<std::int64_t>(un, e)),
+                                make_split(std::move(random))}) {
+          // The schedule only needs a_off/a_size consistent with *some* split
+          // of [0, la+lb): use the sampled sizes verbatim with la = their sum.
+          const gather::GatherShape shape{w, e, static_cast<int>(u_pair), sp.la,
+                                          pr.size() - sp.la};
+          const gather::RoundSchedule sched(shape, sp.a_off, sp.a_size);
           for (std::int64_t vw = 0; vw < vwarps; thorough ? ++vw : vw += std::max<std::int64_t>(1, vwarps - 1)) {
             for (int j = 0; j < e; ++j) {
               for (int lane = 0; lane < w; ++lane) {
@@ -376,40 +302,34 @@ ProofObject verify_multiway_cascade(int w, int e, int k) {
       "all tiles u = m*w, all k-way merge-path splits, all log2(k) cascade "
       "stages and inter-stage scatters";
 
-  // Step 1: every stage gather is the proven 2-way schedule.
-  {
-    auto& st = po.add_step("stage-gather-reduction");
-    if (certify("cf_gather", w, e) != nullptr) {
-      std::ostringstream os;
-      os << "each of the " << std::bit_width(static_cast<unsigned>(k)) - 1
-         << " cascade stages gathers through the 2-way cf_gather layout of its "
-            "pair; the memoized cf_gather certificate at (w=" << w << ", E=" << e
-         << ") applies verbatim since pair bases are wE multiples";
-      st.detail = os.str();
-    } else {
-      fail(st, "no cf_gather certificate at (w=" + std::to_string(w) +
-                   ", E=" + std::to_string(e) + ")");
-    }
-  }
+  // Every stage gather is the proven 2-way schedule.
+  cite(po.add_step("stage-gather-reduction"), certify("cf_gather", w, e) != nullptr,
+       "cf_gather", w, e,
+       ": each of the " + std::to_string(std::bit_width(static_cast<unsigned>(k)) - 1) +
+           " cascade stages gathers through the 2-way cf_gather layout of its "
+           "pair, and pair bases are wE multiples (banks unchanged by the shift)");
 
   const std::int64_t tile_cap = static_cast<std::int64_t>(w) * e;  // u = w
   const auto samples = sample_seglens(tile_cap, k, 4, 0xcafef00dULL);
   check_pad_alignment(po.add_step("pad-alignment"), w, e, k, samples, tile_cap);
-  check_scatter_residue(po.add_step("scatter-residue"), e, w);
-  check_scatter_bank_crs(po.add_step("scatter-bank-crs"), w, e);
+  // Every inter-stage scatter is the certified stride-E rank scatter.
+  cite(po.add_step("scatter-component:cf_rank_scatter"),
+       certify("cf_rank_scatter", w, e) != nullptr, "cf_rank_scatter", w, e,
+       ": with wE | base' and wE | la'+lb' (pad-alignment), the left-child and "
+       "root scatter base' + rho'(iE + j) is round j of the certified stream; "
+       "the pi-reflected right-child stream la'+lb'-1-(iE + j) = i'E + (E-1-j) "
+       "with i' = (la'+lb')/E - 1 - i maps a w-aligned warp onto a w-aligned "
+       "warp, so it hits the banks of round E-1-j");
   const bool thorough = e == std::max(2, w / 2);
   check_plan_faithfulness(po.add_step("plan-faithfulness"), w, e, samples,
                           thorough);
 
-  bool any_failed = false;
-  for (const auto& st : po.steps) any_failed |= st.status == StepStatus::kFailed;
-  po.verdict = any_failed ? Verdict::kRefutedNoWitness : Verdict::kProved;
+  po.settle_verdict();
   return po;
 }
 
 ProofObject refute_multiway_direct(int w, int e, int k) {
-  if (w <= 0 || e <= 1 || e > w)
-    throw std::invalid_argument("refute_multiway_direct: need w > 0 and 1 < E <= w");
+  validate_family("refute_multiway_direct", w, e);
   if (k < 2) throw std::invalid_argument("refute_multiway_direct: k >= 2");
   ProofObject po;
   po.schedule = "multiway_direct_cf_claim";

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "cfprims/check.hpp"
 #include "numtheory/numtheory.hpp"
 #include "verify/analyzer.hpp"
 
@@ -16,6 +15,7 @@ namespace {
 /// address on every (thread, round) of the verification shape.
 void check_stream_faithfulness(ProofObject& po, const cfprims::AccessStream& st) {
   ProofStep& step = po.add_step("lower:" + st.name);
+  const FlatExpr phys(st.phys);
   std::int64_t checked = 0;
   for (std::int64_t i = 0; i < st.domain; ++i) {
     for (int j = 0; j < st.rounds; ++j) {
@@ -23,7 +23,7 @@ void check_stream_faithfulness(ProofObject& po, const cfprims::AccessStream& st)
       env.set(kSymThread, i);
       env.set(kSymRound, j);
       const std::int64_t want = st.concrete(i, j);
-      const std::int64_t got = st.phys.eval(env);
+      const std::int64_t got = phys.eval(env);
       if (got != want) {
         std::ostringstream os;
         os << "IR " << st.phys.str() << " = " << got << " but the kernel computes "
@@ -57,8 +57,8 @@ void check_stream_residue(ProofObject& po, const cfprims::AccessStream& st,
                 ") derived symbolically";
 }
 
-/// periodicity:<stream> — bank(phys(i + period, j)) == bank(phys(i, j)),
-/// so the exhaustive window check extends to every u ≡ 0 (mod w).
+}  // namespace
+
 void check_stream_periodicity(ProofObject& po, const cfprims::AccessStream& st,
                               int w) {
   ProofStep& step = po.add_step("periodicity:" + st.name);
@@ -86,9 +86,20 @@ void check_stream_periodicity(ProofObject& po, const cfprims::AccessStream& st,
                 " in the thread index";
 }
 
-/// banks:<stream> — every w-aligned warp window of every round is
-/// conflict-free under the simulator's own cost model; a conflicting
-/// stream yields a concrete lane-pair witness.
+Counterexample bank_witness(const cfprims::ConflictScan& scan, int w, int e, int u) {
+  Counterexample cx;
+  cx.w = w;
+  cx.e = e;
+  cx.u = u;
+  cx.round = scan.round;
+  cx.lane1 = static_cast<int>(scan.window_base) + scan.lane1;
+  cx.lane2 = static_cast<int>(scan.window_base) + scan.lane2;
+  cx.addr1 = scan.addr1;
+  cx.addr2 = scan.addr2;
+  cx.bank = scan.bank;
+  return cx;
+}
+
 void check_stream_banks(ProofObject& po, const cfprims::AccessStream& st, int w,
                         int e, int u) {
   ProofStep& step = po.add_step("banks:" + st.name);
@@ -106,29 +117,18 @@ void check_stream_banks(ProofObject& po, const cfprims::AccessStream& st, int w,
      << " windows; first in round " << scan.round << " at window base "
      << scan.window_base;
   fail(step, os.str());
-  if (po.verdict == Verdict::kProved || po.verdict == Verdict::kRefutedNoWitness) {
+  if (po.verdict != Verdict::kCounterexample) {
     po.verdict = Verdict::kCounterexample;
-    Counterexample& cx = po.counterexample;
-    cx.w = w;
-    cx.e = e;
-    cx.u = u;
-    cx.la = 0;
-    cx.round = scan.round;
-    cx.lane1 = static_cast<int>(scan.window_base) + scan.lane1;
-    cx.lane2 = static_cast<int>(scan.window_base) + scan.lane2;
-    cx.addr1 = scan.addr1;
-    cx.addr2 = scan.addr2;
-    cx.bank = scan.bank;
+    po.counterexample = bank_witness(scan, w, e, u);
   }
 }
-
-}  // namespace
 
 ProofObject verify_primitive(const cfprims::CFPrimitive& prim, int w, int e) {
   if (!prim.supports(w, e))
     throw std::invalid_argument("verify_primitive: " + std::string(prim.name()) +
                                 " does not support (w=" + std::to_string(w) +
                                 ", E=" + std::to_string(e) + ")");
+  validate_width("verify_primitive", w);
 
   // Verification shape: two warps of threads (u = 2w), i.e. a tile of two
   // full rho periods — small enough for the exhaustive walks, and the
@@ -158,10 +158,7 @@ ProofObject verify_primitive(const cfprims::CFPrimitive& prim, int w, int e) {
     check_stream_banks(po, st, w, e, shape.u);
   }
 
-  if (po.verdict == Verdict::kProved) {
-    for (const ProofStep& st : po.steps)
-      if (st.status == StepStatus::kFailed) po.verdict = Verdict::kRefutedNoWitness;
-  }
+  po.settle_verdict();
   return po;
 }
 

@@ -19,10 +19,28 @@
 // contribute their family tag.
 #pragma once
 
+#include "cfprims/check.hpp"
 #include "cfprims/primitive.hpp"
 #include "verify/proof.hpp"
 
 namespace cfmerge::verify {
+
+/// Appends periodicity:<stream>: bank(phys(i + period, j)) == bank(phys(i, j))
+/// for the stream's bank period (default w), so the exhaustive window check
+/// extends to every u ≡ 0 (mod w).
+void check_stream_periodicity(ProofObject& po, const cfprims::AccessStream& st,
+                              int w);
+
+/// Appends banks:<stream>: every w-aligned warp window of every round is
+/// conflict-free under the simulator's own cost model.  A conflicting
+/// stream attaches its first lane pair as po's witness (kCounterexample).
+void check_stream_banks(ProofObject& po, const cfprims::AccessStream& st, int w,
+                        int e, int u);
+
+/// The first conflicting lane pair of `scan` as a witness of a u-thread
+/// block, lanes block-relative.
+[[nodiscard]] Counterexample bank_witness(const cfprims::ConflictScan& scan, int w,
+                                          int e, int u);
 
 /// Proves or refutes one registered primitive for the (w, E) family.
 /// Throws std::invalid_argument when the primitive does not support (w, E).

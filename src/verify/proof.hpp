@@ -12,7 +12,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cfmerge::verify {
@@ -28,6 +30,21 @@ struct ProofStep {
 /// Marks `step` failed with the failure reason.
 void fail(ProofStep& step, std::string detail);
 
+/// Makes `step` a citation of the memoized `cert` certificate at (w, E): it
+/// passes with "cites the memoized <cert> certificate at (w=W, E=E)" and
+/// `argument` when `held` (the certify / certify_safety lookup succeeded),
+/// and fails naming the missing certificate otherwise.
+void cite(ProofStep& step, bool held, std::string_view cert, int w, int e,
+          std::string_view argument = {});
+
+/// Throws std::invalid_argument "<entry>: w must be <= 64" for a warp wider
+/// than the simulator's lane limit (gpusim::kMaxLanes).
+void validate_width(std::string_view entry, int w);
+
+/// validate_width, after throwing "<entry>: need w > 0 and 1 < E <= w" for a
+/// family outside the verifier's range.
+void validate_family(std::string_view entry, int w, int e);
+
 /// Deterministic split sampler (64-bit LCG, Knuth's MMIX constants): every
 /// prover samples from a fixed seed, so proofs are reproducible.
 struct Lcg {
@@ -42,6 +59,24 @@ struct Lcg {
     return static_cast<std::int64_t>(next() % static_cast<std::uint64_t>(n + 1));
   }
 };
+
+/// One merge-path split of a u-thread block: per-thread |A_i| in [0, E],
+/// their prefix sums a_i and the block's |A|.  Every prefix-sum split is the
+/// merge path of some input, so a sampled split is a real schedule.
+struct Split {
+  std::vector<std::int64_t> a_size;
+  std::vector<std::int64_t> a_off;
+  std::int64_t la = 0;
+};
+
+/// The split with per-thread sizes `a_size`.
+[[nodiscard]] Split make_split(std::vector<std::int64_t> a_size);
+
+/// The verifier's split sampler: the structured extremes (all-A, all-B,
+/// alternating E/0, the ramp i mod (E+1), all-A with one partial thread,
+/// uniform E/2) followed by `random_trials` seeded-random splits.
+[[nodiscard]] std::vector<Split> sample_splits(int u, int e, int random_trials,
+                                               std::uint64_t seed);
 
 /// A concrete bank collision: two lanes of one warp whose round-j reads land
 /// in the same bank, together with the schedule instance that produces it.
@@ -96,8 +131,14 @@ struct ProofObject {
 
   [[nodiscard]] bool proved() const { return verdict == Verdict::kProved; }
   ProofStep& add_step(std::string name);
-  /// Pass 3 witnesses name their violated property in `kind`: a refuted
-  /// safety proof whose counterexample has none becomes kRefutedNoWitness.
+  [[nodiscard]] bool any_step_failed() const;
+  /// Settles the verdict from the steps: kProved iff no step failed.  A
+  /// failed derivation keeps a witness a step already attached, else takes
+  /// `witness`, else becomes kRefutedNoWitness.
+  void settle_verdict(std::optional<Counterexample> witness = std::nullopt);
+  /// settle_verdict for Pass 3, whose witnesses name their violated
+  /// property in `kind`: a refuted safety proof whose counterexample has
+  /// none becomes kRefutedNoWitness.
   void settle_safety_verdict();
 };
 

@@ -104,7 +104,7 @@ std::optional<std::string> symbolic_bounds(const PrimitiveLowering& lo,
   // Render the free multiplier symbol by its name.
   for (std::size_t at = out.find("sym103"); at != std::string::npos;
        at = out.find("sym103", at))
-    out.replace(at, 6, "M");
+    out.replace(at, 6, 1, 'M');
   return out;
 }
 
@@ -343,70 +343,6 @@ ProofObject stream_safety(const CFPrimitive& prim, int w, int e) {
 
 // ---- gather-family composite model -------------------------------------
 
-/// One sampled merge-path split: per-thread |A_i| with the derived offsets.
-struct Split {
-  std::vector<std::int64_t> a_size;
-  std::vector<std::int64_t> a_off;
-  std::int64_t la = 0;
-};
-
-Split make_split(std::vector<std::int64_t> sizes) {
-  Split sp;
-  sp.a_size = std::move(sizes);
-  sp.a_off.resize(sp.a_size.size());
-  std::int64_t acc = 0;
-  for (std::size_t i = 0; i < sp.a_size.size(); ++i) {
-    sp.a_off[i] = acc;
-    acc += sp.a_size[i];
-  }
-  sp.la = acc;
-  return sp;
-}
-
-/// Structured extremes plus seeded random splits — every prefix-sum split is
-/// the merge path of some input, so this samples real schedules.
-std::vector<Split> sample_splits(int u, int e) {
-  std::vector<Split> out;
-  const auto uu = static_cast<std::size_t>(u);
-  out.push_back(make_split(std::vector<std::int64_t>(uu, e)));  // all-A
-  out.push_back(make_split(std::vector<std::int64_t>(uu, 0)));  // all-B
-  {
-    std::vector<std::int64_t> alt(uu);
-    for (std::size_t i = 0; i < uu; ++i) alt[i] = (i % 2 == 0) ? e : 0;
-    out.push_back(make_split(std::move(alt)));
-  }
-  out.push_back(make_split(std::vector<std::int64_t>(uu, e / 2)));
-  Lcg rng(0x5AFE7Eu + static_cast<std::uint64_t>(u) * 131 +
-          static_cast<std::uint64_t>(e));
-  for (int r = 0; r < 6; ++r) {
-    std::vector<std::int64_t> sizes(uu);
-    for (std::size_t i = 0; i < uu; ++i) sizes[i] = rng.below_eq(e);
-    out.push_back(make_split(std::move(sizes)));
-  }
-  return out;
-}
-
-/// The variant-aware physical read address of Algorithm 1 — mirrors
-/// RoundSchedule::read plus lower_cf_gather's broken-variant branches.
-std::int64_t gather_read_phys(ScheduleVariant variant, int e, std::int64_t la,
-                              std::int64_t lb, const gather::CircularShift& rho,
-                              std::int64_t a_off, std::int64_t a_size,
-                              std::int64_t i, int j) {
-  const std::int64_t k = a_off % e;
-  std::int64_t m = j - k;
-  if (m < 0) m += e;
-  std::int64_t raw = 0;
-  if (m < a_size) {
-    raw = a_off + m;
-  } else {
-    std::int64_t eidx = k - j - 1;
-    if (eidx < 0) eidx += e;
-    const std::int64_t y = i * e - a_off + eidx;
-    raw = variant == ScheduleVariant::kNoBReversal ? la + y : la + lb - 1 - y;
-  }
-  return variant == ScheduleVariant::kNoRhoShift ? raw : rho(raw);
-}
-
 /// The fill map of the staged tile load's TileLayout for the variant: where
 /// A element x and B element y land in shared memory.
 std::int64_t fill_pos_a(ScheduleVariant variant, const gather::CircularShift& rho,
@@ -420,9 +356,9 @@ std::int64_t fill_pos_b(ScheduleVariant variant, const gather::CircularShift& rh
   return variant == ScheduleVariant::kNoRhoShift ? raw : rho(raw);
 }
 
-/// Checks the fill bijection and the gather read sweep for one (u, split).
-/// Reports through `po`; returns false once the proof is refuted so the
-/// caller can stop early.
+/// The fill bijection and the gather read sweep over sampled (u, split):
+/// the reads evaluate lower_cf_gather's IR, which lowering-faithfulness
+/// proves equal to RoundSchedule::read.
 ProofObject gather_family_safety(const CFPrimitive& prim, ScheduleVariant variant,
                                  int w, int e) {
   ProofObject po;
@@ -447,13 +383,16 @@ ProofObject gather_family_safety(const CFPrimitive& prim, ScheduleVariant varian
   ProofStep& init = po.steps[po.steps.size() - 2];
   ProofStep& race = po.steps[po.steps.size() - 1];
 
+  const FlatExpr read_phys(lower_cf_gather(w, e, variant).phys);
   std::int64_t checked_fills = 0;
   std::int64_t checked_reads = 0;
   for (const int u : {w, 2 * w}) {
     const std::int64_t tile = static_cast<std::int64_t>(u) * e;
     const gather::CircularShift rho(w, e, tile);
     const PrimShape shape{w, e, u, 0};
-    for (const Split& sp : sample_splits(u, e)) {
+    for (const Split& sp : sample_splits(u, e, 6,
+                                         0x5AFE7Eu + static_cast<std::uint64_t>(u) * 131 +
+                                             static_cast<std::uint64_t>(e))) {
       const std::int64_t la = sp.la;
       const std::int64_t lb = tile - la;
       // Fill: pos_a over [0, la) and pos_b over [0, lb) must tile [0, tile)
@@ -484,9 +423,9 @@ ProofObject gather_family_safety(const CFPrimitive& prim, ScheduleVariant varian
       // covered the whole tile, so in-bounds ⇒ initialized.
       for (int j = 0; j < e; ++j)
         for (std::int64_t i = 0; i < u; ++i) {
-          const std::int64_t pos = gather_read_phys(
-              variant, e, la, lb, rho, sp.a_off[static_cast<std::size_t>(i)],
-              sp.a_size[static_cast<std::size_t>(i)], i, j);
+          const auto ui = static_cast<std::size_t>(i);
+          const std::int64_t pos =
+              read_phys.eval(cf_gather_env(i, j, sp.a_off[ui], sp.a_size[ui], u, la));
           ++checked_reads;
           if (pos < 0 || pos >= tile)
             fail_step(po, bounds, "gather read escapes the tile",
@@ -500,7 +439,8 @@ ProofObject gather_family_safety(const CFPrimitive& prim, ScheduleVariant varian
   fs << checked_fills << " (u, |A|) fill instances: bijection onto [0, tile)";
   if (fill.status == StepStatus::kPassed) fill.detail = fs.str();
   std::ostringstream bs;
-  bs << checked_reads << " (u, split, round, lane) reads within [0, tile)";
+  bs << checked_reads
+     << " (u, split, round, lane) reads of the checked cf_gather IR within [0, tile)";
   if (bounds.status == StepStatus::kPassed) bounds.detail = bs.str();
   if (fill.status == StepStatus::kPassed && bounds.status == StepStatus::kPassed) {
     init.detail =
@@ -560,6 +500,7 @@ ProofObject verify_primitive_safety(const CFPrimitive& prim, int w, int e) {
   if (!prim.supports(w, e))
     throw std::invalid_argument("verify_primitive_safety: unsupported (w, E) for " +
                                 std::string(prim.name()));
+  validate_width("verify_primitive_safety", w);
   const PrimitiveLowering probe = prim.lower(PrimShape{w, e, 2 * w, 0});
   if (probe.delegate_cf_gather)
     return gather_family_safety(prim, probe.gather_variant, w, e);
@@ -623,6 +564,7 @@ ProofObject verify_composite_safety(const CompositeKernel& kernel, int w, int e,
                                 std::string(kernel.name) +
                                 (kernel.per_arity ? " needs" : " takes no") +
                                 " merge arity k");
+  validate_width("verify_composite_safety", w);
   ProofObject po;
   po.schedule = std::string(kernel.name);
   po.family = po.schedule;
@@ -632,18 +574,13 @@ ProofObject verify_composite_safety(const CompositeKernel& kernel, int w, int e,
   po.d = numtheory::gcd(w, e);
   po.scope = std::string(kernel.scope);
 
-  std::ostringstream at;
-  at << " at (w=" << w << ", E=" << e << ")";
   for (const CompositeStep& c : kernel.steps) {
     ProofStep& step = po.add_step(std::string(c.name));
-    const std::string prim(c.primitive);
-    if (prim.empty())
+    if (c.primitive.empty())
       stride_phase_bijection(po, step, w, e);
-    else if (certify_safety(prim, w, e) != nullptr)
-      step.detail = "cites the memoized " + prim + " safety certificate" + at.str();
     else
-      fail_step(po, step, "component " + prim + " has no safety certificate" + at.str(),
-                Counterexample{});
+      cite(step, certify_safety(c.primitive, w, e) != nullptr,
+           std::string(c.primitive) + " safety", w, e);
   }
 
   ProofStep& probes = po.add_step("data-dependent-probes");

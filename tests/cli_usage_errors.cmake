@@ -42,8 +42,11 @@ elseif(tool_name STREQUAL "cfverify")
   run_case("cfverify: refute_multiway_direct: need w > 0 and 1 < E <= w"
            --widths=0 --quiet)
   run_case("cfverify: --widths: not an integer: 'x'" --widths=x)
-  run_case("cfverify: shared_access_cost: bank count out of range"
-           --w=200 --e=4 --quiet)
+  # Widths past the simulator's 64 lanes are rejected up front, before any
+  # lane-indexed table is touched.
+  run_case("cfverify: verify_family: w must be <= 64" --w=200 --e=4 --quiet)
+  run_case("cfverify: verify_family: w must be <= 64" --widths=128 --quiet)
+  run_case("cfverify: --ks: every arity must be a power of two in [2, 16]" --ks=32)
   # The legacy cf_gather-only fork is gone; its flag is an unknown argument.
   run_case("cfverify: unknown argument: --no-primitives" --no-primitives)
 else()

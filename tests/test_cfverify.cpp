@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <numeric>
 #include <sstream>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/json.hpp"
@@ -276,6 +278,28 @@ TEST(CfVerify, MultiwayCascadeSweepProved) {
   }
 }
 
+TEST(CfVerify, MultiwayCascadeCitesRankScatter) {
+  // The inter-stage scatter is not re-derived: the cascade cites the
+  // registered cf_rank_scatter certificate, and the right child's reflected
+  // stream reduces to round E-1-j of it.
+  const std::vector<std::string> want = {"stage-gather-reduction", "pad-alignment",
+                                         "scatter-component:cf_rank_scatter",
+                                         "plan-faithfulness"};
+  for (const auto& [w, e, k] : {std::tuple{4, 2, 2}, std::tuple{8, 4, 4},
+                                std::tuple{16, 6, 8}, std::tuple{32, 15, 16}}) {
+    const ProofObject po = verify_multiway_cascade(w, e, k);
+    ASSERT_TRUE(po.proved()) << "w=" << w << " E=" << e << " k=" << k;
+    std::vector<std::string> names;
+    for (const ProofStep& st : po.steps) names.push_back(st.name);
+    EXPECT_EQ(names, want) << "w=" << w << " E=" << e << " k=" << k;
+    const std::string& detail = po.steps[2].detail;
+    EXPECT_NE(detail.find("cites the memoized cf_rank_scatter certificate"),
+              std::string::npos)
+        << detail;
+    EXPECT_NE(detail.find("round E-1-j"), std::string::npos) << detail;
+  }
+}
+
 TEST(CfVerify, MultiwayDirectRefutationWitnessReplays) {
   for (const int w : kWidths) {
     const int e = std::max(2, w / 2);
@@ -360,6 +384,9 @@ TEST(CfVerify, InvalidParametersThrow) {
   EXPECT_THROW((void)verify_multiway_cascade(8, 4, 3), std::invalid_argument);
   EXPECT_THROW((void)verify_multiway_cascade(8, 4, 1), std::invalid_argument);
   EXPECT_THROW((void)verify_multiway_cascade(8, 1, 4), std::invalid_argument);
+  EXPECT_THROW((void)verify_multiway_cascade(8, 4, 32), std::invalid_argument);
+  EXPECT_THROW((void)verify_multiway_cascade(128, 4, 2), std::invalid_argument);
+  EXPECT_THROW((void)verify_cf_gather(128, 4), std::invalid_argument);
   EXPECT_THROW((void)refute_multiway_direct(8, 1, 4), std::invalid_argument);
   EXPECT_THROW((void)refute_multiway_direct(8, 4, 1), std::invalid_argument);
 }

@@ -14,7 +14,7 @@
 //                                  bitonic profiles of width W
 //     --widths=4,8,16              override the sweep widths
 //     --ks=2,4,8                   override the multiway merge arities (each
-//                                  must be a power of two >= 2)
+//                                  must be a power of two in [2, 16])
 //     --no-broken                  skip the deliberately-broken refutations
 //     --no-worstcase               skip the Theorem 8 analyses
 //     --no-bitonic                 skip the bitonic exchange profiles
@@ -32,7 +32,8 @@
 //
 // Exit status: 0 when every required proof holds, every broken schedule is
 // refuted and the shadow checker is clean; 1 otherwise; 2 on usage errors
-// (unknown flags, malformed numbers, a (w, E) outside the verifier's range).
+// (unknown flags, malformed numbers, a (w, E) outside the verifier's range,
+// a width past the simulator's 64 lanes, an arity outside [2, 16]).
 //
 // Examples:
 //   cfverify --all --json | jq .ok
@@ -113,8 +114,10 @@ Options parse(int argc, char** argv) {
   if ((o.w != 0) != (o.e != 0)) usage("--w and --e must be given together");
   if (o.w != 0 && o.all) usage("--all and --w/--e are mutually exclusive");
   for (const int k : o.sweep.ks)
-    if (k < 2 || (k & (k - 1)) != 0)
-      usage("--ks: every arity must be a power of two >= 2");
+    if (k < 2 || k > sort::kMaxMultiwayK || (k & (k - 1)) != 0)
+      usage(("--ks: every arity must be a power of two in [2, " +
+             std::to_string(sort::kMaxMultiwayK) + "]")
+                .c_str());
   return o;
 }
 

@@ -26,7 +26,11 @@
 #           bulk-charge, cfprims and dual-gather suites drive the certified
 #           bulk movers, which index raw tile and view spans directly.  The
 #           two shared-memory suites drive the bank-conflict model, whose
-#           dedup bitmap is indexed by shared address.
+#           dedup bitmap is indexed by shared address.  The verifier suites
+#           (cfverify, safety) index lane- and word-sized tables by computed
+#           banks and addresses, and the usage-error ctests drive cfsort and
+#           cfverify with out-of-range input (a 200-lane warp, say) that
+#           must be rejected before any such table is touched.
 # undefined runs the whole tier-1 test suite under UBSan with
 #           -fno-sanitize-recover=all: any signed overflow, bad shift,
 #           misaligned access or invalid enum load aborts the test binary.
@@ -47,7 +51,8 @@ case "$MODE" in
              test_segmented_sort test_batched_merge test_serial_merge \
              test_block_sort test_merge_pass test_multiway_sort test_access_stream \
              test_bulk_charge test_cfprims test_cfprims_golden test_dual_gather \
-             test_shared_memory test_shared_memory_oracle"
+             test_shared_memory test_shared_memory_oracle test_cfverify test_safety"
+    TOOLS="cfsort cfverify"  # for the usage-error ctests
     ;;
   undefined)
     DEFAULT_BUILD=build-ubsan
@@ -59,6 +64,7 @@ case "$MODE" in
     ;;
 esac
 BUILD="${2:-$DEFAULT_BUILD}"
+JOBS="$(nproc 2>/dev/null || echo 2)"
 
 cmake -B "$BUILD" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -71,16 +77,20 @@ cmake -B "$BUILD" -S . \
 # code and CI always sees one machine-greppable summary line either way.
 status=0
 if [ "$MODE" = undefined ]; then
-  cmake --build "$BUILD" -j
-  CFMERGE_SIM_THREADS=4 ctest --test-dir "$BUILD" -j"$(nproc 2>/dev/null || echo 2)" \
+  cmake --build "$BUILD" -j"$JOBS"
+  CFMERGE_SIM_THREADS=4 ctest --test-dir "$BUILD" -j"$JOBS" \
     --output-on-failure || status=$?
 else
   # shellcheck disable=SC2086
-  cmake --build "$BUILD" -j --target $TARGETS
+  cmake --build "$BUILD" -j"$JOBS" --target $TARGETS ${TOOLS:-}
   for t in $TARGETS; do
     echo "== $t under $MODE sanitizer (CFMERGE_SIM_THREADS=4) =="
     CFMERGE_SIM_THREADS=4 "$BUILD/tests/$t" || { status=$?; break; }
   done
+  if [ "$status" -eq 0 ] && [ -n "${TOOLS:-}" ]; then
+    echo "== usage-error ctests under $MODE sanitizer =="
+    ctest --test-dir "$BUILD" -R usage_errors --output-on-failure || status=$?
+  fi
 fi
 
 if [ "$status" -ne 0 ]; then
