@@ -10,14 +10,15 @@
 // Extend with --imin/--imax/--reps/--sms or CFMERGE_BENCH_FULL=1;
 // --threads=N simulates blocks on N host workers (results bit-identical).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "analysis/experiment.hpp"
 #include "analysis/plot.hpp"
 #include "analysis/table.hpp"
+#include "gpusim/parse_int.hpp"
 
 using namespace cfmerge;
 
@@ -25,7 +26,8 @@ namespace {
 
 int parse_sms(int argc, char** argv, int def) {
   for (int i = 1; i < argc; ++i)
-    if (std::strncmp(argv[i], "--sms=", 6) == 0) return std::atoi(argv[i] + 6);
+    if (std::strncmp(argv[i], "--sms=", 6) == 0)
+      return gpusim::parse_int<int>(argv[i] + 6, "--sms", 1);
   return def;
 }
 
@@ -37,8 +39,15 @@ struct ParamSet {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto sweep = analysis::SweepConfig::from_args(argc, argv);
-  const int sms = parse_sms(argc, argv, 4);
+  analysis::SweepConfig sweep;
+  int sms = 4;
+  try {
+    sweep = analysis::SweepConfig::from_args(argc, argv);
+    sms = parse_sms(argc, argv, sms);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "fig5_worstcase_throughput: %s\n", e.what());
+    return 2;
+  }
   gpusim::Launcher launcher(gpusim::DeviceSpec::scaled_turing(sms));
   launcher.set_threads(sweep.threads);
   const int w = launcher.device().warp_size;

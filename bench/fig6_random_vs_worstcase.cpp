@@ -6,28 +6,37 @@
 // random curve (up to ~50% slowdown per prior work), while CF-Merge's two
 // curves coincide with each other and with the baseline's random curve.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "analysis/experiment.hpp"
 #include "analysis/plot.hpp"
 #include "analysis/table.hpp"
+#include "gpusim/parse_int.hpp"
 
 using namespace cfmerge;
 
 namespace {
 int parse_sms(int argc, char** argv, int def) {
   for (int i = 1; i < argc; ++i)
-    if (std::strncmp(argv[i], "--sms=", 6) == 0) return std::atoi(argv[i] + 6);
+    if (std::strncmp(argv[i], "--sms=", 6) == 0)
+      return gpusim::parse_int<int>(argv[i] + 6, "--sms", 1);
   return def;
 }
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto sweep = analysis::SweepConfig::from_args(argc, argv);
-  const int sms = parse_sms(argc, argv, 4);
+  analysis::SweepConfig sweep;
+  int sms = 4;
+  try {
+    sweep = analysis::SweepConfig::from_args(argc, argv);
+    sms = parse_sms(argc, argv, sms);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "fig6_random_vs_worstcase: %s\n", e.what());
+    return 2;
+  }
   gpusim::Launcher launcher(gpusim::DeviceSpec::scaled_turing(sms));
   launcher.set_threads(sweep.threads);
   const int w = launcher.device().warp_size;

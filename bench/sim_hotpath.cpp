@@ -35,11 +35,13 @@
 #include <cstring>
 #include <fstream>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "analysis/json.hpp"
 #include "cfprims/permute.hpp"
+#include "gpusim/parse_int.hpp"
 #include "sort/batched_merge.hpp"
 #include "sort/engine.hpp"
 #include "sort/merge_sort.hpp"
@@ -169,18 +171,25 @@ int main(int argc, char** argv) {
   int repeats = 0;  // 0 = default per mode
   int threads = 1;
   std::string out_path = "BENCH_sim_hotpath.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--quick") quick = true;
-    else if (a.rfind("--repeats=", 0) == 0) repeats = std::stoi(a.substr(10));
-    else if (a.rfind("--threads=", 0) == 0) threads = std::stoi(a.substr(10));
-    else if (a.rfind("--out=", 0) == 0) out_path = a.substr(6);
-    else {
-      std::fprintf(stderr,
-                   "usage: sim_hotpath [--quick] [--repeats=R] [--threads=T] "
-                   "[--out=FILE.json]\n");
-      return 2;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string a = argv[i];
+      if (a == "--quick") quick = true;
+      else if (a.rfind("--repeats=", 0) == 0)
+        repeats = gpusim::parse_int<int>(a.substr(10), "--repeats", 0);
+      else if (a.rfind("--threads=", 0) == 0)
+        threads = gpusim::parse_int<int>(a.substr(10), "--threads", 0);
+      else if (a.rfind("--out=", 0) == 0) out_path = a.substr(6);
+      else {
+        std::fprintf(stderr,
+                     "usage: sim_hotpath [--quick] [--repeats=R] [--threads=T] "
+                     "[--out=FILE.json]\n");
+        return 2;
+      }
     }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "sim_hotpath: %s\n", e.what());
+    return 2;
   }
   if (repeats == 0) repeats = quick ? 2 : 3;
   if (repeats < 2) repeats = 2;  // identity checks need two runs

@@ -19,11 +19,14 @@
 #include <fstream>
 #include <iostream>
 #include <random>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "analysis/json.hpp"
 #include "analysis/table.hpp"
 #include "gpusim/launcher.hpp"
+#include "gpusim/parse_int.hpp"
 #include "sort/bitonic.hpp"
 #include "sort/engine.hpp"
 #include "sort/merge_sort.hpp"
@@ -57,10 +60,17 @@ int main(int argc, char** argv) {
   int tiles = 32;
   int threads = 0;  // 0 = CFMERGE_SIM_THREADS env or sequential
   std::string out_path = "BENCH_multiway.json";
-  for (int i = 1; i < argc; ++i) {
-    std::sscanf(argv[i], "--tiles=%d", &tiles);
-    std::sscanf(argv[i], "--threads=%d", &threads);
-    if (std::strncmp(argv[i], "--out=", 6) == 0) out_path = argv[i] + 6;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string_view a = argv[i];
+      if (a.starts_with("--tiles=")) tiles = gpusim::parse_int<int>(a.substr(8), "--tiles", 1);
+      if (a.starts_with("--threads="))
+        threads = gpusim::parse_int<int>(a.substr(10), "--threads", 0);
+      if (a.starts_with("--out=")) out_path = a.substr(6);
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "sorter_shootout: %s\n", e.what());
+    return 2;
   }
   while (tiles & (tiles - 1)) ++tiles;
 

@@ -15,9 +15,9 @@
 //   $ ./pair_scan_gather [half]
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <numeric>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "cfmerge.hpp"
@@ -114,7 +114,13 @@ int main(int argc, char** argv) {
   const int e = 16;  // deliberately non-coprime with w = 32: rho earns its keep
   const int u = 512;
   const std::int64_t total = static_cast<std::int64_t>(u) * e;
-  std::int64_t half = argc > 1 ? std::atoll(argv[1]) : total / 2;
+  std::int64_t half = total / 2;
+  try {
+    if (argc > 1) half = gpusim::parse_int<std::int64_t>(argv[1], "half");
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "pair_scan_gather: %s\n", e.what());
+    return 2;
+  }
   half = std::clamp<std::int64_t>(half, 0, total);
 
   // Distinct keys within each set (so the merged order has each shared key

@@ -9,16 +9,23 @@
 // CFMERGE_SIM_THREADS env or sequential); the measured ranking is
 // bit-identical for every value.
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 #include "cfmerge.hpp"
 
 using namespace cfmerge;
 
 int main(int argc, char** argv) {
-  const int sms = argc > 1 ? std::atoi(argv[1]) : 4;
-  const int threads = argc > 2 ? std::atoi(argv[2]) : 0;
+  int sms = 4;
+  int threads = 0;
+  try {
+    if (argc > 1) sms = gpusim::parse_int<int>(argv[1], "sms", 1);
+    if (argc > 2) threads = gpusim::parse_int<int>(argv[2], "threads", 0);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "parameter_tuner: %s\n", e.what());
+    return 2;
+  }
   gpusim::Launcher launcher(gpusim::DeviceSpec::scaled_turing(sms));
   launcher.set_threads(threads);
   std::printf("Tuning (E, u) for %s (CF-Merge variant)\n\n",

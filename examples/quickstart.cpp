@@ -9,16 +9,22 @@
 //   3. nvprof-style counters proving CF-Merge's merges are conflict free.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <random>
+#include <stdexcept>
 
 #include "cfmerge.hpp"
 
 using namespace cfmerge;
 
 int main(int argc, char** argv) {
-  const std::int64_t n = argc > 1 ? std::atoll(argv[1]) : 200000;
+  std::int64_t n = 200000;
+  try {
+    if (argc > 1) n = gpusim::parse_int<std::int64_t>(argv[1], "n", 0);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "quickstart: %s\n", e.what());
+    return 2;
+  }
 
   // 1. Pick a device.  rtx2080ti() is the paper's card; scaled_turing(k)
   //    keeps the architecture but shrinks the SM count so small simulated

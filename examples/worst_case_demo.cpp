@@ -7,16 +7,22 @@
 // This is the end-to-end version of the paper's Figures 5/6 at one size.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <random>
+#include <stdexcept>
 
 #include "cfmerge.hpp"
 
 using namespace cfmerge;
 
 int main(int argc, char** argv) {
-  std::int64_t tiles = argc > 1 ? std::atoll(argv[1]) : 32;
+  std::int64_t tiles = 32;
+  try {
+    if (argc > 1) tiles = gpusim::parse_int<std::int64_t>(argv[1], "tiles", 1);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "worst_case_demo: %s\n", e.what());
+    return 2;
+  }
   while (tiles & (tiles - 1)) ++tiles;  // builder needs a power of two
 
   const int e = 15, u = 512;

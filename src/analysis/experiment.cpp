@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 #include <stdexcept>
 
 #include "analysis/profile.hpp"
+#include "gpusim/parse_int.hpp"
 
 namespace cfmerge::analysis {
 
@@ -18,7 +20,7 @@ SweepConfig SweepConfig::from_args(int argc, char** argv) {
   auto parse = [&](const char* arg, const char* key, auto& out) {
     const std::size_t klen = std::strlen(key);
     if (std::strncmp(arg, key, klen) == 0 && arg[klen] == '=')
-      out = static_cast<std::remove_reference_t<decltype(out)>>(std::atoll(arg + klen + 1));
+      out = gpusim::parse_int<std::remove_reference_t<decltype(out)>>(arg + klen + 1, key);
   };
   for (int i = 1; i < argc; ++i) {
     parse(argv[i], "--imin", c.imin);

@@ -26,7 +26,8 @@ struct SweepConfig {
   /// bit-identical for every value; only wall-clock changes.
   int threads = 0;
 
-  /// Parses --imin=N --imax=N --reps=N --seed=N --threads=N;
+  /// Parses --imin=N --imax=N --reps=N --seed=N --threads=N, each value a
+  /// whole integer (gpusim::parse_int: std::invalid_argument otherwise);
   /// CFMERGE_BENCH_FULL=1 raises the defaults (imax 17, reps 5).  Unknown
   /// arguments are ignored so the harnesses coexist with test runners.
   static SweepConfig from_args(int argc, char** argv);

@@ -184,18 +184,30 @@ void charge_certified(gpusim::BlockContext& ctx, int warp, End& end, const Progr
   }
 }
 
+/// The warp map of executions whose virtual warps are the physical warps.
+inline constexpr auto same_warp = [](int vw) { return vw; };
+
+/// Slot of round j of thread vw*w + lane in the thread-major register file
+/// every CRS executor takes: regs[(vw*w + lane)*rounds + j].
+inline std::size_t reg_slot(int w, int rounds, int vw, int lane, int j) {
+  return static_cast<std::size_t>(vw * w + lane) * static_cast<std::size_t>(rounds) +
+         static_cast<std::size_t>(j);
+}
+
 /// Executes one CRS-style gather: `vwarps` virtual warps each perform
-/// `rounds` warp-wide reads of `shmem`.  `warp_of(vw)` maps the virtual
-/// warp to the physical warp that issues (and is charged for) its
-/// accesses; `addr_of(vw, lane, j)` gives the shared slot; `sink(vw, lane,
-/// j, value)` receives each element read.  All w lanes must be active.
-/// `cert` enables the closed-form bulk path (see header comment).
-template <typename T, typename WarpOf, typename AddrOf, typename Sink>
+/// `rounds` warp-wide reads of `shmem` into the thread-major register file
+/// `regs` (see reg_slot).  `warp_of(vw)` maps the virtual warp to the
+/// physical warp that issues (and is charged for) its accesses;
+/// `addr_of(vw, lane, j)` gives the shared slot.  All w lanes must be
+/// active.  `cert` enables the closed-form bulk path (see header comment).
+template <typename T, typename WarpOf, typename AddrOf>
 void exec_crs_gather(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem, int w,
                      int rounds, int vwarps, const CrsCharge& charge,
                      const verify::CfCertificate* cert, WarpOf&& warp_of,
-                     AddrOf&& addr_of, Sink&& sink) {
+                     AddrOf&& addr_of, std::span<T> regs) {
   assert(w <= gpusim::kMaxLanes);
+  assert(regs.size() >= static_cast<std::size_t>(vwarps) * static_cast<std::size_t>(w) *
+                            static_cast<std::size_t>(rounds));
   if (bulk_path(ctx, cert) && rounds > 0) {
     const std::span<const T> data = std::as_const(shmem).raw();
     for (int vw = 0; vw < vwarps; ++vw) {
@@ -206,7 +218,7 @@ void exec_crs_gather(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem, in
         for (int lane = 0; lane < w; ++lane) {
           const std::int64_t a = addr_of(vw, lane, j);
           assert(a >= 0 && static_cast<std::size_t>(a) < data.size());
-          sink(vw, lane, j, data[static_cast<std::size_t>(a)]);
+          regs[reg_slot(w, rounds, vw, lane, j)] = data[static_cast<std::size_t>(a)];
         }
       }
       charge_certified(ctx, pw, shmem, {.rounds = rounds, .dependent = rounds});
@@ -231,19 +243,21 @@ void exec_crs_gather(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem, in
       ctx.charge_compute(pw, charge.round);
       shmem.gather(pw, aspan, vspan);
       for (int lane = 0; lane < w; ++lane)
-        sink(vw, lane, j, vals[static_cast<std::size_t>(lane)]);
+        regs[reg_slot(w, rounds, vw, lane, j)] = vals[static_cast<std::size_t>(lane)];
     }
   }
 }
 
-/// Mirror image of exec_crs_gather for warp-wide writes: `source(vw, lane,
-/// j)` supplies the element each lane stores to `addr_of(vw, lane, j)`.
-template <typename T, typename WarpOf, typename AddrOf, typename Source>
+/// Mirror image of exec_crs_gather for warp-wide writes: each lane stores
+/// its register reg_slot(w, rounds, vw, lane, j) to `addr_of(vw, lane, j)`.
+template <typename T, typename WarpOf, typename AddrOf>
 void exec_crs_scatter(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem, int w,
                       int rounds, int vwarps, const CrsCharge& charge,
                       const verify::CfCertificate* cert, WarpOf&& warp_of,
-                      AddrOf&& addr_of, Source&& source) {
+                      AddrOf&& addr_of, std::span<const T> regs) {
   assert(w <= gpusim::kMaxLanes);
+  assert(regs.size() >= static_cast<std::size_t>(vwarps) * static_cast<std::size_t>(w) *
+                            static_cast<std::size_t>(rounds));
   if (bulk_path(ctx, cert) && rounds > 0) {
     const std::span<T> data = shmem.certified_raw();
     const bool note = ctx.audit_skipping();
@@ -257,7 +271,7 @@ void exec_crs_scatter(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem, i
         for (int lane = 0; lane < w; ++lane) {
           const std::int64_t a = addr_of(vw, lane, j);
           assert(a >= 0 && static_cast<std::size_t>(a) < data.size());
-          data[static_cast<std::size_t>(a)] = source(vw, lane, j);
+          data[static_cast<std::size_t>(a)] = regs[reg_slot(w, rounds, vw, lane, j)];
           if (note) {
             lo = std::min(lo, a);
             hi = std::max(hi, a);
@@ -283,7 +297,7 @@ void exec_crs_scatter(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem, i
     for (int j = 0; j < rounds; ++j) {
       for (int lane = 0; lane < w; ++lane) {
         addr[static_cast<std::size_t>(lane)] = addr_of(vw, lane, j);
-        vals[static_cast<std::size_t>(lane)] = source(vw, lane, j);
+        vals[static_cast<std::size_t>(lane)] = regs[reg_slot(w, rounds, vw, lane, j)];
       }
       ctx.charge_compute(pw, charge.round);
       shmem.scatter(pw, aspan, vspan);
@@ -292,7 +306,7 @@ void exec_crs_scatter(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem, i
 }
 
 /// exec_crs_gather specialised for the stride-E register staging pattern:
-/// addr(vw, lane, j) = (vw*w + lane)*rounds + j, sink = regs[same index].
+/// physical warp vw, addr(vw, lane, j) = reg_slot(w, rounds, vw, lane, j).
 /// One virtual warp's addresses cover exactly the contiguous range
 /// [vw*w*rounds, (vw+1)*w*rounds), so the certified bulk path moves the
 /// whole warp block with one std::copy; charges are identical to the
@@ -321,15 +335,11 @@ void exec_stride_gather(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem,
           /*is_write=*/false);
     return;
   }
-  exec_crs_gather(
-      ctx, shmem, w, rounds, vwarps, charge, cert, [](int vw) { return vw; },
-      [w, rounds](int vw, int lane, int j) {
-        return static_cast<std::int64_t>(vw * w + lane) * rounds + j;
-      },
-      [regs, rounds, w](int vw, int lane, int j, const T& v) {
-        regs[static_cast<std::size_t>(vw * w + lane) * static_cast<std::size_t>(rounds) +
-             static_cast<std::size_t>(j)] = v;
-      });
+  exec_crs_gather(ctx, shmem, w, rounds, vwarps, charge, cert, same_warp,
+                   [w, rounds](int vw, int lane, int j) {
+                     return static_cast<std::int64_t>(reg_slot(w, rounds, vw, lane, j));
+                   },
+                   regs);
 }
 
 /// Mirror image of exec_stride_gather: regs -> shared, same index map.
@@ -357,16 +367,11 @@ void exec_stride_scatter(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem
           /*is_write=*/true);
     return;
   }
-  exec_crs_scatter(
-      ctx, shmem, w, rounds, vwarps, charge, cert, [](int vw) { return vw; },
-      [w, rounds](int vw, int lane, int j) {
-        return static_cast<std::int64_t>(vw * w + lane) * rounds + j;
-      },
-      [regs, rounds, w](int vw, int lane, int j) {
-        return regs[static_cast<std::size_t>(vw * w + lane) *
-                        static_cast<std::size_t>(rounds) +
-                    static_cast<std::size_t>(j)];
-      });
+  exec_crs_scatter(ctx, shmem, w, rounds, vwarps, charge, cert, same_warp,
+                   [w, rounds](int vw, int lane, int j) {
+                     return static_cast<std::int64_t>(reg_slot(w, rounds, vw, lane, j));
+                   },
+                   regs);
 }
 
 /// Staged copy of `count` elements: logical element t moves from
@@ -499,15 +504,11 @@ void exec_cf_gather(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem,
   const int vwarps = s.u / s.w;
   assert(ctx.lanes() == s.w && s.u % s.w == 0);
   assert(regs.size() >= static_cast<std::size_t>(s.u) * static_cast<std::size_t>(s.e));
-  const auto slot = [e = s.e](int i, int j) {
-    return static_cast<std::size_t>(i) * static_cast<std::size_t>(e) +
-           static_cast<std::size_t>(j);
-  };
   if (!bulk_path(ctx, cert) || s.e <= 0) {
     exec_crs_gather(
         ctx, shmem, s.w, s.e, vwarps, kGatherCharge, cert, warp_of,
         [&](int vw, int lane, int j) { return base + sched.read(vw * s.w + lane, j).phys; },
-        [&](int vw, int lane, int j, const T& v) { regs[slot(vw * s.w + lane, j)] = v; });
+        regs);
     return;
   }
   const std::span<const T> data = std::as_const(shmem).raw();
@@ -524,7 +525,7 @@ void exec_cf_gather(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem,
         const std::int64_t aoff = sched.a_offset(i);
         const std::int64_t asz = sched.a_size(i);
         const std::int64_t b0 = s.la + s.lb - e - sched.b_offset(i);
-        T* r = regs.data() + slot(i, 0);
+        T* r = regs.data() + reg_slot(s.w, s.e, vw, lane, 0);
         std::int64_t j = aoff % e;  // register slot of the m = 0 element
         for (std::int64_t m = 0; m < asz; ++m) {
           r[j] = data[static_cast<std::size_t>(base + phys(aoff + m))];

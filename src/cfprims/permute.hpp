@@ -126,11 +126,18 @@ void permute_tile_body(gpusim::BlockContext& ctx, std::span<const T> in,
   auto sigma = [&](std::int64_t x) {
     return !transpose && cfg.inverse ? rho.inverse(x) : rho(x);
   };
-  auto reg_of = [&](std::int64_t i, std::int64_t j) {
-    return static_cast<std::size_t>(i * e + j);
-  };
   const int vwarps = u / w;
-  auto warp_of = [](int vw) { return vw; };
+  // Round j of thread i: the logical slot iE + j, and the transposed slot
+  // j*u + i.
+  auto logical = [&](int vw, int lane, int j) {
+    return (static_cast<std::int64_t>(vw) * w + lane) * e + j;
+  };
+  auto transposed = [&](int vw, int lane, int j) {
+    return static_cast<std::int64_t>(j) * u + vw * w + lane;
+  };
+  auto sigma_of = [&](int vw, int lane, int j) { return sigma(logical(vw, lane, j)); };
+  const std::span<T> to_regs(regs);
+  const std::span<const T> from_regs(regs);
 
   // Proof tokens for the bulk accounting path (memoized process-wide): the
   // op's own primitive proof covers the sigma stage copy and CRS rounds;
@@ -154,59 +161,30 @@ void permute_tile_body(gpusim::BlockContext& ctx, std::span<const T> in,
     ctx.barrier();
     // CRS gather: regs[i][j] = staged[sigma(iE+j)] = in[iE+j].
     phase("gather");
-    exec_crs_gather(
-        ctx, staged, w, e, vwarps, kGatherCharge, op_cert, warp_of,
-        [&](int vw, int lane, int j) {
-          return sigma((static_cast<std::int64_t>(vw) * w + lane) * e + j);
-        },
-        [&](int vw, int lane, int j, const T& v) {
-          regs[reg_of(static_cast<std::int64_t>(vw) * w + lane, j)] = v;
-        });
+    exec_crs_gather(ctx, staged, w, e, vwarps, kGatherCharge, op_cert, same_warp, sigma_of,
+                    to_regs);
+    // cf_permute: CRS scatter back through sigma, shmem[sigma(iE+j)] =
+    // regs[i][j].  cf_transpose: the transposed layout, shmem[j*u + i] =
+    // regs[i][j] — lanes write w consecutive slots per round, conflict-free
+    // by construction.
     phase("scatter");
-    if (!transpose) {
-      // CRS scatter back through sigma: shmem[sigma(iE+j)] = regs[i][j].
-      exec_crs_scatter(
-          ctx, shmem, w, e, vwarps, kCopyCharge, op_cert, warp_of,
-          [&](int vw, int lane, int j) {
-            return sigma((static_cast<std::int64_t>(vw) * w + lane) * e + j);
-          },
-          [&](int vw, int lane, int j) {
-            return regs[reg_of(static_cast<std::int64_t>(vw) * w + lane, j)];
-          });
-    } else {
-      // Transposed layout: shmem[j*u + i] = regs[i][j] — lanes write w
-      // consecutive slots per round, conflict-free by construction.
-      exec_crs_scatter(
-          ctx, shmem, w, e, vwarps, kCopyCharge, op_cert, warp_of,
-          [&](int vw, int lane, int j) {
-            return static_cast<std::int64_t>(j) * u + vw * w + lane;
-          },
-          [&](int vw, int lane, int j) {
-            return regs[reg_of(static_cast<std::int64_t>(vw) * w + lane, j)];
-          });
-    }
+    if (!transpose)
+      exec_crs_scatter(ctx, shmem, w, e, vwarps, kCopyCharge, op_cert, same_warp, sigma_of,
+                       from_regs);
+    else
+      exec_crs_scatter(ctx, shmem, w, e, vwarps, kCopyCharge, op_cert, same_warp,
+                       transposed, from_regs);
     ctx.barrier();
   } else {
     // Inverse transpose: contiguous gather from the transposed layout...
     phase("gather");
-    exec_crs_gather(
-        ctx, shmem, w, e, vwarps, kGatherCharge, op_cert, warp_of,
-        [&](int vw, int lane, int j) {
-          return static_cast<std::int64_t>(j) * u + vw * w + lane;
-        },
-        [&](int vw, int lane, int j, const T& v) {
-          regs[reg_of(static_cast<std::int64_t>(vw) * w + lane, j)] = v;
-        });
+    exec_crs_gather(ctx, shmem, w, e, vwarps, kGatherCharge, op_cert, same_warp, transposed,
+                    to_regs);
     // ...CRS scatter into the rho layout, then un-stage contiguously.
     phase("scatter");
-    exec_crs_scatter(
-        ctx, staged, w, e, vwarps, kCopyCharge, op_cert, warp_of,
-        [&](int vw, int lane, int j) {
-          return rho((static_cast<std::int64_t>(vw) * w + lane) * e + j);
-        },
-        [&](int vw, int lane, int j) {
-          return regs[reg_of(static_cast<std::int64_t>(vw) * w + lane, j)];
-        });
+    exec_crs_scatter(ctx, staged, w, e, vwarps, kCopyCharge, op_cert, same_warp,
+                     [&](int vw, int lane, int j) { return rho(logical(vw, lane, j)); },
+                     from_regs);
     ctx.barrier();
     phase("unstage");
     exec_staged_copy(ctx, staged, shmem, tile, op_cert,

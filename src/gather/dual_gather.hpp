@@ -46,8 +46,7 @@ void dual_subsequence_gather(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& s
                              const RoundSchedule& sched, std::span<T> regs,
                              const verify::CfCertificate* cert = nullptr) {
   assert(sched.shape().u <= ctx.threads());
-  cfprims::exec_cf_gather(ctx, shmem, sched, /*base=*/0, cert, [](int vw) { return vw; },
-                          regs);
+  cfprims::exec_cf_gather(ctx, shmem, sched, /*base=*/0, cert, cfprims::same_warp, regs);
 }
 
 /// Inverse procedure: writes each thread's E register items into shared
@@ -63,13 +62,8 @@ void dual_subsequence_scatter(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& 
   assert(ctx.threads() == s.u);
 
   cfprims::exec_crs_scatter(
-      ctx, shmem, s.w, s.e, ctx.warps(), cfprims::kGatherCharge, cert,
-      [](int vw) { return vw; },
-      [&](int vw, int lane, int j) { return sched.read(vw * s.w + lane, j).phys; },
-      [&](int vw, int lane, int j) {
-        const int i = vw * s.w + lane;
-        return regs[static_cast<std::size_t>(i) * s.e + static_cast<std::size_t>(j)];
-      });
+      ctx, shmem, s.w, s.e, ctx.warps(), cfprims::kGatherCharge, cert, cfprims::same_warp,
+      [&](int vw, int lane, int j) { return sched.read(vw * s.w + lane, j).phys; }, regs);
 }
 
 }  // namespace cfmerge::gather

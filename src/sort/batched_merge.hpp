@@ -29,7 +29,6 @@
 
 #include "gpusim/launcher.hpp"
 #include "gpusim/memory_views.hpp"
-#include "mergepath/merge_path.hpp"
 #include "sort/key_value.hpp"
 #include "sort/merge_pass.hpp"
 
@@ -157,67 +156,33 @@ void enqueue_batched_pipeline(gpusim::KernelGraph& graph,
     const gpusim::NodeId partition = graph.add(
         "batched_partition",
         gpusim::LaunchShape{pblocks, cfg.u, 0, cost::kPartitionRegsPerThread},
-        [&tiles, &staging, &boundaries, u = cfg.u, t0, tcount](gpusim::BlockContext& ctx) {
-          ctx.phase("partition.search");
+        [&tiles, &staging, &boundaries, t0, tcount](gpusim::BlockContext& ctx) {
           const int w = ctx.lanes();
-          assert(w <= gpusim::kMaxLanes);
-          for (int warp = 0; warp < ctx.warps(); ++warp) {
-            std::array<mergepath::LaneSearch, gpusim::kMaxLanes> lanes{};
-            std::array<const BatchTile*, gpusim::kMaxLanes> desc{};
-            bool any = false;
+          const std::int64_t first = static_cast<std::int64_t>(ctx.block_id()) * ctx.threads();
+          gpusim::GlobalView<const T> g(ctx, std::span<const T>(staging), 0);
+          ctx.phase("partition.search");
+          const auto task_of = [&](std::int64_t local) {
+            const BatchTile& bt = tiles[static_cast<std::size_t>(t0 + local)];
+            return CoRankTask{bt.diag0, bt.ra, bt.rb, bt.a_base, bt.b_base};
+          };
+          // The descriptor fetch of the warp's live lanes.
+          const auto fetch = [&](int warp) {
             std::array<std::int64_t, gpusim::kMaxLanes> daddr;
-            daddr.fill(gpusim::kInactiveLane);
             for (int lane = 0; lane < w; ++lane) {
-              const std::int64_t local =
-                  static_cast<std::int64_t>(ctx.block_id()) * u + warp * w + lane;
-              if (local >= tcount) continue;
-              const std::int64_t t = t0 + local;
-              const auto& bt = tiles[static_cast<std::size_t>(t)];
-              desc[static_cast<std::size_t>(lane)] = &bt;
+              const std::int64_t local = first + warp * w + lane;
               daddr[static_cast<std::size_t>(lane)] =
-                  t * static_cast<std::int64_t>(sizeof(BatchTile));
-              lanes[static_cast<std::size_t>(lane)].init(bt.diag0, bt.ra, bt.rb);
-              any = true;
+                  local < tcount ? (t0 + local) * static_cast<std::int64_t>(sizeof(BatchTile))
+                                 : gpusim::kInactiveLane;
             }
-            if (!any) continue;
             ctx.charge_gmem(
                 warp, std::span<const std::int64_t>(daddr.data(), static_cast<std::size_t>(w)),
-                8, /*dependent=*/true);  // descriptor fetch
-            std::array<std::int64_t, gpusim::kMaxLanes> pa;
-            std::array<std::int64_t, gpusim::kMaxLanes> pb;
-            gpusim::GlobalView<const T> g(ctx, std::span<const T>(staging), 0);
-            auto probe = [&](std::span<const std::int64_t> a_addr, std::span<T> a_val,
-                             std::span<const std::int64_t> b_addr, std::span<T> b_val) {
-              for (int lane = 0; lane < w; ++lane) {
-                const auto l = static_cast<std::size_t>(lane);
-                pa[l] = a_addr[l] == gpusim::kInactiveLane || desc[l] == nullptr
-                            ? gpusim::kInactiveLane
-                            : desc[l]->a_base + a_addr[l];
-                pb[l] = b_addr[l] == gpusim::kInactiveLane || desc[l] == nullptr
-                            ? gpusim::kInactiveLane
-                            : desc[l]->b_base + b_addr[l];
-              }
-              ctx.charge_compute(warp, cost::kSearchIterInstrs);
-              std::array<T, gpusim::kMaxLanes> av{};
-              std::array<T, gpusim::kMaxLanes> bv{};
-              g.gather(warp, std::span<const std::int64_t>(pa.data(), a_val.size()),
-                       std::span<T>(av.data(), a_val.size()), /*dependent=*/true);
-              g.gather(warp, std::span<const std::int64_t>(pb.data(), b_val.size()),
-                       std::span<T>(bv.data(), b_val.size()), /*dependent=*/false);
-              std::copy(av.begin(), av.begin() + static_cast<std::ptrdiff_t>(w), a_val.begin());
-              std::copy(bv.begin(), bv.begin() + static_cast<std::ptrdiff_t>(w), b_val.begin());
-            };
-            mergepath::warp_corank_search<T>(
-                std::span<mergepath::LaneSearch>(lanes.data(), static_cast<std::size_t>(w)),
-                probe, std::less<T>{});
-            for (int lane = 0; lane < w; ++lane) {
-              const std::int64_t local =
-                  static_cast<std::int64_t>(ctx.block_id()) * u + warp * w + lane;
-              if (local >= tcount) continue;
-              boundaries[static_cast<std::size_t>(t0 + local)] =
-                  lanes[static_cast<std::size_t>(lane)].lo;
-            }
-          }
+                8, /*dependent=*/true);
+          };
+          partition_search<T>(ctx, g, task_of, fetch,
+                              std::span<std::int64_t>(boundaries)
+                                  .subspan(static_cast<std::size_t>(t0),
+                                           static_cast<std::size_t>(tcount)),
+                              std::less<T>{});
         });
 
     // Stage 2: one merge block per output tile of this pair.

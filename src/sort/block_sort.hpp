@@ -21,18 +21,16 @@
 #include <array>
 #include <bit>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "cfprims/exec.hpp"
+#include "gather/permutation.hpp"
 #include "gpusim/launcher.hpp"
 #include "gpusim/memory_views.hpp"
 #include "sort/certs.hpp"
 #include "sort/kernels.hpp"
-#include "sort/odd_even.hpp"
-#include <memory>
-
-#include "gather/schedule.hpp"
 
 namespace cfmerge::sort {
 
@@ -75,16 +73,7 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
   cfprims::exec_stride_gather(ctx, shmem, w, e, ctx.warps(), cfprims::kCopyCharge,
                               certs.stride, std::span<T>(regs));
   // Sort the E registers of each lane with the odd-even network.
-  for (int warp = 0; warp < ctx.warps(); ++warp) {
-    for (int lane = 0; lane < w; ++lane) {
-      std::span<T> r(regs.data() + static_cast<std::size_t>(warp * w + lane) *
-                                       static_cast<std::size_t>(e),
-                     static_cast<std::size_t>(e));
-      network_sort_result(r, cmp);
-    }
-    ctx.charge_compute(warp, static_cast<std::uint64_t>(odd_even_network_size(e)) *
-                                 cost::kCompareExchangeInstrs);
-  }
+  warp_network_sort(ctx, ctx.warps(), cfprims::same_warp, std::span<T>(regs), cmp);
   // Write the sorted runs back (same stride-E pattern).
   cfprims::exec_stride_scatter(ctx, shmem, w, e, ctx.warps(), cfprims::kCopyCharge,
                                certs.stride, std::span<const T>(regs));
@@ -139,40 +128,19 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
           });
       ctx.barrier();
       ctx.phase("bsort.merge");
-      // One RoundSchedule per pair; gather every warp of the pair.
-      const std::int64_t pairs_count = tile / (2 * run);
-      for (std::int64_t pr = 0; pr < pairs_count; ++pr) {
-        const std::int64_t pair_base = pr * 2 * run;
-        const int u_pair = static_cast<int>(threads_per_pair);
-        std::vector<std::int64_t> a_off(static_cast<std::size_t>(u_pair));
-        std::vector<std::int64_t> a_size(static_cast<std::size_t>(u_pair));
-        const int first_thread = static_cast<int>(pair_base / e);
-        for (int t = 0; t < u_pair; ++t) {
-          const auto& sp = splits[static_cast<std::size_t>(first_thread + t)];
-          a_off[static_cast<std::size_t>(t)] = sp.a_off;
-          a_size[static_cast<std::size_t>(t)] = sp.a_size;
-        }
-        gather::GatherShape shape{w, e, u_pair, run, run};
-        gather::RoundSchedule sched(shape, std::move(a_off), std::move(a_size));
-        // The pair base is a multiple of w (2*run = u_pair*E, w | u_pair),
-        // so per-pair bank residues match the whole-tile cf_gather proof.
-        const int first_warp = first_thread / w;
-        cfprims::exec_cf_gather(
-            ctx, *staging, sched, pair_base, certs.gather,
-            [first_warp](int vw) { return first_warp + vw; },
-            std::span<T>(regs).subspan(static_cast<std::size_t>(pair_base),
-                                       static_cast<std::size_t>(2 * run)));
-      }
-      // Data-oblivious register merge per thread.
-      for (int warp = 0; warp < ctx.warps(); ++warp) {
-        for (int lane = 0; lane < w; ++lane) {
-          std::span<T> r(regs.data() + static_cast<std::size_t>(warp * w + lane) *
-                                           static_cast<std::size_t>(e),
-                         static_cast<std::size_t>(e));
-          network_sort_result(r, cmp);
-        }
-        ctx.charge_compute(warp, static_cast<std::uint64_t>(odd_even_network_size(e)) *
-                                     cost::kCompareExchangeInstrs);
+      // Each pair's threads gather and merge on the pair's own warps.  The
+      // pair base is a multiple of w (2*run = u_pair*E, w | u_pair), so
+      // per-pair bank residues match the whole-tile cf_gather proof.
+      const auto per_pair = static_cast<std::size_t>(threads_per_pair);
+      for (std::int64_t pair_base = 0; pair_base < tile; pair_base += 2 * run) {
+        const auto first_thread = static_cast<std::size_t>(pair_base / e);
+        const int first_warp = static_cast<int>(first_thread) / w;
+        cf_merge_pair(ctx, *staging, pair_base, run, run,
+                      std::span<const ThreadSplit>(splits).subspan(first_thread, per_pair),
+                      certs.gather, [first_warp](int vw) { return first_warp + vw; },
+                      std::span<T>(regs).subspan(static_cast<std::size_t>(pair_base),
+                                                 static_cast<std::size_t>(2 * run)),
+                      cmp);
       }
     } else {
       std::vector<MergeLaneDesc> descs(static_cast<std::size_t>(u));
@@ -201,6 +169,21 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
   ctx.phase("bsort.store");
   cfprims::exec_staged_copy(ctx, shmem, global, tile, certs.stage, cfprims::UnitStep{},
                             cfprims::UnitStep{});
+}
+
+/// Enqueues the block-sort stage of a sort pipeline onto `stream`: one
+/// block per tile of `buf`, `regs` registers per thread, and twice the
+/// tile's shared memory when `cf_rounds` adds the staging buffer.
+template <typename T>
+void enqueue_block_sort(gpusim::Stream& stream, std::vector<T>& buf, int num_tiles, int u,
+                        int e, int regs, bool cf_rounds, const TileCerts& certs) {
+  const std::size_t tile_bytes = static_cast<std::size_t>(u) * static_cast<std::size_t>(e) *
+                                 sizeof(T) * (cf_rounds ? 2 : 1);
+  stream.enqueue("block_sort", gpusim::LaunchShape{num_tiles, u, tile_bytes, regs},
+                 [&buf, e, cf_rounds, certs](gpusim::BlockContext& ctx) {
+                   block_sort_body<T>(ctx, std::span<T>(buf), e, cf_rounds, std::less<T>{},
+                                      certs);
+                 });
 }
 
 }  // namespace cfmerge::sort

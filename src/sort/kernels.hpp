@@ -10,6 +10,13 @@
 //                          |B_i|); decided on uncharged reads, charged as
 //                          the device's start and end probe rows (each
 //                          round's pair costed in one pass).
+//  * pair_split_search   — warp_split_search over every warp of one list
+//                          pair whose threads start at diagonals i*E.
+//  * warp_network_sort   — the register-network step: the odd-even network
+//                          on each thread's E registers, charged per warp.
+//  * cf_merge_pair       — the CF merge of one list pair (paper §5): the
+//                          dual subsequence gather of the pair's threads
+//                          into registers, then warp_network_sort.
 //  * warp_serial_merge   — the baseline per-thread sequential merge out of
 //                          shared memory (Thrust's; the routine whose bank
 //                          conflicts the paper eliminates); decided lane by
@@ -29,9 +36,13 @@
 #include <stdexcept>
 #include <vector>
 
+#include "cfprims/exec.hpp"
 #include "gather/permutation.hpp"
+#include "gather/schedule.hpp"
 #include "gpusim/memory_views.hpp"
 #include "sort/cost_model.hpp"
+#include "sort/odd_even.hpp"
+#include "verify/certificate.hpp"
 
 namespace cfmerge::sort {
 
@@ -235,6 +246,91 @@ void warp_split_search(gpusim::BlockContext& ctx, int warp, gpusim::SharedTile<T
     s.b_off = p.diag - lo[l];
     s.b_size = end_diag - p.diag - s.a_size;
   }
+}
+
+/// Merge-path splits of the vwarps*w threads of one list pair (na, nb),
+/// thread i starting at diagonal i*E with E = (na + nb) / (vwarps*w).
+/// Virtual warp vw searches on physical warp warp_of(vw); pos_a(x) /
+/// pos_b(y) translate list offsets to physical shared positions.
+template <typename T, typename WarpOf, typename PosA, typename PosB, typename Cmp>
+std::vector<ThreadSplit> pair_split_search(gpusim::BlockContext& ctx,
+                                           gpusim::SharedTile<T>& shmem, std::int64_t na,
+                                           std::int64_t nb, int vwarps, WarpOf&& warp_of,
+                                           PosA&& pos_a, PosB&& pos_b, Cmp cmp) {
+  const int w = ctx.lanes();
+  const auto threads = static_cast<std::size_t>(vwarps) * static_cast<std::size_t>(w);
+  assert(threads > 0 && (na + nb) % static_cast<std::int64_t>(threads) == 0);
+  const std::int64_t e = (na + nb) / static_cast<std::int64_t>(threads);
+  const auto lane_a = [&](int, std::int64_t x) { return pos_a(x); };
+  const auto lane_b = [&](int, std::int64_t y) { return pos_b(y); };
+  std::vector<ThreadSplit> splits(threads);
+  std::array<LanePair, gpusim::kMaxLanes + 1> pairs;
+  for (int vw = 0; vw < vwarps; ++vw) {
+    for (int lane = 0; lane <= w; ++lane)
+      pairs[static_cast<std::size_t>(lane)] = {na, nb,
+                                               static_cast<std::int64_t>(vw * w + lane) * e};
+    warp_split_search(ctx, warp_of(vw), shmem,
+                      std::span<const LanePair>(pairs.data(), static_cast<std::size_t>(w) + 1),
+                      lane_a, lane_b, cmp,
+                      std::span<ThreadSplit>(splits).subspan(
+                          static_cast<std::size_t>(vw * w), static_cast<std::size_t>(w)));
+  }
+  return splits;
+}
+
+/// The Algorithm 1 round schedule of one list pair (na, nb) from the
+/// merge-path splits of its threads (na + nb = splits.size() * E).
+inline gather::RoundSchedule pair_schedule(int w, std::int64_t na, std::int64_t nb,
+                                           std::span<const ThreadSplit> splits) {
+  const std::size_t u = splits.size();
+  std::vector<std::int64_t> a_off(u);
+  std::vector<std::int64_t> a_size(u);
+  for (std::size_t i = 0; i < u; ++i) {
+    a_off[i] = splits[i].a_off;
+    a_size[i] = splits[i].a_size;
+  }
+  const auto e = static_cast<int>((na + nb) / static_cast<std::int64_t>(u));
+  const gather::GatherShape shape{w, e, static_cast<int>(u), na, nb};
+  return gather::RoundSchedule(shape, std::move(a_off), std::move(a_size));
+}
+
+/// The register-network step: sorts the E registers of every thread of
+/// `vwarps` virtual warps (thread-major, regs[(vw*w + lane)*E + j], E =
+/// regs.size() / (vwarps*w)) with the odd-even network, charging each
+/// virtual warp's network to physical warp warp_of(vw).
+template <typename T, typename WarpOf, typename Cmp>
+void warp_network_sort(gpusim::BlockContext& ctx, int vwarps, WarpOf&& warp_of,
+                       std::span<T> regs, Cmp cmp) {
+  if (vwarps <= 0) return;
+  const auto w = static_cast<std::size_t>(ctx.lanes());
+  const std::size_t e = regs.size() / (static_cast<std::size_t>(vwarps) * w);
+  assert(e * static_cast<std::size_t>(vwarps) * w == regs.size());
+  const std::uint64_t instrs = static_cast<std::uint64_t>(odd_even_network_size(
+                                   static_cast<std::int64_t>(e))) *
+                               cost::kCompareExchangeInstrs;
+  for (int vw = 0; vw < vwarps; ++vw) {
+    for (std::size_t lane = 0; lane < w; ++lane)
+      network_sort_result(regs.subspan((static_cast<std::size_t>(vw) * w + lane) * e, e), cmp);
+    ctx.charge_compute(warp_of(vw), instrs);
+  }
+}
+
+/// The CF merge of one list pair (paper §5): the pair's threads gather
+/// their merge-path subsequences from its rho(A ∪ pi(B)) layout at shared
+/// offset `base` (cfprims::exec_cf_gather), then run the register network,
+/// leaving thread i's E merged outputs in regs[i*E, i*E + E).  `splits`
+/// holds one split per thread (a multiple of w threads; na + nb =
+/// splits.size() * E = regs.size()); virtual warp vw issues on physical warp
+/// warp_of(vw).  `cert` is the cf_gather certificate (null: lane path).
+template <typename T, typename WarpOf, typename Cmp>
+void cf_merge_pair(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem, std::int64_t base,
+                   std::int64_t na, std::int64_t nb, std::span<const ThreadSplit> splits,
+                   const verify::CfCertificate* cert, WarpOf&& warp_of, std::span<T> regs,
+                   Cmp cmp) {
+  const int w = ctx.lanes();
+  cfprims::exec_cf_gather(ctx, shmem, pair_schedule(w, na, nb, splits), base, cert, warp_of,
+                          regs);
+  warp_network_sort(ctx, static_cast<int>(splits.size()) / w, warp_of, regs, cmp);
 }
 
 /// Per-thread split description for a warp-synchronous merge step: the

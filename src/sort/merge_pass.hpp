@@ -123,25 +123,38 @@ struct PassGeometry {
   }
 };
 
-/// Stage 1: partition kernel.  Computes co-ranks for every tile boundary.
-/// `boundaries[t]` receives the co-rank (number of A-elements) of output
-/// diagonal t*tile within its pair.  One simulated thread per boundary.
-template <typename T, typename Cmp = std::less<T>>
-void merge_partition_body(gpusim::BlockContext& ctx, std::span<const T> input,
-                          const PassGeometry& geom, std::int64_t tile,
-                          std::span<std::int64_t> boundaries, Cmp cmp = Cmp{}) {
-  const int u = ctx.threads();
-  const int w = ctx.lanes();
-  const auto nb = static_cast<std::int64_t>(boundaries.size());
-  gpusim::GlobalView<const T> global(ctx, input, 0);
+/// One co-rank task of a partition kernel: diagonal `diag` of the list pair
+/// (na, nb) whose A and B runs start at global offsets a_base and b_base.
+struct CoRankTask {
+  std::int64_t diag = 0;
+  std::int64_t na = 0;
+  std::int64_t nb = 0;
+  std::int64_t a_base = 0;
+  std::int64_t b_base = 0;
+};
 
-  ctx.phase("partition.search");
+/// The partition kernels' search: grid thread t < out.size() resolves
+/// task_of(t) and writes its co-rank to out[t].  Each warp with a live lane
+/// first calls before_search(warp), then runs one lockstep co-rank search
+/// over `global`; every round charges kSearchIterInstrs, the A probe row
+/// (dependent) and the B probe row.  Idle and finished lanes probe
+/// kInactiveLane.
+template <typename T, typename TaskOf, typename BeforeSearch, typename Cmp>
+void partition_search(gpusim::BlockContext& ctx, gpusim::GlobalView<const T>& global,
+                      TaskOf&& task_of, BeforeSearch&& before_search,
+                      std::span<std::int64_t> out, Cmp cmp) {
+  const int w = ctx.lanes();
+  const auto count = static_cast<std::int64_t>(out.size());
   assert(w <= gpusim::kMaxLanes);
   std::array<mergepath::LaneSearch, gpusim::kMaxLanes> lanes;
   std::array<std::int64_t, gpusim::kMaxLanes> abase;
   std::array<std::int64_t, gpusim::kMaxLanes> bbase;
   std::array<std::int64_t, gpusim::kMaxLanes> pa;
   std::array<std::int64_t, gpusim::kMaxLanes> pb;
+  const auto at = [](std::int64_t base, std::int64_t idx) {
+    return idx == gpusim::kInactiveLane ? gpusim::kInactiveLane : base + idx;
+  };
+  const std::int64_t first = static_cast<std::int64_t>(ctx.block_id()) * ctx.threads();
   for (int warp = 0; warp < ctx.warps(); ++warp) {
     bool any = false;
     for (int lane = 0; lane < w; ++lane) {
@@ -149,28 +162,21 @@ void merge_partition_body(gpusim::BlockContext& ctx, std::span<const T> input,
       lanes[l] = mergepath::LaneSearch{};
       abase[l] = 0;
       bbase[l] = 0;
-      const std::int64_t t =
-          static_cast<std::int64_t>(ctx.block_id()) * u + warp * w + lane;
-      if (t >= nb) continue;
-      const std::int64_t pos = t * tile;
-      const std::int64_t base = pos >= geom.n ? geom.n : geom.pair_base(pos);
-      const std::int64_t diag = pos - base;
-      const std::int64_t la = geom.a_len(base);
-      const std::int64_t lb = geom.b_len(base);
-      lanes[l].init(std::min(diag, la + lb), la, lb);
-      abase[l] = base;
-      bbase[l] = base + la;
+      const std::int64_t t = first + warp * w + lane;
+      if (t >= count) continue;
+      const CoRankTask task = task_of(t);
+      lanes[l].init(task.diag, task.na, task.nb);
+      abase[l] = task.a_base;
+      bbase[l] = task.b_base;
       any = true;
     }
     if (!any) continue;
+    before_search(warp);
     auto probe = [&](std::span<const std::int64_t> a_addr, std::span<T> a_val,
                      std::span<const std::int64_t> b_addr, std::span<T> b_val) {
-      for (int lane = 0; lane < w; ++lane) {
-        const auto l = static_cast<std::size_t>(lane);
-        pa[l] = a_addr[l] == gpusim::kInactiveLane ? gpusim::kInactiveLane
-                                                   : abase[l] + a_addr[l];
-        pb[l] = b_addr[l] == gpusim::kInactiveLane ? gpusim::kInactiveLane
-                                                   : bbase[l] + b_addr[l];
+      for (std::size_t l = 0; l < a_addr.size(); ++l) {
+        pa[l] = at(abase[l], a_addr[l]);
+        pb[l] = at(bbase[l], b_addr[l]);
       }
       ctx.charge_compute(warp, cost::kSearchIterInstrs);
       global.gather(warp, std::span<const std::int64_t>(pa.data(), a_val.size()), a_val,
@@ -179,14 +185,54 @@ void merge_partition_body(gpusim::BlockContext& ctx, std::span<const T> input,
                     /*dependent=*/false);
     };
     mergepath::warp_corank_search<T>(
-        std::span<mergepath::LaneSearch>(lanes.data(), static_cast<std::size_t>(w)),
-        probe, cmp);
+        std::span<mergepath::LaneSearch>(lanes.data(), static_cast<std::size_t>(w)), probe,
+        cmp);
     for (int lane = 0; lane < w; ++lane) {
-      const std::int64_t t =
-          static_cast<std::int64_t>(ctx.block_id()) * u + warp * w + lane;
-      if (t >= nb) continue;
-      boundaries[static_cast<std::size_t>(t)] = lanes[static_cast<std::size_t>(lane)].lo;
+      const std::int64_t t = first + warp * w + lane;
+      if (t < count)
+        out[static_cast<std::size_t>(t)] = lanes[static_cast<std::size_t>(lane)].lo;
     }
+  }
+}
+
+/// Stage 1: partition kernel.  Computes co-ranks for every tile boundary.
+/// `boundaries[t]` receives the co-rank (number of A-elements) of output
+/// diagonal t*tile within its pair.  One simulated thread per boundary.
+template <typename T, typename Cmp = std::less<T>>
+void merge_partition_body(gpusim::BlockContext& ctx, std::span<const T> input,
+                          const PassGeometry& geom, std::int64_t tile,
+                          std::span<std::int64_t> boundaries, Cmp cmp = Cmp{}) {
+  gpusim::GlobalView<const T> global(ctx, input, 0);
+  ctx.phase("partition.search");
+  const auto task_of = [&](std::int64_t t) {
+    const std::int64_t pos = t * tile;
+    const std::int64_t base = pos >= geom.n ? geom.n : geom.pair_base(pos);
+    const std::int64_t la = geom.a_len(base);
+    const std::int64_t lb = geom.b_len(base);
+    return CoRankTask{std::min(pos - base, la + lb), la, lb, base, base + la};
+  };
+  partition_search<T>(ctx, global, task_of, [](int) {}, boundaries, cmp);
+}
+
+/// Reads the two boundary rows of this block's tile — rows block_id and
+/// block_id + 1 of `boundaries`, `width` co-ranks each — on warp 0, w lanes
+/// per global read: the merge kernels' cheap fetch of their partition
+/// results.
+inline void read_boundary_rows(gpusim::BlockContext& ctx,
+                               std::span<const std::int64_t> boundaries, int width) {
+  const int w = ctx.lanes();
+  assert(w <= gpusim::kMaxLanes);
+  gpusim::GlobalView<const std::int64_t> bview(ctx, boundaries, 0);
+  std::array<std::int64_t, gpusim::kMaxLanes> addr;
+  std::array<std::int64_t, gpusim::kMaxLanes> vals;
+  const std::int64_t first = static_cast<std::int64_t>(ctx.block_id()) * width;
+  for (std::int64_t c = 0; c < 2 * width; c += w) {
+    for (int lane = 0; lane < w; ++lane) {
+      const std::int64_t i = c + lane;
+      addr[static_cast<std::size_t>(lane)] = i < 2 * width ? first + i : gpusim::kInactiveLane;
+    }
+    bview.gather(0, std::span<const std::int64_t>(addr.data(), static_cast<std::size_t>(w)),
+                 std::span<std::int64_t>(vals.data(), static_cast<std::size_t>(w)));
   }
 }
 
@@ -236,68 +282,31 @@ void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T
 
   // Per-thread merge-path search in shared memory.
   ctx.phase("merge.search");
-  std::vector<ThreadSplit> splits(static_cast<std::size_t>(u));
-  {
-    const auto pos_a = [&](int, std::int64_t x) { return layout.pos_a(x); };
-    const auto pos_b = [&](int, std::int64_t y) { return layout.pos_b(y); };
-    std::array<LanePair, gpusim::kMaxLanes + 1> pairs;
-    for (int warp = 0; warp < ctx.warps(); ++warp) {
-      for (int lane = 0; lane <= w; ++lane)
-        pairs[static_cast<std::size_t>(lane)] = {
-            la, lb, static_cast<std::int64_t>(warp * w + lane) * e};
-      warp_split_search(ctx, warp, shmem,
-                        std::span<const LanePair>(pairs.data(), static_cast<std::size_t>(w) + 1),
-                        pos_a, pos_b, cmp,
-                        std::span<ThreadSplit>(splits).subspan(
-                            static_cast<std::size_t>(warp * w), static_cast<std::size_t>(w)));
-    }
-  }
+  const std::vector<ThreadSplit> splits = pair_split_search(
+      ctx, shmem, la, lb, ctx.warps(), cfprims::same_warp,
+      [&](std::int64_t x) { return layout.pos_a(x); },
+      [&](std::int64_t y) { return layout.pos_b(y); }, cmp);
 
   // Per-thread merge.
   ctx.phase("merge.merge");
   std::vector<T> regs(static_cast<std::size_t>(tile));
-  if (cfg.variant == Variant::CFMerge) {
-    std::vector<std::int64_t> a_off(static_cast<std::size_t>(u));
-    std::vector<std::int64_t> a_size(static_cast<std::size_t>(u));
-    for (int i = 0; i < u; ++i) {
-      a_off[static_cast<std::size_t>(i)] = splits[static_cast<std::size_t>(i)].a_off;
-      a_size[static_cast<std::size_t>(i)] = splits[static_cast<std::size_t>(i)].a_size;
-    }
-    gather::GatherShape shape{w, e, u, la, lb};
-    if (cfg.disable_rho) {
-      // Ablation path: emulate the schedule with rho = identity by reading
-      // through the layout's raw indices directly.  When gcd(w, E) = 1 the
-      // real rho is the identity too, so raw = phys and the cf_gather proof
-      // still covers the access; otherwise (the broken ablation) conflicts
-      // are real and the lane path must count them.
-      gather::RoundSchedule sched(shape, a_off, a_size);
-      cfprims::exec_crs_gather(
-          ctx, shmem, w, e, ctx.warps(), cfprims::kGatherCharge,
-          cfg.certs.stride != nullptr ? cfg.certs.gather : nullptr,
-          [](int vw) { return vw; },
-          [&](int vw, int lane, int j) {
-            return sched.read(vw * w + lane, j).raw;  // no rho applied
-          },
-          [&](int vw, int lane, int j, const T& v) {
-            regs[static_cast<std::size_t>(vw * w + lane) * static_cast<std::size_t>(e) +
-                 static_cast<std::size_t>(j)] = v;
-          });
-    } else {
-      gather::RoundSchedule sched(shape, std::move(a_off), std::move(a_size));
-      cfprims::exec_cf_gather(ctx, shmem, sched, /*base=*/0, cfg.certs.gather,
-                              [](int vw) { return vw; }, std::span<T>(regs));
-    }
-    // Data-oblivious register merge.
-    for (int warp = 0; warp < ctx.warps(); ++warp) {
-      for (int lane = 0; lane < w; ++lane) {
-        std::span<T> r(regs.data() + static_cast<std::size_t>(warp * w + lane) *
-                                         static_cast<std::size_t>(e),
-                       static_cast<std::size_t>(e));
-        network_sort_result(r, cmp);
-      }
-      ctx.charge_compute(warp, static_cast<std::uint64_t>(odd_even_network_size(e)) *
-                                   cost::kCompareExchangeInstrs);
-    }
+  if (cfg.variant == Variant::CFMerge && !cfg.disable_rho) {
+    cf_merge_pair(ctx, shmem, /*base=*/0, la, lb, std::span<const ThreadSplit>(splits),
+                  cfg.certs.gather, cfprims::same_warp, std::span<T>(regs), cmp);
+  } else if (cfg.variant == Variant::CFMerge) {
+    // Ablation path: emulate the schedule with rho = identity by reading
+    // through the layout's raw indices directly.  When gcd(w, E) = 1 the
+    // real rho is the identity too, so raw = phys and the cf_gather proof
+    // still covers the access; otherwise (the broken ablation) conflicts
+    // are real and the lane path must count them.
+    const gather::RoundSchedule sched =
+        pair_schedule(w, la, lb, std::span<const ThreadSplit>(splits));
+    cfprims::exec_crs_gather(
+        ctx, shmem, w, e, ctx.warps(), cfprims::kGatherCharge,
+        cfg.certs.stride != nullptr ? cfg.certs.gather : nullptr, cfprims::same_warp,
+        [&](int vw, int lane, int j) { return sched.read(vw * w + lane, j).raw; },
+        std::span<T>(regs));
+    warp_network_sort(ctx, ctx.warps(), cfprims::same_warp, std::span<T>(regs), cmp);
   } else {
     std::vector<MergeLaneDesc> descs(static_cast<std::size_t>(u));
     for (int i = 0; i < u; ++i) {
@@ -329,14 +338,11 @@ void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T
   } else {
     cfprims::exec_crs_scatter(
         ctx, shmem, w, e, ctx.warps(), cfprims::kCopyCharge, cfg.certs.rank_scatter,
-        [](int vw) { return vw; },
+        cfprims::same_warp,
         [&](int vw, int lane, int j) {
           return out_pos(static_cast<std::int64_t>(vw * w + lane) * e + j);
         },
-        [&](int vw, int lane, int j) {
-          return regs[static_cast<std::size_t>(vw * w + lane) * static_cast<std::size_t>(e) +
-                      static_cast<std::size_t>(j)];
-        });
+        std::span<const T>(regs));
   }
   ctx.barrier();
   if (!out_rho || out_shift.identity()) {
@@ -353,27 +359,15 @@ template <typename T, typename Cmp = std::less<T>>
 void merge_tile_body(gpusim::BlockContext& ctx, std::span<const T> input,
                      std::span<T> output, const PassGeometry& geom, const MergeConfig& cfg,
                      std::span<const std::int64_t> boundaries, Cmp cmp = Cmp{}) {
-  const int w = ctx.lanes();
   const std::int64_t tile = cfg.tile();
   const std::int64_t out0 = static_cast<std::int64_t>(ctx.block_id()) * tile;
   const std::int64_t base = geom.pair_base(out0);
   const std::int64_t ra = geom.a_len(base);
   const std::int64_t rb = geom.b_len(base);
 
-  // Block subsequence bounds from the partition kernel (a cheap global
-  // read; one element per block boundary).
+  // Block subsequence bounds from the partition kernel.
   ctx.phase("merge.load");
-  {
-    std::array<std::int64_t, gpusim::kMaxLanes> addr;
-    addr.fill(gpusim::kInactiveLane);
-    addr[0] = static_cast<std::int64_t>(ctx.block_id());
-    addr[static_cast<std::size_t>(1 % w)] = static_cast<std::int64_t>(ctx.block_id()) + 1;
-    std::array<std::int64_t, gpusim::kMaxLanes> vals;
-    gpusim::GlobalView<const std::int64_t> bview(ctx, boundaries, 0);
-    bview.gather(0,
-                 std::span<const std::int64_t>(addr.data(), static_cast<std::size_t>(w)),
-                 std::span<std::int64_t>(vals.data(), static_cast<std::size_t>(w)));
-  }
+  read_boundary_rows(ctx, boundaries, 1);
   const std::int64_t diag0 = out0 - base;
   const std::int64_t diag1 = diag0 + tile;
   const std::int64_t a0 = boundaries[static_cast<std::size_t>(ctx.block_id())];
@@ -394,6 +388,5 @@ void merge_tile_body(gpusim::BlockContext& ctx, std::span<const T> input,
                              out0);
   merge_window_core<T>(ctx, gin, gout, base + a0, base + ra + b0, la, lb, cfg, cmp);
 }
-
 
 }  // namespace cfmerge::sort

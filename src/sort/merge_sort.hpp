@@ -83,17 +83,8 @@ std::vector<T>* enqueue_sort_pipeline(gpusim::Stream& stream, std::vector<T>& bu
   boundaries.assign(static_cast<std::size_t>(num_tiles) + 1, 0);
 
   // --- stage 1: block sort ------------------------------------------------
-  {
-    gpusim::LaunchShape shape{num_tiles, cfg.u,
-                              static_cast<std::size_t>(tile) * sizeof(T), regs};
-    const bool cf_rounds = cfg.variant == Variant::CFMerge && cfg.cf_blocksort;
-    if (cf_rounds) shape.shared_bytes_per_block *= 2;  // staging buffer
-    stream.enqueue("block_sort", shape,
-                   [&buf, e = cfg.e, cf_rounds, certs = cfg.certs](gpusim::BlockContext& ctx) {
-                     block_sort_body<T>(ctx, std::span<T>(buf), e, cf_rounds,
-                                        std::less<T>{}, certs);
-                   });
-  }
+  enqueue_block_sort(stream, buf, num_tiles, cfg.u, cfg.e, regs,
+                     cfg.variant == Variant::CFMerge && cfg.cf_blocksort, cfg.certs);
 
   // --- stage 2: merge passes ----------------------------------------------
   // All passes are enqueued up front; each body captures the pass's source

@@ -33,13 +33,11 @@
 
 #include "cfprims/exec.hpp"
 #include "gather/multiway_schedule.hpp"
-#include "gather/schedule.hpp"
 #include "gpusim/launcher.hpp"
 #include "gpusim/memory_views.hpp"
 #include "sort/kernels.hpp"
 #include "sort/key_value.hpp"
 #include "sort/merge_pass.hpp"
-#include "sort/odd_even.hpp"
 
 namespace cfmerge::sort {
 
@@ -337,60 +335,27 @@ void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalVi
       const gather::CascadePair& pr = prs[p];
       const std::int64_t pad = pr.size();
       if (pad == 0) continue;
-      const auto u_pair = static_cast<int>(pad / e);
-      const int vwarps = u_pair / w;
-
-      // Per-virtual-thread merge-path splits within the pair.
-      ctx.phase("merge.search");
-      std::vector<ThreadSplit> splits(static_cast<std::size_t>(u_pair));
-      {
-        const auto pos_a = [&](int, std::int64_t x) { return rb + pr.pos_a(x); };
-        const auto pos_b = [&](int, std::int64_t y) { return rb + pr.pos_b(y); };
-        std::array<LanePair, gpusim::kMaxLanes + 1> pairs;
-        for (int vw = 0; vw < vwarps; ++vw) {
-          const int pw = static_cast<int>((vglobal + vw) % ctx.warps());
-          for (int lane = 0; lane <= w; ++lane)
-            pairs[static_cast<std::size_t>(lane)] = {
-                pr.la, pr.lb, static_cast<std::int64_t>(vw * w + lane) * e};
-          warp_split_search(
-              ctx, pw, shmem,
-              std::span<const LanePair>(pairs.data(), static_cast<std::size_t>(w) + 1), pos_a,
-              pos_b, cmp,
-              std::span<ThreadSplit>(splits).subspan(static_cast<std::size_t>(vw * w),
-                                                     static_cast<std::size_t>(w)));
-        }
-      }
-      std::vector<std::int64_t> a_off(static_cast<std::size_t>(u_pair));
-      std::vector<std::int64_t> a_size(static_cast<std::size_t>(u_pair));
-      for (std::size_t i = 0; i < splits.size(); ++i) {
-        a_off[i] = splits[i].a_off;
-        a_size[i] = splits[i].a_size;
-      }
-
-      // Dual subsequence gather + register network (the proven 2-way core).
-      ctx.phase("merge.merge");
-      const gather::GatherShape shape{w, e, u_pair, pr.la, pr.lb};
-      const gather::RoundSchedule sched(shape, std::move(a_off), std::move(a_size));
-      std::vector<T> regs(static_cast<std::size_t>(pad));
+      const int vwarps = static_cast<int>(pad / e) / w;
       const auto pair_warp = [&](int vw) {
         return static_cast<int>((vglobal + vw) % ctx.warps());
       };
+
+      // Per-virtual-thread merge-path splits within the pair.
+      ctx.phase("merge.search");
+      const std::vector<ThreadSplit> splits = pair_split_search(
+          ctx, shmem, pr.la, pr.lb, vwarps, pair_warp,
+          [&](std::int64_t x) { return rb + pr.pos_a(x); },
+          [&](std::int64_t y) { return rb + pr.pos_b(y); }, cmp);
+
+      // Dual subsequence gather + register network (the proven 2-way core).
       // Each pair is an instance of the proven 2-way schedule at a constant
       // buffer offset (a uniform shift preserves bank distinctness), so the
       // cf_gather certificate applies per pair.
-      cfprims::exec_cf_gather(ctx, shmem, sched, rb + pr.base, cfg.certs.gather, pair_warp,
-                              std::span<T>(regs));
-      for (int vw = 0; vw < vwarps; ++vw) {
-        for (int lane = 0; lane < w; ++lane) {
-          std::span<T> r(regs.data() + static_cast<std::size_t>(vw * w + lane) *
-                                           static_cast<std::size_t>(e),
-                         static_cast<std::size_t>(e));
-          network_sort_result(r, cmp);
-        }
-        ctx.charge_compute(pair_warp(vw),
-                           static_cast<std::uint64_t>(odd_even_network_size(e)) *
-                               cost::kCompareExchangeInstrs);
-      }
+      ctx.phase("merge.merge");
+      std::vector<T> regs(static_cast<std::size_t>(pad));
+      cf_merge_pair(ctx, shmem, rb + pr.base, pr.la, pr.lb,
+                    std::span<const ThreadSplit>(splits), cfg.certs.gather, pair_warp,
+                    std::span<T>(regs), cmp);
 
       // Inter-stage rank scatter: rank r = iE + j of this pair lands at the
       // parent's pos_a/pos_b(r) (root: rho_out(r)) — data independent, so
@@ -407,10 +372,7 @@ void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalVi
             const std::int64_t r = static_cast<std::int64_t>(vw * w + lane) * e + j;
             return wb + plan.scatter_pos(level, static_cast<int>(p), r);
           },
-          [&](int vw, int lane, int j) {
-            return regs[static_cast<std::size_t>(
-                static_cast<std::int64_t>(vw * w + lane) * e + j)];
-          });
+          std::span<const T>(regs));
       vglobal += vwarps;
     }
     ctx.barrier();
@@ -600,30 +562,14 @@ void multiway_tile_body(gpusim::BlockContext& ctx, std::span<const T> input,
                         std::span<T> output, const PassGeometryK& geom,
                         const MultiwayConfig& cfg,
                         std::span<const std::int64_t> boundaries, Cmp cmp = Cmp{}) {
-  const int w = ctx.lanes();
   const int k = cfg.k;
   const std::int64_t tile = cfg.tile();
   const std::int64_t out0 = static_cast<std::int64_t>(ctx.block_id()) * tile;
   const std::int64_t base = geom.group_base(out0);
 
-  // Both boundary rows of this tile (2k co-ranks; a cheap global read).
+  // Both boundary rows of this tile (2k co-ranks).
   ctx.phase("merge.load");
-  {
-    gpusim::GlobalView<const std::int64_t> bview(ctx, boundaries, 0);
-    std::array<std::int64_t, gpusim::kMaxLanes> addr;
-    std::array<std::int64_t, gpusim::kMaxLanes> vals;
-    for (std::int64_t c = 0; c < 2 * k; c += w) {
-      for (int lane = 0; lane < w; ++lane) {
-        const std::int64_t i = c + lane;
-        addr[static_cast<std::size_t>(lane)] =
-            i < 2 * k ? static_cast<std::int64_t>(ctx.block_id()) * k + i
-                      : gpusim::kInactiveLane;
-      }
-      bview.gather(0,
-                   std::span<const std::int64_t>(addr.data(), static_cast<std::size_t>(w)),
-                   std::span<std::int64_t>(vals.data(), static_cast<std::size_t>(w)));
-    }
-  }
+  read_boundary_rows(ctx, boundaries, k);
   const std::int64_t diag1 = out0 + tile - base;
   const std::int64_t group_total = geom.group_len(base);
   std::vector<std::int64_t> seg_src(static_cast<std::size_t>(k));

@@ -37,17 +37,7 @@ std::vector<T>* enqueue_multiway_pipeline(gpusim::Stream& stream, std::vector<T>
                     0);
 
   // --- stage 1: block sort (identical to the pairwise pipeline) -----------
-  {
-    gpusim::LaunchShape shape{num_tiles, cfg.u,
-                              static_cast<std::size_t>(tile) * sizeof(T), regs};
-    if (cfg.cf_blocksort) shape.shared_bytes_per_block *= 2;  // staging buffer
-    stream.enqueue("block_sort", shape,
-                   [&buf, e = cfg.e, cf_rounds = cfg.cf_blocksort,
-                    certs = cfg.certs](gpusim::BlockContext& ctx) {
-                     block_sort_body<T>(ctx, std::span<T>(buf), e, cf_rounds,
-                                        std::less<T>{}, certs);
-                   });
-  }
+  enqueue_block_sort(stream, buf, num_tiles, cfg.u, cfg.e, regs, cfg.cf_blocksort, cfg.certs);
 
   // --- stage 2: k-way merge passes -----------------------------------------
   const std::size_t mshared =

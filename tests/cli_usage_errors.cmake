@@ -1,9 +1,9 @@
 # CLI test: a tool must reject bad input as a usage error — exit status 2
 # and a "<tool>: <message>" first line on stderr — never abort.
 #
-#   cmake -DTOOL=<path to cfsort or cfverify> -P cli_usage_errors.cmake
+#   cmake -DTOOL=<path to cfsort, cfverify or sim_hotpath> -P cli_usage_errors.cmake
 if(NOT TOOL)
-  message(FATAL_ERROR "pass -DTOOL=<path to the cfsort or cfverify binary>")
+  message(FATAL_ERROR "pass -DTOOL=<path to the cfsort, cfverify or sim_hotpath binary>")
 endif()
 get_filename_component(tool_name "${TOOL}" NAME_WE)
 
@@ -49,6 +49,12 @@ elseif(tool_name STREQUAL "cfverify")
   run_case("cfverify: --ks: every arity must be a power of two in [2, 16]" --ks=32)
   # The legacy cf_gather-only fork is gone; its flag is an unknown argument.
   run_case("cfverify: unknown argument: --no-primitives" --no-primitives)
+elseif(tool_name STREQUAL "sim_hotpath")
+  # The bench harness parses its integer flags whole before any case runs.
+  run_case("sim_hotpath: --threads: not an integer: 'abc'" --threads=abc)
+  run_case("sim_hotpath: --threads: not an integer: '4x'" --threads=4x)
+  run_case("sim_hotpath: --threads: out of range: '-1'" --threads=-1)
+  run_case("sim_hotpath: --repeats: not an integer: 'x'" --repeats=x)
 else()
   message(FATAL_ERROR "no usage-error cases for '${tool_name}'")
 endif()

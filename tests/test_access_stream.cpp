@@ -2,7 +2,8 @@
 // records (block, warp, kind, phase, cost and the lane addresses), plus a
 // digest of the report's counters and simulated time, for fixed-seed runs of
 // every kernel family — CF and baseline merge_sort, the CF block-sort
-// rounds, a non-coprime CF layout, the k=4 CF cascade and loser tree, a
+// rounds, a non-coprime CF layout and its two merge-window ablations (no
+// rho; plain stride-E output scatter), the k=4 CF cascade and loser tree, a
 // ragged sort_by_key, batched_merge, and cf_permute / cf_transpose round
 // trips — on a 32-lane and an 8-lane device.
 //
@@ -251,6 +252,20 @@ std::vector<StreamCase> cases() {
       {"cf_noncoprime_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 6, 16, 8 * 96 + 5, 10); },
        0xf59c7ecc20444d83ull, 0xcab7371496ce6002ull, 6712, 5567, 4320, 864},
+      {"cf_no_rho_w8", w8,
+       [](L& l) {
+         sort::MergeConfig cfg = merge_config(Variant::CFMerge, 6, 16);
+         cfg.disable_rho = true;
+         return run_merge_sort(l, cfg, 8 * 96 + 5, 18);
+       },
+       0xe4eadd2923775065ull, 0xc6e34d6d547c3c41ull, 6704, 5563, 4320, 0},
+      {"cf_plain_scatter_w8", w8,
+       [](L& l) {
+         sort::MergeConfig cfg = merge_config(Variant::CFMerge, 6, 16);
+         cfg.cf_output_scatter = false;
+         return run_merge_sort(l, cfg, 8 * 96 + 5, 19);
+       },
+       0xb6f91c7103b8651full, 0x56c80ec430e62eb3ull, 6740, 5596, 4320, 432},
       {"losertree_k4_w8", w8,
        [](L& l) {
          return run_multiway(l, 5, 16, 16 * 80, 11, sort::MultiwayVariant::LoserTree);

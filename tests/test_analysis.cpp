@@ -86,6 +86,15 @@ TEST(SweepConfigTest, RejectsBadBounds) {
                std::invalid_argument);
 }
 
+TEST(SweepConfigTest, RejectsTrailingGarbage) {
+  for (const char* arg : {"--threads=4x", "--reps=2x", "--imax=abc", "--seed=7 "}) {
+    const char* argv[] = {"prog", arg};
+    EXPECT_THROW((void)SweepConfig::from_args(2, const_cast<char**>(argv)),
+                 std::invalid_argument)
+        << arg;
+  }
+}
+
 TEST(RunSortPoint, ProducesConsistentMetrics) {
   gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(8));
   workloads::WorkloadSpec spec;
