@@ -20,9 +20,13 @@
 // bound searches per probe — O(k^2 log^2 n) total, the classical
 // multisequence-selection cost.
 //
-// The simulated warp-lockstep version (charged global/shared probes) lives
-// in sort/multiway_pass.hpp; this header is the host-side reference used by
-// plan construction, tests, and the verifier.
+// This header is the host-side reference used by plan construction, tests
+// and the verifier.  The simulated kernels do not transcribe it: they run a
+// different algorithm with the same answer, the stride-halving selection of
+// Varman et al. (sort::detail::warp_multiseq_select in
+// sort/multiway_pass.hpp), which needs O(log n) dependent probe rounds per
+// co-rank vector instead of O(k^2 log^2 n).  tests/test_multiway_sort.cpp
+// checks the two against each other.
 #pragma once
 
 #include <algorithm>

@@ -6,6 +6,8 @@
 // rough Turing estimates and only affect the compute roofline term.
 #pragma once
 
+#include <bit>
+
 namespace cfmerge::sort::cost {
 
 /// One step of the per-thread sequential merge: compare, select/emit,
@@ -20,6 +22,16 @@ inline constexpr int kCompareExchangeInstrs = 3;
 /// One iteration of the lockstep merge-path binary search
 /// (mid computation, compare, bound update) — excludes the two probes.
 inline constexpr int kSearchIterInstrs = 4;
+/// One level of the k-way stride-halving selection, excluding its probe:
+/// the window update plus two k-lane reductions (left maximum, left size).
+inline constexpr int multiseq_level_instrs(int k) {
+  return kSearchIterInstrs + 2 * std::bit_width(static_cast<unsigned>(k - 1));
+}
+/// One skew-correction pop of that selection: a k-lane argmin/argmax and
+/// the window shift.
+inline constexpr int multiseq_pop_instrs(int k) {
+  return kSearchIterInstrs + std::bit_width(static_cast<unsigned>(k - 1));
+}
 /// Address computation per staged load/store chunk.
 inline constexpr int kCopyChunkInstrs = 2;
 /// Per-thread setup of a merge step (computing k, offsets, bounds).

@@ -4,7 +4,9 @@
 // from ceil(log2(n/tile)) to ceil(log_k(n/tile)) (Casanova et al.).  Stage 1
 // (partition kernel) computes, for every output tile boundary, the k-vector
 // of co-ranks inside its group of k runs — multisequence selection, the
-// k-dimensional generalization of merge path (mergepath/multiway_path.hpp).
+// k-dimensional generalization of merge path (mergepath/multiway_path.hpp),
+// found by a warp-lockstep stride-halving search with one lane per sequence
+// (detail::warp_multiseq_select, shared with the LoserTree's thread search).
 // Stage 2 (merge kernel) produces one output tile of u*E elements per block
 // from its k segment windows, in one of two variants:
 //
@@ -26,8 +28,10 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cassert>
 #include <cstdint>
 #include <functional>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -113,173 +117,223 @@ struct PassGeometryK {
   }
 };
 
+/// Boundaries one warp resolves at once in warp_multiseq_select: one lane
+/// per (boundary, sequence), at least one boundary per warp.
+[[nodiscard]] inline int selections_per_warp(int w, int k) { return std::max(1, w / k); }
+static_assert(kMaxMultiwayK <= gpusim::kMaxLanes, "one selection's slots fit a lane array");
+
 namespace detail {
 
-/// Warp-lockstep multisequence selection: resolves, for every lane l, the
-/// co-rank vector of diagonal diag[l] across its k sequences.  seg_len and
-/// out_co are lane-major (lane*k + s); diag[l] < 0 masks the lane.  `probe`
-/// issues one charged warp-wide read: probe(s, idx, vals) loads element
-/// idx[lane] of lane's sequence s (kInactiveLane masks idle lanes).
+/// Warp-lockstep stride-halving multisequence selection (Varman et al.; the
+/// host oracle is mergepath::multiway_path).  Resolves the co-rank vectors
+/// of `queries` diagonals at once with one lane per sequence: slot
+/// f = q*k + s holds query q's window into its sequence s and lives on lane
+/// f % w of read chunk f / w (one chunk unless k > w).  seg_base (the
+/// address of each sequence's first element), seg_len and out_co are
+/// slot-indexed; diag[q] < 0 masks query q.  `gather(addrs, vals,
+/// dependent)` issues one charged warp-wide read of w addresses
+/// (kInactiveLane masks idle lanes).
 ///
-/// Per outer iteration of sequence s the lockstep loop reads the probed
-/// element and runs k-1 nested lockstep bound searches — the classical
-/// O(k^2 log^2) multisequence-selection pattern, every access charged.
-template <typename T, typename Probe, typename Cmp>
-void warp_multiway_corank(gpusim::BlockContext& ctx, int warp, int k,
+/// Every sequence is padded (conceptually, with +inf) to L = 2^R - 1 >= its
+/// query's longest one and keeps a window [lo, hi] of width h - 1, where lo
+/// counts its elements known to lie left of the split.  Each of the R levels
+/// halves the block size h: the window-middle element S[lo + h - 1] moves
+/// left (lo += h) if it precedes the largest element already left, else hi
+/// drops to it.  A skew correction then pops the smallest right-hand block
+/// ends (or the largest left-hand ones) until floor(diag / h) whole blocks
+/// lie left.  At h = 1 the lo are the co-ranks.  Order is the stable
+/// (value, sequence id) key; empty sequences never enter the selection.
+/// Lanes keep S[lo - 1] and S[hi] in registers, so a level costs one
+/// dependent gather (the middles) and every pop one dependent read: O(log n)
+/// rounds per query instead of the nested searches' O(k^2 log^2 n).
+template <typename T, typename Gather, typename Cmp>
+void warp_multiseq_select(gpusim::BlockContext& ctx, int warp, int k, int queries,
+                          std::span<const std::int64_t> seg_base,
                           std::span<const std::int64_t> seg_len,
-                          std::span<const std::int64_t> diag, Probe&& probe, Cmp cmp,
+                          std::span<const std::int64_t> diag, Gather&& gather, Cmp cmp,
                           std::span<std::int64_t> out_co) {
-  const int w = ctx.lanes();
-  assert(w <= gpusim::kMaxLanes);
-  std::vector<std::int64_t> total(static_cast<std::size_t>(w), 0);
-  for (int l = 0; l < w; ++l)
-    for (int s = 0; s < k; ++s) total[static_cast<std::size_t>(l)] += seg_len[static_cast<std::size_t>(l * k + s)];
+  using gpusim::kInactiveLane;
+  const auto w = static_cast<std::size_t>(ctx.lanes());
+  const auto kk = static_cast<std::size_t>(k);
+  const std::size_t slots = static_cast<std::size_t>(queries) * kk;
+  assert(slots <= static_cast<std::size_t>(gpusim::kMaxLanes));
+  // Stable order of (value, sequence id) pairs.
+  const auto before = [&](const T& x, std::size_t sx, const T& y, std::size_t sy) {
+    return cmp(x, y) || (!cmp(y, x) && sx < sy);
+  };
 
-  std::array<std::int64_t, gpusim::kMaxLanes> lo, hi, mid, idx, rank, lo2, hi2;
-  std::array<T, gpusim::kMaxLanes> v{}, pv{};
-  std::array<bool, gpusim::kMaxLanes> act{}, act2{};
-  const std::span<std::int64_t> idxspan(idx.data(), static_cast<std::size_t>(w));
-  const std::span<T> vspan(v.data(), static_cast<std::size_t>(w));
-  const std::span<T> pvspan(pv.data(), static_cast<std::size_t>(w));
+  std::array<std::int64_t, gpusim::kMaxLanes> lo{}, hi{}, idx, addr;
+  std::array<T, gpusim::kMaxLanes> lo_val{}, hi_val{}, got{};
+  std::array<bool, gpusim::kMaxLanes> to_lo{};  // a pop's read refreshes lo_val
+  // Per query: current block size minus one, blocks still to move, and
+  // whether the query takes part in the current level.
+  std::array<std::int64_t, gpusim::kMaxLanes> half{}, skew{};
+  std::array<bool, gpusim::kMaxLanes> live{};
+  idx.fill(kInactiveLane);
+  int levels = 0;
+  for (std::size_t q = 0; q < static_cast<std::size_t>(queries); ++q) {
+    const auto lens = seg_len.subspan(q * kk, kk);
+    const std::int64_t total = std::accumulate(lens.begin(), lens.end(), std::int64_t{0});
+    assert(diag[q] <= total);
+    for (std::size_t s = 0; s < kk; ++s) lo[q * kk + s] = diag[q] == total ? lens[s] : 0;
+    if (diag[q] <= 0 || diag[q] >= total) continue;  // masked, all left or all right
+    const auto longest = static_cast<std::uint64_t>(std::ranges::max(lens));
+    const int r = std::bit_width(longest);
+    half[q] = (std::int64_t{1} << r) - 1;
+    std::fill_n(hi.begin() + static_cast<std::ptrdiff_t>(q * kk), kk, half[q]);
+    levels = std::max(levels, r);
+  }
 
-  for (int s = 0; s < k; ++s) {
-    for (int l = 0; l < w; ++l) {
-      const auto ll = static_cast<std::size_t>(l);
-      if (diag[ll] < 0) {
-        lo[ll] = hi[ll] = 0;
-        continue;
+  // One read round over the slots whose idx is set.  The first chunk with
+  // an active lane pays the dependent latency; later chunks pipeline behind.
+  const auto read = [&] {
+    bool first = true;
+    for (std::size_t f0 = 0; f0 < slots; f0 += w) {
+      bool active = false;
+      for (std::size_t l = 0; l < w; ++l) {
+        const std::size_t f = f0 + l;
+        addr[l] = f < slots && idx[f] != kInactiveLane ? seg_base[f] + idx[f] : kInactiveLane;
+        active = active || addr[l] != kInactiveLane;
       }
-      const std::int64_t ns = seg_len[static_cast<std::size_t>(l * k + s)];
-      lo[ll] = std::max<std::int64_t>(0, diag[ll] - (total[ll] - ns));
-      hi[ll] = std::min(diag[ll], ns);
+      if (!active) continue;
+      gather(std::span<const std::int64_t>(addr).first(w), std::span<T>(got).subspan(f0, w),
+             first);
+      first = false;
     }
+  };
+
+  for (int level = 0; level < levels; ++level) {
+    // Halve every live window and gather its middle element.
+    for (std::size_t q = 0; q < static_cast<std::size_t>(queries); ++q) {
+      live[q] = half[q] > 0;
+      if (!live[q]) continue;
+      half[q] /= 2;
+      for (std::size_t f = q * kk; f < (q + 1) * kk; ++f)
+        idx[f] = lo[f] + half[q] < seg_len[f] ? lo[f] + half[q] : kInactiveLane;
+    }
+    ctx.charge_compute(warp, cost::multiseq_level_instrs(k));
+    read();
+
+    for (std::size_t q = 0; q < static_cast<std::size_t>(queries); ++q) {
+      if (!live[q]) continue;
+      const std::size_t f0 = q * kk;
+      // Largest element already left of the split (a k-lane reduction).
+      std::size_t top = kk;
+      for (std::size_t s = 0; s < kk; ++s)
+        if (lo[f0 + s] > 0 &&
+            (top == kk || !before(lo_val[f0 + s], s, lo_val[f0 + top], top)))
+          top = s;
+      std::int64_t left = 0;
+      for (std::size_t s = 0; s < kk; ++s) {
+        const std::size_t f = f0 + s;
+        const bool probed = idx[f] != kInactiveLane;
+        if (probed && top != kk && before(got[f], s, lo_val[f0 + top], top)) {
+          lo[f] = idx[f] + 1;  // never the top slot itself, so lo_val[top] holds
+          lo_val[f] = got[f];
+        } else {
+          hi[f] = lo[f] + half[q];
+          if (probed) hi_val[f] = got[f];
+        }
+        idx[f] = kInactiveLane;
+        left += lo[f] / (half[q] + 1);
+      }
+      skew[q] = diag[q] / (half[q] + 1) - left;
+    }
+
+    // Skew correction: every query with blocks to move pops one per round;
+    // the popped sequence reads the window end it just uncovered.
     while (true) {
       bool any = false;
-      for (int l = 0; l < w; ++l) {
-        const auto ll = static_cast<std::size_t>(l);
-        act[ll] = diag[ll] >= 0 && lo[ll] < hi[ll];
-        any = any || act[ll];
-        mid[ll] = act[ll] ? lo[ll] + (hi[ll] - lo[ll]) / 2 : 0;
-        idx[ll] = act[ll] ? mid[ll] : gpusim::kInactiveLane;
+      for (std::size_t q = 0; q < static_cast<std::size_t>(queries); ++q) {
+        if (!live[q] || skew[q] == 0) continue;
+        const std::size_t f0 = q * kk;
+        std::size_t pick = kk;
+        for (std::size_t s = 0; s < kk; ++s) {
+          const std::size_t f = f0 + s;
+          if (skew[q] > 0 ? hi[f] < seg_len[f] &&
+                                (pick == kk || before(hi_val[f], s, hi_val[f0 + pick], pick))
+                          : lo[f] > 0 &&
+                                (pick == kk || !before(lo_val[f], s, lo_val[f0 + pick], pick)))
+            pick = s;
+        }
+        if (pick == kk) {  // every block right of the split is padding
+          skew[q] = 0;
+          continue;
+        }
+        const std::size_t f = f0 + pick;
+        const std::int64_t step = half[q] + 1;
+        if (skew[q] > 0) {  // the smallest right-hand block end moves left
+          lo[f] = hi[f] + 1;
+          lo_val[f] = hi_val[f];
+          hi[f] += step;
+          idx[f] = hi[f] < seg_len[f] ? hi[f] : kInactiveLane;
+          to_lo[f] = false;
+          --skew[q];
+        } else {  // the largest left-hand block end moves right
+          hi[f] = lo[f] - 1;
+          hi_val[f] = lo_val[f];
+          lo[f] -= step;
+          idx[f] = lo[f] > 0 ? lo[f] - 1 : kInactiveLane;
+          to_lo[f] = true;
+          ++skew[q];
+        }
+        any = true;
       }
       if (!any) break;
-      ctx.charge_compute(warp, cost::kSearchIterInstrs);
-      probe(s, std::span<const std::int64_t>(idxspan), vspan);
-
-      // rank(s, mid) = mid + Σ_{t<s} ub_t(v) + Σ_{t>s} lb_t(v).
-      for (int l = 0; l < w; ++l) rank[static_cast<std::size_t>(l)] = mid[static_cast<std::size_t>(l)];
-      for (int t = 0; t < k; ++t) {
-        if (t == s) continue;
-        for (int l = 0; l < w; ++l) {
-          const auto ll = static_cast<std::size_t>(l);
-          lo2[ll] = 0;
-          hi2[ll] = act[ll] ? seg_len[static_cast<std::size_t>(l * k + t)] : 0;
-        }
-        while (true) {
-          bool any2 = false;
-          for (int l = 0; l < w; ++l) {
-            const auto ll = static_cast<std::size_t>(l);
-            act2[ll] = act[ll] && lo2[ll] < hi2[ll];
-            any2 = any2 || act2[ll];
-            idx[ll] = act2[ll] ? lo2[ll] + (hi2[ll] - lo2[ll]) / 2 : gpusim::kInactiveLane;
-          }
-          if (!any2) break;
-          ctx.charge_compute(warp, cost::kSearchIterInstrs);
-          probe(t, std::span<const std::int64_t>(idxspan), pvspan);
-          for (int l = 0; l < w; ++l) {
-            const auto ll = static_cast<std::size_t>(l);
-            if (!act2[ll]) continue;
-            const std::int64_t m2 = lo2[ll] + (hi2[ll] - lo2[ll]) / 2;
-            const bool take = t < s ? !cmp(v[ll], pv[ll]) : cmp(pv[ll], v[ll]);
-            if (take)
-              lo2[ll] = m2 + 1;
-            else
-              hi2[ll] = m2;
-          }
-        }
-        for (int l = 0; l < w; ++l) {
-          const auto ll = static_cast<std::size_t>(l);
-          if (act[ll]) rank[ll] += lo2[ll];
-        }
-      }
-      for (int l = 0; l < w; ++l) {
-        const auto ll = static_cast<std::size_t>(l);
-        if (!act[ll]) continue;
-        if (rank[ll] < diag[ll])
-          lo[ll] = mid[ll] + 1;
-        else
-          hi[ll] = mid[ll];
+      ctx.charge_compute(warp, cost::multiseq_pop_instrs(k));
+      read();
+      for (std::size_t f = 0; f < slots; ++f) {
+        if (idx[f] == kInactiveLane) continue;
+        (to_lo[f] ? lo_val[f] : hi_val[f]) = got[f];
+        idx[f] = kInactiveLane;
       }
     }
-    for (int l = 0; l < w; ++l)
-      out_co[static_cast<std::size_t>(l * k + s)] =
-          diag[static_cast<std::size_t>(l)] < 0 ? 0 : lo[static_cast<std::size_t>(l)];
   }
+  std::copy_n(lo.begin(), slots, out_co.begin());
 }
 
 }  // namespace detail
 
 /// Stage 1: k-way partition kernel.  boundaries is a flat (num_tiles+1) x k
 /// table; row t receives the co-rank vector of output diagonal t*tile within
-/// its group of k runs.  One simulated thread per boundary row.
+/// its group of k runs.  One lane per (boundary row, sequence): each warp
+/// resolves selections_per_warp(w, k) consecutive rows.
 template <typename T, typename Cmp = std::less<T>>
 void multiway_partition_body(gpusim::BlockContext& ctx, std::span<const T> input,
                              const PassGeometryK& geom, std::int64_t tile,
                              std::span<std::int64_t> boundaries, Cmp cmp = Cmp{}) {
-  const int u = ctx.threads();
   const int w = ctx.lanes();
   const int k = geom.k;
+  const int per_warp = selections_per_warp(w, k);
   const auto nb = static_cast<std::int64_t>(boundaries.size()) / k;
   gpusim::GlobalView<const T> global(ctx, input, 0);
 
   ctx.phase("partition.search");
-  assert(w <= gpusim::kMaxLanes);
-  std::vector<std::int64_t> seg_len(static_cast<std::size_t>(w * k), 0);
-  std::vector<std::int64_t> out_co(static_cast<std::size_t>(w * k), 0);
-  std::array<std::int64_t, gpusim::kMaxLanes> gbase;
-  std::array<std::int64_t, gpusim::kMaxLanes> diag;
-  std::array<std::int64_t, gpusim::kMaxLanes> pa;
+  std::array<std::int64_t, gpusim::kMaxLanes> seg_len, seg_base, diag;
   for (int warp = 0; warp < ctx.warps(); ++warp) {
-    bool any = false;
-    for (int lane = 0; lane < w; ++lane) {
-      const auto l = static_cast<std::size_t>(lane);
-      diag[l] = -1;
-      gbase[l] = 0;
-      const std::int64_t t =
-          static_cast<std::int64_t>(ctx.block_id()) * u + warp * w + lane;
-      if (t >= nb) continue;
-      const std::int64_t pos = t * tile;
+    const std::int64_t t0 =
+        (static_cast<std::int64_t>(ctx.block_id()) * ctx.warps() + warp) * per_warp;
+    if (t0 >= nb) break;
+    const int queries = static_cast<int>(std::min<std::int64_t>(per_warp, nb - t0));
+    for (int q = 0; q < queries; ++q) {
+      const std::int64_t pos = (t0 + q) * tile;
       const std::int64_t base = pos >= geom.n ? geom.n : geom.group_base(pos);
-      gbase[l] = base;
-      diag[l] = std::min(pos - base, geom.group_len(base));
-      for (int s = 0; s < k; ++s)
-        seg_len[static_cast<std::size_t>(lane * k + s)] = geom.seg_len(base, s);
-      any = true;
-    }
-    if (!any) continue;
-    auto probe = [&](int s, std::span<const std::int64_t> idx, std::span<T> vals) {
-      for (int lane = 0; lane < w; ++lane) {
-        const auto l = static_cast<std::size_t>(lane);
-        pa[l] = idx[l] == gpusim::kInactiveLane
-                    ? gpusim::kInactiveLane
-                    : gbase[l] + static_cast<std::int64_t>(s) * geom.run + idx[l];
+      diag[static_cast<std::size_t>(q)] = std::min(pos - base, geom.group_len(base));
+      for (int s = 0; s < k; ++s) {
+        const auto f = static_cast<std::size_t>(q * k + s);
+        seg_len[f] = geom.seg_len(base, s);
+        seg_base[f] = base + static_cast<std::int64_t>(s) * geom.run;
       }
-      global.gather(warp,
-                    std::span<const std::int64_t>(pa.data(), static_cast<std::size_t>(w)),
-                    vals, /*dependent=*/true);
-    };
-    detail::warp_multiway_corank<T>(
-        ctx, warp, k, seg_len,
-        std::span<const std::int64_t>(diag.data(), static_cast<std::size_t>(w)), probe,
-        cmp, std::span<std::int64_t>(out_co));
-    for (int lane = 0; lane < w; ++lane) {
-      const std::int64_t t =
-          static_cast<std::int64_t>(ctx.block_id()) * u + warp * w + lane;
-      if (t >= nb) continue;
-      for (int s = 0; s < k; ++s)
-        boundaries[static_cast<std::size_t>(t * k + s)] =
-            out_co[static_cast<std::size_t>(lane * k + s)];
     }
+    const auto slots = static_cast<std::size_t>(queries * k);
+    detail::warp_multiseq_select<T>(
+        ctx, warp, k, queries, std::span<const std::int64_t>(seg_base.data(), slots),
+        std::span<const std::int64_t>(seg_len.data(), slots),
+        std::span<const std::int64_t>(diag.data(), static_cast<std::size_t>(queries)),
+        [&](std::span<const std::int64_t> addrs, std::span<T> vals, bool dependent) {
+          global.gather(warp, addrs, vals, dependent);
+        },
+        cmp, boundaries.subspan(static_cast<std::size_t>(t0 * k), slots));
   }
 }
 
@@ -386,6 +440,45 @@ void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalVi
                             cfprims::UnitStep{});
 }
 
+/// LoserTree search step: the co-rank vector of every thread's start
+/// diagonal i*E in the block's tile, staged linearly in `shmem` (segment s
+/// at seg_off[s], seg_len[s] long).  Each warp resolves its w threads in
+/// groups of selections_per_warp(w, k); the probes are data-dependent
+/// shared reads.  Returns the flat u x k table co[i*k + s].
+template <typename T, typename Cmp>
+std::vector<std::int64_t> multiway_thread_coranks(gpusim::BlockContext& ctx,
+                                                  gpusim::SharedTile<T>& shmem,
+                                                  std::span<const std::int64_t> seg_off,
+                                                  std::span<const std::int64_t> seg_len, int e,
+                                                  Cmp cmp) {
+  const int w = ctx.lanes();
+  const int k = static_cast<int>(seg_len.size());
+  const int per_warp = selections_per_warp(w, k);
+  std::vector<std::int64_t> co(static_cast<std::size_t>(ctx.threads() * k), 0);
+  std::array<std::int64_t, gpusim::kMaxLanes> base, lens, diag;
+  for (int f = 0; f < per_warp * k; ++f) {
+    base[static_cast<std::size_t>(f)] = seg_off[static_cast<std::size_t>(f % k)];
+    lens[static_cast<std::size_t>(f)] = seg_len[static_cast<std::size_t>(f % k)];
+  }
+  for (int warp = 0; warp < ctx.warps(); ++warp) {
+    for (int t0 = warp * w; t0 < (warp + 1) * w; t0 += per_warp) {
+      const int queries = std::min(per_warp, (warp + 1) * w - t0);
+      for (int q = 0; q < queries; ++q)
+        diag[static_cast<std::size_t>(q)] = static_cast<std::int64_t>(t0 + q) * e;
+      const auto slots = static_cast<std::size_t>(queries * k);
+      detail::warp_multiseq_select<T>(
+          ctx, warp, k, queries, std::span<const std::int64_t>(base.data(), slots),
+          std::span<const std::int64_t>(lens.data(), slots),
+          std::span<const std::int64_t>(diag.data(), static_cast<std::size_t>(queries)),
+          [&](std::span<const std::int64_t> addrs, std::span<T> vals, bool dependent) {
+            shmem.gather(warp, addrs, vals, dependent, /*scattered=*/true);
+          },
+          cmp, std::span<std::int64_t>(co).subspan(static_cast<std::size_t>(t0 * k), slots));
+    }
+  }
+  return co;
+}
+
 /// LoserTree merge core: linear shared layout, per-thread k-way replacement
 /// selection.  The head gathers and every replacement read are data
 /// dependent across lanes — the merge phase is *not* conflict free (that is
@@ -404,7 +497,7 @@ void multiway_losertree_core(gpusim::BlockContext& ctx, GIn& gin,
   gpusim::SharedTile<T> shmem(ctx, static_cast<std::size_t>(tile));
 
   // Linear layout: segment s occupies [seg_off[s], seg_off[s] + len_s).
-  std::vector<std::int64_t> seg_off(static_cast<std::size_t>(k), 0);
+  std::array<std::int64_t, kMaxMultiwayK> seg_off{};
   for (int s = 1; s < k; ++s)
     seg_off[static_cast<std::size_t>(s)] =
         seg_off[static_cast<std::size_t>(s - 1)] + seg_len[static_cast<std::size_t>(s - 1)];
@@ -415,43 +508,10 @@ void multiway_losertree_core(gpusim::BlockContext& ctx, GIn& gin,
                               cfprims::UnitStep{seg_off[static_cast<std::size_t>(s)]});
   ctx.barrier();
 
-  // Per-thread k-vector co-ranks at every thread's start diagonal.
   ctx.phase("merge.search");
-  std::vector<std::int64_t> co(static_cast<std::size_t>(u * k), 0);
-  {
-    std::vector<std::int64_t> lane_lens(static_cast<std::size_t>(w * k));
-    std::vector<std::int64_t> out_co(static_cast<std::size_t>(w * k));
-    std::array<std::int64_t, gpusim::kMaxLanes> diag;
-    std::array<std::int64_t, gpusim::kMaxLanes> pa;
-    for (int lane = 0; lane < w; ++lane)
-      for (int s = 0; s < k; ++s)
-        lane_lens[static_cast<std::size_t>(lane * k + s)] =
-            seg_len[static_cast<std::size_t>(s)];
-    for (int warp = 0; warp < ctx.warps(); ++warp) {
-      for (int lane = 0; lane < w; ++lane)
-        diag[static_cast<std::size_t>(lane)] =
-            static_cast<std::int64_t>(warp * w + lane) * e;
-      auto probe = [&](int s, std::span<const std::int64_t> idx, std::span<T> pvals) {
-        for (int lane = 0; lane < w; ++lane) {
-          const auto l = static_cast<std::size_t>(lane);
-          pa[l] = idx[l] == gpusim::kInactiveLane
-                      ? gpusim::kInactiveLane
-                      : seg_off[static_cast<std::size_t>(s)] + idx[l];
-        }
-        shmem.gather(warp,
-                     std::span<const std::int64_t>(pa.data(), static_cast<std::size_t>(w)),
-                     pvals, /*dependent=*/true, /*scattered=*/true);
-      };
-      detail::warp_multiway_corank<T>(
-          ctx, warp, k, lane_lens,
-          std::span<const std::int64_t>(diag.data(), static_cast<std::size_t>(w)), probe,
-          cmp, std::span<std::int64_t>(out_co));
-      for (int lane = 0; lane < w; ++lane)
-        for (int s = 0; s < k; ++s)
-          co[static_cast<std::size_t>((warp * w + lane) * k + s)] =
-              out_co[static_cast<std::size_t>(lane * k + s)];
-    }
-  }
+  const std::vector<std::int64_t> co = multiway_thread_coranks<T>(
+      ctx, shmem, std::span<const std::int64_t>(seg_off.data(), static_cast<std::size_t>(k)),
+      seg_len, e, cmp);
 
   // Replacement selection: k head gathers, then one data-dependent
   // replacement gather per emitted element.
@@ -572,8 +632,8 @@ void multiway_tile_body(gpusim::BlockContext& ctx, std::span<const T> input,
   read_boundary_rows(ctx, boundaries, k);
   const std::int64_t diag1 = out0 + tile - base;
   const std::int64_t group_total = geom.group_len(base);
-  std::vector<std::int64_t> seg_src(static_cast<std::size_t>(k));
-  std::vector<std::int64_t> seg_win(static_cast<std::size_t>(k));
+  std::array<std::int64_t, kMaxMultiwayK> seg_src{};
+  std::array<std::int64_t, kMaxMultiwayK> seg_win{};
   for (int s = 0; s < k; ++s) {
     const std::int64_t len = geom.seg_len(base, s);
     const std::int64_t r0 =
@@ -594,10 +654,12 @@ void multiway_tile_body(gpusim::BlockContext& ctx, std::span<const T> input,
   gpusim::GlobalView<T> gout(ctx, output.subspan(static_cast<std::size_t>(out0),
                                                  static_cast<std::size_t>(tile)),
                              out0);
+  const std::span<const std::int64_t> src(seg_src.data(), static_cast<std::size_t>(k));
+  const std::span<const std::int64_t> win(seg_win.data(), static_cast<std::size_t>(k));
   if (cfg.variant == MultiwayVariant::CFCascade)
-    multiway_cascade_core<T>(ctx, gin, gout, seg_src, seg_win, cfg, cmp);
+    multiway_cascade_core<T>(ctx, gin, gout, src, win, cfg, cmp);
   else
-    multiway_losertree_core<T>(ctx, gin, gout, seg_src, seg_win, cfg, cmp);
+    multiway_losertree_core<T>(ctx, gin, gout, src, win, cfg, cmp);
 }
 
 }  // namespace cfmerge::sort

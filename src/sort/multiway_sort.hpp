@@ -50,8 +50,11 @@ std::vector<T>* enqueue_multiway_pipeline(gpusim::Stream& stream, std::vector<T>
     ++passes;
     const PassGeometryK geom{n_padded, run, cfg.k};
 
+    // One lane per (boundary row, sequence): selections_per_warp rows a warp.
     const auto nb = static_cast<std::int64_t>(num_tiles) + 1;
-    const int pblocks = static_cast<int>((nb + cfg.u - 1) / cfg.u);
+    const std::int64_t rows_per_block =
+        static_cast<std::int64_t>(cfg.u / warp_size) * selections_per_warp(warp_size, cfg.k);
+    const int pblocks = static_cast<int>((nb + rows_per_block - 1) / rows_per_block);
     gpusim::LaunchShape pshape{pblocks, cfg.u, 0, cost::kPartitionRegsPerThread};
     stream.enqueue("multiway_partition", pshape,
                    [src, &boundaries, geom, tile](gpusim::BlockContext& ctx) {

@@ -227,7 +227,7 @@ std::vector<StreamCase> cases() {
        [](L& l) { return run_merge_sort(l, Variant::Baseline, 7, 64, 4 * 448, 2); },
        0xc5a96e8cb62df4e8ull, 0xf6c84a45a129f182ull, 3374, 3048, 5376, 560},
       {"multiway_k4_w32", w32, [](L& l) { return run_multiway(l, 7, 64, 16 * 448, 3); },
-       0x439261d9efe37085ull, 0xd8346733fa517679ull, 21560, 17813, 64512, 4480},
+       0x849e1301b4496affull, 0x5170bb8c23bd8238ull, 19184, 17813, 64512, 4480},
       {"by_key_ragged_w32", w32,
        [](L& l) { return run_by_key(l, Variant::CFMerge, 7, 64, 3 * 448 + 101, 4); },
        0xa40a428472ba1cceull, 0x489f2399e5f14562ull, 3288, 2948, 5376, 672},
@@ -238,7 +238,7 @@ std::vector<StreamCase> cases() {
        [](L& l) { return run_merge_sort(l, Variant::Baseline, 5, 16, 8 * 80, 6); },
        0xfcea6046e7a9ff1full, 0x80f1e6a796a33a69ull, 4913, 4292, 2560, 720},
       {"multiway_k4_w8", w8, [](L& l) { return run_multiway(l, 5, 16, 16 * 80, 7); },
-       0x93d6b57d5faddfd5ull, 0x602c9452e5d68615ull, 14956, 10892, 11520, 2860},
+       0xcb20d54dbf912528ull, 0x46ff64841adf860full, 12128, 10892, 11520, 2860},
       {"by_key_ragged_w8", w8,
        [](L& l) { return run_by_key(l, Variant::Baseline, 5, 16, 5 * 80 + 37, 8); },
        0xa94a7f0e86a5f0feull, 0x6d4f078d169ed2eeull, 3520, 3057, 1920, 540},
@@ -270,7 +270,7 @@ std::vector<StreamCase> cases() {
        [](L& l) {
          return run_multiway(l, 5, 16, 16 * 80, 11, sort::MultiwayVariant::LoserTree);
        },
-       0x750fd093f897c72dull, 0xe6b9325473bcdc0bull, 28357, 24324, 3840, 960},
+       0x3bc8556f2ce3e43dull, 0x9134586dde7edb24ull, 9592, 8432, 3840, 960},
       {"batched_cf_w32", w32,
        [](L& l) { return run_batched(l, Variant::CFMerge, 7, 64, 4, 12); },
        0xbde05bf04c027a36ull, 0x6ffb80aab7915613ull, 2364, 1691, 8960, 560},

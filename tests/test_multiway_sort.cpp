@@ -1,6 +1,9 @@
 // End-to-end tests of the k-way multiway mergesort: std::sort oracle over
 // both merge variants, pass-count arithmetic, key-value payloads, and
 // bit-identical replay across host worker counts and graph-execution modes.
+// The k-way selection (partition kernel, LoserTree thread co-ranks) is
+// checked against the mergepath::multiway_path host oracle, and its
+// simulated cost against the 2-way partition.
 #include "sort/multiway_sort.hpp"
 
 #include <gtest/gtest.h>
@@ -11,11 +14,13 @@
 #include <random>
 #include <vector>
 
+#include "mergepath/multiway_path.hpp"
 #include "sort/engine.hpp"
 #include "sort/merge_sort.hpp"
 
 using namespace cfmerge;
 using namespace cfmerge::sort;
+using gpusim::BlockContext;
 using gpusim::DeviceSpec;
 using gpusim::GraphExec;
 using gpusim::Launcher;
@@ -292,4 +297,234 @@ TEST(MultiwaySort, EmptySingletonAndInvalidConfigs) {
   bad = cfg;
   bad.u = 12;  // not a warp multiple
   EXPECT_THROW((void)merge_sort_multiway(launcher, data, bad), std::invalid_argument);
+}
+
+namespace {
+
+enum class Fill { AllEqual, ThreeValue, Sorted, Reversed };
+constexpr Fill kFills[] = {Fill::AllEqual, Fill::ThreeValue, Fill::Sorted, Fill::Reversed};
+
+/// n keys whose runs of `run` elements are each sorted.
+std::vector<int> sorted_runs(std::mt19937_64& rng, std::int64_t n, std::int64_t run,
+                             Fill fill) {
+  std::vector<int> v(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) {
+    int& x = v[static_cast<std::size_t>(i)];
+    switch (fill) {
+      case Fill::AllEqual: x = 7; break;
+      case Fill::ThreeValue: x = static_cast<int>(rng() % 3); break;
+      case Fill::Sorted: x = static_cast<int>(i); break;
+      case Fill::Reversed: x = static_cast<int>(n - i); break;
+    }
+  }
+  for (std::int64_t b = 0; b < n; b += run)
+    std::sort(v.begin() + b, v.begin() + std::min(b + run, n));
+  return v;
+}
+
+/// Host oracle for one co-rank vector: sequence s of the group at `base`
+/// starts at base + s*run.
+std::vector<std::int64_t> oracle_row(std::span<const int> input, const PassGeometryK& geom,
+                                     std::int64_t base, std::int64_t diag) {
+  std::vector<std::int64_t> sizes(static_cast<std::size_t>(geom.k));
+  for (int s = 0; s < geom.k; ++s) sizes[static_cast<std::size_t>(s)] = geom.seg_len(base, s);
+  return mergepath::multiway_path<int>(
+      diag, std::span<const std::int64_t>(sizes),
+      [&](int s, std::int64_t i) {
+        return input[static_cast<std::size_t>(base + s * geom.run + i)];
+      },
+      std::less<int>{});
+}
+
+}  // namespace
+
+TEST(MultiwayPartition, KernelBoundariesMatchMultiwayPathOracle) {
+  std::mt19937_64 rng(2024);
+  for (const DeviceSpec& dev :
+       {DeviceSpec::tiny(4), DeviceSpec::tiny(8), DeviceSpec::scaled_turing(4)}) {
+    const int w = dev.warp_size;
+    for (const int k : {2, 3, 4, 5, 8, 16}) {
+      for (const auto& [tile, run] : {std::pair<std::int64_t, std::int64_t>{4, 12}, {8, 64}}) {
+        // Two full groups, then a ragged one: a full segment, a one-tile
+        // segment and k - 2 empty ones.
+        const std::int64_t n = 2 * k * run + run + tile;
+        const PassGeometryK geom{n, run, k};
+        for (const Fill fill : kFills) {
+          SCOPED_TRACE("w=" + std::to_string(w) + " k=" + std::to_string(k) +
+                       " run=" + std::to_string(run) + " fill=" +
+                       std::to_string(static_cast<int>(fill)));
+          const std::vector<int> input = sorted_runs(rng, n, run, fill);
+          const std::int64_t nb = n / tile + 1;
+          std::vector<std::int64_t> boundaries(static_cast<std::size_t>(nb * k), -1);
+          const int u = 2 * w;
+          const std::int64_t rows_per_block = 2 * selections_per_warp(w, k);
+          Launcher launcher(dev);
+          launcher.launch("multiway_partition",
+                          gpusim::LaunchShape{static_cast<int>((nb + rows_per_block - 1) /
+                                                               rows_per_block),
+                                              u, 0, cost::kPartitionRegsPerThread},
+                          [&](BlockContext& ctx) {
+                            multiway_partition_body<int>(ctx, std::span<const int>(input),
+                                                         geom, tile,
+                                                         std::span<std::int64_t>(boundaries));
+                          });
+          for (std::int64_t t = 0; t < nb; ++t) {
+            const std::int64_t pos = t * tile;
+            const std::int64_t base = pos >= n ? n : geom.group_base(pos);
+            const auto want = oracle_row(input, geom, base,
+                                         std::min(pos - base, geom.group_len(base)));
+            const std::vector<std::int64_t> got(boundaries.begin() + t * k,
+                                                boundaries.begin() + (t + 1) * k);
+            ASSERT_EQ(got, want) << "row " << t;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MultiwayPartition, SelectionHandlesEmptySequencesAndBothEndDiagonals) {
+  // Queries straight through the warp selection: ragged and empty
+  // sequences, diagonals 0 and total among random ones, k > w included.
+  std::mt19937_64 rng(7);
+  for (const DeviceSpec& dev : {DeviceSpec::tiny(4), DeviceSpec::tiny(8)}) {
+    const int w = dev.warp_size;
+    for (const int k : {2, 3, 5, 8, 16}) {
+      for (int trial = 0; trial < 40; ++trial) {
+        const int queries = selections_per_warp(w, k);
+        std::vector<int> data;
+        std::vector<std::int64_t> len(static_cast<std::size_t>(queries * k));
+        std::vector<std::int64_t> start(len.size()), diag(static_cast<std::size_t>(queries));
+        for (int q = 0; q < queries; ++q) {
+          std::int64_t total = 0;
+          for (int s = 0; s < k; ++s) {
+            const auto f = static_cast<std::size_t>(q * k + s);
+            len[f] = rng() % 4 == 0 ? 0 : static_cast<std::int64_t>(rng() % 40);
+            start[f] = static_cast<std::int64_t>(data.size());
+            for (std::int64_t i = 0; i < len[f]; ++i)
+              data.push_back(static_cast<int>(rng() % (trial % 2 == 0 ? 3 : 1000)));
+            std::sort(data.begin() + start[f], data.end());
+            total += len[f];
+          }
+          const int pick = (trial + q) % 3;
+          diag[static_cast<std::size_t>(q)] =
+              pick == 0 ? 0
+                        : pick == 1 ? total
+                                    : static_cast<std::int64_t>(
+                                          rng() % static_cast<std::uint64_t>(total + 1));
+        }
+        std::vector<std::int64_t> co(len.size(), -1);
+        Launcher launcher(dev);
+        launcher.launch("select", gpusim::LaunchShape{1, w, 0, cost::kPartitionRegsPerThread},
+                        [&](BlockContext& ctx) {
+                          gpusim::GlobalView<const int> g(ctx, std::span<const int>(data), 0);
+                          detail::warp_multiseq_select<int>(
+                              ctx, 0, k, queries, std::span<const std::int64_t>(start),
+                              std::span<const std::int64_t>(len),
+                              std::span<const std::int64_t>(diag),
+                              [&](std::span<const std::int64_t> addrs, std::span<int> vals,
+                                  bool dependent) { g.gather(0, addrs, vals, dependent); },
+                              std::less<int>{}, std::span<std::int64_t>(co));
+                        });
+        for (int q = 0; q < queries; ++q) {
+          const auto first = static_cast<std::ptrdiff_t>(q * k);
+          const std::vector<std::int64_t> want = mergepath::multiway_path<int>(
+              diag[static_cast<std::size_t>(q)],
+              std::span<const std::int64_t>(len).subspan(static_cast<std::size_t>(first),
+                                                         static_cast<std::size_t>(k)),
+              [&](int s, std::int64_t i) {
+                const std::int64_t at = start[static_cast<std::size_t>(first + s)] + i;
+                return data[static_cast<std::size_t>(at)];
+              },
+              std::less<int>{});
+          const std::vector<std::int64_t> got(co.begin() + first, co.begin() + first + k);
+          ASSERT_EQ(got, want) << "w=" << w << " k=" << k << " trial=" << trial << " q=" << q;
+        }
+      }
+    }
+  }
+}
+
+TEST(MultiwayPartition, LoserTreeThreadCoranksMatchOracle) {
+  std::mt19937_64 rng(11);
+  for (const DeviceSpec& dev : {DeviceSpec::tiny(4), DeviceSpec::tiny(8)}) {
+    const int w = dev.warp_size;
+    const int u = 4 * w;
+    const int e = 3;
+    const std::int64_t tile = static_cast<std::int64_t>(u) * e;
+    for (const int k : {2, 3, 4, 5, 8, 16}) {
+      for (const Fill fill : kFills) {
+        // Random cut of the tile into k windows, some of them empty.
+        std::vector<std::int64_t> cuts{0, tile};
+        for (int s = 0; s + 1 < k; ++s)
+          cuts.push_back(
+              static_cast<std::int64_t>(rng() % static_cast<std::uint64_t>(tile + 1)));
+        std::sort(cuts.begin(), cuts.end());
+        std::vector<std::int64_t> off(static_cast<std::size_t>(k)), len(off.size());
+        for (int s = 0; s < k; ++s) {
+          off[static_cast<std::size_t>(s)] = cuts[static_cast<std::size_t>(s)];
+          len[static_cast<std::size_t>(s)] =
+              cuts[static_cast<std::size_t>(s + 1)] - cuts[static_cast<std::size_t>(s)];
+        }
+        std::vector<int> data = sorted_runs(rng, tile, tile, fill);
+        if (fill != Fill::AllEqual) std::shuffle(data.begin(), data.end(), rng);
+        for (std::size_t s = 0; s < off.size(); ++s)
+          std::sort(data.begin() + off[s], data.begin() + off[s] + len[s]);
+        std::vector<std::int64_t> co;
+        Launcher launcher(dev);
+        launcher.launch("losertree_search", gpusim::LaunchShape{1, u, 0, 32},
+                        [&](BlockContext& ctx) {
+                          gpusim::SharedTile<int> sh(ctx, static_cast<std::size_t>(tile));
+                          std::copy(data.begin(), data.end(), sh.raw().begin());
+                          co = multiway_thread_coranks<int>(
+                              ctx, sh, std::span<const std::int64_t>(off),
+                              std::span<const std::int64_t>(len), e, std::less<int>{});
+                        });
+        ASSERT_EQ(co.size(), static_cast<std::size_t>(u * k));
+        for (int i = 0; i < u; ++i) {
+          const std::vector<std::int64_t> want = mergepath::multiway_path<int>(
+              static_cast<std::int64_t>(i) * e, std::span<const std::int64_t>(len),
+              [&](int s, std::int64_t x) {
+                return data[static_cast<std::size_t>(off[static_cast<std::size_t>(s)] + x)];
+              },
+              std::less<int>{});
+          const std::vector<std::int64_t> got(co.begin() + i * k, co.begin() + (i + 1) * k);
+          ASSERT_EQ(got, want) << "w=" << w << " k=" << k << " thread " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(MultiwayPartition, CostsAtMostThreeTimesTheTwoWayPartition) {
+  // The perfbench mixed_small multiway shape: k = 4 cascade, E = 15,
+  // u = 256, n = 50000 on the 4-SM Turing preset.  Simulated time is
+  // deterministic, so the bound cannot flake.
+  std::mt19937_64 rng(5);
+  const std::vector<int> input = rand_vec(rng, 50000);
+  const auto kernel_us = [](const SortReport& r, const std::string& name) {
+    double us = 0.0;
+    for (const gpusim::KernelReport& kr : r.kernels)
+      if (kr.name == name) us += kr.timing.microseconds;
+    return us;
+  };
+
+  Launcher launcher(DeviceSpec::scaled_turing(4));
+  MultiwayConfig mcfg;
+  mcfg.e = 15;
+  mcfg.u = 256;
+  mcfg.k = 4;
+  auto kway = input;
+  const double multiway_us =
+      kernel_us(merge_sort_multiway(launcher, kway, mcfg), "multiway_partition");
+  MergeConfig cfg;
+  cfg.e = 15;
+  cfg.u = 256;
+  cfg.variant = Variant::CFMerge;
+  auto pairwise = input;
+  const double pairwise_us = kernel_us(merge_sort(launcher, pairwise, cfg), "merge_partition");
+  EXPECT_EQ(kway, pairwise);
+  ASSERT_GT(pairwise_us, 0.0);
+  EXPECT_LE(multiway_us, 3.0 * pairwise_us)
+      << "multiway_partition " << multiway_us << " us vs merge_partition " << pairwise_us;
 }
