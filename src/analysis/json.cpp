@@ -129,20 +129,6 @@ void write_json(std::ostream& os, const sort::SortReport& report,
   os << "}\n";
 }
 
-void write_json(std::ostream& os, const sort::MergeReport& report,
-                const sort::MergeConfig& cfg, const std::string& device) {
-  os << "{\"kind\":\"merge\",\"device\":\"" << json_escape(device) << "\",\"variant\":\""
-     << variant_name(cfg.variant) << "\",\"e\":" << cfg.e << ",\"u\":" << cfg.u
-     << ",\"na\":" << report.na << ",\"nb\":" << report.nb
-     << ",\"microseconds\":" << report.microseconds
-     << ",\"throughput_elem_per_us\":" << report.throughput()
-     << ",\"merge_conflicts\":" << report.merge_conflicts() << ",\"totals\":";
-  write_counters(os, report.totals);
-  os << ",\"phases\":";
-  write_phases(os, report.phases);
-  os << "}\n";
-}
-
 void write_json(std::ostream& os, const sort::SegmentedSortReport& report,
                 const sort::MergeConfig& cfg, const std::string& device,
                 const std::string& workload, const sort::EngineStats* engine) {
@@ -159,9 +145,7 @@ void write_json(std::ostream& os, const sort::SegmentedSortReport& report,
   for (std::size_t s = 0; s < report.per_segment.size(); ++s) {
     const auto& seg = report.per_segment[s];
     if (s) os << ",";
-    os << "{\"n\":" << seg.n << ",\"passes\":" << seg.passes
-       << ",\"first_kernel\":" << seg.first_kernel
-       << ",\"kernel_count\":" << seg.kernel_count << "}";
+    os << "{\"n\":" << seg.n << ",\"passes\":" << seg.passes << "}";
   }
   os << "],\"totals\":";
   write_counters(os, report.totals);

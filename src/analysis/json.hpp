@@ -8,7 +8,6 @@
 #include "cfprims/permute.hpp"
 #include "sort/bitonic.hpp"
 #include "sort/engine.hpp"
-#include "sort/merge_arrays.hpp"
 #include "sort/merge_sort.hpp"
 #include "sort/multiway_pass.hpp"
 #include "sort/segmented_sort.hpp"
@@ -31,17 +30,14 @@ void write_json(std::ostream& os, const sort::SortReport& report,
                 const sort::MultiwayConfig& cfg, const std::string& device,
                 const std::string& workload, const sort::EngineStats* engine = nullptr);
 
-/// Same for a standalone merge.
-void write_json(std::ostream& os, const sort::MergeReport& report,
-                const sort::MergeConfig& cfg, const std::string& device);
-
 /// Same for a bitonic run.
 void write_json(std::ostream& os, const sort::BitonicReport& report,
                 const sort::BitonicConfig& cfg, const std::string& device,
                 const std::string& workload);
 
-/// Same for a segmented sort: graph timing (serial sum vs. makespan),
-/// totals, phases, and the per-segment kernel index.  `engine` as above.
+/// Same for a segmented sort: graph timing (serial sum and makespan),
+/// totals, phases, and each segment's length and pass count.  `engine` as
+/// above.
 void write_json(std::ostream& os, const sort::SegmentedSortReport& report,
                 const sort::MergeConfig& cfg, const std::string& device,
                 const std::string& workload, const sort::EngineStats* engine = nullptr);

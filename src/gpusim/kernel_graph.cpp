@@ -27,20 +27,6 @@ NodeId KernelGraph::add(std::string name, const LaunchShape& shape, KernelBody b
 
 Stream KernelGraph::stream() { return Stream(this); }
 
-NodeId KernelGraph::append(const KernelGraph& tpl) {
-  if (&tpl == this)
-    throw std::invalid_argument("KernelGraph::append: cannot append a graph to itself");
-  if (tpl.empty()) return kNoNode;
-  const auto base = static_cast<NodeId>(nodes_.size());
-  nodes_.reserve(nodes_.size() + tpl.nodes_.size());
-  for (const KernelNode& node : tpl.nodes_) {
-    std::vector<NodeId> deps = node.deps;
-    for (NodeId& d : deps) d += base;
-    nodes_.push_back({node.name, node.shape, node.body, std::move(deps)});
-  }
-  return base;
-}
-
 std::vector<int> KernelGraph::levels() const {
   std::vector<int> level(nodes_.size(), 0);
   for (std::size_t i = 0; i < nodes_.size(); ++i)

@@ -45,9 +45,7 @@
 // caller: every buffer a body captures must stay alive and un-moved for as
 // long as the graph may run.  sort::SortEngine builds on this — its plans
 // own both the graph and the buffers the graph's bodies reference, so the
-// two lifetimes cannot diverge.  append() composes templates: a per-plan
-// chain can be instantiated into a larger batch graph without re-enqueuing
-// its kernels.
+// two lifetimes cannot diverge.
 #pragma once
 
 #include <functional>
@@ -85,20 +83,6 @@ class KernelGraph {
   /// A new stream whose kernels are enqueued into this graph.  The graph
   /// must outlive the stream.
   [[nodiscard]] Stream stream();
-
-  /// Template instantiation: appends every node of `tpl` to this graph in
-  /// `tpl`'s enqueue order, shifting its internal dependency edges past the
-  /// nodes already enqueued here.  Appended subgraphs share no edges with
-  /// each other or with prior nodes, exactly like independent streams, and
-  /// the bodies are shared with (not copied from) `tpl`'s nodes — they
-  /// still read and write the buffers they captured when `tpl` was built.
-  /// Returns the id of `tpl`'s first node within this graph (kNoNode when
-  /// `tpl` is empty).  Appending a graph to itself is not allowed.
-  NodeId append(const KernelGraph& tpl);
-
-  /// Removes every node, returning the graph to its just-constructed state
-  /// so the allocation can be reused for a fresh build.
-  void clear() { nodes_.clear(); }
 
   [[nodiscard]] const std::vector<KernelNode>& nodes() const { return nodes_; }
   [[nodiscard]] int size() const { return static_cast<int>(nodes_.size()); }

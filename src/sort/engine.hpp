@@ -8,8 +8,8 @@
 //    pure function of that key (merge-path partitioning fixes the pass and
 //    tile decisions from n_padded and cfg alone), so a plan built once can
 //    execute any input of the same shape.  Every kind — sort, multiway,
-//    permute/transpose, batched — is one detail::Plan<T> made by a small
-//    builder that calls the kind's enqueue_*_pipeline.  A plan owns BOTH
+//    permute/transpose, batched, segmented — is one detail::Plan<T> made by
+//    a small builder that calls the kind's enqueue_*_pipeline.  A plan owns BOTH
 //    its KernelGraph template and every buffer the graph's bodies capture,
 //    which closes the latent lifetime footgun of the free functions: the
 //    storage a body references can no longer die or move while the graph
@@ -31,9 +31,8 @@
 //    back; see cache/store.hpp and docs/architecture.md.
 //
 // Cache semantics: the cache holds *idle* plan instances.  acquire removes
-// an instance from the free list (a hit), so two same-shaped segments of
-// one segmented_sort batch get two distinct instances — both are returned
-// afterwards and the next batch hits twice.  Instances beyond the
+// an instance from the free list (a hit) and the call returns it when done,
+// so one instance never serves two running graphs.  Instances beyond the
 // configured capacity are evicted least-recently-released; disabling the
 // cache (set_plan_cache_enabled(false)) drops all idle plans and makes
 // every acquire a miss, which is what `cfsort --no-plan-cache` uses to
@@ -194,16 +193,18 @@ inline std::vector<std::byte> plan_store_key(std::uint64_t device_digest,
 ///   sort, multiway   buf = input, tmp = ping-pong partner, boundaries = co-ranks
 ///   permute          buf = input, tmp = output
 ///   batched          buf = staging, tmp = packed output, boundaries and batch
+///   segmented        buf = input, tmp = ping-pong partner, boundaries and batch
 template <typename T>
 struct Plan {
   std::vector<T> buf, tmp;
   std::vector<std::int64_t> boundaries;
-  BatchLayout batch;                 ///< batched only
-  int passes = 0;                    ///< global merge passes (sort, multiway)
+  BatchLayout batch;                 ///< batched and segmented only
+  int passes = 0;                    ///< global merge passes (segmented: the most)
   std::vector<T>* result = nullptr;  ///< buf or tmp: holds the output after a run
   gpusim::KernelGraph graph;
 
-  /// A plan whose input buffer is `n_padded` sentinels (every kind but batched).
+  /// A plan whose input buffer is `n_padded` sentinels (batched and
+  /// segmented plans size it themselves).
   explicit Plan(std::int64_t n_padded = 0)
       : buf(static_cast<std::size_t>(n_padded), padding_sentinel<T>::value()) {}
   Plan(const Plan&) = delete;
@@ -221,8 +222,7 @@ struct Plan {
   [[nodiscard]] std::uint64_t footprint_bytes() const {
     return (buf.capacity() + tmp.capacity()) * sizeof(T) +
            batch.tiles.capacity() * sizeof(BatchTile) +
-           batch.pair_tile0.capacity() * sizeof(int) +
-           (batch.out_sizes.capacity() + boundaries.capacity()) * sizeof(std::int64_t);
+           (batch.offsets.capacity() + boundaries.capacity()) * sizeof(std::int64_t);
   }
 };
 
@@ -263,9 +263,22 @@ std::shared_ptr<Plan<T>> build_batched_plan(const std::vector<std::vector<T>>& a
                                             const std::vector<std::vector<T>>& bs,
                                             const MergeConfig& cfg) {
   auto plan = std::make_shared<Plan<T>>();
-  enqueue_batched_pipeline(plan->graph, as, bs, plan->buf, plan->tmp, plan->batch,
+  gpusim::Stream stream = plan->graph.stream();
+  enqueue_batched_pipeline(stream, as, bs, plan->buf, plan->tmp, plan->batch,
                            plan->boundaries, cfg);
   plan->result = &plan->tmp;
+  return plan;
+}
+
+/// A segmented plan leaves each segment in buf or tmp by its own pass
+/// parity, so `result` stays null; the engine unpacks per segment.
+template <typename T>
+std::shared_ptr<Plan<T>> build_segmented_plan(const std::vector<std::int64_t>& lens,
+                                              const MergeConfig& cfg) {
+  auto plan = std::make_shared<Plan<T>>();
+  gpusim::Stream stream = plan->graph.stream();
+  enqueue_segmented_pipeline(stream, lens, plan->buf, plan->tmp, plan->batch,
+                             plan->boundaries, cfg, plan->passes);
   return plan;
 }
 
@@ -354,10 +367,9 @@ class SortEngine {
                           [&](auto& pairs) { return sort(pairs, cfg, mode); });
   }
 
-  /// segmented_sort through the engine: every non-empty segment acquires a
-  /// plan (same-length segments across batches hit the cache) and its
-  /// graph template is instantiated into one batch graph via
-  /// KernelGraph::append — no kernels are re-enqueued on a hit.
+  /// segmented_sort through the engine: one plan per batch, keyed by the
+  /// full list of segment lengths.  A batch with no elements launches
+  /// nothing and touches no plan.
   template <typename T>
   SegmentedSortReport segmented_sort(std::vector<std::vector<T>>& segments,
                                      const MergeConfig& cfg,
@@ -367,41 +379,43 @@ class SortEngine {
 
     SegmentedSortReport report;
     report.segments = static_cast<int>(segments.size());
-    report.per_segment.reserve(segments.size());
-
-    std::vector<std::pair<PlanKey, std::shared_ptr<detail::Plan<T>>>> held;
-    gpusim::KernelGraph graph;
-    for (std::vector<T>& seg : segments) {
-      SegmentedSortReport::Segment info;
-      info.n = static_cast<std::int64_t>(seg.size());
-      info.first_kernel = graph.size();
-      report.elements += info.n;
-      if (info.n > 0) {
-        const PlanKey key = padded_key<T>(PlanKey::Kind::Sort, info.n, certified);
-        auto plan = acquire_plan<T>(
-            key, [&] { return detail::build_sort_plan<T>(certified, key.n_padded); });
-        plan->load(seg);
-        info.passes = plan->passes;
-        graph.append(plan->graph);
-        info.kernel_count = graph.size() - info.first_kernel;
-        held.emplace_back(key, std::move(plan));
-      }
-      report.per_segment.push_back(info);
+    std::vector<std::int64_t> lens;
+    std::uint64_t digest = numtheory::kFnvOffset;
+    for (const std::vector<T>& seg : segments) {
+      const auto n = static_cast<std::int64_t>(seg.size());
+      lens.push_back(n);
+      report.elements += n;
+      report.per_segment.push_back({n, merge_pass_count(n, certified.tile())});
+      digest = numtheory::fnv1a(digest, static_cast<std::uint64_t>(n));
     }
+    if (report.elements == 0) return report;
 
-    run(report, graph, mode);
-
-    std::size_t si = 0;
-    for (std::vector<T>& seg : segments) {
-      if (!seg.empty()) unpack_sorted(*held[si++].second, seg);
-    }
-    for (auto& [key, plan] : held) cache_plan(key, std::move(plan));
+    const PlanKey key{PlanKey::Kind::Segmented, type_digest<T>(),
+                      static_cast<std::int64_t>(segments.size()), digest,
+                      config_digest(certified)};
+    execute<T>(
+        report, key, mode, [&] { return detail::build_segmented_plan<T>(lens, certified); },
+        [&](detail::Plan<T>& plan) {
+          // A previous run leaves intermediate data in the sentinel tails.
+          std::fill(plan.buf.begin(), plan.buf.end(), padding_sentinel<T>::value());
+          for (std::size_t s = 0; s < segments.size(); ++s)
+            std::copy(segments[s].begin(), segments[s].end(), plan.batch.at(plan.buf, s));
+        },
+        [&](const detail::Plan<T>& plan) {
+          for (std::size_t s = 0; s < segments.size(); ++s) {
+            const auto from =
+                plan.batch.at(report.per_segment[s].passes % 2 ? plan.tmp : plan.buf, s);
+            std::copy(from, from + static_cast<std::ptrdiff_t>(segments[s].size()),
+                      segments[s].begin());
+          }
+        });
     return report;
   }
 
   /// batched_merge through the engine: the plan key digests every pair's
   /// (|A|, |B|), so a repeated batch shape reuses its staging layout,
-  /// descriptors, and both kernel nodes per pair.
+  /// descriptors, and both kernel nodes.  A batch with no elements launches
+  /// nothing and touches no plan.
   template <typename T>
   BatchedMergeReport batched_merge(const std::vector<std::vector<T>>& as,
                                    const std::vector<std::vector<T>>& bs,
@@ -415,24 +429,34 @@ class SortEngine {
 
     BatchedMergeReport report;
     report.pairs = static_cast<int>(as.size());
-    outs.assign(as.size(), {});
-    if (as.empty()) return report;
-
+    outs.resize(as.size());
     std::uint64_t digest = numtheory::kFnvOffset;
     for (std::size_t p = 0; p < as.size(); ++p) {
+      outs[p].resize(as[p].size() + bs[p].size());
+      report.elements += static_cast<std::int64_t>(outs[p].size());
       digest = numtheory::fnv1a(digest, static_cast<std::uint64_t>(as[p].size()));
       digest = numtheory::fnv1a(digest, static_cast<std::uint64_t>(bs[p].size()));
     }
+    if (report.elements == 0) return report;
+
     const PlanKey key{PlanKey::Kind::Batched, type_digest<T>(),
                       static_cast<std::int64_t>(as.size()), digest,
                       config_digest(certified)};
     execute<T>(
         report, key, mode, [&] { return detail::build_batched_plan<T>(as, bs, certified); },
         [&](detail::Plan<T>& plan) {
-          plan.batch.load(as, bs, plan.buf);
-          report.elements = plan.batch.elements;
+          // The sentinel pads persist from build time: kernels never write
+          // the staging buffer.
+          for (std::size_t p = 0; p < as.size(); ++p)
+            std::copy(bs[p].begin(), bs[p].end(),
+                      std::copy(as[p].begin(), as[p].end(), plan.batch.at(plan.buf, p)));
         },
-        [&](const detail::Plan<T>& plan) { plan.batch.unpack(*plan.result, outs); });
+        [&](const detail::Plan<T>& plan) {
+          for (std::size_t p = 0; p < as.size(); ++p) {
+            const auto from = plan.batch.at(*plan.result, p);
+            std::copy(from, from + static_cast<std::ptrdiff_t>(outs[p].size()), outs[p].begin());
+          }
+        });
     return report;
   }
 
@@ -655,11 +679,11 @@ SortReport merge_sort_multiway_by_key(gpusim::Launcher& launcher, std::vector<K>
   return engine.sort_multiway_by_key(keys, values, cfg);
 }
 
-/// Sorts every segment in place, all submitted as one kernel graph.
-/// Zero-length segments are legal and contribute no kernels.
+/// Sorts every segment in place with 1 + 2·(max segment passes) kernels
+/// for the whole batch.  Zero-length segments are legal.
 /// `launcher.history()` is cleared and then holds every kernel in enqueue
-/// order (segment by segment).  `mode` selects the host execution policy
-/// only — reports are bit-identical for both modes and any worker count.
+/// order.  `mode` selects the host execution policy only — reports are
+/// bit-identical for both modes and any worker count.
 template <typename T>
 SegmentedSortReport segmented_sort(gpusim::Launcher& launcher,
                                    std::vector<std::vector<T>>& segments,
@@ -671,7 +695,8 @@ SegmentedSortReport segmented_sort(gpusim::Launcher& launcher,
 
 /// Merges as[i] with bs[i] into outs[i] for every i, in one partition
 /// launch + one merge launch.  Lists may have arbitrary (including zero and
-/// mutually different) lengths.
+/// mutually different) lengths; a one-pair batch is the standalone merge
+/// of two sorted arrays.
 template <typename T>
 BatchedMergeReport batched_merge(gpusim::Launcher& launcher,
                                  const std::vector<std::vector<T>>& as,

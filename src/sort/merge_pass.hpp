@@ -81,9 +81,9 @@ struct MergeConfig {
 }
 
 /// Validates the MergeConfig invariants shared by every sort entry point
-/// (merge_sort, merge_arrays, batched_merge, segmented_sort), so the
-/// rejection messages stay uniform.  `elem_bytes` is the size of the
-/// sorted element type: every block the config launches — a tile kernel's
+/// (merge_sort, batched_merge, segmented_sort), so the rejection messages
+/// stay uniform.  `elem_bytes` is the size of the sorted element type:
+/// every block the config launches — a tile kernel's
 /// u threads over u*E elements of shared memory (twice that with the CF
 /// block-sort staging buffer) and a partition kernel's u threads — must fit
 /// on an SM, so a config that cannot run is rejected before any kernel
@@ -241,7 +241,7 @@ inline void read_boundary_rows(gpusim::BlockContext& ctx,
 /// its output window view, stages the lists into shared memory (CF layout
 /// when configured), searches the per-thread splits, merges (sequential or
 /// gather + network) and stores the merged tile.  Reused by the sort's
-/// merge pass, merge_arrays and batched_merge.
+/// merge pass and the flat merge pass (batched_merge, segmented_sort).
 template <typename T, typename GIn, typename Cmp>
 void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T>& gout,
                        std::int64_t a_src, std::int64_t b_src, std::int64_t la,

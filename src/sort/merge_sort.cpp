@@ -1,7 +1,6 @@
 #include "sort/merge_sort.hpp"
 
 #include "sort/batched_merge.hpp"
-#include "sort/merge_arrays.hpp"
 #include "sort/segmented_sort.hpp"
 
 namespace cfmerge::sort {
@@ -27,13 +26,6 @@ std::uint64_t SortReport::merge_shared_accesses() const {
   std::uint64_t c = 0;
   for (const auto& [name, counters] : phases.phases())
     if (is_merge_phase(name)) c += counters.shared_accesses;
-  return c;
-}
-
-std::uint64_t MergeReport::merge_conflicts() const {
-  std::uint64_t c = 0;
-  for (const auto& [name, counters] : phases.phases())
-    if (is_merge_phase(name)) c += counters.bank_conflicts;
   return c;
 }
 

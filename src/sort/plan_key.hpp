@@ -22,8 +22,9 @@
 //    store key (cache/store.hpp).  Bumping the schema version orphans all
 //    previously persisted entries, which is the invalidation rule.
 //
-// shape_digest stays reserved for *shape* (the batched per-pair run
-// lengths); all configuration now lives in config_digest.
+// shape_digest stays reserved for *shape* (the batched per-pair lengths,
+// the segmented per-segment lengths); all configuration now lives in
+// config_digest.
 #pragma once
 
 #include <cstdint>
@@ -151,14 +152,17 @@ struct PlanKey {
     Multiway = 2,
     Permute = 3,
     Transpose = 4,
+    Segmented = 5,
   };
 
   Kind kind = Kind::Sort;
   TypeDigest type{};
   /// Sort/Multiway/Permute: padded element count.  Batched: number of
-  /// pairs (the per-pair run lengths live in `shape_digest`).
+  /// pairs; Segmented: number of segments (the lengths live in
+  /// `shape_digest`).
   std::int64_t n_padded = 0;
-  std::uint64_t shape_digest = 0;   ///< Batched: FNV-1a over every (|A|,|B|)
+  /// Batched: FNV-1a over every (|A|,|B|).  Segmented: over every length.
+  std::uint64_t shape_digest = 0;
   std::uint64_t config_digest = 0;  ///< config_digest(cfg) of the plan's config
 
   [[nodiscard]] bool operator==(const PlanKey&) const = default;

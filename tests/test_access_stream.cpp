@@ -273,10 +273,10 @@ std::vector<StreamCase> cases() {
        0x3bc8556f2ce3e43dull, 0x9134586dde7edb24ull, 9592, 8432, 3840, 960},
       {"batched_cf_w32", w32,
        [](L& l) { return run_batched(l, Variant::CFMerge, 7, 64, 4, 12); },
-       0xbde05bf04c027a36ull, 0x6ffb80aab7915613ull, 2364, 1691, 8960, 560},
+       0xafa3251ac550bddcull, 0x012a1133fc121929ull, 1535, 1160, 5376, 336},
       {"batched_baseline_w8", w8,
        [](L& l) { return run_batched(l, Variant::Baseline, 5, 16, 3, 13); },
-       0x246ca2b78cb7e702ull, 0x99b75bfb5cef689full, 1259, 922, 1280, 160},
+       0x372bbf74cf9783e8ull, 0x8d17c9f25c9a6faeull, 754, 573, 720, 90},
       {"permute_w32", w32,
        [](L& l) {
          return run_round_trip(l, cfprims::PermuteOp::kPermute, 8, 64, 3 * 512 + 45, 14);

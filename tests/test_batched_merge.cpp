@@ -1,11 +1,15 @@
-// Tests of the batched pairwise merge API.
+// Tests of the batched pairwise merge API: outputs against std::merge,
+// the flat launch shape (two kernels per batch, one merge block per output
+// tile), zero CF merge conflicts, and bit-identical reports across worker
+// counts and graph execution modes, including empty lists and pairs.
 #include "sort/batched_merge.hpp"
-#include "sort/merge_arrays.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
+#include <string>
+#include <tuple>
 
 using namespace cfmerge;
 using namespace cfmerge::sort;
@@ -53,7 +57,7 @@ TEST_P(BatchedBothVariants, ManyUnevenPairs) {
   EXPECT_EQ(report.elements, total);
 }
 
-TEST_P(BatchedBothVariants, SinglePairMatchesMergeArrays) {
+TEST_P(BatchedBothVariants, SinglePairMatchesStdMerge) {
   std::mt19937_64 rng(2);
   gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(8));
   MergeConfig cfg;
@@ -63,11 +67,13 @@ TEST_P(BatchedBothVariants, SinglePairMatchesMergeArrays) {
   const auto a = sorted_random(rng, 150);
   const auto b = sorted_random(rng, 90);
   std::vector<std::vector<int>> outs;
-  batched_merge(launcher, {a}, {b}, outs, cfg);
-  std::vector<int> ref_out;
-  merge_arrays(launcher, a, b, ref_out, cfg);
+  const auto report = batched_merge(launcher, {a}, {b}, outs, cfg);
   ASSERT_EQ(outs.size(), 1u);
-  EXPECT_EQ(outs[0], ref_out);
+  EXPECT_EQ(outs[0], reference_merge(a, b));
+  // 240 elements at tile 96: three merge blocks (the old standalone merge
+  // padded both lists to 192 and ran four).
+  ASSERT_EQ(report.kernels.size(), 2u);
+  EXPECT_EQ(report.kernels[1].shape.blocks, 3);
 }
 
 INSTANTIATE_TEST_SUITE_P(Variants, BatchedBothVariants,
@@ -115,29 +121,112 @@ TEST(BatchedMerge, CFMergeConflictFreeAcrossWholeBatch) {
     EXPECT_EQ(outs[p], reference_merge(as[p], bs[p]));
 }
 
-TEST(BatchedMerge, LaunchesTwoKernelsPerPair) {
+TEST(BatchedMerge, LaunchesTwoKernelsPerBatch) {
   std::mt19937_64 rng(4);
   gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(8));
   MergeConfig cfg;
   cfg.e = 5;
   cfg.u = 16;
-  std::vector<std::vector<int>> as{sorted_random(rng, 100), sorted_random(rng, 300)};
-  std::vector<std::vector<int>> bs{sorted_random(rng, 120), sorted_random(rng, 10)};
+  std::vector<std::vector<int>> as{sorted_random(rng, 100), sorted_random(rng, 300),
+                                   {}, sorted_random(rng, 7)};
+  std::vector<std::vector<int>> bs{sorted_random(rng, 120), sorted_random(rng, 10),
+                                   {}, {}};
   std::vector<std::vector<int>> outs;
   const auto report = batched_merge(launcher, as, bs, outs, cfg);
-  // Each pair contributes an independent partition -> merge node pair.
-  ASSERT_EQ(launcher.history().size(), 4u);
+  // One flat pass for the whole batch: one partition, one merge.
+  ASSERT_EQ(launcher.history().size(), 2u);
   EXPECT_EQ(launcher.history()[0].name, "batched_partition");
   EXPECT_EQ(launcher.history()[1].name, "batched_merge");
-  EXPECT_EQ(launcher.history()[2].name, "batched_partition");
-  EXPECT_EQ(launcher.history()[3].name, "batched_merge");
-  ASSERT_EQ(report.kernels.size(), 4u);
-  EXPECT_EQ(report.graph_levels, 2);  // partitions wave, then merges wave
-  // Independent pairs overlap: the makespan is the slowest pair's chain,
-  // strictly below the serial sum of both pairs.
-  EXPECT_LT(report.makespan_microseconds, report.microseconds);
-  EXPECT_GT(report.makespan_microseconds, 0.0);
+  ASSERT_EQ(report.kernels.size(), 2u);
+  EXPECT_EQ(report.graph_levels, 2);
+  // One merge block per output tile: sum over pairs of ceil((|A|+|B|)/tile).
+  int tiles = 0;
+  for (std::size_t p = 0; p < as.size(); ++p)
+    tiles += static_cast<int>((as[p].size() + bs[p].size() + cfg.tile() - 1) / cfg.tile());
+  EXPECT_EQ(tiles, 3 + 4 + 0 + 1);
+  EXPECT_EQ(report.kernels[1].shape.blocks, tiles);
+  EXPECT_EQ(report.kernels[0].shape.blocks, 1);  // 8 co-ranks on 16 threads
+  // One chain: the makespan is the serial sum.
+  EXPECT_GT(report.microseconds, 0.0);
+  EXPECT_DOUBLE_EQ(report.makespan_microseconds, report.microseconds);
   double serial = 0.0;
   for (const auto& k : report.kernels) serial += k.timing.microseconds;
   EXPECT_DOUBLE_EQ(serial, report.microseconds);
+  for (std::size_t p = 0; p < as.size(); ++p)
+    EXPECT_EQ(outs[p], reference_merge(as[p], bs[p])) << "pair " << p;
 }
+
+TEST(BatchedMerge, AllEmptyPairsLaunchNothing) {
+  gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(8));
+  MergeConfig cfg;
+  cfg.e = 5;
+  cfg.u = 16;
+  std::vector<std::vector<int>> outs{{9}};
+  const auto report = batched_merge<int>(launcher, {{}, {}, {}}, {{}, {}, {}}, outs, cfg);
+  EXPECT_EQ(report.pairs, 3);
+  EXPECT_EQ(report.elements, 0);
+  EXPECT_TRUE(report.kernels.empty());
+  EXPECT_TRUE(launcher.history().empty());
+  EXPECT_EQ(outs, std::vector<std::vector<int>>(3));
+}
+
+using BatchedParam = std::tuple<int, gpusim::GraphExec, Variant>;
+
+class BatchedEdgeCases : public ::testing::TestWithParam<BatchedParam> {};
+
+TEST_P(BatchedEdgeCases, EmptyListsMatchStdMergeAndReportsAreIdentical) {
+  const auto [threads, mode, variant] = GetParam();
+  MergeConfig cfg;
+  cfg.e = 6;  // non-coprime with w = 8
+  cfg.u = 16;
+  cfg.variant = variant;
+  std::mt19937_64 rng(5);
+  // |A| = 0, |B| = 0, both 0, exact tile multiples, one short of a tile
+  // and one giant pair among tiny ones.
+  std::vector<std::vector<int>> as, bs;
+  for (const auto& [na, nb] : std::vector<std::pair<std::size_t, std::size_t>>{
+           {0, 50}, {70, 0}, {0, 0}, {96, 96}, {95, 0}, {1, 0}, {1500, 700}, {3, 2}, {0, 1}}) {
+    as.push_back(sorted_random(rng, na, 50));  // heavy duplicates
+    bs.push_back(sorted_random(rng, nb, 50));
+  }
+
+  const auto run = [&](int t, gpusim::GraphExec m, std::vector<std::vector<int>>& outs) {
+    gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(8));
+    launcher.set_threads(t);
+    SortEngine engine(launcher);
+    return engine.batched_merge(as, bs, outs, cfg, m);
+  };
+  std::vector<std::vector<int>> ref_outs;
+  const auto ref = run(1, gpusim::GraphExec::Serial, ref_outs);
+  std::vector<std::vector<int>> outs;
+  const auto got = run(threads, mode, outs);
+
+  ASSERT_EQ(outs.size(), as.size());
+  for (std::size_t p = 0; p < as.size(); ++p)
+    EXPECT_EQ(outs[p], reference_merge(as[p], bs[p])) << "pair " << p;
+  if (variant == Variant::CFMerge) {
+    EXPECT_EQ(got.merge_conflicts(), 0u);
+  }
+  ASSERT_EQ(got.kernels.size(), 2u);
+  EXPECT_EQ(got.totals, ref.totals);
+  EXPECT_EQ(got.phases, ref.phases);
+  EXPECT_DOUBLE_EQ(got.microseconds, ref.microseconds);
+  EXPECT_DOUBLE_EQ(got.makespan_microseconds, ref.makespan_microseconds);
+  for (std::size_t k = 0; k < ref.kernels.size(); ++k) {
+    EXPECT_EQ(got.kernels[k].counters, ref.kernels[k].counters);
+    EXPECT_EQ(got.kernels[k].max_block_chain, ref.kernels[k].max_block_chain);
+    EXPECT_EQ(got.kernels[k].timing.cycles, ref.kernels[k].timing.cycles);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThreadsModesVariants, BatchedEdgeCases,
+    ::testing::Combine(::testing::Values(1, 2, 4),
+                       ::testing::Values(gpusim::GraphExec::Serial,
+                                         gpusim::GraphExec::Overlap),
+                       ::testing::Values(Variant::Baseline, Variant::CFMerge)),
+    [](const ::testing::TestParamInfo<BatchedParam>& info) {
+      return std::string(std::get<2>(info.param) == Variant::Baseline ? "base" : "cf") + "_" +
+             (std::get<1>(info.param) == gpusim::GraphExec::Serial ? "serial" : "overlap") +
+             "_t" + std::to_string(std::get<0>(info.param));
+    });

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "sort/engine.hpp"
-#include "sort/merge_arrays.hpp"
 
 using namespace cfmerge;
 using namespace cfmerge::sort;
@@ -45,7 +44,7 @@ struct Observed {
 };
 
 /// The entry point a case drives.
-enum class Entry { kSort, kPermute, kTranspose, kBatched, kMergeArrays };
+enum class Entry { kSort, kPermute, kTranspose, kBatched, kOnePair };
 
 struct BulkCase {
   int w = 8;
@@ -130,23 +129,15 @@ Observed run_sort(const BulkCase& c, bool bulk, int threads, std::vector<int> da
       observe(engine.permute(data, cfg));
       break;
     }
-    case Entry::kBatched: {
+    case Entry::kBatched:
+    case Entry::kOnePair: {
       std::vector<std::vector<int>> as;
       std::vector<std::vector<int>> bs;
       std::vector<std::vector<int>> outs;
-      split_pairs(data, 3, as, bs);
+      split_pairs(data, c.entry == Entry::kBatched ? 3 : 1, as, bs);
       observe(engine.batched_merge(as, bs, outs, merge_config(c)));
       data.clear();
       for (const auto& o : outs) data.insert(data.end(), o.begin(), o.end());
-      break;
-    }
-    case Entry::kMergeArrays: {
-      std::vector<std::vector<int>> as;
-      std::vector<std::vector<int>> bs;
-      split_pairs(data, 1, as, bs);
-      MergeConfig cfg = merge_config(c);
-      cfg.certs = resolve_tile_certs(c.w, c.e);
-      observe(merge_arrays(launcher, as[0], bs[0], data, cfg));
       break;
     }
   }
@@ -233,17 +224,18 @@ std::vector<BulkCase> bulk_cases() {
       }
     }
   }
-  // batched_merge and merge_arrays: the merge window on ragged lists.
+  // batched_merge over three pairs and over one: the merge window on
+  // ragged lists.
   for (const auto& [e, variant, name] :
        {std::tuple{5, Variant::CFMerge, "cf"}, std::tuple{6, Variant::CFMerge, "cf"},
         std::tuple{5, Variant::Baseline, "baseline"}}) {
-    for (const Entry entry : {Entry::kBatched, Entry::kMergeArrays}) {
+    for (const Entry entry : {Entry::kBatched, Entry::kOnePair}) {
       BulkCase c{8, e, 16, 0, 16 * e * 6 + 7};
       c.variant = variant;
       c.entry = entry;
       add(c, shape_tag(8, e, name + std::string(entry == Entry::kBatched
                                                     ? "_batched"
-                                                    : "_merge_arrays")));
+                                                    : "_one_pair")));
     }
   }
   return cases;

@@ -10,7 +10,6 @@
 
 #include "gpusim/launcher.hpp"
 #include "sort/batched_merge.hpp"
-#include "sort/merge_arrays.hpp"
 #include "sort/merge_sort.hpp"
 
 using namespace cfmerge;
@@ -107,11 +106,12 @@ TEST(Fuzz, RandomMergePairs) {
     for (auto& x : b) x = static_cast<int>(rng() % 100000);
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
-    std::vector<int> out, expect;
+    std::vector<int> expect;
     std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(expect));
-    const auto report = sort::merge_arrays(launcher, a, b, out, f.cfg);
+    std::vector<std::vector<int>> outs;
+    const auto report = sort::batched_merge(launcher, {a}, {b}, outs, f.cfg);
     SCOPED_TRACE("iter " + std::to_string(it));
-    ASSERT_EQ(out, expect);
+    ASSERT_EQ(outs.at(0), expect);
     if (f.cfg.variant == sort::Variant::CFMerge) {
       ASSERT_EQ(report.merge_conflicts(), 0u);
     }

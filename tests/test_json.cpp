@@ -116,26 +116,6 @@ TEST(Json, VerifyReportCarriesMultiwaySummary) {
   }
 }
 
-TEST(Json, MergeReportSerializes) {
-  std::mt19937_64 rng(2);
-  gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(8));
-  sort::MergeConfig cfg;
-  cfg.e = 5;
-  cfg.u = 16;
-  std::vector<int> a(100), b(60);
-  for (auto& x : a) x = static_cast<int>(rng() % 1000);
-  for (auto& x : b) x = static_cast<int>(rng() % 1000);
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  std::vector<int> out;
-  const auto report = sort::merge_arrays(launcher, a, b, out, cfg);
-  std::ostringstream os;
-  write_json(os, report, cfg, launcher.device().name);
-  EXPECT_TRUE(balanced(os.str()));
-  EXPECT_NE(os.str().find("\"kind\":\"merge\""), std::string::npos);
-  EXPECT_NE(os.str().find("\"na\":100"), std::string::npos);
-}
-
 TEST(Json, BitonicReportSerializes) {
   std::mt19937_64 rng(3);
   gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(8));

@@ -294,48 +294,6 @@ TEST(KernelGraph, RunIsConstAndReplayable) {
   for (const int c : d2) EXPECT_EQ(c, 2);
 }
 
-TEST(KernelGraph, AppendComposesTemplates) {
-  const LaunchShape s{8, 8, 0, 8};
-  std::vector<int> d1(8, 0), d2(8, 0), d3(8, 0);
-
-  KernelGraph tpl;
-  Stream st = tpl.stream();
-  const NodeId ta = st.enqueue("ta", s, counting_body(d1, 1));
-  st.enqueue("tb", s, counting_body(d2, 1), {ta});
-
-  KernelGraph g;
-  g.add("head", s, counting_body(d3, 1));
-  const NodeId base = g.append(tpl);
-  EXPECT_EQ(base, 1);
-  ASSERT_EQ(g.size(), 3);
-  // The appended copy keeps its internal edge, shifted past "head", and
-  // stays independent of it (no implicit cross edges).
-  EXPECT_TRUE(g.nodes()[1].deps.empty());
-  EXPECT_EQ(g.nodes()[2].deps, std::vector<NodeId>{base});
-  EXPECT_EQ(g.nodes()[1].name, "ta");
-
-  // Appending an empty template is a no-op that returns kNoNode.
-  KernelGraph empty;
-  EXPECT_EQ(g.append(empty), kNoNode);
-  EXPECT_EQ(g.size(), 3);
-
-  // Self-append is rejected (would iterate a vector being grown).
-  EXPECT_THROW(g.append(g), std::invalid_argument);
-
-  // Bodies are shared with the template, not cloned: running the composed
-  // graph bumps the template's captured buffers.
-  Launcher launcher(DeviceSpec::tiny(8));
-  launcher.run(g);
-  for (const int c : d1) EXPECT_EQ(c, 1);
-  for (const int c : d2) EXPECT_EQ(c, 1);
-
-  // clear() empties the graph for rebuilding.
-  g.clear();
-  EXPECT_EQ(g.size(), 0);
-  EXPECT_EQ(g.append(tpl), 0);
-  EXPECT_EQ(g.size(), 2);
-}
-
 TEST(KernelGraph, ThrowingNodeLeavesLauncherUntouched) {
   for (const int threads : {1, 4}) {
     Launcher launcher(DeviceSpec::tiny(8));

@@ -1,5 +1,6 @@
-// Tests of the standalone pairwise merge API.
-#include "sort/merge_arrays.hpp"
+// Tests of the standalone pairwise merge: a one-pair sort::batched_merge,
+// the primitive the paper studies.
+#include "sort/batched_merge.hpp"
 #include "worstcase/builder.hpp"
 
 #include <gtest/gtest.h>
@@ -23,6 +24,16 @@ std::vector<int> reference_merge(const std::vector<int>& a, const std::vector<in
   std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
   return out;
 }
+
+/// Merges sorted `a` and `b` into `out` as a one-pair batch.
+BatchedMergeReport merge_one_pair(gpusim::Launcher& launcher, const std::vector<int>& a,
+                                  const std::vector<int>& b, std::vector<int>& out,
+                                  const MergeConfig& cfg) {
+  std::vector<std::vector<int>> outs;
+  BatchedMergeReport report = batched_merge(launcher, {a}, {b}, outs, cfg);
+  out = std::move(outs.at(0));
+  return report;
+}
 }  // namespace
 
 class MergeArraysBothVariants : public ::testing::TestWithParam<Variant> {};
@@ -39,10 +50,13 @@ TEST_P(MergeArraysBothVariants, MergesArbitrarySizes) {
     const auto a = sorted_random(rng, na);
     const auto b = sorted_random(rng, nb);
     std::vector<int> out;
-    const auto report = merge_arrays(launcher, a, b, out, cfg);
+    const auto report = merge_one_pair(launcher, a, b, out, cfg);
     EXPECT_EQ(out, reference_merge(a, b)) << "na=" << na << " nb=" << nb;
-    EXPECT_EQ(report.na, static_cast<std::int64_t>(na));
-    EXPECT_EQ(report.nb, static_cast<std::int64_t>(nb));
+    EXPECT_EQ(report.elements, static_cast<std::int64_t>(na + nb));
+    // One merge block per output tile of the pair: no list is padded.
+    ASSERT_EQ(report.kernels.size(), 2u);
+    EXPECT_EQ(report.kernels[1].shape.blocks,
+              static_cast<int>((na + nb + cfg.tile() - 1) / cfg.tile()));
   }
 }
 
@@ -53,9 +67,10 @@ TEST_P(MergeArraysBothVariants, EmptyInputs) {
   cfg.u = 16;
   cfg.variant = GetParam();
   std::vector<int> out{1, 2, 3};
-  const auto report = merge_arrays(launcher, {}, {}, out, cfg);
+  const auto report = merge_one_pair(launcher, {}, {}, out, cfg);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(report.microseconds, 0.0);
+  EXPECT_TRUE(report.kernels.empty());
 }
 
 TEST_P(MergeArraysBothVariants, HeavyDuplicates) {
@@ -68,7 +83,7 @@ TEST_P(MergeArraysBothVariants, HeavyDuplicates) {
   const auto a = sorted_random(rng, 100, 3);
   const auto b = sorted_random(rng, 150, 3);
   std::vector<int> out;
-  merge_arrays(launcher, a, b, out, cfg);
+  merge_one_pair(launcher, a, b, out, cfg);
   EXPECT_EQ(out, reference_merge(a, b));
 }
 
@@ -93,10 +108,10 @@ TEST(MergeArrays, CFMergeConflictFreeOnWorstCaseSingleMerge) {
 
   cfg.variant = Variant::Baseline;
   std::vector<int> out_base;
-  const auto base = merge_arrays(launcher, a, b, out_base, cfg);
+  const auto base = merge_one_pair(launcher, a, b, out_base, cfg);
   cfg.variant = Variant::CFMerge;
   std::vector<int> out_cf;
-  const auto cf = merge_arrays(launcher, a, b, out_cf, cfg);
+  const auto cf = merge_one_pair(launcher, a, b, out_cf, cfg);
 
   EXPECT_EQ(out_base, out_cf);
   EXPECT_TRUE(std::is_sorted(out_cf.begin(), out_cf.end()));
@@ -113,7 +128,7 @@ TEST(MergeArrays, ThroughputAndCountersPopulated) {
   const auto a = sorted_random(rng, 400);
   const auto b = sorted_random(rng, 400);
   std::vector<int> out;
-  const auto report = merge_arrays(launcher, a, b, out, cfg);
+  const auto report = merge_one_pair(launcher, a, b, out, cfg);
   EXPECT_GT(report.throughput(), 0.0);
   EXPECT_GT(report.totals.shared_accesses, 0u);
   EXPECT_EQ(report.kernels.size(), 2u);  // partition + merge
@@ -124,7 +139,7 @@ TEST(MergeArrays, RejectsBadConfig) {
   MergeConfig cfg;
   cfg.e = 0;
   std::vector<int> out;
-  EXPECT_THROW(merge_arrays<int>(launcher, {1}, {2}, out, cfg), std::invalid_argument);
+  EXPECT_THROW(merge_one_pair(launcher, {1}, {2}, out, cfg), std::invalid_argument);
 }
 
 TEST(MergeArrays, VeryUnbalancedLists) {
@@ -136,6 +151,6 @@ TEST(MergeArrays, VeryUnbalancedLists) {
   const auto a = sorted_random(rng, 1000);
   const auto b = sorted_random(rng, 3);
   std::vector<int> out;
-  merge_arrays(launcher, a, b, out, cfg);
+  merge_one_pair(launcher, a, b, out, cfg);
   EXPECT_EQ(out, reference_merge(a, b));
 }

@@ -8,7 +8,6 @@
 #include <limits>
 
 #include "sort/batched_merge.hpp"
-#include "sort/merge_arrays.hpp"
 #include "sort/merge_sort.hpp"
 #include "sort/multiway_sort.hpp"
 #include "sort/segmented_sort.hpp"
@@ -145,14 +144,6 @@ TEST(MergeConfigValidation, EveryEntryPointRejectsWithTheSharedMessage) {
     gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(8));
     std::vector<int> data{3, 1, 2};
     EXPECT_EQ(rejection_message([&] { merge_sort(launcher, data, cfg); }), expected);
-  }
-  {
-    gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(8));
-    std::vector<int> out;
-    EXPECT_EQ(rejection_message([&] {
-                merge_arrays(launcher, std::vector<int>{1, 2}, std::vector<int>{3}, out, cfg);
-              }),
-              expected);
   }
   {
     gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(8));

@@ -291,6 +291,8 @@ std::vector<GoldenKey> golden_keys() {
   const MergeConfig m = golden_merge();
   std::uint64_t shape = numtheory::kFnvOffset;  // pairs (100, 37), (0, 8000)
   for (const std::uint64_t len : {100u, 37u, 0u, 8000u}) shape = numtheory::fnv1a(shape, len);
+  std::uint64_t lens = numtheory::kFnvOffset;  // segments 15000, 0, 37
+  for (const std::uint64_t len : {15000u, 0u, 37u}) lens = numtheory::fnv1a(lens, len);
   return {
       {"sort", {PlanKey::Kind::Sort, ti32, 15360, 0, config_digest(m)},
        bytes({0x01, 0x00, 0x00, 0x00, 0x00, 0x01, 0xaa, 0xb4, 0xaf, 0xe3, 0x72, 0x7f, 0xb3,
@@ -313,6 +315,10 @@ std::vector<GoldenKey> golden_keys() {
        bytes({0x01, 0x00, 0x00, 0x00, 0x01, 0x01, 0xaa, 0xb4, 0xaf, 0xe3, 0x72, 0x7f, 0xb3,
               0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x81, 0xb2, 0x72, 0x2c, 0x73,
               0x14, 0xc7, 0xe7, 0x61, 0xb0, 0xae, 0xf6, 0x0e, 0x5d, 0x64, 0x6f})},
+      {"segmented", {PlanKey::Kind::Segmented, ti32, 3, lens, config_digest(m)},
+       bytes({0x01, 0x00, 0x00, 0x00, 0x05, 0x01, 0xaa, 0xb4, 0xaf, 0xe3, 0x72, 0x7f, 0xb3,
+              0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xca, 0xe5, 0x60, 0x07, 0xe5,
+              0x51, 0xf3, 0x40, 0x61, 0xb0, 0xae, 0xf6, 0x0e, 0x5d, 0x64, 0x6f})},
   };
 }
 
@@ -352,8 +358,11 @@ TEST(PlanKey, EngineStoresEachKindUnderItsGoldenKey) {
                                                      std::vector<std::int32_t>(8000)};
   std::vector<std::vector<std::int32_t>> outs;
   engine.batched_merge(as, bs, outs, golden_merge());
+  std::vector<std::vector<std::int32_t>> segments = {std::vector<std::int32_t>(15000, 7), {},
+                                                     std::vector<std::int32_t>(37, 7)};
+  engine.segmented_sort(segments, golden_merge());
 
-  const std::int64_t passes[] = {1, 1, 0, 0, 0};
+  const std::int64_t passes[] = {1, 1, 0, 0, 0, 1};
   for (std::size_t i = 0; i < golden.size(); ++i) {
     SCOPED_TRACE(golden[i].kind);
     cache::ByteWriter meta;

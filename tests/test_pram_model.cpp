@@ -6,9 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
 #include "gpusim/launcher.hpp"
-#include "sort/merge_arrays.hpp"
+#include "sort/batched_merge.hpp"
 
 using namespace cfmerge;
 using namespace cfmerge::analysis;
@@ -74,8 +75,8 @@ TEST(PramModel, SimulatorMatchesClosedFormExactly) {
     const std::int64_t tile = static_cast<std::int64_t>(u) * e;
     for (int trial = 0; trial < 3; ++trial) {
       const std::int64_t la = static_cast<std::int64_t>(rng() % (tile + 1));
-      // One-tile merge via merge_arrays: lists padded to one run each; use
-      // exact full lists so la is as chosen.
+      // One-tile merge: a one-pair batched_merge of |A| + |B| = tile, so
+      // one merge block sees exactly la and tile - la.
       std::vector<int> a(static_cast<std::size_t>(la));
       std::vector<int> b(static_cast<std::size_t>(tile - la));
       for (auto& x : a) x = static_cast<int>(rng() % 10000);
@@ -88,36 +89,25 @@ TEST(PramModel, SimulatorMatchesClosedFormExactly) {
       cfg.e = e;
       cfg.u = u;
       cfg.variant = sort::Variant::CFMerge;
-      std::vector<int> out;
-      const auto report = sort::merge_arrays(launcher, a, b, out, cfg);
-      EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
+      std::vector<std::vector<int>> outs;
+      const auto report = sort::batched_merge(launcher, {a}, {b}, outs, cfg);
+      EXPECT_TRUE(std::is_sorted(outs.at(0).begin(), outs.at(0).end()));
 
-      // merge_arrays pads each list to a full run of `tile` elements, so the
-      // merge kernel processes 2 blocks of the padded pair; sum the model
-      // over the actual block splits recorded... simpler: the totals over
-      // the whole kernel must equal the sum over blocks, and each block's
-      // la_b + lb_b = tile.  load/store/gather totals depend only on the
-      // per-block (la_b, lb_b) which we don't observe directly — but their
-      // *sums* are la_total and lb_total per pass, and every phase formula
-      // is linear except the ceil.  Check the split-independent parts:
+      // The pair is exactly one tile, so one merge block sees the split
+      // (la, tile - la) and every deterministic phase counter equals the
+      // closed form for it.
       const auto t = phase_totals(report.phases);
-      const std::int64_t blocks = 2 * ((tile + tile - 1) / tile);  // 2 runs padded
-      const std::int64_t warps = u / w;
-      EXPECT_EQ(t.merge_shared, static_cast<std::uint64_t>(e * warps * blocks))
-          << "gather accesses, w=" << w << " e=" << e;
-      EXPECT_EQ(t.store_shared,
-                static_cast<std::uint64_t>((tile / w + e * warps) * blocks))
-          << "output scatter + store, w=" << w << " e=" << e;
-      // Load: sum of ceil(la_b/w) + ceil(lb_b/w) over blocks is between
-      // tile*blocks/w (all aligned) and tile*blocks/w + blocks (one extra
-      // ragged chunk per list per block).
-      EXPECT_GE(t.load_shared, static_cast<std::uint64_t>(tile / w * blocks));
-      EXPECT_LE(t.load_shared, static_cast<std::uint64_t>(tile / w * blocks + 2 * blocks));
-      EXPECT_EQ(t.load_gmem, t.load_shared + static_cast<std::uint64_t>(blocks));
+      const auto k = pram_merge_kernel(w, e, u, la, tile - la);
+      SCOPED_TRACE("w=" + std::to_string(w) + " e=" + std::to_string(e) +
+                   " la=" + std::to_string(la));
+      EXPECT_EQ(t.load_shared, static_cast<std::uint64_t>(k.load_shared_accesses));
+      EXPECT_EQ(t.load_gmem, static_cast<std::uint64_t>(k.load_gmem_requests));
+      EXPECT_EQ(t.merge_shared, static_cast<std::uint64_t>(k.gather_accesses));
+      EXPECT_EQ(t.store_shared, static_cast<std::uint64_t>(k.output_scatter_accesses +
+                                                           k.store_shared_accesses));
+      EXPECT_EQ(t.store_gmem, static_cast<std::uint64_t>(k.store_gmem_requests));
       // Search: within the lockstep upper bound.
-      const auto k = pram_merge_kernel(w, e, u, tile / 2, tile - tile / 2);
-      EXPECT_LE(t.search_shared,
-                static_cast<std::uint64_t>(2 * k.search_iterations_bound * blocks));
+      EXPECT_LE(t.search_shared, static_cast<std::uint64_t>(2 * k.search_iterations_bound));
     }
   }
 }

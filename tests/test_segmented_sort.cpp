@@ -1,16 +1,16 @@
-// Tests of sort::segmented_sort: edge-case segment shapes, bit-identity of
-// every segment against a standalone merge_sort (outputs AND per-kernel
-// reports, across worker counts and both graph execution modes), and the
-// overlap timing model on a many-segment workload.
+// Tests of sort::segmented_sort: edge-case segment shapes, the flat launch
+// shape (1 + 2 * (max segment passes) kernels for the whole batch, one
+// chain), outputs against std::stable_sort with zero CF merge conflicts,
+// and bit-identical reports across worker counts and both graph execution
+// modes.
 #include "sort/segmented_sort.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
+#include <string>
 #include <tuple>
-
-#include "sort/merge_sort.hpp"
 
 using namespace cfmerge;
 using namespace cfmerge::sort;
@@ -68,14 +68,12 @@ TEST(SegmentedSort, ZeroLengthAndSingleElementSegments) {
   EXPECT_EQ(segments[3], (std::vector<int>{3, 7}));
   EXPECT_TRUE(segments[4].empty());
   ASSERT_EQ(report.per_segment.size(), 5u);
-  // Empty segments contribute no kernels; both tiny segments fit in one
-  // tile, so each is a lone block_sort.
-  EXPECT_EQ(report.per_segment[0].kernel_count, 0);
-  EXPECT_EQ(report.per_segment[1].kernel_count, 1);
-  EXPECT_EQ(report.per_segment[2].kernel_count, 0);
-  EXPECT_EQ(report.per_segment[3].kernel_count, 1);
-  EXPECT_EQ(report.per_segment[4].kernel_count, 0);
-  EXPECT_EQ(report.kernels.size(), 2u);
+  for (const auto& info : report.per_segment) EXPECT_EQ(info.passes, 0);
+  // Empty segments take no tile; both tiny segments fit in one tile each,
+  // so the batch is one block_sort of two blocks and no merge pass.
+  ASSERT_EQ(report.kernels.size(), 1u);
+  EXPECT_EQ(report.kernels[0].name, "block_sort");
+  EXPECT_EQ(report.kernels[0].shape.blocks, 2);
   EXPECT_EQ(report.graph_levels, 1);
 }
 
@@ -95,32 +93,42 @@ TEST(SegmentedSort, OneGiantManyTiny) {
     std::sort(expected[s].begin(), expected[s].end());
     EXPECT_EQ(segments[s], expected[s]) << "segment " << s;
   }
-  // The giant segment dominates: its chain is the graph's critical path,
-  // so the makespan equals the giant's own serial chain and every tiny
-  // segment rides along for free.
-  EXPECT_EQ(report.graph_levels, 1 + 2 * report.per_segment[0].passes);
-  EXPECT_GT(report.per_segment[0].passes, 2);
-  double giant_chain = 0.0;
-  for (int k = 0; k < report.per_segment[0].kernel_count; ++k)
-    giant_chain +=
-        report.kernels[static_cast<std::size_t>(report.per_segment[0].first_kernel + k)]
-            .timing.microseconds;
-  EXPECT_DOUBLE_EQ(report.makespan_microseconds, giant_chain);
-  EXPECT_LT(report.makespan_microseconds, report.serial_microseconds);
+  // The tiny segments sort inside the one block_sort; every merge pass
+  // is the giant's alone.  One chain: makespan = serial sum.
+  const int passes = report.per_segment[0].passes;
+  EXPECT_GT(passes, 2);
+  for (std::size_t s = 1; s < segments.size(); ++s)
+    EXPECT_EQ(report.per_segment[s].passes, 0);
+  EXPECT_EQ(report.graph_levels, 1 + 2 * passes);
+  ASSERT_EQ(report.kernels.size(), static_cast<std::size_t>(1 + 2 * passes));
+  EXPECT_EQ(report.kernels[0].shape.blocks, 50 + 12);  // 4000 / 80 + one per tiny
+  EXPECT_DOUBLE_EQ(report.makespan_microseconds, report.serial_microseconds);
+  EXPECT_EQ(report.merge_conflicts(), 0u);
 }
 
-TEST(SegmentedSort, MakespanStrictlyBelowSerialOnEightSegments) {
-  // The ISSUE acceptance workload: >= 8 independent segments, graph overlap
-  // must report a strictly smaller simulated makespan than serial.
+TEST(SegmentedSort, EightSegmentsRunAsOneFlatChain) {
+  // Eight independent segments: one block_sort, then one partition + merge
+  // pair per round for all of them.  The kernels form one chain, so the
+  // makespan equals the serial sum.
   std::mt19937_64 rng(12);
   gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(8));
   std::vector<std::vector<int>> segments;
   for (int s = 0; s < 8; ++s)
     segments.push_back(random_ints(rng, 200 + static_cast<std::size_t>(rng() % 600)));
   const auto report = segmented_sort(launcher, segments, small_cfg());
+  int max_passes = 0;
+  for (const auto& info : report.per_segment) max_passes = std::max(max_passes, info.passes);
+  EXPECT_GT(max_passes, 0);
+  ASSERT_EQ(report.kernels.size(), static_cast<std::size_t>(1 + 2 * max_passes));
+  EXPECT_EQ(report.kernels[0].name, "block_sort");
+  for (int p = 0; p < max_passes; ++p) {
+    EXPECT_EQ(report.kernels[static_cast<std::size_t>(1 + 2 * p)].name, "batched_partition");
+    EXPECT_EQ(report.kernels[static_cast<std::size_t>(2 + 2 * p)].name, "batched_merge");
+  }
+  EXPECT_EQ(report.graph_levels, 1 + 2 * max_passes);
   EXPECT_GT(report.makespan_microseconds, 0.0);
-  EXPECT_LT(report.makespan_microseconds, report.serial_microseconds);
-  EXPECT_GT(report.overlap_speedup(), 1.0);
+  EXPECT_DOUBLE_EQ(report.makespan_microseconds, report.serial_microseconds);
+  EXPECT_DOUBLE_EQ(report.overlap_speedup(), 1.0);
   // Serial sum is what the launcher's history adds up to.
   EXPECT_DOUBLE_EQ(report.serial_microseconds, launcher.total_microseconds());
 }
@@ -138,39 +146,65 @@ std::string segmented_param_name(const ::testing::TestParamInfo<SegmentedParam>&
 
 class SegmentedSortBitIdentity : public ::testing::TestWithParam<SegmentedParam> {};
 
-TEST_P(SegmentedSortBitIdentity, EverySegmentMatchesStandaloneMergeSort) {
+/// Zero-length, one-element and tile-multiple segments, one giant segment
+/// among many tiny ones, and segments of every pass count up to five.
+std::vector<std::vector<int>> edge_segments() {
+  std::mt19937_64 rng(13);
+  std::vector<std::vector<int>> segments;
+  for (const std::size_t n : {std::size_t{900}, std::size_t{0}, std::size_t{1},
+                              std::size_t{2500}, std::size_t{83}, std::size_t{0},
+                              std::size_t{1200}, std::size_t{80}, std::size_t{160}})
+    segments.push_back(random_ints(rng, n));
+  for (int s = 0; s < 10; ++s)
+    segments.push_back(random_ints(rng, static_cast<std::size_t>(rng() % 5)));
+  return segments;
+}
+
+TEST_P(SegmentedSortBitIdentity, EverySegmentMatchesStableSort) {
   const auto [threads, mode, variant] = GetParam();
   const MergeConfig cfg = small_cfg(variant);
-  std::mt19937_64 rng(13);
-
-  std::vector<std::vector<int>> segments;
-  segments.push_back(random_ints(rng, 900));
-  segments.push_back({});
-  segments.push_back(random_ints(rng, 1));
-  segments.push_back(random_ints(rng, 2500));
-  segments.push_back(random_ints(rng, 83));
-  segments.push_back(random_ints(rng, 1200));
+  std::vector<std::vector<int>> segments = edge_segments();
   const std::vector<std::vector<int>> input = segments;
 
   gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(8));
   launcher.set_threads(threads);
   const auto report = segmented_sort(launcher, segments, cfg, mode);
 
+  int max_passes = 0;
   for (std::size_t s = 0; s < input.size(); ++s) {
     SCOPED_TRACE("segment " + std::to_string(s));
-    // Standalone sort of the same data on a fresh launcher: the oracle.
-    gpusim::Launcher solo(gpusim::DeviceSpec::tiny(8));
-    std::vector<int> data = input[s];
-    const SortReport ref = merge_sort(solo, data, cfg);
-
-    EXPECT_EQ(segments[s], data);
+    std::vector<int> expect = input[s];
+    std::stable_sort(expect.begin(), expect.end());
+    EXPECT_EQ(segments[s], expect);
     const auto& info = report.per_segment[s];
     EXPECT_EQ(info.n, static_cast<std::int64_t>(input[s].size()));
-    EXPECT_EQ(info.passes, ref.passes);
-    ASSERT_EQ(info.kernel_count, static_cast<int>(solo.history().size()));
-    for (int k = 0; k < info.kernel_count; ++k)
-      expect_report_eq(report.kernels[static_cast<std::size_t>(info.first_kernel + k)],
-                       solo.history()[static_cast<std::size_t>(k)]);
+    EXPECT_EQ(info.passes, merge_pass_count(info.n, cfg.tile()));
+    max_passes = std::max(max_passes, info.passes);
+  }
+  EXPECT_EQ(max_passes, 5);  // 2500 elements = 32 tiles of 80
+  ASSERT_EQ(report.kernels.size(), static_cast<std::size_t>(1 + 2 * max_passes));
+
+  // The report is bit-identical to a one-worker serial run.
+  gpusim::Launcher ref_launcher(gpusim::DeviceSpec::tiny(8));
+  std::vector<std::vector<int>> ref_segments = input;
+  const auto ref = segmented_sort(ref_launcher, ref_segments, cfg, gpusim::GraphExec::Serial);
+  EXPECT_EQ(report.totals, ref.totals);
+  EXPECT_EQ(report.phases, ref.phases);
+  ASSERT_EQ(report.kernels.size(), ref.kernels.size());
+  for (std::size_t k = 0; k < ref.kernels.size(); ++k)
+    expect_report_eq(report.kernels[k], ref.kernels[k]);
+}
+
+TEST_P(SegmentedSortBitIdentity, CFMergeHasNoMergeConflicts) {
+  const auto [threads, mode, variant] = GetParam();
+  std::vector<std::vector<int>> segments = edge_segments();
+  gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(8));
+  launcher.set_threads(threads);
+  const auto report = segmented_sort(launcher, segments, small_cfg(variant), mode);
+  if (variant == Variant::CFMerge) {
+    EXPECT_EQ(report.merge_conflicts(), 0u);
+  } else {
+    EXPECT_GT(report.merge_conflicts(), 0u);
   }
 }
 

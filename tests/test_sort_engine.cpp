@@ -314,10 +314,9 @@ TEST(SortEngine, SegmentedReplayBitIdenticalAcrossModesAndThreads) {
   }
 }
 
-TEST(SortEngine, SegmentedSameShapeSegmentsGetDistinctInstances) {
-  // Two equal-length segments in one batch cannot share a plan instance
-  // (both graphs execute in one Launcher::run), so the first batch builds
-  // two plans; the next batch then hits twice.
+TEST(SortEngine, SegmentedBatchIsOnePlanKeyedByEveryLength) {
+  // A segmented batch is one plan: the first batch builds it, the next
+  // batch with the same lengths hits, and changing one length misses.
   Launcher launcher(DeviceSpec::tiny(8));
   sort::SortEngine engine(launcher);
   const auto cfg = tiny_cfg();
@@ -328,16 +327,24 @@ TEST(SortEngine, SegmentedSameShapeSegmentsGetDistinctInstances) {
   engine.segmented_sort(batch, cfg);
   {
     const sort::EngineStats es = engine.stats();
-    EXPECT_EQ(es.plan_misses, 2u);
+    EXPECT_EQ(es.plan_misses, 1u);
     EXPECT_EQ(es.plan_hits, 0u);
-    EXPECT_EQ(es.plans_cached, 2u);
+    EXPECT_EQ(es.plans_cached, 1u);
   }
   batch = proto;
   engine.segmented_sort(batch, cfg);
   for (const auto& seg : batch) EXPECT_TRUE(std::is_sorted(seg.begin(), seg.end()));
+  {
+    const sort::EngineStats es = engine.stats();
+    EXPECT_EQ(es.plan_misses, 1u);
+    EXPECT_EQ(es.plan_hits, 1u);
+  }
+  batch = proto;
+  batch.back().pop_back();
+  engine.segmented_sort(batch, cfg);
   const sort::EngineStats es = engine.stats();
   EXPECT_EQ(es.plan_misses, 2u);
-  EXPECT_EQ(es.plan_hits, 2u);
+  EXPECT_EQ(es.plan_hits, 1u);
 }
 
 TEST(SortEngine, SortByKeyPoolsPairBufferAndChecksSizes) {

@@ -25,8 +25,9 @@
 //     --threads=<host worker threads>             (default 0 = CFMERGE_SIM_THREADS or 1)
 //     --segments=<count>                          segmented sort: split the input into
 //                                                 <count> pseudo-random-sized segments
-//                                                 (deterministic in --seed) and submit
-//                                                 them as one kernel graph
+//                                                 (deterministic in --seed) and sort
+//                                                 them with flat launches (one block
+//                                                 sort, one partition + merge per round)
 //     --serial-graph                              run the kernel graph serially (timing
 //                                                 reports are identical; host wall-clock
 //                                                 only)
@@ -86,7 +87,7 @@
 // Examples:
 //   cfsort --algo=baseline --dist=worst-case --n=491520 --profile
 //   cfsort --algo=cf --json | jq .throughput_elem_per_us
-//   cfsort --algo=cf --segments=16 --json | jq .overlap_speedup
+//   cfsort --algo=cf --segments=16 --json | jq .graph_levels
 //   cfsort --algo=cf --k=4 --json | jq .passes
 //   cfsort --algo=cf --k=4 --multiway=losertree --profile
 //   cfsort --op=permute --e=15 --u=512 --json | jq .totals.bank_conflicts
