@@ -21,7 +21,7 @@
 //     (counters, phases, per-kernel timings) — since repeat 0 builds the
 //     plan and later repeats replay it, this also proves replay identity,
 //   * tracing on vs. off must not change any counter,
-//   * segmented serial vs. overlap execution must agree,
+//   * a segmented run at --threads must agree with a fresh 1-thread run,
 //   * a fully-audited run (shadow checker replaying every lane) and an
 //     audit=certified-skip run (Pass 3 safety certificates eliding the
 //     replay for proved access families) must agree bit for bit, with a
@@ -362,8 +362,8 @@ int main(int argc, char** argv) {
     accumulate(engine.stats());
   }
 
-  // --- segmented_sort: request batch as one graph; serial and overlap host
-  // execution must agree bit for bit.
+  // --- segmented_sort: request batch as one graph; the --threads run must
+  // agree bit for bit with a fresh 1-thread launcher.
   {
     std::mt19937_64 rng(7);
     std::vector<std::vector<std::int32_t>> proto(static_cast<std::size_t>(segments));
@@ -380,7 +380,7 @@ int main(int argc, char** argv) {
           random_vec(len, 300 + static_cast<std::uint64_t>(s));
       used += len;
     }
-    sort::SegmentedSortReport serial_rep;
+    sort::SegmentedSortReport threaded_rep;
     gpusim::Launcher seg_launcher(dev());
     seg_launcher.set_threads(threads);
     sort::SortEngine seg_engine(seg_launcher);
@@ -390,27 +390,21 @@ int main(int argc, char** argv) {
         repeats, n_segmented, [&](CaseResult* r) {
           auto batch = proto;
           const double t0 = now_ms();
-          auto rep = seg_engine.segmented_sort(batch, cf_cfg,
-                                               gpusim::GraphExec::Overlap);
+          auto rep = seg_engine.segmented_sort(batch, cf_cfg);
           r->wall_ms_min = now_ms() - t0;
           r->sim_microseconds = rep.serial_microseconds;
           for (const auto& s2 : batch)
             if (!std::is_sorted(s2.begin(), s2.end())) r->identity_ok = false;
+          threaded_rep = rep;
           return rep;
         });
     accumulate(seg_engine.stats());
     {
-      gpusim::Launcher launcher(dev());
-      launcher.set_threads(threads);
+      gpusim::Launcher ref_launcher(dev());
+      ref_launcher.set_threads(1);
       auto batch = proto;
-      serial_rep =
-          sort::segmented_sort(launcher, batch, cf_cfg, gpusim::GraphExec::Serial);
-      gpusim::Launcher launcher2(dev());
-      launcher2.set_threads(threads);
-      auto batch2 = proto;
-      const auto overlap_rep =
-          sort::segmented_sort(launcher2, batch2, cf_cfg, gpusim::GraphExec::Overlap);
-      if (!identical(serial_rep, overlap_rep)) seg.identity_ok = false;
+      if (!identical(sort::segmented_sort(ref_launcher, batch, cf_cfg), threaded_rep))
+        seg.identity_ok = false;
     }
     results.push_back(seg);
   }

@@ -59,13 +59,11 @@ SortPoint run_sort_point(gpusim::Launcher& launcher, const workloads::WorkloadSp
     if (!std::is_sorted(data.begin(), data.end()))
       throw std::runtime_error("run_sort_point: output not sorted");
     point.microseconds += report.microseconds;
-    point.makespan_microseconds += report.makespan_microseconds;
     point.passes = report.passes;
     conflict_sum += report.merge_conflicts();
     conflicts_per_access_sum += merge_conflicts_per_access(report);
   }
   point.microseconds /= reps;
-  point.makespan_microseconds /= reps;
   point.merge_conflicts = conflict_sum / static_cast<std::uint64_t>(reps);
   point.merge_conflicts_per_access = conflicts_per_access_sum / reps;
   point.throughput =

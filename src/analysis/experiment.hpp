@@ -40,9 +40,6 @@ struct SweepConfig {
 struct SortPoint {
   std::int64_t n = 0;
   double microseconds = 0.0;
-  /// Graph-overlap simulated time (equals `microseconds` for the linear
-  /// sort chain; diverges for graph workloads like segmented_sort).
-  double makespan_microseconds = 0.0;
   double throughput = 0.0;  ///< elements per simulated microsecond
   std::uint64_t merge_conflicts = 0;
   double merge_conflicts_per_access = 0.0;

@@ -35,7 +35,7 @@ void write_json(std::ostream& os, const sort::BitonicReport& report,
                 const sort::BitonicConfig& cfg, const std::string& device,
                 const std::string& workload);
 
-/// Same for a segmented sort: graph timing (serial sum and makespan),
+/// Same for a segmented sort: kernel-chain timing (serial sum and makespan),
 /// totals, phases, and each segment's length and pass count.  `engine` as
 /// above.
 void write_json(std::ostream& os, const sort::SegmentedSortReport& report,

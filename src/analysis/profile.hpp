@@ -27,8 +27,9 @@ void print_phase_profile(std::ostream& os, const gpusim::PhaseCounters& phases,
 /// One-line summary of a sort run.
 [[nodiscard]] std::string summarize(const sort::SortReport& report, const std::string& label);
 
-/// One-line summary of a segmented sort: serial sum vs. graph makespan and
-/// the resulting overlap speedup.
+/// One-line summary of a segmented sort: serial sum, makespan and overlap
+/// speedup (the kernels form one chain, so the makespan is the sum and the
+/// speedup 1), throughput and merge conflicts.
 [[nodiscard]] std::string summarize(const sort::SegmentedSortReport& report,
                                     const std::string& label);
 

@@ -42,7 +42,7 @@
 // SharedTile::notify_certified_skip.  Counters and chains are bit-identical
 // to the fully-audited run (charge_shared_crs is exact); only the audit
 // granularity changes.  Global accesses are never elided: a global endpoint
-// adds bulk_global() to the gate, which no auditor passes.  Data-dependent
+// adds bulk_shared() to the gate, which no auditor passes.  Data-dependent
 // accesses (merge-path probes, serial merge) never carry certificates and
 // always stay on the audited lane path.
 #pragma once
@@ -142,12 +142,12 @@ std::pair<std::int64_t, std::int64_t> span_of(const Map& map, std::int64_t count
 /// Whether this execution may take the closed-form bulk path: certified,
 /// and either no observer needs per-lane addresses or certified-skip audit
 /// mode applies (the certificate must then carry the Pass 3 safety token).
-/// A global endpoint among `Endpoints` also needs bulk_global(), so
+/// A global endpoint among `Endpoints` also needs bulk_shared(), so
 /// certified-skip audit never elides a global access.
 template <typename... Endpoints>
 bool bulk_path(const gpusim::BlockContext& ctx, const verify::CfCertificate* cert) {
   if (cert == nullptr || !ctx.bulk_shared_skip(cert->safety != nullptr)) return false;
-  return !(detail::kIsGlobal<Endpoints> || ...) || ctx.bulk_global();
+  return !(detail::kIsGlobal<Endpoints> || ...) || ctx.bulk_shared();
 }
 
 /// One warp's certified progression on one endpoint: `rounds` warp-wide

@@ -196,10 +196,10 @@ void permute_tile_body(gpusim::BlockContext& ctx, std::span<const T> in,
   exec_staged_copy(ctx, shmem, gout, tile, stage_cert, UnitStep{}, UnitStep{});
 }
 
-/// Enqueues the one-kernel permute pipeline for a padded buffer onto
-/// `stream` (SortEngine caches the resulting graph per shape).
+/// Enqueues the one-kernel permute pipeline for a padded buffer into
+/// `graph` (SortEngine caches the resulting graph per shape).
 template <typename T>
-void enqueue_permute_pipeline(gpusim::Stream& stream, std::vector<T>& buf,
+void enqueue_permute_pipeline(gpusim::KernelGraph& graph, std::vector<T>& buf,
                               std::vector<T>& out, std::int64_t n_padded,
                               const PermuteConfig& cfg) {
   const std::int64_t tile = cfg.tile();
@@ -208,7 +208,7 @@ void enqueue_permute_pipeline(gpusim::Stream& stream, std::vector<T>& buf,
                             2 * static_cast<std::size_t>(tile) * sizeof(T),
                             sort::cost::cfmerge_regs_per_thread(cfg.e)};
   const char* name = cfg.op == PermuteOp::kTranspose ? "cf_transpose" : "cf_permute";
-  stream.enqueue(name, shape, [&buf, &out, cfg](gpusim::BlockContext& ctx) {
+  graph.enqueue(name, shape, [&buf, &out, cfg](gpusim::BlockContext& ctx) {
     permute_tile_body<T>(ctx, std::span<const T>(buf), std::span<T>(out), cfg);
   });
 }

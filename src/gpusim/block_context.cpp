@@ -18,7 +18,6 @@ BlockContext::BlockContext(const DeviceSpec& dev, int block_id, int num_blocks, 
   current_idx_ = counters_.intern("main");
   current_ = &counters_.by_index(current_idx_);
   chains_.assign(static_cast<std::size_t>(warps()), 0.0);
-  l2_scratch_.reserve(2 * static_cast<std::size_t>(kMaxLanes));
 }
 
 void BlockContext::phase(std::string_view name) {

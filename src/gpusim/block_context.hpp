@@ -26,7 +26,6 @@
 #include "gpusim/device_spec.hpp"
 #include "gpusim/trace.hpp"
 #include "gpusim/global_memory.hpp"
-#include "gpusim/l2_cache.hpp"
 #include "gpusim/shared_memory.hpp"
 #include "gpusim/stats.hpp"
 
@@ -116,10 +115,6 @@ class BlockContext {
   [[nodiscard]] bool bulk_shared() const {
     return dev_->bulk_charge && trace_ == nullptr && audit_ == nullptr;
   }
-  /// Same for global accesses; the L2 model additionally needs real
-  /// per-transaction addresses.
-  [[nodiscard]] bool bulk_global() const { return bulk_shared() && l2_ == nullptr; }
-
   /// Certified-skip extension of bulk_shared(): closed-form shared charging
   /// is also allowed with an auditor attached when audit-skip mode is on
   /// AND the pattern carries a static safety certificate — the Pass 3 proof
@@ -157,11 +152,11 @@ class BlockContext {
   /// Charges one warp-wide global access to `n` contiguous elements
   /// starting at byte address `byte0` (ascending or descending lane order —
   /// the transaction footprint is the same; reads and writes alike).
-  /// Caller must have checked bulk_global(); n must be positive.
+  /// Caller must have checked bulk_shared(); n must be positive.
   void charge_gmem_run(int warp, std::int64_t byte0, std::int64_t n, int elem_bytes,
                        bool dependent) {
     assert(n > 0 && byte0 >= 0);
-    assert(bulk_global());
+    assert(bulk_shared());
     const std::int64_t tx = dev_->transaction_bytes;
     const std::int64_t last = byte0 + n * elem_bytes - 1;
     const std::int64_t transactions = last / tx - byte0 / tx + 1;
@@ -203,8 +198,6 @@ class BlockContext {
     trace_ = sink;
     trace_phase_ = -1;
   }
-  /// Attaches the device-level L2 cache (owned by the Launcher).
-  void set_l2(L2Cache* l2) { l2_ = l2; }
   [[nodiscard]] TraceSink* trace() const { return trace_; }
 
   /// Attaches a memory auditor (opt-in shadow checking; see gpusim/audit.hpp).
@@ -252,8 +245,6 @@ class BlockContext {
   bool audit_skip_ = false;
   std::uint64_t audit_skipped_ = 0;
   std::uint64_t tile_counter_ = 0;
-  L2Cache* l2_ = nullptr;
-  std::vector<std::int64_t> l2_scratch_;
   std::vector<double> chains_;
   std::uint64_t bulk_charges_ = 0;
   std::uint64_t lane_charges_ = 0;
@@ -295,21 +286,7 @@ inline GlobalAccessCost BlockContext::charge_gmem(int warp,
                    trace_phase(), byte_addrs, c.transactions);
   current_->gmem_requests += 1;
   current_->gmem_transactions += static_cast<std::uint64_t>(c.transactions);
-  if (l2_ == nullptr) {
-    current_->gmem_bytes += static_cast<std::uint64_t>(c.bytes);
-  } else {
-    // Route each transaction segment through the device L2: only misses
-    // generate DRAM traffic.
-    global_access_segments(byte_addrs, elem_bytes, dev_->transaction_bytes, l2_scratch_);
-    for (const std::int64_t seg : l2_scratch_) {
-      if (l2_->access(seg * dev_->transaction_bytes)) {
-        current_->l2_hits += 1;
-      } else {
-        current_->l2_misses += 1;
-        current_->gmem_bytes += static_cast<std::uint64_t>(dev_->transaction_bytes);
-      }
-    }
-  }
+  current_->gmem_bytes += static_cast<std::uint64_t>(c.bytes);
   auto& chain = chains_[static_cast<std::size_t>(warp)];
   if (dependent)
     chain += dev_->global_latency;

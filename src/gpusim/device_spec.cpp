@@ -64,8 +64,10 @@ std::uint64_t DeviceSpec::digest() const {
   h = fnv1a(h, static_cast<std::int64_t>(global_latency));
   h = fnv1a(h, static_cast<std::int64_t>(transaction_bytes));
   h = fnv1a(h, dram_bytes_per_cycle);
-  h = fnv1a(h, static_cast<std::uint64_t>(l2_bytes));
-  h = fnv1a(h, static_cast<std::int64_t>(l2_ways));
+  // Two retired slots (an L2 capacity of 0 and 16 ways), hashed as before
+  // so every persisted digest stays valid.
+  h = fnv1a(h, std::uint64_t{0});
+  h = fnv1a(h, std::int64_t{16});
   h = fnv1a(h, clock_ghz);
   h = fnv1a(h, launch_overhead_cycles);
   return h;

@@ -45,10 +45,6 @@ struct DeviceSpec {
   int transaction_bytes = 128;
   /// Sustained DRAM bandwidth for the whole device, bytes per core cycle.
   double dram_bytes_per_cycle = 400.0;
-  /// Device-level L2 cache capacity; 0 disables the cache model (the
-  /// default — the calibrated experiments use the bare DRAM model).
-  std::size_t l2_bytes = 0;
-  int l2_ways = 16;
   /// Core clock, GHz (used only to convert cycles to microseconds).
   double clock_ghz = 1.545;
   /// Fixed cost per kernel launch in cycles (driver submission, grid setup,

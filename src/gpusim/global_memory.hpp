@@ -15,7 +15,6 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
-#include <vector>
 
 #include "gpusim/shared_memory.hpp"  // kInactiveLane, kMaxLanes
 
@@ -77,11 +76,5 @@ struct GlobalAccessCost {
   cost.transactions = transactions;
   return cost;
 }
-
-/// The distinct transaction segments (segment index = byte / transaction
-/// size) a warp access touches, appended to `out` (cleared first).  Used by
-/// the L2 cache model.
-void global_access_segments(std::span<const std::int64_t> byte_addrs, int elem_bytes,
-                            int transaction_bytes, std::vector<std::int64_t>& out);
 
 }  // namespace cfmerge::gpusim

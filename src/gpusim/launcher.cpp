@@ -45,20 +45,13 @@ struct BlockOutcome {
   std::exception_ptr error;
 };
 
-/// One unit of work for the pool: block `block` of graph node `node`.
-struct WorkItem {
-  int node = 0;
-  int block = 0;
-};
-
 /// Simulates one block of one kernel into its private outcome slot.
-void simulate_block(const DeviceSpec& dev, L2Cache* l2, MemoryAuditor* audit,
-                    bool audit_skip, bool tracing, const LaunchShape& shape,
-                    const KernelBody& body, int block, BlockOutcome& out) {
+void simulate_block(const DeviceSpec& dev, MemoryAuditor* audit, bool audit_skip,
+                    bool tracing, const LaunchShape& shape, const KernelBody& body,
+                    int block, BlockOutcome& out) {
   if (tracing) out.trace = std::make_unique<TraceSink>();
   BlockContext ctx(dev, block, shape.blocks, shape.threads_per_block);
   ctx.set_trace(out.trace.get());
-  ctx.set_l2(l2);
   ctx.set_audit(audit);
   ctx.set_audit_skip(audit_skip);
   body(ctx);
@@ -70,13 +63,14 @@ void simulate_block(const DeviceSpec& dev, L2Cache* l2, MemoryAuditor* audit,
   out.audit_skipped = ctx.audit_skipped();
 }
 
-/// Deterministic reduction of one node's block outcomes in block order:
+/// Deterministic reduction of one kernel's block outcomes in block order:
 /// bit-identical to sequential execution for every worker count.  Does NOT
 /// touch the trace sink or the history — committing is the caller's job.
-KernelReport reduce_node(const DeviceSpec& dev, const std::string& name,
-                         const LaunchShape& shape, const std::vector<BlockOutcome>& outcomes) {
+KernelReport reduce_kernel(const DeviceSpec& dev, const KernelNode& node,
+                           const std::vector<BlockOutcome>& outcomes) {
+  const LaunchShape& shape = node.shape;
   KernelReport report;
-  report.name = name;
+  report.name = node.name;
   report.shape = shape;
   double chain_sum = 0.0;
   std::size_t shared_bytes = shape.shared_bytes_per_block;
@@ -99,10 +93,10 @@ KernelReport reduce_node(const DeviceSpec& dev, const std::string& name,
 
 namespace detail {
 
-/// The launcher's persistent helper threads.  run() hands a wavefront of
-/// `count` independent items to the calling thread plus `workers - 1`
-/// helpers, which all claim items from one atomic cursor; between wavefronts
-/// the helpers park on a condition variable.  Completion is signalled under
+/// The launcher's persistent helper threads.  run() hands the `count`
+/// blocks of one kernel to the calling thread plus `workers - 1` helpers,
+/// which all claim blocks from one atomic cursor; between kernels the
+/// helpers park on a condition variable.  Completion is signalled under
 /// the mutex, so everything a helper wrote happens-before run() returns.
 class WorkerPool {
  public:
@@ -152,9 +146,9 @@ class WorkerPool {
     }
   }
 
-  /// Helper `index` joins every wavefront that asks for more than `index`
-  /// helpers; a new helper's index is at least every earlier wavefront's
-  /// helper count, so it never joins a wavefront that is already running.
+  /// Helper `index` joins every kernel that asks for more than `index`
+  /// helpers; a new helper's index is at least every earlier kernel's
+  /// helper count, so it never joins a kernel that is already running.
   void helper_loop(int index) {
     std::uint64_t seen = 0;
     std::unique_lock<std::mutex> lock(mu_);
@@ -170,16 +164,16 @@ class WorkerPool {
   }
 
   std::mutex mu_;
-  std::condition_variable wake_;  // helpers: a new wavefront or stop
-  std::condition_variable done_;  // caller: every helper of the wavefront finished
+  std::condition_variable wake_;  // helpers: a new kernel or stop
+  std::condition_variable done_;  // caller: every helper of the kernel finished
   // Guarded by mu_.
   bool stop_ = false;
   std::uint64_t generation_ = 0;
-  int active_ = 0;   // helpers that join the current wavefront
+  int active_ = 0;   // helpers that join the current kernel
   int pending_ = 0;  // of those, the ones still draining
   const Job* job_ = nullptr;
   std::size_t count_ = 0;
-  // The item cursor, shared by the caller and the active helpers.
+  // The block cursor, shared by the caller and the active helpers.
   std::atomic<std::size_t> next_{0};
   std::vector<std::thread> helpers_;  // last: the threads use every member above
 };
@@ -188,8 +182,6 @@ class WorkerPool {
 
 Launcher::Launcher(DeviceSpec dev) : dev_(std::move(dev)) {
   dev_.validate();
-  if (dev_.l2_bytes > 0)
-    l2_ = std::make_unique<L2Cache>(dev_.l2_bytes, dev_.transaction_bytes, dev_.l2_ways);
   threads_ = resolve_threads(dev_.sim_threads);
 }
 
@@ -201,13 +193,12 @@ void Launcher::set_threads(int n) { threads_ = resolve_threads(n); }
 
 KernelReport Launcher::launch(const std::string& name, const LaunchShape& shape,
                               const std::function<void(BlockContext&)>& body) {
-  if (shape.blocks <= 0) throw std::invalid_argument("Launcher::launch: empty grid");
   KernelGraph graph;
-  graph.add(name, shape, body);
-  return run(graph, GraphExec::Serial).kernels.front();
+  graph.enqueue(name, shape, body);
+  return run(graph).kernels.front();
 }
 
-GraphReport Launcher::run(const KernelGraph& graph, GraphExec mode) {
+GraphReport Launcher::run(const KernelGraph& graph) {
   if (running_)
     throw std::logic_error("Launcher::run: not re-entrant (a kernel body ran its launcher)");
   running_ = true;
@@ -216,108 +207,54 @@ GraphReport Launcher::run(const KernelGraph& graph, GraphExec mode) {
     ~Running() { flag = false; }
   } running{running_};
 
-  GraphReport out;
-  if (graph.empty()) return out;
+  // Private per-kernel, per-block outcomes; nothing is committed to the
+  // launcher (history, trace sink, stats) until every kernel finished.
   const std::vector<KernelNode>& nodes = graph.nodes();
-  const std::vector<int> level = graph.levels();
-  out.levels = 1 + *std::max_element(level.begin(), level.end());
-
-  // Private per-node, per-block outcomes; nothing is committed to the
-  // launcher (history, trace sink, stats) until every node finished.
   std::vector<std::vector<BlockOutcome>> outcomes(nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i)
-    outcomes[i].resize(static_cast<std::size_t>(nodes[i].shape.blocks));
-
   const bool tracing = trace_ != nullptr;
-  auto simulate = [&](const WorkItem& it) {
-    const auto i = static_cast<std::size_t>(it.node);
-    simulate_block(dev_, l2_.get(), audit_, audit_skip_, tracing, nodes[i].shape,
-                   nodes[i].body, it.block,
-                   outcomes[i][static_cast<std::size_t>(it.block)]);
-  };
-
-  // The L2 is one order-sensitive LRU shared by all blocks: its hits depend
-  // on the interleaving, so the documented fallback is sequential execution.
-  const int pool_size = l2_ != nullptr ? 1 : threads_;
-
-  // Runs a list of mutually independent work items.  Sequentially the first
-  // exception propagates directly; on the pool all items are drained and the
-  // earliest (enqueue id, block id) failure is rethrown once every worker
-  // finished.  Either way the launcher commits nothing on a throw.
-  auto run_items = [&](const std::vector<WorkItem>& items) {
-    const int workers = std::min<int>(pool_size, static_cast<int>(items.size()));
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const KernelNode& node = nodes[i];
+    std::vector<BlockOutcome>& blocks = outcomes[i];
+    blocks.resize(static_cast<std::size_t>(node.shape.blocks));
+    auto simulate = [&](std::size_t b) {
+      simulate_block(dev_, audit_, audit_skip_, tracing, node.shape, node.body,
+                     static_cast<int>(b), blocks[b]);
+    };
+    // Sequentially the first exception propagates directly; on the pool
+    // every block is drained and the lowest failing block's exception is
+    // rethrown once every worker finished.
+    const int workers = std::min(threads_, node.shape.blocks);
     if (workers <= 1) {
-      for (const WorkItem& it : items) simulate(it);
-      return;
-    }
-    if (pool_ == nullptr) pool_ = std::make_unique<detail::WorkerPool>();
-    pool_->run(workers, items.size(), [&](std::size_t k) {
-      try {
-        simulate(items[k]);
-      } catch (...) {
-        outcomes[static_cast<std::size_t>(items[k].node)]
-                [static_cast<std::size_t>(items[k].block)]
-                    .error = std::current_exception();
-      }
-    });
-    for (const WorkItem& it : items) {
-      const std::exception_ptr& err = outcomes[static_cast<std::size_t>(it.node)]
-                                              [static_cast<std::size_t>(it.block)]
-                                                  .error;
-      if (err) std::rethrow_exception(err);
-    }
-  };
-
-  // An auditor keys its shadow state by block id, which is unique only
-  // within one kernel, so audited graphs also run one kernel at a time.
-  if (mode == GraphExec::Serial || pool_size <= 1 || audit_ != nullptr) {
-    // One kernel at a time in enqueue order — the pre-graph launch cadence
-    // (each node's blocks still use the pool).
-    for (int i = 0; i < graph.size(); ++i) {
-      std::vector<WorkItem> items;
-      items.reserve(static_cast<std::size_t>(nodes[static_cast<std::size_t>(i)].shape.blocks));
-      for (int b = 0; b < nodes[static_cast<std::size_t>(i)].shape.blocks; ++b)
-        items.push_back({i, b});
-      run_items(items);
-    }
-  } else {
-    // Wavefront execution: all blocks of all kernels of one dependency level
-    // form a single flat work list for the pool.
-    for (int lvl = 0; lvl < out.levels; ++lvl) {
-      std::vector<WorkItem> items;
-      for (int i = 0; i < graph.size(); ++i) {
-        if (level[static_cast<std::size_t>(i)] != lvl) continue;
-        for (int b = 0; b < nodes[static_cast<std::size_t>(i)].shape.blocks; ++b)
-          items.push_back({i, b});
-      }
-      run_items(items);
+      for (std::size_t b = 0; b < blocks.size(); ++b) simulate(b);
+    } else {
+      if (pool_ == nullptr) pool_ = std::make_unique<detail::WorkerPool>();
+      pool_->run(workers, blocks.size(), [&](std::size_t b) {
+        try {
+          simulate(b);
+        } catch (...) {
+          blocks[b].error = std::current_exception();
+        }
+      });
+      for (const BlockOutcome& b : blocks)
+        if (b.error) std::rethrow_exception(b.error);
     }
   }
 
-  // Reduce every node in enqueue order (may evaluate timing; still nothing
-  // committed), then evaluate the overlap model.
+  // Reduce every kernel in enqueue order once all have run, so the pool gets
+  // each kernel right after the previous one: reducing in between cost ~2%
+  // host CPU time on perfbench mixed_small (shared 4-core x86 host).
+  GraphReport out;
   out.kernels.reserve(nodes.size());
-  out.finish_microseconds.assign(nodes.size(), 0.0);
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    KernelReport report = reduce_node(dev_, nodes[i].name, nodes[i].shape, outcomes[i]);
-    out.serial_microseconds += report.timing.microseconds;
-    double start = 0.0;
-    for (const NodeId d : nodes[i].deps)
-      start = std::max(start, out.finish_microseconds[static_cast<std::size_t>(d)]);
-    out.finish_microseconds[i] = start + report.timing.microseconds;
-    out.makespan_microseconds =
-        std::max(out.makespan_microseconds, out.finish_microseconds[i]);
-    out.kernels.push_back(std::move(report));
+    out.kernels.push_back(reduce_kernel(dev_, nodes[i], outcomes[i]));
+    out.microseconds += out.kernels.back().timing.microseconds;
   }
 
   // Commit: merge traces and append history in enqueue order — the event
-  // stream and history are identical to serial launch-by-launch execution.
-  if (trace_ != nullptr)
-    for (const std::vector<BlockOutcome>& node_outcomes : outcomes)
-      for (const BlockOutcome& b : node_outcomes)
-        if (b.trace != nullptr) trace_->merge_from(*b.trace);
-  for (const std::vector<BlockOutcome>& node_outcomes : outcomes)
-    for (const BlockOutcome& b : node_outcomes) {
+  // stream and history are identical to launch-by-launch execution.
+  for (const std::vector<BlockOutcome>& kernel_outcomes : outcomes)
+    for (const BlockOutcome& b : kernel_outcomes) {
+      if (b.trace != nullptr) trace_->merge_from(*b.trace);
       bulk_charges_ += b.bulk_charges;
       lane_charges_ += b.lane_charges;
       audit_skipped_accesses_ += b.audit_skipped;

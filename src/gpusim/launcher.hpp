@@ -5,17 +5,16 @@
 // deterministic and blocks are independent, so the launcher may simulate
 // them on several host threads (see set_threads / DeviceSpec::sim_threads):
 // the calling thread plus helpers from a pool the launcher creates at its
-// first parallel wavefront and keeps, parked, until it is destroyed.
+// first parallel kernel and keeps, parked, until it is destroyed.
 // Each block accumulates into private per-block state which is then reduced
 // in block order, so the resulting KernelReport — counters, chains, timing —
 // is bit-identical to the sequential execution no matter how many worker
 // threads run it.
 //
 // Kernels can be launched one at a time (launch) or enqueued into a
-// KernelGraph with explicit dependency edges and executed as a batch (run),
-// which lets dependency-free kernels share the worker pool and adds a
-// timing-overlap model on top of the per-kernel model; see
-// gpusim/kernel_graph.hpp for the graph semantics and determinism contract.
+// KernelGraph and executed as one ordered list (run): one kernel at a time
+// in enqueue order, each kernel's blocks on the worker pool; see
+// gpusim/kernel_graph.hpp for the graph semantics.
 //
 // Determinism contract per stateful component:
 //  * PhaseCounters / dependency chains: always per-block, reduced in block
@@ -24,9 +23,6 @@
 //    into the attached sink in block order after all blocks finish — the
 //    event stream is identical to sequential recording, and a throwing
 //    kernel leaves the attached sink untouched.
-//  * L2Cache: a single order-sensitive LRU shared by the whole device; its
-//    hit pattern depends on the block interleaving, so when the L2 model is
-//    enabled the launcher forces the sequential fallback (workers = 1).
 //
 // Kernel bodies run concurrently and must therefore only write
 // block-disjoint data (each simulated block owns its tiles/partition slots,
@@ -61,33 +57,12 @@ struct KernelReport {
   [[nodiscard]] Counters total() const { return counters.total(); }
 };
 
-/// Host execution policy for Launcher::run.  Both modes produce bit-identical
-/// reports (the reduction is enqueue- and block-ordered either way); they
-/// differ only in host wall-clock behaviour.
-enum class GraphExec {
-  Serial,   ///< one kernel at a time in enqueue order (pre-graph cadence)
-  Overlap,  ///< blocks of all dependency-satisfied kernels share the pool
-};
-
 /// Result of executing a KernelGraph.
 struct GraphReport {
-  /// One report per node, in enqueue order (also appended to the history).
+  /// One report per kernel, in enqueue order (also appended to the history).
   std::vector<KernelReport> kernels;
-  /// Simulated finish time of every node under the overlap model:
-  /// finish[i] = max(finish of deps) + kernel time of i.
-  std::vector<double> finish_microseconds;
-  /// Sum of kernel times — what the serial launch cadence would take.
-  double serial_microseconds = 0.0;
-  /// Critical-path time of the graph — what concurrent kernel execution
-  /// takes under the (optimistic, contention-free) overlap model.
-  double makespan_microseconds = 0.0;
-  /// Number of wavefront levels (length of the longest dependency chain).
-  int levels = 0;
-
-  /// Serial time over makespan (1.0 for a chain; > 1 when kernels overlap).
-  [[nodiscard]] double overlap_speedup() const {
-    return makespan_microseconds > 0 ? serial_microseconds / makespan_microseconds : 1.0;
-  }
+  /// Sum of the kernel times: the kernels run one after another.
+  double microseconds = 0.0;
 };
 
 class Launcher {
@@ -97,9 +72,6 @@ class Launcher {
   ~Launcher();
   Launcher(Launcher&&) noexcept;
   Launcher& operator=(Launcher&&) noexcept;
-
-  /// The device L2 model, or nullptr when disabled.
-  [[nodiscard]] L2Cache* l2() const { return l2_.get(); }
 
   [[nodiscard]] const DeviceSpec& device() const { return dev_; }
 
@@ -127,7 +99,7 @@ class Launcher {
   ///   n == 0  resolve from the CFMERGE_SIM_THREADS environment variable
   ///           (where 0 itself means std::thread::hardware_concurrency),
   ///           falling back to 1 when unset or empty.
-  /// A wavefront of m blocks runs on min(n, m) workers: the calling thread
+  /// A kernel of m blocks runs on min(n, m) workers: the calling thread
   /// and min(n, m) - 1 pool helpers.  Throws std::invalid_argument for a
   /// negative n or a CFMERGE_SIM_THREADS that is not a whole non-negative
   /// integer.  Reports are bit-identical for every value; see the header
@@ -144,19 +116,16 @@ class Launcher {
   KernelReport launch(const std::string& name, const LaunchShape& shape,
                       const std::function<void(BlockContext&)>& body);
 
-  /// Executes every kernel of `graph`, honouring its dependency edges, and
-  /// returns the per-node reports plus the serial-sum and graph-makespan
-  /// timings.  Node reports are appended to the launch history in enqueue
-  /// order.  Under GraphExec::Overlap, blocks of all kernels in the same
-  /// dependency wavefront share the worker pool; with the L2 model enabled
-  /// the launcher forces the sequential fallback exactly as launch does.
-  /// When any kernel body throws, the exception of the earliest failing
-  /// (enqueue id, block id) in the earliest failing wavefront is rethrown
-  /// after every worker finished, and neither the history, nor the attached
-  /// trace sink, nor any launcher statistic is modified.  Not re-entrant: a
+  /// Executes the kernels of `graph` one at a time in enqueue order, each
+  /// kernel's blocks on the worker pool, and returns the per-kernel reports
+  /// and their summed time.  The reports are appended to the launch history
+  /// in enqueue order.  When any kernel body throws, the exception of the
+  /// lowest failing block of the first failing kernel is rethrown after
+  /// every worker finished, and neither the history, nor the attached trace
+  /// sink, nor any launcher statistic is modified.  Not re-entrant: a
   /// kernel body that calls run or launch on the launcher running it gets
   /// std::logic_error.
-  GraphReport run(const KernelGraph& graph, GraphExec mode = GraphExec::Overlap);
+  GraphReport run(const KernelGraph& graph);
 
   [[nodiscard]] const std::vector<KernelReport>& history() const { return history_; }
   void clear_history() {
@@ -186,7 +155,6 @@ class Launcher {
 
  private:
   DeviceSpec dev_;
-  std::unique_ptr<L2Cache> l2_;
   TraceSink* trace_ = nullptr;
   MemoryAuditor* audit_ = nullptr;
   int threads_ = 1;
@@ -196,7 +164,7 @@ class Launcher {
   std::uint64_t lane_charges_ = 0;
   std::uint64_t audit_skipped_accesses_ = 0;
   bool running_ = false;  // inside run(); guards against re-entry
-  std::unique_ptr<detail::WorkerPool> pool_;  // created at the first parallel wavefront
+  std::unique_ptr<detail::WorkerPool> pool_;  // created at the first parallel kernel
 };
 
 }  // namespace cfmerge::gpusim

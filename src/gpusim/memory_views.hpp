@@ -176,7 +176,7 @@ class GlobalView {
   /// Charges one warp-wide access to `n` contiguous view elements starting
   /// at element `first` — the closed form of gather/scatter over an
   /// ascending (or descending: same transaction footprint) run, read or
-  /// written alike.  Caller must have checked ctx.bulk_global().
+  /// written alike.  Caller must have checked ctx.bulk_shared().
   void charge_run(int warp, std::int64_t first, std::int64_t n, bool dependent) {
     assert(first >= 0 && n > 0 && first + n <= size());
     ctx_->charge_gmem_run(warp, (base_ + first) * static_cast<std::int64_t>(sizeof(T)),

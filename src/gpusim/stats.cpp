@@ -10,8 +10,6 @@ Counters& Counters::operator+=(const Counters& o) {
   gmem_requests += o.gmem_requests;
   gmem_transactions += o.gmem_transactions;
   gmem_bytes += o.gmem_bytes;
-  l2_hits += o.l2_hits;
-  l2_misses += o.l2_misses;
   barriers += o.barriers;
   return *this;
 }

@@ -28,13 +28,8 @@ struct Counters {
   std::uint64_t gmem_requests = 0;
   /// Coalesced transactions those requests split into.
   std::uint64_t gmem_transactions = 0;
-  /// Bytes moved to/from global memory.  With the L2 model enabled this is
-  /// DRAM traffic (transaction_bytes per L2 miss); without it, the
-  /// requested element bytes.
+  /// Element bytes moved to/from global memory.
   std::uint64_t gmem_bytes = 0;
-  /// L2 cache hits/misses (0 unless the device enables the L2 model).
-  std::uint64_t l2_hits = 0;
-  std::uint64_t l2_misses = 0;
   /// Block-wide barriers executed.
   std::uint64_t barriers = 0;
 

@@ -32,8 +32,8 @@ struct BatchedMergeReport {
   int pairs = 0;
   std::int64_t elements = 0;  ///< total merged elements across pairs
   double microseconds = 0.0;  ///< serial sum of all kernels
-  /// Graph makespan: the two kernels form one chain, so this equals
-  /// `microseconds`.
+  /// Kernel-chain time: the two kernels run one after the other, so this
+  /// always equals `microseconds`; kept for the JSON report schema.
   double makespan_microseconds = 0.0;
   int graph_levels = 0;  ///< 2 for a non-empty batch
   gpusim::Counters totals;
@@ -43,21 +43,18 @@ struct BatchedMergeReport {
   [[nodiscard]] double throughput() const {
     return microseconds > 0 ? static_cast<double>(elements) / microseconds : 0.0;
   }
-  [[nodiscard]] double overlap_speedup() const {
-    return makespan_microseconds > 0 ? microseconds / makespan_microseconds : 1.0;
-  }
   [[nodiscard]] std::uint64_t merge_conflicts() const;
 };
 
 namespace detail {
-/// Enqueues the batched pipeline for the pairs (as[i], bs[i]) onto
-/// `stream`: stages every pair as [A | B | pad] in `staging` (the sentinel
+/// Enqueues the batched pipeline for the pairs (as[i], bs[i]) into
+/// `graph`: stages every pair as [A | B | pad] in `staging` (the sentinel
 /// pads are written here, once), fills `layout`, sizes `packed` and
 /// `boundaries`, and adds one flat merge pass — two kernels for the whole
 /// batch.  The batch must hold at least one element.  Every buffer must
 /// stay alive (and un-moved) until the graph executed.
 template <typename T>
-void enqueue_batched_pipeline(gpusim::Stream& stream, const std::vector<std::vector<T>>& as,
+void enqueue_batched_pipeline(gpusim::KernelGraph& graph, const std::vector<std::vector<T>>& as,
                               const std::vector<std::vector<T>>& bs, std::vector<T>& staging,
                               std::vector<T>& packed, BatchLayout& layout,
                               std::vector<std::int64_t>& boundaries, const MergeConfig& cfg) {
@@ -73,7 +70,7 @@ void enqueue_batched_pipeline(gpusim::Stream& stream, const std::vector<std::vec
   staging.assign(static_cast<std::size_t>(total), padding_sentinel<T>::value());
   packed.resize(static_cast<std::size_t>(total));
   boundaries.assign(layout.tiles.size(), 0);
-  enqueue_flat_merge_pass(stream, staging, packed, layout.tiles, 0,
+  enqueue_flat_merge_pass(graph, staging, packed, layout.tiles, 0,
                           static_cast<int>(layout.tiles.size()), boundaries, cfg);
 }
 }  // namespace detail

@@ -171,15 +171,15 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
                             cfprims::UnitStep{});
 }
 
-/// Enqueues the block-sort stage of a sort pipeline onto `stream`: one
+/// Enqueues the block-sort stage of a sort pipeline into `graph`: one
 /// block per tile of `buf`, `regs` registers per thread, and twice the
 /// tile's shared memory when `cf_rounds` adds the staging buffer.
 template <typename T>
-void enqueue_block_sort(gpusim::Stream& stream, std::vector<T>& buf, int num_tiles, int u,
+void enqueue_block_sort(gpusim::KernelGraph& graph, std::vector<T>& buf, int num_tiles, int u,
                         int e, int regs, bool cf_rounds, const TileCerts& certs) {
   const std::size_t tile_bytes = static_cast<std::size_t>(u) * static_cast<std::size_t>(e) *
                                  sizeof(T) * (cf_rounds ? 2 : 1);
-  stream.enqueue("block_sort", gpusim::LaunchShape{num_tiles, u, tile_bytes, regs},
+  graph.enqueue("block_sort", gpusim::LaunchShape{num_tiles, u, tile_bytes, regs},
                  [&buf, e, cf_rounds, certs](gpusim::BlockContext& ctx) {
                    block_sort_body<T>(ctx, std::span<T>(buf), e, cf_rounds, std::less<T>{},
                                       certs);

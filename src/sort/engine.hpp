@@ -42,7 +42,7 @@
 // merge_sort_multiway, merge_sort_multiway_by_key, segmented_sort,
 // batched_merge) are thin wrappers: one-shot engine use, reports
 // bit-identical to the pre-engine implementations (asserted by
-// test_sort_engine across thread counts and GraphExec modes).
+// test_sort_engine across thread counts).
 #pragma once
 
 #include <algorithm>
@@ -231,8 +231,7 @@ struct Plan {
 template <typename T>
 std::shared_ptr<Plan<T>> build_sort_plan(const MergeConfig& cfg, std::int64_t n_padded) {
   auto plan = std::make_shared<Plan<T>>(n_padded);
-  gpusim::Stream stream = plan->graph.stream();
-  plan->result = enqueue_sort_pipeline(stream, plan->buf, plan->tmp, plan->boundaries,
+  plan->result = enqueue_sort_pipeline(plan->graph, plan->buf, plan->tmp, plan->boundaries,
                                        n_padded, cfg, plan->passes);
   return plan;
 }
@@ -241,8 +240,7 @@ template <typename T>
 std::shared_ptr<Plan<T>> build_multiway_plan(const MultiwayConfig& cfg, std::int64_t n_padded,
                                              int warp_size) {
   auto plan = std::make_shared<Plan<T>>(n_padded);
-  gpusim::Stream stream = plan->graph.stream();
-  plan->result = enqueue_multiway_pipeline(stream, plan->buf, plan->tmp, plan->boundaries,
+  plan->result = enqueue_multiway_pipeline(plan->graph, plan->buf, plan->tmp, plan->boundaries,
                                            n_padded, cfg, warp_size, plan->passes);
   return plan;
 }
@@ -252,8 +250,7 @@ std::shared_ptr<Plan<T>> build_permute_plan(const cfprims::PermuteConfig& cfg,
                                             std::int64_t n_padded) {
   auto plan = std::make_shared<Plan<T>>(n_padded);
   plan->tmp.assign(plan->buf.size(), padding_sentinel<T>::value());
-  gpusim::Stream stream = plan->graph.stream();
-  cfprims::enqueue_permute_pipeline(stream, plan->buf, plan->tmp, n_padded, cfg);
+  cfprims::enqueue_permute_pipeline(plan->graph, plan->buf, plan->tmp, n_padded, cfg);
   plan->result = &plan->tmp;
   return plan;
 }
@@ -263,8 +260,7 @@ std::shared_ptr<Plan<T>> build_batched_plan(const std::vector<std::vector<T>>& a
                                             const std::vector<std::vector<T>>& bs,
                                             const MergeConfig& cfg) {
   auto plan = std::make_shared<Plan<T>>();
-  gpusim::Stream stream = plan->graph.stream();
-  enqueue_batched_pipeline(stream, as, bs, plan->buf, plan->tmp, plan->batch,
+  enqueue_batched_pipeline(plan->graph, as, bs, plan->buf, plan->tmp, plan->batch,
                            plan->boundaries, cfg);
   plan->result = &plan->tmp;
   return plan;
@@ -276,8 +272,7 @@ template <typename T>
 std::shared_ptr<Plan<T>> build_segmented_plan(const std::vector<std::int64_t>& lens,
                                               const MergeConfig& cfg) {
   auto plan = std::make_shared<Plan<T>>();
-  gpusim::Stream stream = plan->graph.stream();
-  enqueue_segmented_pipeline(stream, lens, plan->buf, plan->tmp, plan->batch,
+  enqueue_segmented_pipeline(plan->graph, lens, plan->buf, plan->tmp, plan->batch,
                              plan->boundaries, cfg, plan->passes);
   return plan;
 }
@@ -299,11 +294,10 @@ class SortEngine {
 
   /// merge_sort through the engine: bit-identical report, cached plan.
   template <typename T>
-  SortReport sort(std::vector<T>& data, const MergeConfig& cfg,
-                  gpusim::GraphExec mode = gpusim::GraphExec::Overlap) {
+  SortReport sort(std::vector<T>& data, const MergeConfig& cfg) {
     validate_merge_config(launcher_->device(), cfg, sizeof(T));
     const MergeConfig certified = with_certs(cfg);
-    return sort_padded(data, PlanKey::Kind::Sort, certified, mode, [&](std::int64_t np) {
+    return sort_padded(data, PlanKey::Kind::Sort, certified, [&](std::int64_t np) {
       return detail::build_sort_plan<T>(certified, np);
     });
   }
@@ -311,12 +305,11 @@ class SortEngine {
   /// merge_sort_multiway through the engine: the k-way pipeline under the
   /// same plan cache.  The (k, variant) pair is digested into the key.
   template <typename T>
-  SortReport sort_multiway(std::vector<T>& data, const MultiwayConfig& cfg,
-                           gpusim::GraphExec mode = gpusim::GraphExec::Overlap) {
+  SortReport sort_multiway(std::vector<T>& data, const MultiwayConfig& cfg) {
     validate_multiway_config(launcher_->device(), cfg, sizeof(T));
     const MultiwayConfig certified = with_certs(cfg);
     const int warp_size = launcher_->device().warp_size;
-    return sort_padded(data, PlanKey::Kind::Multiway, certified, mode, [&](std::int64_t np) {
+    return sort_padded(data, PlanKey::Kind::Multiway, certified, [&](std::int64_t np) {
       return detail::build_multiway_plan<T>(certified, np, warp_size);
     });
   }
@@ -328,8 +321,7 @@ class SortEngine {
   /// inverse op — so `data` is resized to the padded length and holds the
   /// full permuted array on return (truncate to report.n when done).
   template <typename T>
-  cfprims::PermuteReport permute(std::vector<T>& data, const cfprims::PermuteConfig& cfg,
-                                 gpusim::GraphExec mode = gpusim::GraphExec::Overlap) {
+  cfprims::PermuteReport permute(std::vector<T>& data, const cfprims::PermuteConfig& cfg) {
     cfprims::validate_permute_config(launcher_->device(), cfg);
 
     cfprims::PermuteReport report;
@@ -340,7 +332,7 @@ class SortEngine {
     const auto kind = cfg.op == cfprims::PermuteOp::kTranspose ? PlanKey::Kind::Transpose
                                                                : PlanKey::Kind::Permute;
     execute_padded(
-        report, data, kind, cfg, mode,
+        report, data, kind, cfg,
         [&](std::int64_t np) { return detail::build_permute_plan<T>(cfg, np); },
         [&](const detail::Plan<T>& plan) {
           data.assign(plan.result->begin(), plan.result->end());
@@ -351,20 +343,18 @@ class SortEngine {
   /// sort_multiway for key-value pairs, arena-staged like sort_by_key.
   template <typename K, typename V>
   SortReport sort_multiway_by_key(std::vector<K>& keys, std::vector<V>& values,
-                                  const MultiwayConfig& cfg,
-                                  gpusim::GraphExec mode = gpusim::GraphExec::Overlap) {
+                                  const MultiwayConfig& cfg) {
     return sort_key_value(keys, values, "merge_sort_multiway_by_key",
-                          [&](auto& pairs) { return sort_multiway(pairs, cfg, mode); });
+                          [&](auto& pairs) { return sort_multiway(pairs, cfg); });
   }
 
   /// merge_sort_by_key through the engine: the KeyValue pair buffer comes
   /// from the scratch arena instead of a per-call allocation.
   template <typename K, typename V>
   SortReport sort_by_key(std::vector<K>& keys, std::vector<V>& values,
-                         const MergeConfig& cfg,
-                         gpusim::GraphExec mode = gpusim::GraphExec::Overlap) {
+                         const MergeConfig& cfg) {
     return sort_key_value(keys, values, "merge_sort_by_key",
-                          [&](auto& pairs) { return sort(pairs, cfg, mode); });
+                          [&](auto& pairs) { return sort(pairs, cfg); });
   }
 
   /// segmented_sort through the engine: one plan per batch, keyed by the
@@ -372,8 +362,7 @@ class SortEngine {
   /// nothing and touches no plan.
   template <typename T>
   SegmentedSortReport segmented_sort(std::vector<std::vector<T>>& segments,
-                                     const MergeConfig& cfg,
-                                     gpusim::GraphExec mode = gpusim::GraphExec::Overlap) {
+                                     const MergeConfig& cfg) {
     validate_merge_config(launcher_->device(), cfg, sizeof(T));
     const MergeConfig certified = with_certs(cfg);
 
@@ -394,7 +383,7 @@ class SortEngine {
                       static_cast<std::int64_t>(segments.size()), digest,
                       config_digest(certified)};
     execute<T>(
-        report, key, mode, [&] { return detail::build_segmented_plan<T>(lens, certified); },
+        report, key, [&] { return detail::build_segmented_plan<T>(lens, certified); },
         [&](detail::Plan<T>& plan) {
           // A previous run leaves intermediate data in the sentinel tails.
           std::fill(plan.buf.begin(), plan.buf.end(), padding_sentinel<T>::value());
@@ -420,8 +409,7 @@ class SortEngine {
   BatchedMergeReport batched_merge(const std::vector<std::vector<T>>& as,
                                    const std::vector<std::vector<T>>& bs,
                                    std::vector<std::vector<T>>& outs,
-                                   const MergeConfig& cfg,
-                                   gpusim::GraphExec mode = gpusim::GraphExec::Overlap) {
+                                   const MergeConfig& cfg) {
     if (as.size() != bs.size())
       throw std::invalid_argument("batched_merge: pair count mismatch");
     validate_merge_config(launcher_->device(), cfg, sizeof(T));
@@ -443,7 +431,7 @@ class SortEngine {
                       static_cast<std::int64_t>(as.size()), digest,
                       config_digest(certified)};
     execute<T>(
-        report, key, mode, [&] { return detail::build_batched_plan<T>(as, bs, certified); },
+        report, key, [&] { return detail::build_batched_plan<T>(as, bs, certified); },
         [&](detail::Plan<T>& plan) {
           // The sentinel pads persist from build time: kernels never write
           // the staging buffer.
@@ -527,16 +515,16 @@ class SortEngine {
   /// Runs `graph` on a cleared launcher and copies the graph timing and
   /// the launcher's counters into `report`.
   template <typename Report>
-  void run(Report& report, const gpusim::KernelGraph& graph, gpusim::GraphExec mode) {
+  void run(Report& report, const gpusim::KernelGraph& graph) {
     launcher_->clear_history();
-    gpusim::GraphReport g = launcher_->run(graph, mode);
+    gpusim::GraphReport g = launcher_->run(graph);
     if constexpr (requires { report.serial_microseconds; }) {
-      report.serial_microseconds = g.serial_microseconds;
+      report.serial_microseconds = g.microseconds;
     } else {
-      report.microseconds = g.serial_microseconds;
+      report.microseconds = g.microseconds;
     }
-    report.makespan_microseconds = g.makespan_microseconds;
-    report.graph_levels = g.levels;
+    report.makespan_microseconds = g.microseconds;
+    report.graph_levels = graph.size();
     report.kernels = std::move(g.kernels);
     report.totals = launcher_->total_counters();
     report.phases = launcher_->phase_counters();
@@ -546,11 +534,11 @@ class SortEngine {
   /// miss), load the input, run the graph, unpack the output, and hand the
   /// plan back to the cache.
   template <typename T, typename Report, typename Build, typename Load, typename Unpack>
-  void execute(Report& report, const PlanKey& key, gpusim::GraphExec mode, Build&& build,
-               Load&& load, Unpack&& unpack) {
+  void execute(Report& report, const PlanKey& key, Build&& build, Load&& load,
+               Unpack&& unpack) {
     std::shared_ptr<detail::Plan<T>> plan = acquire_plan<T>(key, build);
     load(*plan);
-    run(report, plan->graph, mode);
+    run(report, plan->graph);
     unpack(std::as_const(*plan));
     cache_plan(key, std::move(plan));
   }
@@ -560,22 +548,22 @@ class SortEngine {
   /// report.n = 0 and no plan traffic.
   template <typename T, typename Report, typename Cfg, typename Build, typename Unpack>
   void execute_padded(Report& report, const std::vector<T>& data, PlanKey::Kind kind,
-                      const Cfg& cfg, gpusim::GraphExec mode, Build&& build, Unpack&& unpack) {
+                      const Cfg& cfg, Build&& build, Unpack&& unpack) {
     report.n = static_cast<std::int64_t>(data.size());
     if (report.n == 0) return;
     const PlanKey key = padded_key<T>(kind, report.n, cfg);
     report.n_padded = key.n_padded;
     execute<T>(
-        report, key, mode, [&] { return build(key.n_padded); },
+        report, key, [&] { return build(key.n_padded); },
         [&](detail::Plan<T>& plan) { plan.load(data); }, unpack);
   }
 
   /// sort / sort_multiway: execute_padded, then copy the sorted prefix back.
   template <typename T, typename Cfg, typename Build>
   SortReport sort_padded(std::vector<T>& data, PlanKey::Kind kind, const Cfg& cfg,
-                         gpusim::GraphExec mode, Build&& build) {
+                         Build&& build) {
     SortReport report;
-    execute_padded(report, data, kind, cfg, mode, build, [&](const detail::Plan<T>& plan) {
+    execute_padded(report, data, kind, cfg, build, [&](const detail::Plan<T>& plan) {
       report.passes = plan.passes;
       unpack_sorted(plan, data);
     });
@@ -682,15 +670,13 @@ SortReport merge_sort_multiway_by_key(gpusim::Launcher& launcher, std::vector<K>
 /// Sorts every segment in place with 1 + 2·(max segment passes) kernels
 /// for the whole batch.  Zero-length segments are legal.
 /// `launcher.history()` is cleared and then holds every kernel in enqueue
-/// order.  `mode` selects the host execution policy only — reports are
-/// bit-identical for both modes and any worker count.
+/// order.  Reports are bit-identical for any worker count.
 template <typename T>
 SegmentedSortReport segmented_sort(gpusim::Launcher& launcher,
                                    std::vector<std::vector<T>>& segments,
-                                   const MergeConfig& cfg,
-                                   gpusim::GraphExec mode = gpusim::GraphExec::Overlap) {
+                                   const MergeConfig& cfg) {
   SortEngine engine(launcher);
-  return engine.segmented_sort(segments, cfg, mode);
+  return engine.segmented_sort(segments, cfg);
 }
 
 /// Merges as[i] with bs[i] into outs[i] for every i, in one partition

@@ -68,21 +68,21 @@ struct BatchLayout {
   }
 };
 
-/// Enqueues one flat merge pass onto `stream`: merges the pairs described
+/// Enqueues one flat merge pass into `graph`: merges the pairs described
 /// by tiles[t0, t0 + count) from `src` into `dst` with one batched_partition
 /// kernel (grid thread t resolves the co-rank of tile t0 + t's start
 /// diagonal into boundaries[t0 + t]) and one batched_merge kernel (block t
 /// merges tile t0 + t).  A pair's tiles must be consecutive.  Every buffer
 /// must stay alive (and un-moved) until the graph executed.
 template <typename T>
-void enqueue_flat_merge_pass(gpusim::Stream& stream, const std::vector<T>& src,
+void enqueue_flat_merge_pass(gpusim::KernelGraph& graph, const std::vector<T>& src,
                              std::vector<T>& dst, const std::vector<BatchTile>& tiles,
                              int t0, int count, std::vector<std::int64_t>& boundaries,
                              const MergeConfig& cfg) {
   assert(count > 0 && static_cast<std::size_t>(t0 + count) <= tiles.size() &&
          boundaries.size() >= tiles.size());
   const int pblocks = (count + cfg.u - 1) / cfg.u;
-  stream.enqueue(
+  graph.enqueue(
       "batched_partition",
       gpusim::LaunchShape{pblocks, cfg.u, 0, cost::kPartitionRegsPerThread},
       [&tiles, &src, &boundaries, t0, count](gpusim::BlockContext& ctx) {
@@ -115,7 +115,7 @@ void enqueue_flat_merge_pass(gpusim::Stream& stream, const std::vector<T>& src,
       });
 
   const std::int64_t tile = cfg.tile();
-  stream.enqueue(
+  graph.enqueue(
       "batched_merge",
       gpusim::LaunchShape{count, cfg.u, static_cast<std::size_t>(tile) * sizeof(T),
                           cfg.regs_per_thread()},

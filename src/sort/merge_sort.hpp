@@ -7,13 +7,10 @@
 // code paths with full tiles, and the reported element counts/throughputs
 // always refer to the unpadded n).
 //
-// The pipeline is *enqueued* onto a gpusim::Stream (one KernelGraph node
-// per kernel, chained in stream order) and executed with Launcher::run, so
-// the same enqueue helper serves both the standalone sort and
-// sort::segmented_sort, where many of these chains overlap in one graph.
-// For a single sort the chain is linear, every wavefront holds one kernel,
-// and the history/trace/counters are bit-identical to the old
-// launch-per-kernel cadence.
+// The pipeline is *enqueued* into a gpusim::KernelGraph (one kernel after
+// another, in enqueue order) and executed with Launcher::run; the
+// history/trace/counters are bit-identical to launching each kernel in
+// turn.  SortEngine caches the graph per shape and replays it.
 //
 // All kernels enqueued here write block-disjoint data (each block owns its
 // tile / partition slots), so the pipeline is safe under the Launcher's
@@ -40,11 +37,10 @@ struct SortReport {
   std::int64_t n_padded = 0;
   int passes = 0;                 ///< number of global merge passes
   double microseconds = 0.0;      ///< total simulated kernel time (serial sum)
-  /// Graph-overlap simulated time (Launcher::run makespan).  The sort is one
-  /// dependency chain, so this equals `microseconds` here; segmented_sort
-  /// reports a smaller makespan when independent chains overlap.
+  /// Kernel-chain time.  The kernels run one after another, so this always
+  /// equals `microseconds`; kept for the JSON report schema.
   double makespan_microseconds = 0.0;
-  int graph_levels = 0;           ///< dependency-chain length of the kernel graph
+  int graph_levels = 0;           ///< kernels in the chain
   gpusim::Counters totals;        ///< counters summed over all kernels
   gpusim::PhaseCounters phases;   ///< per-phase breakdown
   std::vector<gpusim::KernelReport> kernels;
@@ -64,14 +60,14 @@ struct SortReport {
 
 namespace detail {
 
-/// Enqueues the full sort pipeline for one padded buffer onto `stream`:
+/// Enqueues the full sort pipeline for one padded buffer into `graph`:
 /// block sort followed by the per-pass partition + merge chain.  `buf` must
 /// already hold the (sentinel-padded) input of `n_padded` elements; `tmp`
 /// and `boundaries` are resized here and must stay alive (and un-moved)
 /// until the graph executed.  Returns the buffer that holds the sorted
 /// result after execution and reports the pass count via `passes`.
 template <typename T>
-std::vector<T>* enqueue_sort_pipeline(gpusim::Stream& stream, std::vector<T>& buf,
+std::vector<T>* enqueue_sort_pipeline(gpusim::KernelGraph& graph, std::vector<T>& buf,
                                       std::vector<T>& tmp,
                                       std::vector<std::int64_t>& boundaries,
                                       std::int64_t n_padded, const MergeConfig& cfg,
@@ -83,14 +79,14 @@ std::vector<T>* enqueue_sort_pipeline(gpusim::Stream& stream, std::vector<T>& bu
   boundaries.assign(static_cast<std::size_t>(num_tiles) + 1, 0);
 
   // --- stage 1: block sort ------------------------------------------------
-  enqueue_block_sort(stream, buf, num_tiles, cfg.u, cfg.e, regs,
+  enqueue_block_sort(graph, buf, num_tiles, cfg.u, cfg.e, regs,
                      cfg.variant == Variant::CFMerge && cfg.cf_blocksort, cfg.certs);
 
   // --- stage 2: merge passes ----------------------------------------------
   // All passes are enqueued up front; each body captures the pass's source
   // and destination buffer pointers by value (they ping-pong per pass) and
-  // the shared `boundaries` scratch by reference — the in-stream dependency
-  // chain orders every reader after its writer.
+  // the shared `boundaries` scratch by reference — enqueue order runs every
+  // reader after its writer.
   std::vector<T>* src = &buf;
   std::vector<T>* dst = &tmp;
   passes = 0;
@@ -101,7 +97,7 @@ std::vector<T>* enqueue_sort_pipeline(gpusim::Stream& stream, std::vector<T>& bu
     const auto nb = static_cast<std::int64_t>(boundaries.size());
     const int pblocks = static_cast<int>((nb + cfg.u - 1) / cfg.u);
     gpusim::LaunchShape pshape{pblocks, cfg.u, 0, cost::kPartitionRegsPerThread};
-    stream.enqueue("merge_partition", pshape,
+    graph.enqueue("merge_partition", pshape,
                    [src, &boundaries, geom, tile](gpusim::BlockContext& ctx) {
                      merge_partition_body<T>(ctx, std::span<const T>(*src), geom, tile,
                                              std::span<std::int64_t>(boundaries));
@@ -109,7 +105,7 @@ std::vector<T>* enqueue_sort_pipeline(gpusim::Stream& stream, std::vector<T>& bu
 
     gpusim::LaunchShape mshape{num_tiles, cfg.u,
                                static_cast<std::size_t>(tile) * sizeof(T), regs};
-    stream.enqueue("merge_pass", mshape,
+    graph.enqueue("merge_pass", mshape,
                    [src, dst, &boundaries, geom, cfg](gpusim::BlockContext& ctx) {
                      merge_tile_body<T>(ctx, std::span<const T>(*src), std::span<T>(*dst),
                                         geom, cfg,

@@ -3,7 +3,7 @@
 //   block sort  ->  ceil(log_k(n / tile)) k-way passes (partition + merge)
 //
 // Identical scaffolding to the pairwise pipeline (merge_sort.hpp) — padded
-// input, stream-enqueued kernel chain, ping-pong buffers — but each global
+// input, graph-enqueued kernel chain, ping-pong buffers — but each global
 // pass consumes k runs at once, so the global memory traffic shrinks by a
 // factor of log2(k) while the in-shared work per tile grows by the same
 // factor (the CFCascade runs log2(k) pairwise stages per tile).  The
@@ -19,12 +19,12 @@
 
 namespace cfmerge::sort::detail {
 
-/// Enqueues the k-way sort pipeline for one padded buffer onto `stream`
+/// Enqueues the k-way sort pipeline for one padded buffer into `graph`
 /// (the multiway counterpart of enqueue_sort_pipeline).  `warp_size` fixes
 /// the CFCascade's static shared-memory capacity, which depends on w.
 /// Returns the buffer holding the sorted result after execution.
 template <typename T>
-std::vector<T>* enqueue_multiway_pipeline(gpusim::Stream& stream, std::vector<T>& buf,
+std::vector<T>* enqueue_multiway_pipeline(gpusim::KernelGraph& graph, std::vector<T>& buf,
                                           std::vector<T>& tmp,
                                           std::vector<std::int64_t>& boundaries,
                                           std::int64_t n_padded, const MultiwayConfig& cfg,
@@ -37,7 +37,7 @@ std::vector<T>* enqueue_multiway_pipeline(gpusim::Stream& stream, std::vector<T>
                     0);
 
   // --- stage 1: block sort (identical to the pairwise pipeline) -----------
-  enqueue_block_sort(stream, buf, num_tiles, cfg.u, cfg.e, regs, cfg.cf_blocksort, cfg.certs);
+  enqueue_block_sort(graph, buf, num_tiles, cfg.u, cfg.e, regs, cfg.cf_blocksort, cfg.certs);
 
   // --- stage 2: k-way merge passes -----------------------------------------
   const std::size_t mshared =
@@ -56,14 +56,14 @@ std::vector<T>* enqueue_multiway_pipeline(gpusim::Stream& stream, std::vector<T>
         static_cast<std::int64_t>(cfg.u / warp_size) * selections_per_warp(warp_size, cfg.k);
     const int pblocks = static_cast<int>((nb + rows_per_block - 1) / rows_per_block);
     gpusim::LaunchShape pshape{pblocks, cfg.u, 0, cost::kPartitionRegsPerThread};
-    stream.enqueue("multiway_partition", pshape,
+    graph.enqueue("multiway_partition", pshape,
                    [src, &boundaries, geom, tile](gpusim::BlockContext& ctx) {
                      multiway_partition_body<T>(ctx, std::span<const T>(*src), geom, tile,
                                                 std::span<std::int64_t>(boundaries));
                    });
 
     gpusim::LaunchShape mshape{num_tiles, cfg.u, mshared, regs};
-    stream.enqueue("multiway_merge", mshape,
+    graph.enqueue("multiway_merge", mshape,
                    [src, dst, &boundaries, geom, cfg](gpusim::BlockContext& ctx) {
                      multiway_tile_body<T>(ctx, std::span<const T>(*src), std::span<T>(*dst),
                                            geom, cfg,

@@ -142,7 +142,7 @@ template <typename T>
 
 /// Cache key: everything the kernel-graph structure depends on, in a form
 /// that is equal across processes.  Two calls with equal keys produce
-/// graphs with identical node names, shapes, dependency edges, and
+/// graphs with identical kernel names, shapes, enqueue order, and
 /// pass/tile decisions — only buffer *contents* differ, which is exactly
 /// what plan reuse rebinds.
 struct PlanKey {

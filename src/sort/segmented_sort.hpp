@@ -14,8 +14,7 @@
 // A segment of P merge passes takes part in rounds 0..P-1 and is left in
 // the ping-pong buffer its own pass parity put it in; an unpaired trailing
 // run is a pair with |B| = 0, as in merge_sort.  The batch therefore
-// launches 1 + 2·(max segment passes) kernels, one dependency chain, so
-// the graph makespan equals the serial kernel sum.
+// launches 1 + 2·(max segment passes) kernels, one after another.
 //
 // This header holds the report type and the pipeline enqueue; the entry
 // point is a thin wrapper over sort::SortEngine (engine.hpp, included at
@@ -46,8 +45,8 @@ struct SegmentedSortReport {
   std::int64_t elements = 0;   ///< total elements across segments
   /// Sum of all kernel times.
   double serial_microseconds = 0.0;
-  /// Graph makespan.  The kernels form one chain, so this equals the
-  /// serial sum.
+  /// Kernel-chain time: the kernels run one after another, so this
+  /// always equals the serial sum; kept for the JSON report schema.
   double makespan_microseconds = 0.0;
   int graph_levels = 0;        ///< 1 + 2 * (max segment passes), 0 when empty
   gpusim::Counters totals;
@@ -78,8 +77,8 @@ struct SegmentedSortReport {
 
 namespace detail {
 
-/// Enqueues the segmented pipeline for segments of the given lengths onto
-/// `stream`: sizes `buf` (all sentinels) and `tmp` to the concatenated
+/// Enqueues the segmented pipeline for segments of the given lengths into
+/// `graph`: sizes `buf` (all sentinels) and `tmp` to the concatenated
 /// tile-padded segments, records each segment's offset in `layout`, adds
 /// one block_sort over every tile and one flat merge pass per round, and
 /// returns the round count via `passes`.  The caller loads segment s at
@@ -87,7 +86,7 @@ namespace detail {
 /// the graph.  The segments must hold at least one element.  Every buffer
 /// must stay alive (and un-moved) until the graph executed.
 template <typename T>
-void enqueue_segmented_pipeline(gpusim::Stream& stream, const std::vector<std::int64_t>& lens,
+void enqueue_segmented_pipeline(gpusim::KernelGraph& graph, const std::vector<std::int64_t>& lens,
                                 std::vector<T>& buf, std::vector<T>& tmp, BatchLayout& layout,
                                 std::vector<std::int64_t>& boundaries, const MergeConfig& cfg,
                                 int& passes) {
@@ -123,13 +122,13 @@ void enqueue_segmented_pipeline(gpusim::Stream& stream, const std::vector<std::i
   round_t0.push_back(static_cast<int>(layout.tiles.size()));
   boundaries.assign(layout.tiles.size(), 0);
 
-  enqueue_block_sort(stream, buf, static_cast<int>(total / tile), cfg.u, cfg.e,
+  enqueue_block_sort(graph, buf, static_cast<int>(total / tile), cfg.u, cfg.e,
                      cfg.regs_per_thread(),
                      cfg.variant == Variant::CFMerge && cfg.cf_blocksort, cfg.certs);
   std::vector<T>* src = &buf;
   std::vector<T>* dst = &tmp;
   for (std::size_t p = 0; p + 1 < round_t0.size(); ++p) {
-    enqueue_flat_merge_pass(stream, *src, *dst, layout.tiles, round_t0[p],
+    enqueue_flat_merge_pass(graph, *src, *dst, layout.tiles, round_t0[p],
                             round_t0[p + 1] - round_t0[p], boundaries, cfg);
     std::swap(src, dst);
   }

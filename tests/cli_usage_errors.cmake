@@ -32,6 +32,12 @@ if(tool_name STREQUAL "cfsort")
   # Integer flags are parsed whole: a suffix is an error, not ignored.
   run_case("cfsort: --n: not an integer: '100k'" --n=100k)
   run_case("cfsort: --threads: not an integer: '4x'" --threads=4x)
+  # Counts that must be positive: 0 is an error, not "off".
+  run_case("cfsort: --segments: out of range: '0'" --segments=0)
+  run_case("cfsort: --tune: out of range: '0'" --tune=0)
+  run_case("cfsort: --tune: out of range: '-5'" --tune=-5)
+  # The kernel graph has one execution policy; its switch is an unknown argument.
+  run_case("cfsort: unknown argument: --serial-graph" --serial-graph)
 elseif(tool_name STREQUAL "cfverify")
   run_case("cfverify: --w: not an integer: 'abc'" --w=abc --e=4)
   run_case("cfverify: --w: not an integer: '8x'" --w=8x --e=4)

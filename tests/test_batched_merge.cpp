@@ -1,7 +1,7 @@
 // Tests of the batched pairwise merge API: outputs against std::merge,
 // the flat launch shape (two kernels per batch, one merge block per output
 // tile), zero CF merge conflicts, and bit-identical reports across worker
-// counts and graph execution modes, including empty lists and pairs.
+// counts, including empty lists and pairs.
 #include "sort/batched_merge.hpp"
 
 #include <gtest/gtest.h>
@@ -170,12 +170,12 @@ TEST(BatchedMerge, AllEmptyPairsLaunchNothing) {
   EXPECT_EQ(outs, std::vector<std::vector<int>>(3));
 }
 
-using BatchedParam = std::tuple<int, gpusim::GraphExec, Variant>;
+using BatchedParam = std::tuple<int, Variant>;
 
 class BatchedEdgeCases : public ::testing::TestWithParam<BatchedParam> {};
 
 TEST_P(BatchedEdgeCases, EmptyListsMatchStdMergeAndReportsAreIdentical) {
-  const auto [threads, mode, variant] = GetParam();
+  const auto [threads, variant] = GetParam();
   MergeConfig cfg;
   cfg.e = 6;  // non-coprime with w = 8
   cfg.u = 16;
@@ -190,16 +190,16 @@ TEST_P(BatchedEdgeCases, EmptyListsMatchStdMergeAndReportsAreIdentical) {
     bs.push_back(sorted_random(rng, nb, 50));
   }
 
-  const auto run = [&](int t, gpusim::GraphExec m, std::vector<std::vector<int>>& outs) {
+  const auto run = [&](int t, std::vector<std::vector<int>>& outs) {
     gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(8));
     launcher.set_threads(t);
     SortEngine engine(launcher);
-    return engine.batched_merge(as, bs, outs, cfg, m);
+    return engine.batched_merge(as, bs, outs, cfg);
   };
   std::vector<std::vector<int>> ref_outs;
-  const auto ref = run(1, gpusim::GraphExec::Serial, ref_outs);
+  const auto ref = run(1, ref_outs);
   std::vector<std::vector<int>> outs;
-  const auto got = run(threads, mode, outs);
+  const auto got = run(threads, outs);
 
   ASSERT_EQ(outs.size(), as.size());
   for (std::size_t p = 0; p < as.size(); ++p)
@@ -220,13 +220,10 @@ TEST_P(BatchedEdgeCases, EmptyListsMatchStdMergeAndReportsAreIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ThreadsModesVariants, BatchedEdgeCases,
+    ThreadsVariants, BatchedEdgeCases,
     ::testing::Combine(::testing::Values(1, 2, 4),
-                       ::testing::Values(gpusim::GraphExec::Serial,
-                                         gpusim::GraphExec::Overlap),
                        ::testing::Values(Variant::Baseline, Variant::CFMerge)),
     [](const ::testing::TestParamInfo<BatchedParam>& info) {
-      return std::string(std::get<2>(info.param) == Variant::Baseline ? "base" : "cf") + "_" +
-             (std::get<1>(info.param) == gpusim::GraphExec::Serial ? "serial" : "overlap") +
+      return std::string(std::get<1>(info.param) == Variant::Baseline ? "base" : "cf") +
              "_t" + std::to_string(std::get<0>(info.param));
     });

@@ -4,7 +4,7 @@
 // cf_permute / cf_transpose kernels — randomized round-trip oracle
 // (forward then inverse is the identity), zero bank conflicts in every
 // permute/transpose phase for w in {4, 8, 16, 32, 64}, and bit-identical
-// reports across worker counts and both GraphExec modes.
+// reports across worker counts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -41,17 +41,15 @@ struct RunResult {
 };
 
 RunResult run_op(gpusim::Launcher& launcher, const std::vector<std::int32_t>& in,
-                 const cfprims::PermuteConfig& cfg,
-                 gpusim::GraphExec mode = gpusim::GraphExec::Overlap) {
+                 const cfprims::PermuteConfig& cfg) {
   cfprims::validate_permute_config(launcher.device(), cfg);
   const auto n = static_cast<std::int64_t>(in.size());
   EXPECT_EQ(n % cfg.tile(), 0);
   std::vector<std::int32_t> buf = in;
   std::vector<std::int32_t> out(in.size());
   gpusim::KernelGraph graph;
-  gpusim::Stream stream = graph.stream();
-  cfprims::enqueue_permute_pipeline(stream, buf, out, n, cfg);
-  const gpusim::GraphReport g = launcher.run(graph, mode);
+  cfprims::enqueue_permute_pipeline(graph, buf, out, n, cfg);
+  const gpusim::GraphReport g = launcher.run(graph);
   EXPECT_EQ(g.kernels.size(), 1u);
   return RunResult{std::move(out), g.kernels.front()};
 }
@@ -276,7 +274,7 @@ TEST(CfprimsEngine, TransposeKeyedSeparatelyFromPermute) {
   EXPECT_EQ(engine.stats().plan_misses, 2u);  // distinct kinds, distinct plans
 }
 
-TEST(CfprimsPermute, ReportsBitIdenticalAcrossThreadsAndModes) {
+TEST(CfprimsPermute, ReportsBitIdenticalAcrossThreads) {
   for (const cfprims::PermuteOp op :
        {cfprims::PermuteOp::kPermute, cfprims::PermuteOp::kTranspose}) {
     cfprims::PermuteConfig cfg;
@@ -288,14 +286,12 @@ TEST(CfprimsPermute, ReportsBitIdenticalAcrossThreadsAndModes) {
     gpusim::Launcher ref_launcher(gpusim::DeviceSpec::tiny(8, 2));
     const RunResult ref = run_op(ref_launcher, in, cfg);
     for (int threads : {1, 2, 4}) {
-      for (const auto mode : {gpusim::GraphExec::Serial, gpusim::GraphExec::Overlap}) {
-        gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(8, 2));
-        launcher.set_threads(threads);
-        const RunResult got = run_op(launcher, in, cfg, mode);
-        EXPECT_EQ(got.out, ref.out);
-        EXPECT_EQ(got.report.counters.phases(), ref.report.counters.phases());
-        EXPECT_EQ(got.report.timing.microseconds, ref.report.timing.microseconds);
-      }
+      gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(8, 2));
+      launcher.set_threads(threads);
+      const RunResult got = run_op(launcher, in, cfg);
+      EXPECT_EQ(got.out, ref.out);
+      EXPECT_EQ(got.report.counters.phases(), ref.report.counters.phases());
+      EXPECT_EQ(got.report.timing.microseconds, ref.report.timing.microseconds);
     }
   }
 }

@@ -67,9 +67,7 @@ TEST(Fuzz, RandomConfigurationsSortCorrectly) {
                  " n=" + std::to_string(f.n) +
                  (f.cfg.variant == sort::Variant::CFMerge ? " cf" : " base") +
                  (f.cfg.cf_blocksort ? " cfbsort" : ""));
-    gpusim::DeviceSpec dev = gpusim::DeviceSpec::tiny(f.w, f.sms);
-    if (rng() % 3 == 0) dev.l2_bytes = 64 * 1024;  // occasionally exercise the L2
-    gpusim::Launcher launcher(dev);
+    gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(f.w, f.sms));
 
     std::vector<int> data(static_cast<std::size_t>(f.n));
     // Mixed value regimes: full range, tiny range (duplicates), sorted-ish.

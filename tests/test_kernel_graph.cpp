@@ -1,7 +1,7 @@
-// Tests of the Stream/KernelGraph executor: graph construction rules,
-// wavefront levels, the timing-overlap model, the determinism contract
-// (bit-identical history/trace/counters vs. launch-by-launch execution for
-// every worker count and both execution modes), and exception safety.
+// Tests of the KernelGraph executor: graph construction rules, enqueue-order
+// execution, the summed report time, the determinism contract (bit-identical
+// history/trace/counters vs. launch-by-launch execution for every worker
+// count), and exception safety.
 #include "gpusim/kernel_graph.hpp"
 
 #include <gtest/gtest.h>
@@ -50,39 +50,13 @@ void expect_report_eq(const KernelReport& a, const KernelReport& b) {
 
 }  // namespace
 
-TEST(KernelGraph, RejectsEmptyGridNullBodyAndForwardDeps) {
+TEST(KernelGraph, RejectsEmptyGridAndNullBody) {
   KernelGraph g;
-  EXPECT_THROW(g.add("empty", LaunchShape{0, 8, 0, 8}, [](BlockContext&) {}),
+  EXPECT_THROW(g.enqueue("empty", LaunchShape{0, 8, 0, 8}, [](BlockContext&) {}),
                std::invalid_argument);
-  EXPECT_THROW(g.add("null", LaunchShape{1, 8, 0, 8}, KernelBody{}),
+  EXPECT_THROW(g.enqueue("null", LaunchShape{1, 8, 0, 8}, KernelBody{}),
                std::invalid_argument);
-  const NodeId a = g.add("a", LaunchShape{1, 8, 0, 8}, [](BlockContext&) {});
-  EXPECT_THROW(g.add("bad-dep", LaunchShape{1, 8, 0, 8}, [](BlockContext&) {}, {a + 1}),
-               std::invalid_argument);
-  EXPECT_THROW(g.add("neg-dep", LaunchShape{1, 8, 0, 8}, [](BlockContext&) {}, {-1}),
-               std::invalid_argument);
-}
-
-TEST(KernelGraph, StreamChainsAndLevels) {
-  KernelGraph g;
-  Stream s1 = g.stream();
-  Stream s2 = g.stream();
-  EXPECT_EQ(s1.last(), kNoNode);
-  const auto body = [](BlockContext&) {};
-  const NodeId a = s1.enqueue("a", LaunchShape{1, 8, 0, 8}, body);
-  const NodeId b = s1.enqueue("b", LaunchShape{1, 8, 0, 8}, body);
-  const NodeId c = s2.enqueue("c", LaunchShape{1, 8, 0, 8}, body);
-  // d joins both streams (cross-stream edge).
-  Stream s3 = g.stream();
-  const NodeId d = s3.enqueue("d", LaunchShape{1, 8, 0, 8}, body, {b, c});
-  EXPECT_EQ(s1.last(), b);
-  EXPECT_EQ(g.nodes()[static_cast<std::size_t>(b)].deps, std::vector<NodeId>{a});
-  EXPECT_TRUE(g.nodes()[static_cast<std::size_t>(c)].deps.empty());
-  const std::vector<int> levels = g.levels();
-  EXPECT_EQ(levels[static_cast<std::size_t>(a)], 0);
-  EXPECT_EQ(levels[static_cast<std::size_t>(b)], 1);
-  EXPECT_EQ(levels[static_cast<std::size_t>(c)], 0);
-  EXPECT_EQ(levels[static_cast<std::size_t>(d)], 2);
+  EXPECT_TRUE(g.empty());
 }
 
 TEST(KernelGraph, EmptyGraphRunsToEmptyReport) {
@@ -90,41 +64,36 @@ TEST(KernelGraph, EmptyGraphRunsToEmptyReport) {
   KernelGraph g;
   const GraphReport r = launcher.run(g);
   EXPECT_TRUE(r.kernels.empty());
-  EXPECT_EQ(r.levels, 0);
-  EXPECT_EQ(r.serial_microseconds, 0.0);
+  EXPECT_EQ(r.microseconds, 0.0);
   EXPECT_TRUE(launcher.history().empty());
 }
 
-TEST(KernelGraph, DependentKernelsObserveWriterResults) {
-  // writer fills a buffer, reader (dependent) checks every slot — under
-  // Overlap mode with several workers this only holds if the edge is
-  // honoured.
+TEST(KernelGraph, LaterKernelsObserveEarlierResults) {
+  // writer fills a buffer, reader (enqueued after it) checks every slot —
+  // with several workers this only holds if kernels run in enqueue order.
   for (const int threads : {1, 4}) {
     Launcher launcher(DeviceSpec::tiny(8));
     launcher.set_threads(threads);
     std::vector<int> cells(64, 0);
     std::atomic<bool> reader_saw_all{true};
     KernelGraph g;
-    const NodeId w = g.add("writer", LaunchShape{64, 8, 0, 8}, [&](BlockContext& ctx) {
+    g.enqueue("writer", LaunchShape{64, 8, 0, 8}, [&](BlockContext& ctx) {
       cells[static_cast<std::size_t>(ctx.block_id())] = ctx.block_id() + 1;
     });
-    g.add(
-        "reader", LaunchShape{64, 8, 0, 8},
-        [&](BlockContext& ctx) {
-          if (cells[static_cast<std::size_t>(ctx.block_id())] != ctx.block_id() + 1)
-            reader_saw_all = false;
-        },
-        {w});
-    launcher.run(g, GraphExec::Overlap);
+    g.enqueue("reader", LaunchShape{64, 8, 0, 8}, [&](BlockContext& ctx) {
+      if (cells[static_cast<std::size_t>(ctx.block_id())] != ctx.block_id() + 1)
+        reader_saw_all = false;
+    });
+    launcher.run(g);
     EXPECT_TRUE(reader_saw_all.load()) << "threads=" << threads;
   }
 }
 
-TEST(KernelGraph, AuditedKernelsOfOneWavefrontRunOneAtATime) {
+TEST(KernelGraph, AuditedKernelsRunOneAtATime) {
   // An auditor keys its shadow state by block id, which repeats across
-  // kernels: with one attached, Overlap mode runs the independent kernels of
-  // a wavefront one after another (each kernel's blocks still share the
-  // pool), or the shadow state of two kernels' block 0 would mix.
+  // kernels: the kernels of a graph run one after another (each kernel's
+  // blocks still share the pool), or the shadow state of two kernels'
+  // block 0 would mix.
   Launcher launcher(DeviceSpec::tiny(8));
   launcher.set_threads(4);
   verify::ShadowChecker checker;
@@ -133,7 +102,7 @@ TEST(KernelGraph, AuditedKernelsOfOneWavefrontRunOneAtATime) {
   std::atomic<bool> overlapped{false};
   KernelGraph g;
   for (const int k : {0, 1}) {
-    g.add("k" + std::to_string(k), LaunchShape{32, 8, 0, 8}, [&, k](BlockContext&) {
+    g.enqueue("k" + std::to_string(k), LaunchShape{32, 8, 0, 8}, [&, k](BlockContext&) {
       ++active[static_cast<std::size_t>(k)];
       if (active[static_cast<std::size_t>(1 - k)] > 0) overlapped = true;
       std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -141,23 +110,22 @@ TEST(KernelGraph, AuditedKernelsOfOneWavefrontRunOneAtATime) {
       --active[static_cast<std::size_t>(k)];
     });
   }
-  launcher.run(g, GraphExec::Overlap);
+  launcher.run(g);
   EXPECT_FALSE(overlapped.load());
 }
 
 TEST(KernelGraph, HistoryMatchesLaunchByLaunchBitIdentically) {
-  // The same three kernels through (a) launch calls, (b) Serial graph,
-  // (c) Overlap graph at several worker counts: identical reports.
-  auto build_and_run = [](Launcher& launcher, bool use_graph, GraphExec mode) {
+  // The same three kernels through (a) launch calls and (b) a graph at
+  // several worker counts: identical reports.
+  auto build_and_run = [](Launcher& launcher, bool use_graph) {
     std::vector<int> d1(24, 0), d2(12, 0), d3(24, 0);
     const LaunchShape s1{24, 8, 64, 8}, s2{12, 8, 0, 8}, s3{24, 8, 128, 8};
     if (use_graph) {
       KernelGraph g;
-      Stream st = g.stream();
-      st.enqueue("k1", s1, counting_body(d1, 3));
-      st.enqueue("k2", s2, counting_body(d2, 7));
-      st.enqueue("k3", s3, counting_body(d3, 1));
-      launcher.run(g, mode);
+      g.enqueue("k1", s1, counting_body(d1, 3));
+      g.enqueue("k2", s2, counting_body(d2, 7));
+      g.enqueue("k3", s3, counting_body(d3, 1));
+      launcher.run(g);
     } else {
       launcher.launch("k1", s1, counting_body(d1, 3));
       launcher.launch("k2", s2, counting_body(d2, 7));
@@ -167,19 +135,16 @@ TEST(KernelGraph, HistoryMatchesLaunchByLaunchBitIdentically) {
 
   Launcher ref(DeviceSpec::tiny(8));
   ref.set_threads(1);
-  build_and_run(ref, /*use_graph=*/false, GraphExec::Serial);
+  build_and_run(ref, /*use_graph=*/false);
 
-  for (const GraphExec mode : {GraphExec::Serial, GraphExec::Overlap}) {
-    for (const int threads : {1, 2, 4}) {
-      Launcher launcher(DeviceSpec::tiny(8));
-      launcher.set_threads(threads);
-      build_and_run(launcher, /*use_graph=*/true, mode);
-      SCOPED_TRACE((mode == GraphExec::Serial ? "serial" : "overlap") +
-                   std::string(" threads=") + std::to_string(threads));
-      ASSERT_EQ(launcher.history().size(), ref.history().size());
-      for (std::size_t i = 0; i < ref.history().size(); ++i)
-        expect_report_eq(launcher.history()[i], ref.history()[i]);
-    }
+  for (const int threads : {1, 2, 4}) {
+    Launcher launcher(DeviceSpec::tiny(8));
+    launcher.set_threads(threads);
+    build_and_run(launcher, /*use_graph=*/true);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ASSERT_EQ(launcher.history().size(), ref.history().size());
+    for (std::size_t i = 0; i < ref.history().size(); ++i)
+      expect_report_eq(launcher.history()[i], ref.history()[i]);
   }
 }
 
@@ -190,9 +155,9 @@ TEST(KernelGraph, TraceStreamIdenticalToLaunchByLaunch) {
     const LaunchShape s{8, 8, 0, 8};
     if (use_graph) {
       KernelGraph g;
-      const NodeId a = g.add("a", s, counting_body(d1, 2));
-      g.add("b", s, counting_body(d2, 2), {a});
-      launcher.run(g, GraphExec::Overlap);
+      g.enqueue("a", s, counting_body(d1, 2));
+      g.enqueue("b", s, counting_body(d2, 2));
+      launcher.run(g);
     } else {
       launcher.launch("a", s, counting_body(d1, 2));
       launcher.launch("b", s, counting_body(d2, 2));
@@ -218,57 +183,18 @@ TEST(KernelGraph, TraceStreamIdenticalToLaunchByLaunch) {
   }
 }
 
-TEST(KernelGraph, MakespanChainEqualsSerialIndependentOverlap) {
+TEST(KernelGraph, ReportTimeIsTheSumOfKernelTimes) {
   Launcher launcher(DeviceSpec::tiny(8));
-  std::vector<int> d1(16, 0), d2(16, 0), d3(16, 0);
+  std::vector<int> d1(16, 0), d2(16, 0);
   const LaunchShape s{16, 8, 0, 8};
-
-  // Chain: makespan == serial sum.
-  {
-    KernelGraph g;
-    Stream st = g.stream();
-    st.enqueue("a", s, counting_body(d1, 2));
-    st.enqueue("b", s, counting_body(d2, 2));
-    const GraphReport r = launcher.run(g);
-    EXPECT_DOUBLE_EQ(r.makespan_microseconds, r.serial_microseconds);
-    EXPECT_EQ(r.levels, 2);
-    EXPECT_DOUBLE_EQ(r.overlap_speedup(), 1.0);
-  }
-  // Independent nodes: makespan == max kernel, strictly below the sum.
-  {
-    KernelGraph g;
-    g.add("a", s, counting_body(d1, 2));
-    g.add("b", s, counting_body(d2, 9));
-    g.add("c", s, counting_body(d3, 2));
-    const GraphReport r = launcher.run(g);
-    EXPECT_EQ(r.levels, 1);
-    double max_us = 0.0, sum_us = 0.0;
-    for (const auto& k : r.kernels) {
-      max_us = std::max(max_us, k.timing.microseconds);
-      sum_us += k.timing.microseconds;
-    }
-    EXPECT_DOUBLE_EQ(r.makespan_microseconds, max_us);
-    EXPECT_DOUBLE_EQ(r.serial_microseconds, sum_us);
-    EXPECT_LT(r.makespan_microseconds, r.serial_microseconds);
-    EXPECT_GT(r.overlap_speedup(), 1.0);
-  }
-  // Diamond: a -> {b, c} -> d; finish(d) = us(a) + max(us(b), us(c)) + us(d).
-  {
-    KernelGraph g;
-    const NodeId a = g.add("a", s, counting_body(d1, 1));
-    const NodeId b = g.add("b", s, counting_body(d2, 5), {a});
-    const NodeId c = g.add("c", s, counting_body(d3, 2), {a});
-    const NodeId d = g.add("d", s, counting_body(d1, 1), {b, c});
-    const GraphReport r = launcher.run(g);
-    EXPECT_EQ(r.levels, 3);
-    const auto us = [&](NodeId i) {
-      return r.kernels[static_cast<std::size_t>(i)].timing.microseconds;
-    };
-    EXPECT_DOUBLE_EQ(r.finish_microseconds[static_cast<std::size_t>(d)],
-                     us(a) + std::max(us(b), us(c)) + us(d));
-    EXPECT_DOUBLE_EQ(r.makespan_microseconds,
-                     r.finish_microseconds[static_cast<std::size_t>(d)]);
-  }
+  KernelGraph g;
+  g.enqueue("a", s, counting_body(d1, 2));
+  g.enqueue("b", s, counting_body(d2, 9));
+  const GraphReport r = launcher.run(g);
+  ASSERT_EQ(r.kernels.size(), 2u);
+  EXPECT_DOUBLE_EQ(r.microseconds,
+                   r.kernels[0].timing.microseconds + r.kernels[1].timing.microseconds);
+  EXPECT_DOUBLE_EQ(r.microseconds, launcher.total_microseconds());
 }
 
 TEST(KernelGraph, RunIsConstAndReplayable) {
@@ -278,9 +204,8 @@ TEST(KernelGraph, RunIsConstAndReplayable) {
   Launcher launcher(DeviceSpec::tiny(8));
   std::vector<int> d1(16, 0), d2(16, 0);
   KernelGraph g;
-  Stream st = g.stream();
-  st.enqueue("a", LaunchShape{16, 8, 64, 8}, counting_body(d1, 3));
-  st.enqueue("b", LaunchShape{16, 8, 64, 8}, counting_body(d2, 2));
+  g.enqueue("a", LaunchShape{16, 8, 64, 8}, counting_body(d1, 3));
+  g.enqueue("b", LaunchShape{16, 8, 64, 8}, counting_body(d2, 2));
 
   launcher.clear_history();
   launcher.run(g);
@@ -302,13 +227,10 @@ TEST(KernelGraph, ThrowingNodeLeavesLauncherUntouched) {
     launcher.set_trace(&sink);
     std::vector<int> d1(8, 0);
     KernelGraph g;
-    const NodeId a = g.add("ok", LaunchShape{8, 8, 0, 8}, counting_body(d1, 1));
-    g.add(
-        "faulty", LaunchShape{8, 8, 0, 8},
-        [](BlockContext& ctx) {
-          if (ctx.block_id() == 3) throw std::runtime_error("injected fault");
-        },
-        {a});
+    g.enqueue("ok", LaunchShape{8, 8, 0, 8}, counting_body(d1, 1));
+    g.enqueue("faulty", LaunchShape{8, 8, 0, 8}, [](BlockContext& ctx) {
+      if (ctx.block_id() == 3) throw std::runtime_error("injected fault");
+    });
     EXPECT_THROW(launcher.run(g), std::runtime_error);
     EXPECT_TRUE(launcher.history().empty()) << "threads=" << threads;
     EXPECT_EQ(sink.size(), 0u) << "threads=" << threads;
@@ -406,7 +328,7 @@ TEST_P(GraphSortBitIdentity, GraphHistoryMatchesPreRefactorPath) {
   ASSERT_EQ(launcher.history().size(), ref.history().size());
   for (std::size_t k = 0; k < ref.history().size(); ++k)
     expect_report_eq(launcher.history()[k], ref.history()[k]);
-  // The sort is one chain, so the new makespan field degenerates to the sum.
+  // The sort is one chain, so the makespan field is the sum.
   EXPECT_DOUBLE_EQ(r.makespan_microseconds, r.microseconds);
   EXPECT_EQ(r.graph_levels, 1 + 2 * r.passes);
 }

@@ -258,32 +258,6 @@ TEST(LauncherParallel, TraceSinkIdenticalUnderParallelism) {
   EXPECT_EQ(ref_csv.str(), par_csv.str());
 }
 
-TEST(LauncherParallel, L2ForcesSequentialFallbackDeterministically) {
-  DeviceSpec dev = DeviceSpec::tiny(8);
-  dev.l2_bytes = 4096;  // enables the order-sensitive shared cache
-  auto body = [](BlockContext& ctx) {
-    std::vector<std::int64_t> addrs(static_cast<std::size_t>(ctx.lanes()));
-    for (int rep = 0; rep < 3; ++rep)  // re-touch the same lines across blocks
-      for (int warp = 0; warp < ctx.warps(); ++warp) {
-        for (int l = 0; l < ctx.lanes(); ++l)
-          addrs[static_cast<std::size_t>(l)] = (warp * ctx.lanes() + l) * 4;
-        ctx.charge_gmem(warp, addrs, 4);
-      }
-  };
-  const LaunchShape shape{6, 16, 0, 16};
-  Launcher seq(dev);
-  seq.set_threads(1);
-  const KernelReport ref = seq.launch("l2", shape, body);
-  ASSERT_GT(ref.total().l2_hits, 0u);
-
-  Launcher par(dev);
-  par.set_threads(4);  // must fall back to sequential while L2 is enabled
-  const KernelReport r = par.launch("l2", shape, body);
-  expect_bit_identical(ref, r);
-  EXPECT_EQ(par.l2()->hits(), seq.l2()->hits());
-  EXPECT_EQ(par.l2()->misses(), seq.l2()->misses());
-}
-
 TEST(LauncherParallel, ThrowingKernelLeavesLauncherIntact) {
   Launcher launcher(DeviceSpec::tiny(8));
   launcher.set_threads(4);
@@ -431,19 +405,18 @@ TEST(LauncherParallel, SimThreadsEnvironmentIsParsedStrictly) {
 
 // ---------------------------------------------------------------------------
 // The persistent worker pool: one set of helper threads per launcher, reused
-// by every parallel wavefront, with the calling thread draining items too.
+// by every parallel kernel, with the calling thread draining blocks too.
 // No test here starts more than 7 threads.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// A three-node graph: two independent kernels in one wavefront, then a
-/// kernel depending on both.
+/// A three-kernel graph of different grid sizes.
 KernelGraph mixed_graph() {
   KernelGraph g;
-  const NodeId a = g.add("a", LaunchShape{9, 16, 0, 16}, mixed_traffic_body);
-  const NodeId b = g.add("b", LaunchShape{5, 16, 0, 16}, mixed_traffic_body);
-  g.add("c", LaunchShape{13, 16, 0, 16}, mixed_traffic_body, {a, b});
+  g.enqueue("a", LaunchShape{9, 16, 0, 16}, mixed_traffic_body);
+  g.enqueue("b", LaunchShape{5, 16, 0, 16}, mixed_traffic_body);
+  g.enqueue("c", LaunchShape{13, 16, 0, 16}, mixed_traffic_body);
   return g;
 }
 
@@ -451,10 +424,7 @@ void expect_graph_bit_identical(const GraphReport& a, const GraphReport& b) {
   ASSERT_EQ(a.kernels.size(), b.kernels.size());
   for (std::size_t i = 0; i < a.kernels.size(); ++i)
     expect_bit_identical(a.kernels[i], b.kernels[i]);
-  EXPECT_EQ(a.finish_microseconds, b.finish_microseconds);
-  EXPECT_EQ(a.serial_microseconds, b.serial_microseconds);
-  EXPECT_EQ(a.makespan_microseconds, b.makespan_microseconds);
-  EXPECT_EQ(a.levels, b.levels);
+  EXPECT_EQ(a.microseconds, b.microseconds);
 }
 
 /// Records which host threads ran blocks.
@@ -514,8 +484,7 @@ TEST(LauncherPool, OneLauncherReusedAcrossThreadCountsIsBitIdentical) {
     pooled.set_threads(threads);
     SCOPED_TRACE("round " + std::to_string(round) + ", threads=" + std::to_string(threads));
     expect_bit_identical(ref_launch, pooled.launch("mixed", shape, mixed_traffic_body));
-    const GraphExec mode = round % 2 == 0 ? GraphExec::Overlap : GraphExec::Serial;
-    expect_graph_bit_identical(ref_graph, pooled.run(graph, mode));
+    expect_graph_bit_identical(ref_graph, pooled.run(graph));
   }
   EXPECT_EQ(pooled.history().size(), 24u * 4u);
 }
@@ -533,9 +502,9 @@ TEST(LauncherPool, ThrowingRunThenCleanRunsOnTheSamePool) {
   launcher.clear_history();
 
   KernelGraph faulty;
-  faulty.add("ok", LaunchShape{6, 8, 0, 8},
-             [](BlockContext& ctx) { ctx.charge_compute(0, 1); });
-  faulty.add("bad", LaunchShape{16, 8, 0, 8}, [](BlockContext& ctx) {
+  faulty.enqueue("ok", LaunchShape{6, 8, 0, 8},
+                 [](BlockContext& ctx) { ctx.charge_compute(0, 1); });
+  faulty.enqueue("bad", LaunchShape{16, 8, 0, 8}, [](BlockContext& ctx) {
     ctx.charge_compute(0, 1);
     if (ctx.block_id() % 4 == 3)
       throw std::runtime_error("block " + std::to_string(ctx.block_id()));
@@ -614,7 +583,7 @@ TEST(LauncherPool, KernelBodyRunningItsOwnLauncherIsRejected) {
     launcher.set_threads(threads);
     const LaunchShape shape{8, 8, 0, 8};
     KernelGraph inner;
-    inner.add("inner", shape, [](BlockContext&) {});
+    inner.enqueue("inner", shape, [](BlockContext&) {});
 
     // Every block, on the caller or on a helper, gets the error.
     std::atomic<int> rejected{0};

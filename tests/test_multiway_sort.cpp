@@ -1,6 +1,6 @@
 // End-to-end tests of the k-way multiway mergesort: std::sort oracle over
 // both merge variants, pass-count arithmetic, key-value payloads, and
-// bit-identical replay across host worker counts and graph-execution modes.
+// bit-identical replay across host worker counts.
 // The k-way selection (partition kernel, LoserTree thread co-ranks) is
 // checked against the mergepath::multiway_path host oracle, and its
 // simulated cost against the 2-way partition.
@@ -22,7 +22,6 @@ using namespace cfmerge;
 using namespace cfmerge::sort;
 using gpusim::BlockContext;
 using gpusim::DeviceSpec;
-using gpusim::GraphExec;
 using gpusim::Launcher;
 
 namespace {
@@ -209,7 +208,7 @@ TEST(MultiwaySort, KeyValuePayloadsFollowTheirKeys) {
   }
 }
 
-TEST(MultiwaySort, BitIdenticalAcrossThreadCountsAndExecModes) {
+TEST(MultiwaySort, BitIdenticalAcrossThreadCounts) {
   std::mt19937_64 rng(55);
   const std::vector<int> input = rand_vec(rng, 16 * 5 * 16 + 7);
 
@@ -224,27 +223,24 @@ TEST(MultiwaySort, BitIdenticalAcrossThreadCountsAndExecModes) {
   const SortReport ref = ref_engine.sort_multiway(ref_data, cfg);
   EXPECT_TRUE(std::is_sorted(ref_data.begin(), ref_data.end()));
 
-  for (const GraphExec mode : {GraphExec::Serial, GraphExec::Overlap}) {
-    for (const int threads : {1, 2, 4}) {
-      SCOPED_TRACE((mode == GraphExec::Serial ? "serial" : "overlap") +
-                   std::string(" threads=") + std::to_string(threads));
-      Launcher launcher(DeviceSpec::tiny(8));
-      launcher.set_threads(threads);
-      SortEngine engine(launcher);
-      auto cold = input;
-      const SortReport cold_rep = engine.sort_multiway(cold, cfg, mode);
-      auto warm = input;
-      const SortReport warm_rep = engine.sort_multiway(warm, cfg, mode);  // replay
-      EXPECT_EQ(engine.stats().plan_hits, 1u);
-      EXPECT_EQ(cold, ref_data);
-      EXPECT_EQ(warm, ref_data);
-      for (const SortReport* rep : {&cold_rep, &warm_rep}) {
-        EXPECT_EQ(rep->passes, ref.passes);
-        EXPECT_EQ(rep->totals.bank_conflicts, ref.totals.bank_conflicts);
-        EXPECT_EQ(rep->totals.shared_accesses, ref.totals.shared_accesses);
-        EXPECT_EQ(rep->totals.warp_instructions, ref.totals.warp_instructions);
-        EXPECT_DOUBLE_EQ(rep->microseconds, ref.microseconds);
-      }
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Launcher launcher(DeviceSpec::tiny(8));
+    launcher.set_threads(threads);
+    SortEngine engine(launcher);
+    auto cold = input;
+    const SortReport cold_rep = engine.sort_multiway(cold, cfg);
+    auto warm = input;
+    const SortReport warm_rep = engine.sort_multiway(warm, cfg);  // replay
+    EXPECT_EQ(engine.stats().plan_hits, 1u);
+    EXPECT_EQ(cold, ref_data);
+    EXPECT_EQ(warm, ref_data);
+    for (const SortReport* rep : {&cold_rep, &warm_rep}) {
+      EXPECT_EQ(rep->passes, ref.passes);
+      EXPECT_EQ(rep->totals.bank_conflicts, ref.totals.bank_conflicts);
+      EXPECT_EQ(rep->totals.shared_accesses, ref.totals.shared_accesses);
+      EXPECT_EQ(rep->totals.warp_instructions, ref.totals.warp_instructions);
+      EXPECT_DOUBLE_EQ(rep->microseconds, ref.microseconds);
     }
   }
 }

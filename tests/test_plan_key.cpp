@@ -72,6 +72,15 @@ TEST(DeviceDigest, IgnoresNameAndHostSideFields) {
   EXPECT_EQ(base.digest(), host_tuned.digest());
 }
 
+TEST(DeviceDigest, PinnedForThePresetDevices) {
+  // The digest keys every persisted plan and autotune entry: a changed value
+  // orphans every cache on disk, so the presets' digests are pinned.
+  EXPECT_EQ(gpusim::DeviceSpec::rtx2080ti().digest(), 0x1674a853ea38489fULL);
+  EXPECT_EQ(gpusim::DeviceSpec::scaled_turing(68).digest(), 0x1674a853ea38489fULL);
+  EXPECT_EQ(gpusim::DeviceSpec::scaled_turing(4).digest(), 0x54499612a23bda2aULL);
+  EXPECT_EQ(gpusim::DeviceSpec::tiny(8).digest(), 0xba55db4564cfddc1ULL);
+}
+
 TEST(DeviceDigest, ChangesWithEveryPlanningField) {
   const gpusim::DeviceSpec base = gpusim::DeviceSpec::rtx2080ti();
   std::set<std::uint64_t> digests = {base.digest()};
@@ -103,11 +112,6 @@ TEST(DeviceDigest, ChangesWithEveryPlanningField) {
     auto d = base;
     d.shared_latency = 30;
     expect_new(d, "shared_latency");
-  }
-  {
-    auto d = base;
-    d.l2_bytes = 4 << 20;
-    expect_new(d, "l2_bytes");
   }
   {
     auto d = base;

@@ -1,8 +1,7 @@
 // Tests of sort::segmented_sort: edge-case segment shapes, the flat launch
 // shape (1 + 2 * (max segment passes) kernels for the whole batch, one
 // chain), outputs against std::stable_sort with zero CF merge conflicts,
-// and bit-identical reports across worker counts and both graph execution
-// modes.
+// and bit-identical reports across worker counts.
 #include "sort/segmented_sort.hpp"
 
 #include <gtest/gtest.h>
@@ -133,14 +132,12 @@ TEST(SegmentedSort, EightSegmentsRunAsOneFlatChain) {
   EXPECT_DOUBLE_EQ(report.serial_microseconds, launcher.total_microseconds());
 }
 
-using SegmentedParam = std::tuple<int, gpusim::GraphExec, Variant>;
+using SegmentedParam = std::tuple<int, Variant>;
 
 std::string segmented_param_name(const ::testing::TestParamInfo<SegmentedParam>& info) {
   const int threads = std::get<0>(info.param);
-  const gpusim::GraphExec mode = std::get<1>(info.param);
-  const Variant variant = std::get<2>(info.param);
-  return std::string(variant == Variant::Baseline ? "base" : "cf") + "_" +
-         (mode == gpusim::GraphExec::Serial ? "serial" : "overlap") + "_t" +
+  const Variant variant = std::get<1>(info.param);
+  return std::string(variant == Variant::Baseline ? "base" : "cf") + "_t" +
          std::to_string(threads);
 }
 
@@ -161,14 +158,14 @@ std::vector<std::vector<int>> edge_segments() {
 }
 
 TEST_P(SegmentedSortBitIdentity, EverySegmentMatchesStableSort) {
-  const auto [threads, mode, variant] = GetParam();
+  const auto [threads, variant] = GetParam();
   const MergeConfig cfg = small_cfg(variant);
   std::vector<std::vector<int>> segments = edge_segments();
   const std::vector<std::vector<int>> input = segments;
 
   gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(8));
   launcher.set_threads(threads);
-  const auto report = segmented_sort(launcher, segments, cfg, mode);
+  const auto report = segmented_sort(launcher, segments, cfg);
 
   int max_passes = 0;
   for (std::size_t s = 0; s < input.size(); ++s) {
@@ -184,10 +181,10 @@ TEST_P(SegmentedSortBitIdentity, EverySegmentMatchesStableSort) {
   EXPECT_EQ(max_passes, 5);  // 2500 elements = 32 tiles of 80
   ASSERT_EQ(report.kernels.size(), static_cast<std::size_t>(1 + 2 * max_passes));
 
-  // The report is bit-identical to a one-worker serial run.
+  // The report is bit-identical to a one-worker run.
   gpusim::Launcher ref_launcher(gpusim::DeviceSpec::tiny(8));
   std::vector<std::vector<int>> ref_segments = input;
-  const auto ref = segmented_sort(ref_launcher, ref_segments, cfg, gpusim::GraphExec::Serial);
+  const auto ref = segmented_sort(ref_launcher, ref_segments, cfg);
   EXPECT_EQ(report.totals, ref.totals);
   EXPECT_EQ(report.phases, ref.phases);
   ASSERT_EQ(report.kernels.size(), ref.kernels.size());
@@ -196,11 +193,11 @@ TEST_P(SegmentedSortBitIdentity, EverySegmentMatchesStableSort) {
 }
 
 TEST_P(SegmentedSortBitIdentity, CFMergeHasNoMergeConflicts) {
-  const auto [threads, mode, variant] = GetParam();
+  const auto [threads, variant] = GetParam();
   std::vector<std::vector<int>> segments = edge_segments();
   gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(8));
   launcher.set_threads(threads);
-  const auto report = segmented_sort(launcher, segments, small_cfg(variant), mode);
+  const auto report = segmented_sort(launcher, segments, small_cfg(variant));
   if (variant == Variant::CFMerge) {
     EXPECT_EQ(report.merge_conflicts(), 0u);
   } else {
@@ -209,40 +206,36 @@ TEST_P(SegmentedSortBitIdentity, CFMergeHasNoMergeConflicts) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ThreadsModesVariants, SegmentedSortBitIdentity,
+    ThreadsVariants, SegmentedSortBitIdentity,
     ::testing::Combine(::testing::Values(1, 2, 4),
-                       ::testing::Values(gpusim::GraphExec::Serial,
-                                         gpusim::GraphExec::Overlap),
                        ::testing::Values(Variant::Baseline, Variant::CFMerge)),
     segmented_param_name);
 
-TEST(SegmentedSort, ReportsIdenticalAcrossModesAndThreads) {
-  // The full report (not just outputs) is bit-identical for any execution
-  // policy; only host wall-clock may differ.
+TEST(SegmentedSort, ReportsIdenticalAcrossThreads) {
+  // The full report (not just outputs) is bit-identical for any worker
+  // count; only host wall-clock may differ.
   std::mt19937_64 rng(14);
   std::vector<std::vector<int>> base;
   for (int s = 0; s < 5; ++s)
     base.push_back(random_ints(rng, 150 + static_cast<std::size_t>(rng() % 400)));
 
-  auto run = [&](int threads, gpusim::GraphExec mode) {
+  auto run = [&](int threads) {
     gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(8));
     launcher.set_threads(threads);
     std::vector<std::vector<int>> segments = base;
-    return segmented_sort(launcher, segments, small_cfg(), mode);
+    return segmented_sort(launcher, segments, small_cfg());
   };
-  const auto ref = run(1, gpusim::GraphExec::Serial);
+  const auto ref = run(1);
   for (const int threads : {1, 2, 4}) {
-    for (const auto mode : {gpusim::GraphExec::Serial, gpusim::GraphExec::Overlap}) {
-      const auto got = run(threads, mode);
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      EXPECT_EQ(got.totals, ref.totals);
-      EXPECT_EQ(got.phases, ref.phases);
-      EXPECT_DOUBLE_EQ(got.serial_microseconds, ref.serial_microseconds);
-      EXPECT_DOUBLE_EQ(got.makespan_microseconds, ref.makespan_microseconds);
-      ASSERT_EQ(got.kernels.size(), ref.kernels.size());
-      for (std::size_t k = 0; k < ref.kernels.size(); ++k)
-        expect_report_eq(got.kernels[k], ref.kernels[k]);
-    }
+    const auto got = run(threads);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_EQ(got.totals, ref.totals);
+    EXPECT_EQ(got.phases, ref.phases);
+    EXPECT_DOUBLE_EQ(got.serial_microseconds, ref.serial_microseconds);
+    EXPECT_DOUBLE_EQ(got.makespan_microseconds, ref.makespan_microseconds);
+    ASSERT_EQ(got.kernels.size(), ref.kernels.size());
+    for (std::size_t k = 0; k < ref.kernels.size(); ++k)
+      expect_report_eq(got.kernels[k], ref.kernels[k]);
   }
 }
 

@@ -1,8 +1,8 @@
 // Tests of the SortEngine plan/execute split: plan-cache hit/miss/eviction
 // accounting, cache semantics (instances, not flyweights), scratch-arena
 // reuse, and the core acceptance property — engine-routed sorts produce
-// reports bit-identical to a cold run for every worker count and both
-// GraphExec modes, on the first call and on cached-plan replay.
+// reports bit-identical to a cold run for every worker count, on the first
+// call and on cached-plan replay.
 #include "sort/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -114,9 +114,9 @@ Batch sorted_batch(std::uint64_t seed) {
   return batch;
 }
 
-/// Replay contract of one plan kind.  `call(engine, io, mode)` runs `io`
+/// Replay contract of one plan kind.  `call(engine, io)` runs `io`
 /// through the engine (leaving the output in it) and returns the report.
-/// For every mode and worker count, one engine runs `a` cold, replays `a`,
+/// For every worker count, one engine runs `a` cold, replays `a`,
 /// then replays `b` (same plan key); each result must equal a cold
 /// single-threaded call on a fresh engine, output and report alike.
 template <typename Input, typename Call>
@@ -126,28 +126,25 @@ void expect_replay_matches_cold(const Input& a, const Input& b, Call&& call) {
     launcher.set_threads(1);
     sort::SortEngine engine(launcher);
     Input io = input;
-    auto report = call(engine, io, GraphExec::Overlap);
+    auto report = call(engine, io);
     return std::make_pair(io, report);
   };
   const auto ref_a = fresh(a);
   const auto ref_b = fresh(b);
 
-  for (const GraphExec mode : {GraphExec::Serial, GraphExec::Overlap}) {
-    for (const int threads : {1, 2, 4}) {
-      SCOPED_TRACE((mode == GraphExec::Serial ? "serial" : "overlap") +
-                   std::string(" threads=") + std::to_string(threads));
-      Launcher launcher(DeviceSpec::tiny(8));
-      launcher.set_threads(threads);
-      sort::SortEngine engine(launcher);
-      for (const auto* ref : {&ref_a, &ref_a, &ref_b}) {
-        Input io = ref == &ref_b ? b : a;
-        const auto report = call(engine, io, mode);
-        EXPECT_EQ(io, ref->first);
-        expect_reports_eq(report, ref->second);
-      }
-      EXPECT_EQ(engine.stats().plan_misses, 1u);
-      EXPECT_EQ(engine.stats().plan_hits, 2u);
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Launcher launcher(DeviceSpec::tiny(8));
+    launcher.set_threads(threads);
+    sort::SortEngine engine(launcher);
+    for (const auto* ref : {&ref_a, &ref_a, &ref_b}) {
+      Input io = ref == &ref_b ? b : a;
+      const auto report = call(engine, io);
+      EXPECT_EQ(io, ref->first);
+      expect_reports_eq(report, ref->second);
     }
+    EXPECT_EQ(engine.stats().plan_misses, 1u);
+    EXPECT_EQ(engine.stats().plan_hits, 2u);
   }
 }
 
@@ -239,7 +236,7 @@ TEST(SortEngine, ClearPlansAndDisabledCacheForceRebuilds) {
   EXPECT_EQ(es.plan_hits, 0u);
 }
 
-TEST(SortEngine, ReplayBitIdenticalToColdForEveryModeAndWorkerCount) {
+TEST(SortEngine, ReplayBitIdenticalToColdForEveryWorkerCount) {
   // Every plan kind replays its first input, then a different, shorter
   // input of the same padded length, whose tail the previous run left
   // holding stale intermediate data.  A batched key fixes every (|A|, |B|),
@@ -248,8 +245,8 @@ TEST(SortEngine, ReplayBitIdenticalToColdForEveryModeAndWorkerCount) {
   const auto b = random_vec(16 * 5 * 3 + 1, 12);
   {
     SCOPED_TRACE("sort");
-    expect_replay_matches_cold(a, b, [](sort::SortEngine& e, std::vector<int>& d,
-                                        GraphExec mode) { return e.sort(d, tiny_cfg(), mode); });
+    expect_replay_matches_cold(
+        a, b, [](sort::SortEngine& e, std::vector<int>& d) { return e.sort(d, tiny_cfg()); });
   }
   for (const sort::MultiwayVariant v :
        {sort::MultiwayVariant::CFCascade, sort::MultiwayVariant::LoserTree}) {
@@ -259,8 +256,8 @@ TEST(SortEngine, ReplayBitIdenticalToColdForEveryModeAndWorkerCount) {
     cfg.u = 16;
     cfg.k = 4;
     cfg.variant = v;
-    expect_replay_matches_cold(a, b, [&](sort::SortEngine& e, std::vector<int>& d,
-                                         GraphExec mode) { return e.sort_multiway(d, cfg, mode); });
+    expect_replay_matches_cold(
+        a, b, [&](sort::SortEngine& e, std::vector<int>& d) { return e.sort_multiway(d, cfg); });
   }
   for (const cfprims::PermuteOp op : {cfprims::PermuteOp::kPermute, cfprims::PermuteOp::kTranspose}) {
     SCOPED_TRACE(op == cfprims::PermuteOp::kPermute ? "permute" : "transpose");
@@ -268,20 +265,20 @@ TEST(SortEngine, ReplayBitIdenticalToColdForEveryModeAndWorkerCount) {
     cfg.op = op;
     cfg.e = 5;
     cfg.u = 16;
-    expect_replay_matches_cold(a, b, [&](sort::SortEngine& e, std::vector<int>& d,
-                                         GraphExec mode) { return e.permute(d, cfg, mode); });
+    expect_replay_matches_cold(
+        a, b, [&](sort::SortEngine& e, std::vector<int>& d) { return e.permute(d, cfg); });
   }
   {
     SCOPED_TRACE("batched");
     expect_replay_matches_cold(sorted_batch(20), sorted_batch(60),
-                               [](sort::SortEngine& e, Batch& batch, GraphExec mode) {
+                               [](sort::SortEngine& e, Batch& batch) {
                                  return e.batched_merge(batch.as, batch.bs, batch.outs,
-                                                        tiny_cfg(), mode);
+                                                        tiny_cfg());
                                });
   }
 }
 
-TEST(SortEngine, SegmentedReplayBitIdenticalAcrossModesAndThreads) {
+TEST(SortEngine, SegmentedReplayBitIdenticalAcrossThreads) {
   const auto cfg = tiny_cfg();
   std::vector<std::vector<int>> proto = {random_vec(16 * 5 * 2, 12),
                                          random_vec(37, 13),
@@ -295,22 +292,19 @@ TEST(SortEngine, SegmentedReplayBitIdenticalAcrossModesAndThreads) {
   auto ref_batch = proto;
   const sort::SegmentedSortReport ref = ref_engine.segmented_sort(ref_batch, cfg);
 
-  for (const GraphExec mode : {GraphExec::Serial, GraphExec::Overlap}) {
-    for (const int threads : {1, 2, 4}) {
-      SCOPED_TRACE((mode == GraphExec::Serial ? "serial" : "overlap") +
-                   std::string(" threads=") + std::to_string(threads));
-      Launcher launcher(DeviceSpec::tiny(8));
-      launcher.set_threads(threads);
-      sort::SortEngine engine(launcher);
-      auto cold = proto;
-      const auto cold_rep = engine.segmented_sort(cold, cfg, mode);
-      auto warm = proto;
-      const auto warm_rep = engine.segmented_sort(warm, cfg, mode);
-      EXPECT_EQ(cold, ref_batch);
-      EXPECT_EQ(warm, ref_batch);
-      expect_reports_eq(cold_rep, ref);
-      expect_reports_eq(warm_rep, ref);
-    }
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Launcher launcher(DeviceSpec::tiny(8));
+    launcher.set_threads(threads);
+    sort::SortEngine engine(launcher);
+    auto cold = proto;
+    const auto cold_rep = engine.segmented_sort(cold, cfg);
+    auto warm = proto;
+    const auto warm_rep = engine.segmented_sort(warm, cfg);
+    EXPECT_EQ(cold, ref_batch);
+    EXPECT_EQ(warm, ref_batch);
+    expect_reports_eq(cold_rep, ref);
+    expect_reports_eq(warm_rep, ref);
   }
 }
 
@@ -398,22 +392,19 @@ TEST(SortEngine, BatchedReplayBitIdenticalAndShapeKeyed) {
     EXPECT_EQ(ref_outs[p], expect);
   }
 
-  for (const GraphExec mode : {GraphExec::Serial, GraphExec::Overlap}) {
-    for (const int threads : {1, 2, 4}) {
-      SCOPED_TRACE((mode == GraphExec::Serial ? "serial" : "overlap") +
-                   std::string(" threads=") + std::to_string(threads));
-      Launcher launcher(DeviceSpec::tiny(8));
-      launcher.set_threads(threads);
-      sort::SortEngine engine(launcher);
-      std::vector<std::vector<int>> outs;
-      const auto cold_rep = engine.batched_merge(as, bs, outs, cfg, mode);
-      EXPECT_EQ(outs, ref_outs);
-      const auto warm_rep = engine.batched_merge(as, bs, outs, cfg, mode);
-      EXPECT_EQ(outs, ref_outs);
-      EXPECT_EQ(engine.stats().plan_hits, 1u);
-      expect_reports_eq(cold_rep, ref);
-      expect_reports_eq(warm_rep, ref);
-    }
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Launcher launcher(DeviceSpec::tiny(8));
+    launcher.set_threads(threads);
+    sort::SortEngine engine(launcher);
+    std::vector<std::vector<int>> outs;
+    const auto cold_rep = engine.batched_merge(as, bs, outs, cfg);
+    EXPECT_EQ(outs, ref_outs);
+    const auto warm_rep = engine.batched_merge(as, bs, outs, cfg);
+    EXPECT_EQ(outs, ref_outs);
+    EXPECT_EQ(engine.stats().plan_hits, 1u);
+    expect_reports_eq(cold_rep, ref);
+    expect_reports_eq(warm_rep, ref);
   }
 
   // A different batch shape is a different key: no false hit.

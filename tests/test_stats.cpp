@@ -25,8 +25,6 @@ TEST(Counters, AdditionIsFieldwise) {
   a.gmem_requests = 5;
   a.gmem_transactions = 6;
   a.gmem_bytes = 7;
-  a.l2_hits = 8;
-  a.l2_misses = 9;
   a.barriers = 10;
   const Counters b = a;
   const Counters s = a + b;
@@ -37,8 +35,6 @@ TEST(Counters, AdditionIsFieldwise) {
   EXPECT_EQ(s.gmem_requests, 10u);
   EXPECT_EQ(s.gmem_transactions, 12u);
   EXPECT_EQ(s.gmem_bytes, 14u);
-  EXPECT_EQ(s.l2_hits, 16u);
-  EXPECT_EQ(s.l2_misses, 18u);
   EXPECT_EQ(s.barriers, 20u);
 }
 

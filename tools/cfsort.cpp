@@ -28,9 +28,6 @@
 //                                                 (deterministic in --seed) and sort
 //                                                 them with flat launches (one block
 //                                                 sort, one partition + merge per round)
-//     --serial-graph                              run the kernel graph serially (timing
-//                                                 reports are identical; host wall-clock
-//                                                 only)
 //     --repeat=<count>                            run the sort <count> times on fresh
 //                                                 copies of the input and print min and
 //                                                 median host wall-clock to stderr
@@ -81,8 +78,8 @@
 // Exit status: 0 on success; 1 on a failed self-check (unsorted output,
 // shadow violation, unwritable trace); 2 on a usage error — an unknown or
 // malformed flag, or a configuration the sorters reject (E or u out of
-// range, a block that does not fit on an SM, a negative --n), reported as
-// "cfsort: <message>".
+// range, a block that does not fit on an SM, a negative --n, a --segments
+// or --tune count below 1), reported as "cfsort: <message>".
 //
 // Examples:
 //   cfsort --algo=baseline --dist=worst-case --n=491520 --profile
@@ -132,7 +129,6 @@ struct Options {
   bool no_plan_cache = false;
   bool no_bulk_charge = false;
   std::string audit;  // "" = off, "full", "certified-skip"
-  bool serial_graph = false;
   bool json = false;
   bool profile = false;
   bool cf_blocksort = false;
@@ -147,7 +143,7 @@ struct Options {
                "              [--dist=NAME] [--n=N] [--e=E] [--u=U]\n"
                "              [--k=K] [--multiway=cascade|losertree]\n"
                "              [--device=rtx2080ti|turing:SMS|tiny:W,SMS]\n"
-               "              [--seed=S] [--threads=T] [--segments=N] [--serial-graph]\n"
+               "              [--seed=S] [--threads=T] [--segments=N]\n"
                "              [--repeat=N] [--no-plan-cache] [--no-bulk-charge]\n"
                "              [--audit[=full|certified-skip]]\n"
                "              [--plan-cache-dir=PATH] [--plan-cache-clear] [--tune[=K]]\n"
@@ -180,18 +176,17 @@ Options parse(int argc, char** argv) {
       o.seed = parse_int<std::uint64_t>(v, "--seed");
     else if (auto v = val("--threads"); !v.empty()) o.threads = parse_int<int>(v, "--threads");
     else if (auto v = val("--segments"); !v.empty())
-      o.segments = parse_int<int>(v, "--segments");
+      o.segments = parse_int<int>(v, "--segments", 1);
     else if (auto v = val("--repeat"); !v.empty()) o.repeat = parse_int<int>(v, "--repeat");
     else if (auto v = val("--trace"); !v.empty()) o.trace_path = v;
     else if (auto v = val("--plan-cache-dir"); !v.empty()) o.plan_cache_dir = v;
     else if (a == "--plan-cache-clear") o.plan_cache_clear = true;
     else if (a == "--tune") o.tune = 3;
-    else if (auto v = val("--tune"); !v.empty()) o.tune = parse_int<int>(v, "--tune");
+    else if (auto v = val("--tune"); !v.empty()) o.tune = parse_int<int>(v, "--tune", 1);
     else if (a == "--no-plan-cache") o.no_plan_cache = true;
     else if (a == "--no-bulk-charge") o.no_bulk_charge = true;
     else if (a == "--audit") o.audit = "full";
     else if (auto v = val("--audit"); !v.empty()) o.audit = v;
-    else if (a == "--serial-graph") o.serial_graph = true;
     else if (a == "--json") o.json = true;
     else if (a == "--profile") o.profile = true;
     else if (a == "--cf-blocksort") o.cf_blocksort = true;
@@ -327,7 +322,6 @@ int run(int argc, char** argv) {
 
   std::vector<std::int32_t> data = workloads::generate(spec);
 
-  if (o.segments < 0) usage("--segments must be positive");
   if (o.segments > 0 && o.algo != "cf" && o.algo != "baseline")
     usage("--segments requires --algo=cf or --algo=baseline");
   if (o.repeat < 1) usage("--repeat must be >= 1");
@@ -438,19 +432,17 @@ int run(int argc, char** argv) {
                                  : cfprims::PermuteOp::kPermute;
     cfg.e = o.e;
     cfg.u = o.u;
-    const auto mode =
-        o.serial_graph ? gpusim::GraphExec::Serial : gpusim::GraphExec::Overlap;
     const std::vector<std::int32_t> original = data;
     const auto report = repeat_wall([&](std::vector<std::int32_t>& work) {
       work.resize(original.size());  // undo the previous repeat's padding
       cfprims::PermuteConfig fwd = cfg;
       fwd.inverse = false;
-      return engine.permute(work, fwd, mode);
+      return engine.permute(work, fwd);
     });
     // Round-trip: the inverse op must restore the original array exactly.
     cfprims::PermuteConfig inv = cfg;
     inv.inverse = true;
-    engine.permute(data, inv, mode);
+    engine.permute(data, inv);
     data.resize(original.size());
     if (data != original) {
       std::fprintf(stderr, "cfsort: ROUND-TRIP NOT IDENTITY (bug)\n");
@@ -494,12 +486,10 @@ int run(int argc, char** argv) {
     cfg.u = o.u;
     cfg.variant = o.algo == "cf" ? sort::Variant::CFMerge : sort::Variant::Baseline;
     cfg.cf_blocksort = o.cf_blocksort;
-    const auto mode =
-        o.serial_graph ? gpusim::GraphExec::Serial : gpusim::GraphExec::Overlap;
     std::vector<std::vector<std::int32_t>> segments;
     const auto report = repeat_wall([&](std::vector<std::int32_t>& work) {
       segments = split_segments(work, o.segments, o.seed);
-      return engine.segmented_sort(segments, cfg, mode);
+      return engine.segmented_sort(segments, cfg);
     });
     print_engine_stats();
     for (const auto& seg : segments) {
@@ -523,10 +513,8 @@ int run(int argc, char** argv) {
     cfg.variant = o.multiway == "cascade" ? sort::MultiwayVariant::CFCascade
                                           : sort::MultiwayVariant::LoserTree;
     cfg.cf_blocksort = o.cf_blocksort;
-    const auto mode =
-        o.serial_graph ? gpusim::GraphExec::Serial : gpusim::GraphExec::Overlap;
     const auto report = repeat_wall([&](std::vector<std::int32_t>& work) {
-      return engine.sort_multiway(work, cfg, mode);
+      return engine.sort_multiway(work, cfg);
     });
     print_engine_stats();
     if (!std::is_sorted(data.begin(), data.end())) {
