@@ -3,11 +3,13 @@
 // Mirrors Thrust's blocksort stage: load the tile coalesced into shared
 // memory, sort E elements per thread in registers (odd-even transposition),
 // then log2(u) rounds of intra-block pair merging via merge path + the
-// per-thread sequential shared-memory merge.  The stage is *identical* for
-// the baseline and CF-Merge (the paper's modification is confined to the
-// pairwise-merge kernels, and for its software parameters E is coprime with
-// w, so the stride-E register loads/stores here are conflict-free by the
-// classic heuristic).
+// per-thread sequential shared-memory merge.  A round at run length r is
+// one pair_split_search over the tile's tile / 2r list pairs of (r, r), the
+// same split search the merge window runs on its one pair.  The stage is
+// *identical* for the baseline and CF-Merge (the paper's modification is
+// confined to the pairwise-merge kernels, and for its software parameters
+// E is coprime with w, so the stride-E register loads/stores here are
+// conflict-free by the classic heuristic).
 //
 // Extension (not in the paper): `cf_rounds = true` applies the dual
 // subsequence gather inside the later block-sort rounds too — those whose
@@ -18,7 +20,6 @@
 // overhead-versus-conflicts tension the paper's Section 2 discusses.
 #pragma once
 
-#include <array>
 #include <bit>
 #include <functional>
 #include <memory>
@@ -83,30 +84,10 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
   for (std::int64_t run = e; run < tile; run *= 2) {
     ctx.phase("bsort.search");
     const FastDiv div_pair(2 * run);
-    std::vector<ThreadSplit> splits(static_cast<std::size_t>(u));
-    // Lane w is the next warp's first thread (one past the tile for the
-    // last warp); warp_split_search reads its start as lane w-1's end.
-    std::array<LanePair, gpusim::kMaxLanes + 1> pairs;
-    std::array<std::int64_t, gpusim::kMaxLanes + 1> pbase;
-    const auto pos_a = [&pbase](int lane, std::int64_t x) {
-      return pbase[static_cast<std::size_t>(lane)] + x;
-    };
-    const auto pos_b = [&pbase, run](int lane, std::int64_t y) {
-      return pbase[static_cast<std::size_t>(lane)] + run + y;
-    };
-    for (int warp = 0; warp < ctx.warps(); ++warp) {
-      for (int lane = 0; lane <= w; ++lane) {
-        const std::int64_t out0 = static_cast<std::int64_t>(warp * w + lane) * e;
-        const std::int64_t pair_base = div_pair(out0) * (2 * run);
-        pbase[static_cast<std::size_t>(lane)] = pair_base;
-        pairs[static_cast<std::size_t>(lane)] = {run, run, out0 - pair_base};
-      }
-      warp_split_search(ctx, warp, shmem,
-                        std::span<const LanePair>(pairs.data(), static_cast<std::size_t>(w) + 1),
-                        pos_a, pos_b, cmp,
-                        std::span<ThreadSplit>(splits).subspan(
-                            static_cast<std::size_t>(warp * w), static_cast<std::size_t>(w)));
-    }
+    const std::vector<ThreadSplit> splits = pair_split_search(
+        ctx, shmem, tile / (2 * run), run, run, ctx.warps(), cfprims::same_warp,
+        [](std::int64_t pair_base, std::int64_t x) { return pair_base + x; },
+        [run](std::int64_t pair_base, std::int64_t y) { return pair_base + run + y; }, cmp);
 
     ctx.phase("bsort.merge");
     const std::int64_t threads_per_pair = 2 * run / e;

@@ -10,8 +10,11 @@
 //                          |B_i|); decided on uncharged reads, charged as
 //                          the device's start and end probe rows (each
 //                          round's pair costed in one pass).
-//  * pair_split_search   — warp_split_search over every warp of one list
-//                          pair whose threads start at diagonals i*E.
+//  * pair_split_search   — warp_split_search over every warp of P equal
+//                          list pairs laid out back to back, thread i
+//                          starting at offset i*E (the merge window and a
+//                          cascade stage: P = 1; a block-sort round: P =
+//                          tile / 2·run).
 //  * warp_network_sort   — the register-network step: the odd-even network
 //                          on each thread's E registers, charged per warp.
 //  * cf_merge_pair       — the CF merge of one list pair (paper §5): the
@@ -248,27 +251,47 @@ void warp_split_search(gpusim::BlockContext& ctx, int warp, gpusim::SharedTile<T
   }
 }
 
-/// Merge-path splits of the vwarps*w threads of one list pair (na, nb),
-/// thread i starting at diagonal i*E with E = (na + nb) / (vwarps*w).
-/// Virtual warp vw searches on physical warp warp_of(vw); pos_a(x) /
-/// pos_b(y) translate list offsets to physical shared positions.
+/// Merge-path splits of the vwarps*w threads of `npairs` equal list pairs
+/// (na, nb) laid out back to back: thread i starts at offset i*E of the
+/// concatenation, E = npairs*(na + nb) / (vwarps*w), and every pair starts
+/// on a thread boundary.  Virtual warp vw searches on physical warp
+/// warp_of(vw); pos_a(pair_base, x) / pos_b(pair_base, y) translate offsets
+/// of the pair starting at offset pair_base to physical shared positions.
+/// The merge window and a cascade stage are one pair; a block-sort round at
+/// run length r is tile / 2r pairs of (r, r).
 template <typename T, typename WarpOf, typename PosA, typename PosB, typename Cmp>
 std::vector<ThreadSplit> pair_split_search(gpusim::BlockContext& ctx,
-                                           gpusim::SharedTile<T>& shmem, std::int64_t na,
-                                           std::int64_t nb, int vwarps, WarpOf&& warp_of,
-                                           PosA&& pos_a, PosB&& pos_b, Cmp cmp) {
+                                           gpusim::SharedTile<T>& shmem, std::int64_t npairs,
+                                           std::int64_t na, std::int64_t nb, int vwarps,
+                                           WarpOf&& warp_of, PosA&& pos_a, PosB&& pos_b,
+                                           Cmp cmp) {
   const int w = ctx.lanes();
   const auto threads = static_cast<std::size_t>(vwarps) * static_cast<std::size_t>(w);
-  assert(threads > 0 && (na + nb) % static_cast<std::int64_t>(threads) == 0);
-  const std::int64_t e = (na + nb) / static_cast<std::int64_t>(threads);
-  const auto lane_a = [&](int, std::int64_t x) { return pos_a(x); };
-  const auto lane_b = [&](int, std::int64_t y) { return pos_b(y); };
+  const std::int64_t pair_len = na + nb;
+  assert(threads > 0 && npairs > 0 &&
+         npairs * pair_len % static_cast<std::int64_t>(threads) == 0);
+  const std::int64_t e = npairs * pair_len / static_cast<std::int64_t>(threads);
+  assert(pair_len % e == 0);
+  const FastDiv div_pair(pair_len);
+  // Lane w is the next warp's first thread (one past the last pair for the
+  // last warp, where it starts a new pair: warp_split_search then ends lane
+  // w-1 at its own pair end).
+  std::array<std::int64_t, gpusim::kMaxLanes + 1> pbase;
+  const auto lane_a = [&](int lane, std::int64_t x) {
+    return pos_a(pbase[static_cast<std::size_t>(lane)], x);
+  };
+  const auto lane_b = [&](int lane, std::int64_t y) {
+    return pos_b(pbase[static_cast<std::size_t>(lane)], y);
+  };
   std::vector<ThreadSplit> splits(threads);
   std::array<LanePair, gpusim::kMaxLanes + 1> pairs;
   for (int vw = 0; vw < vwarps; ++vw) {
-    for (int lane = 0; lane <= w; ++lane)
-      pairs[static_cast<std::size_t>(lane)] = {na, nb,
-                                               static_cast<std::int64_t>(vw * w + lane) * e};
+    for (int lane = 0; lane <= w; ++lane) {
+      const std::int64_t out0 = static_cast<std::int64_t>(vw * w + lane) * e;
+      const auto l = static_cast<std::size_t>(lane);
+      pbase[l] = div_pair(out0) * pair_len;
+      pairs[l] = {na, nb, out0 - pbase[l]};
+    }
     warp_split_search(ctx, warp_of(vw), shmem,
                       std::span<const LanePair>(pairs.data(), static_cast<std::size_t>(w) + 1),
                       lane_a, lane_b, cmp,

@@ -283,9 +283,9 @@ void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T
   // Per-thread merge-path search in shared memory.
   ctx.phase("merge.search");
   const std::vector<ThreadSplit> splits = pair_split_search(
-      ctx, shmem, la, lb, ctx.warps(), cfprims::same_warp,
-      [&](std::int64_t x) { return layout.pos_a(x); },
-      [&](std::int64_t y) { return layout.pos_b(y); }, cmp);
+      ctx, shmem, /*npairs=*/1, la, lb, ctx.warps(), cfprims::same_warp,
+      [&](std::int64_t, std::int64_t x) { return layout.pos_a(x); },
+      [&](std::int64_t, std::int64_t y) { return layout.pos_b(y); }, cmp);
 
   // Per-thread merge.
   ctx.phase("merge.merge");

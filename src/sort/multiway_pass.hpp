@@ -397,9 +397,9 @@ void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalVi
       // Per-virtual-thread merge-path splits within the pair.
       ctx.phase("merge.search");
       const std::vector<ThreadSplit> splits = pair_split_search(
-          ctx, shmem, pr.la, pr.lb, vwarps, pair_warp,
-          [&](std::int64_t x) { return rb + pr.pos_a(x); },
-          [&](std::int64_t y) { return rb + pr.pos_b(y); }, cmp);
+          ctx, shmem, /*npairs=*/1, pr.la, pr.lb, vwarps, pair_warp,
+          [&](std::int64_t, std::int64_t x) { return rb + pr.pos_a(x); },
+          [&](std::int64_t, std::int64_t y) { return rb + pr.pos_b(y); }, cmp);
 
       // Dual subsequence gather + register network (the proven 2-way core).
       // Each pair is an instance of the proven 2-way schedule at a constant

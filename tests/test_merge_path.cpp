@@ -464,3 +464,79 @@ TEST(WarpSplitSearch, NeedsNoMonotonePredicate) {
     }
   }
 }
+
+namespace {
+
+/// sort::pair_split_search over the sh.u threads of a tile cut into equal
+/// list pairs of sh.pair_len (A first, then B), each pair at its own base.
+SearchRun run_pair_split_search(const SearchShape& sh, const std::vector<int>& tile) {
+  SearchRun run;
+  RowRecorder rec;
+  gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(sh.w));
+  launcher.set_audit(&rec);
+  launcher.launch(
+      "split_search", gpusim::LaunchShape{1, sh.u, 0, 32}, [&](gpusim::BlockContext& ctx) {
+        gpusim::SharedTile<int> shmem(ctx, tile.size());
+        std::copy(tile.begin(), tile.end(), shmem.raw().begin());
+        const std::int64_t na = sh.pair_la;
+        run.splits = sort::pair_split_search(
+            ctx, shmem, static_cast<std::int64_t>(tile.size()) / sh.pair_len, na,
+            sh.pair_len - na, ctx.warps(), cfmerge::cfprims::same_warp,
+            [](std::int64_t base, std::int64_t x) { return base + x; },
+            [na](std::int64_t base, std::int64_t y) { return base + na + y; }, std::less<int>{});
+        run.chains = ctx.warp_chains();
+      });
+  run.counters = launcher.total_counters();
+  run.rows = std::move(rec.rows);
+  return run;
+}
+
+}  // namespace
+
+TEST(PairSplitSearch, MultiPairSplitsMatchHostMergePath) {
+  // P equal pairs back to back: one pair over the whole tile (the merge
+  // window), two pairs (one pair across two warps, as in late block-sort
+  // rounds), one pair per warp and several pairs per warp (early rounds),
+  // on an 8- and a 32-lane device.  Every split matches the host merge path of its own pair, and
+  // the search issues exactly the rows of the per-lane pair table.
+  std::mt19937_64 rng(24);
+  for (const int w : {8, 32}) {
+    const int e = 5;
+    const int warps = 4;
+    const int u = w * warps;
+    const std::int64_t total = static_cast<std::int64_t>(u) * e;
+    for (const std::int64_t npairs :
+         {std::int64_t{1}, std::int64_t{2}, std::int64_t{warps}, std::int64_t{4} * warps}) {
+      const std::int64_t pair_len = total / npairs;
+      for (const std::int64_t la : {pair_len / 2, pair_len / 3}) {
+        SCOPED_TRACE("w=" + std::to_string(w) + " pairs=" + std::to_string(npairs) +
+                     " la=" + std::to_string(la));
+        const SearchShape sh{w, e, u, pair_len, la};
+        const std::vector<int> tile = sorted_pairs(rng, sh);
+        const SearchRun got = run_pair_split_search(sh, tile);
+        ASSERT_EQ(got.splits.size(), static_cast<std::size_t>(u));
+        for (int i = 0; i < u; ++i) {
+          const std::int64_t out0 = static_cast<std::int64_t>(i) * e;
+          const std::int64_t base = out0 / pair_len * pair_len;
+          const std::span<const int> pair(tile.data() + base,
+                                          static_cast<std::size_t>(pair_len));
+          const auto a = pair.first(static_cast<std::size_t>(la));
+          const auto b = pair.subspan(static_cast<std::size_t>(la));
+          const std::int64_t start = mp::merge_path<int>(out0 - base, a, b);
+          const std::int64_t end = mp::merge_path<int>(out0 - base + e, a, b);
+          const sort::ThreadSplit& s = got.splits[static_cast<std::size_t>(i)];
+          EXPECT_EQ(s.a_off, start) << "thread " << i;
+          EXPECT_EQ(s.a_size, end - start) << "thread " << i;
+          EXPECT_EQ(s.b_off, out0 - base - start) << "thread " << i;
+          EXPECT_EQ(s.b_size, e - (end - start)) << "thread " << i;
+        }
+        const SearchRun table = run_search(false, sh, tile);
+        expect_same_splits(got.splits, table.splits);
+        EXPECT_EQ(got.counters.warp_instructions, table.counters.warp_instructions);
+        EXPECT_EQ(got.counters.bank_conflicts, table.counters.bank_conflicts);
+        EXPECT_EQ(got.chains, table.chains);
+        EXPECT_EQ(got.rows, table.rows);
+      }
+    }
+  }
+}
