@@ -1,10 +1,11 @@
 // Batched pairwise merge: merge many independent pairs of sorted arrays in
 // two launches (cuDF/moderngpu-style vectorized API).
 //
-// The whole batch is one flat merge pass (sort/flat_merge.hpp): one
-// batched_partition kernel over every output tile of every pair, then one
-// batched_merge kernel with one block per tile — ⌈(|A|+|B|)/tile⌉ tiles
-// per pair, so neither list of a pair is padded to the other's length.
+// The whole batch is one 2-way merge pass (sort/merge_pass.hpp, the pass
+// every 2-way entry point runs): one merge_partition kernel over every
+// output tile of every pair, then one merge_pass kernel with one block per
+// tile — ⌈(|A|+|B|)/tile⌉ tiles per pair, so neither list of a pair is
+// padded to the other's length.
 // Pair p is staged as [A | B | sentinel pad to the next tile multiple of
 // |A|+|B|] at one offset of the staging buffer, and its merged output lands
 // at the same offset of the packed output; the last tile of a pair reads
@@ -23,7 +24,7 @@
 #include <vector>
 
 #include "gpusim/launcher.hpp"
-#include "sort/flat_merge.hpp"
+#include "sort/merge_pass.hpp"
 #include "sort/key_value.hpp"
 
 namespace cfmerge::sort {
@@ -38,7 +39,7 @@ struct BatchedMergeReport {
   int graph_levels = 0;  ///< 2 for a non-empty batch
   gpusim::Counters totals;
   gpusim::PhaseCounters phases;
-  std::vector<gpusim::KernelReport> kernels;  ///< batched_partition, batched_merge
+  std::vector<gpusim::KernelReport> kernels;  ///< merge_partition, merge_pass
 
   [[nodiscard]] double throughput() const {
     return microseconds > 0 ? static_cast<double>(elements) / microseconds : 0.0;
@@ -50,9 +51,9 @@ namespace detail {
 /// Enqueues the batched pipeline for the pairs (as[i], bs[i]) into
 /// `graph`: stages every pair as [A | B | pad] in `staging` (the sentinel
 /// pads are written here, once), fills `layout`, sizes `packed` and
-/// `boundaries`, and adds one flat merge pass — two kernels for the whole
-/// batch.  The batch must hold at least one element.  Every buffer must
-/// stay alive (and un-moved) until the graph executed.
+/// `boundaries` (one row per tile plus one), and adds one merge pass — two
+/// kernels for the whole batch.  The batch must hold at least one element.
+/// Every buffer must stay alive (and un-moved) until the graph executed.
 template <typename T>
 void enqueue_batched_pipeline(gpusim::KernelGraph& graph, const std::vector<std::vector<T>>& as,
                               const std::vector<std::vector<T>>& bs, std::vector<T>& staging,
@@ -69,9 +70,9 @@ void enqueue_batched_pipeline(gpusim::KernelGraph& graph, const std::vector<std:
   }
   staging.assign(static_cast<std::size_t>(total), padding_sentinel<T>::value());
   packed.resize(static_cast<std::size_t>(total));
-  boundaries.assign(layout.tiles.size(), 0);
-  enqueue_flat_merge_pass(graph, staging, packed, layout.tiles, 0,
-                          static_cast<int>(layout.tiles.size()), boundaries, cfg);
+  boundaries.assign(layout.tiles.size() + 1, 0);
+  enqueue_merge_pass(graph, staging, packed, layout.tiles, 0,
+                     static_cast<int>(layout.tiles.size()), boundaries, cfg);
 }
 }  // namespace detail
 

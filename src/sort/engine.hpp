@@ -190,20 +190,20 @@ inline std::vector<std::byte> plan_store_key(std::uint64_t device_digest,
 /// graph's kernel bodies hold references into the buffers.  The builders
 /// below fix what each buffer means:
 ///
-///   sort, multiway   buf = input, tmp = ping-pong partner, boundaries = co-ranks
+///   multiway         buf = input, tmp = ping-pong partner, boundaries = co-ranks
 ///   permute          buf = input, tmp = output
 ///   batched          buf = staging, tmp = packed output, boundaries and batch
-///   segmented        buf = input, tmp = ping-pong partner, boundaries and batch
+///   sort, segmented  buf = input, tmp = ping-pong partner, boundaries and batch
 template <typename T>
 struct Plan {
   std::vector<T> buf, tmp;
   std::vector<std::int64_t> boundaries;
-  BatchLayout batch;                 ///< batched and segmented only
+  BatchLayout batch;                 ///< sort, batched and segmented only
   int passes = 0;                    ///< global merge passes (segmented: the most)
   std::vector<T>* result = nullptr;  ///< buf or tmp: holds the output after a run
   gpusim::KernelGraph graph;
 
-  /// A plan whose input buffer is `n_padded` sentinels (batched and
+  /// A plan whose input buffer is `n_padded` sentinels (sort, batched and
   /// segmented plans size it themselves).
   explicit Plan(std::int64_t n_padded = 0)
       : buf(static_cast<std::size_t>(n_padded), padding_sentinel<T>::value()) {}
@@ -228,11 +228,13 @@ struct Plan {
 
 // One builder per plan kind; each calls that kind's enqueue_*_pipeline.
 
+/// A sort plan is the one-segment segmented pipeline.
 template <typename T>
 std::shared_ptr<Plan<T>> build_sort_plan(const MergeConfig& cfg, std::int64_t n_padded) {
-  auto plan = std::make_shared<Plan<T>>(n_padded);
-  plan->result = enqueue_sort_pipeline(plan->graph, plan->buf, plan->tmp, plan->boundaries,
-                                       n_padded, cfg, plan->passes);
+  auto plan = std::make_shared<Plan<T>>();
+  enqueue_segmented_pipeline(plan->graph, {n_padded}, plan->buf, plan->tmp, plan->batch,
+                             plan->boundaries, cfg, plan->passes);
+  plan->result = plan->passes % 2 ? &plan->tmp : &plan->buf;
   return plan;
 }
 

@@ -1,10 +1,14 @@
-// One global merge pass of the pairwise mergesort.
+// The 2-way merge pass: one merge over any list of (A, B) pairs of sorted
+// runs in one source buffer, in exactly two launches however many pairs
+// there are — the flat form of Merge Path (Green et al.).
 //
-// Runs of length `run` are merged pairwise.  Stage 1 (partition kernel)
-// computes, for every tile boundary of the pass output, the co-rank of the
-// boundary inside its pair via binary search in global memory — Thrust's
-// hierarchical 2-stage identification of subsequences.  Stage 2 (merge
-// kernel) processes one output tile of u*E elements per block:
+// Each pair is cut into ⌈(|A|+|B|)/tile⌉ output tiles of u*E elements,
+// described by host-built BatchTile descriptors.  Stage 1, the
+// merge_partition kernel, resolves the co-rank of every tile's start
+// diagonal within its pair by one lockstep binary search in global memory
+// per tile — Thrust's hierarchical 2-stage identification of
+// subsequences.  Stage 2, the merge_pass kernel, processes one output tile
+// per block:
 //
 //   load A-chunk and B-chunk into shared      (baseline: linear;
 //                                              CF-Merge: rho(A ∪ pi(B)))
@@ -17,18 +21,25 @@
 //   write the merged tile back                (stride-E register->shared,
 //                                              then coalesced store)
 //
-// A lone run at the end of a pass (odd run count) is handled by the same
-// kernel with an empty B list.
+// Every 2-way entry point enqueues this pass: a merge_sort pass and a
+// segmented_sort round merge the run pairs of their segments (a lone run
+// at the end is a pair with an empty B), and batched_merge is one pass over
+// the caller's pairs.  The launch count does not grow with the pair count,
+// so the timing model's per-launch overhead is paid once per pass.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <cassert>
+#include <cstdint>
 #include <functional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "cfprims/exec.hpp"
 #include "gather/schedule.hpp"
+#include "gpusim/kernel_graph.hpp"
 #include "gpusim/launcher.hpp"
 #include "gpusim/memory_views.hpp"
 #include "gpusim/occupancy.hpp"
@@ -104,49 +115,75 @@ inline void validate_merge_config(const gpusim::DeviceSpec& dev, const MergeConf
     throw std::invalid_argument("MergeConfig: block does not fit on an SM");
 }
 
-/// Geometry of one pass: which pair a global output position belongs to.
-struct PassGeometry {
-  std::int64_t n = 0;    ///< total elements (multiple of tile)
-  std::int64_t run = 0;  ///< input run length (multiple of tile)
+namespace detail {
+/// Per-output-tile descriptor of a merge pass, precomputed on the host (in
+/// a real implementation this is a tiny device array built by a setup
+/// kernel).
+struct BatchTile {
+  std::int64_t a_base = 0;    ///< source offset of the pair's A list
+  std::int64_t b_base = 0;    ///< source offset of the pair's B list
+  std::int64_t ra = 0;        ///< real |A| of the pair
+  std::int64_t rb = 0;        ///< real |B| of the pair
+  std::int64_t diag0 = 0;     ///< output diagonal of this tile within the pair
+  std::int64_t out_base = 0;  ///< destination offset of this tile
+};
 
-  /// Start of the pair containing output position `pos`.
-  [[nodiscard]] std::int64_t pair_base(std::int64_t pos) const {
-    return pos / (2 * run) * (2 * run);
+/// Appends the ⌈(ra + rb)/tile⌉ tile descriptors of one pair whose output
+/// starts at destination offset `out`.  The last tile's B window runs
+/// past B's end up to the tile boundary, so the source must hold sentinels
+/// there whenever ra + rb is not a tile multiple.
+inline void add_pair_tiles(std::vector<BatchTile>& tiles, std::int64_t a_base,
+                           std::int64_t ra, std::int64_t b_base, std::int64_t rb,
+                           std::int64_t out, std::int64_t tile) {
+  for (std::int64_t d = 0; d < ra + rb; d += tile)
+    tiles.push_back({a_base, b_base, ra, rb, d, out + d});
+}
+
+/// Appends the tiles of one pass over the `padded` elements (a tile
+/// multiple) at offset `at`, sorted in runs of `run`: run pair p merges
+/// runs 2p and 2p + 1 into the same offsets of the destination; a lone
+/// last run is a pair with |B| = 0.
+inline void add_run_pair_tiles(std::vector<BatchTile>& tiles, std::int64_t at,
+                               std::int64_t padded, std::int64_t run, std::int64_t tile) {
+  for (std::int64_t base = 0; base < padded; base += 2 * run) {
+    const std::int64_t ra = std::min(run, padded - base);
+    const std::int64_t rb = std::clamp<std::int64_t>(padded - base - run, 0, run);
+    add_pair_tiles(tiles, at + base, ra, at + base + ra, rb, at + base, tile);
   }
-  /// Sizes of the A and B runs of the pair at `base` (B may be short or
-  /// empty at the end of the array).
-  [[nodiscard]] std::int64_t a_len(std::int64_t base) const {
-    return std::min(run, n - base);
-  }
-  [[nodiscard]] std::int64_t b_len(std::int64_t base) const {
-    return std::clamp<std::int64_t>(n - base - run, 0, run);
+}
+
+/// Host-side layout of one batch shape: every pass's tile descriptors
+/// (pass after pass) and each pair's or segment's staging offset, which is
+/// also its output offset.
+struct BatchLayout {
+  std::vector<BatchTile> tiles;
+  std::vector<std::int64_t> offsets;
+
+  /// Start of pair or segment `i` in a staging or output buffer.
+  template <typename Vec>
+  [[nodiscard]] auto at(Vec& buf, std::size_t i) const {
+    return buf.begin() + static_cast<std::ptrdiff_t>(offsets[i]);
   }
 };
 
-/// One co-rank task of a partition kernel: diagonal `diag` of the list pair
-/// (na, nb) whose A and B runs start at global offsets a_base and b_base.
-struct CoRankTask {
-  std::int64_t diag = 0;
-  std::int64_t na = 0;
-  std::int64_t nb = 0;
-  std::int64_t a_base = 0;
-  std::int64_t b_base = 0;
-};
+}  // namespace detail
 
-/// The partition kernels' search: grid thread t < out.size() resolves
-/// task_of(t) and writes its co-rank to out[t].  Each warp with a live lane
-/// first calls before_search(warp), then runs one lockstep co-rank search
-/// over `global`; every round charges kSearchIterInstrs, the A probe row
-/// (dependent) and the B probe row.  Idle and finished lanes probe
-/// kInactiveLane.
-template <typename T, typename TaskOf, typename BeforeSearch, typename Cmp>
+/// The merge_partition kernel's search: grid thread t < tiles.size()
+/// resolves the co-rank of tiles[t]'s start diagonal within its pair and
+/// writes it to out[t].  Each warp with a live lane first fetches its
+/// lanes' descriptors (descriptor index desc0 + t, one dependent read),
+/// then runs one lockstep co-rank search over `global`; every round charges
+/// kSearchIterInstrs, the A probe row (dependent) and the B probe row.
+/// Idle and finished lanes probe kInactiveLane.
+template <typename T, typename Cmp>
 void partition_search(gpusim::BlockContext& ctx, gpusim::GlobalView<const T>& global,
-                      TaskOf&& task_of, BeforeSearch&& before_search,
+                      std::span<const detail::BatchTile> tiles, std::int64_t desc0,
                       std::span<std::int64_t> out, Cmp cmp) {
   const int w = ctx.lanes();
-  const auto count = static_cast<std::int64_t>(out.size());
-  assert(w <= gpusim::kMaxLanes);
+  const auto count = static_cast<std::int64_t>(tiles.size());
+  assert(w <= gpusim::kMaxLanes && out.size() == tiles.size());
   std::array<mergepath::LaneSearch, gpusim::kMaxLanes> lanes;
+  std::array<std::int64_t, gpusim::kMaxLanes> desc;
   std::array<std::int64_t, gpusim::kMaxLanes> abase;
   std::array<std::int64_t, gpusim::kMaxLanes> bbase;
   std::array<std::int64_t, gpusim::kMaxLanes> pa;
@@ -160,18 +197,21 @@ void partition_search(gpusim::BlockContext& ctx, gpusim::GlobalView<const T>& gl
     for (int lane = 0; lane < w; ++lane) {
       const auto l = static_cast<std::size_t>(lane);
       lanes[l] = mergepath::LaneSearch{};
+      desc[l] = gpusim::kInactiveLane;
       abase[l] = 0;
       bbase[l] = 0;
       const std::int64_t t = first + warp * w + lane;
       if (t >= count) continue;
-      const CoRankTask task = task_of(t);
-      lanes[l].init(task.diag, task.na, task.nb);
-      abase[l] = task.a_base;
-      bbase[l] = task.b_base;
+      const detail::BatchTile& bt = tiles[static_cast<std::size_t>(t)];
+      lanes[l].init(bt.diag0, bt.ra, bt.rb);
+      desc[l] = (desc0 + t) * static_cast<std::int64_t>(sizeof(detail::BatchTile));
+      abase[l] = bt.a_base;
+      bbase[l] = bt.b_base;
       any = true;
     }
     if (!any) continue;
-    before_search(warp);
+    ctx.charge_gmem(warp, std::span<const std::int64_t>(desc.data(), static_cast<std::size_t>(w)),
+                    8, /*dependent=*/true);
     auto probe = [&](std::span<const std::int64_t> a_addr, std::span<T> a_val,
                      std::span<const std::int64_t> b_addr, std::span<T> b_val) {
       for (std::size_t l = 0; l < a_addr.size(); ++l) {
@@ -193,25 +233,6 @@ void partition_search(gpusim::BlockContext& ctx, gpusim::GlobalView<const T>& gl
         out[static_cast<std::size_t>(t)] = lanes[static_cast<std::size_t>(lane)].lo;
     }
   }
-}
-
-/// Stage 1: partition kernel.  Computes co-ranks for every tile boundary.
-/// `boundaries[t]` receives the co-rank (number of A-elements) of output
-/// diagonal t*tile within its pair.  One simulated thread per boundary.
-template <typename T, typename Cmp = std::less<T>>
-void merge_partition_body(gpusim::BlockContext& ctx, std::span<const T> input,
-                          const PassGeometry& geom, std::int64_t tile,
-                          std::span<std::int64_t> boundaries, Cmp cmp = Cmp{}) {
-  gpusim::GlobalView<const T> global(ctx, input, 0);
-  ctx.phase("partition.search");
-  const auto task_of = [&](std::int64_t t) {
-    const std::int64_t pos = t * tile;
-    const std::int64_t base = pos >= geom.n ? geom.n : geom.pair_base(pos);
-    const std::int64_t la = geom.a_len(base);
-    const std::int64_t lb = geom.b_len(base);
-    return CoRankTask{std::min(pos - base, la + lb), la, lb, base, base + la};
-  };
-  partition_search<T>(ctx, global, task_of, [](int) {}, boundaries, cmp);
 }
 
 /// Reads the two boundary rows of this block's tile — rows block_id and
@@ -240,8 +261,8 @@ inline void read_boundary_rows(gpusim::BlockContext& ctx,
 /// source windows (global element offsets a_src/b_src of sizes la/lb) and
 /// its output window view, stages the lists into shared memory (CF layout
 /// when configured), searches the per-thread splits, merges (sequential or
-/// gather + network) and stores the merged tile.  Reused by the sort's
-/// merge pass and the flat merge pass (batched_merge, segmented_sort).
+/// gather + network) and stores the merged tile: the block body of the
+/// merge_pass kernel.
 template <typename T, typename GIn, typename Cmp>
 void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T>& gout,
                        std::int64_t a_src, std::int64_t b_src, std::int64_t la,
@@ -354,39 +375,67 @@ void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T
   }
 }
 
-/// Stage 2: merge kernel body for one output tile.
-template <typename T, typename Cmp = std::less<T>>
-void merge_tile_body(gpusim::BlockContext& ctx, std::span<const T> input,
-                     std::span<T> output, const PassGeometry& geom, const MergeConfig& cfg,
-                     std::span<const std::int64_t> boundaries, Cmp cmp = Cmp{}) {
+namespace detail {
+/// Enqueues one merge pass into `graph`: merges the pairs described by
+/// tiles[t0, t0 + count) from `src` into `dst` with one merge_partition
+/// kernel (grid thread t resolves the co-rank of tile t0 + t's start
+/// diagonal into boundaries[t]) and one merge_pass kernel (block t merges
+/// tile t0 + t between boundary rows t and t + 1).  A pair's tiles must be
+/// consecutive, and `boundaries` must hold count + 1 rows; every pass of a
+/// pipeline reuses them from row 0.  Every buffer must stay alive (and
+/// un-moved) until the graph executed.
+template <typename T>
+void enqueue_merge_pass(gpusim::KernelGraph& graph, const std::vector<T>& src,
+                        std::vector<T>& dst, const std::vector<BatchTile>& tiles, int t0,
+                        int count, std::vector<std::int64_t>& boundaries,
+                        const MergeConfig& cfg) {
+  assert(count > 0 && static_cast<std::size_t>(t0 + count) <= tiles.size() &&
+         boundaries.size() > static_cast<std::size_t>(count));
+  const int pblocks = (count + cfg.u - 1) / cfg.u;
+  graph.enqueue(
+      "merge_partition",
+      gpusim::LaunchShape{pblocks, cfg.u, 0, cost::kPartitionRegsPerThread},
+      [&tiles, &src, &boundaries, t0, count](gpusim::BlockContext& ctx) {
+        gpusim::GlobalView<const T> g(ctx, std::span<const T>(src), 0);
+        ctx.phase("partition.search");
+        partition_search<T>(
+            ctx, g,
+            std::span<const BatchTile>(tiles).subspan(static_cast<std::size_t>(t0),
+                                                      static_cast<std::size_t>(count)),
+            t0, std::span<std::int64_t>(boundaries).first(static_cast<std::size_t>(count)),
+            std::less<T>{});
+      });
+
   const std::int64_t tile = cfg.tile();
-  const std::int64_t out0 = static_cast<std::int64_t>(ctx.block_id()) * tile;
-  const std::int64_t base = geom.pair_base(out0);
-  const std::int64_t ra = geom.a_len(base);
-  const std::int64_t rb = geom.b_len(base);
+  graph.enqueue(
+      "merge_pass",
+      gpusim::LaunchShape{count, cfg.u, static_cast<std::size_t>(tile) * sizeof(T),
+                          cfg.regs_per_thread()},
+      [&tiles, &src, &dst, &boundaries, cfg, t0, tile](gpusim::BlockContext& ctx) {
+        const auto b = static_cast<std::size_t>(ctx.block_id());
+        const BatchTile& bt = tiles[static_cast<std::size_t>(t0) + b];
+        ctx.phase("merge.load");
+        read_boundary_rows(ctx, boundaries, 1);
+        // The pair's last tile ends at the pair's end (co-rank ra); any
+        // other tile's end is the next tile's start, in the same pair.
+        const std::int64_t a0 = boundaries[b];
+        const std::int64_t a1 = bt.diag0 + tile >= bt.ra + bt.rb ? bt.ra : boundaries[b + 1];
+        const std::int64_t b0 = bt.diag0 - a0;
+        const std::int64_t la = a1 - a0;
+        const std::int64_t lb = tile - la;
+        assert(la >= 0 && la <= tile && b0 >= 0);
 
-  // Block subsequence bounds from the partition kernel.
-  ctx.phase("merge.load");
-  read_boundary_rows(ctx, boundaries, 1);
-  const std::int64_t diag0 = out0 - base;
-  const std::int64_t diag1 = diag0 + tile;
-  const std::int64_t a0 = boundaries[static_cast<std::size_t>(ctx.block_id())];
-  // The co-rank of a boundary that coincides with the *end* of this pair was
-  // computed relative to the next pair (as diagonal 0); the end co-rank of
-  // this pair is simply ra.
-  const std::int64_t a1 = diag1 >= ra + rb
-                              ? ra
-                              : boundaries[static_cast<std::size_t>(ctx.block_id()) + 1];
-  const std::int64_t b0 = diag0 - a0;
-  const std::int64_t b1 = diag1 - a1;
-  const std::int64_t la = a1 - a0;
-  const std::int64_t lb = b1 - b0;
-
-  gpusim::GlobalView<const T> gin(ctx, input, 0);
-  gpusim::GlobalView<T> gout(ctx, output.subspan(static_cast<std::size_t>(out0),
-                                                 static_cast<std::size_t>(tile)),
-                             out0);
-  merge_window_core<T>(ctx, gin, gout, base + a0, base + ra + b0, la, lb, cfg, cmp);
+        gpusim::GlobalView<const T> gin(ctx, std::span<const T>(src), 0);
+        gpusim::GlobalView<T> gout(
+            ctx,
+            std::span<T>(dst).subspan(static_cast<std::size_t>(bt.out_base),
+                                      static_cast<std::size_t>(tile)),
+            bt.out_base);
+        merge_window_core<T>(ctx, gin, gout, bt.a_base + a0, bt.b_base + b0, la, lb, cfg,
+                             std::less<T>{});
+      });
 }
+
+}  // namespace detail
 
 }  // namespace cfmerge::sort

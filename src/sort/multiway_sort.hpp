@@ -20,7 +20,7 @@
 namespace cfmerge::sort::detail {
 
 /// Enqueues the k-way sort pipeline for one padded buffer into `graph`
-/// (the multiway counterpart of enqueue_sort_pipeline).  `warp_size` fixes
+/// (the multiway counterpart of the 2-way enqueue_segmented_pipeline).  `warp_size` fixes
 /// the CFCascade's static shared-memory capacity, which depends on w.
 /// Returns the buffer holding the sorted result after execution.
 template <typename T>

@@ -7,14 +7,16 @@
 // not grow with the segment count:
 //
 //   one block_sort over every tile of every segment (block sort is
-//   tile-local, so the kernel body is merge_sort's), then
-//   one flat merge pass (sort/flat_merge.hpp) per round p over the run
-//   pairs of every segment that still has more than one run of tile·2^p.
+//   tile-local), then
+//   one 2-way merge pass (sort/merge_pass.hpp: merge_partition +
+//   merge_pass) per round p over the run pairs of every segment that still
+//   has more than one run of tile·2^p.
 //
 // A segment of P merge passes takes part in rounds 0..P-1 and is left in
 // the ping-pong buffer its own pass parity put it in; an unpaired trailing
-// run is a pair with |B| = 0, as in merge_sort.  The batch therefore
-// launches 1 + 2·(max segment passes) kernels, one after another.
+// run is a pair with |B| = 0.  The batch therefore launches 1 + 2·(max
+// segment passes) kernels, one after another.  A merge_sort plan is this
+// pipeline over one segment.
 //
 // This header holds the report type and the pipeline enqueue; the entry
 // point is a thin wrapper over sort::SortEngine (engine.hpp, included at
@@ -28,7 +30,7 @@
 #include <vector>
 
 #include "gpusim/launcher.hpp"
-#include "sort/flat_merge.hpp"
+#include "sort/merge_pass.hpp"
 #include "sort/key_value.hpp"
 
 namespace cfmerge::sort {
@@ -79,9 +81,10 @@ namespace detail {
 
 /// Enqueues the segmented pipeline for segments of the given lengths into
 /// `graph`: sizes `buf` (all sentinels) and `tmp` to the concatenated
-/// tile-padded segments, records each segment's offset in `layout`, adds
-/// one block_sort over every tile and one flat merge pass per round, and
-/// returns the round count via `passes`.  The caller loads segment s at
+/// tile-padded segments, records each segment's offset in `layout`, sizes
+/// `boundaries` to the largest round plus one row, adds one block_sort
+/// over every tile and one merge pass per round, and returns the round
+/// count via `passes`.  The caller loads segment s at
 /// layout.offsets[s] of `buf` (keeping its sentinel tail) before running
 /// the graph.  The segments must hold at least one element.  Every buffer
 /// must stay alive (and un-moved) until the graph executed.
@@ -108,19 +111,15 @@ void enqueue_segmented_pipeline(gpusim::KernelGraph& graph, const std::vector<st
   std::int64_t run = tile;
   for (int p = 0; p < passes; ++p, run *= 2) {
     round_t0.push_back(static_cast<int>(layout.tiles.size()));
-    for (std::size_t s = 0; s < lens.size(); ++s) {
-      if (merge_pass_count(lens[s], tile) <= p) continue;
-      const std::int64_t padded = (lens[s] + tile - 1) / tile * tile;
-      for (std::int64_t base = 0; base < padded; base += 2 * run) {
-        const std::int64_t at = layout.offsets[s] + base;
-        const std::int64_t ra = std::min(run, padded - base);
-        const std::int64_t rb = std::clamp<std::int64_t>(padded - base - run, 0, run);
-        add_pair_tiles(layout.tiles, at, ra, at + ra, rb, at, tile);
-      }
-    }
+    for (std::size_t s = 0; s < lens.size(); ++s)
+      if (merge_pass_count(lens[s], tile) > p)
+        add_run_pair_tiles(layout.tiles, layout.offsets[s], (lens[s] + tile - 1) / tile * tile,
+                           run, tile);
   }
   round_t0.push_back(static_cast<int>(layout.tiles.size()));
-  boundaries.assign(layout.tiles.size(), 0);
+  // Round 0 has the most tiles (every segment still merging takes part
+  // with all of its tiles); one more row follows its last tile.
+  boundaries.assign(static_cast<std::size_t>(passes > 0 ? round_t0[1] : 0) + 1, 0);
 
   enqueue_block_sort(graph, buf, static_cast<int>(total / tile), cfg.u, cfg.e,
                      cfg.regs_per_thread(),
@@ -128,8 +127,8 @@ void enqueue_segmented_pipeline(gpusim::KernelGraph& graph, const std::vector<st
   std::vector<T>* src = &buf;
   std::vector<T>* dst = &tmp;
   for (std::size_t p = 0; p + 1 < round_t0.size(); ++p) {
-    enqueue_flat_merge_pass(graph, *src, *dst, layout.tiles, round_t0[p],
-                            round_t0[p + 1] - round_t0[p], boundaries, cfg);
+    enqueue_merge_pass(graph, *src, *dst, layout.tiles, round_t0[p],
+                       round_t0[p + 1] - round_t0[p], boundaries, cfg);
     std::swap(src, dst);
   }
 }

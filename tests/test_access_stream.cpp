@@ -222,50 +222,50 @@ std::vector<StreamCase> cases() {
   return {
       {"cf_w32", w32,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 7, 64, 4 * 448, 1); },
-       0x83e56191e5dc1ee7ull, 0x7eeeba14838eba18ull, 3358, 3016, 5376, 672},
+       0x46f33bb80b571ad7ull, 0x1e76bc4e25194674ull, 3360, 3016, 5376, 672},
       {"baseline_w32", w32,
        [](L& l) { return run_merge_sort(l, Variant::Baseline, 7, 64, 4 * 448, 2); },
-       0xc5a96e8cb62df4e8ull, 0xf6c84a45a129f182ull, 3374, 3048, 5376, 560},
+       0x8ceb77720528e5c0ull, 0x0ab2787dd1c73474ull, 3376, 3048, 5376, 560},
       {"multiway_k4_w32", w32, [](L& l) { return run_multiway(l, 7, 64, 16 * 448, 3); },
        0x849e1301b4496affull, 0x5170bb8c23bd8238ull, 19184, 17813, 64512, 4480},
       {"by_key_ragged_w32", w32,
        [](L& l) { return run_by_key(l, Variant::CFMerge, 7, 64, 3 * 448 + 101, 4); },
-       0xa40a428472ba1cceull, 0x489f2399e5f14562ull, 3288, 2948, 5376, 672},
+       0xd6362530ee93ea66ull, 0xacd6955119af4932ull, 3290, 2948, 5376, 672},
       {"cf_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 5, 16, 8 * 80, 5); },
-       0x96ad92842f9e157eull, 0x9bbefed6f646f385ull, 4836, 4168, 2560, 960},
+       0x8d87cd7421d957eaull, 0x1b2fd6afeb031426ull, 4839, 4168, 2560, 960},
       {"baseline_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::Baseline, 5, 16, 8 * 80, 6); },
-       0xfcea6046e7a9ff1full, 0x80f1e6a796a33a69ull, 4913, 4292, 2560, 720},
+       0xa8f2b404ef0f104dull, 0x051d1f7b08cc0eeaull, 4916, 4292, 2560, 720},
       {"multiway_k4_w8", w8, [](L& l) { return run_multiway(l, 5, 16, 16 * 80, 7); },
        0xcb20d54dbf912528ull, 0x46ff64841adf860full, 12128, 10892, 11520, 2860},
       {"by_key_ragged_w8", w8,
        [](L& l) { return run_by_key(l, Variant::Baseline, 5, 16, 5 * 80 + 37, 8); },
-       0xa94a7f0e86a5f0feull, 0x6d4f078d169ed2eeull, 3520, 3057, 1920, 540},
+       0xe739a295c0a0bf8dull, 0xb798e28078ca8ec0ull, 3523, 3057, 1920, 540},
       {"cf_blocksort_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 5, 16);
          cfg.cf_blocksort = true;
          return run_merge_sort(l, cfg, 8 * 80 + 13, 9);
        },
-       0x87f96803125533dbull, 0xc7100ac8f6b16914ull, 6328, 5324, 4320, 1440},
+       0xc69efee4efb18b45ull, 0x5b46cb927ce2d2a5ull, 6336, 5324, 4320, 1440},
       {"cf_noncoprime_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 6, 16, 8 * 96 + 5, 10); },
-       0xf59c7ecc20444d83ull, 0xcab7371496ce6002ull, 6712, 5567, 4320, 864},
+       0xe5a38032d54af4edull, 0xab652ca1de31b0f2ull, 6720, 5567, 4320, 864},
       {"cf_no_rho_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 6, 16);
          cfg.disable_rho = true;
          return run_merge_sort(l, cfg, 8 * 96 + 5, 18);
        },
-       0xe4eadd2923775065ull, 0xc6e34d6d547c3c41ull, 6704, 5563, 4320, 0},
+       0x227dda8febcce33full, 0x04ec29242fa7dfeeull, 6712, 5563, 4320, 0},
       {"cf_plain_scatter_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 6, 16);
          cfg.cf_output_scatter = false;
          return run_merge_sort(l, cfg, 8 * 96 + 5, 19);
        },
-       0xb6f91c7103b8651full, 0x56c80ec430e62eb3ull, 6740, 5596, 4320, 432},
+       0x971fcd159423cf81ull, 0xc6bad7e0980fefeaull, 6748, 5596, 4320, 432},
       {"losertree_k4_w8", w8,
        [](L& l) {
          return run_multiway(l, 5, 16, 16 * 80, 11, sort::MultiwayVariant::LoserTree);
@@ -273,10 +273,10 @@ std::vector<StreamCase> cases() {
        0x3bc8556f2ce3e43dull, 0x9134586dde7edb24ull, 9592, 8432, 3840, 960},
       {"batched_cf_w32", w32,
        [](L& l) { return run_batched(l, Variant::CFMerge, 7, 64, 4, 12); },
-       0xafa3251ac550bddcull, 0x012a1133fc121929ull, 1535, 1160, 5376, 336},
+       0xe31a35da400061dcull, 0x80ce5e14a9a4fd61ull, 1535, 1160, 5376, 336},
       {"batched_baseline_w8", w8,
        [](L& l) { return run_batched(l, Variant::Baseline, 5, 16, 3, 13); },
-       0x372bbf74cf9783e8ull, 0x8d17c9f25c9a6faeull, 754, 573, 720, 90},
+       0x3771d2a2544be5e8ull, 0x6442f8bbe41d5d26ull, 754, 573, 720, 90},
       {"permute_w32", w32,
        [](L& l) {
          return run_round_trip(l, cfprims::PermuteOp::kPermute, 8, 64, 3 * 512 + 45, 14);

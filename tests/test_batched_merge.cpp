@@ -135,8 +135,8 @@ TEST(BatchedMerge, LaunchesTwoKernelsPerBatch) {
   const auto report = batched_merge(launcher, as, bs, outs, cfg);
   // One flat pass for the whole batch: one partition, one merge.
   ASSERT_EQ(launcher.history().size(), 2u);
-  EXPECT_EQ(launcher.history()[0].name, "batched_partition");
-  EXPECT_EQ(launcher.history()[1].name, "batched_merge");
+  EXPECT_EQ(launcher.history()[0].name, "merge_partition");
+  EXPECT_EQ(launcher.history()[1].name, "merge_pass");
   ASSERT_EQ(report.kernels.size(), 2u);
   EXPECT_EQ(report.graph_levels, 2);
   // One merge block per output tile: sum over pairs of ceil((|A|+|B|)/tile).

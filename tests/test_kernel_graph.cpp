@@ -251,8 +251,9 @@ struct GraphSortCase {
   sort::Variant variant;
 };
 
-/// The pre-refactor merge_sort: one Launcher::launch per kernel, identical
-/// bodies and shapes.  Kept verbatim as the bit-identity oracle.
+/// merge_sort one Launcher::launch per kernel: the block sort, then per
+/// pass that pass's run-pair tiles and the merge pass's two kernels
+/// launched one by one.  The bit-identity oracle of the plan's graph.
 template <typename T>
 void launch_by_launch_sort(Launcher& launcher, std::vector<T>& data,
                            const sort::MergeConfig& cfg) {
@@ -276,26 +277,16 @@ void launch_by_launch_sort(Launcher& launcher, std::vector<T>& data,
       block_sort_body<T>(ctx, std::span<T>(buf), cfg.e, cf_rounds);
     });
   }
+  std::vector<sort::detail::BatchTile> tiles;
   std::vector<std::int64_t> boundaries(static_cast<std::size_t>(num_tiles) + 1, 0);
   std::vector<T>* src = &buf;
   std::vector<T>* dst = &tmp;
   for (std::int64_t run = tile; run < n_padded; run *= 2) {
-    const PassGeometry geom{n_padded, run};
-    const auto nb = static_cast<std::int64_t>(boundaries.size());
-    const int pblocks = static_cast<int>((nb + cfg.u - 1) / cfg.u);
-    launcher.launch("merge_partition", LaunchShape{pblocks, cfg.u, 0, 24},
-                    [&](BlockContext& ctx) {
-                      merge_partition_body<T>(ctx, std::span<const T>(*src), geom, tile,
-                                              std::span<std::int64_t>(boundaries));
-                    });
-    launcher.launch("merge_pass",
-                    LaunchShape{num_tiles, cfg.u,
-                                static_cast<std::size_t>(tile) * sizeof(T), regs},
-                    [&](BlockContext& ctx) {
-                      merge_tile_body<T>(ctx, std::span<const T>(*src), std::span<T>(*dst),
-                                         geom, cfg,
-                                         std::span<const std::int64_t>(boundaries));
-                    });
+    const int t0 = static_cast<int>(tiles.size());
+    sort::detail::add_run_pair_tiles(tiles, 0, n_padded, run, tile);
+    KernelGraph pass;
+    sort::detail::enqueue_merge_pass(pass, *src, *dst, tiles, t0, num_tiles, boundaries, cfg);
+    for (const KernelNode& node : pass.nodes()) launcher.launch(node.name, node.shape, node.body);
     std::swap(src, dst);
   }
   std::copy(src->begin(), src->begin() + n, data.begin());

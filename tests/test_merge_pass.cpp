@@ -1,5 +1,6 @@
-// Tests of the global merge pass: partition kernel + merge kernel, for both
-// variants, including the central conflict claims.
+// Tests of the 2-way merge pass: merge_partition + merge_pass over the run
+// pairs of one pass, for both variants, including the central conflict
+// claims.
 #include "sort/merge_pass.hpp"
 
 #include <gtest/gtest.h>
@@ -15,36 +16,30 @@ namespace {
 
 struct PassResult {
   std::vector<int> out;
+  std::vector<std::int64_t> boundaries;
   gpusim::PhaseCounters phases;
   std::uint64_t merge_conflicts = 0;
   std::uint64_t merge_accesses = 0;
 };
 
-// Runs one full pass (partition + merge) over `data` whose runs of length
-// `run` are each sorted.
-PassResult run_pass(int w, const MergeConfig& cfg, std::vector<int> data, std::int64_t run) {
+// Runs one merge pass (merge_partition + merge_pass) over `data` whose runs
+// of length `run` are each sorted.
+PassResult run_pass(int w, const MergeConfig& cfg, const std::vector<int>& data,
+                    std::int64_t run) {
   gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(w));
   const std::int64_t n = static_cast<std::int64_t>(data.size());
-  const std::int64_t tile = cfg.tile();
-  EXPECT_EQ(n % tile, 0);
-  const PassGeometry geom{n, run};
-  const int num_tiles = static_cast<int>(n / tile);
-  std::vector<std::int64_t> boundaries(static_cast<std::size_t>(num_tiles) + 1, 0);
+  EXPECT_EQ(n % cfg.tile(), 0);
+  std::vector<detail::BatchTile> tiles;
+  detail::add_run_pair_tiles(tiles, 0, n, run, cfg.tile());
+  std::vector<std::int64_t> boundaries(tiles.size() + 1, -1);
   std::vector<int> out(data.size());
-
-  launcher.launch("partition", gpusim::LaunchShape{1, cfg.u, 0, 24},
-                  [&](gpusim::BlockContext& ctx) {
-                    merge_partition_body<int>(ctx, std::span<const int>(data), geom, tile,
-                                              std::span<std::int64_t>(boundaries));
-                  });
-  launcher.launch("merge", gpusim::LaunchShape{num_tiles, cfg.u, 0, 32},
-                  [&](gpusim::BlockContext& ctx) {
-                    merge_tile_body<int>(ctx, std::span<const int>(data),
-                                         std::span<int>(out), geom, cfg,
-                                         std::span<const std::int64_t>(boundaries));
-                  });
+  gpusim::KernelGraph graph;
+  detail::enqueue_merge_pass(graph, data, out, tiles, 0, static_cast<int>(tiles.size()),
+                             boundaries, cfg);
+  launcher.run(graph);
   PassResult r;
   r.out = std::move(out);
+  r.boundaries = std::move(boundaries);
   r.phases = launcher.phase_counters();
   for (const auto& [name, c] : r.phases.phases()) {
     if (name == "merge.merge") {
@@ -209,24 +204,21 @@ TEST(MergePass, PartitionBoundariesMatchHostMergePath) {
   cfg.u = 16;
   const std::int64_t tile = cfg.tile();
   const std::int64_t n = 8 * tile;
-  const std::vector<int> data = make_runs(rng, n, 2 * tile);
-  const PassGeometry geom{n, 2 * tile};
-  std::vector<std::int64_t> boundaries(static_cast<std::size_t>(n / tile) + 1, -1);
-  gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(8));
-  launcher.launch("partition", gpusim::LaunchShape{1, cfg.u, 0, 24},
-                  [&](gpusim::BlockContext& ctx) {
-                    merge_partition_body<int>(ctx, std::span<const int>(data), geom, tile,
-                                              std::span<std::int64_t>(boundaries));
-                  });
-  for (std::int64_t t = 0; t * tile <= n; ++t) {
+  const std::int64_t run = 2 * tile;
+  const std::vector<int> data = make_runs(rng, n, run);
+  const auto result = run_pass(8, cfg, data, run);
+  ASSERT_EQ(result.boundaries.size(), static_cast<std::size_t>(n / tile) + 1);
+  // Tile t starts at output position t*tile of the pass; its co-rank is
+  // taken within the pair of runs that position falls in.
+  for (std::int64_t t = 0; t * tile < n; ++t) {
     const std::int64_t pos = t * tile;
-    const std::int64_t base = pos >= n ? n : geom.pair_base(pos);
-    const std::int64_t la = geom.a_len(base);
-    const std::int64_t lb = geom.b_len(base);
+    const std::int64_t base = pos / (2 * run) * (2 * run);
+    const std::int64_t la = std::min(run, n - base);
+    const std::int64_t lb = std::clamp<std::int64_t>(n - base - run, 0, run);
     const std::span<const int> a(data.data() + base, static_cast<std::size_t>(la));
     const std::span<const int> b(data.data() + base + la, static_cast<std::size_t>(lb));
-    EXPECT_EQ(boundaries[static_cast<std::size_t>(t)],
-              mergepath::merge_path<int>(std::min(pos - base, la + lb), a, b))
+    EXPECT_EQ(result.boundaries[static_cast<std::size_t>(t)],
+              mergepath::merge_path<int>(pos - base, a, b))
         << "boundary " << t;
   }
 }

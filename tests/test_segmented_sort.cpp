@@ -121,8 +121,8 @@ TEST(SegmentedSort, EightSegmentsRunAsOneFlatChain) {
   ASSERT_EQ(report.kernels.size(), static_cast<std::size_t>(1 + 2 * max_passes));
   EXPECT_EQ(report.kernels[0].name, "block_sort");
   for (int p = 0; p < max_passes; ++p) {
-    EXPECT_EQ(report.kernels[static_cast<std::size_t>(1 + 2 * p)].name, "batched_partition");
-    EXPECT_EQ(report.kernels[static_cast<std::size_t>(2 + 2 * p)].name, "batched_merge");
+    EXPECT_EQ(report.kernels[static_cast<std::size_t>(1 + 2 * p)].name, "merge_partition");
+    EXPECT_EQ(report.kernels[static_cast<std::size_t>(2 + 2 * p)].name, "merge_pass");
   }
   EXPECT_EQ(report.graph_levels, 1 + 2 * max_passes);
   EXPECT_GT(report.makespan_microseconds, 0.0);
