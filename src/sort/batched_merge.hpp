@@ -65,7 +65,7 @@ void enqueue_batched_pipeline(gpusim::KernelGraph& graph, const std::vector<std:
     const auto na = static_cast<std::int64_t>(as[p].size());
     const auto nb = static_cast<std::int64_t>(bs[p].size());
     layout.offsets.push_back(total);
-    add_pair_tiles(layout.tiles, total, na, total + na, nb, total, tile);
+    add_group_tiles(layout.tiles, total, na, na + nb, total, tile);
     total += (na + nb + tile - 1) / tile * tile;
   }
   staging.assign(static_cast<std::size_t>(total), padding_sentinel<T>::value());

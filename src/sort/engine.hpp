@@ -9,11 +9,12 @@
 //    tile decisions from n_padded and cfg alone), so a plan built once can
 //    execute any input of the same shape.  Every kind — sort, multiway,
 //    permute/transpose, batched, segmented — is one detail::Plan<T> made by
-//    a small builder that calls the kind's enqueue_*_pipeline.  A plan owns BOTH
-//    its KernelGraph template and every buffer the graph's bodies capture,
-//    which closes the latent lifetime footgun of the free functions: the
-//    storage a body references can no longer die or move while the graph
-//    is still runnable.  Executing a cached plan is "rebind by refilling":
+//    a small builder that calls the kind's enqueue_*_pipeline; sort and
+//    multiway plans are the one-segment segmented pipeline, at arity 2 or k.
+//    A plan owns BOTH its KernelGraph template and every buffer the graph's
+//    bodies capture, which closes the latent lifetime footgun of the free
+//    functions: the storage a body references can no longer die or move
+//    while the graph is still runnable.  Executing a cached plan is "rebind by refilling":
 //    copy the new input into the plan's buffers (sentinel tails refreshed)
 //    and Launcher::run the graph again — the KernelGraph replay contract
 //    (kernel_graph.hpp) guarantees reports bit-identical to a freshly
@@ -62,7 +63,6 @@
 #include "sort/key_value.hpp"
 #include "sort/merge_pass.hpp"
 #include "sort/merge_sort.hpp"
-#include "sort/multiway_sort.hpp"
 #include "sort/plan_key.hpp"
 #include "sort/segmented_sort.hpp"
 
@@ -190,21 +190,20 @@ inline std::vector<std::byte> plan_store_key(std::uint64_t device_digest,
 /// graph's kernel bodies hold references into the buffers.  The builders
 /// below fix what each buffer means:
 ///
-///   multiway         buf = input, tmp = ping-pong partner, boundaries = co-ranks
-///   permute          buf = input, tmp = output
-///   batched          buf = staging, tmp = packed output, boundaries and batch
-///   sort, segmented  buf = input, tmp = ping-pong partner, boundaries and batch
+///   permute                    buf = input, tmp = output
+///   batched                    buf = staging, tmp = packed output, boundaries and batch
+///   sort, multiway, segmented  buf = input, tmp = ping-pong partner, boundaries and batch
 template <typename T>
 struct Plan {
   std::vector<T> buf, tmp;
   std::vector<std::int64_t> boundaries;
-  BatchLayout batch;                 ///< sort, batched and segmented only
+  BatchLayout batch;                 ///< every kind but permute
   int passes = 0;                    ///< global merge passes (segmented: the most)
   std::vector<T>* result = nullptr;  ///< buf or tmp: holds the output after a run
   gpusim::KernelGraph graph;
 
-  /// A plan whose input buffer is `n_padded` sentinels (sort, batched and
-  /// segmented plans size it themselves).
+  /// A plan whose input buffer is `n_padded` sentinels (the merging kinds
+  /// size it themselves).
   explicit Plan(std::int64_t n_padded = 0)
       : buf(static_cast<std::size_t>(n_padded), padding_sentinel<T>::value()) {}
   Plan(const Plan&) = delete;
@@ -228,22 +227,14 @@ struct Plan {
 
 // One builder per plan kind; each calls that kind's enqueue_*_pipeline.
 
-/// A sort plan is the one-segment segmented pipeline.
-template <typename T>
-std::shared_ptr<Plan<T>> build_sort_plan(const MergeConfig& cfg, std::int64_t n_padded) {
+/// A sort plan — 2-way for a MergeConfig, k-way for a MultiwayConfig — is
+/// the one-segment segmented pipeline.
+template <typename T, typename Cfg>
+std::shared_ptr<Plan<T>> build_sort_plan(const Cfg& cfg, std::int64_t n_padded, int warp_size) {
   auto plan = std::make_shared<Plan<T>>();
   enqueue_segmented_pipeline(plan->graph, {n_padded}, plan->buf, plan->tmp, plan->batch,
-                             plan->boundaries, cfg, plan->passes);
+                             plan->boundaries, cfg, warp_size, plan->passes);
   plan->result = plan->passes % 2 ? &plan->tmp : &plan->buf;
-  return plan;
-}
-
-template <typename T>
-std::shared_ptr<Plan<T>> build_multiway_plan(const MultiwayConfig& cfg, std::int64_t n_padded,
-                                             int warp_size) {
-  auto plan = std::make_shared<Plan<T>>(n_padded);
-  plan->result = enqueue_multiway_pipeline(plan->graph, plan->buf, plan->tmp, plan->boundaries,
-                                           n_padded, cfg, warp_size, plan->passes);
   return plan;
 }
 
@@ -272,10 +263,10 @@ std::shared_ptr<Plan<T>> build_batched_plan(const std::vector<std::vector<T>>& a
 /// parity, so `result` stays null; the engine unpacks per segment.
 template <typename T>
 std::shared_ptr<Plan<T>> build_segmented_plan(const std::vector<std::int64_t>& lens,
-                                              const MergeConfig& cfg) {
+                                              const MergeConfig& cfg, int warp_size) {
   auto plan = std::make_shared<Plan<T>>();
   enqueue_segmented_pipeline(plan->graph, lens, plan->buf, plan->tmp, plan->batch,
-                             plan->boundaries, cfg, plan->passes);
+                             plan->boundaries, cfg, warp_size, plan->passes);
   return plan;
 }
 
@@ -299,8 +290,9 @@ class SortEngine {
   SortReport sort(std::vector<T>& data, const MergeConfig& cfg) {
     validate_merge_config(launcher_->device(), cfg, sizeof(T));
     const MergeConfig certified = with_certs(cfg);
+    const int warp_size = launcher_->device().warp_size;
     return sort_padded(data, PlanKey::Kind::Sort, certified, [&](std::int64_t np) {
-      return detail::build_sort_plan<T>(certified, np);
+      return detail::build_sort_plan<T>(certified, np, warp_size);
     });
   }
 
@@ -312,7 +304,7 @@ class SortEngine {
     const MultiwayConfig certified = with_certs(cfg);
     const int warp_size = launcher_->device().warp_size;
     return sort_padded(data, PlanKey::Kind::Multiway, certified, [&](std::int64_t np) {
-      return detail::build_multiway_plan<T>(certified, np, warp_size);
+      return detail::build_sort_plan<T>(certified, np, warp_size);
     });
   }
 
@@ -385,7 +377,11 @@ class SortEngine {
                       static_cast<std::int64_t>(segments.size()), digest,
                       config_digest(certified)};
     execute<T>(
-        report, key, [&] { return detail::build_segmented_plan<T>(lens, certified); },
+        report, key,
+        [&] {
+          return detail::build_segmented_plan<T>(lens, certified,
+                                                 launcher_->device().warp_size);
+        },
         [&](detail::Plan<T>& plan) {
           // A previous run leaves intermediate data in the sentinel tails.
           std::fill(plan.buf.begin(), plan.buf.end(), padding_sentinel<T>::value());

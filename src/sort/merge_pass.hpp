@@ -1,14 +1,17 @@
-// The 2-way merge pass: one merge over any list of (A, B) pairs of sorted
-// runs in one source buffer, in exactly two launches however many pairs
-// there are — the flat form of Merge Path (Green et al.).
+// The merge pass: one merge over any list of groups of sorted lists in one
+// source buffer, in exactly two launches however many groups there are —
+// the flat form of Merge Path (Green et al.).
 //
-// Each pair is cut into ⌈(|A|+|B|)/tile⌉ output tiles of u*E elements,
-// described by host-built BatchTile descriptors.  Stage 1, the
-// merge_partition kernel, resolves the co-rank of every tile's start
-// diagonal within its pair by one lockstep binary search in global memory
-// per tile — Thrust's hierarchical 2-stage identification of
-// subsequences.  Stage 2, the merge_pass kernel, processes one output tile
-// per block:
+// Each group is cut into ⌈len/tile⌉ output tiles of u*E elements,
+// described by host-built BatchTile descriptors {base, run, len, diag0,
+// out}.  This header is the one place that decides how a pass is cut into
+// tiles, for both arities: a 2-way group is a pair (A, B), a k-way group
+// up to k runs (multiway_pass.hpp runs the k-way kernels over the same
+// descriptors).  Stage 1, the merge_partition kernel, resolves the co-rank
+// of every tile's start diagonal within its pair by one lockstep binary
+// search in global memory per tile — Thrust's hierarchical 2-stage
+// identification of subsequences.  Stage 2, the merge_pass kernel,
+// processes one output tile per block:
 //
 //   load A-chunk and B-chunk into shared      (baseline: linear;
 //                                              CF-Merge: rho(A ∪ pi(B)))
@@ -21,11 +24,14 @@
 //   write the merged tile back                (stride-E register->shared,
 //                                              then coalesced store)
 //
-// Every 2-way entry point enqueues this pass: a merge_sort pass and a
-// segmented_sort round merge the run pairs of their segments (a lone run
-// at the end is a pair with an empty B), and batched_merge is one pass over
-// the caller's pairs.  The launch count does not grow with the pair count,
-// so the timing model's per-launch overhead is paid once per pass.
+// A tile's end co-rank is the next tile's start co-rank, except for the
+// group's last tile, which ends at the list ends (BatchTile::ends_group);
+// both arities apply that rule.  Every 2-way entry point enqueues this
+// pass: a merge_sort pass and a segmented_sort round merge the run pairs of
+// their segments (add_run_group_tiles with k = 2; a lone run at the end is
+// a pair with an empty B), and batched_merge is one pass over the caller's
+// pairs.  The launch count does not grow with the group count, so the
+// timing model's per-launch overhead is paid once per pass.
 #pragma once
 
 #include <algorithm>
@@ -82,6 +88,8 @@ struct MergeConfig {
     return variant == Variant::CFMerge ? cost::cfmerge_regs_per_thread(e)
                                        : cost::baseline_regs_per_thread(e);
   }
+  /// True when the block sort runs its CF rounds (and their staging buffer).
+  [[nodiscard]] bool cf_rounds() const { return variant == Variant::CFMerge && cf_blocksort; }
 };
 
 /// True if one block of `threads` threads using `shared_bytes` of shared
@@ -105,7 +113,7 @@ inline void validate_merge_config(const gpusim::DeviceSpec& dev, const MergeConf
   if (cfg.u <= 0) throw std::invalid_argument("MergeConfig: u must be positive");
   if (cfg.u % dev.warp_size != 0)
     throw std::invalid_argument("MergeConfig: u must be a multiple of the warp size");
-  const std::size_t staging = cfg.variant == Variant::CFMerge && cfg.cf_blocksort ? 2 : 1;
+  const std::size_t staging = cfg.cf_rounds() ? 2 : 1;
   const std::size_t tile_bytes = static_cast<std::size_t>(cfg.tile()) * elem_bytes * staging;
   // A thread holds its E elements in registers, so an E beyond the SM's
   // register file never fits (checked first: the estimate would overflow).
@@ -116,40 +124,48 @@ inline void validate_merge_config(const gpusim::DeviceSpec& dev, const MergeConf
 }
 
 namespace detail {
-/// Per-output-tile descriptor of a merge pass, precomputed on the host (in
-/// a real implementation this is a tiny device array built by a setup
-/// kernel).
+/// Per-output-tile descriptor of a merge pass of any arity k, precomputed on
+/// the host (in a real implementation this is a tiny device array built by
+/// a setup kernel).  The tile belongs to a group of k sorted lists laid out
+/// back to back in the source: list s starts at base + s·run, lists
+/// 0…k−2 hold clamp(len − s·run, 0, run) elements and the last list holds
+/// the rest.  A batched pair is run = |A|, len = |A|+|B|; a group of a pass
+/// over sorted runs has run = the run length.
 struct BatchTile {
-  std::int64_t a_base = 0;    ///< source offset of the pair's A list
-  std::int64_t b_base = 0;    ///< source offset of the pair's B list
-  std::int64_t ra = 0;        ///< real |A| of the pair
-  std::int64_t rb = 0;        ///< real |B| of the pair
-  std::int64_t diag0 = 0;     ///< output diagonal of this tile within the pair
-  std::int64_t out_base = 0;  ///< destination offset of this tile
+  std::int64_t base = 0;   ///< source offset of the group's first list
+  std::int64_t run = 0;    ///< list stride (and cap of every list but the last)
+  std::int64_t len = 0;    ///< real elements of the group
+  std::int64_t diag0 = 0;  ///< output diagonal of this tile within the group
+  std::int64_t out = 0;    ///< destination offset of this tile
+
+  [[nodiscard]] std::int64_t list_base(int s) const { return base + s * run; }
+  [[nodiscard]] std::int64_t list_len(int s, int k) const {
+    const std::int64_t rest = std::max<std::int64_t>(len - s * run, 0);
+    return s + 1 < k ? std::min(rest, run) : rest;
+  }
+  /// True for the group's last tile, whose end co-ranks are the list ends
+  /// (every other tile ends where the next tile of its group starts).
+  [[nodiscard]] bool ends_group(std::int64_t tile) const { return diag0 + tile >= len; }
 };
 
-/// Appends the ⌈(ra + rb)/tile⌉ tile descriptors of one pair whose output
-/// starts at destination offset `out`.  The last tile's B window runs
-/// past B's end up to the tile boundary, so the source must hold sentinels
-/// there whenever ra + rb is not a tile multiple.
-inline void add_pair_tiles(std::vector<BatchTile>& tiles, std::int64_t a_base,
-                           std::int64_t ra, std::int64_t b_base, std::int64_t rb,
-                           std::int64_t out, std::int64_t tile) {
-  for (std::int64_t d = 0; d < ra + rb; d += tile)
-    tiles.push_back({a_base, b_base, ra, rb, d, out + d});
+/// Appends the ⌈len/tile⌉ tile descriptors of one group whose output
+/// starts at destination offset `out`.  The last tile's last-list window
+/// runs past the group's end up to the tile boundary, so the source must
+/// hold sentinels there whenever len is not a tile multiple.
+inline void add_group_tiles(std::vector<BatchTile>& tiles, std::int64_t base, std::int64_t run,
+                            std::int64_t len, std::int64_t out, std::int64_t tile) {
+  for (std::int64_t d = 0; d < len; d += tile) tiles.push_back({base, run, len, d, out + d});
 }
 
-/// Appends the tiles of one pass over the `padded` elements (a tile
-/// multiple) at offset `at`, sorted in runs of `run`: run pair p merges
-/// runs 2p and 2p + 1 into the same offsets of the destination; a lone
-/// last run is a pair with |B| = 0.
-inline void add_run_pair_tiles(std::vector<BatchTile>& tiles, std::int64_t at,
-                               std::int64_t padded, std::int64_t run, std::int64_t tile) {
-  for (std::int64_t base = 0; base < padded; base += 2 * run) {
-    const std::int64_t ra = std::min(run, padded - base);
-    const std::int64_t rb = std::clamp<std::int64_t>(padded - base - run, 0, run);
-    add_pair_tiles(tiles, at + base, ra, at + base + ra, rb, at + base, tile);
-  }
+/// Appends the tiles of one k-way pass over the `padded` elements (a tile
+/// multiple) at offset `at`, sorted in runs of `run`: group g merges runs
+/// gk … gk + k − 1 into the same offsets of the destination; the last group
+/// may hold fewer runs, or a lone one.
+inline void add_run_group_tiles(std::vector<BatchTile>& tiles, std::int64_t at,
+                                std::int64_t padded, std::int64_t run, int k,
+                                std::int64_t tile) {
+  for (std::int64_t g = 0; g < padded; g += k * run)
+    add_group_tiles(tiles, at + g, run, std::min(k * run, padded - g), at + g, tile);
 }
 
 /// Host-side layout of one batch shape: every pass's tile descriptors
@@ -169,11 +185,12 @@ struct BatchLayout {
 }  // namespace detail
 
 /// The merge_partition kernel's search: grid thread t < tiles.size()
-/// resolves the co-rank of tiles[t]'s start diagonal within its pair and
-/// writes it to out[t].  Each warp with a live lane first fetches its
-/// lanes' descriptors (descriptor index desc0 + t, one dependent read),
-/// then runs one lockstep co-rank search over `global`; every round charges
-/// kSearchIterInstrs, the A probe row (dependent) and the B probe row.
+/// resolves the A co-rank of tiles[t]'s start diagonal within its pair
+/// (a two-list group) and writes it to out[t].  Each warp with a live lane
+/// first fetches its lanes' descriptors (descriptor index desc0 + t, one
+/// dependent read), then runs one lockstep co-rank search over `global`;
+/// every round charges kSearchIterInstrs, the A probe row (dependent) and
+/// the B probe row.
 /// Idle and finished lanes probe kInactiveLane.
 template <typename T, typename Cmp>
 void partition_search(gpusim::BlockContext& ctx, gpusim::GlobalView<const T>& global,
@@ -203,10 +220,10 @@ void partition_search(gpusim::BlockContext& ctx, gpusim::GlobalView<const T>& gl
       const std::int64_t t = first + warp * w + lane;
       if (t >= count) continue;
       const detail::BatchTile& bt = tiles[static_cast<std::size_t>(t)];
-      lanes[l].init(bt.diag0, bt.ra, bt.rb);
+      lanes[l].init(bt.diag0, bt.list_len(0, 2), bt.list_len(1, 2));
       desc[l] = (desc0 + t) * static_cast<std::int64_t>(sizeof(detail::BatchTile));
-      abase[l] = bt.a_base;
-      bbase[l] = bt.b_base;
+      abase[l] = bt.base;
+      bbase[l] = bt.list_base(1);
       any = true;
     }
     if (!any) continue;
@@ -416,10 +433,8 @@ void enqueue_merge_pass(gpusim::KernelGraph& graph, const std::vector<T>& src,
         const BatchTile& bt = tiles[static_cast<std::size_t>(t0) + b];
         ctx.phase("merge.load");
         read_boundary_rows(ctx, boundaries, 1);
-        // The pair's last tile ends at the pair's end (co-rank ra); any
-        // other tile's end is the next tile's start, in the same pair.
         const std::int64_t a0 = boundaries[b];
-        const std::int64_t a1 = bt.diag0 + tile >= bt.ra + bt.rb ? bt.ra : boundaries[b + 1];
+        const std::int64_t a1 = bt.ends_group(tile) ? bt.list_len(0, 2) : boundaries[b + 1];
         const std::int64_t b0 = bt.diag0 - a0;
         const std::int64_t la = a1 - a0;
         const std::int64_t lb = tile - la;
@@ -428,10 +443,10 @@ void enqueue_merge_pass(gpusim::KernelGraph& graph, const std::vector<T>& src,
         gpusim::GlobalView<const T> gin(ctx, std::span<const T>(src), 0);
         gpusim::GlobalView<T> gout(
             ctx,
-            std::span<T>(dst).subspan(static_cast<std::size_t>(bt.out_base),
+            std::span<T>(dst).subspan(static_cast<std::size_t>(bt.out),
                                       static_cast<std::size_t>(tile)),
-            bt.out_base);
-        merge_window_core<T>(ctx, gin, gout, bt.a_base + a0, bt.b_base + b0, la, lb, cfg,
+            bt.out);
+        merge_window_core<T>(ctx, gin, gout, bt.base + a0, bt.list_base(1) + b0, la, lb, cfg,
                              std::less<T>{});
       });
 }

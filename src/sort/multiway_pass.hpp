@@ -1,14 +1,18 @@
 // One global k-way merge pass of the multiway mergesort.
 //
 // Runs of length `run` are merged k at a time, cutting the global pass count
-// from ceil(log2(n/tile)) to ceil(log_k(n/tile)) (Casanova et al.).  Stage 1
-// (partition kernel) computes, for every output tile boundary, the k-vector
-// of co-ranks inside its group of k runs — multisequence selection, the
-// k-dimensional generalization of merge path (mergepath/multiway_path.hpp),
-// found by a warp-lockstep stride-halving search with one lane per sequence
-// (detail::warp_multiseq_select, shared with the LoserTree's thread search).
-// Stage 2 (merge kernel) produces one output tile of u*E elements per block
-// from its k segment windows, in one of two variants:
+// from ceil(log2(n/tile)) to ceil(log_k(n/tile)) (Casanova et al.).  The
+// pass is cut into tiles exactly as the 2-way pass is: by the BatchTile
+// descriptors of merge_pass.hpp (add_run_group_tiles, one group per k
+// runs).  Stage 1 (the multiway_partition kernel) computes, for every tile,
+// the k-vector of co-ranks of its start diagonal inside its group —
+// multisequence selection, the k-dimensional generalization of merge path
+// (mergepath/multiway_path.hpp), found by a warp-lockstep stride-halving
+// search with one lane per list (detail::warp_multiseq_select, shared with
+// the LoserTree's thread search).  Stage 2 (the multiway_merge kernel)
+// produces one output tile of u*E elements per block from its k list
+// windows, ending the group's last tile at the list ends as merge_pass
+// does, in one of two variants:
 //
 //  * CFCascade — the conflict-free schedule.  The tile's k windows are
 //    merged by a cascade of log2(k) in-shared pairwise stages, each an
@@ -69,6 +73,10 @@ struct MultiwayConfig {
                ? 2 * gather::CascadePlan::capacity(tile(), w, e, k)
                : tile();
   }
+  /// Registers per thread of the tile kernels (block sort, k-way merge).
+  [[nodiscard]] int regs_per_thread() const { return cost::multiway_regs_per_thread(e, k); }
+  /// True when the block sort runs its CF rounds (and their staging buffer).
+  [[nodiscard]] bool cf_rounds() const { return cf_blocksort; }
 };
 
 /// Largest supported merge arity (bounds the per-lane head/pointer arrays).
@@ -88,34 +96,14 @@ inline void validate_multiway_config(const gpusim::DeviceSpec& dev,
     throw std::invalid_argument("MultiwayConfig: k must be in [2, 16]");
   if (cfg.variant == MultiwayVariant::CFCascade && (cfg.k & (cfg.k - 1)) != 0)
     throw std::invalid_argument("MultiwayConfig: CFCascade requires a power-of-two k");
-  const std::int64_t bsort_elems = cfg.tile() * (cfg.cf_blocksort ? 2 : 1);
+  const std::int64_t bsort_elems = cfg.tile() * (cfg.cf_rounds() ? 2 : 1);
   const auto shared_elems =
       static_cast<std::size_t>(std::max(bsort_elems, cfg.merge_shared_elems(dev.warp_size)));
   if (cfg.e > dev.registers_per_sm ||
-      !block_fits(dev, cfg.u, shared_elems * elem_bytes,
-                  cost::multiway_regs_per_thread(cfg.e, cfg.k)) ||
+      !block_fits(dev, cfg.u, shared_elems * elem_bytes, cfg.regs_per_thread()) ||
       !block_fits(dev, cfg.u, 0, cost::kPartitionRegsPerThread))
     throw std::invalid_argument("MultiwayConfig: block does not fit on an SM");
 }
-
-/// Geometry of one k-way pass: which group of k runs an output position
-/// belongs to, and the (possibly short or empty) segment lengths inside it.
-struct PassGeometryK {
-  std::int64_t n = 0;    ///< total elements (multiple of tile)
-  std::int64_t run = 0;  ///< input run length (multiple of tile)
-  int k = 2;
-
-  [[nodiscard]] std::int64_t group_base(std::int64_t pos) const {
-    return pos / (k * run) * (k * run);
-  }
-  /// Length of segment s of the group at `base` (short/empty at the end).
-  [[nodiscard]] std::int64_t seg_len(std::int64_t base, int s) const {
-    return std::clamp<std::int64_t>(n - base - s * run, 0, run);
-  }
-  [[nodiscard]] std::int64_t group_len(std::int64_t base) const {
-    return std::min<std::int64_t>(static_cast<std::int64_t>(k) * run, n - base);
-  }
-};
 
 /// Boundaries one warp resolves at once in warp_multiseq_select: one lane
 /// per (boundary, sequence), at least one boundary per warp.
@@ -294,37 +282,40 @@ void warp_multiseq_select(gpusim::BlockContext& ctx, int warp, int k, int querie
 
 }  // namespace detail
 
-/// Stage 1: k-way partition kernel.  boundaries is a flat (num_tiles+1) x k
-/// table; row t receives the co-rank vector of output diagonal t*tile within
-/// its group of k runs.  One lane per (boundary row, sequence): each warp
-/// resolves selections_per_warp(w, k) consecutive rows.
-template <typename T, typename Cmp = std::less<T>>
-void multiway_partition_body(gpusim::BlockContext& ctx, std::span<const T> input,
-                             const PassGeometryK& geom, std::int64_t tile,
-                             std::span<std::int64_t> boundaries, Cmp cmp = Cmp{}) {
+/// The multiway_partition kernel's search, the k-way partition_search:
+/// row t of `out` (k co-ranks) receives the co-rank vector of tiles[t]'s
+/// start diagonal within its group.  One lane per (tile, list): each warp
+/// resolves selections_per_warp(w, k) consecutive tiles.  A warp first
+/// fetches its tiles' descriptors (lane q reads descriptor desc0 + t0 + q,
+/// one dependent read), then runs warp_multiseq_select over `global`.
+template <typename T, typename Cmp>
+void multiway_partition_search(gpusim::BlockContext& ctx, gpusim::GlobalView<const T>& global,
+                               std::span<const detail::BatchTile> tiles, std::int64_t desc0,
+                               int k, std::span<std::int64_t> out, Cmp cmp) {
   const int w = ctx.lanes();
-  const int k = geom.k;
   const int per_warp = selections_per_warp(w, k);
-  const auto nb = static_cast<std::int64_t>(boundaries.size()) / k;
-  gpusim::GlobalView<const T> global(ctx, input, 0);
-
-  ctx.phase("partition.search");
-  std::array<std::int64_t, gpusim::kMaxLanes> seg_len, seg_base, diag;
+  const auto count = static_cast<std::int64_t>(tiles.size());
+  assert(out.size() == tiles.size() * static_cast<std::size_t>(k));
+  std::array<std::int64_t, gpusim::kMaxLanes> seg_len, seg_base, diag, desc;
   for (int warp = 0; warp < ctx.warps(); ++warp) {
     const std::int64_t t0 =
         (static_cast<std::int64_t>(ctx.block_id()) * ctx.warps() + warp) * per_warp;
-    if (t0 >= nb) break;
-    const int queries = static_cast<int>(std::min<std::int64_t>(per_warp, nb - t0));
+    if (t0 >= count) break;
+    const int queries = static_cast<int>(std::min<std::int64_t>(per_warp, count - t0));
+    desc.fill(gpusim::kInactiveLane);
     for (int q = 0; q < queries; ++q) {
-      const std::int64_t pos = (t0 + q) * tile;
-      const std::int64_t base = pos >= geom.n ? geom.n : geom.group_base(pos);
-      diag[static_cast<std::size_t>(q)] = std::min(pos - base, geom.group_len(base));
+      const detail::BatchTile& bt = tiles[static_cast<std::size_t>(t0 + q)];
+      desc[static_cast<std::size_t>(q)] =
+          (desc0 + t0 + q) * static_cast<std::int64_t>(sizeof(detail::BatchTile));
+      diag[static_cast<std::size_t>(q)] = bt.diag0;
       for (int s = 0; s < k; ++s) {
         const auto f = static_cast<std::size_t>(q * k + s);
-        seg_len[f] = geom.seg_len(base, s);
-        seg_base[f] = base + static_cast<std::int64_t>(s) * geom.run;
+        seg_len[f] = bt.list_len(s, k);
+        seg_base[f] = bt.list_base(s);
       }
     }
+    ctx.charge_gmem(warp, std::span<const std::int64_t>(desc.data(), static_cast<std::size_t>(w)),
+                    8, /*dependent=*/true);
     const auto slots = static_cast<std::size_t>(queries * k);
     detail::warp_multiseq_select<T>(
         ctx, warp, k, queries, std::span<const std::int64_t>(seg_base.data(), slots),
@@ -333,7 +324,7 @@ void multiway_partition_body(gpusim::BlockContext& ctx, std::span<const T> input
         [&](std::span<const std::int64_t> addrs, std::span<T> vals, bool dependent) {
           global.gather(warp, addrs, vals, dependent);
         },
-        cmp, boundaries.subspan(static_cast<std::size_t>(t0 * k), slots));
+        cmp, out.subspan(static_cast<std::size_t>(t0 * k), slots));
   }
 }
 
@@ -616,50 +607,82 @@ void multiway_losertree_core(gpusim::BlockContext& ctx, GIn& gin,
                             cfprims::UnitStep{});
 }
 
-/// Stage 2: k-way merge kernel body for one output tile.
-template <typename T, typename Cmp = std::less<T>>
-void multiway_tile_body(gpusim::BlockContext& ctx, std::span<const T> input,
-                        std::span<T> output, const PassGeometryK& geom,
-                        const MultiwayConfig& cfg,
-                        std::span<const std::int64_t> boundaries, Cmp cmp = Cmp{}) {
+namespace detail {
+/// Enqueues one k-way merge pass into `graph`, the k-way enqueue_merge_pass:
+/// merges the groups described by tiles[t0, t0 + count) from `src` into
+/// `dst` with one multiway_partition kernel (tile t0 + t's co-rank row into
+/// row t of `boundaries`, k co-ranks a row) and one multiway_merge kernel
+/// (block t merges tile t0 + t between rows t and t + 1).  A group's tiles
+/// must be consecutive and its length a tile multiple, and `boundaries` must
+/// hold count + 1 rows.  `warp_size` fixes the partition's rows per block
+/// and the cascade's shared capacity.  Every buffer must stay alive (and
+/// un-moved) until the graph executed.
+template <typename T>
+void enqueue_multiway_pass(gpusim::KernelGraph& graph, const std::vector<T>& src,
+                           std::vector<T>& dst, const std::vector<BatchTile>& tiles, int t0,
+                           int count, std::vector<std::int64_t>& boundaries,
+                           const MultiwayConfig& cfg, int warp_size) {
   const int k = cfg.k;
+  assert(count > 0 && static_cast<std::size_t>(t0 + count) <= tiles.size() &&
+         boundaries.size() >= static_cast<std::size_t>(count + 1) * static_cast<std::size_t>(k));
+  const std::int64_t rows_per_block =
+      static_cast<std::int64_t>(cfg.u / warp_size) * selections_per_warp(warp_size, k);
+  const int pblocks = static_cast<int>((count + rows_per_block - 1) / rows_per_block);
+  graph.enqueue(
+      "multiway_partition",
+      gpusim::LaunchShape{pblocks, cfg.u, 0, cost::kPartitionRegsPerThread},
+      [&tiles, &src, &boundaries, t0, count, k](gpusim::BlockContext& ctx) {
+        gpusim::GlobalView<const T> g(ctx, std::span<const T>(src), 0);
+        ctx.phase("partition.search");
+        multiway_partition_search<T>(
+            ctx, g,
+            std::span<const BatchTile>(tiles).subspan(static_cast<std::size_t>(t0),
+                                                      static_cast<std::size_t>(count)),
+            t0, k,
+            std::span<std::int64_t>(boundaries)
+                .first(static_cast<std::size_t>(count) * static_cast<std::size_t>(k)),
+            std::less<T>{});
+      });
+
   const std::int64_t tile = cfg.tile();
-  const std::int64_t out0 = static_cast<std::int64_t>(ctx.block_id()) * tile;
-  const std::int64_t base = geom.group_base(out0);
+  const std::size_t mshared =
+      static_cast<std::size_t>(cfg.merge_shared_elems(warp_size)) * sizeof(T);
+  graph.enqueue(
+      "multiway_merge", gpusim::LaunchShape{count, cfg.u, mshared, cfg.regs_per_thread()},
+      [&tiles, &src, &dst, &boundaries, cfg, t0, tile](gpusim::BlockContext& ctx) {
+        const int k = cfg.k;
+        const auto b = static_cast<std::size_t>(ctx.block_id());
+        const BatchTile& bt = tiles[static_cast<std::size_t>(t0) + b];
+        ctx.phase("merge.load");
+        read_boundary_rows(ctx, boundaries, k);
+        // As in merge_pass: the group's last tile ends at the list ends,
+        // any other tile where the next tile of its group starts.
+        std::array<std::int64_t, kMaxMultiwayK> seg_src{};
+        std::array<std::int64_t, kMaxMultiwayK> seg_win{};
+        for (int s = 0; s < k; ++s) {
+          const auto at = static_cast<std::size_t>(s);
+          const std::int64_t r0 = boundaries[b * static_cast<std::size_t>(k) + at];
+          const std::int64_t r1 = bt.ends_group(tile)
+                                      ? bt.list_len(s, k)
+                                      : boundaries[(b + 1) * static_cast<std::size_t>(k) + at];
+          seg_src[at] = bt.list_base(s) + r0;
+          seg_win[at] = r1 - r0;
+        }
 
-  // Both boundary rows of this tile (2k co-ranks).
-  ctx.phase("merge.load");
-  read_boundary_rows(ctx, boundaries, k);
-  const std::int64_t diag1 = out0 + tile - base;
-  const std::int64_t group_total = geom.group_len(base);
-  std::array<std::int64_t, kMaxMultiwayK> seg_src{};
-  std::array<std::int64_t, kMaxMultiwayK> seg_win{};
-  for (int s = 0; s < k; ++s) {
-    const std::int64_t len = geom.seg_len(base, s);
-    const std::int64_t r0 =
-        boundaries[static_cast<std::size_t>(static_cast<std::int64_t>(ctx.block_id()) * k + s)];
-    // A boundary coinciding with the *end* of this group was computed
-    // relative to the next group (as diagonal 0); its co-ranks here are the
-    // full segment lengths.
-    const std::int64_t r1 =
-        diag1 >= group_total
-            ? len
-            : boundaries[static_cast<std::size_t>(
-                  (static_cast<std::int64_t>(ctx.block_id()) + 1) * k + s)];
-    seg_src[static_cast<std::size_t>(s)] = base + static_cast<std::int64_t>(s) * geom.run + r0;
-    seg_win[static_cast<std::size_t>(s)] = r1 - r0;
-  }
-
-  gpusim::GlobalView<const T> gin(ctx, input, 0);
-  gpusim::GlobalView<T> gout(ctx, output.subspan(static_cast<std::size_t>(out0),
-                                                 static_cast<std::size_t>(tile)),
-                             out0);
-  const std::span<const std::int64_t> src(seg_src.data(), static_cast<std::size_t>(k));
-  const std::span<const std::int64_t> win(seg_win.data(), static_cast<std::size_t>(k));
-  if (cfg.variant == MultiwayVariant::CFCascade)
-    multiway_cascade_core<T>(ctx, gin, gout, src, win, cfg, cmp);
-  else
-    multiway_losertree_core<T>(ctx, gin, gout, src, win, cfg, cmp);
+        gpusim::GlobalView<const T> gin(ctx, std::span<const T>(src), 0);
+        gpusim::GlobalView<T> gout(
+            ctx,
+            std::span<T>(dst).subspan(static_cast<std::size_t>(bt.out),
+                                      static_cast<std::size_t>(tile)),
+            bt.out);
+        const std::span<const std::int64_t> src_win(seg_src.data(), static_cast<std::size_t>(k));
+        const std::span<const std::int64_t> len_win(seg_win.data(), static_cast<std::size_t>(k));
+        if (cfg.variant == MultiwayVariant::CFCascade)
+          multiway_cascade_core<T>(ctx, gin, gout, src_win, len_win, cfg, std::less<T>{});
+        else
+          multiway_losertree_core<T>(ctx, gin, gout, src_win, len_win, cfg, std::less<T>{});
+      });
 }
+}  // namespace detail
 
 }  // namespace cfmerge::sort

@@ -8,15 +8,18 @@
 //
 //   one block_sort over every tile of every segment (block sort is
 //   tile-local), then
-//   one 2-way merge pass (sort/merge_pass.hpp: merge_partition +
-//   merge_pass) per round p over the run pairs of every segment that still
-//   has more than one run of tile·2^p.
+//   one merge pass per round p over the run groups of every segment that
+//   still has more than one run of tile·k^p: a 2-way pass
+//   (sort/merge_pass.hpp: merge_partition + merge_pass) for a MergeConfig,
+//   a k-way pass (sort/multiway_pass.hpp: multiway_partition +
+//   multiway_merge) for a MultiwayConfig.
 //
 // A segment of P merge passes takes part in rounds 0..P-1 and is left in
 // the ping-pong buffer its own pass parity put it in; an unpaired trailing
-// run is a pair with |B| = 0.  The batch therefore launches 1 + 2·(max
-// segment passes) kernels, one after another.  A merge_sort plan is this
-// pipeline over one segment.
+// run is a group of one list.  The batch therefore launches 1 + 2·(max
+// segment passes) kernels, one after another.  A merge_sort or
+// merge_sort_multiway plan is this pipeline over one segment; the
+// segmented_sort entry point runs it 2-way.
 //
 // This header holds the report type and the pipeline enqueue; the entry
 // point is a thin wrapper over sort::SortEngine (engine.hpp, included at
@@ -27,11 +30,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "gpusim/launcher.hpp"
-#include "sort/merge_pass.hpp"
 #include "sort/key_value.hpp"
+#include "sort/merge_pass.hpp"
+#include "sort/multiway_pass.hpp"
 
 namespace cfmerge::sort {
 
@@ -68,12 +73,12 @@ struct SegmentedSortReport {
   [[nodiscard]] std::uint64_t merge_conflicts() const;
 };
 
-/// Merge passes of a sort of `n` elements: runs start at one tile and
-/// double until one run covers the tile-padded input.
-[[nodiscard]] inline int merge_pass_count(std::int64_t n, std::int64_t tile) {
+/// Merge passes of a k-way sort of `n` elements: runs start at one tile
+/// and grow k-fold until one run covers the tile-padded input.
+[[nodiscard]] inline int merge_pass_count(std::int64_t n, std::int64_t tile, int k = 2) {
   const std::int64_t n_padded = (n + tile - 1) / tile * tile;
   int passes = 0;
-  for (std::int64_t run = tile; run < n_padded; run *= 2) ++passes;
+  for (std::int64_t run = tile; run < n_padded; run *= k) ++passes;
   return passes;
 }
 
@@ -84,51 +89,61 @@ namespace detail {
 /// tile-padded segments, records each segment's offset in `layout`, sizes
 /// `boundaries` to the largest round plus one row, adds one block_sort
 /// over every tile and one merge pass per round, and returns the round
-/// count via `passes`.  The caller loads segment s at
+/// count via `passes`.  The pass arity comes from the config: 2-way passes
+/// (enqueue_merge_pass, one co-rank a row) for a MergeConfig, k-way passes
+/// (enqueue_multiway_pass, k co-ranks a row) for a MultiwayConfig, whose
+/// kernel shapes depend on `warp_size`.  The caller loads segment s at
 /// layout.offsets[s] of `buf` (keeping its sentinel tail) before running
 /// the graph.  The segments must hold at least one element.  Every buffer
 /// must stay alive (and un-moved) until the graph executed.
-template <typename T>
+template <typename T, typename Cfg>
 void enqueue_segmented_pipeline(gpusim::KernelGraph& graph, const std::vector<std::int64_t>& lens,
                                 std::vector<T>& buf, std::vector<T>& tmp, BatchLayout& layout,
-                                std::vector<std::int64_t>& boundaries, const MergeConfig& cfg,
-                                int& passes) {
+                                std::vector<std::int64_t>& boundaries, const Cfg& cfg,
+                                int warp_size, int& passes) {
+  constexpr bool two_way = std::is_same_v<Cfg, MergeConfig>;
+  int k = 2;
+  if constexpr (!two_way) k = cfg.k;
   const std::int64_t tile = cfg.tile();
   std::int64_t total = 0;
   passes = 0;
   for (const std::int64_t n : lens) {
     layout.offsets.push_back(total);
     total += (n + tile - 1) / tile * tile;
-    passes = std::max(passes, merge_pass_count(n, tile));
+    passes = std::max(passes, merge_pass_count(n, tile, k));
   }
   buf.assign(static_cast<std::size_t>(total), padding_sentinel<T>::value());
   tmp.resize(static_cast<std::size_t>(total));
 
   // Every round's tile descriptors, round after round.  In round p (runs of
-  // tile·2^p) each segment that still has more than one run merges its run
-  // pairs into the ping-pong partner buffer at the same offsets.
+  // tile·k^p) each segment that still has more than one run merges its run
+  // groups into the ping-pong partner buffer at the same offsets.
   std::vector<int> round_t0;
   std::int64_t run = tile;
-  for (int p = 0; p < passes; ++p, run *= 2) {
+  for (int p = 0; p < passes; ++p, run *= k) {
     round_t0.push_back(static_cast<int>(layout.tiles.size()));
     for (std::size_t s = 0; s < lens.size(); ++s)
-      if (merge_pass_count(lens[s], tile) > p)
-        add_run_pair_tiles(layout.tiles, layout.offsets[s], (lens[s] + tile - 1) / tile * tile,
-                           run, tile);
+      if (merge_pass_count(lens[s], tile, k) > p)
+        add_run_group_tiles(layout.tiles, layout.offsets[s],
+                            (lens[s] + tile - 1) / tile * tile, run, k, tile);
   }
   round_t0.push_back(static_cast<int>(layout.tiles.size()));
   // Round 0 has the most tiles (every segment still merging takes part
   // with all of its tiles); one more row follows its last tile.
-  boundaries.assign(static_cast<std::size_t>(passes > 0 ? round_t0[1] : 0) + 1, 0);
+  const std::size_t row = two_way ? 1 : static_cast<std::size_t>(k);
+  boundaries.assign((static_cast<std::size_t>(passes > 0 ? round_t0[1] : 0) + 1) * row, 0);
 
   enqueue_block_sort(graph, buf, static_cast<int>(total / tile), cfg.u, cfg.e,
-                     cfg.regs_per_thread(),
-                     cfg.variant == Variant::CFMerge && cfg.cf_blocksort, cfg.certs);
+                     cfg.regs_per_thread(), cfg.cf_rounds(), cfg.certs);
   std::vector<T>* src = &buf;
   std::vector<T>* dst = &tmp;
   for (std::size_t p = 0; p + 1 < round_t0.size(); ++p) {
-    enqueue_merge_pass(graph, *src, *dst, layout.tiles, round_t0[p],
-                       round_t0[p + 1] - round_t0[p], boundaries, cfg);
+    const int count = round_t0[p + 1] - round_t0[p];
+    if constexpr (two_way)
+      enqueue_merge_pass(graph, *src, *dst, layout.tiles, round_t0[p], count, boundaries, cfg);
+    else
+      enqueue_multiway_pass(graph, *src, *dst, layout.tiles, round_t0[p], count, boundaries,
+                            cfg, warp_size);
     std::swap(src, dst);
   }
 }

@@ -222,61 +222,61 @@ std::vector<StreamCase> cases() {
   return {
       {"cf_w32", w32,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 7, 64, 4 * 448, 1); },
-       0x46f33bb80b571ad7ull, 0x1e76bc4e25194674ull, 3360, 3016, 5376, 672},
+       0xa1da954716152b23ull, 0xf7a51ebc6a733bf5ull, 3360, 3016, 5376, 672},
       {"baseline_w32", w32,
        [](L& l) { return run_merge_sort(l, Variant::Baseline, 7, 64, 4 * 448, 2); },
-       0x8ceb77720528e5c0ull, 0x0ab2787dd1c73474ull, 3376, 3048, 5376, 560},
+       0x540ec4a546a32034ull, 0xbe0ee7131fe9d93dull, 3376, 3048, 5376, 560},
       {"multiway_k4_w32", w32, [](L& l) { return run_multiway(l, 7, 64, 16 * 448, 3); },
-       0x849e1301b4496affull, 0x5170bb8c23bd8238ull, 19184, 17813, 64512, 4480},
+       0xcee23a5eb7943ee1ull, 0x478a73aa0111ee36ull, 19188, 17813, 64512, 4480},
       {"by_key_ragged_w32", w32,
        [](L& l) { return run_by_key(l, Variant::CFMerge, 7, 64, 3 * 448 + 101, 4); },
-       0xd6362530ee93ea66ull, 0xacd6955119af4932ull, 3290, 2948, 5376, 672},
+       0x829b236d8fcc1d62ull, 0xfab3bd79eaf3074bull, 3290, 2948, 5376, 672},
       {"cf_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 5, 16, 8 * 80, 5); },
-       0x8d87cd7421d957eaull, 0x1b2fd6afeb031426ull, 4839, 4168, 2560, 960},
+       0x0e96674b20be7999ull, 0x1b2fd6afeb031426ull, 4839, 4168, 2560, 960},
       {"baseline_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::Baseline, 5, 16, 8 * 80, 6); },
-       0xa8f2b404ef0f104dull, 0x051d1f7b08cc0eeaull, 4916, 4292, 2560, 720},
+       0x34092dcde91a9d78ull, 0x051d1f7b08cc0eeaull, 4916, 4292, 2560, 720},
       {"multiway_k4_w8", w8, [](L& l) { return run_multiway(l, 5, 16, 16 * 80, 7); },
-       0xcb20d54dbf912528ull, 0x46ff64841adf860full, 12128, 10892, 11520, 2860},
+       0x4f87a4d4e4f5890eull, 0xff644d594ad87878ull, 12144, 10892, 11520, 2860},
       {"by_key_ragged_w8", w8,
        [](L& l) { return run_by_key(l, Variant::Baseline, 5, 16, 5 * 80 + 37, 8); },
-       0xe739a295c0a0bf8dull, 0xb798e28078ca8ec0ull, 3523, 3057, 1920, 540},
+       0xd769dd878777751cull, 0xb798e28078ca8ec0ull, 3523, 3057, 1920, 540},
       {"cf_blocksort_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 5, 16);
          cfg.cf_blocksort = true;
          return run_merge_sort(l, cfg, 8 * 80 + 13, 9);
        },
-       0xc69efee4efb18b45ull, 0x5b46cb927ce2d2a5ull, 6336, 5324, 4320, 1440},
+       0x652e99aa687624c6ull, 0x593c0ab8852f33eaull, 6336, 5324, 4320, 1440},
       {"cf_noncoprime_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 6, 16, 8 * 96 + 5, 10); },
-       0xe5a38032d54af4edull, 0xab652ca1de31b0f2ull, 6720, 5567, 4320, 864},
+       0xcceef11ccc94ad72ull, 0xe74e3215643ce189ull, 6720, 5567, 4320, 864},
       {"cf_no_rho_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 6, 16);
          cfg.disable_rho = true;
          return run_merge_sort(l, cfg, 8 * 96 + 5, 18);
        },
-       0x227dda8febcce33full, 0x04ec29242fa7dfeeull, 6712, 5563, 4320, 0},
+       0x0aa32ca7be88f604ull, 0xd62cd7c8ea42f479ull, 6712, 5563, 4320, 0},
       {"cf_plain_scatter_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 6, 16);
          cfg.cf_output_scatter = false;
          return run_merge_sort(l, cfg, 8 * 96 + 5, 19);
        },
-       0x971fcd159423cf81ull, 0xc6bad7e0980fefeaull, 6748, 5596, 4320, 432},
+       0x533c727d352c06beull, 0x2b1cb33539d9e4a7ull, 6748, 5596, 4320, 432},
       {"losertree_k4_w8", w8,
        [](L& l) {
          return run_multiway(l, 5, 16, 16 * 80, 11, sort::MultiwayVariant::LoserTree);
        },
-       0x3bc8556f2ce3e43dull, 0x9134586dde7edb24ull, 9592, 8432, 3840, 960},
+       0x86d54a1764bd5a7full, 0x1784144d8ea3d5e4ull, 9608, 8432, 3840, 960},
       {"batched_cf_w32", w32,
        [](L& l) { return run_batched(l, Variant::CFMerge, 7, 64, 4, 12); },
-       0xe31a35da400061dcull, 0x80ce5e14a9a4fd61ull, 1535, 1160, 5376, 336},
+       0x3e0ae76bcb5bce3bull, 0xa27ec236f07b5dacull, 1535, 1160, 5376, 336},
       {"batched_baseline_w8", w8,
        [](L& l) { return run_batched(l, Variant::Baseline, 5, 16, 3, 13); },
-       0x3771d2a2544be5e8ull, 0x6442f8bbe41d5d26ull, 754, 573, 720, 90},
+       0xd6bd7c3d5b64171dull, 0x6442f8bbe41d5d26ull, 754, 573, 720, 90},
       {"permute_w32", w32,
        [](L& l) {
          return run_round_trip(l, cfprims::PermuteOp::kPermute, 8, 64, 3 * 512 + 45, 14);

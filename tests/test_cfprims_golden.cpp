@@ -113,15 +113,15 @@ TEST(CfprimsGolden, PairwiseBaseline) {
 
 TEST(CfprimsGolden, MultiwayK4) {
   expect_golden(run_multiway(4, false, 8192),
-                {307424, 98268, 416596, 79582, 9511, 12093, 282464, 736, 0});
+                {307424, 98268, 416596, 79582, 9559, 12153, 283232, 736, 0});
 }
 
 TEST(CfprimsGolden, MultiwayK4CfBlocksort) {
   expect_golden(run_multiway(4, true, 8192),
-                {338144, 105441, 404293, 74713, 9511, 12093, 282464, 864, 0});
+                {338144, 105441, 404293, 74713, 9559, 12153, 283232, 864, 0});
 }
 
 TEST(CfprimsGolden, MultiwayK8) {
   expect_golden(run_multiway(8, false, 16384),
-                {707914, 217502, 881826, 166081, 17692, 26499, 460508, 1408, 0});
+                {707914, 217502, 881826, 166081, 17820, 26627, 461532, 1408, 0});
 }

@@ -283,7 +283,7 @@ void launch_by_launch_sort(Launcher& launcher, std::vector<T>& data,
   std::vector<T>* dst = &tmp;
   for (std::int64_t run = tile; run < n_padded; run *= 2) {
     const int t0 = static_cast<int>(tiles.size());
-    sort::detail::add_run_pair_tiles(tiles, 0, n_padded, run, tile);
+    sort::detail::add_run_group_tiles(tiles, 0, n_padded, run, 2, tile);
     KernelGraph pass;
     sort::detail::enqueue_merge_pass(pass, *src, *dst, tiles, t0, num_tiles, boundaries, cfg);
     for (const KernelNode& node : pass.nodes()) launcher.launch(node.name, node.shape, node.body);

@@ -9,7 +9,7 @@
 
 #include "sort/batched_merge.hpp"
 #include "sort/merge_sort.hpp"
-#include "sort/multiway_sort.hpp"
+#include "sort/multiway_pass.hpp"
 #include "sort/segmented_sort.hpp"
 
 using namespace cfmerge;

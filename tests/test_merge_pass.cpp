@@ -30,7 +30,7 @@ PassResult run_pass(int w, const MergeConfig& cfg, const std::vector<int>& data,
   const std::int64_t n = static_cast<std::int64_t>(data.size());
   EXPECT_EQ(n % cfg.tile(), 0);
   std::vector<detail::BatchTile> tiles;
-  detail::add_run_pair_tiles(tiles, 0, n, run, cfg.tile());
+  detail::add_run_group_tiles(tiles, 0, n, run, 2, cfg.tile());
   std::vector<std::int64_t> boundaries(tiles.size() + 1, -1);
   std::vector<int> out(data.size());
   gpusim::KernelGraph graph;

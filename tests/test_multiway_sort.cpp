@@ -4,7 +4,7 @@
 // The k-way selection (partition kernel, LoserTree thread co-ranks) is
 // checked against the mergepath::multiway_path host oracle, and its
 // simulated cost against the 2-way partition.
-#include "sort/multiway_sort.hpp"
+#include "sort/multiway_pass.hpp"
 
 #include <gtest/gtest.h>
 
@@ -318,17 +318,19 @@ std::vector<int> sorted_runs(std::mt19937_64& rng, std::int64_t n, std::int64_t 
   return v;
 }
 
-/// Host oracle for one co-rank vector: sequence s of the group at `base`
-/// starts at base + s*run.
-std::vector<std::int64_t> oracle_row(std::span<const int> input, const PassGeometryK& geom,
-                                     std::int64_t base, std::int64_t diag) {
-  std::vector<std::int64_t> sizes(static_cast<std::size_t>(geom.k));
-  for (int s = 0; s < geom.k; ++s) sizes[static_cast<std::size_t>(s)] = geom.seg_len(base, s);
+/// Host oracle for one co-rank vector of a pass over `n` elements in
+/// sorted runs of `run`: output position `pos` lies in the group of k runs
+/// at base = ⌊pos / (k·run)⌋·k·run, whose sequence s starts at base + s·run
+/// and holds clamp(n − base − s·run, 0, run) elements.
+std::vector<std::int64_t> oracle_row(std::span<const int> input, std::int64_t n,
+                                     std::int64_t run, int k, std::int64_t pos) {
+  const std::int64_t base = pos / (k * run) * (k * run);
+  std::vector<std::int64_t> sizes(static_cast<std::size_t>(k));
+  for (int s = 0; s < k; ++s)
+    sizes[static_cast<std::size_t>(s)] = std::clamp<std::int64_t>(n - base - s * run, 0, run);
   return mergepath::multiway_path<int>(
-      diag, std::span<const std::int64_t>(sizes),
-      [&](int s, std::int64_t i) {
-        return input[static_cast<std::size_t>(base + s * geom.run + i)];
-      },
+      pos - base, std::span<const std::int64_t>(sizes),
+      [&](int s, std::int64_t i) { return input[static_cast<std::size_t>(base + s * run + i)]; },
       std::less<int>{});
 }
 
@@ -344,13 +346,15 @@ TEST(MultiwayPartition, KernelBoundariesMatchMultiwayPathOracle) {
         // Two full groups, then a ragged one: a full segment, a one-tile
         // segment and k - 2 empty ones.
         const std::int64_t n = 2 * k * run + run + tile;
-        const PassGeometryK geom{n, run, k};
+        std::vector<detail::BatchTile> tiles;
+        detail::add_run_group_tiles(tiles, 0, n, run, k, tile);
+        const auto nb = static_cast<std::int64_t>(tiles.size());
+        ASSERT_EQ(nb, n / tile);
         for (const Fill fill : kFills) {
           SCOPED_TRACE("w=" + std::to_string(w) + " k=" + std::to_string(k) +
                        " run=" + std::to_string(run) + " fill=" +
                        std::to_string(static_cast<int>(fill)));
           const std::vector<int> input = sorted_runs(rng, n, run, fill);
-          const std::int64_t nb = n / tile + 1;
           std::vector<std::int64_t> boundaries(static_cast<std::size_t>(nb * k), -1);
           const int u = 2 * w;
           const std::int64_t rows_per_block = 2 * selections_per_warp(w, k);
@@ -360,15 +364,13 @@ TEST(MultiwayPartition, KernelBoundariesMatchMultiwayPathOracle) {
                                                                rows_per_block),
                                               u, 0, cost::kPartitionRegsPerThread},
                           [&](BlockContext& ctx) {
-                            multiway_partition_body<int>(ctx, std::span<const int>(input),
-                                                         geom, tile,
-                                                         std::span<std::int64_t>(boundaries));
+                            gpusim::GlobalView<const int> g(ctx, std::span<const int>(input), 0);
+                            multiway_partition_search<int>(
+                                ctx, g, std::span<const detail::BatchTile>(tiles), 0, k,
+                                std::span<std::int64_t>(boundaries), std::less<int>{});
                           });
           for (std::int64_t t = 0; t < nb; ++t) {
-            const std::int64_t pos = t * tile;
-            const std::int64_t base = pos >= n ? n : geom.group_base(pos);
-            const auto want = oracle_row(input, geom, base,
-                                         std::min(pos - base, geom.group_len(base)));
+            const auto want = oracle_row(input, n, run, k, t * tile);
             const std::vector<std::int64_t> got(boundaries.begin() + t * k,
                                                 boundaries.begin() + (t + 1) * k);
             ASSERT_EQ(got, want) << "row " << t;
