@@ -29,8 +29,9 @@ PramMergeKernel pram_merge_kernel(int w, int e, int u, std::int64_t la, std::int
   // Staged copies touch each element exactly once; every warp-wide chunk of
   // w elements is one access (the last chunk of each list may be ragged).
   k.load_shared_accesses = ceil_div(la, w) + ceil_div(lb, w);
-  // One extra request reads the block's partition boundaries.
-  k.load_gmem_requests = k.load_shared_accesses + 1;
+  // Two extra requests read the block's partition boundaries and its tile
+  // descriptor.
+  k.load_gmem_requests = k.load_shared_accesses + 2;
   k.gather_accesses = static_cast<std::int64_t>(e) * warps;
   k.output_scatter_accesses = static_cast<std::int64_t>(e) * warps;
   k.store_shared_accesses = ceil_div(tile, w);

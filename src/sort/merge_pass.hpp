@@ -37,6 +37,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -148,6 +149,10 @@ struct BatchTile {
   [[nodiscard]] bool ends_group(std::int64_t tile) const { return diag0 + tile >= len; }
 };
 
+/// Bytes of a descriptor the partition kernels read: the leading base, run,
+/// len and diag0 (`out` is read by the merge kernels only).
+inline constexpr int kPartitionDescBytes = static_cast<int>(offsetof(BatchTile, out));
+
 /// Appends the ⌈len/tile⌉ tile descriptors of one group whose output
 /// starts at destination offset `out`.  The last tile's last-list window
 /// runs past the group's end up to the tile boundary, so the source must
@@ -187,8 +192,9 @@ struct BatchLayout {
 /// The merge_partition kernel's search: grid thread t < tiles.size()
 /// resolves the A co-rank of tiles[t]'s start diagonal within its pair
 /// (a two-list group) and writes it to out[t].  Each warp with a live lane
-/// first fetches its lanes' descriptors (descriptor index desc0 + t, one
-/// dependent read), then runs one lockstep co-rank search over `global`;
+/// first fetches the four leading fields of its lanes' descriptors
+/// (descriptor index desc0 + t, one dependent read), then runs one lockstep
+/// co-rank search over `global`;
 /// every round charges kSearchIterInstrs, the A probe row (dependent) and
 /// the B probe row.
 /// Idle and finished lanes probe kInactiveLane.
@@ -228,7 +234,7 @@ void partition_search(gpusim::BlockContext& ctx, gpusim::GlobalView<const T>& gl
     }
     if (!any) continue;
     ctx.charge_gmem(warp, std::span<const std::int64_t>(desc.data(), static_cast<std::size_t>(w)),
-                    8, /*dependent=*/true);
+                    detail::kPartitionDescBytes, /*dependent=*/true);
     auto probe = [&](std::span<const std::int64_t> a_addr, std::span<T> a_val,
                      std::span<const std::int64_t> b_addr, std::span<T> b_val) {
       for (std::size_t l = 0; l < a_addr.size(); ++l) {
@@ -272,6 +278,18 @@ inline void read_boundary_rows(gpusim::BlockContext& ctx,
     bview.gather(0, std::span<const std::int64_t>(addr.data(), static_cast<std::size_t>(w)),
                  std::span<std::int64_t>(vals.data(), static_cast<std::size_t>(w)));
   }
+}
+
+/// Reads this block's own tile descriptor — index `desc`, all five fields —
+/// on lane 0 of warp 0.  Like the boundary rows it is addressed by the block
+/// id alone, so it issues behind their read and adds no latency of its own.
+inline void read_tile_descriptor(gpusim::BlockContext& ctx, std::int64_t desc) {
+  std::array<std::int64_t, gpusim::kMaxLanes> addr;
+  addr.fill(gpusim::kInactiveLane);
+  addr[0] = desc * static_cast<std::int64_t>(sizeof(detail::BatchTile));
+  ctx.charge_gmem(0,
+                  std::span<const std::int64_t>(addr.data(), static_cast<std::size_t>(ctx.lanes())),
+                  static_cast<int>(sizeof(detail::BatchTile)), /*dependent=*/false);
 }
 
 /// The shared core of every merge-kernel variant: given a block's A/B
@@ -433,6 +451,7 @@ void enqueue_merge_pass(gpusim::KernelGraph& graph, const std::vector<T>& src,
         const BatchTile& bt = tiles[static_cast<std::size_t>(t0) + b];
         ctx.phase("merge.load");
         read_boundary_rows(ctx, boundaries, 1);
+        read_tile_descriptor(ctx, t0 + static_cast<std::int64_t>(b));
         const std::int64_t a0 = boundaries[b];
         const std::int64_t a1 = bt.ends_group(tile) ? bt.list_len(0, 2) : boundaries[b + 1];
         const std::int64_t b0 = bt.diag0 - a0;

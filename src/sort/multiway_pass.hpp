@@ -286,8 +286,9 @@ void warp_multiseq_select(gpusim::BlockContext& ctx, int warp, int k, int querie
 /// row t of `out` (k co-ranks) receives the co-rank vector of tiles[t]'s
 /// start diagonal within its group.  One lane per (tile, list): each warp
 /// resolves selections_per_warp(w, k) consecutive tiles.  A warp first
-/// fetches its tiles' descriptors (lane q reads descriptor desc0 + t0 + q,
-/// one dependent read), then runs warp_multiseq_select over `global`.
+/// fetches the four leading fields of its tiles' descriptors (lane q reads
+/// descriptor desc0 + t0 + q, one dependent read), then runs
+/// warp_multiseq_select over `global`.
 template <typename T, typename Cmp>
 void multiway_partition_search(gpusim::BlockContext& ctx, gpusim::GlobalView<const T>& global,
                                std::span<const detail::BatchTile> tiles, std::int64_t desc0,
@@ -315,7 +316,7 @@ void multiway_partition_search(gpusim::BlockContext& ctx, gpusim::GlobalView<con
       }
     }
     ctx.charge_gmem(warp, std::span<const std::int64_t>(desc.data(), static_cast<std::size_t>(w)),
-                    8, /*dependent=*/true);
+                    detail::kPartitionDescBytes, /*dependent=*/true);
     const auto slots = static_cast<std::size_t>(queries * k);
     detail::warp_multiseq_select<T>(
         ctx, warp, k, queries, std::span<const std::int64_t>(seg_base.data(), slots),
@@ -655,6 +656,7 @@ void enqueue_multiway_pass(gpusim::KernelGraph& graph, const std::vector<T>& src
         const BatchTile& bt = tiles[static_cast<std::size_t>(t0) + b];
         ctx.phase("merge.load");
         read_boundary_rows(ctx, boundaries, k);
+        read_tile_descriptor(ctx, t0 + static_cast<std::int64_t>(b));
         // As in merge_pass: the group's last tile ends at the list ends,
         // any other tile where the next tile of its group starts.
         std::array<std::int64_t, kMaxMultiwayK> seg_src{};

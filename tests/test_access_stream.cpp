@@ -222,61 +222,61 @@ std::vector<StreamCase> cases() {
   return {
       {"cf_w32", w32,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 7, 64, 4 * 448, 1); },
-       0xa1da954716152b23ull, 0xf7a51ebc6a733bf5ull, 3360, 3016, 5376, 672},
+       0x120d7bc31f28b443ull, 0xd64c784257344be9ull, 3368, 3016, 5376, 672},
       {"baseline_w32", w32,
        [](L& l) { return run_merge_sort(l, Variant::Baseline, 7, 64, 4 * 448, 2); },
-       0x540ec4a546a32034ull, 0xbe0ee7131fe9d93dull, 3376, 3048, 5376, 560},
+       0x829516b059747200ull, 0x39805fa063e6b702ull, 3384, 3048, 5376, 560},
       {"multiway_k4_w32", w32, [](L& l) { return run_multiway(l, 7, 64, 16 * 448, 3); },
-       0xcee23a5eb7943ee1ull, 0x478a73aa0111ee36ull, 19188, 17813, 64512, 4480},
+       0xd3ccf63e39f6614bull, 0x4d0d581a56f05731ull, 19220, 17813, 64512, 4480},
       {"by_key_ragged_w32", w32,
        [](L& l) { return run_by_key(l, Variant::CFMerge, 7, 64, 3 * 448 + 101, 4); },
-       0x829b236d8fcc1d62ull, 0xfab3bd79eaf3074bull, 3290, 2948, 5376, 672},
+       0x76046301bf5378c2ull, 0x9b3efb95c7e6bf88ull, 3298, 2948, 5376, 672},
       {"cf_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 5, 16, 8 * 80, 5); },
-       0x0e96674b20be7999ull, 0x1b2fd6afeb031426ull, 4839, 4168, 2560, 960},
+       0x0de9f7774bf7b4c7ull, 0x2cf33f31ebe587dcull, 4863, 4168, 2560, 960},
       {"baseline_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::Baseline, 5, 16, 8 * 80, 6); },
-       0x34092dcde91a9d78ull, 0x051d1f7b08cc0eeaull, 4916, 4292, 2560, 720},
+       0x3483130a722523ecull, 0x5410599a5ab37baeull, 4940, 4292, 2560, 720},
       {"multiway_k4_w8", w8, [](L& l) { return run_multiway(l, 5, 16, 16 * 80, 7); },
-       0x4f87a4d4e4f5890eull, 0xff644d594ad87878ull, 12144, 10892, 11520, 2860},
+       0x3780b86ef160265cull, 0x1101970c0b41f15dull, 12176, 10892, 11520, 2860},
       {"by_key_ragged_w8", w8,
        [](L& l) { return run_by_key(l, Variant::Baseline, 5, 16, 5 * 80 + 37, 8); },
-       0xd769dd878777751cull, 0xb798e28078ca8ec0ull, 3523, 3057, 1920, 540},
+       0xfe522494224250d9ull, 0xda9e2420b0fbfea6ull, 3541, 3057, 1920, 540},
       {"cf_blocksort_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 5, 16);
          cfg.cf_blocksort = true;
          return run_merge_sort(l, cfg, 8 * 80 + 13, 9);
        },
-       0x652e99aa687624c6ull, 0x593c0ab8852f33eaull, 6336, 5324, 4320, 1440},
+       0x7f3f4f961ed54be3ull, 0xe54e9390e823bc8aull, 6372, 5324, 4320, 1440},
       {"cf_noncoprime_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 6, 16, 8 * 96 + 5, 10); },
-       0xcceef11ccc94ad72ull, 0xe74e3215643ce189ull, 6720, 5567, 4320, 864},
+       0x8f27472fa233c043ull, 0xef590498c92c05f7ull, 6756, 5567, 4320, 864},
       {"cf_no_rho_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 6, 16);
          cfg.disable_rho = true;
          return run_merge_sort(l, cfg, 8 * 96 + 5, 18);
        },
-       0x0aa32ca7be88f604ull, 0xd62cd7c8ea42f479ull, 6712, 5563, 4320, 0},
+       0xed0ea0aaf3569125ull, 0xbd7ea2bdbcaf1174ull, 6748, 5563, 4320, 0},
       {"cf_plain_scatter_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 6, 16);
          cfg.cf_output_scatter = false;
          return run_merge_sort(l, cfg, 8 * 96 + 5, 19);
        },
-       0x533c727d352c06beull, 0x2b1cb33539d9e4a7ull, 6748, 5596, 4320, 432},
+       0x836880e11f739b53ull, 0xda1ca0864c1f37adull, 6784, 5596, 4320, 432},
       {"losertree_k4_w8", w8,
        [](L& l) {
          return run_multiway(l, 5, 16, 16 * 80, 11, sort::MultiwayVariant::LoserTree);
        },
-       0x86d54a1764bd5a7full, 0x1784144d8ea3d5e4ull, 9608, 8432, 3840, 960},
+       0x67785a250fe1c9d7ull, 0x584681c3a502cb02ull, 9640, 8432, 3840, 960},
       {"batched_cf_w32", w32,
        [](L& l) { return run_batched(l, Variant::CFMerge, 7, 64, 4, 12); },
-       0x3e0ae76bcb5bce3bull, 0xa27ec236f07b5dacull, 1535, 1160, 5376, 336},
+       0x3e1489bd75b724fbull, 0x432e88eeed903f7full, 1547, 1160, 5376, 336},
       {"batched_baseline_w8", w8,
        [](L& l) { return run_batched(l, Variant::Baseline, 5, 16, 3, 13); },
-       0xd6bd7c3d5b64171dull, 0x6442f8bbe41d5d26ull, 754, 573, 720, 90},
+       0xdd97a7963a18dcfaull, 0x069c9c5bbe6fbb23ull, 763, 573, 720, 90},
       {"permute_w32", w32,
        [](L& l) {
          return run_round_trip(l, cfprims::PermuteOp::kPermute, 8, 64, 3 * 512 + 45, 14);

@@ -98,30 +98,30 @@ sort::SortReport run_multiway(int k, bool cf_blocksort, std::int64_t n) {
 
 TEST(CfprimsGolden, PairwiseCfMerge) {
   expect_golden(run_pairwise(sort::Variant::CFMerge, false, 8192),
-                {259068, 97381, 422169, 81197, 13002, 15946, 406808, 928, 0});
+                {259068, 97381, 422169, 81197, 13162, 16146, 417048, 928, 0});
 }
 
 TEST(CfprimsGolden, PairwiseCfMergeCfBlocksort) {
   expect_golden(run_pairwise(sort::Variant::CFMerge, true, 8192),
-                {289788, 104554, 409866, 76328, 13002, 15946, 406808, 1056, 0});
+                {289788, 104554, 409866, 76328, 13162, 16146, 417048, 1056, 0});
 }
 
 TEST(CfprimsGolden, PairwiseBaseline) {
   expect_golden(run_pairwise(sort::Variant::Baseline, false, 8192),
-                {230908, 98655, 500379, 100431, 13002, 15946, 406808, 928, 6159});
+                {230908, 98655, 500379, 100431, 13162, 16146, 417048, 928, 6159});
 }
 
 TEST(CfprimsGolden, MultiwayK4) {
   expect_golden(run_multiway(4, false, 8192),
-                {307424, 98268, 416596, 79582, 9559, 12153, 283232, 736, 0});
+                {307424, 98268, 416596, 79582, 9655, 12285, 289376, 736, 0});
 }
 
 TEST(CfprimsGolden, MultiwayK4CfBlocksort) {
   expect_golden(run_multiway(4, true, 8192),
-                {338144, 105441, 404293, 74713, 9559, 12153, 283232, 864, 0});
+                {338144, 105441, 404293, 74713, 9655, 12285, 289376, 864, 0});
 }
 
 TEST(CfprimsGolden, MultiwayK8) {
   expect_golden(run_multiway(8, false, 16384),
-                {707914, 217502, 881826, 166081, 17820, 26627, 461532, 1408, 0});
+                {707914, 217502, 881826, 166081, 17948, 26811, 469724, 1408, 0});
 }

@@ -58,7 +58,7 @@ TEST(PramModel, ClosedFormCounts) {
   const auto k = pram_merge_kernel(32, 15, 512, 512LL * 15 / 2 + 3, 512LL * 15 / 2 - 3);
   // load: ceil(la/32) + ceil(lb/32).
   EXPECT_EQ(k.load_shared_accesses, (3843 + 31) / 32 + (3837 + 31) / 32);
-  EXPECT_EQ(k.load_gmem_requests, k.load_shared_accesses + 1);
+  EXPECT_EQ(k.load_gmem_requests, k.load_shared_accesses + 2);
   EXPECT_EQ(k.gather_accesses, 15 * 16);
   EXPECT_EQ(k.output_scatter_accesses, 15 * 16);
   EXPECT_EQ(k.store_shared_accesses, 512 * 15 / 32);
