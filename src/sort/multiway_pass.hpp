@@ -371,7 +371,10 @@ void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalVi
 
   // The cascade: each level runs the 2-way CF merge for every pair, with
   // virtual warps (u_pair = pad/E simulated threads per pair) mapped
-  // round-robin onto the block's physical warps for charging.
+  // round-robin onto the block's physical warps for charging.  A pair's
+  // registers are the first pad slots of one block-wide register file (a
+  // pair never exceeds the buffer capacity).
+  std::vector<T> regfile(static_cast<std::size_t>(cap));
   for (int level = 0; level < plan.levels(); ++level) {
     const std::int64_t rb = gather::CascadePlan::read_buffer(level) * cap;
     const std::int64_t wb = gather::CascadePlan::write_buffer(level) * cap;
@@ -398,10 +401,10 @@ void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalVi
       // buffer offset (a uniform shift preserves bank distinctness), so the
       // cf_gather certificate applies per pair.
       ctx.phase("merge.merge");
-      std::vector<T> regs(static_cast<std::size_t>(pad));
+      const std::span<T> regs = std::span<T>(regfile).first(static_cast<std::size_t>(pad));
       cf_merge_pair(ctx, shmem, rb + pr.base, pr.la, pr.lb,
-                    std::span<const ThreadSplit>(splits), cfg.certs.gather, pair_warp,
-                    std::span<T>(regs), cmp);
+                    std::span<const ThreadSplit>(splits), cfg.certs.gather, pair_warp, regs,
+                    cmp);
 
       // Inter-stage rank scatter: rank r = iE + j of this pair lands at the
       // parent's pos_a/pos_b(r) (root: rho_out(r)) — data independent, so
