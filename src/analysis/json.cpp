@@ -53,6 +53,42 @@ const char* multiway_variant_name(sort::MultiwayVariant v) {
   return v == sort::MultiwayVariant::CFCascade ? "cf-cascade" : "loser-tree";
 }
 
+// The opening fields of a sort-family report, up to the variant.
+void write_header(std::ostream& os, const char* kind, const std::string& device,
+                  const std::string& workload, const char* variant) {
+  os << "{\"kind\":\"" << kind << "\",\"device\":\"" << json_escape(device)
+     << "\",\"workload\":\"" << json_escape(workload) << "\",\"variant\":\"" << variant
+     << "\"";
+}
+
+// The SortReport fields both sort writers emit after their config.
+void write_sort_fields(std::ostream& os, const sort::SortReport& report) {
+  os << ",\"n\":" << report.n << ",\"n_padded\":" << report.n_padded
+     << ",\"passes\":" << report.passes << ",\"microseconds\":" << report.microseconds
+     << ",\"makespan_microseconds\":" << report.makespan_microseconds
+     << ",\"graph_levels\":" << report.graph_levels
+     << ",\"throughput_elem_per_us\":" << report.throughput()
+     << ",\"merge_conflicts\":" << report.merge_conflicts()
+     << ",\"blocksort_conflicts\":" << report.blocksort_conflicts();
+}
+
+// The closing fields every launching report shares: totals, phases,
+// kernels, and the engine stats when given.
+template <typename Report>
+void write_tail(std::ostream& os, const Report& report, const sort::EngineStats* engine) {
+  os << ",\"totals\":";
+  write_counters(os, report.totals);
+  os << ",\"phases\":";
+  write_phases(os, report.phases);
+  os << ",\"kernels\":";
+  write_kernels(os, report.kernels);
+  if (engine != nullptr) {
+    os << ",\"engine\":";
+    write_json(os, *engine);
+  }
+  os << "}\n";
+}
+
 }  // namespace
 
 std::string json_escape(const std::string& s) {
@@ -81,60 +117,26 @@ std::string json_escape(const std::string& s) {
 void write_json(std::ostream& os, const sort::SortReport& report,
                 const sort::MergeConfig& cfg, const std::string& device,
                 const std::string& workload, const sort::EngineStats* engine) {
-  os << "{\"kind\":\"sort\",\"device\":\"" << json_escape(device) << "\",\"workload\":\""
-     << json_escape(workload) << "\",\"variant\":\"" << variant_name(cfg.variant)
-     << "\",\"e\":" << cfg.e << ",\"u\":" << cfg.u << ",\"n\":" << report.n
-     << ",\"n_padded\":" << report.n_padded << ",\"passes\":" << report.passes
-     << ",\"microseconds\":" << report.microseconds
-     << ",\"makespan_microseconds\":" << report.makespan_microseconds
-     << ",\"graph_levels\":" << report.graph_levels
-     << ",\"throughput_elem_per_us\":" << report.throughput()
-     << ",\"merge_conflicts\":" << report.merge_conflicts()
-     << ",\"blocksort_conflicts\":" << report.blocksort_conflicts() << ",\"totals\":";
-  write_counters(os, report.totals);
-  os << ",\"phases\":";
-  write_phases(os, report.phases);
-  os << ",\"kernels\":";
-  write_kernels(os, report.kernels);
-  if (engine != nullptr) {
-    os << ",\"engine\":";
-    write_json(os, *engine);
-  }
-  os << "}\n";
+  write_header(os, "sort", device, workload, variant_name(cfg.variant));
+  os << ",\"e\":" << cfg.e << ",\"u\":" << cfg.u;
+  write_sort_fields(os, report);
+  write_tail(os, report, engine);
 }
 
 void write_json(std::ostream& os, const sort::SortReport& report,
                 const sort::MultiwayConfig& cfg, const std::string& device,
                 const std::string& workload, const sort::EngineStats* engine) {
-  os << "{\"kind\":\"multiway_sort\",\"device\":\"" << json_escape(device)
-     << "\",\"workload\":\"" << json_escape(workload) << "\",\"variant\":\""
-     << multiway_variant_name(cfg.variant) << "\",\"e\":" << cfg.e
-     << ",\"u\":" << cfg.u << ",\"k\":" << cfg.k << ",\"n\":" << report.n
-     << ",\"n_padded\":" << report.n_padded << ",\"passes\":" << report.passes
-     << ",\"microseconds\":" << report.microseconds
-     << ",\"makespan_microseconds\":" << report.makespan_microseconds
-     << ",\"graph_levels\":" << report.graph_levels
-     << ",\"throughput_elem_per_us\":" << report.throughput()
-     << ",\"merge_conflicts\":" << report.merge_conflicts()
-     << ",\"blocksort_conflicts\":" << report.blocksort_conflicts() << ",\"totals\":";
-  write_counters(os, report.totals);
-  os << ",\"phases\":";
-  write_phases(os, report.phases);
-  os << ",\"kernels\":";
-  write_kernels(os, report.kernels);
-  if (engine != nullptr) {
-    os << ",\"engine\":";
-    write_json(os, *engine);
-  }
-  os << "}\n";
+  write_header(os, "multiway_sort", device, workload, multiway_variant_name(cfg.variant));
+  os << ",\"e\":" << cfg.e << ",\"u\":" << cfg.u << ",\"k\":" << cfg.k;
+  write_sort_fields(os, report);
+  write_tail(os, report, engine);
 }
 
 void write_json(std::ostream& os, const sort::SegmentedSortReport& report,
                 const sort::MergeConfig& cfg, const std::string& device,
                 const std::string& workload, const sort::EngineStats* engine) {
-  os << "{\"kind\":\"segmented_sort\",\"device\":\"" << json_escape(device)
-     << "\",\"workload\":\"" << json_escape(workload) << "\",\"variant\":\""
-     << variant_name(cfg.variant) << "\",\"e\":" << cfg.e << ",\"u\":" << cfg.u
+  write_header(os, "segmented_sort", device, workload, variant_name(cfg.variant));
+  os << ",\"e\":" << cfg.e << ",\"u\":" << cfg.u
      << ",\"segments\":" << report.segments << ",\"elements\":" << report.elements
      << ",\"serial_microseconds\":" << report.serial_microseconds
      << ",\"makespan_microseconds\":" << report.makespan_microseconds
@@ -147,17 +149,8 @@ void write_json(std::ostream& os, const sort::SegmentedSortReport& report,
     if (s) os << ",";
     os << "{\"n\":" << seg.n << ",\"passes\":" << seg.passes << "}";
   }
-  os << "],\"totals\":";
-  write_counters(os, report.totals);
-  os << ",\"phases\":";
-  write_phases(os, report.phases);
-  os << ",\"kernels\":";
-  write_kernels(os, report.kernels);
-  if (engine != nullptr) {
-    os << ",\"engine\":";
-    write_json(os, *engine);
-  }
-  os << "}\n";
+  os << "]";
+  write_tail(os, report, engine);
 }
 
 void write_json(std::ostream& os, const sort::EngineStats& stats) {
@@ -394,17 +387,8 @@ void write_json(std::ostream& os, const cfprims::PermuteReport& report,
      << ",\"microseconds\":" << report.microseconds
      << ",\"makespan_microseconds\":" << report.makespan_microseconds
      << ",\"graph_levels\":" << report.graph_levels
-     << ",\"throughput_elem_per_us\":" << report.throughput() << ",\"totals\":";
-  write_counters(os, report.totals);
-  os << ",\"phases\":";
-  write_phases(os, report.phases);
-  os << ",\"kernels\":";
-  write_kernels(os, report.kernels);
-  if (engine != nullptr) {
-    os << ",\"engine\":";
-    write_json(os, *engine);
-  }
-  os << "}\n";
+     << ",\"throughput_elem_per_us\":" << report.throughput();
+  write_tail(os, report, engine);
 }
 
 }  // namespace cfmerge::analysis
