@@ -1,16 +1,19 @@
 // Randomized stress test: sorts under randomly drawn devices,
-// configurations and distributions, verifying output correctness and the
-// CF-Merge zero-conflict invariant each time.  Default 30 iterations;
+// configurations and distributions (2-way and k-way), verifying output
+// correctness and the CF-Merge / CF cascade zero-conflict invariant each
+// time.  Default 30 iterations;
 // set CFMERGE_FUZZ_ITERS for longer soaks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <random>
+#include <stdexcept>
 
 #include "gpusim/launcher.hpp"
 #include "sort/batched_merge.hpp"
 #include "sort/merge_sort.hpp"
+#include "sort/multiway_pass.hpp"
 
 using namespace cfmerge;
 
@@ -142,6 +145,64 @@ TEST(Fuzz, RandomBatches) {
                  bs[static_cast<std::size_t>(p)].begin(), bs[static_cast<std::size_t>(p)].end(),
                  std::back_inserter(expect));
       ASSERT_EQ(outs[static_cast<std::size_t>(p)], expect) << "pair " << p;
+    }
+  }
+}
+
+TEST(Fuzz, RandomMultiwaySorts) {
+  std::mt19937_64 rng(0xF0223);
+  const int iters = std::max(1, fuzz_iters() / 3);
+  for (int it = 0; it < iters; ++it) {
+    // Draw until the config fits the device; k in [2, 8] runs the cascade
+    // when it is a power of two and the loser tree otherwise.
+    const int ws[] = {4, 8, 16, 32};
+    int w = 0;
+    int sms = 0;
+    sort::MultiwayConfig cfg;
+    for (;;) {
+      w = ws[rng() % 4];
+      sms = 1 + static_cast<int>(rng() % 4);
+      cfg.e = 2 + static_cast<int>(rng() % static_cast<std::uint64_t>(w + 3));
+      cfg.u = w << (rng() % 4);
+      cfg.k = 2 + static_cast<int>(rng() % 7);
+      cfg.variant = (cfg.k & (cfg.k - 1)) == 0 ? sort::MultiwayVariant::CFCascade
+                                               : sort::MultiwayVariant::LoserTree;
+      try {
+        sort::validate_multiway_config(gpusim::DeviceSpec::tiny(w, sms), cfg, sizeof(int));
+        break;
+      } catch (const std::invalid_argument&) {
+      }
+    }
+    // More than k tiles, so the sort runs at least two k-way passes.
+    const std::int64_t group = cfg.tile() * cfg.k;
+    const std::int64_t n = group + 1 + static_cast<std::int64_t>(
+                                           rng() % static_cast<std::uint64_t>(group));
+    const bool cascade = cfg.variant == sort::MultiwayVariant::CFCascade;
+    SCOPED_TRACE("iter " + std::to_string(it) + ": w=" + std::to_string(w) +
+                 " E=" + std::to_string(cfg.e) + " u=" + std::to_string(cfg.u) +
+                 " k=" + std::to_string(cfg.k) + " n=" + std::to_string(n) +
+                 (cascade ? " cascade" : " losertree"));
+    gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(w, sms));
+
+    std::vector<int> data(static_cast<std::size_t>(n));
+    // The value regimes of RandomConfigurationsSortCorrectly.
+    const int mode = static_cast<int>(rng() % 3);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      if (mode == 0)
+        data[i] = static_cast<int>(rng());
+      else if (mode == 1)
+        data[i] = static_cast<int>(rng() % 5);
+      else
+        data[i] = static_cast<int>(i) - static_cast<int>(rng() % 3);
+    }
+    std::vector<int> expect = data;
+    std::sort(expect.begin(), expect.end());
+
+    const auto report = sort::merge_sort_multiway(launcher, data, cfg);
+    ASSERT_EQ(data, expect);
+    ASSERT_GE(report.passes, 2);
+    if (cascade) {
+      ASSERT_EQ(report.merge_conflicts(), 0u);
     }
   }
 }
