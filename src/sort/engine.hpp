@@ -14,11 +14,11 @@
 //    A plan owns BOTH its KernelGraph template and every buffer the graph's
 //    bodies capture, which closes the latent lifetime footgun of the free
 //    functions: the storage a body references can no longer die or move
-//    while the graph is still runnable.  Executing a cached plan is "rebind by refilling":
-//    copy the new input into the plan's buffers (sentinel tails refreshed)
-//    and Launcher::run the graph again — the KernelGraph replay contract
-//    (kernel_graph.hpp) guarantees reports bit-identical to a freshly
-//    enqueued pipeline.
+//    while the graph is still runnable.  Executing a cached plan is "rebind
+//    by refilling": copy the new input into the plan's buffers (sentinel
+//    tails refreshed) and Launcher::run the graph again — the KernelGraph
+//    replay contract (kernel_graph.hpp) guarantees reports bit-identical to
+//    a freshly enqueued pipeline.
 //
 //  * a **scratch arena**: a pool of typed, reusable vectors for per-call
 //    scratch that is not part of any plan (today: the *_by_key entry

@@ -194,10 +194,9 @@ struct BatchLayout {
 /// (a two-list group) and writes it to out[t].  Each warp with a live lane
 /// first fetches the four leading fields of its lanes' descriptors
 /// (descriptor index desc0 + t, one dependent read), then runs one lockstep
-/// co-rank search over `global`;
-/// every round charges kSearchIterInstrs, the A probe row (dependent) and
-/// the B probe row.
-/// Idle and finished lanes probe kInactiveLane.
+/// co-rank search over `global`; every round charges kSearchIterInstrs, the
+/// A probe row (dependent) and the B probe row.  Idle and finished lanes
+/// probe kInactiveLane.
 template <typename T, typename Cmp>
 void partition_search(gpusim::BlockContext& ctx, gpusim::GlobalView<const T>& global,
                       std::span<const detail::BatchTile> tiles, std::int64_t desc0,
