@@ -58,7 +58,8 @@ template <typename T>
 void enqueue_batched_pipeline(gpusim::KernelGraph& graph, const std::vector<std::vector<T>>& as,
                               const std::vector<std::vector<T>>& bs, std::vector<T>& staging,
                               std::vector<T>& packed, BatchLayout& layout,
-                              std::vector<std::int64_t>& boundaries, const MergeConfig& cfg) {
+                              std::vector<std::int64_t>& boundaries, const MergeConfig& cfg,
+                              int warp_size) {
   const std::int64_t tile = cfg.tile();
   std::int64_t total = 0;
   for (std::size_t p = 0; p < as.size(); ++p) {
@@ -72,7 +73,7 @@ void enqueue_batched_pipeline(gpusim::KernelGraph& graph, const std::vector<std:
   packed.resize(static_cast<std::size_t>(total));
   boundaries.assign(layout.tiles.size() + 1, 0);
   enqueue_merge_pass(graph, staging, packed, layout.tiles, 0,
-                     static_cast<int>(layout.tiles.size()), boundaries, cfg);
+                     static_cast<int>(layout.tiles.size()), boundaries, cfg, warp_size);
 }
 }  // namespace detail
 

@@ -251,10 +251,10 @@ std::shared_ptr<Plan<T>> build_permute_plan(const cfprims::PermuteConfig& cfg,
 template <typename T>
 std::shared_ptr<Plan<T>> build_batched_plan(const std::vector<std::vector<T>>& as,
                                             const std::vector<std::vector<T>>& bs,
-                                            const MergeConfig& cfg) {
+                                            const MergeConfig& cfg, int warp_size) {
   auto plan = std::make_shared<Plan<T>>();
   enqueue_batched_pipeline(plan->graph, as, bs, plan->buf, plan->tmp, plan->batch,
-                           plan->boundaries, cfg);
+                           plan->boundaries, cfg, warp_size);
   plan->result = &plan->tmp;
   return plan;
 }
@@ -429,7 +429,11 @@ class SortEngine {
                       static_cast<std::int64_t>(as.size()), digest,
                       config_digest(certified)};
     execute<T>(
-        report, key, [&] { return detail::build_batched_plan<T>(as, bs, certified); },
+        report, key,
+        [&] {
+          return detail::build_batched_plan<T>(as, bs, certified,
+                                               launcher_->device().warp_size);
+        },
         [&](detail::Plan<T>& plan) {
           // The sentinel pads persist from build time: kernels never write
           // the staging buffer.

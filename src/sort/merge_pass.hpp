@@ -42,6 +42,7 @@
 #include <functional>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cfprims/exec.hpp"
@@ -83,6 +84,12 @@ struct MergeConfig {
   /// including the all-null default — force the lane-accurate path.
   TileCerts certs{};
 
+  // What validate_config and the merge pass shell (detail::enqueue_merge_pass)
+  // read of the config type; MultiwayConfig answers the same at arity k.
+  static constexpr const char* kName = "MergeConfig";
+  static constexpr const char* kPartitionKernel = "merge_partition";
+  static constexpr const char* kMergeKernel = "merge_pass";
+
   [[nodiscard]] std::int64_t tile() const { return static_cast<std::int64_t>(u) * e; }
   /// Registers per thread of the tile kernels (block sort, merge pass).
   [[nodiscard]] int regs_per_thread() const {
@@ -91,6 +98,16 @@ struct MergeConfig {
   }
   /// True when the block sort runs its CF rounds (and their staging buffer).
   [[nodiscard]] bool cf_rounds() const { return variant == Variant::CFMerge && cf_blocksort; }
+  /// Lists merged per group.
+  [[nodiscard]] int arity() const { return 2; }
+  /// Co-ranks per partition row: A's alone (B's is the diagonal minus it).
+  [[nodiscard]] int row_width() const { return 1; }
+  /// Tiles one partition warp resolves: one per lane.
+  [[nodiscard]] int tiles_per_warp(int w) const { return w; }
+  /// Shared elements per block of the merge kernel: one tile.
+  [[nodiscard]] std::int64_t merge_shared_elems(int /*w*/) const { return tile(); }
+  /// The arity constraint this config violates, if any (a pair always fits).
+  [[nodiscard]] const char* arity_error() const { return nullptr; }
 };
 
 /// True if one block of `threads` threads using `shared_bytes` of shared
@@ -100,28 +117,39 @@ struct MergeConfig {
   return gpusim::compute_occupancy(dev, threads, shared_bytes, regs).blocks_per_sm > 0;
 }
 
-/// Validates the MergeConfig invariants shared by every sort entry point
-/// (merge_sort, batched_merge, segmented_sort), so the rejection messages
-/// stay uniform.  `elem_bytes` is the size of the sorted element type:
-/// every block the config launches — a tile kernel's
-/// u threads over u*E elements of shared memory (twice that with the CF
-/// block-sort staging buffer) and a partition kernel's u threads — must fit
-/// on an SM, so a config that cannot run is rejected before any kernel
-/// does.  Throws std::invalid_argument naming the first violated constraint.
-inline void validate_merge_config(const gpusim::DeviceSpec& dev, const MergeConfig& cfg,
-                                  std::size_t elem_bytes) {
-  if (cfg.e <= 0) throw std::invalid_argument("MergeConfig: E must be positive");
-  if (cfg.u <= 0) throw std::invalid_argument("MergeConfig: u must be positive");
-  if (cfg.u % dev.warp_size != 0)
-    throw std::invalid_argument("MergeConfig: u must be a multiple of the warp size");
-  const std::size_t staging = cfg.cf_rounds() ? 2 : 1;
-  const std::size_t tile_bytes = static_cast<std::size_t>(cfg.tile()) * elem_bytes * staging;
+/// Validates the invariants of a MergeConfig or MultiwayConfig shared by
+/// every sort entry point, so the rejection messages stay uniform (each
+/// names its config type).  `elem_bytes` is the size of the sorted element
+/// type: every block the config launches — a tile kernel's u threads over
+/// the larger of the block sort's shared tile (twice u*E with the CF
+/// block-sort staging buffer) and the merge kernel's, and a partition
+/// kernel's u threads — must fit on an SM, so a config that cannot run is
+/// rejected before any kernel does.  Throws std::invalid_argument naming
+/// the first violated constraint.
+template <typename Cfg>
+void validate_config(const gpusim::DeviceSpec& dev, const Cfg& cfg, std::size_t elem_bytes) {
+  const auto reject = [](const char* what) {
+    throw std::invalid_argument(std::string(Cfg::kName) + ": " + what);
+  };
+  if (cfg.e <= 0) reject("E must be positive");
+  if (cfg.u <= 0) reject("u must be positive");
+  if (cfg.u % dev.warp_size != 0) reject("u must be a multiple of the warp size");
+  if (const char* arity = cfg.arity_error()) reject(arity);
+  const std::int64_t bsort_elems = cfg.tile() * (cfg.cf_rounds() ? 2 : 1);
+  const auto shared_elems =
+      static_cast<std::size_t>(std::max(bsort_elems, cfg.merge_shared_elems(dev.warp_size)));
   // A thread holds its E elements in registers, so an E beyond the SM's
   // register file never fits (checked first: the estimate would overflow).
   if (cfg.e > dev.registers_per_sm ||
-      !block_fits(dev, cfg.u, tile_bytes, cfg.regs_per_thread()) ||
+      !block_fits(dev, cfg.u, shared_elems * elem_bytes, cfg.regs_per_thread()) ||
       !block_fits(dev, cfg.u, 0, cost::kPartitionRegsPerThread))
-    throw std::invalid_argument("MergeConfig: block does not fit on an SM");
+    reject("block does not fit on an SM");
+}
+
+/// validate_config for a MergeConfig.
+inline void validate_merge_config(const gpusim::DeviceSpec& dev, const MergeConfig& cfg,
+                                  std::size_t elem_bytes) {
+  validate_config(dev, cfg, elem_bytes);
 }
 
 namespace detail {
@@ -189,71 +217,79 @@ struct BatchLayout {
 
 }  // namespace detail
 
-/// The merge_partition kernel's search: grid thread t < tiles.size()
-/// resolves the A co-rank of tiles[t]'s start diagonal within its pair
-/// (a two-list group) and writes it to out[t].  Each warp with a live lane
-/// first fetches the four leading fields of its lanes' descriptors
-/// (descriptor index desc0 + t, one dependent read), then runs one lockstep
-/// co-rank search over `global`; every round charges kSearchIterInstrs, the
-/// A probe row (dependent) and the B probe row.  Idle and finished lanes
-/// probe kInactiveLane.
+/// The 2-way row search of one partition warp: lane q resolves the A
+/// co-rank of tiles[q]'s start diagonal within its pair (a two-list group)
+/// into out[q] by one lockstep co-rank search over `global`; every round
+/// charges kSearchIterInstrs, the A probe row (dependent) and the B probe
+/// row.  Idle and finished lanes probe kInactiveLane.
 template <typename T, typename Cmp>
-void partition_search(gpusim::BlockContext& ctx, gpusim::GlobalView<const T>& global,
-                      std::span<const detail::BatchTile> tiles, std::int64_t desc0,
-                      std::span<std::int64_t> out, Cmp cmp) {
-  const int w = ctx.lanes();
-  const auto count = static_cast<std::int64_t>(tiles.size());
-  assert(w <= gpusim::kMaxLanes && out.size() == tiles.size());
-  std::array<mergepath::LaneSearch, gpusim::kMaxLanes> lanes;
-  std::array<std::int64_t, gpusim::kMaxLanes> desc;
-  std::array<std::int64_t, gpusim::kMaxLanes> abase;
-  std::array<std::int64_t, gpusim::kMaxLanes> bbase;
+void search_partition_rows(gpusim::BlockContext& ctx, int warp,
+                           gpusim::GlobalView<const T>& global,
+                           std::span<const detail::BatchTile> tiles, const MergeConfig& /*cfg*/,
+                           std::span<std::int64_t> out, Cmp cmp) {
+  std::array<mergepath::LaneSearch, gpusim::kMaxLanes> lanes{};
+  std::array<std::int64_t, gpusim::kMaxLanes> abase{};
+  std::array<std::int64_t, gpusim::kMaxLanes> bbase{};
   std::array<std::int64_t, gpusim::kMaxLanes> pa;
   std::array<std::int64_t, gpusim::kMaxLanes> pb;
+  for (std::size_t q = 0; q < tiles.size(); ++q) {
+    lanes[q].init(tiles[q].diag0, tiles[q].list_len(0, 2), tiles[q].list_len(1, 2));
+    abase[q] = tiles[q].base;
+    bbase[q] = tiles[q].list_base(1);
+  }
   const auto at = [](std::int64_t base, std::int64_t idx) {
     return idx == gpusim::kInactiveLane ? gpusim::kInactiveLane : base + idx;
   };
-  const std::int64_t first = static_cast<std::int64_t>(ctx.block_id()) * ctx.threads();
-  for (int warp = 0; warp < ctx.warps(); ++warp) {
-    bool any = false;
-    for (int lane = 0; lane < w; ++lane) {
-      const auto l = static_cast<std::size_t>(lane);
-      lanes[l] = mergepath::LaneSearch{};
-      desc[l] = gpusim::kInactiveLane;
-      abase[l] = 0;
-      bbase[l] = 0;
-      const std::int64_t t = first + warp * w + lane;
-      if (t >= count) continue;
-      const detail::BatchTile& bt = tiles[static_cast<std::size_t>(t)];
-      lanes[l].init(bt.diag0, bt.list_len(0, 2), bt.list_len(1, 2));
-      desc[l] = (desc0 + t) * static_cast<std::int64_t>(sizeof(detail::BatchTile));
-      abase[l] = bt.base;
-      bbase[l] = bt.list_base(1);
-      any = true;
+  auto probe = [&](std::span<const std::int64_t> a_addr, std::span<T> a_val,
+                   std::span<const std::int64_t> b_addr, std::span<T> b_val) {
+    for (std::size_t l = 0; l < a_addr.size(); ++l) {
+      pa[l] = at(abase[l], a_addr[l]);
+      pb[l] = at(bbase[l], b_addr[l]);
     }
-    if (!any) continue;
+    ctx.charge_compute(warp, cost::kSearchIterInstrs);
+    global.gather(warp, std::span<const std::int64_t>(pa.data(), a_val.size()), a_val,
+                  /*dependent=*/true);
+    global.gather(warp, std::span<const std::int64_t>(pb.data(), b_val.size()), b_val,
+                  /*dependent=*/false);
+  };
+  mergepath::warp_corank_search<T>(
+      std::span<mergepath::LaneSearch>(lanes.data(), static_cast<std::size_t>(ctx.lanes())),
+      probe, cmp);
+  for (std::size_t q = 0; q < tiles.size(); ++q) out[q] = lanes[q].lo;
+}
+
+/// The partition kernels' search, for both arities: row t of `out`
+/// (cfg.row_width() co-ranks) receives the co-rank row of tiles[t]'s start
+/// diagonal within its group.  Each warp resolves cfg.tiles_per_warp(w)
+/// consecutive tiles: it first fetches the four leading fields of their
+/// descriptors (lane q reads descriptor desc0 + t0 + q, one dependent
+/// read), then runs the config's row search (search_partition_rows: the
+/// co-rank search for a pair, multisequence selection for k lists).
+template <typename T, typename Cfg, typename Cmp>
+void partition_search(gpusim::BlockContext& ctx, gpusim::GlobalView<const T>& global,
+                      std::span<const detail::BatchTile> tiles, std::int64_t desc0,
+                      std::span<std::int64_t> out, const Cfg& cfg, Cmp cmp) {
+  const int w = ctx.lanes();
+  const int per_warp = cfg.tiles_per_warp(w);
+  const auto width = static_cast<std::size_t>(cfg.row_width());
+  const auto count = static_cast<std::int64_t>(tiles.size());
+  assert(w <= gpusim::kMaxLanes && out.size() == tiles.size() * width);
+  std::array<std::int64_t, gpusim::kMaxLanes> desc;
+  for (int warp = 0; warp < ctx.warps(); ++warp) {
+    const std::int64_t t0 =
+        (static_cast<std::int64_t>(ctx.block_id()) * ctx.warps() + warp) * per_warp;
+    if (t0 >= count) break;
+    const auto queries = static_cast<std::size_t>(std::min<std::int64_t>(per_warp, count - t0));
+    desc.fill(gpusim::kInactiveLane);
+    for (std::size_t q = 0; q < queries; ++q)
+      desc[q] = (desc0 + t0 + static_cast<std::int64_t>(q)) *
+                static_cast<std::int64_t>(sizeof(detail::BatchTile));
     ctx.charge_gmem(warp, std::span<const std::int64_t>(desc.data(), static_cast<std::size_t>(w)),
                     detail::kPartitionDescBytes, /*dependent=*/true);
-    auto probe = [&](std::span<const std::int64_t> a_addr, std::span<T> a_val,
-                     std::span<const std::int64_t> b_addr, std::span<T> b_val) {
-      for (std::size_t l = 0; l < a_addr.size(); ++l) {
-        pa[l] = at(abase[l], a_addr[l]);
-        pb[l] = at(bbase[l], b_addr[l]);
-      }
-      ctx.charge_compute(warp, cost::kSearchIterInstrs);
-      global.gather(warp, std::span<const std::int64_t>(pa.data(), a_val.size()), a_val,
-                    /*dependent=*/true);
-      global.gather(warp, std::span<const std::int64_t>(pb.data(), b_val.size()), b_val,
-                    /*dependent=*/false);
-    };
-    mergepath::warp_corank_search<T>(
-        std::span<mergepath::LaneSearch>(lanes.data(), static_cast<std::size_t>(w)), probe,
-        cmp);
-    for (int lane = 0; lane < w; ++lane) {
-      const std::int64_t t = first + warp * w + lane;
-      if (t < count)
-        out[static_cast<std::size_t>(t)] = lanes[static_cast<std::size_t>(lane)].lo;
-    }
+    search_partition_rows<T>(ctx, warp, global,
+                             tiles.subspan(static_cast<std::size_t>(t0), queries), cfg,
+                             out.subspan(static_cast<std::size_t>(t0) * width, queries * width),
+                             cmp);
   }
 }
 
@@ -291,20 +327,24 @@ inline void read_tile_descriptor(gpusim::BlockContext& ctx, std::int64_t desc) {
                   static_cast<int>(sizeof(detail::BatchTile)), /*dependent=*/false);
 }
 
-/// The shared core of every merge-kernel variant: given a block's A/B
-/// source windows (global element offsets a_src/b_src of sizes la/lb) and
-/// its output window view, stages the lists into shared memory (CF layout
-/// when configured), searches the per-thread splits, merges (sequential or
-/// gather + network) and stores the merged tile: the block body of the
-/// merge_pass kernel.
+/// The 2-way merge core, the block body of the merge_pass kernel: given a
+/// block's A/B source windows (global element offsets seg_src, lengths
+/// seg_len, Σ = tile) and its output window view, stages the lists into
+/// shared memory (CF layout when configured), searches the per-thread
+/// splits, merges (sequential or gather + network) and stores the merged
+/// tile.
 template <typename T, typename GIn, typename Cmp>
 void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T>& gout,
-                       std::int64_t a_src, std::int64_t b_src, std::int64_t la,
-                       std::int64_t lb, const MergeConfig& cfg, Cmp cmp) {
+                       std::span<const std::int64_t> seg_src,
+                       std::span<const std::int64_t> seg_len, const MergeConfig& cfg, Cmp cmp) {
   const int u = ctx.threads();
   const int w = ctx.lanes();
   const int e = cfg.e;
   const std::int64_t tile = cfg.tile();
+  const std::int64_t a_src = seg_src[0];
+  const std::int64_t b_src = seg_src[1];
+  const std::int64_t la = seg_len[0];
+  const std::int64_t lb = seg_len[1];
 
   const TileLayout layout =
       cfg.variant == Variant::CFMerge
@@ -410,53 +450,77 @@ void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T
 }
 
 namespace detail {
-/// Enqueues one merge pass into `graph`: merges the pairs described by
-/// tiles[t0, t0 + count) from `src` into `dst` with one merge_partition
-/// kernel (grid thread t resolves the co-rank of tile t0 + t's start
-/// diagonal into boundaries[t]) and one merge_pass kernel (block t merges
-/// tile t0 + t between boundary rows t and t + 1).  A pair's tiles must be
-/// consecutive, and `boundaries` must hold count + 1 rows; every pass of a
-/// pipeline reuses them from row 0.  Every buffer must stay alive (and
-/// un-moved) until the graph executed.
-template <typename T>
+/// Enqueues one merge pass of either arity into `graph`: merges the groups
+/// described by tiles[t0, t0 + count) from `src` into `dst` with one
+/// partition kernel (Cfg::kPartitionKernel: tile t0 + t's co-rank row into
+/// row t of `boundaries`, cfg.row_width() co-ranks a row) and one merge
+/// kernel (Cfg::kMergeKernel: block t merges tile t0 + t between rows t and
+/// t + 1).  A group's tiles must be consecutive, a k-way group's length a
+/// tile multiple, and `boundaries` must hold count + 1 rows; every pass of
+/// a pipeline reuses them from row 0.  `warp_size` fixes the partition's
+/// rows per block and the merge kernel's shared footprint.  Every buffer
+/// must stay alive (and un-moved) until the graph executed.
+///
+/// Lists s < k − 1 of a tile take their windows from its two rows (the
+/// group's last tile ends at the list ends).  The last list takes what
+/// those leave: it starts at diag0 − Σ starts and holds tile − Σ lengths
+/// elements — B's window of a pair, and the k-th co-rank of a k-way group,
+/// whose length is a tile multiple.
+template <typename T, typename Cfg>
 void enqueue_merge_pass(gpusim::KernelGraph& graph, const std::vector<T>& src,
                         std::vector<T>& dst, const std::vector<BatchTile>& tiles, int t0,
-                        int count, std::vector<std::int64_t>& boundaries,
-                        const MergeConfig& cfg) {
+                        int count, std::vector<std::int64_t>& boundaries, const Cfg& cfg,
+                        int warp_size) {
+  const auto width = static_cast<std::size_t>(cfg.row_width());
   assert(count > 0 && static_cast<std::size_t>(t0 + count) <= tiles.size() &&
-         boundaries.size() > static_cast<std::size_t>(count));
-  const int pblocks = (count + cfg.u - 1) / cfg.u;
+         boundaries.size() >= static_cast<std::size_t>(count + 1) * width);
+  const std::int64_t rows_per_block =
+      static_cast<std::int64_t>(cfg.u / warp_size) * cfg.tiles_per_warp(warp_size);
+  const int pblocks = static_cast<int>((count + rows_per_block - 1) / rows_per_block);
   graph.enqueue(
-      "merge_partition",
+      Cfg::kPartitionKernel,
       gpusim::LaunchShape{pblocks, cfg.u, 0, cost::kPartitionRegsPerThread},
-      [&tiles, &src, &boundaries, t0, count](gpusim::BlockContext& ctx) {
+      [&tiles, &src, &boundaries, cfg, t0, count, width](gpusim::BlockContext& ctx) {
         gpusim::GlobalView<const T> g(ctx, std::span<const T>(src), 0);
         ctx.phase("partition.search");
         partition_search<T>(
             ctx, g,
             std::span<const BatchTile>(tiles).subspan(static_cast<std::size_t>(t0),
                                                       static_cast<std::size_t>(count)),
-            t0, std::span<std::int64_t>(boundaries).first(static_cast<std::size_t>(count)),
-            std::less<T>{});
+            t0, std::span<std::int64_t>(boundaries).first(static_cast<std::size_t>(count) * width),
+            cfg, std::less<T>{});
       });
 
   const std::int64_t tile = cfg.tile();
+  const std::size_t mshared =
+      static_cast<std::size_t>(cfg.merge_shared_elems(warp_size)) * sizeof(T);
   graph.enqueue(
-      "merge_pass",
-      gpusim::LaunchShape{count, cfg.u, static_cast<std::size_t>(tile) * sizeof(T),
-                          cfg.regs_per_thread()},
-      [&tiles, &src, &dst, &boundaries, cfg, t0, tile](gpusim::BlockContext& ctx) {
+      Cfg::kMergeKernel, gpusim::LaunchShape{count, cfg.u, mshared, cfg.regs_per_thread()},
+      [&tiles, &src, &dst, &boundaries, cfg, t0, tile, width](gpusim::BlockContext& ctx) {
         const auto b = static_cast<std::size_t>(ctx.block_id());
         const BatchTile& bt = tiles[static_cast<std::size_t>(t0) + b];
         ctx.phase("merge.load");
-        read_boundary_rows(ctx, boundaries, 1);
+        read_boundary_rows(ctx, boundaries, static_cast<int>(width));
         read_tile_descriptor(ctx, t0 + static_cast<std::int64_t>(b));
-        const std::int64_t a0 = boundaries[b];
-        const std::int64_t a1 = bt.ends_group(tile) ? bt.list_len(0, 2) : boundaries[b + 1];
-        const std::int64_t b0 = bt.diag0 - a0;
-        const std::int64_t la = a1 - a0;
-        const std::int64_t lb = tile - la;
-        assert(la >= 0 && la <= tile && b0 >= 0);
+        const int k = cfg.arity();
+        std::array<std::int64_t, gpusim::kMaxLanes> seg_src{};
+        std::array<std::int64_t, gpusim::kMaxLanes> seg_len{};
+        std::int64_t starts = 0;
+        std::int64_t lens = 0;
+        for (int s = 0; s + 1 < k; ++s) {
+          const auto at = static_cast<std::size_t>(s);
+          const std::int64_t r0 = boundaries[b * width + at];
+          const std::int64_t r1 =
+              bt.ends_group(tile) ? bt.list_len(s, k) : boundaries[(b + 1) * width + at];
+          seg_src[at] = bt.list_base(s) + r0;
+          seg_len[at] = r1 - r0;
+          starts += r0;
+          lens += r1 - r0;
+        }
+        const auto last = static_cast<std::size_t>(k - 1);
+        seg_src[last] = bt.list_base(k - 1) + bt.diag0 - starts;
+        seg_len[last] = tile - lens;
+        assert(lens <= tile && bt.diag0 >= starts);
 
         gpusim::GlobalView<const T> gin(ctx, std::span<const T>(src), 0);
         gpusim::GlobalView<T> gout(
@@ -464,7 +528,9 @@ void enqueue_merge_pass(gpusim::KernelGraph& graph, const std::vector<T>& src,
             std::span<T>(dst).subspan(static_cast<std::size_t>(bt.out),
                                       static_cast<std::size_t>(tile)),
             bt.out);
-        merge_window_core<T>(ctx, gin, gout, bt.base + a0, bt.list_base(1) + b0, la, lb, cfg,
+        merge_window_core<T>(ctx, gin, gout,
+                             std::span<const std::int64_t>(seg_src.data(), last + 1),
+                             std::span<const std::int64_t>(seg_len.data(), last + 1), cfg,
                              std::less<T>{});
       });
 }

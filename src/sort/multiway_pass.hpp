@@ -54,6 +54,14 @@ enum class MultiwayVariant {
   LoserTree,  ///< per-thread k-way replacement selection (conflicts; any k)
 };
 
+/// Largest supported merge arity (bounds the per-lane head/pointer arrays).
+inline constexpr int kMaxMultiwayK = 16;
+
+/// Boundaries one warp resolves at once in warp_multiseq_select: one lane
+/// per (boundary, sequence), at least one boundary per warp.
+[[nodiscard]] inline int selections_per_warp(int w, int k) { return std::max(1, w / k); }
+static_assert(kMaxMultiwayK <= gpusim::kMaxLanes, "one selection's slots fit a lane array");
+
 /// Tuning knobs of a k-way sort configuration.
 struct MultiwayConfig {
   int e = 15;   ///< elements per thread (paper's E)
@@ -64,6 +72,11 @@ struct MultiwayConfig {
   /// Conflict-freedom certificates (see MergeConfig::certs); resolved by
   /// the engine, all-null default keeps the lane-accurate path.
   TileCerts certs{};
+
+  // What the merge pass shell reads of the config type (see MergeConfig).
+  static constexpr const char* kName = "MultiwayConfig";
+  static constexpr const char* kPartitionKernel = "multiway_partition";
+  static constexpr const char* kMergeKernel = "multiway_merge";
 
   [[nodiscard]] std::int64_t tile() const { return static_cast<std::int64_t>(u) * e; }
   /// Shared elements per block of the k-way merge kernel on a `w`-lane
@@ -77,38 +90,25 @@ struct MultiwayConfig {
   [[nodiscard]] int regs_per_thread() const { return cost::multiway_regs_per_thread(e, k); }
   /// True when the block sort runs its CF rounds (and their staging buffer).
   [[nodiscard]] bool cf_rounds() const { return cf_blocksort; }
+  [[nodiscard]] int arity() const { return k; }
+  /// Co-ranks per partition row: all k.
+  [[nodiscard]] int row_width() const { return k; }
+  /// Tiles one partition warp resolves: one lane per (tile, list).
+  [[nodiscard]] int tiles_per_warp(int w) const { return selections_per_warp(w, k); }
+  /// The arity constraint this config violates, or null.
+  [[nodiscard]] const char* arity_error() const {
+    if (k < 2 || k > kMaxMultiwayK) return "k must be in [2, 16]";
+    if (variant == MultiwayVariant::CFCascade && (k & (k - 1)) != 0)
+      return "CFCascade requires a power-of-two k";
+    return nullptr;
+  }
 };
 
-/// Largest supported merge arity (bounds the per-lane head/pointer arrays).
-inline constexpr int kMaxMultiwayK = 16;
-
-/// Validates the MultiwayConfig invariants shared by every multiway entry
-/// point.  As in validate_merge_config, every block the config launches
-/// must fit on an SM (`elem_bytes` is the element size).  Throws
-/// std::invalid_argument naming the first violated constraint.
+/// validate_config for a MultiwayConfig (arity_error's checks included).
 inline void validate_multiway_config(const gpusim::DeviceSpec& dev,
                                      const MultiwayConfig& cfg, std::size_t elem_bytes) {
-  if (cfg.e <= 0) throw std::invalid_argument("MultiwayConfig: E must be positive");
-  if (cfg.u <= 0) throw std::invalid_argument("MultiwayConfig: u must be positive");
-  if (cfg.u % dev.warp_size != 0)
-    throw std::invalid_argument("MultiwayConfig: u must be a multiple of the warp size");
-  if (cfg.k < 2 || cfg.k > kMaxMultiwayK)
-    throw std::invalid_argument("MultiwayConfig: k must be in [2, 16]");
-  if (cfg.variant == MultiwayVariant::CFCascade && (cfg.k & (cfg.k - 1)) != 0)
-    throw std::invalid_argument("MultiwayConfig: CFCascade requires a power-of-two k");
-  const std::int64_t bsort_elems = cfg.tile() * (cfg.cf_rounds() ? 2 : 1);
-  const auto shared_elems =
-      static_cast<std::size_t>(std::max(bsort_elems, cfg.merge_shared_elems(dev.warp_size)));
-  if (cfg.e > dev.registers_per_sm ||
-      !block_fits(dev, cfg.u, shared_elems * elem_bytes, cfg.regs_per_thread()) ||
-      !block_fits(dev, cfg.u, 0, cost::kPartitionRegsPerThread))
-    throw std::invalid_argument("MultiwayConfig: block does not fit on an SM");
+  validate_config(dev, cfg, elem_bytes);
 }
-
-/// Boundaries one warp resolves at once in warp_multiseq_select: one lane
-/// per (boundary, sequence), at least one boundary per warp.
-[[nodiscard]] inline int selections_per_warp(int w, int k) { return std::max(1, w / k); }
-static_assert(kMaxMultiwayK <= gpusim::kMaxLanes, "one selection's slots fit a lane array");
 
 namespace detail {
 
@@ -282,51 +282,36 @@ void warp_multiseq_select(gpusim::BlockContext& ctx, int warp, int k, int querie
 
 }  // namespace detail
 
-/// The multiway_partition kernel's search, the k-way partition_search:
-/// row t of `out` (k co-ranks) receives the co-rank vector of tiles[t]'s
-/// start diagonal within its group.  One lane per (tile, list): each warp
-/// resolves selections_per_warp(w, k) consecutive tiles.  A warp first
-/// fetches the four leading fields of its tiles' descriptors (lane q reads
-/// descriptor desc0 + t0 + q, one dependent read), then runs
-/// warp_multiseq_select over `global`.
+/// The k-way row search of one partition warp: row q of `out` (k
+/// co-ranks) receives the co-rank vector of tiles[q]'s start diagonal
+/// within its group, by warp_multiseq_select over `global` with one lane
+/// per (tile, list).
 template <typename T, typename Cmp>
-void multiway_partition_search(gpusim::BlockContext& ctx, gpusim::GlobalView<const T>& global,
-                               std::span<const detail::BatchTile> tiles, std::int64_t desc0,
-                               int k, std::span<std::int64_t> out, Cmp cmp) {
-  const int w = ctx.lanes();
-  const int per_warp = selections_per_warp(w, k);
-  const auto count = static_cast<std::int64_t>(tiles.size());
-  assert(out.size() == tiles.size() * static_cast<std::size_t>(k));
-  std::array<std::int64_t, gpusim::kMaxLanes> seg_len, seg_base, diag, desc;
-  for (int warp = 0; warp < ctx.warps(); ++warp) {
-    const std::int64_t t0 =
-        (static_cast<std::int64_t>(ctx.block_id()) * ctx.warps() + warp) * per_warp;
-    if (t0 >= count) break;
-    const int queries = static_cast<int>(std::min<std::int64_t>(per_warp, count - t0));
-    desc.fill(gpusim::kInactiveLane);
-    for (int q = 0; q < queries; ++q) {
-      const detail::BatchTile& bt = tiles[static_cast<std::size_t>(t0 + q)];
-      desc[static_cast<std::size_t>(q)] =
-          (desc0 + t0 + q) * static_cast<std::int64_t>(sizeof(detail::BatchTile));
-      diag[static_cast<std::size_t>(q)] = bt.diag0;
-      for (int s = 0; s < k; ++s) {
-        const auto f = static_cast<std::size_t>(q * k + s);
-        seg_len[f] = bt.list_len(s, k);
-        seg_base[f] = bt.list_base(s);
-      }
+void search_partition_rows(gpusim::BlockContext& ctx, int warp,
+                           gpusim::GlobalView<const T>& global,
+                           std::span<const detail::BatchTile> tiles, const MultiwayConfig& cfg,
+                           std::span<std::int64_t> out, Cmp cmp) {
+  const int k = cfg.k;
+  const int queries = static_cast<int>(tiles.size());
+  std::array<std::int64_t, gpusim::kMaxLanes> seg_len, seg_base, diag;
+  for (int q = 0; q < queries; ++q) {
+    const detail::BatchTile& bt = tiles[static_cast<std::size_t>(q)];
+    diag[static_cast<std::size_t>(q)] = bt.diag0;
+    for (int s = 0; s < k; ++s) {
+      const auto f = static_cast<std::size_t>(q * k + s);
+      seg_len[f] = bt.list_len(s, k);
+      seg_base[f] = bt.list_base(s);
     }
-    ctx.charge_gmem(warp, std::span<const std::int64_t>(desc.data(), static_cast<std::size_t>(w)),
-                    detail::kPartitionDescBytes, /*dependent=*/true);
-    const auto slots = static_cast<std::size_t>(queries * k);
-    detail::warp_multiseq_select<T>(
-        ctx, warp, k, queries, std::span<const std::int64_t>(seg_base.data(), slots),
-        std::span<const std::int64_t>(seg_len.data(), slots),
-        std::span<const std::int64_t>(diag.data(), static_cast<std::size_t>(queries)),
-        [&](std::span<const std::int64_t> addrs, std::span<T> vals, bool dependent) {
-          global.gather(warp, addrs, vals, dependent);
-        },
-        cmp, out.subspan(static_cast<std::size_t>(t0 * k), slots));
   }
+  const auto slots = static_cast<std::size_t>(queries * k);
+  detail::warp_multiseq_select<T>(
+      ctx, warp, k, queries, std::span<const std::int64_t>(seg_base.data(), slots),
+      std::span<const std::int64_t>(seg_len.data(), slots),
+      std::span<const std::int64_t>(diag.data(), static_cast<std::size_t>(queries)),
+      [&](std::span<const std::int64_t> addrs, std::span<T> vals, bool dependent) {
+        global.gather(warp, addrs, vals, dependent);
+      },
+      cmp, out);
 }
 
 /// CFCascade merge core: merges the block's k segment windows (global
@@ -611,83 +596,17 @@ void multiway_losertree_core(gpusim::BlockContext& ctx, GIn& gin,
                             cfprims::UnitStep{});
 }
 
-namespace detail {
-/// Enqueues one k-way merge pass into `graph`, the k-way enqueue_merge_pass:
-/// merges the groups described by tiles[t0, t0 + count) from `src` into
-/// `dst` with one multiway_partition kernel (tile t0 + t's co-rank row into
-/// row t of `boundaries`, k co-ranks a row) and one multiway_merge kernel
-/// (block t merges tile t0 + t between rows t and t + 1).  A group's tiles
-/// must be consecutive and its length a tile multiple, and `boundaries` must
-/// hold count + 1 rows.  `warp_size` fixes the partition's rows per block
-/// and the cascade's shared capacity.  Every buffer must stay alive (and
-/// un-moved) until the graph executed.
-template <typename T>
-void enqueue_multiway_pass(gpusim::KernelGraph& graph, const std::vector<T>& src,
-                           std::vector<T>& dst, const std::vector<BatchTile>& tiles, int t0,
-                           int count, std::vector<std::int64_t>& boundaries,
-                           const MultiwayConfig& cfg, int warp_size) {
-  const int k = cfg.k;
-  assert(count > 0 && static_cast<std::size_t>(t0 + count) <= tiles.size() &&
-         boundaries.size() >= static_cast<std::size_t>(count + 1) * static_cast<std::size_t>(k));
-  const std::int64_t rows_per_block =
-      static_cast<std::int64_t>(cfg.u / warp_size) * selections_per_warp(warp_size, k);
-  const int pblocks = static_cast<int>((count + rows_per_block - 1) / rows_per_block);
-  graph.enqueue(
-      "multiway_partition",
-      gpusim::LaunchShape{pblocks, cfg.u, 0, cost::kPartitionRegsPerThread},
-      [&tiles, &src, &boundaries, t0, count, k](gpusim::BlockContext& ctx) {
-        gpusim::GlobalView<const T> g(ctx, std::span<const T>(src), 0);
-        ctx.phase("partition.search");
-        multiway_partition_search<T>(
-            ctx, g,
-            std::span<const BatchTile>(tiles).subspan(static_cast<std::size_t>(t0),
-                                                      static_cast<std::size_t>(count)),
-            t0, k,
-            std::span<std::int64_t>(boundaries)
-                .first(static_cast<std::size_t>(count) * static_cast<std::size_t>(k)),
-            std::less<T>{});
-      });
-
-  const std::int64_t tile = cfg.tile();
-  const std::size_t mshared =
-      static_cast<std::size_t>(cfg.merge_shared_elems(warp_size)) * sizeof(T);
-  graph.enqueue(
-      "multiway_merge", gpusim::LaunchShape{count, cfg.u, mshared, cfg.regs_per_thread()},
-      [&tiles, &src, &dst, &boundaries, cfg, t0, tile](gpusim::BlockContext& ctx) {
-        const int k = cfg.k;
-        const auto b = static_cast<std::size_t>(ctx.block_id());
-        const BatchTile& bt = tiles[static_cast<std::size_t>(t0) + b];
-        ctx.phase("merge.load");
-        read_boundary_rows(ctx, boundaries, k);
-        read_tile_descriptor(ctx, t0 + static_cast<std::int64_t>(b));
-        // As in merge_pass: the group's last tile ends at the list ends,
-        // any other tile where the next tile of its group starts.
-        std::array<std::int64_t, kMaxMultiwayK> seg_src{};
-        std::array<std::int64_t, kMaxMultiwayK> seg_win{};
-        for (int s = 0; s < k; ++s) {
-          const auto at = static_cast<std::size_t>(s);
-          const std::int64_t r0 = boundaries[b * static_cast<std::size_t>(k) + at];
-          const std::int64_t r1 = bt.ends_group(tile)
-                                      ? bt.list_len(s, k)
-                                      : boundaries[(b + 1) * static_cast<std::size_t>(k) + at];
-          seg_src[at] = bt.list_base(s) + r0;
-          seg_win[at] = r1 - r0;
-        }
-
-        gpusim::GlobalView<const T> gin(ctx, std::span<const T>(src), 0);
-        gpusim::GlobalView<T> gout(
-            ctx,
-            std::span<T>(dst).subspan(static_cast<std::size_t>(bt.out),
-                                      static_cast<std::size_t>(tile)),
-            bt.out);
-        const std::span<const std::int64_t> src_win(seg_src.data(), static_cast<std::size_t>(k));
-        const std::span<const std::int64_t> len_win(seg_win.data(), static_cast<std::size_t>(k));
-        if (cfg.variant == MultiwayVariant::CFCascade)
-          multiway_cascade_core<T>(ctx, gin, gout, src_win, len_win, cfg, std::less<T>{});
-        else
-          multiway_losertree_core<T>(ctx, gin, gout, src_win, len_win, cfg, std::less<T>{});
-      });
+/// The k-way merge core, the block body of the multiway_merge kernel: the
+/// configured variant merges the block's k list windows into `gout`.
+template <typename T, typename GIn, typename Cmp>
+void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T>& gout,
+                       std::span<const std::int64_t> seg_src,
+                       std::span<const std::int64_t> seg_len, const MultiwayConfig& cfg,
+                       Cmp cmp) {
+  if (cfg.variant == MultiwayVariant::CFCascade)
+    multiway_cascade_core<T>(ctx, gin, gout, seg_src, seg_len, cfg, cmp);
+  else
+    multiway_losertree_core<T>(ctx, gin, gout, seg_src, seg_len, cfg, cmp);
 }
-}  // namespace detail
 
 }  // namespace cfmerge::sort

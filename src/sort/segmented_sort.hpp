@@ -30,7 +30,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
 #include "gpusim/launcher.hpp"
@@ -89,21 +88,19 @@ namespace detail {
 /// tile-padded segments, records each segment's offset in `layout`, sizes
 /// `boundaries` to the largest round plus one row, adds one block_sort
 /// over every tile and one merge pass per round, and returns the round
-/// count via `passes`.  The pass arity comes from the config: 2-way passes
-/// (enqueue_merge_pass, one co-rank a row) for a MergeConfig, k-way passes
-/// (enqueue_multiway_pass, k co-ranks a row) for a MultiwayConfig, whose
-/// kernel shapes depend on `warp_size`.  The caller loads segment s at
-/// layout.offsets[s] of `buf` (keeping its sentinel tail) before running
-/// the graph.  The segments must hold at least one element.  Every buffer
-/// must stay alive (and un-moved) until the graph executed.
+/// count via `passes`.  The config fixes the pass arity and row width (2
+/// and 1 for a MergeConfig, k and k for a MultiwayConfig); every round is
+/// one enqueue_merge_pass, whose kernel shapes depend on `warp_size`.  The
+/// caller loads segment s at layout.offsets[s] of `buf` (keeping its
+/// sentinel tail) before running the graph.  The segments must hold at
+/// least one element.  Every buffer must stay alive (and un-moved) until
+/// the graph executed.
 template <typename T, typename Cfg>
 void enqueue_segmented_pipeline(gpusim::KernelGraph& graph, const std::vector<std::int64_t>& lens,
                                 std::vector<T>& buf, std::vector<T>& tmp, BatchLayout& layout,
                                 std::vector<std::int64_t>& boundaries, const Cfg& cfg,
                                 int warp_size, int& passes) {
-  constexpr bool two_way = std::is_same_v<Cfg, MergeConfig>;
-  int k = 2;
-  if constexpr (!two_way) k = cfg.k;
+  const int k = cfg.arity();
   const std::int64_t tile = cfg.tile();
   std::int64_t total = 0;
   passes = 0;
@@ -130,8 +127,9 @@ void enqueue_segmented_pipeline(gpusim::KernelGraph& graph, const std::vector<st
   round_t0.push_back(static_cast<int>(layout.tiles.size()));
   // Round 0 has the most tiles (every segment still merging takes part
   // with all of its tiles); one more row follows its last tile.
-  const std::size_t row = two_way ? 1 : static_cast<std::size_t>(k);
-  boundaries.assign((static_cast<std::size_t>(passes > 0 ? round_t0[1] : 0) + 1) * row, 0);
+  boundaries.assign((static_cast<std::size_t>(passes > 0 ? round_t0[1] : 0) + 1) *
+                        static_cast<std::size_t>(cfg.row_width()),
+                    0);
 
   enqueue_block_sort(graph, buf, static_cast<int>(total / tile), cfg.u, cfg.e,
                      cfg.regs_per_thread(), cfg.cf_rounds(), cfg.certs);
@@ -139,11 +137,8 @@ void enqueue_segmented_pipeline(gpusim::KernelGraph& graph, const std::vector<st
   std::vector<T>* dst = &tmp;
   for (std::size_t p = 0; p + 1 < round_t0.size(); ++p) {
     const int count = round_t0[p + 1] - round_t0[p];
-    if constexpr (two_way)
-      enqueue_merge_pass(graph, *src, *dst, layout.tiles, round_t0[p], count, boundaries, cfg);
-    else
-      enqueue_multiway_pass(graph, *src, *dst, layout.tiles, round_t0[p], count, boundaries,
-                            cfg, warp_size);
+    enqueue_merge_pass(graph, *src, *dst, layout.tiles, round_t0[p], count, boundaries, cfg,
+                       warp_size);
     std::swap(src, dst);
   }
 }

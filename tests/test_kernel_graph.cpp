@@ -285,7 +285,8 @@ void launch_by_launch_sort(Launcher& launcher, std::vector<T>& data,
     const int t0 = static_cast<int>(tiles.size());
     sort::detail::add_run_group_tiles(tiles, 0, n_padded, run, 2, tile);
     KernelGraph pass;
-    sort::detail::enqueue_merge_pass(pass, *src, *dst, tiles, t0, num_tiles, boundaries, cfg);
+    sort::detail::enqueue_merge_pass(pass, *src, *dst, tiles, t0, num_tiles, boundaries, cfg,
+                                     launcher.device().warp_size);
     for (const KernelNode& node : pass.nodes()) launcher.launch(node.name, node.shape, node.body);
     std::swap(src, dst);
   }

@@ -35,7 +35,7 @@ PassResult run_pass(int w, const MergeConfig& cfg, const std::vector<int>& data,
   std::vector<int> out(data.size());
   gpusim::KernelGraph graph;
   detail::enqueue_merge_pass(graph, data, out, tiles, 0, static_cast<int>(tiles.size()),
-                             boundaries, cfg);
+                             boundaries, cfg, w);
   launcher.run(graph);
   PassResult r;
   r.out = std::move(out);

@@ -358,6 +358,8 @@ TEST(MultiwayPartition, KernelBoundariesMatchMultiwayPathOracle) {
           std::vector<std::int64_t> boundaries(static_cast<std::size_t>(nb * k), -1);
           const int u = 2 * w;
           const std::int64_t rows_per_block = 2 * selections_per_warp(w, k);
+          MultiwayConfig mcfg;
+          mcfg.k = k;
           Launcher launcher(dev);
           launcher.launch("multiway_partition",
                           gpusim::LaunchShape{static_cast<int>((nb + rows_per_block - 1) /
@@ -365,9 +367,9 @@ TEST(MultiwayPartition, KernelBoundariesMatchMultiwayPathOracle) {
                                               u, 0, cost::kPartitionRegsPerThread},
                           [&](BlockContext& ctx) {
                             gpusim::GlobalView<const int> g(ctx, std::span<const int>(input), 0);
-                            multiway_partition_search<int>(
-                                ctx, g, std::span<const detail::BatchTile>(tiles), 0, k,
-                                std::span<std::int64_t>(boundaries), std::less<int>{});
+                            partition_search<int>(
+                                ctx, g, std::span<const detail::BatchTile>(tiles), 0,
+                                std::span<std::int64_t>(boundaries), mcfg, std::less<int>{});
                           });
           for (std::int64_t t = 0; t < nb; ++t) {
             const auto want = oracle_row(input, n, run, k, t * tile);
