@@ -528,3 +528,64 @@ TEST(MultiwayPartition, CostsAtMostThreeTimesTheTwoWayPartition) {
   EXPECT_LE(multiway_us, 3.0 * pairwise_us)
       << "multiway_partition " << multiway_us << " us vs merge_partition " << pairwise_us;
 }
+
+namespace {
+
+const gpusim::Counters& phase_of(const SortReport& r, const std::string& name) {
+  for (const auto& [n, c] : r.phases.phases())
+    if (n == name) return c;
+  ADD_FAILURE() << "no phase " << name;
+  static const gpusim::Counters none{};
+  return none;
+}
+
+}  // namespace
+
+TEST(MultiwayCascade, AtKEqualsTwoDoesTheTwoWayCfMerge) {
+  // One cascade level is the 2-way dual-subsequence-gather schedule: the
+  // k = 2 cascade stages, searches and merges every tile as merge_pass
+  // does.  E = 16 on 32 lanes is the gcd(w, E) > 1 case.
+  struct Shape {
+    DeviceSpec dev;
+    int e, u;
+  };
+  const Shape shapes[] = {{DeviceSpec::scaled_turing(4), 15, 256},
+                          {DeviceSpec::scaled_turing(4), 16, 256},
+                          {DeviceSpec::scaled_turing(4), 17, 256},
+                          {DeviceSpec::scaled_turing(4), 15, 512},
+                          {DeviceSpec::tiny(8, 2), 6, 16}};
+  std::mt19937_64 rng(26);
+  for (const Shape& s : shapes) {
+    SCOPED_TRACE("w=" + std::to_string(s.dev.warp_size) + " E=" + std::to_string(s.e) +
+                 " u=" + std::to_string(s.u));
+    const std::int64_t tile = static_cast<std::int64_t>(s.e) * s.u;
+    const std::vector<int> input = rand_vec(rng, 5 * tile + 77);
+    Launcher launcher(s.dev);
+    MergeConfig cfg;
+    cfg.e = s.e;
+    cfg.u = s.u;
+    auto two_way = input;
+    const SortReport cf = merge_sort(launcher, two_way, cfg);
+    MultiwayConfig mcfg;
+    mcfg.e = s.e;
+    mcfg.u = s.u;
+    mcfg.k = 2;
+    auto cascade = input;
+    const SortReport kw = merge_sort_multiway(launcher, cascade, mcfg);
+    ASSERT_EQ(two_way, cascade);
+    ASSERT_EQ(cf.passes, kw.passes);
+
+    const gpusim::Counters& load_cf = phase_of(cf, "merge.load");
+    const gpusim::Counters& load_kw = phase_of(kw, "merge.load");
+    EXPECT_EQ(load_cf.shared_accesses, load_kw.shared_accesses);
+    EXPECT_EQ(load_cf.bank_conflicts, load_kw.bank_conflicts);
+    EXPECT_EQ(phase_of(cf, "merge.search"), phase_of(kw, "merge.search"));
+    // The 2-way kernel counts its pre-store barrier in merge.merge, so the
+    // barriers are left out.
+    const gpusim::Counters& merge_cf = phase_of(cf, "merge.merge");
+    const gpusim::Counters& merge_kw = phase_of(kw, "merge.merge");
+    EXPECT_EQ(merge_cf.shared_accesses, merge_kw.shared_accesses);
+    EXPECT_EQ(merge_cf.bank_conflicts, merge_kw.bank_conflicts);
+    EXPECT_EQ(merge_cf.warp_instructions, merge_kw.warp_instructions);
+  }
+}
