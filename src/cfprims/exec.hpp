@@ -342,11 +342,14 @@ void exec_stride_gather(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem,
                    regs);
 }
 
-/// Mirror image of exec_stride_gather: regs -> shared, same index map.
+/// Mirror image of exec_stride_gather: regs -> shared, same index map,
+/// shifted by `base` slots (a uniform shift keeps every round's banks
+/// distinct, so the certificate still applies).
 template <typename T>
 void exec_stride_scatter(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem, int w,
                          int rounds, int vwarps, const CrsCharge& charge,
-                         const verify::CfCertificate* cert, std::span<const T> regs) {
+                         const verify::CfCertificate* cert, std::span<const T> regs,
+                         std::int64_t base = 0) {
   if (bulk_path(ctx, cert) && rounds > 0) {
     const std::span<T> data = shmem.certified_raw();
     const auto per_warp = static_cast<std::size_t>(w) * static_cast<std::size_t>(rounds);
@@ -354,22 +357,23 @@ void exec_stride_scatter(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem
       ctx.charge_compute(vw,
                          charge.setup + static_cast<std::uint64_t>(rounds) * charge.round);
       const std::size_t first = static_cast<std::size_t>(vw) * per_warp;
-      assert(first + per_warp <= data.size() && first + per_warp <= regs.size());
+      assert(static_cast<std::size_t>(base) + first + per_warp <= data.size() &&
+             first + per_warp <= regs.size());
       std::copy(regs.begin() + static_cast<std::ptrdiff_t>(first),
                 regs.begin() + static_cast<std::ptrdiff_t>(first + per_warp),
-                data.begin() + static_cast<std::ptrdiff_t>(first));
+                data.begin() + base + static_cast<std::ptrdiff_t>(first));
       charge_certified(ctx, vw, shmem, {.rounds = rounds, .dependent = rounds});
     }
     if (ctx.audit_skipping())
       shmem.notify_certified_skip(
-          0, static_cast<std::int64_t>(static_cast<std::size_t>(vwarps) * per_warp),
+          base, base + static_cast<std::int64_t>(static_cast<std::size_t>(vwarps) * per_warp),
           static_cast<std::uint64_t>(vwarps) * static_cast<std::uint64_t>(rounds), w,
           /*is_write=*/true);
     return;
   }
   exec_crs_scatter(ctx, shmem, w, rounds, vwarps, charge, cert, same_warp,
-                   [w, rounds](int vw, int lane, int j) {
-                     return static_cast<std::int64_t>(reg_slot(w, rounds, vw, lane, j));
+                   [w, rounds, base](int vw, int lane, int j) {
+                     return base + static_cast<std::int64_t>(reg_slot(w, rounds, vw, lane, j));
                    },
                    regs);
 }

@@ -327,6 +327,44 @@ inline void read_tile_descriptor(gpusim::BlockContext& ctx, std::int64_t desc) {
                   static_cast<int>(sizeof(detail::BatchTile)), /*dependent=*/false);
 }
 
+/// The merge kernels' store tail: thread i writes its E merged registers,
+/// ranks iE … iE + E − 1 of the tile, to shared slots from `base` on —
+/// through the tile's output shift rho when `through_rho` (the inverse dual
+/// subsequence scatter of footnote 5), else stride E — at copy cadence,
+/// with no per-thread setup; then the block stores the u*E ranks coalesced
+/// to `gout`.  The raw stride-E pattern is only certified when
+/// gcd(w, E) = 1 (cf_stride).
+template <typename T>
+void store_merged_tile(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem,
+                       std::int64_t base, bool through_rho, const TileCerts& certs, int e,
+                       std::span<const T> regs, gpusim::GlobalView<T>& gout) {
+  ctx.phase("merge.store");
+  const int w = ctx.lanes();
+  const std::int64_t tile = static_cast<std::int64_t>(ctx.threads()) * e;
+  const gather::CircularShift out_shift(w, e, tile);
+  if (!through_rho || out_shift.identity()) {
+    // The write-back is the pure stride-E pattern, so the certified path
+    // reduces to per-warp block copies.
+    cfprims::exec_stride_scatter(ctx, shmem, w, e, ctx.warps(), cfprims::kCopyCharge,
+                                 through_rho ? certs.rank_scatter : certs.stride, regs, base);
+    ctx.barrier();
+    cfprims::exec_staged_copy(ctx, shmem, gout, tile, certs.stage, cfprims::UnitStep{base},
+                              cfprims::UnitStep{});
+    return;
+  }
+  const auto out_pos = [&](std::int64_t t) { return base + out_shift(t); };
+  cfprims::exec_crs_scatter(
+      ctx, shmem, w, e, ctx.warps(), cfprims::kCopyCharge, certs.rank_scatter,
+      cfprims::same_warp,
+      [&](int vw, int lane, int j) {
+        return out_pos(static_cast<std::int64_t>(vw * w + lane) * e + j);
+      },
+      regs);
+  ctx.barrier();
+  cfprims::exec_staged_copy(ctx, shmem, gout, tile, /*cert=*/nullptr, out_pos,
+                            cfprims::UnitStep{});
+}
+
 /// The 2-way merge core, the block body of the merge_pass kernel: given a
 /// block's A/B source windows (global element offsets seg_src, lengths
 /// seg_len, Σ = tile) and its output window view, stages the lists into
@@ -414,39 +452,10 @@ void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T
                       cmp);
   }
   ctx.barrier();
-
-  // Write registers to shared (stride E), then store coalesced.
-  ctx.phase("merge.store");
-  const bool out_rho = cfg.variant == Variant::CFMerge && cfg.cf_output_scatter &&
-                       !cfg.disable_rho;
-  const gather::CircularShift out_shift(w, e, tile);
-  auto out_pos = [&](std::int64_t t) { return out_rho ? out_shift(t) : t; };
-  // The cf_rank_scatter primitive: stride-E register write-back through rho
-  // (or raw for the baseline), copy cadence — no per-thread setup.  The raw
-  // stride-E pattern is only certified when gcd(w, E) = 1 (cf_stride).
-  if (!out_rho || out_shift.identity()) {
-    // out_pos is the identity here, so the write-back is the pure stride-E
-    // pattern and the certified path reduces to per-warp block copies.
-    cfprims::exec_stride_scatter(ctx, shmem, w, e, ctx.warps(), cfprims::kCopyCharge,
-                                 out_rho ? cfg.certs.rank_scatter : cfg.certs.stride,
-                                 std::span<const T>(regs));
-  } else {
-    cfprims::exec_crs_scatter(
-        ctx, shmem, w, e, ctx.warps(), cfprims::kCopyCharge, cfg.certs.rank_scatter,
-        cfprims::same_warp,
-        [&](int vw, int lane, int j) {
-          return out_pos(static_cast<std::int64_t>(vw * w + lane) * e + j);
-        },
-        std::span<const T>(regs));
-  }
-  ctx.barrier();
-  if (!out_rho || out_shift.identity()) {
-    cfprims::exec_staged_copy(ctx, shmem, gout, tile, cfg.certs.stage, cfprims::UnitStep{},
-                              cfprims::UnitStep{});
-  } else {
-    cfprims::exec_staged_copy(ctx, shmem, gout, tile, /*cert=*/nullptr, out_pos,
-                              cfprims::UnitStep{});
-  }
+  store_merged_tile<T>(ctx, shmem, /*base=*/0,
+                       cfg.variant == Variant::CFMerge && cfg.cf_output_scatter &&
+                           !cfg.disable_rho,
+                       cfg.certs, e, std::span<const T>(regs), gout);
 }
 
 namespace detail {

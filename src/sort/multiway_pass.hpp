@@ -361,6 +361,7 @@ void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalVi
   // pair never exceeds the buffer capacity).
   std::vector<T> regfile(static_cast<std::size_t>(cap));
   for (int level = 0; level < plan.levels(); ++level) {
+    const bool root = level + 1 == plan.levels();
     const std::int64_t rb = gather::CascadePlan::read_buffer(level) * cap;
     const std::int64_t wb = gather::CascadePlan::write_buffer(level) * cap;
     const auto& prs = plan.pairs(level);
@@ -390,10 +391,20 @@ void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalVi
       cf_merge_pair(ctx, shmem, rb + pr.base, pr.la, pr.lb,
                     std::span<const ThreadSplit>(splits), cfg.certs.gather, pair_warp, regs,
                     cmp);
+      if (root) {
+        // The root (one pair, virtual warp i on warp i) writes back through
+        // the 2-way store tail: its output map rho_out is the tile's output
+        // shift, and only the first u threads' ranks are written — ranks
+        // >= tile are sentinels the final store never reads.
+        store_merged_tile<T>(ctx, shmem, wb, /*through_rho=*/true, cfg.certs, e,
+                             std::span<const T>(regs).first(static_cast<std::size_t>(tile)),
+                             gout);
+        return;
+      }
 
       // Inter-stage rank scatter: rank r = iE + j of this pair lands at the
-      // parent's pos_a/pos_b(r) (root: rho_out(r)) — data independent, so
-      // each round is a stride-E progression through rho' and conflict free.
+      // parent's pos_a/pos_b(r) — data independent, so each round is a
+      // stride-E progression through rho' and conflict free.
       ctx.phase("merge.store");
       // The cf_rank_scatter primitive at gather cadence: the per-thread
       // setup computes the parent's pos_a/pos_b bounds.  The cascade proof
@@ -411,13 +422,6 @@ void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalVi
     }
     ctx.barrier();
   }
-
-  // Coalesced store of the real ranks (sentinels sit at ranks >= tile).
-  ctx.phase("merge.store");
-  const std::int64_t ob = (plan.levels() % 2) * cap;
-  cfprims::exec_staged_copy(ctx, shmem, gout, tile, /*cert=*/nullptr,
-                            [&](std::int64_t t) { return ob + plan.out_pos(t); },
-                            cfprims::UnitStep{});
 }
 
 /// LoserTree search step: the co-rank vector of every thread's start
@@ -586,14 +590,10 @@ void multiway_losertree_core(gpusim::BlockContext& ctx, GIn& gin,
   }
   ctx.barrier();
 
-  // Stride-E write-back (linear, like the 2-way baseline, but on the lane
-  // path: the loser tree is the uncertified baseline), coalesced store.
-  ctx.phase("merge.store");
-  cfprims::exec_stride_scatter(ctx, shmem, w, e, ctx.warps(), cfprims::kCopyCharge,
-                               /*cert=*/nullptr, std::span<const T>(regs));
-  ctx.barrier();
-  cfprims::exec_staged_copy(ctx, shmem, gout, tile, /*cert=*/nullptr, cfprims::UnitStep{},
-                            cfprims::UnitStep{});
+  // Stride-E write-back, as the 2-way baseline, but on the lane path: the
+  // loser tree is the uncertified baseline.
+  store_merged_tile<T>(ctx, shmem, /*base=*/0, /*through_rho=*/false, TileCerts{}, e,
+                       std::span<const T>(regs), gout);
 }
 
 /// The k-way merge core, the block body of the multiway_merge kernel: the

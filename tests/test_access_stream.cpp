@@ -227,7 +227,7 @@ std::vector<StreamCase> cases() {
        [](L& l) { return run_merge_sort(l, Variant::Baseline, 7, 64, 4 * 448, 2); },
        0x829516b059747200ull, 0x39805fa063e6b702ull, 3384, 3048, 5376, 560},
       {"multiway_k4_w32", w32, [](L& l) { return run_multiway(l, 7, 64, 16 * 448, 3); },
-       0xd3ccf63e39f6614bull, 0x4d0d581a56f05731ull, 19220, 17813, 64512, 4480},
+       0xb2c7da535b026d59ull, 0xdf981705f7e13d37ull, 18996, 17589, 64512, 4256},
       {"by_key_ragged_w32", w32,
        [](L& l) { return run_by_key(l, Variant::CFMerge, 7, 64, 3 * 448 + 101, 4); },
        0x76046301bf5378c2ull, 0x9b3efb95c7e6bf88ull, 3298, 2948, 5376, 672},
@@ -238,7 +238,7 @@ std::vector<StreamCase> cases() {
        [](L& l) { return run_merge_sort(l, Variant::Baseline, 5, 16, 8 * 80, 6); },
        0x3483130a722523ecull, 0x5410599a5ab37baeull, 4940, 4292, 2560, 720},
       {"multiway_k4_w8", w8, [](L& l) { return run_multiway(l, 5, 16, 16 * 80, 7); },
-       0x3780b86ef160265cull, 0x1101970c0b41f15dull, 12176, 10892, 11520, 2860},
+       0x34c1db77518d0a15ull, 0x08b6065e5cef2b0full, 12021, 10737, 11520, 2705},
       {"by_key_ragged_w8", w8,
        [](L& l) { return run_by_key(l, Variant::Baseline, 5, 16, 5 * 80 + 37, 8); },
        0xfe522494224250d9ull, 0xda9e2420b0fbfea6ull, 3541, 3057, 1920, 540},

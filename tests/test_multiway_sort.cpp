@@ -543,8 +543,9 @@ const gpusim::Counters& phase_of(const SortReport& r, const std::string& name) {
 
 TEST(MultiwayCascade, AtKEqualsTwoDoesTheTwoWayCfMerge) {
   // One cascade level is the 2-way dual-subsequence-gather schedule: the
-  // k = 2 cascade stages, searches and merges every tile as merge_pass
-  // does.  E = 16 on 32 lanes is the gcd(w, E) > 1 case.
+  // k = 2 cascade stages, searches, merges and stores every tile as
+  // merge_pass does (its root writes back through the 2-way store tail).
+  // E = 16 on 32 lanes is the gcd(w, E) > 1 case.
   struct Shape {
     DeviceSpec dev;
     int e, u;
@@ -587,5 +588,6 @@ TEST(MultiwayCascade, AtKEqualsTwoDoesTheTwoWayCfMerge) {
     EXPECT_EQ(merge_cf.shared_accesses, merge_kw.shared_accesses);
     EXPECT_EQ(merge_cf.bank_conflicts, merge_kw.bank_conflicts);
     EXPECT_EQ(merge_cf.warp_instructions, merge_kw.warp_instructions);
+    EXPECT_EQ(phase_of(cf, "merge.store"), phase_of(kw, "merge.store"));
   }
 }
