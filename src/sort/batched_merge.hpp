@@ -51,7 +51,7 @@ namespace detail {
 /// Enqueues the batched pipeline for the pairs (as[i], bs[i]) into
 /// `graph`: stages every pair as [A | B | pad] in `staging` (the sentinel
 /// pads are written here, once), fills `layout`, sizes `packed` and
-/// `boundaries` (one row per tile plus one), and adds one merge pass — two
+/// `boundaries` (one row per tile), and adds one merge pass — two
 /// kernels for the whole batch.  The batch must hold at least one element.
 /// Every buffer must stay alive (and un-moved) until the graph executed.
 template <typename T>
@@ -71,7 +71,7 @@ void enqueue_batched_pipeline(gpusim::KernelGraph& graph, const std::vector<std:
   }
   staging.assign(static_cast<std::size_t>(total), padding_sentinel<T>::value());
   packed.resize(static_cast<std::size_t>(total));
-  boundaries.assign(layout.tiles.size() + 1, 0);
+  boundaries.assign(layout.tiles.size(), 0);
   enqueue_merge_pass(graph, staging, packed, layout.tiles, 0,
                      static_cast<int>(layout.tiles.size()), boundaries, cfg, warp_size);
 }

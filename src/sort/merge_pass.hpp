@@ -293,22 +293,24 @@ void partition_search(gpusim::BlockContext& ctx, gpusim::GlobalView<const T>& gl
   }
 }
 
-/// Reads the two boundary rows of this block's tile — rows block_id and
-/// block_id + 1 of `boundaries`, `width` co-ranks each — on warp 0, w lanes
-/// per global read: the merge kernels' cheap fetch of their partition
-/// results.
+/// Reads the boundary rows of this block's tile — its start row block_id
+/// and, unless the tile ends its group, its end row block_id + 1 of
+/// `boundaries`, `width` co-ranks each — on warp 0, w lanes per global
+/// read: the merge kernels' cheap fetch of their partition results.
 inline void read_boundary_rows(gpusim::BlockContext& ctx,
-                               std::span<const std::int64_t> boundaries, int width) {
+                               std::span<const std::int64_t> boundaries, int width,
+                               bool ends_group) {
   const int w = ctx.lanes();
   assert(w <= gpusim::kMaxLanes);
   gpusim::GlobalView<const std::int64_t> bview(ctx, boundaries, 0);
   std::array<std::int64_t, gpusim::kMaxLanes> addr;
   std::array<std::int64_t, gpusim::kMaxLanes> vals;
   const std::int64_t first = static_cast<std::int64_t>(ctx.block_id()) * width;
-  for (std::int64_t c = 0; c < 2 * width; c += w) {
+  const std::int64_t count = (ends_group ? 1 : 2) * static_cast<std::int64_t>(width);
+  for (std::int64_t c = 0; c < count; c += w) {
     for (int lane = 0; lane < w; ++lane) {
       const std::int64_t i = c + lane;
-      addr[static_cast<std::size_t>(lane)] = i < 2 * width ? first + i : gpusim::kInactiveLane;
+      addr[static_cast<std::size_t>(lane)] = i < count ? first + i : gpusim::kInactiveLane;
     }
     bview.gather(0, std::span<const std::int64_t>(addr.data(), static_cast<std::size_t>(w)),
                  std::span<std::int64_t>(vals.data(), static_cast<std::size_t>(w)));
@@ -464,9 +466,10 @@ namespace detail {
 /// partition kernel (Cfg::kPartitionKernel: tile t0 + t's co-rank row into
 /// row t of `boundaries`, cfg.row_width() co-ranks a row) and one merge
 /// kernel (Cfg::kMergeKernel: block t merges tile t0 + t between rows t and
-/// t + 1).  A group's tiles must be consecutive, a k-way group's length a
-/// tile multiple, and `boundaries` must hold count + 1 rows; every pass of
-/// a pipeline reuses them from row 0.  `warp_size` fixes the partition's
+/// t + 1, or from row t to the list ends when the tile ends its group).  A
+/// group's tiles must be consecutive, a k-way group's length a tile
+/// multiple, and `boundaries` must hold count rows; every pass of a
+/// pipeline reuses them from row 0.  `warp_size` fixes the partition's
 /// rows per block and the merge kernel's shared footprint.  Every buffer
 /// must stay alive (and un-moved) until the graph executed.
 ///
@@ -482,7 +485,7 @@ void enqueue_merge_pass(gpusim::KernelGraph& graph, const std::vector<T>& src,
                         int warp_size) {
   const auto width = static_cast<std::size_t>(cfg.row_width());
   assert(count > 0 && static_cast<std::size_t>(t0 + count) <= tiles.size() &&
-         boundaries.size() >= static_cast<std::size_t>(count + 1) * width);
+         boundaries.size() >= static_cast<std::size_t>(count) * width);
   const std::int64_t rows_per_block =
       static_cast<std::int64_t>(cfg.u / warp_size) * cfg.tiles_per_warp(warp_size);
   const int pblocks = static_cast<int>((count + rows_per_block - 1) / rows_per_block);
@@ -508,8 +511,9 @@ void enqueue_merge_pass(gpusim::KernelGraph& graph, const std::vector<T>& src,
       [&tiles, &src, &dst, &boundaries, cfg, t0, tile, width](gpusim::BlockContext& ctx) {
         const auto b = static_cast<std::size_t>(ctx.block_id());
         const BatchTile& bt = tiles[static_cast<std::size_t>(t0) + b];
+        const bool ends_group = bt.ends_group(tile);
         ctx.phase("merge.load");
-        read_boundary_rows(ctx, boundaries, static_cast<int>(width));
+        read_boundary_rows(ctx, boundaries, static_cast<int>(width), ends_group);
         read_tile_descriptor(ctx, t0 + static_cast<std::int64_t>(b));
         const int k = cfg.arity();
         std::array<std::int64_t, gpusim::kMaxLanes> seg_src{};
@@ -520,7 +524,7 @@ void enqueue_merge_pass(gpusim::KernelGraph& graph, const std::vector<T>& src,
           const auto at = static_cast<std::size_t>(s);
           const std::int64_t r0 = boundaries[b * width + at];
           const std::int64_t r1 =
-              bt.ends_group(tile) ? bt.list_len(s, k) : boundaries[(b + 1) * width + at];
+              ends_group ? bt.list_len(s, k) : boundaries[(b + 1) * width + at];
           seg_src[at] = bt.list_base(s) + r0;
           seg_len[at] = r1 - r0;
           starts += r0;

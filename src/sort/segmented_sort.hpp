@@ -86,7 +86,7 @@ namespace detail {
 /// Enqueues the segmented pipeline for segments of the given lengths into
 /// `graph`: sizes `buf` (all sentinels) and `tmp` to the concatenated
 /// tile-padded segments, records each segment's offset in `layout`, sizes
-/// `boundaries` to the largest round plus one row, adds one block_sort
+/// `boundaries` to the largest round's rows, adds one block_sort
 /// over every tile and one merge pass per round, and returns the round
 /// count via `passes`.  The config fixes the pass arity and row width (2
 /// and 1 for a MergeConfig, k and k for a MultiwayConfig); every round is
@@ -126,8 +126,8 @@ void enqueue_segmented_pipeline(gpusim::KernelGraph& graph, const std::vector<st
   }
   round_t0.push_back(static_cast<int>(layout.tiles.size()));
   // Round 0 has the most tiles (every segment still merging takes part
-  // with all of its tiles); one more row follows its last tile.
-  boundaries.assign((static_cast<std::size_t>(passes > 0 ? round_t0[1] : 0) + 1) *
+  // with all of its tiles).
+  boundaries.assign(static_cast<std::size_t>(passes > 0 ? round_t0[1] : 0) *
                         static_cast<std::size_t>(cfg.row_width()),
                     0);
 

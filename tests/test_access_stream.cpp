@@ -222,61 +222,61 @@ std::vector<StreamCase> cases() {
   return {
       {"cf_w32", w32,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 7, 64, 4 * 448, 1); },
-       0x120d7bc31f28b443ull, 0xd64c784257344be9ull, 3368, 3016, 5376, 672},
+       0xc7f2d1e7f92589abull, 0x156c3ebf1a8afd41ull, 3368, 3016, 5376, 672},
       {"baseline_w32", w32,
        [](L& l) { return run_merge_sort(l, Variant::Baseline, 7, 64, 4 * 448, 2); },
-       0x829516b059747200ull, 0x39805fa063e6b702ull, 3384, 3048, 5376, 560},
+       0xb50e24ff36dffca8ull, 0x32fa95b3e71aa1eaull, 3384, 3048, 5376, 560},
       {"multiway_k4_w32", w32, [](L& l) { return run_multiway(l, 7, 64, 16 * 448, 3); },
-       0xb2c7da535b026d59ull, 0xdf981705f7e13d37ull, 18996, 17589, 64512, 4256},
+       0x20b8cc9f256888ccull, 0x223c29cb73b38e07ull, 18996, 17589, 64512, 4256},
       {"by_key_ragged_w32", w32,
        [](L& l) { return run_by_key(l, Variant::CFMerge, 7, 64, 3 * 448 + 101, 4); },
-       0x76046301bf5378c2ull, 0x9b3efb95c7e6bf88ull, 3298, 2948, 5376, 672},
+       0xd5818acb2b5c5c2aull, 0xf9e8db144b1fefb0ull, 3298, 2948, 5376, 672},
       {"cf_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 5, 16, 8 * 80, 5); },
-       0x0de9f7774bf7b4c7ull, 0x2cf33f31ebe587dcull, 4863, 4168, 2560, 960},
+       0x2104e508be5804efull, 0x5e636a72fd30f774ull, 4863, 4168, 2560, 960},
       {"baseline_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::Baseline, 5, 16, 8 * 80, 6); },
-       0x3483130a722523ecull, 0x5410599a5ab37baeull, 4940, 4292, 2560, 720},
+       0xed6122679ba0b834ull, 0x0ed1042726e95876ull, 4940, 4292, 2560, 720},
       {"multiway_k4_w8", w8, [](L& l) { return run_multiway(l, 5, 16, 16 * 80, 7); },
-       0x34c1db77518d0a15ull, 0x08b6065e5cef2b0full, 12021, 10737, 11520, 2705},
+       0x770ca804df92b402ull, 0x37d76daf464afe44ull, 12021, 10737, 11520, 2705},
       {"by_key_ragged_w8", w8,
        [](L& l) { return run_by_key(l, Variant::Baseline, 5, 16, 5 * 80 + 37, 8); },
-       0xfe522494224250d9ull, 0xda9e2420b0fbfea6ull, 3541, 3057, 1920, 540},
+       0x7a5736630168d629ull, 0x2ea49dbf45e4e516ull, 3541, 3057, 1920, 540},
       {"cf_blocksort_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 5, 16);
          cfg.cf_blocksort = true;
          return run_merge_sort(l, cfg, 8 * 80 + 13, 9);
        },
-       0x7f3f4f961ed54be3ull, 0xe54e9390e823bc8aull, 6372, 5324, 4320, 1440},
+       0xe23a0af282cfe85bull, 0x1e8b1f27c346dc7full, 6372, 5324, 4320, 1440},
       {"cf_noncoprime_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 6, 16, 8 * 96 + 5, 10); },
-       0x8f27472fa233c043ull, 0xef590498c92c05f7ull, 6756, 5567, 4320, 864},
+       0x45b1498beb9d415bull, 0xe1869ad4f15c5a8full, 6756, 5567, 4320, 864},
       {"cf_no_rho_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 6, 16);
          cfg.disable_rho = true;
          return run_merge_sort(l, cfg, 8 * 96 + 5, 18);
        },
-       0xed0ea0aaf3569125ull, 0xbd7ea2bdbcaf1174ull, 6748, 5563, 4320, 0},
+       0xee5c22eaba6a980dull, 0x8502bb688e19613cull, 6748, 5563, 4320, 0},
       {"cf_plain_scatter_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 6, 16);
          cfg.cf_output_scatter = false;
          return run_merge_sort(l, cfg, 8 * 96 + 5, 19);
        },
-       0x836880e11f739b53ull, 0xda1ca0864c1f37adull, 6784, 5596, 4320, 432},
+       0x6f746a3c4bed0dbbull, 0x42f6154ccf11ab55ull, 6784, 5596, 4320, 432},
       {"losertree_k4_w8", w8,
        [](L& l) {
          return run_multiway(l, 5, 16, 16 * 80, 11, sort::MultiwayVariant::LoserTree);
        },
-       0x67785a250fe1c9d7ull, 0x584681c3a502cb02ull, 9640, 8432, 3840, 960},
+       0x450c31c6b8b2cd28ull, 0x5897068dc93d57f0ull, 9640, 8432, 3840, 960},
       {"batched_cf_w32", w32,
        [](L& l) { return run_batched(l, Variant::CFMerge, 7, 64, 4, 12); },
-       0x3e1489bd75b724fbull, 0x432e88eeed903f7full, 1547, 1160, 5376, 336},
+       0xa4894395e717f533ull, 0xf3657afa629f3b93ull, 1547, 1160, 5376, 336},
       {"batched_baseline_w8", w8,
        [](L& l) { return run_batched(l, Variant::Baseline, 5, 16, 3, 13); },
-       0xdd97a7963a18dcfaull, 0x069c9c5bbe6fbb23ull, 763, 573, 720, 90},
+       0x78b5135020aff542ull, 0x41ab0787542c066bull, 763, 573, 720, 90},
       {"permute_w32", w32,
        [](L& l) {
          return run_round_trip(l, cfprims::PermuteOp::kPermute, 8, 64, 3 * 512 + 45, 14);
