@@ -5,14 +5,19 @@
 // Each group is cut into ⌈len/tile⌉ output tiles of u*E elements,
 // described by host-built BatchTile descriptors {base, run, len, diag0,
 // out}.  This header is the one place that decides how a pass is cut into
-// tiles, for both arities: a 2-way group is a pair (A, B), a k-way group
-// up to k runs (multiway_pass.hpp runs the k-way kernels over the same
-// descriptors).  Stage 1, the merge_partition kernel, resolves the co-rank
-// of every tile's start diagonal within its pair by one lockstep binary
-// search in global memory per tile — Thrust's hierarchical 2-stage
-// identification of subsequences.  Stage 2, the merge_pass kernel,
-// processes one output tile per block:
+// tiles and the one place that enqueues a pass, for both arities: a 2-way
+// group is a pair (A, B) (MergeConfig), a k-way group up to k runs
+// (MultiwayConfig; multiway_pass.hpp holds its row search and cores).
+// detail::enqueue_merge_pass reads from the config type the kernel names,
+// tiles per partition warp, row width, merge-kernel shape and core.
 //
+// Stage 1, the partition kernel (merge_partition for a pair), resolves the
+// co-rank row of every tile's start diagonal within its group; for a pair
+// that is one lockstep binary search in global memory per tile — Thrust's
+// hierarchical 2-stage identification of subsequences.  Stage 2, the merge
+// kernel (merge_pass for a pair), processes one output tile per block:
+//
+//   read the tile's boundary rows and descriptor
 //   load A-chunk and B-chunk into shared      (baseline: linear;
 //                                              CF-Merge: rho(A ∪ pi(B)))
 //   per-thread merge-path search in shared    (both variants)
@@ -21,17 +26,19 @@
 //                                              CF-Merge: dual subsequence
 //                                              gather + odd-even network in
 //                                              registers — conflict free)
-//   write the merged tile back                (stride-E register->shared,
+//   write the merged tile back                (store_merged_tile: stride-E
+//                                              or rho register->shared,
 //                                              then coalesced store)
 //
 // A tile's end co-rank is the next tile's start co-rank, except for the
-// group's last tile, which ends at the list ends (BatchTile::ends_group);
-// both arities apply that rule.  Every 2-way entry point enqueues this
-// pass: a merge_sort pass and a segmented_sort round merge the run pairs of
-// their segments (add_run_group_tiles with k = 2; a lone run at the end is
-// a pair with an empty B), and batched_merge is one pass over the caller's
-// pairs.  The launch count does not grow with the group count, so the
-// timing model's per-launch overhead is paid once per pass.
+// group's last tile, which ends at the list ends (BatchTile::ends_group)
+// and so reads only its start row; both arities apply that rule.  Every
+// 2-way entry point enqueues this pass: a merge_sort pass and a
+// segmented_sort round merge the run pairs of their segments
+// (add_run_group_tiles with k = 2; a lone run at the end is a pair with an
+// empty B), and batched_merge is one pass over the caller's pairs.  The
+// launch count does not grow with the group count, so the timing model's
+// per-launch overhead is paid once per pass.
 #pragma once
 
 #include <algorithm>

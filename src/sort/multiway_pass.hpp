@@ -1,18 +1,19 @@
-// One global k-way merge pass of the multiway mergesort.
+// The k-way pieces of the merge pass of the multiway mergesort.
 //
 // Runs of length `run` are merged k at a time, cutting the global pass count
-// from ceil(log2(n/tile)) to ceil(log_k(n/tile)) (Casanova et al.).  The
-// pass is cut into tiles exactly as the 2-way pass is: by the BatchTile
-// descriptors of merge_pass.hpp (add_run_group_tiles, one group per k
-// runs).  Stage 1 (the multiway_partition kernel) computes, for every tile,
-// the k-vector of co-ranks of its start diagonal inside its group —
-// multisequence selection, the k-dimensional generalization of merge path
+// from ceil(log2(n/tile)) to ceil(log_k(n/tile)) (Casanova et al.).  A
+// k-way pass is the 2-way pass of merge_pass.hpp run with a MultiwayConfig:
+// the same BatchTile descriptors (add_run_group_tiles, one group per k
+// runs), the same enqueue (detail::enqueue_merge_pass), partition body and
+// merge-kernel prologue.  This header supplies what differs.  Stage 1 (the
+// multiway_partition kernel) computes, for every tile, the k-vector of
+// co-ranks of its start diagonal inside its group — multisequence
+// selection, the k-dimensional generalization of merge path
 // (mergepath/multiway_path.hpp), found by a warp-lockstep stride-halving
-// search with one lane per list (detail::warp_multiseq_select, shared with
-// the LoserTree's thread search).  Stage 2 (the multiway_merge kernel)
-// produces one output tile of u*E elements per block from its k list
-// windows, ending the group's last tile at the list ends as merge_pass
-// does, in one of two variants:
+// search with one lane per list (search_partition_rows over
+// detail::warp_multiseq_select, shared with the LoserTree's thread search).
+// Stage 2 (the multiway_merge kernel) produces one output tile of u*E
+// elements per block from its k list windows, in one of two variants:
 //
 //  * CFCascade — the conflict-free schedule.  The tile's k windows are
 //    merged by a cascade of log2(k) in-shared pairwise stages, each an
@@ -21,7 +22,8 @@
 //    layout through a data-independent rank map (gather/multiway_schedule.hpp),
 //    so every gather *and* scatter round is conflict free — machine-checked
 //    by cfverify (verify/multiway.cpp) and screened at runtime by the
-//    bank-conflict model.  Requires k to be a power of two.
+//    bank-conflict model.  The root writes back through the 2-way store
+//    tail (store_merged_tile).  Requires k to be a power of two.
 //  * LoserTree — the natural single-phase design: segments linear in shared,
 //    per-thread k-way replacement selection from a register loser tree.
 //    Every replacement read is data dependent across lanes, so the merge

@@ -9,10 +9,11 @@
 //   one block_sort over every tile of every segment (block sort is
 //   tile-local), then
 //   one merge pass per round p over the run groups of every segment that
-//   still has more than one run of tile·k^p: a 2-way pass
-//   (sort/merge_pass.hpp: merge_partition + merge_pass) for a MergeConfig,
-//   a k-way pass (sort/multiway_pass.hpp: multiway_partition +
-//   multiway_merge) for a MultiwayConfig.
+//   still has more than one run of tile·k^p (detail::enqueue_merge_pass,
+//   sort/merge_pass.hpp): merge_partition + merge_pass for a MergeConfig,
+//   multiway_partition + multiway_merge for a MultiwayConfig.  The config
+//   fixes the arity k and the rows of the co-rank buffer, so the pipeline
+//   has no arity branch.
 //
 // A segment of P merge passes takes part in rounds 0..P-1 and is left in
 // the ping-pong buffer its own pass parity put it in; an unpaired trailing
