@@ -13,7 +13,10 @@
 // rows' instruction and shared counters were re-captured again when the
 // cascade root moved onto the 2-way store tail (copy cadence, the first u
 // threads' ranks only), and every row's global-memory counters when a
-// group's last tile stopped reading the boundary row it never uses.
+// group's last tile stopped reading the boundary row it never uses.  The
+// two LoserTree rows (k = 3, not a power of two, and k = 8) were captured
+// before the loser tree's replacement selection moved onto the shared
+// sequential merge (sort::serial_merge_core), which must keep them.
 //
 // Timing (microseconds) is deliberately NOT pinned — it derives from the
 // counters, and pinning integers keeps the test immune to float printing.
@@ -83,14 +86,15 @@ sort::SortReport run_pairwise(sort::Variant variant, bool cf_blocksort,
   return report;
 }
 
-sort::SortReport run_multiway(int k, bool cf_blocksort, std::int64_t n) {
+sort::SortReport run_multiway(int k, bool cf_blocksort, std::int64_t n,
+                              sort::MultiwayVariant variant = sort::MultiwayVariant::CFCascade) {
   gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(8, 2));
   sort::SortEngine engine(launcher);
   sort::MultiwayConfig cfg;
   cfg.e = 4;
   cfg.u = 64;
   cfg.k = k;
-  cfg.variant = sort::MultiwayVariant::CFCascade;
+  cfg.variant = variant;
   cfg.cf_blocksort = cf_blocksort;
   auto data = uniform_input(n);
   const sort::SortReport report = engine.sort_multiway(data, cfg);
@@ -128,4 +132,14 @@ TEST(CfprimsGolden, MultiwayK4CfBlocksort) {
 TEST(CfprimsGolden, MultiwayK8) {
   expect_golden(run_multiway(8, false, 16384),
                 {685530, 216502, 880826, 166081, 17939, 26802, 469148, 1408, 0});
+}
+
+TEST(CfprimsGolden, LoserTreeK3) {
+  expect_golden(run_multiway(3, false, 8192, sort::MultiwayVariant::LoserTree),
+                {601086, 113481, 435053, 80393, 12065, 14850, 357848, 832, 4578});
+}
+
+TEST(CfprimsGolden, LoserTreeK8) {
+  expect_golden(run_multiway(8, false, 16384, sort::MultiwayVariant::LoserTree),
+                {1896695, 265810, 999318, 183377, 17939, 26802, 469148, 1280, 568});
 }
