@@ -124,19 +124,17 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
                       cmp);
       }
     } else {
-      std::vector<MergeLaneDesc> descs(static_cast<std::size_t>(u));
-      for (int i = 0; i < u; ++i) {
-        const std::int64_t out0 = static_cast<std::int64_t>(i) * e;
-        const std::int64_t pair_base = div_pair(out0) * (2 * run);
-        const auto& s = splits[static_cast<std::size_t>(i)];
-        // Bake the pair bases into the offsets so the position translators
-        // are the identity (linear layout).
-        descs[static_cast<std::size_t>(i)] = {pair_base + s.a_off, s.a_size,
-                                              pair_base + run + s.b_off, s.b_size};
-      }
-      warp_serial_merge(ctx, shmem, std::span<const MergeLaneDesc>(descs), e,
-                        [](std::int64_t x) { return x; }, [](std::int64_t y) { return y; },
-                        std::span<T>(regs), cmp);
+      // Thread i's pair starts at the multiple of 2*run below i*E; its A
+      // list there, its B list run further on.
+      serial_merge_core<2>(
+          ctx, shmem, 2, e,
+          [&](int i, int s) {
+            const std::int64_t list0 = div_pair(static_cast<std::int64_t>(i) * e) * (2 * run) +
+                                       s * run;
+            const ListWindow win = split_window(splits[static_cast<std::size_t>(i)], s);
+            return ListWindow{list0 + win.begin, list0 + win.end};
+          },
+          [](int, std::int64_t x) { return x; }, kPairMergeCharge, std::span<T>(regs), cmp);
     }
     ctx.barrier();
 

@@ -20,11 +20,15 @@
 //  * cf_merge_pair       — the CF merge of one list pair (paper §5): the
 //                          dual subsequence gather of the pair's threads
 //                          into registers, then warp_network_sort.
-//  * warp_serial_merge   — the baseline per-thread sequential merge out of
-//                          shared memory (Thrust's; the routine whose bank
-//                          conflicts the paper eliminates); decided lane by
-//                          lane on uncharged reads, charged as the device's
-//                          head and per-step fetch rows.
+//  * serial_merge_core   — the per-thread sequential merge out of shared
+//                          memory over k sorted lists (Thrust's for k = 2;
+//                          the routine whose bank conflicts the paper
+//                          eliminates); decided lane by lane on uncharged
+//                          reads, charged as the device's head and
+//                          per-step fetch rows.  The 2-way baseline
+//                          (warp_serial_merge, the merge window, the block
+//                          sort rounds) and the LoserTree's replacement
+//                          selection run through it.
 //
 // Tile staging (global <-> shared copies) is cfprims::exec_staged_copy.
 #pragma once
@@ -356,6 +360,131 @@ void cf_merge_pair(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem, std:
   warp_network_sort(ctx, static_cast<int>(splits.size()) / w, warp_of, regs, cmp);
 }
 
+/// Largest number of lists one sequential merge (and one k-way pass)
+/// merges: bounds serial_merge_core's per-lane head and offset arrays.
+inline constexpr int kMaxMultiwayK = 16;
+
+/// One thread's window into one list of a sequential merge: list offsets
+/// [begin, end).
+struct ListWindow {
+  std::int64_t begin = 0;
+  std::int64_t end = 0;
+};
+
+/// The window of ThreadSplit `t` into list s of its pair (0 = A, 1 = B).
+[[nodiscard]] inline ListWindow split_window(const ThreadSplit& t, int s) {
+  return s == 0 ? ListWindow{t.a_off, t.a_off + t.a_size}
+                : ListWindow{t.b_off, t.b_off + t.b_size};
+}
+
+/// Instructions a sequential merge charges per warp: `setup` once, `head`
+/// before each head row and `step` before each fetch row.
+struct SerialMergeCharge {
+  std::uint64_t setup = 0;
+  std::uint64_t head = 0;
+  std::uint64_t step = 0;
+};
+
+/// The 2-way baseline's charges: the thread setup, then one merge step per
+/// output (the head reads issue with the setup).
+inline constexpr SerialMergeCharge kPairMergeCharge{cost::kThreadSetupInstrs, 0,
+                                                     cost::kMergeStepInstrs};
+
+/// The per-thread sequential merge out of shared memory, over k sorted
+/// lists: every thread of the block merges its windows into its E outputs,
+/// regs[i*E, i*E + E).  `window(i, s)` is thread i's ListWindow into list
+/// s, `pos(s, x)` the shared position of list s's element at offset x.  The
+/// windows of a thread hold E elements in all.  K > 0 fixes the list count
+/// at compile time (the 2-way baseline); K = 0 takes it from `k` (at most
+/// kMaxMultiwayK).  Each output is the smallest head, ties going to the
+/// lowest list.
+///
+/// Accounting: per warp the device issues the k head rows, then one row per
+/// output step fetching the successor of each lane's consumed head
+/// (inactive once that list is exhausted; a step in which every lane is
+/// exhausted charges nothing, but the auditor still sees it).  The fetch
+/// addresses are data dependent, so a step's w fetches can collide in one
+/// bank — up to w-fold serialization (the paper's Section 4 inputs force
+/// exactly this).  The host decides first: lane by lane, it merges the
+/// lane's E outputs with its k heads and offsets held in locals, peek()ing
+/// only the successor it fetched, and fills the warp's (k + E) x w address
+/// table.  Then it charges the rows in device order through
+/// SharedTile::charge_row_costed, with the instructions of `charge`.  The
+/// windows are disjoint merge-path partitions and the lists occupy disjoint
+/// positions, so no two active lanes of a row share an address: each row is
+/// costed by gpusim::shared_access_cost_distinct.
+template <int K, typename T, typename Window, typename Pos, typename Cmp>
+void serial_merge_core(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem, int k, int e,
+                       Window&& window, Pos&& pos, const SerialMergeCharge& charge,
+                       std::span<T> regs, Cmp cmp) {
+  static_assert(K >= 0 && K <= kMaxMultiwayK);
+  constexpr std::size_t kSlots = K > 0 ? K : kMaxMultiwayK;
+  constexpr auto kIdle = gpusim::kInactiveLane;
+  const int w = ctx.lanes();
+  const auto lk = static_cast<std::size_t>(K > 0 ? K : k);
+  const auto lw = static_cast<std::size_t>(w);
+  const auto le = static_cast<std::size_t>(e);
+  assert(lk >= 1 && lk <= kSlots && w <= gpusim::kMaxLanes);
+  assert(regs.size() == static_cast<std::size_t>(ctx.threads()) * le);
+
+  // Row r at [r * w, r * w + w): rows [0, k) the list heads, row k + s the
+  // fetches of step s.
+  std::vector<std::int64_t> table((lk + le) * lw);
+  for (int warp = 0; warp < ctx.warps(); ++warp) {
+    for (std::size_t l = 0; l < lw; ++l) {
+      const int i = warp * w + static_cast<int>(l);
+      std::array<std::int64_t, kSlots> ptr;
+      std::array<std::int64_t, kSlots> end;
+      std::array<T, kSlots> head;
+      for (std::size_t s = 0; s < lk; ++s) {
+        const ListWindow win = window(i, static_cast<int>(s));
+        ptr[s] = win.begin;
+        end[s] = win.end;
+        const std::int64_t at = ptr[s] < end[s] ? pos(static_cast<int>(s), ptr[s]) : kIdle;
+        table[s * lw + l] = at;
+        // An empty list's head reads word 0 instead; the selection never
+        // takes it.
+        head[s] = shmem.peek(at == kIdle ? 0 : at);
+      }
+      T* o = regs.data() + static_cast<std::size_t>(i) * le;
+      std::int64_t* fetch = table.data() + lk * lw + l;
+      for (std::size_t step = 0; step < le; ++step, fetch += lw) {
+        std::size_t best = 0;
+        bool found = false;
+        for (std::size_t s = 0; s < lk; ++s) {
+          const bool live = ptr[s] < end[s];
+          const bool take = live & (!found | cmp(head[s], head[best]));
+          best = take ? s : best;
+          found |= live;
+        }
+        assert(found);
+        o[step] = head[best];
+        const std::int64_t off = ++ptr[best];
+        const bool more = off < end[best];
+        const std::int64_t next = more ? pos(static_cast<int>(best), off) : kIdle;
+        *fetch = next;
+        const T& fetched = shmem.peek(more ? next : 0);
+        head[best] = more ? fetched : head[best];
+      }
+    }
+
+    const auto charge_row = [&](std::size_t r) {
+      const std::span<const std::int64_t> row(table.data() + r * lw, lw);
+      shmem.charge_row_costed(warp, row, gpusim::shared_access_cost_distinct(row, w),
+                              /*is_write=*/false);
+    };
+    ctx.charge_compute(warp, charge.setup);
+    for (std::size_t s = 0; s < lk; ++s) {
+      ctx.charge_compute(warp, charge.head);
+      charge_row(s);
+    }
+    for (std::size_t step = 0; step < le; ++step) {
+      ctx.charge_compute(warp, charge.step);
+      charge_row(lk + step);
+    }
+  }
+}
+
 /// Per-thread split description for a warp-synchronous merge step: the
 /// thread's A_i and B_i as block-local list offsets.
 struct MergeLaneDesc {
@@ -365,88 +494,26 @@ struct MergeLaneDesc {
   std::int64_t b_size = 0;
 };
 
-/// Merges, for every thread of the block, A_i and B_i out of `shmem` into
-/// the block register file `regs` (thread i's outputs at regs[i*E .. i*E+E)).
-///
-/// `a_pos(off)` / `b_pos(off)` translate *block-local list offsets* into
+/// The baseline per-thread sequential merge (Thrust's): serial_merge_core
+/// over the two lists A and B with the baseline's charges.  `lanes` holds
+/// one descriptor per thread, every thread merging exactly E elements;
+/// `a_pos(off)` / `b_pos(off)` translate block-local list offsets into
 /// physical shared positions (identity + la-offset for the baseline linear
-/// layout).  `lanes` holds one descriptor per thread; every thread merges
-/// exactly E elements.
-///
-/// Accounting: per warp the device issues the A-head row, the B-head row,
-/// then one row per output step fetching the successor of each lane's
-/// consumed head (inactive once that list is exhausted; a step in which
-/// every lane is exhausted charges nothing, but the auditor still sees it).
-/// The fetch addresses are data dependent, so a step's w fetches can
-/// collide in one bank — up to w-fold serialization (the paper's Section 4
-/// inputs force exactly this).  The host decides first: lane by lane, it
-/// merges the lane's E outputs with both heads and both offsets held in
-/// locals, peek()ing only the successor it fetched, and fills the warp's
-/// (E + 2) x w address table.  Then it charges the rows in device order
-/// through SharedTile::charge_row_costed.  Merge-path partitions are
-/// disjoint and A and B occupy disjoint positions, so no two active lanes
-/// of a row share an address: each row is costed by
-/// gpusim::shared_access_cost_distinct.
+/// layout).
 template <typename T, typename APos, typename BPos, typename Cmp = std::less<T>>
 void warp_serial_merge(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem,
                        std::span<const MergeLaneDesc> lanes, int e, APos&& a_pos,
                        BPos&& b_pos, std::span<T> regs, Cmp cmp = Cmp{}) {
-  const int w = ctx.lanes();
   assert(static_cast<int>(lanes.size()) == ctx.threads());
-  assert(w <= gpusim::kMaxLanes);
-  constexpr auto kIdle = gpusim::kInactiveLane;
-  const auto lw = static_cast<std::size_t>(w);
-  const auto le = static_cast<std::size_t>(e);
-
-  // Row r at [r * w, r * w + w): row 0 the A heads, row 1 the B heads,
-  // row 2 + s the fetches of step s.
-  std::vector<std::int64_t> table((le + 2) * lw);
-  for (int warp = 0; warp < ctx.warps(); ++warp) {
-    const MergeLaneDesc* d = lanes.data() + static_cast<std::size_t>(warp) * lw;
-    T* out = regs.data() + static_cast<std::size_t>(warp) * lw * le;
-    for (std::size_t l = 0; l < lw; ++l) {
-      std::int64_t ia = d[l].a_begin;
-      std::int64_t ib = d[l].b_begin;
-      const std::int64_t a_end = ia + d[l].a_size;
-      const std::int64_t b_end = ib + d[l].b_size;
-      table[l] = ia < a_end ? a_pos(ia) : kIdle;
-      table[lw + l] = ib < b_end ? b_pos(ib) : kIdle;
-      // An empty list's head reads word 0 instead; the select below never
-      // takes it.
-      T va = shmem.peek(ia < a_end ? table[l] : 0);
-      T vb = shmem.peek(ib < b_end ? table[lw + l] : 0);
-      T* o = out + l * le;
-      std::int64_t* fetch = table.data() + 2 * lw + l;
-      for (std::size_t s = 0; s < le; ++s, fetch += lw) {
-        const bool has_a = ia < a_end;
-        const bool has_b = ib < b_end;
-        assert(has_a || has_b);
-        const bool take_a = has_a & (!has_b | !cmp(vb, va));
-        o[s] = take_a ? va : vb;
-        ia += take_a;
-        ib += !take_a;
-        const bool more = take_a ? ia < a_end : ib < b_end;
-        const std::int64_t next = more ? (take_a ? a_pos(ia) : b_pos(ib)) : kIdle;
-        *fetch = next;
-        const T& fetched = shmem.peek(more ? next : 0);
-        va = more & take_a ? fetched : va;
-        vb = more & !take_a ? fetched : vb;
-      }
-    }
-
-    const auto charge = [&](std::size_t r) {
-      const std::span<const std::int64_t> row(table.data() + r * lw, lw);
-      shmem.charge_row_costed(warp, row, gpusim::shared_access_cost_distinct(row, w),
-                              /*is_write=*/false);
-    };
-    ctx.charge_compute(warp, cost::kThreadSetupInstrs);
-    charge(0);
-    charge(1);
-    for (std::size_t s = 0; s < le; ++s) {
-      ctx.charge_compute(warp, cost::kMergeStepInstrs);
-      charge(2 + s);
-    }
-  }
+  serial_merge_core<2>(
+      ctx, shmem, 2, e,
+      [&](int i, int s) {
+        const MergeLaneDesc& d = lanes[static_cast<std::size_t>(i)];
+        return s == 0 ? ListWindow{d.a_begin, d.a_begin + d.a_size}
+                      : ListWindow{d.b_begin, d.b_begin + d.b_size};
+      },
+      [&](int s, std::int64_t x) { return s == 0 ? a_pos(x) : b_pos(x); }, kPairMergeCharge,
+      regs, cmp);
 }
 
 }  // namespace cfmerge::sort

@@ -384,7 +384,6 @@ template <typename T, typename GIn, typename Cmp>
 void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T>& gout,
                        std::span<const std::int64_t> seg_src,
                        std::span<const std::int64_t> seg_len, const MergeConfig& cfg, Cmp cmp) {
-  const int u = ctx.threads();
   const int w = ctx.lanes();
   const int e = cfg.e;
   const std::int64_t tile = cfg.tile();
@@ -450,15 +449,12 @@ void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T
         std::span<T>(regs));
     warp_network_sort(ctx, ctx.warps(), cfprims::same_warp, std::span<T>(regs), cmp);
   } else {
-    std::vector<MergeLaneDesc> descs(static_cast<std::size_t>(u));
-    for (int i = 0; i < u; ++i) {
-      const auto& s = splits[static_cast<std::size_t>(i)];
-      descs[static_cast<std::size_t>(i)] = {s.a_off, s.a_size, s.b_off, s.b_size};
-    }
-    warp_serial_merge(ctx, shmem, std::span<const MergeLaneDesc>(descs), e,
-                      [&](std::int64_t x) { return layout.pos_a(x); },
-                      [&](std::int64_t y) { return layout.pos_b(y); }, std::span<T>(regs),
-                      cmp);
+    // The baseline's linear layout: A at [0, la), B at [la, la + lb).
+    serial_merge_core<2>(
+        ctx, shmem, 2, e,
+        [&](int i, int s) { return split_window(splits[static_cast<std::size_t>(i)], s); },
+        [la](int s, std::int64_t x) { return s == 0 ? x : la + x; }, kPairMergeCharge,
+        std::span<T>(regs), cmp);
   }
   ctx.barrier();
   store_merged_tile<T>(ctx, shmem, /*base=*/0,

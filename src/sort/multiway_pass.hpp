@@ -25,10 +25,11 @@
 //    bank-conflict model.  The root writes back through the 2-way store
 //    tail (store_merged_tile).  Requires k to be a power of two.
 //  * LoserTree — the natural single-phase design: segments linear in shared,
-//    per-thread k-way replacement selection from a register loser tree.
-//    Every replacement read is data dependent across lanes, so the merge
-//    phase bank-conflicts freely (cfverify refutes the variant with a
-//    concrete lane-pair witness).  Kept as the measured baseline; any k >= 2.
+//    per-thread k-way replacement selection, which is the 2-way baseline's
+//    sequential merge (serial_merge_core) over k lists.  Every head and
+//    replacement read is data dependent across lanes, so the merge phase
+//    bank-conflicts freely (cfverify refutes the variant with a concrete
+//    lane-pair witness).  Kept as the measured baseline; any k >= 2.
 #pragma once
 
 #include <algorithm>
@@ -55,9 +56,6 @@ enum class MultiwayVariant {
   CFCascade,  ///< cascade of 2-way CF stages in shared memory (k = 2^m)
   LoserTree,  ///< per-thread k-way replacement selection (conflicts; any k)
 };
-
-/// Largest supported merge arity (bounds the per-lane head/pointer arrays).
-inline constexpr int kMaxMultiwayK = 16;
 
 /// Boundaries one warp resolves at once in warp_multiseq_select: one lane
 /// per (boundary, sequence), at least one boundary per warp.
@@ -466,16 +464,16 @@ std::vector<std::int64_t> multiway_thread_coranks(gpusim::BlockContext& ctx,
 }
 
 /// LoserTree merge core: linear shared layout, per-thread k-way replacement
-/// selection.  The head gathers and every replacement read are data
-/// dependent across lanes — the merge phase is *not* conflict free (that is
-/// the point of the variant; cfverify refutes it with a witness).
+/// selection through serial_merge_core.  The head reads and every
+/// replacement read are data dependent across lanes — the merge phase is
+/// *not* conflict free (that is the point of the variant; cfverify refutes
+/// it with a witness).
 template <typename T, typename GIn, typename Cmp>
 void multiway_losertree_core(gpusim::BlockContext& ctx, GIn& gin,
                              gpusim::GlobalView<T>& gout,
                              std::span<const std::int64_t> seg_src,
                              std::span<const std::int64_t> seg_len,
                              const MultiwayConfig& cfg, Cmp cmp) {
-  const int w = ctx.lanes();
   const int u = ctx.threads();
   const int e = cfg.e;
   const int k = cfg.k;
@@ -499,97 +497,25 @@ void multiway_losertree_core(gpusim::BlockContext& ctx, GIn& gin,
       ctx, shmem, std::span<const std::int64_t>(seg_off.data(), static_cast<std::size_t>(k)),
       seg_len, e, cmp);
 
-  // Replacement selection: k head gathers, then one data-dependent
-  // replacement gather per emitted element.
+  // Replacement selection: the sequential merge over k lists, charging per
+  // warp the setup, a gather round per head row, and per output step a
+  // selection (sel = floor(log2 k) merge steps) plus the replacement read's
+  // gather round.
   ctx.phase("merge.merge");
   std::vector<T> regs(static_cast<std::size_t>(tile));
-  {
-    const int sel =
-        std::max(1, static_cast<int>(std::bit_width(static_cast<unsigned>(k))) - 1);
-    std::vector<std::int64_t> ptr(static_cast<std::size_t>(w * k));
-    std::vector<std::int64_t> end(static_cast<std::size_t>(w * k));
-    std::vector<T> head(static_cast<std::size_t>(w * k), padding_sentinel<T>::value());
-    std::array<std::int64_t, gpusim::kMaxLanes> addr;
-    std::array<T, gpusim::kMaxLanes> vals{};
-    for (int warp = 0; warp < ctx.warps(); ++warp) {
-      ctx.charge_compute(warp, cost::kThreadSetupInstrs);
-      for (int lane = 0; lane < w; ++lane) {
-        const int i = warp * w + lane;
-        for (int s = 0; s < k; ++s) {
-          const auto ls = static_cast<std::size_t>(lane * k + s);
-          ptr[ls] = co[static_cast<std::size_t>(i * k + s)];
-          end[ls] = i + 1 < u ? co[static_cast<std::size_t>((i + 1) * k + s)]
-                              : seg_len[static_cast<std::size_t>(s)];
-          head[ls] = padding_sentinel<T>::value();
-        }
-      }
-      // Initial fill: one warp-wide gather per sequence.
-      for (int s = 0; s < k; ++s) {
-        for (int lane = 0; lane < w; ++lane) {
-          const auto ls = static_cast<std::size_t>(lane * k + s);
-          addr[static_cast<std::size_t>(lane)] =
-              ptr[ls] < end[ls] ? seg_off[static_cast<std::size_t>(s)] + ptr[ls]
-                                : gpusim::kInactiveLane;
-        }
-        ctx.charge_compute(warp, cost::kGatherRoundInstrs);
-        shmem.gather(warp,
-                     std::span<const std::int64_t>(addr.data(),
-                                                   static_cast<std::size_t>(w)),
-                     std::span<T>(vals.data(), static_cast<std::size_t>(w)),
-                     /*dependent=*/true, /*scattered=*/true);
-        for (int lane = 0; lane < w; ++lane) {
-          const auto ls = static_cast<std::size_t>(lane * k + s);
-          if (ptr[ls] < end[ls]) head[ls] = vals[static_cast<std::size_t>(lane)];
-        }
-      }
-      // E replacement rounds.
-      for (int j = 0; j < e; ++j) {
-        std::array<int, gpusim::kMaxLanes> smin;
-        for (int lane = 0; lane < w; ++lane) {
-          const auto l = static_cast<std::size_t>(lane);
-          int best = -1;
-          for (int s = 0; s < k; ++s) {
-            const auto ls = static_cast<std::size_t>(lane * k + s);
-            if (ptr[ls] >= end[ls]) continue;
-            if (best < 0 ||
-                cmp(head[ls], head[static_cast<std::size_t>(lane * k + best)]))
-              best = s;
-          }
-          smin[l] = best;
-          const int i = warp * w + lane;
-          regs[static_cast<std::size_t>(i) * static_cast<std::size_t>(e) +
-               static_cast<std::size_t>(j)] =
-              best >= 0 ? head[static_cast<std::size_t>(lane * k + best)]
-                        : padding_sentinel<T>::value();
-          if (best >= 0) ++ptr[static_cast<std::size_t>(lane * k + best)];
-        }
-        ctx.charge_compute(warp, static_cast<std::uint64_t>(sel) * cost::kMergeStepInstrs);
-        // Replacement read: each lane refills from *its own* winning
-        // sequence — the data-dependent access this variant pays for.
-        for (int lane = 0; lane < w; ++lane) {
-          const auto l = static_cast<std::size_t>(lane);
-          const int s = smin[l];
-          addr[l] = gpusim::kInactiveLane;
-          if (s >= 0) {
-            const auto ls = static_cast<std::size_t>(lane * k + s);
-            if (ptr[ls] < end[ls])
-              addr[l] = seg_off[static_cast<std::size_t>(s)] + ptr[ls];
-          }
-        }
-        ctx.charge_compute(warp, cost::kGatherRoundInstrs);
-        shmem.gather(warp,
-                     std::span<const std::int64_t>(addr.data(),
-                                                   static_cast<std::size_t>(w)),
-                     std::span<T>(vals.data(), static_cast<std::size_t>(w)),
-                     /*dependent=*/true, /*scattered=*/true);
-        for (int lane = 0; lane < w; ++lane) {
-          const auto l = static_cast<std::size_t>(lane);
-          if (addr[l] != gpusim::kInactiveLane)
-            head[static_cast<std::size_t>(lane * k + smin[l])] = vals[l];
-        }
-      }
-    }
-  }
+  const auto sel = static_cast<std::uint64_t>(
+      std::max(1, static_cast<int>(std::bit_width(static_cast<unsigned>(k))) - 1));
+  const SerialMergeCharge charge{cost::kThreadSetupInstrs, cost::kGatherRoundInstrs,
+                                 sel * cost::kMergeStepInstrs + cost::kGatherRoundInstrs};
+  serial_merge_core<0>(
+      ctx, shmem, k, e,
+      [&](int i, int s) {
+        const auto at = static_cast<std::size_t>(i * k + s);
+        return ListWindow{co[at], i + 1 < u ? co[at + static_cast<std::size_t>(k)]
+                                            : seg_len[static_cast<std::size_t>(s)]};
+      },
+      [&](int s, std::int64_t x) { return seg_off[static_cast<std::size_t>(s)] + x; }, charge,
+      std::span<T>(regs), cmp);
   ctx.barrier();
 
   // Stride-E write-back, as the 2-way baseline, but on the lane path: the
