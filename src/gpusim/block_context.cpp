@@ -1,7 +1,6 @@
 #include "gpusim/block_context.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "gpusim/global_memory.hpp"
@@ -25,20 +24,6 @@ void BlockContext::phase(std::string_view name) {
   current_idx_ = counters_.intern(name);
   current_ = &counters_.by_index(current_idx_);
   current_phase_.assign(name);
-  trace_phase_ = -1;
-}
-
-void BlockContext::phase(PhaseRef& ref) {
-  if (ref.idx < 0) {
-    phase(ref.name);
-    ref.idx = current_idx_;
-    return;
-  }
-  assert(counters_.name_of(ref.idx) == ref.name && "PhaseRef reused across contexts");
-  if (ref.idx == current_idx_) return;
-  current_idx_ = ref.idx;
-  current_ = &counters_.by_index(ref.idx);
-  current_phase_.assign(ref.name);
   trace_phase_ = -1;
 }
 

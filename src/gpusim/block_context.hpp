@@ -59,17 +59,6 @@ class BlockContext {
   /// Switching to the already-current phase is a free no-op.
   void phase(std::string_view name);
 
-  /// Cached phase switch for kernel hot loops.  Declare one PhaseRef per
-  /// phase name in the block body; the counters slot is resolved on the
-  /// first switch and every later switch through the same ref is O(1) —
-  /// no string compares.  A PhaseRef binds to the BlockContext that first
-  /// resolved it and must not be reused across blocks/contexts.
-  struct PhaseRef {
-    std::string_view name;
-    int idx = -1;  ///< resolved counters slot, -1 until first use
-  };
-  void phase(PhaseRef& ref);
-
   [[nodiscard]] const PhaseCounters& counters() const { return counters_; }
 
   // --- charging primitives --------------------------------------------
@@ -80,14 +69,10 @@ class BlockContext {
 
   /// One warp-wide shared memory access (element addresses, kInactiveLane
   /// for idle lanes).  Returns the access cost.  `dependent` extends the
-  /// warp's dependency chain by latency + replays.  `scattered_hint` is a
-  /// pure performance hint for data-dependent address patterns (see
-  /// shared_access_cost); it never changes the result.
+  /// warp's dependency chain by latency + replays.
   SharedAccessCost charge_shared(int warp, std::span<const std::int64_t> addrs,
-                                 bool dependent = true, bool is_write = false,
-                                 bool scattered_hint = false) {
-    return charge_shared_costed(warp, addrs,
-                                shared_access_cost(addrs, dev_->warp_size, scattered_hint),
+                                 bool dependent = true, bool is_write = false) {
+    return charge_shared_costed(warp, addrs, shared_access_cost(addrs, dev_->warp_size),
                                 dependent, is_write);
   }
   /// charge_shared with the access cost `c` already computed — by

@@ -64,12 +64,10 @@ class SharedTile {
   /// accounting half of gather/scatter.  Kernels that decide their values
   /// through peek() report the rows the device issues here, so counters,
   /// chains, trace and audit see exactly what gather/scatter would show.
-  /// `scattered` marks data-dependent address patterns (performance hint
-  /// only; forwarded to the bank-conflict model).
   SharedAccessCost charge_row(int warp, std::span<const std::int64_t> addrs, bool is_write,
-                              bool dependent = true, bool scattered = false) {
-    return charge_row_costed(warp, addrs, shared_access_cost(addrs, ctx_->lanes(), scattered),
-                             is_write, dependent);
+                              bool dependent = true) {
+    return charge_row_costed(warp, addrs, shared_access_cost(addrs, ctx_->lanes()), is_write,
+                             dependent);
   }
   /// charge_row with the access cost `c` already computed (see
   /// BlockContext::charge_shared_costed); returns `c`.
@@ -91,9 +89,9 @@ class SharedTile {
 
   /// Warp-wide load: out[lane] = shared[addrs[lane]] for active lanes.
   SharedAccessCost gather(int warp, std::span<const std::int64_t> addrs, std::span<T> out,
-                          bool dependent = true, bool scattered = false) {
+                          bool dependent = true) {
     assert(out.size() >= addrs.size());
-    const SharedAccessCost c = charge_row(warp, addrs, /*is_write=*/false, dependent, scattered);
+    const SharedAccessCost c = charge_row(warp, addrs, /*is_write=*/false, dependent);
     for (std::size_t l = 0; l < addrs.size(); ++l) {
       if (addrs[l] == kInactiveLane) continue;
       out[l] = peek(addrs[l]);

@@ -151,7 +151,7 @@ class BankDedup {
 /// [0, banks) whose contribution `act == 0` zeroes out.
 template <int kBanks>
 [[nodiscard]] inline SharedAccessCost shared_access_cost_impl(
-    std::span<const std::int64_t> addrs, int banks, bool scattered_hint) {
+    std::span<const std::int64_t> addrs, int banks) {
   const int nb = kBanks > 0 ? kBanks : banks;
   const auto bank_of = [nb](std::int64_t a) {
     return static_cast<std::uint64_t>(a) % static_cast<std::uint64_t>(nb);
@@ -159,52 +159,50 @@ template <int kBanks>
 
   SharedAccessCost cost;
   const std::size_t n = addrs.size();
-  if (!scattered_hint) {
-    // Pass 1 — O(w) screen over a 64-bit bank-occupancy bitmask
-    // (banks <= kMaxLanes = 64).  "No bank collision" falls out afterwards
-    // as popcount(seen) == active: every active lane sets exactly one bit,
-    // so the counts match iff all active lanes landed in distinct banks.
-    std::uint64_t seen = 0;
-    // Addresses are >= 0 and the idle sentinel is -1: compared as unsigned,
-    // idle lanes become huge and never win the min; compared as signed they
-    // never win the max.  `bad` flags any other negative address, which
-    // must not pass the screen.  All reductions run unconditionally on
-    // every lane.
-    std::uint64_t mn_u = std::numeric_limits<std::uint64_t>::max();
-    std::int64_t mx = std::numeric_limits<std::int64_t>::min();
-    std::uint64_t bad = 0;
-    int active = 0;
-    const auto screen = [&](auto count) {
-      for (std::size_t l = 0; l < static_cast<std::size_t>(count); ++l) {
-        const std::int64_t a = addrs[l];
-        const std::uint64_t act = a != kInactiveLane;
-        active += static_cast<int>(act);
-        mn_u = std::min(mn_u, static_cast<std::uint64_t>(a));
-        mx = std::max(mx, a);
-        bad |= static_cast<std::uint64_t>(a < kInactiveLane);
-        seen |= act << bank_of(a);
-      }
-    };
-    if constexpr (kBanks > 0) {
-      // One full warp (the hot shape): fixed trip count for the vectorizer.
-      if (n == static_cast<std::size_t>(kBanks))
-        screen(std::integral_constant<int, kBanks>{});
-      else
-        screen(n);
-    } else {
+  // Pass 1 — O(w) screen over a 64-bit bank-occupancy bitmask
+  // (banks <= kMaxLanes = 64).  "No bank collision" falls out afterwards
+  // as popcount(seen) == active: every active lane sets exactly one bit,
+  // so the counts match iff all active lanes landed in distinct banks.
+  std::uint64_t seen = 0;
+  // Addresses are >= 0 and the idle sentinel is -1: compared as unsigned,
+  // idle lanes become huge and never win the min; compared as signed they
+  // never win the max.  `bad` flags any other negative address, which
+  // must not pass the screen.  All reductions run unconditionally on
+  // every lane.
+  std::uint64_t mn_u = std::numeric_limits<std::uint64_t>::max();
+  std::int64_t mx = std::numeric_limits<std::int64_t>::min();
+  std::uint64_t bad = 0;
+  int active = 0;
+  const auto screen = [&](auto count) {
+    for (std::size_t l = 0; l < static_cast<std::size_t>(count); ++l) {
+      const std::int64_t a = addrs[l];
+      const std::uint64_t act = a != kInactiveLane;
+      active += static_cast<int>(act);
+      mn_u = std::min(mn_u, static_cast<std::uint64_t>(a));
+      mx = std::max(mx, a);
+      bad |= static_cast<std::uint64_t>(a < kInactiveLane);
+      seen |= act << bank_of(a);
+    }
+  };
+  if constexpr (kBanks > 0) {
+    // One full warp (the hot shape): fixed trip count for the vectorizer.
+    if (n == static_cast<std::size_t>(kBanks))
+      screen(std::integral_constant<int, kBanks>{});
+    else
       screen(n);
-    }
-    cost.active_lanes = active;
-    if (active == 0) return cost;
+  } else {
+    screen(n);
+  }
+  cost.active_lanes = active;
+  if (active == 0) return cost;
 
-    // Fast path (the common case for every conflict-free kernel): no bank
-    // is hit by two lanes, or all lanes broadcast one address (min == max)
-    // — one cycle.
-    if (bad == 0 &&
-        (std::popcount(seen) == active || static_cast<std::int64_t>(mn_u) == mx)) {
-      cost.cycles = 1;
-      return cost;
-    }
+  // Fast path (the common case for every conflict-free kernel): no bank
+  // is hit by two lanes, or all lanes broadcast one address (min == max)
+  // — one cycle.
+  if (bad == 0 &&
+      (std::popcount(seen) == active || static_cast<std::int64_t>(mn_u) == mx)) {
+    cost.cycles = 1;
+    return cost;
   }
 
   // General path, first attempt: the branch-free bitmap dedup.  Addresses
@@ -215,8 +213,6 @@ template <int kBanks>
     bool indexable = true;
     const std::size_t m = compact_active(addrs, act, indexable);
     if (indexable) {
-      cost.active_lanes = static_cast<int>(m);
-      if (m == 0) return cost;
       const BankDedup<kBanks> dedup(act, m, banks);
       cost.cycles = dedup.max_degree();
       cost.conflicts = cost.cycles - 1;
@@ -235,12 +231,10 @@ template <int kBanks>
   std::array<int, kMaxLanes> cnt;   // distinct addresses per bank
   std::uint64_t used = 0;
   int max_degree = 1;
-  int chain_active = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::int64_t a = addrs[i];
     if (a == kInactiveLane) continue;
     if (a < 0) throw std::invalid_argument("shared_access_cost: negative shared address");
-    ++chain_active;
     const auto b = static_cast<std::size_t>(bank_of(a));
     const std::uint64_t bbit = std::uint64_t{1} << b;
     if ((used & bbit) == 0) {
@@ -259,8 +253,6 @@ template <int kBanks>
       max_degree = std::max(max_degree, ++cnt[b]);
     }
   }
-  cost.active_lanes = chain_active;
-  if (chain_active == 0) return cost;  // only reachable via scattered_hint
   cost.cycles = max_degree;
   cost.conflicts = max_degree - 1;
   return cost;
@@ -279,8 +271,8 @@ template <int kBanks>
   bool indexable = dedup_indexable(lead) && dedup_indexable(tail);
   const std::size_t m = compact_active(row.subspan(1, n - 1), act, indexable);
   if (!indexable)
-    return {shared_access_cost_impl<kBanks>(row.first(n), banks, true),
-            shared_access_cost_impl<kBanks>(row.last(n), banks, true)};
+    return {shared_access_cost_impl<kBanks>(row.first(n), banks),
+            shared_access_cost_impl<kBanks>(row.last(n), banks)};
 
   const BankDedup<kBanks> dedup(act, m, banks);
   const auto with_edge = [&](std::int64_t a) {
@@ -358,23 +350,17 @@ template <typename F>
 /// number of banks (== warp size).  Addresses must be non-negative; any
 /// other negative value throws std::invalid_argument.
 ///
-/// `scattered_hint` is a pure performance hint from call sites whose
-/// addresses are data dependent (search probes, sequential merges): it skips
-/// the conflict-free screening pass — which such accesses almost never
-/// satisfy — and goes straight to the per-bank counting.  The result is
-/// identical either way.
-///
 /// Defined inline: this is the single hottest function of the simulator
 /// (one call per warp-wide shared access), and inlining it into
 /// BlockContext::charge_shared removes the call and span-passing overhead.
 [[nodiscard]] inline SharedAccessCost shared_access_cost(
-    std::span<const std::int64_t> addrs, int banks, bool scattered_hint = false) {
+    std::span<const std::int64_t> addrs, int banks) {
   if (banks <= 0 || banks > kMaxLanes)
     throw std::invalid_argument("shared_access_cost: bank count out of range");
   if (addrs.size() > static_cast<std::size_t>(kMaxLanes))
     throw std::invalid_argument("shared_access_cost: too many lanes");
   return detail::with_bank_count(banks, [&](auto kb) {
-    return detail::shared_access_cost_impl<decltype(kb)::value>(addrs, banks, scattered_hint);
+    return detail::shared_access_cost_impl<decltype(kb)::value>(addrs, banks);
   });
 }
 
@@ -400,7 +386,7 @@ template <typename F>
 /// precondition, with the same argument checks and address contract.  With
 /// no broadcast to fold, the cost is the largest per-bank lane count: one
 /// histogram pass, no dedup bitmap and no lane compaction.  Made for the
-/// serial merge's fetch rows (sort::warp_serial_merge), whose lanes read
+/// serial merge's head and fetch rows (sort::serial_merge_core), whose lanes read
 /// inside disjoint merge-path partitions.  Builds without NDEBUG assert the
 /// precondition.
 [[nodiscard]] inline SharedAccessCost shared_access_cost_distinct(

@@ -51,16 +51,12 @@ class PhaseCounters {
   /// Counters for `name`, created zeroed on first use.
   Counters& phase(std::string_view name);
   /// Index of `name`'s slot, created zeroed on first use.  Intern once,
-  /// then switch in O(1) with `by_index` — the hot-path contract
-  /// BlockContext::PhaseRef builds on.  Indices are stable (slots are only
-  /// ever appended).
+  /// then switch in O(1) with `by_index`.  Indices are stable (slots are
+  /// only ever appended).
   int intern(std::string_view name);
   /// The counters at a previously interned index.
   [[nodiscard]] Counters& by_index(int idx) {
     return phases_[static_cast<std::size_t>(idx)].second;
-  }
-  [[nodiscard]] const std::string& name_of(int idx) const {
-    return phases_[static_cast<std::size_t>(idx)].first;
   }
   [[nodiscard]] const std::vector<std::pair<std::string, Counters>>& phases() const {
     return phases_;

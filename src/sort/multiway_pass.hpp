@@ -393,8 +393,8 @@ void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalVi
                     cmp);
       if (root) {
         // The root (one pair, virtual warp i on warp i) writes back through
-        // the 2-way store tail: its output map rho_out is the tile's output
-        // shift, and only the first u threads' ranks are written — ranks
+        // the 2-way store tail: its output map is the tile's output shift,
+        // and only the first u threads' ranks are written — ranks
         // >= tile are sentinels the final store never reads.
         store_merged_tile<T>(ctx, shmem, wb, /*through_rho=*/true, cfg.certs, e,
                              std::span<const T>(regs).first(static_cast<std::size_t>(tile)),
@@ -455,7 +455,7 @@ std::vector<std::int64_t> multiway_thread_coranks(gpusim::BlockContext& ctx,
           std::span<const std::int64_t>(lens.data(), slots),
           std::span<const std::int64_t>(diag.data(), static_cast<std::size_t>(queries)),
           [&](std::span<const std::int64_t> addrs, std::span<T> vals, bool dependent) {
-            shmem.gather(warp, addrs, vals, dependent, /*scattered=*/true);
+            shmem.gather(warp, addrs, vals, dependent);
           },
           cmp, std::span<std::int64_t>(co).subspan(static_cast<std::size_t>(t0 * k), slots));
     }

@@ -434,13 +434,13 @@ SerialMergeBounds serial_merge_conflict_bounds(
     addrs[static_cast<std::size_t>(lane)] =
         d.a_size > 0 ? d.a_begin : gpusim::kInactiveLane;
   }
-  std::int64_t forced = gpusim::shared_access_cost(addrs, w, true).conflicts;
+  std::int64_t forced = gpusim::shared_access_cost(addrs, w).conflicts;
   for (int lane = 0; lane < w; ++lane) {
     const auto& d = lanes[static_cast<std::size_t>(lane)];
     addrs[static_cast<std::size_t>(lane)] =
         d.b_size > 0 ? la + d.b_begin : gpusim::kInactiveLane;
   }
-  forced += gpusim::shared_access_cost(addrs, w, true).conflicts;
+  forced += gpusim::shared_access_cost(addrs, w).conflicts;
   out.min_conflicts = forced;
   out.max_conflicts = forced;
 
@@ -520,7 +520,7 @@ WorstCaseAnalysis analyze_worstcase_warp(const worstcase::Params& p) {
   std::vector<std::int64_t> addrs(static_cast<std::size_t>(p.w));
   std::int64_t conflicts = 0;
   const auto charge = [&] {
-    conflicts += gpusim::shared_access_cost(addrs, p.w, true).conflicts;
+    conflicts += gpusim::shared_access_cost(addrs, p.w).conflicts;
     ++an.accesses;
   };
 

@@ -204,8 +204,8 @@ void reference_corank(gpusim::BlockContext& ctx, int warp, gpusim::SharedTile<T>
                                                   : pos_b(static_cast<int>(l), b_addr[l]);
     }
     ctx.charge_compute(warp, sort::cost::kSearchIterInstrs);
-    shmem.gather(warp, std::span<const std::int64_t>(pa.data(), w), a_val, true, true);
-    shmem.gather(warp, std::span<const std::int64_t>(pb.data(), w), b_val, true, true);
+    shmem.gather(warp, std::span<const std::int64_t>(pa.data(), w), a_val, true);
+    shmem.gather(warp, std::span<const std::int64_t>(pb.data(), w), b_val, true);
   };
   mp::warp_corank_search<T>(std::span<mp::LaneSearch>(lanes.data(), w), probe, cmp);
   for (std::size_t l = 0; l < w; ++l) out_co[l] = lanes[l].lo;

@@ -189,7 +189,7 @@ void reference_serial_merge(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& sh
       addr[static_cast<std::size_t>(lane)] =
           d.a_size > 0 ? a_pos(d.a_begin) : gpusim::kInactiveLane;
     }
-    shmem.gather(warp, addr, fetched, true, true);
+    shmem.gather(warp, addr, fetched, true);
     for (int lane = 0; lane < w; ++lane)
       if (st[static_cast<std::size_t>(lane)].has_a)
         st[static_cast<std::size_t>(lane)].head_a = fetched[static_cast<std::size_t>(lane)];
@@ -198,7 +198,7 @@ void reference_serial_merge(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& sh
       addr[static_cast<std::size_t>(lane)] =
           d.b_size > 0 ? b_pos(d.b_begin) : gpusim::kInactiveLane;
     }
-    shmem.gather(warp, addr, fetched, true, true);
+    shmem.gather(warp, addr, fetched, true);
     for (int lane = 0; lane < w; ++lane)
       if (st[static_cast<std::size_t>(lane)].has_b)
         st[static_cast<std::size_t>(lane)].head_b = fetched[static_cast<std::size_t>(lane)];
@@ -229,7 +229,7 @@ void reference_serial_merge(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& sh
         }
       }
       ctx.charge_compute(warp, cost::kMergeStepInstrs);
-      shmem.gather(warp, addr, fetched, true, true);
+      shmem.gather(warp, addr, fetched, true);
       for (int lane = 0; lane < w; ++lane) {
         auto& s = st[static_cast<std::size_t>(lane)];
         const bool act = addr[static_cast<std::size_t>(lane)] != gpusim::kInactiveLane;

@@ -132,9 +132,7 @@ TEST(SharedAccess, RejectsNegativeAddresses) {
     const std::vector<std::int64_t> large{0, 4, bad, std::int64_t{1} << 20};
     const std::vector<std::int64_t> alone{kInactiveLane, bad, kInactiveLane, kInactiveLane};
     for (const auto* addrs : {&distinct_banks, &conflicted, &large, &alone}) {
-      for (const bool hint : {false, true})
-        EXPECT_THROW((void)shared_access_cost(*addrs, 4, hint), std::invalid_argument)
-            << bad << " hint=" << hint;
+      EXPECT_THROW((void)shared_access_cost(*addrs, 4), std::invalid_argument) << bad;
       std::vector<int> scratch(4);
       EXPECT_THROW((void)shared_access_degrees(*addrs, 4, scratch), std::invalid_argument);
     }

@@ -6,8 +6,7 @@
 // local copy of the sort-based oracle and check the shipped implementations
 // against it on randomized warps covering every width the simulator
 // supports, idle lanes, duplicated (broadcast) addresses and the degenerate
-// all-same-address warp — for both values of the scattered_hint, which must
-// never change the result.  The pair form (shared_access_cost_pair) is
+// all-same-address warp.  The pair form (shared_access_cost_pair) is
 // checked against two oracle calls on its overlapping rows, and addresses at
 // or above the bitmap dedup's 2^16 domain exercise the chain fallback.  The
 // distinct-address form (shared_access_cost_distinct) is checked on rows
@@ -74,13 +73,10 @@ std::vector<int> oracle_degrees(std::span<const std::int64_t> addrs, int banks) 
 
 void expect_matches_oracle(std::span<const std::int64_t> addrs, int banks) {
   const SharedAccessCost want = oracle_cost(addrs, banks);
-  for (const bool hint : {false, true}) {
-    const SharedAccessCost got = shared_access_cost(addrs, banks, hint);
-    ASSERT_EQ(got.cycles, want.cycles) << "banks=" << banks << " hint=" << hint;
-    ASSERT_EQ(got.conflicts, want.conflicts) << "banks=" << banks << " hint=" << hint;
-    ASSERT_EQ(got.active_lanes, want.active_lanes)
-        << "banks=" << banks << " hint=" << hint;
-  }
+  const SharedAccessCost got = shared_access_cost(addrs, banks);
+  ASSERT_EQ(got.cycles, want.cycles) << "banks=" << banks;
+  ASSERT_EQ(got.conflicts, want.conflicts) << "banks=" << banks;
+  ASSERT_EQ(got.active_lanes, want.active_lanes) << "banks=" << banks;
   std::vector<int> scratch(static_cast<std::size_t>(banks));
   const auto got_deg = shared_access_degrees(addrs, banks, scratch);
   const auto want_deg = oracle_degrees(addrs, banks);
