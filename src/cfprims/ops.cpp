@@ -155,8 +155,9 @@ class CfGatherPrim final : public CFPrimitive {
   verify::ScheduleVariant variant_;
 };
 
-/// The multiway cascade's stride-E output scatter (CascadePlan::scatter_pos
-/// final level / out_pos): merged rank iE + j written through rho — the
+/// The stride-E output scatter of the multiway cascade's levels
+/// (CascadePlan::scatter_pos) and of the store tail (store_merged_tile's
+/// output shift): merged rank iE + j written through rho — the
 /// same Corollary 3 CRS argument as the gather, as a write.
 class CfRankScatterPrim final : public CFPrimitive {
  public:

@@ -61,7 +61,6 @@ CascadePlan::CascadePlan(int w, int e, std::span<const std::int64_t> seg_lens)
     }
   }
   padded_len_ = runs_[static_cast<std::size_t>(levels_)][0].pad_len;
-  rho_out_ = CircularShift(w, e, padded_len_);
 }
 
 }  // namespace cfmerge::gather

@@ -24,9 +24,9 @@
 //              round is a stride-E progression through rho' — conflict-free
 //              by the same Corollary 3 CRS argument as the gather, which
 //              src/verify lowers and proves per (w, E, k).
-//   root:      ranks < total_len() go through the tile-wide output rho
-//              (the inverse dual subsequence scatter), then a coalesced
-//              global store.
+//   root:      the first u threads' ranks (the real tile) go through the
+//              tile-wide output rho (the inverse dual subsequence scatter
+//              of the 2-way store tail), then a coalesced global store.
 //
 // Sentinels only enter at level 0 (ceil-to-wE padding of each pair); they
 // sort to the tail of every intermediate run and are dropped at the root.
@@ -34,6 +34,7 @@
 // read/write buffers with a barrier in between.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -96,16 +97,14 @@ class CascadePlan {
   [[nodiscard]] static int write_buffer(int level) { return 1 - level % 2; }
 
   /// Write position (within the write buffer) of merged rank `r` of pair
-  /// `p` at `level`: the parent pair's layout position, or the root layout
-  /// rho_out(r) at the last level.
+  /// `p` at `level` below the root: the parent pair's layout position.  The
+  /// root writes back through the tile's output shift instead
+  /// (sort::store_merged_tile).
   [[nodiscard]] std::int64_t scatter_pos(int level, int p, std::int64_t r) const {
-    if (level + 1 == levels_) return rho_out_(r);
+    assert(level + 1 < levels_);
     const CascadePair& parent = pairs_[static_cast<std::size_t>(level + 1)][static_cast<std::size_t>(p / 2)];
     return p % 2 == 0 ? parent.pos_a(r) : parent.pos_b(r);
   }
-
-  /// Root layout position of output rank r (what the final store reads).
-  [[nodiscard]] std::int64_t out_pos(std::int64_t r) const { return rho_out_(r); }
 
   /// Worst-case per-buffer capacity for a tile of `tile` elements — the
   /// static bound used for the LaunchShape: every level-0 pair may round up
@@ -123,7 +122,6 @@ class CascadePlan {
   std::int64_t padded_len_ = 0;
   std::vector<std::vector<CascadeRun>> runs_;
   std::vector<std::vector<CascadePair>> pairs_;
-  CircularShift rho_out_{1, 1, 0};
 };
 
 }  // namespace cfmerge::gather

@@ -22,8 +22,9 @@
 //                           w-aligned warp onto the banks of round E-1-j
 //   plan-faithfulness       the closed forms above equal CascadePlan's
 //                           scatter_pos on sampled plans, and the concrete
-//                           gather/scatter/store rows of sampled tiles are
-//                           conflict free under the dynamic cost model
+//                           gather/scatter rows of sampled tiles and the
+//                           root's store-tail rows are conflict free under
+//                           the dynamic cost model
 //
 // refute_multiway_direct is the impossibility half: a single-phase k-ary
 // gather over a linear k-segment layout (the LoserTree baseline's head fill)
@@ -170,13 +171,13 @@ void check_pad_alignment(ProofStep& st, int w, int e, int k,
 }
 
 /// Concrete cross-check of the symbolic model against CascadePlan plus a
-/// dynamic-cost screening of sampled gather/scatter/store rows.  `thorough`
-/// sweeps every virtual warp and round of the sampled tiles; otherwise a
-/// boundary subset keeps the full (w, E, k) sweep affordable.
-void check_plan_faithfulness(ProofStep& st, int w, int e,
+/// dynamic-cost screening of sampled gather/scatter rows and the root's
+/// store rows over a block tile of `tile` elements.  `thorough` sweeps every
+/// virtual warp and round of the sampled tiles; otherwise a boundary subset
+/// keeps the full (w, E, k) sweep affordable.
+void check_plan_faithfulness(ProofStep& st, int w, int e, std::int64_t tile,
                              const std::vector<std::vector<std::int64_t>>& samples,
                              bool thorough) {
-  const std::int64_t we = static_cast<std::int64_t>(w) * e;
   std::int64_t closed_checked = 0;
   std::int64_t rows_checked = 0;
   std::vector<std::int64_t> addrs(static_cast<std::size_t>(w));
@@ -190,44 +191,39 @@ void check_plan_faithfulness(ProofStep& st, int w, int e,
         const std::int64_t u_pair = pr.size() / e;  // a multiple of w
         const std::int64_t vwarps = u_pair / w;
 
-        // Closed form used by the symbolic steps == CascadePlan::scatter_pos.
-        const bool last = l + 1 == plan.levels();
-        const gather::CascadePair* parent =
-            last ? nullptr : &plan.pairs(l + 1)[p / 2];
-        for (std::int64_t r = 0; r < pr.size(); r += thorough ? 1 : 7) {
-          std::int64_t want;
-          if (last) {
-            want = plan.out_pos(r);
-          } else if (p % 2 == 0) {
-            want = parent->base + parent->rho(r);
-          } else {
-            want = parent->base + parent->rho(parent->size() - 1 - r);
-          }
-          if (plan.scatter_pos(l, static_cast<int>(p), r) != want) {
-            fail(st, "scatter_pos != closed form at level " + std::to_string(l) +
-                         " pair " + std::to_string(p) + " rank " + std::to_string(r));
-            return;
-          }
-          ++closed_checked;
-        }
-
-        // Scatter rows: rank r = (vw*w + lane)*E + j per virtual warp.
-        for (std::int64_t vw = 0; vw < vwarps; thorough ? ++vw : vw += std::max<std::int64_t>(1, vwarps - 1)) {
-          for (int j = 0; j < e; ++j) {
-            for (int lane = 0; lane < w; ++lane) {
-              const std::int64_t r = (vw * w + lane) * e + j;
-              addrs[static_cast<std::size_t>(lane)] =
-                  plan.scatter_pos(l, static_cast<int>(p), r);
-            }
-            if (row_conflicted(addrs, w)) {
-              fail(st, "conflicted scatter row at level " + std::to_string(l) +
-                           " pair " + std::to_string(p) + " vw " + std::to_string(vw) +
-                           " round " + std::to_string(j));
+        // Below the root: the closed form used by the symbolic steps ==
+        // CascadePlan::scatter_pos, and the scatter rows the kernel issues
+        // through it, rank r = (vw*w + lane)*E + j per virtual warp.  The
+        // root writes back through the store tail, checked below.
+        if (l + 1 < plan.levels()) {
+          const gather::CascadePair& parent = plan.pairs(l + 1)[p / 2];
+          for (std::int64_t r = 0; r < pr.size(); r += thorough ? 1 : 7) {
+            const std::int64_t want =
+                parent.base + parent.rho(p % 2 == 0 ? r : parent.size() - 1 - r);
+            if (plan.scatter_pos(l, static_cast<int>(p), r) != want) {
+              fail(st, "scatter_pos != closed form at level " + std::to_string(l) +
+                           " pair " + std::to_string(p) + " rank " + std::to_string(r));
               return;
             }
-            ++rows_checked;
+            ++closed_checked;
           }
-          if (!thorough && vwarps <= 1) break;
+          for (std::int64_t vw = 0; vw < vwarps; thorough ? ++vw : vw += std::max<std::int64_t>(1, vwarps - 1)) {
+            for (int j = 0; j < e; ++j) {
+              for (int lane = 0; lane < w; ++lane) {
+                const std::int64_t r = (vw * w + lane) * e + j;
+                addrs[static_cast<std::size_t>(lane)] =
+                    plan.scatter_pos(l, static_cast<int>(p), r);
+              }
+              if (row_conflicted(addrs, w)) {
+                fail(st, "conflicted scatter row at level " + std::to_string(l) +
+                             " pair " + std::to_string(p) + " vw " + std::to_string(vw) +
+                             " round " + std::to_string(j));
+                return;
+              }
+              ++rows_checked;
+            }
+            if (!thorough && vwarps <= 1) break;
+          }
         }
 
         // Stage-gather rows through the pair's 2-way schedule, all-A and a
@@ -263,20 +259,33 @@ void check_plan_faithfulness(ProofStep& st, int w, int e,
         }
       }
     }
+  }
 
-    // Root store rows: out_pos over w-aligned rank rows of the real tile.
-    for (std::int64_t t0 = 0; t0 < plan.total_len(); t0 += thorough ? w : std::max<std::int64_t>(w, we)) {
-      for (int lane = 0; lane < w; ++lane) {
-        const std::int64_t t = t0 + lane;
-        addrs[static_cast<std::size_t>(lane)] =
-            t < plan.total_len() ? plan.out_pos(t) : gpusim::kInactiveLane;
-      }
+  // The root's store tail (sort::store_merged_tile), whatever the split:
+  // the first u = tile / E threads write ranks iE + j through the tile's
+  // output shift, then the coalesced store reads them back in w-lane rows.
+  const gather::CircularShift out_shift(w, e, tile);
+  for (std::int64_t i0 = 0; i0 < tile / e; i0 += w) {
+    for (int j = 0; j < e; ++j) {
+      for (int lane = 0; lane < w; ++lane)
+        addrs[static_cast<std::size_t>(lane)] = out_shift((i0 + lane) * e + j);
       if (row_conflicted(addrs, w)) {
-        fail(st, "conflicted root store row at t0=" + std::to_string(t0));
+        fail(st, "conflicted root scatter row at thread " + std::to_string(i0) + " round " +
+                     std::to_string(j));
         return;
       }
       ++rows_checked;
     }
+  }
+  for (std::int64_t t0 = 0; t0 < tile; t0 += w) {
+    for (int lane = 0; lane < w; ++lane)
+      addrs[static_cast<std::size_t>(lane)] =
+          t0 + lane < tile ? out_shift(t0 + lane) : gpusim::kInactiveLane;
+    if (row_conflicted(addrs, w)) {
+      fail(st, "conflicted root store row at t0=" + std::to_string(t0));
+      return;
+    }
+    ++rows_checked;
   }
   std::ostringstream os;
   os << "scatter_pos == base' + rho'(±r + C) on " << closed_checked
@@ -321,7 +330,7 @@ ProofObject verify_multiway_cascade(int w, int e, int k) {
        "with i' = (la'+lb')/E - 1 - i maps a w-aligned warp onto a w-aligned "
        "warp, so it hits the banks of round E-1-j");
   const bool thorough = e == std::max(2, w / 2);
-  check_plan_faithfulness(po.add_step("plan-faithfulness"), w, e, samples,
+  check_plan_faithfulness(po.add_step("plan-faithfulness"), w, e, tile_cap, samples,
                           thorough);
 
   po.settle_verdict();
