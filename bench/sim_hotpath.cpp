@@ -28,7 +28,9 @@
 //     non-zero audit_skipped_accesses count on the skip side.
 // CI runs `sim_hotpath --quick` and asserts only these checks (wall
 // clock is never thresholded in CI); the committed BENCH_sim_hotpath.json
-// is the perf trajectory seed for full Release runs.
+// is the perf trajectory seed for full Release runs.  A full run writes
+// BENCH_sim_hotpath.json (or --out=FILE); a --quick run writes a file only
+// when --out= names one, so it never overwrites the full-mode reference.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -170,7 +172,7 @@ int main(int argc, char** argv) {
   bool quick = false;
   int repeats = 0;  // 0 = default per mode
   int threads = 1;
-  std::string out_path = "BENCH_sim_hotpath.json";
+  std::string out_path;
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string a = argv[i];
@@ -191,6 +193,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "sim_hotpath: %s\n", e.what());
     return 2;
   }
+  if (out_path.empty() && !quick) out_path = "BENCH_sim_hotpath.json";
   if (repeats == 0) repeats = quick ? 2 : 3;
   if (repeats < 2) repeats = 2;  // identity checks need two runs
 
@@ -518,40 +521,44 @@ int main(int argc, char** argv) {
   tally.cert_misses = cert_stats.misses;
   tally.certs_cached = cert_stats.cached;
 
-  std::ofstream f(out_path);
-  if (!f) {
-    std::fprintf(stderr, "sim_hotpath: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  f << "{\n  \"schema\": \"cfmerge.sim_hotpath.v2\",\n";
-  f << "  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n";
-  f << "  \"repeats\": " << repeats << ",\n";
-  f << "  \"threads\": " << threads << ",\n";
-  f << "  \"identity_ok\": " << (all_ok ? "true" : "false") << ",\n";
-  f << "  \"engine\": ";
-  analysis::write_json(f, tally);
-  f << ",\n";
-  f << "  \"cases\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const CaseResult& r = results[i];
-    f << "    {\"name\": \"" << analysis::json_escape(r.name) << "\", "
-      << "\"detail\": \"" << analysis::json_escape(r.detail) << "\", "
-      << "\"elements\": " << r.elements << ", "
-      << "\"sim_microseconds\": " << r.sim_microseconds << ", "
-      << "\"wall_ms_min\": " << r.wall_ms_min << ", "
-      << "\"wall_ms_median\": " << r.wall_ms_median << ", "
-      << "\"wall_ms_cold\": " << r.wall_ms_cold << ", "
-      << "\"wall_ms_warm\": " << r.wall_ms_warm << ", "
-      << "\"warm_speedup\": " << r.warm_speedup << ", "
-      << "\"elem_per_sec\": " << r.elem_per_sec << ", "
-      << "\"identity_ok\": " << (r.identity_ok ? "true" : "false") << "}"
-      << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  f << "  ]\n}\n";
   std::printf("\nplan cache: hits=%llu misses=%llu hit_rate=%.3f\n",
               static_cast<unsigned long long>(tally.plan_hits),
               static_cast<unsigned long long>(tally.plan_misses), tally.hit_rate());
-  std::printf("wrote %s\n", out_path.c_str());
+  if (out_path.empty()) {
+    std::printf("quick run without --out=: no JSON written\n");
+  } else {
+    std::ofstream f(out_path);
+    if (!f) {
+      std::fprintf(stderr, "sim_hotpath: cannot write %s\n", out_path.c_str());
+      return 1;
+    }
+    f << "{\n  \"schema\": \"cfmerge.sim_hotpath.v2\",\n";
+    f << "  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n";
+    f << "  \"repeats\": " << repeats << ",\n";
+    f << "  \"threads\": " << threads << ",\n";
+    f << "  \"identity_ok\": " << (all_ok ? "true" : "false") << ",\n";
+    f << "  \"engine\": ";
+    analysis::write_json(f, tally);
+    f << ",\n";
+    f << "  \"cases\": [\n";
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const CaseResult& r = results[i];
+      f << "    {\"name\": \"" << analysis::json_escape(r.name) << "\", "
+        << "\"detail\": \"" << analysis::json_escape(r.detail) << "\", "
+        << "\"elements\": " << r.elements << ", "
+        << "\"sim_microseconds\": " << r.sim_microseconds << ", "
+        << "\"wall_ms_min\": " << r.wall_ms_min << ", "
+        << "\"wall_ms_median\": " << r.wall_ms_median << ", "
+        << "\"wall_ms_cold\": " << r.wall_ms_cold << ", "
+        << "\"wall_ms_warm\": " << r.wall_ms_warm << ", "
+        << "\"warm_speedup\": " << r.warm_speedup << ", "
+        << "\"elem_per_sec\": " << r.elem_per_sec << ", "
+        << "\"identity_ok\": " << (r.identity_ok ? "true" : "false") << "}"
+        << (i + 1 < results.size() ? "," : "") << "\n";
+    }
+    f << "  ]\n}\n";
+    std::printf("wrote %s\n", out_path.c_str());
+  }
 
   if (!all_ok) {
     std::fprintf(stderr, "sim_hotpath: BIT-IDENTITY CHECK FAILED\n");
