@@ -29,7 +29,7 @@ Gate 3 has no allowlist either: the known-cost charge forms
 cost computed elsewhere, so they may only be called under src/gpusim/
 (which defines them) and from src/sort/kernels.hpp (warp_split_search,
 which prices each start/end probe row pair with shared_access_cost_pair, and
-warp_serial_merge, which prices its distinct-address fetch rows with
+serial_merge_core, which prices its distinct-address head and fetch rows with
 shared_access_cost_distinct).
 Anywhere else a site could charge a cost it did not compute.
 
@@ -75,16 +75,16 @@ ALLOWLIST: dict[str, dict[str, str]] = {
     },
     "src/sort/kernels.hpp": {
         "peek": "merge-path probe reads of warp_split_search and head reads "
-                "of warp_serial_merge: the next address comes from a key "
+                "of serial_merge_core: the next address comes from a key "
                 "comparison (diagonal search, serial merge step), outside any "
                 "affine family, so no certificate can cover it; every probe "
                 "row and every step's fetch row is charged and audited per "
                 "lane through charge_row_costed",
     },
     "src/sort/multiway_pass.hpp": {
-        "gather": "loser-tree baseline: its k-way co-rank probes and "
-                  "replacement reads pick addresses by key comparison, "
-                  "outside any affine family; charged and audited per lane",
+        "gather": "loser-tree baseline: its k-way co-rank probes pick "
+                  "addresses by key comparison, outside any affine family; "
+                  "charged and audited per lane",
     },
 }
 
