@@ -450,21 +450,44 @@ void serial_merge_core(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem, 
       std::int64_t* fetch = table.data() + lk * lw + l;
       for (std::size_t step = 0; step < le; ++step, fetch += lw) {
         std::size_t best = 0;
+        T min = head[0];
         bool found = false;
         for (std::size_t s = 0; s < lk; ++s) {
           const bool live = ptr[s] < end[s];
-          const bool take = live & (!found | cmp(head[s], head[best]));
+          const bool take = live & (!found | cmp(head[s], min));
           best = take ? s : best;
+          min = take ? head[s] : min;
           found |= live;
         }
         assert(found);
-        o[step] = head[best];
-        const std::int64_t off = ++ptr[best];
-        const bool more = off < end[best];
+        o[step] = min;
+        // Advance the taken list.  With K fixed the loops unroll into one
+        // select per list, which keeps the lane's offsets and heads in
+        // registers (faster at K = 2); a runtime count indexes (faster at
+        // k = 8).
+        std::int64_t off = 0;
+        std::int64_t stop = 0;
+        if constexpr (K > 0) {
+          for (std::size_t s = 0; s < lk; ++s) {
+            const bool hit = s == best;
+            ptr[s] += hit;
+            off = hit ? ptr[s] : off;
+            stop = hit ? end[s] : stop;
+          }
+        } else {
+          off = ++ptr[best];
+          stop = end[best];
+        }
+        const bool more = off < stop;
         const std::int64_t next = more ? pos(static_cast<int>(best), off) : kIdle;
         *fetch = next;
-        const T& fetched = shmem.peek(more ? next : 0);
-        head[best] = more ? fetched : head[best];
+        // An exhausted list's head is never selected again.
+        const T fetched = shmem.peek(more ? next : 0);
+        if constexpr (K > 0) {
+          for (std::size_t s = 0; s < lk; ++s) head[s] = s == best ? fetched : head[s];
+        } else {
+          head[best] = fetched;
+        }
       }
     }
 
