@@ -461,33 +461,22 @@ void serial_merge_core(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem, 
         }
         assert(found);
         o[step] = min;
-        // Advance the taken list.  With K fixed the loops unroll into one
-        // select per list, which keeps the lane's offsets and heads in
-        // registers (faster at K = 2); a runtime count indexes (faster at
-        // k = 8).
+        // Advance the taken list: one select per list, so that with K fixed
+        // the lane's offsets and heads stay in registers.
         std::int64_t off = 0;
         std::int64_t stop = 0;
-        if constexpr (K > 0) {
-          for (std::size_t s = 0; s < lk; ++s) {
-            const bool hit = s == best;
-            ptr[s] += hit;
-            off = hit ? ptr[s] : off;
-            stop = hit ? end[s] : stop;
-          }
-        } else {
-          off = ++ptr[best];
-          stop = end[best];
+        for (std::size_t s = 0; s < lk; ++s) {
+          const bool hit = s == best;
+          ptr[s] += hit;
+          off = hit ? ptr[s] : off;
+          stop = hit ? end[s] : stop;
         }
         const bool more = off < stop;
         const std::int64_t next = more ? pos(static_cast<int>(best), off) : kIdle;
         *fetch = next;
         // An exhausted list's head is never selected again.
         const T fetched = shmem.peek(more ? next : 0);
-        if constexpr (K > 0) {
-          for (std::size_t s = 0; s < lk; ++s) head[s] = s == best ? fetched : head[s];
-        } else {
-          head[best] = fetched;
-        }
+        for (std::size_t s = 0; s < lk; ++s) head[s] = s == best ? fetched : head[s];
       }
     }
 

@@ -449,12 +449,11 @@ void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T
         std::span<T>(regs));
     warp_network_sort(ctx, ctx.warps(), cfprims::same_warp, std::span<T>(regs), cmp);
   } else {
-    // The baseline's linear layout: A at [0, la), B at [la, la + lb).
     serial_merge_core<2>(
         ctx, shmem, 2, e,
         [&](int i, int s) { return split_window(splits[static_cast<std::size_t>(i)], s); },
-        [la](int s, std::int64_t x) { return s == 0 ? x : la + x; }, kPairMergeCharge,
-        std::span<T>(regs), cmp);
+        [&](int s, std::int64_t x) { return s == 0 ? layout.pos_a(x) : layout.pos_b(x); },
+        kPairMergeCharge, std::span<T>(regs), cmp);
   }
   ctx.barrier();
   store_merged_tile<T>(ctx, shmem, /*base=*/0,
