@@ -8,57 +8,13 @@
 // small warps (where the two preload accesses weigh relatively more).
 #include <cstdio>
 #include <iostream>
-#include <vector>
 
 #include "analysis/table.hpp"
-#include "gpusim/launcher.hpp"
-#include "sort/kernels.hpp"
-#include "worstcase/builder.hpp"
+#include "verify/analyzer.hpp"
 #include "worstcase/predict.hpp"
 
 using namespace cfmerge;
 using namespace cfmerge::worstcase;
-
-namespace {
-
-std::uint64_t measure_warp_conflicts(const Params& p) {
-  const std::int64_t wE = static_cast<std::int64_t>(p.w) * p.e;
-  const MergeInput in = worst_case_merge_input(p, 2 * wE);
-  const auto tuples = warp_tuples(p, false);
-  const std::int64_t la = a_total(tuples);
-  const std::int64_t lb = wE - la;
-
-  gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(p.w));
-  std::uint64_t conflicts = 0;
-  launcher.launch("warp_merge", gpusim::LaunchShape{1, p.w, 0, 32},
-                  [&](gpusim::BlockContext& ctx) {
-                    gpusim::SharedTile<int> tile(ctx, static_cast<std::size_t>(wE));
-                    for (std::int64_t x = 0; x < la; ++x)
-                      tile.raw()[static_cast<std::size_t>(x)] =
-                          in.a[static_cast<std::size_t>(x)];
-                    for (std::int64_t y = 0; y < lb; ++y)
-                      tile.raw()[static_cast<std::size_t>(la + y)] =
-                          in.b[static_cast<std::size_t>(y)];
-                    std::vector<sort::MergeLaneDesc> descs(static_cast<std::size_t>(p.w));
-                    std::int64_t ao = 0, bo = 0;
-                    for (int i = 0; i < p.w; ++i) {
-                      const Tuple& t = tuples[static_cast<std::size_t>(i)];
-                      descs[static_cast<std::size_t>(i)] = {ao, t.a, bo, t.b};
-                      ao += t.a;
-                      bo += t.b;
-                    }
-                    std::vector<int> regs(static_cast<std::size_t>(wE));
-                    sort::warp_serial_merge(ctx, tile,
-                                            std::span<const sort::MergeLaneDesc>(descs),
-                                            p.e, [](std::int64_t x) { return x; },
-                                            [la](std::int64_t y) { return la + y; },
-                                            std::span<int>(regs));
-                    conflicts = ctx.counters().total().bank_conflicts;
-                  });
-  return conflicts;
-}
-
-}  // namespace
 
 int main() {
   std::printf("Theorem 8: predicted vs measured worst-case conflicts (one warp, one merge)\n");
@@ -71,7 +27,7 @@ int main() {
     for (int e = 2; e <= w; ++e) {
       const Params p{w, e};
       const std::int64_t predicted = predicted_warp_conflicts(p);
-      const std::uint64_t measured = measure_warp_conflicts(p);
+      const std::uint64_t measured = verify::measure_worstcase_warp(p);
       table.add_row({std::to_string(w), std::to_string(e),
                      std::to_string(p.d()), std::to_string(p.q()), std::to_string(p.r()),
                      std::to_string(predicted), std::to_string(measured),
@@ -89,7 +45,7 @@ int main() {
     const Params p{32, e};
     std::printf("  w=32 E=%d: predicted %lld, measured %llu\n", e,
                 static_cast<long long>(predicted_warp_conflicts(p)),
-                static_cast<unsigned long long>(measure_warp_conflicts(p)));
+                static_cast<unsigned long long>(verify::measure_worstcase_warp(p)));
   }
   return 0;
 }

@@ -15,6 +15,7 @@
 //   $ ./pair_scan_gather [half]
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <numeric>
 #include <random>
 #include <stdexcept>
@@ -57,12 +58,10 @@ KernelResult intersect(gpusim::Launcher& launcher, const std::vector<int>& a,
     if (use_cf_gather) {
       gather::RoundSchedule sched(shape, off, size);
       for (std::int64_t x = 0; x < la; ++x)
-        tile.raw()[static_cast<std::size_t>(
-            gather::cf_position_of_a(sched.pi(), sched.rho(), x))] =
+        tile.raw()[static_cast<std::size_t>(sched.layout().pos_a(x))] =
             a[static_cast<std::size_t>(x)];
       for (std::int64_t y = 0; y < lb; ++y)
-        tile.raw()[static_cast<std::size_t>(
-            gather::cf_position_of_b(sched.pi(), sched.rho(), y))] =
+        tile.raw()[static_cast<std::size_t>(sched.layout().pos_b(y))] =
             b[static_cast<std::size_t>(y)];
       ctx.phase("merge");
       gather::dual_subsequence_gather(ctx, tile, sched, std::span<int>(regs));
@@ -80,16 +79,19 @@ KernelResult intersect(gpusim::Launcher& launcher, const std::vector<int>& a,
     } else {
       std::copy(a.begin(), a.end(), tile.raw().begin());
       std::copy(b.begin(), b.end(), tile.raw().begin() + static_cast<std::ptrdiff_t>(la));
-      std::vector<sort::MergeLaneDesc> descs(static_cast<std::size_t>(u));
+      std::vector<sort::ThreadSplit> splits(static_cast<std::size_t>(u));
       for (int i = 0; i < u; ++i)
-        descs[static_cast<std::size_t>(i)] = {
+        splits[static_cast<std::size_t>(i)] = {
             off[static_cast<std::size_t>(i)], size[static_cast<std::size_t>(i)],
             static_cast<std::int64_t>(i) * e - off[static_cast<std::size_t>(i)],
             e - size[static_cast<std::size_t>(i)]};
+      const auto layout = gather::PairLayout::linear(la, lb);
       ctx.phase("merge");
-      sort::warp_serial_merge(ctx, tile, std::span<const sort::MergeLaneDesc>(descs), e,
-                              [](std::int64_t x) { return x; },
-                              [la](std::int64_t y) { return la + y; }, std::span<int>(regs));
+      sort::serial_merge_core<2>(
+          ctx, tile, 2, e,
+          [&](int i, int s) { return sort::split_window(splits[static_cast<std::size_t>(i)], s); },
+          [&](int s, std::int64_t x) { return s == 0 ? layout.pos_a(x) : layout.pos_b(x); },
+          sort::kPairMergeCharge, std::span<int>(regs), std::less<int>{});
     }
 
     // Count equal-adjacent pairs; the cross-thread boundary comparison is a

@@ -543,10 +543,10 @@ void exec_cf_gather(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem,
       charge_certified(ctx, pw, shmem, {.rounds = s.e, .dependent = s.e});
     }
   };
-  if (sched.rho().identity())
+  if (sched.layout().rho().identity())
     gather_runs([](std::int64_t m) { return m; });
   else
-    gather_runs(sched.rho());
+    gather_runs(sched.layout().rho());
   if (ctx.audit_skipping())
     shmem.notify_certified_skip(0, static_cast<std::int64_t>(data.size()),
                                 static_cast<std::uint64_t>(vwarps) *

@@ -5,7 +5,9 @@
 // issue warp-wide shared memory accesses through the bank-conflict model,
 // and move real data between a SharedTile and per-thread register files.
 // For valid shapes every access is conflict-free (verified both by the
-// schedule validator and by the counters in the sort kernels).
+// schedule validator and by the counters in the sort kernels).  The lists'
+// positions in shared memory are the schedule's PairLayout
+// (RoundSchedule::layout().pos_a / pos_b).
 #pragma once
 
 #include <cassert>
@@ -16,19 +18,6 @@
 #include "gpusim/memory_views.hpp"
 
 namespace cfmerge::gather {
-
-/// Destination in shared memory for the A element at offset `x`, under the
-/// CF layout shmem = rho(A ∪ pi(B)).
-inline std::int64_t cf_position_of_a(const BReversal& pi, const CircularShift& rho,
-                                     std::int64_t x) {
-  return rho(pi.raw_of_a(x));
-}
-
-/// Destination in shared memory for the B element at offset `y`.
-inline std::int64_t cf_position_of_b(const BReversal& pi, const CircularShift& rho,
-                                     std::int64_t y) {
-  return rho(pi.raw_of_b(y));
-}
 
 /// Runs the dual subsequence gather for every warp of the block.
 ///

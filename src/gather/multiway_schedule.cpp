@@ -31,7 +31,7 @@ CascadePlan::CascadePlan(int w, int e, std::span<const std::int64_t> seg_lens)
     auto& prs = pairs_[static_cast<std::size_t>(l)];
     const int np = static_cast<int>(in.size()) / 2;
     out.resize(static_cast<std::size_t>(np));
-    prs.resize(static_cast<std::size_t>(np));
+    prs.reserve(static_cast<std::size_t>(np));
     std::int64_t base = 0;
     for (int p = 0; p < np; ++p) {
       const CascadeRun& left = in[static_cast<std::size_t>(2 * p)];
@@ -49,13 +49,7 @@ CascadePlan::CascadePlan(int w, int e, std::span<const std::int64_t> seg_lens)
         la = left.pad_len;
         lb = right.pad_len;
       }
-      CascadePair pr;
-      pr.base = base;
-      pr.la = la;
-      pr.lb = lb;
-      pr.pi = BReversal(la, lb);
-      pr.rho = CircularShift(w, e, la + lb);
-      prs[static_cast<std::size_t>(p)] = pr;
+      prs.push_back({base, PairLayout::cf(la, lb, w, e)});
       out[static_cast<std::size_t>(p)] = {real, la + lb};
       base += la + lb;
     }

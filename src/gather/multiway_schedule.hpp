@@ -11,7 +11,8 @@
 //
 //   level 0:   k segments, paired (0,1)(2,3)..., each pair's region padded
 //              with +inf sentinels to a multiple of wE and stored in the
-//              pair's rho(A ∪ pi(B)) layout
+//              pair's rho(A ∪ pi(B)) layout (a CascadePair: the region
+//              base plus the pair's PairLayout::cf)
 //   level l:   pair outputs of level l-1 are the A/B lists of level l; the
 //              merged ranks are scattered straight into the parent pair's
 //              layout:  thread i writes rank r = iE + j to
@@ -50,19 +51,16 @@ struct CascadeRun {
   std::int64_t pad_len = 0;  ///< storage length incl. sentinels
 };
 
-/// One pairwise merge of the cascade: region [base, base + la + lb) of the
-/// level's read buffer, laid out as rho(A ∪ pi(B)) over the pair.
+/// One pairwise merge of the cascade: region [base, base + size) of the
+/// level's read buffer, in the pair's CF layout.  |A| is the left child's
+/// real len (level 0) or pad_len; |B| includes the pair's sentinel pad.
 struct CascadePair {
-  std::int64_t base = 0;
-  std::int64_t la = 0;  ///< |A| — left child's real len (level 0) or pad_len
-  std::int64_t lb = 0;  ///< |B| incl. the pair's sentinel pad
-  BReversal pi{0, 0};
-  CircularShift rho{1, 1, 0};
+  std::int64_t base;
+  PairLayout layout;
 
-  [[nodiscard]] std::int64_t size() const { return la + lb; }
   /// Physical position (region base included) of A element x / B element y.
-  [[nodiscard]] std::int64_t pos_a(std::int64_t x) const { return base + rho(pi.raw_of_a(x)); }
-  [[nodiscard]] std::int64_t pos_b(std::int64_t y) const { return base + rho(pi.raw_of_b(y)); }
+  [[nodiscard]] std::int64_t pos_a(std::int64_t x) const { return base + layout.pos_a(x); }
+  [[nodiscard]] std::int64_t pos_b(std::int64_t y) const { return base + layout.pos_b(y); }
 };
 
 /// The full static cascade for one tile: runs and pair layouts per level,

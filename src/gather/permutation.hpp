@@ -11,8 +11,12 @@
 //    elements read in each round again occupy distinct banks (Corollary 3).
 //    For d == 1, rho is the identity.
 //
-// Both permutations and the round schedule built on them are pure index
-// maps; see schedule.hpp for the full Algorithm 1 indexing.
+// PairLayout is the one place a list pair's shared-memory layout is
+// decided: linear (A at [0, la), B after it) for the baseline, or
+// rho(A ∪ pi(B)) for CF-Merge (pi only for the no-rho ablation).  The merge
+// window, the CF block-sort staging copy, the cascade's pairs and the round
+// schedule all take their positions from it.  These are pure index maps;
+// see schedule.hpp for the full Algorithm 1 indexing.
 #pragma once
 
 #include <cstdint>
@@ -99,6 +103,52 @@ class CircularShift {
   int p_shift_ = 0;
   std::int64_t p_mask_ = 0;
   std::int64_t d_mask_ = 0;
+};
+
+/// Shared-memory placement of one list pair (A, B): the linear layout, or
+/// the CF layout rho(A ∪ pi(B)) with parameters (w, E).  A linear position
+/// is one add; rho is evaluated only for a CF layout.
+class PairLayout {
+ public:
+  /// Linear layout: A at [0, la), B at [la, la + lb).
+  static PairLayout linear(std::int64_t la, std::int64_t lb) {
+    return PairLayout(false, la, lb, 1, 1);
+  }
+  /// CF layout: shmem = rho(A ∪ pi(B)); la + lb a multiple of wE/gcd(w, E).
+  static PairLayout cf(std::int64_t la, std::int64_t lb, int w, int e) {
+    return PairLayout(true, la, lb, w, e);
+  }
+  /// CF layout with the circular shift disabled (ablation: pi only).
+  static PairLayout cf_no_rho(std::int64_t la, std::int64_t lb) {
+    return PairLayout(true, la, lb, 1, 1);
+  }
+
+  [[nodiscard]] bool is_cf() const { return cf_; }
+  [[nodiscard]] std::int64_t la() const { return pi_.la(); }
+  [[nodiscard]] std::int64_t lb() const { return pi_.lb(); }
+  [[nodiscard]] std::int64_t size() const { return pi_.la() + pi_.lb(); }
+  [[nodiscard]] const BReversal& pi() const { return pi_; }
+  [[nodiscard]] const CircularShift& rho() const { return rho_; }
+  /// Direction in which B's positions run when rho is the identity: +1
+  /// linear, -1 reversed by pi (the staging copy's unit step).
+  [[nodiscard]] int b_step() const { return cf_ ? -1 : 1; }
+
+  /// Physical shared position of the A element at offset x.
+  [[nodiscard]] std::int64_t pos_a(std::int64_t x) const {
+    return cf_ ? rho_(pi_.raw_of_a(x)) : x;
+  }
+  /// Physical shared position of the B element at offset y.
+  [[nodiscard]] std::int64_t pos_b(std::int64_t y) const {
+    return cf_ ? rho_(pi_.raw_of_b(y)) : pi_.la() + y;
+  }
+
+ private:
+  PairLayout(bool cf, std::int64_t la, std::int64_t lb, int w, int e)
+      : cf_(cf), pi_(la, lb), rho_(w, e, la + lb) {}
+
+  bool cf_;
+  BReversal pi_;
+  CircularShift rho_;
 };
 
 }  // namespace cfmerge::gather

@@ -19,8 +19,7 @@ void GatherShape::validate() const {
 RoundSchedule::RoundSchedule(const GatherShape& shape, std::vector<std::int64_t> a_off,
                              std::vector<std::int64_t> a_size)
     : shape_(shape),
-      pi_(shape.la, shape.lb),
-      rho_(shape.w, shape.e, shape.la + shape.lb),
+      layout_(PairLayout::cf(shape.la, shape.lb, shape.w, shape.e)),
       a_off_(std::move(a_off)),
       a_size_(std::move(a_size)) {
   shape_.validate();

@@ -61,8 +61,8 @@ class RoundSchedule {
                 std::vector<std::int64_t> a_size);
 
   [[nodiscard]] const GatherShape& shape() const { return shape_; }
-  [[nodiscard]] const CircularShift& rho() const { return rho_; }
-  [[nodiscard]] const BReversal& pi() const { return pi_; }
+  /// The pair's CF layout rho(A ∪ pi(B)), which every read goes through.
+  [[nodiscard]] const PairLayout& layout() const { return layout_; }
 
   /// The element thread `i` reads in round `j` (0 <= j < E).
   ///
@@ -79,15 +79,15 @@ class RoundSchedule {
     if (m < a_size_[idx]) {
       r.from_a = true;
       r.offset = a_off_[idx] + m;
-      r.raw = pi_.raw_of_a(r.offset);
+      r.raw = layout_.pi().raw_of_a(r.offset);
     } else {
       const std::int64_t kj = k - j - 1;  // in [-E, E-2]
       const std::int64_t eidx = kj < 0 ? kj + e : kj;
       r.from_a = false;
       r.offset = b_offset(i) + eidx;
-      r.raw = pi_.raw_of_b(r.offset);
+      r.raw = layout_.pi().raw_of_b(r.offset);
     }
-    r.phys = rho_(r.raw);
+    r.phys = layout_.rho()(r.raw);
     return r;
   }
 
@@ -116,8 +116,7 @@ class RoundSchedule {
 
  private:
   GatherShape shape_;
-  BReversal pi_;
-  CircularShift rho_;
+  PairLayout layout_;
   std::vector<std::int64_t> a_off_;
   std::vector<std::int64_t> a_size_;
 };

@@ -93,8 +93,7 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
     const std::int64_t threads_per_pair = 2 * run / e;
     if (cf_rounds && threads_per_pair >= w && threads_per_pair % w == 0) {
       // CF round: stage every pair into the CF layout, then gather.
-      gather::BReversal pair_pi(run, run);
-      gather::CircularShift pair_rho(w, e, 2 * run);
+      const auto pair = gather::PairLayout::cf(run, run, w, e);
       ctx.phase("bsort.cf_permute");
       // Copy linear -> CF layout; reads are contiguous (conflict free),
       // writes are contiguous runs through pi/rho (also conflict free).
@@ -103,9 +102,7 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
           [&](std::int64_t pos) {
             const std::int64_t pair_base = div_pair(pos) * (2 * run);
             const std::int64_t local = pos - pair_base;
-            const std::int64_t raw = local < run ? pair_pi.raw_of_a(local)
-                                                 : pair_pi.raw_of_b(local - run);
-            return pair_base + pair_rho(raw);
+            return pair_base + (local < run ? pair.pos_a(local) : pair.pos_b(local - run));
           });
       ctx.barrier();
       ctx.phase("bsort.merge");

@@ -1,8 +1,8 @@
 // Building blocks shared by the simulated sort kernels.
 //
-//  * TileLayout          — where a block's A/B lists live in shared memory
-//                          (linear for the baseline, rho(A ∪ pi(B)) for
-//                          CF-Merge).
+// A block's A/B lists live in shared memory in a gather::PairLayout
+// (linear for the baseline, rho(A ∪ pi(B)) for CF-Merge).
+//
 //  * FastDiv             — division by a loop-invariant divisor.
 //  * warp_split_search   — one lockstep merge-path search per warp over the
 //                          w thread start diagonals plus the next thread's,
@@ -25,10 +25,10 @@
 //                          the routine whose bank conflicts the paper
 //                          eliminates); decided lane by lane on uncharged
 //                          reads, charged as the device's head and
-//                          per-step fetch rows.  The 2-way baseline
-//                          (warp_serial_merge, the merge window, the block
-//                          sort rounds) and the LoserTree's replacement
-//                          selection run through it.
+//                          per-step fetch rows.  The 2-way baseline (the
+//                          merge window, the block-sort rounds, over
+//                          ThreadSplit windows) and the LoserTree's
+//                          replacement selection run through it.
 //
 // Tile staging (global <-> shared copies) is cfprims::exec_staged_copy.
 #pragma once
@@ -38,7 +38,6 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -52,46 +51,6 @@
 #include "verify/certificate.hpp"
 
 namespace cfmerge::sort {
-
-/// Shared-memory placement of a block's A and B lists.
-class TileLayout {
- public:
-  /// Linear layout: A at [0, la), B at [la, la+lb).
-  static TileLayout linear(std::int64_t la, std::int64_t lb) {
-    return TileLayout(false, la, lb, 1, 1);
-  }
-  /// CF layout: shmem = rho(A ∪ pi(B)) with parameters (w, E).
-  static TileLayout cf(std::int64_t la, std::int64_t lb, int w, int e) {
-    return TileLayout(true, la, lb, w, e);
-  }
-  /// CF layout with the circular shift disabled (ablation: pi only).
-  static TileLayout cf_no_rho(std::int64_t la, std::int64_t lb) {
-    return TileLayout(true, la, lb, 1, 1);
-  }
-
-  [[nodiscard]] bool is_cf() const { return cf_; }
-  [[nodiscard]] std::int64_t la() const { return pi_.la(); }
-  [[nodiscard]] std::int64_t lb() const { return pi_.lb(); }
-  [[nodiscard]] const gather::BReversal& pi() const { return pi_; }
-  [[nodiscard]] const gather::CircularShift& rho() const { return rho_; }
-
-  /// Physical shared position of the A element at offset x.
-  [[nodiscard]] std::int64_t pos_a(std::int64_t x) const {
-    return cf_ ? rho_(pi_.raw_of_a(x)) : x;
-  }
-  /// Physical shared position of the B element at offset y.
-  [[nodiscard]] std::int64_t pos_b(std::int64_t y) const {
-    return cf_ ? rho_(pi_.raw_of_b(y)) : pi_.la() + y;
-  }
-
- private:
-  TileLayout(bool cf, std::int64_t la, std::int64_t lb, int w, int e)
-      : cf_(cf), pi_(la, lb), rho_(w, e, la + lb) {}
-
-  bool cf_;
-  gather::BReversal pi_;
-  gather::CircularShift rho_;
-};
 
 /// Exact division by a loop-invariant divisor via one 64-bit multiply and
 /// shift (round-up reciprocal: M = ceil(2^64 / d), q = hi64(n * M)).  Exact
@@ -495,37 +454,6 @@ void serial_merge_core(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem, 
       charge_row(lk + step);
     }
   }
-}
-
-/// Per-thread split description for a warp-synchronous merge step: the
-/// thread's A_i and B_i as block-local list offsets.
-struct MergeLaneDesc {
-  std::int64_t a_begin = 0;  ///< first A offset (block-local)
-  std::int64_t a_size = 0;
-  std::int64_t b_begin = 0;
-  std::int64_t b_size = 0;
-};
-
-/// The baseline per-thread sequential merge (Thrust's): serial_merge_core
-/// over the two lists A and B with the baseline's charges.  `lanes` holds
-/// one descriptor per thread, every thread merging exactly E elements;
-/// `a_pos(off)` / `b_pos(off)` translate block-local list offsets into
-/// physical shared positions (identity + la-offset for the baseline linear
-/// layout).
-template <typename T, typename APos, typename BPos, typename Cmp = std::less<T>>
-void warp_serial_merge(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem,
-                       std::span<const MergeLaneDesc> lanes, int e, APos&& a_pos,
-                       BPos&& b_pos, std::span<T> regs, Cmp cmp = Cmp{}) {
-  assert(static_cast<int>(lanes.size()) == ctx.threads());
-  serial_merge_core<2>(
-      ctx, shmem, 2, e,
-      [&](int i, int s) {
-        const MergeLaneDesc& d = lanes[static_cast<std::size_t>(i)];
-        return s == 0 ? ListWindow{d.a_begin, d.a_begin + d.a_size}
-                      : ListWindow{d.b_begin, d.b_begin + d.b_size};
-      },
-      [&](int s, std::int64_t x) { return s == 0 ? a_pos(x) : b_pos(x); }, kPairMergeCharge,
-      regs, cmp);
 }
 
 }  // namespace cfmerge::sort

@@ -392,10 +392,11 @@ void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T
   const std::int64_t la = seg_len[0];
   const std::int64_t lb = seg_len[1];
 
-  const TileLayout layout =
+  const gather::PairLayout layout =
       cfg.variant == Variant::CFMerge
-          ? (cfg.disable_rho ? TileLayout::cf_no_rho(la, lb) : TileLayout::cf(la, lb, w, e))
-          : TileLayout::linear(la, lb);
+          ? (cfg.disable_rho ? gather::PairLayout::cf_no_rho(la, lb)
+                             : gather::PairLayout::cf(la, lb, w, e))
+          : gather::PairLayout::linear(la, lb);
 
   gpusim::SharedTile<T> shmem(ctx, static_cast<std::size_t>(tile));
 
@@ -410,7 +411,7 @@ void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T
                               cfprims::UnitStep{a_src}, cfprims::UnitStep{layout.pos_a(0)});
     cfprims::exec_staged_copy(ctx, gin, shmem, lb, cfg.certs.stage,
                               cfprims::UnitStep{b_src},
-                              cfprims::UnitStep{layout.pos_b(0), layout.is_cf() ? -1 : 1});
+                              cfprims::UnitStep{layout.pos_b(0), layout.b_step()});
   } else {
     cfprims::exec_staged_copy(ctx, gin, shmem, la, /*cert=*/nullptr,
                               cfprims::UnitStep{a_src},

@@ -338,7 +338,7 @@ void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalVi
     const auto& leaves = plan.runs(0);
     for (std::size_t p = 0; p < prs.size(); ++p) {
       const gather::CascadePair& pr = prs[p];
-      if (pr.size() == 0) continue;
+      if (pr.layout.size() == 0) continue;
       const std::int64_t na = leaves[2 * p].len;
       const std::int64_t nbr = leaves[2 * p + 1].len;
       cfprims::exec_staged_copy(ctx, gin, shmem, na, /*cert=*/nullptr,
@@ -348,7 +348,7 @@ void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalVi
                                 cfprims::UnitStep{seg_src[2 * p + 1]},
                                 [&](std::int64_t t) { return rb + pr.pos_b(t); });
       cfprims::exec_staged_copy(ctx, cfprims::Fill<T>{padding_sentinel<T>::value()}, shmem,
-                                pr.lb - nbr, /*cert=*/nullptr, cfprims::UnitStep{},
+                                pr.layout.lb() - nbr, /*cert=*/nullptr, cfprims::UnitStep{},
                                 [&](std::int64_t t) { return rb + pr.pos_b(nbr + t); });
     }
   }
@@ -368,7 +368,7 @@ void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalVi
     std::int64_t vglobal = 0;
     for (std::size_t p = 0; p < prs.size(); ++p) {
       const gather::CascadePair& pr = prs[p];
-      const std::int64_t pad = pr.size();
+      const std::int64_t pad = pr.layout.size();
       if (pad == 0) continue;
       const int vwarps = static_cast<int>(pad / e) / w;
       const auto pair_warp = [&](int vw) {
@@ -378,7 +378,7 @@ void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalVi
       // Per-virtual-thread merge-path splits within the pair.
       ctx.phase("merge.search");
       const std::vector<ThreadSplit> splits = pair_split_search(
-          ctx, shmem, /*npairs=*/1, pr.la, pr.lb, vwarps, pair_warp,
+          ctx, shmem, /*npairs=*/1, pr.layout.la(), pr.layout.lb(), vwarps, pair_warp,
           [&](std::int64_t, std::int64_t x) { return rb + pr.pos_a(x); },
           [&](std::int64_t, std::int64_t y) { return rb + pr.pos_b(y); }, cmp);
 
@@ -388,7 +388,7 @@ void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalVi
       // cf_gather certificate applies per pair.
       ctx.phase("merge.merge");
       const std::span<T> regs = std::span<T>(regfile).first(static_cast<std::size_t>(pad));
-      cf_merge_pair(ctx, shmem, rb + pr.base, pr.la, pr.lb,
+      cf_merge_pair(ctx, shmem, rb + pr.base, pr.layout.la(), pr.layout.lb(),
                     std::span<const ThreadSplit>(splits), cfg.certs.gather, pair_warp, regs,
                     cmp);
       if (root) {

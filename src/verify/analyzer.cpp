@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <functional>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -11,6 +12,7 @@
 
 #include "cfprims/primitive.hpp"
 #include "gather/schedule.hpp"
+#include "gpusim/launcher.hpp"
 #include "gpusim/shared_memory.hpp"
 #include "numtheory/numtheory.hpp"
 #include "verify/primitive.hpp"
@@ -420,8 +422,34 @@ ProofObject refute_bitonic_unpadded(std::int64_t tile, int w) {
 // Theorem 8 static walk
 // ---------------------------------------------------------------------------
 
-SerialMergeBounds serial_merge_conflict_bounds(
-    const std::vector<sort::MergeLaneDesc>& lanes, int w, int e, std::int64_t la) {
+namespace {
+
+/// The Theorem 8 worst-case warp: the first warp's window of the
+/// constructed merge input and each lane's merge-path split, A at [0, la)
+/// and B after it.
+struct WorstCaseWarp {
+  worstcase::MergeInput in;
+  std::vector<sort::ThreadSplit> splits;
+  std::int64_t la = 0;
+};
+
+WorstCaseWarp worstcase_warp(const worstcase::Params& p) {
+  p.validate();
+  const std::int64_t we = static_cast<std::int64_t>(p.w) * p.e;
+  WorstCaseWarp warp{worstcase::worst_case_merge_input(p, 2 * we), {}, 0};
+  std::int64_t bo = 0;
+  for (const worstcase::Tuple& t : worstcase::warp_tuples(p, false)) {
+    warp.splits.push_back({warp.la, t.a, bo, t.b});
+    warp.la += t.a;
+    bo += t.b;
+  }
+  return warp;
+}
+
+}  // namespace
+
+SerialMergeBounds serial_merge_conflict_bounds(std::span<const sort::ThreadSplit> lanes, int w,
+                                                int e, std::int64_t la) {
   if (static_cast<int>(lanes.size()) != w)
     throw std::invalid_argument("serial_merge_conflict_bounds: one warp expected");
   SerialMergeBounds out;
@@ -432,20 +460,20 @@ SerialMergeBounds serial_merge_conflict_bounds(
   for (int lane = 0; lane < w; ++lane) {
     const auto& d = lanes[static_cast<std::size_t>(lane)];
     addrs[static_cast<std::size_t>(lane)] =
-        d.a_size > 0 ? d.a_begin : gpusim::kInactiveLane;
+        d.a_size > 0 ? d.a_off : gpusim::kInactiveLane;
   }
   std::int64_t forced = gpusim::shared_access_cost(addrs, w).conflicts;
   for (int lane = 0; lane < w; ++lane) {
     const auto& d = lanes[static_cast<std::size_t>(lane)];
     addrs[static_cast<std::size_t>(lane)] =
-        d.b_size > 0 ? la + d.b_begin : gpusim::kInactiveLane;
+        d.b_size > 0 ? la + d.b_off : gpusim::kInactiveLane;
   }
   forced += gpusim::shared_access_cost(addrs, w).conflicts;
   out.min_conflicts = forced;
   out.max_conflicts = forced;
 
   // Step s fetch: the lane has consumed s+1 elements, ca of them from A.
-  // If the winner was A, the fetch address is a_begin + ca with
+  // If the winner was A, the fetch address is a_off + ca with
   // ca in [max(1, s+1-bsz), min(s+1, asz-1)]; symmetrically for B.  A sound
   // per-access upper bound caps each bank's degree by both the lanes that
   // can reach it and the distinct candidate addresses in it.
@@ -458,11 +486,11 @@ SerialMergeBounds serial_merge_conflict_bounds(
       const std::int64_t taken = s + 1;
       const std::int64_t ca_lo = std::max<std::int64_t>(1, taken - d.b_size);
       const std::int64_t ca_hi = std::min<std::int64_t>(taken, d.a_size - 1);
-      for (std::int64_t ca = ca_lo; ca <= ca_hi; ++ca) cand.insert(d.a_begin + ca);
+      for (std::int64_t ca = ca_lo; ca <= ca_hi; ++ca) cand.insert(d.a_off + ca);
       const std::int64_t cb_lo = std::max<std::int64_t>(1, taken - d.a_size);
       const std::int64_t cb_hi = std::min<std::int64_t>(taken, d.b_size - 1);
       for (std::int64_t cb = cb_lo; cb <= cb_hi; ++cb)
-        cand.insert(la + d.b_begin + cb);
+        cand.insert(la + d.b_off + cb);
       std::uint64_t banks_hit = 0;
       for (const std::int64_t a : cand) {
         const auto b = static_cast<std::size_t>(mod(a, w));
@@ -486,28 +514,18 @@ SerialMergeBounds serial_merge_conflict_bounds(
 }
 
 WorstCaseAnalysis analyze_worstcase_warp(const worstcase::Params& p) {
-  p.validate();
+  const WorstCaseWarp warp = worstcase_warp(p);
+  const worstcase::MergeInput& in = warp.in;
+  const std::vector<sort::ThreadSplit>& lanes = warp.splits;
+  const std::int64_t la = warp.la;
   WorstCaseAnalysis an;
   an.w = p.w;
   an.e = p.e;
-  const std::int64_t we = static_cast<std::int64_t>(p.w) * p.e;
-  const worstcase::MergeInput in = worstcase::worst_case_merge_input(p, 2 * we);
-  const auto tuples = worstcase::warp_tuples(p, false);
-  const std::int64_t la = worstcase::a_total(tuples);
 
-  std::vector<sort::MergeLaneDesc> lanes(static_cast<std::size_t>(p.w));
-  std::int64_t ao = 0;
-  std::int64_t bo = 0;
-  for (int i = 0; i < p.w; ++i) {
-    const worstcase::Tuple& t = tuples[static_cast<std::size_t>(i)];
-    lanes[static_cast<std::size_t>(i)] = {ao, t.a, bo, t.b};
-    ao += t.a;
-    bo += t.b;
-  }
-
-  // Static replay of warp_serial_merge's access cadence.  The construction
-  // uses strictly increasing distinct values, so every comparison outcome is
-  // forced by the interleaving pattern — no simulation, just the trace.
+  // Static replay of the baseline sequential merge's access cadence.  The
+  // construction uses strictly increasing distinct values, so every
+  // comparison outcome is forced by the interleaving pattern — no
+  // simulation, just the trace.
   struct LaneState {
     std::int64_t next_a = 0;
     std::int64_t next_b = 0;
@@ -527,18 +545,18 @@ WorstCaseAnalysis analyze_worstcase_warp(const worstcase::Params& p) {
   for (int lane = 0; lane < p.w; ++lane) {
     const auto& d = lanes[static_cast<std::size_t>(lane)];
     auto& s = st[static_cast<std::size_t>(lane)];
-    s = LaneState{d.a_begin + 1, d.b_begin + 1, 0, 0, d.a_size > 0, d.b_size > 0};
+    s = LaneState{d.a_off + 1, d.b_off + 1, 0, 0, d.a_size > 0, d.b_size > 0};
     addrs[static_cast<std::size_t>(lane)] =
-        s.has_a ? d.a_begin : gpusim::kInactiveLane;
-    if (s.has_a) s.head_a = in.a[static_cast<std::size_t>(d.a_begin)];
+        s.has_a ? d.a_off : gpusim::kInactiveLane;
+    if (s.has_a) s.head_a = in.a[static_cast<std::size_t>(d.a_off)];
   }
   charge();
   for (int lane = 0; lane < p.w; ++lane) {
     const auto& d = lanes[static_cast<std::size_t>(lane)];
     auto& s = st[static_cast<std::size_t>(lane)];
     addrs[static_cast<std::size_t>(lane)] =
-        s.has_b ? la + d.b_begin : gpusim::kInactiveLane;
-    if (s.has_b) s.head_b = in.b[static_cast<std::size_t>(d.b_begin)];
+        s.has_b ? la + d.b_off : gpusim::kInactiveLane;
+    if (s.has_b) s.head_b = in.b[static_cast<std::size_t>(d.b_off)];
   }
   charge();
 
@@ -549,7 +567,7 @@ WorstCaseAnalysis analyze_worstcase_warp(const worstcase::Params& p) {
       assert(s.has_a || s.has_b);
       const bool take_a = s.has_a && (!s.has_b || !(s.head_b < s.head_a));
       if (take_a) {
-        if (s.next_a < d.a_begin + d.a_size) {
+        if (s.next_a < d.a_off + d.a_size) {
           addrs[static_cast<std::size_t>(lane)] = s.next_a;
           s.head_a = in.a[static_cast<std::size_t>(s.next_a)];
           ++s.next_a;
@@ -558,7 +576,7 @@ WorstCaseAnalysis analyze_worstcase_warp(const worstcase::Params& p) {
           addrs[static_cast<std::size_t>(lane)] = gpusim::kInactiveLane;
         }
       } else {
-        if (s.next_b < d.b_begin + d.b_size) {
+        if (s.next_b < d.b_off + d.b_size) {
           addrs[static_cast<std::size_t>(lane)] = la + s.next_b;
           s.head_b = in.b[static_cast<std::size_t>(s.next_b)];
           ++s.next_b;
@@ -577,6 +595,35 @@ WorstCaseAnalysis analyze_worstcase_warp(const worstcase::Params& p) {
   an.min_bound = bounds.min_conflicts;
   an.max_bound = bounds.max_conflicts;
   return an;
+}
+
+std::uint64_t measure_worstcase_warp(const worstcase::Params& p, gpusim::MemoryAuditor* audit) {
+  const WorstCaseWarp warp = worstcase_warp(p);
+  const std::int64_t we = static_cast<std::int64_t>(p.w) * p.e;
+  const auto layout = gather::PairLayout::linear(warp.la, we - warp.la);
+  gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(p.w));
+  launcher.set_audit(audit);
+  std::uint64_t conflicts = 0;
+  launcher.launch("warp_merge", gpusim::LaunchShape{1, p.w, 0, 32},
+                  [&](gpusim::BlockContext& ctx) {
+                    // Uncharged staging of the input: only the merge is measured.
+                    gpusim::SharedTile<int> tile(ctx, static_cast<std::size_t>(we));
+                    const auto lists = tile.raw().begin();
+                    std::copy_n(warp.in.a.begin(), layout.la(), lists + layout.pos_a(0));
+                    std::copy_n(warp.in.b.begin(), layout.lb(), lists + layout.pos_b(0));
+                    std::vector<int> regs(static_cast<std::size_t>(we));
+                    sort::serial_merge_core<2>(
+                        ctx, tile, 2, p.e,
+                        [&](int i, int s) {
+                          return sort::split_window(warp.splits[static_cast<std::size_t>(i)], s);
+                        },
+                        [&](int s, std::int64_t x) {
+                          return s == 0 ? layout.pos_a(x) : layout.pos_b(x);
+                        },
+                        sort::kPairMergeCharge, std::span<int>(regs), std::less<int>{});
+                    conflicts = ctx.counters().total().bank_conflicts;
+                  });
+  return conflicts;
 }
 
 // ---------------------------------------------------------------------------

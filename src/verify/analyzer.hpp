@@ -26,11 +26,15 @@
 // analyze_worstcase_warp statically walks the baseline serial merge over the
 // Theorem 8 construction (decisions forced by the interleaving pattern) and
 // reports the exact conflict count, which must match the simulator counters
-// bit-for-bit, plus guaranteed min/max bounds that hold for *any* data.
+// (measure_worstcase_warp) bit-for-bit, plus guaranteed min/max bounds that
+// hold for *any* data.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
+#include "gpusim/audit.hpp"
 #include "sort/kernels.hpp"
 #include "verify/lower.hpp"
 #include "verify/proof.hpp"
@@ -72,19 +76,29 @@ namespace cfmerge::verify {
 /// conflicted substage.
 [[nodiscard]] ProofObject refute_bitonic_unpadded(std::int64_t tile, int w);
 
-/// Exact static conflict count of the baseline warp_serial_merge on the
+/// Exact static conflict count of the baseline sequential merge on the
 /// Theorem 8 worst-case warp, plus data-independent degree bounds.
 [[nodiscard]] WorstCaseAnalysis analyze_worstcase_warp(const worstcase::Params& p);
 
-/// Guaranteed conflict bounds of warp_serial_merge for arbitrary data under
-/// the given lane splits: min counts only forced (data-independent)
+/// The bank conflicts the simulator counts when one warp on
+/// DeviceSpec::tiny(w) runs the baseline sequential merge
+/// (sort::serial_merge_core over the linear layout) on the Theorem 8
+/// worst-case warp; `audit`, when set, checks every access.  The one
+/// dynamic harness of the construction: the Theorem 8 bench, cfverify's
+/// shadow run and the tests measure through it.
+std::uint64_t measure_worstcase_warp(const worstcase::Params& p,
+                                     gpusim::MemoryAuditor* audit = nullptr);
+
+/// Guaranteed conflict bounds of the baseline sequential merge for arbitrary
+/// data under the given lane splits (one per lane of a warp, linear layout
+/// with B at offset la): min counts only forced (data-independent)
 /// collisions, max assumes every reachable collision happens.
 struct SerialMergeBounds {
   std::int64_t min_conflicts = 0;
   std::int64_t max_conflicts = 0;
 };
 [[nodiscard]] SerialMergeBounds serial_merge_conflict_bounds(
-    const std::vector<sort::MergeLaneDesc>& lanes, int w, int e, std::int64_t la);
+    std::span<const sort::ThreadSplit> lanes, int w, int e, std::int64_t la);
 
 /// What a verifier sweep covers (cfverify and the CI job).
 struct VerifyOptions {

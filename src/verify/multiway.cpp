@@ -135,12 +135,14 @@ void check_pad_alignment(ProofStep& st, int w, int e, int k,
       for (std::size_t p = 0; p < plan.pairs(l).size(); ++p) {
         const gather::CascadePair& pr = plan.pairs(l)[p];
         const bool aligned = pr.base == base && pr.base % we == 0 &&
-                             pr.size() % we == 0 &&
-                             (l == 0 || (pr.la % we == 0 && pr.lb % we == 0));
+                             pr.layout.size() % we == 0 &&
+                             (l == 0 ||
+                              (pr.layout.la() % we == 0 && pr.layout.lb() % we == 0));
         if (!aligned) {
           std::ostringstream os;
           os << "level " << l << " pair " << p << " misaligned: base=" << pr.base
-             << " la=" << pr.la << " lb=" << pr.lb << " (wE=" << we << ")";
+             << " la=" << pr.layout.la() << " lb=" << pr.layout.lb() << " (wE=" << we
+             << ")";
           fail(st, os.str());
           return;
         }
@@ -148,11 +150,11 @@ void check_pad_alignment(ProofStep& st, int w, int e, int k,
         const gather::CascadeRun& out = plan.runs(l + 1)[p];
         const gather::CascadeRun& lc = plan.runs(l)[2 * p];
         const gather::CascadeRun& rc = plan.runs(l)[2 * p + 1];
-        if (out.pad_len != pr.size() || out.len != lc.len + rc.len) {
+        if (out.pad_len != pr.layout.size() || out.len != lc.len + rc.len) {
           fail(st, "run bookkeeping broken at level " + std::to_string(l));
           return;
         }
-        base += pr.size();
+        base += pr.layout.size();
         ++checked;
       }
       if (base > cap) {
@@ -187,8 +189,8 @@ void check_plan_faithfulness(ProofStep& st, int w, int e, std::int64_t tile,
     for (int l = 0; l < plan.levels(); ++l) {
       for (std::size_t p = 0; p < plan.pairs(l).size(); ++p) {
         const gather::CascadePair& pr = plan.pairs(l)[p];
-        if (pr.size() == 0) continue;
-        const std::int64_t u_pair = pr.size() / e;  // a multiple of w
+        if (pr.layout.size() == 0) continue;
+        const std::int64_t u_pair = pr.layout.size() / e;  // a multiple of w
         const std::int64_t vwarps = u_pair / w;
 
         // Below the root: the closed form used by the symbolic steps ==
@@ -197,9 +199,10 @@ void check_plan_faithfulness(ProofStep& st, int w, int e, std::int64_t tile,
         // root writes back through the store tail, checked below.
         if (l + 1 < plan.levels()) {
           const gather::CascadePair& parent = plan.pairs(l + 1)[p / 2];
-          for (std::int64_t r = 0; r < pr.size(); r += thorough ? 1 : 7) {
+          for (std::int64_t r = 0; r < pr.layout.size(); r += thorough ? 1 : 7) {
             const std::int64_t want =
-                parent.base + parent.rho(p % 2 == 0 ? r : parent.size() - 1 - r);
+                parent.base +
+                parent.layout.rho()(p % 2 == 0 ? r : parent.layout.size() - 1 - r);
             if (plan.scatter_pos(l, static_cast<int>(p), r) != want) {
               fail(st, "scatter_pos != closed form at level " + std::to_string(l) +
                            " pair " + std::to_string(p) + " rank " + std::to_string(r));
@@ -237,7 +240,7 @@ void check_plan_faithfulness(ProofStep& st, int w, int e, std::int64_t tile,
           // The schedule only needs a_off/a_size consistent with *some* split
           // of [0, la+lb): use the sampled sizes verbatim with la = their sum.
           const gather::GatherShape shape{w, e, static_cast<int>(u_pair), sp.la,
-                                          pr.size() - sp.la};
+                                          pr.layout.size() - sp.la};
           const gather::RoundSchedule sched(shape, sp.a_off, sp.a_size);
           for (std::int64_t vw = 0; vw < vwarps; thorough ? ++vw : vw += std::max<std::int64_t>(1, vwarps - 1)) {
             for (int j = 0; j < e; ++j) {

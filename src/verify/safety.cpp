@@ -343,8 +343,9 @@ ProofObject stream_safety(const CFPrimitive& prim, int w, int e) {
 
 // ---- gather-family composite model -------------------------------------
 
-/// The fill map of the staged tile load's TileLayout for the variant: where
-/// A element x and B element y land in shared memory.
+/// The fill map of the staged tile load's gather::PairLayout for the
+/// variant, modelled independently of it: where A element x and B element y
+/// land in shared memory.
 std::int64_t fill_pos_a(ScheduleVariant variant, const gather::CircularShift& rho,
                         std::int64_t x) {
   return variant == ScheduleVariant::kNoRhoShift ? x : rho(x);

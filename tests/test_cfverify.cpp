@@ -58,45 +58,6 @@ gather::RoundSchedule make_schedule(int w, int e, int u,
   return {shape, std::move(off), sizes};
 }
 
-/// Dynamic conflict count of one warp merge on the Theorem 8 construction —
-/// the same harness the bench uses, counters straight from the simulator.
-std::uint64_t measure_warp_conflicts(const worstcase::Params& p) {
-  const std::int64_t we = static_cast<std::int64_t>(p.w) * p.e;
-  const worstcase::MergeInput in = worstcase::worst_case_merge_input(p, 2 * we);
-  const auto tuples = worstcase::warp_tuples(p, false);
-  const std::int64_t la = worstcase::a_total(tuples);
-  const std::int64_t lb = we - la;
-
-  gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(p.w));
-  std::uint64_t conflicts = 0;
-  launcher.launch("warp_merge", gpusim::LaunchShape{1, p.w, 0, 32},
-                  [&](gpusim::BlockContext& ctx) {
-                    gpusim::SharedTile<int> tile(ctx, static_cast<std::size_t>(we));
-                    for (std::int64_t x = 0; x < la; ++x)
-                      tile.raw()[static_cast<std::size_t>(x)] =
-                          in.a[static_cast<std::size_t>(x)];
-                    for (std::int64_t y = 0; y < lb; ++y)
-                      tile.raw()[static_cast<std::size_t>(la + y)] =
-                          in.b[static_cast<std::size_t>(y)];
-                    std::vector<sort::MergeLaneDesc> descs(static_cast<std::size_t>(p.w));
-                    std::int64_t ao = 0, bo = 0;
-                    for (int i = 0; i < p.w; ++i) {
-                      const worstcase::Tuple& t = tuples[static_cast<std::size_t>(i)];
-                      descs[static_cast<std::size_t>(i)] = {ao, t.a, bo, t.b};
-                      ao += t.a;
-                      bo += t.b;
-                    }
-                    std::vector<int> regs(static_cast<std::size_t>(we));
-                    sort::warp_serial_merge(ctx, tile,
-                                            std::span<const sort::MergeLaneDesc>(descs),
-                                            p.e, [](std::int64_t x) { return x; },
-                                            [la](std::int64_t y) { return la + y; },
-                                            std::span<int>(regs));
-                    conflicts = ctx.counters().total().bank_conflicts;
-                  });
-  return conflicts;
-}
-
 }  // namespace
 
 TEST(CfVerify, SweepAllFamiliesProved) {
@@ -142,7 +103,7 @@ TEST(CfVerify, Theorem8StaticWalkMatchesSimulatorBitExactly) {
     for (int e = 2; e <= w; ++e) {
       const worstcase::Params p{w, e};
       const WorstCaseAnalysis an = analyze_worstcase_warp(p);
-      const std::uint64_t measured = measure_warp_conflicts(p);
+      const std::uint64_t measured = measure_worstcase_warp(p);
       EXPECT_EQ(static_cast<std::uint64_t>(an.exact_conflicts), measured)
           << "w=" << w << " E=" << e;
       EXPECT_EQ(an.closed_form, worstcase::predicted_warp_conflicts(p));

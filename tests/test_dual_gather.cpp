@@ -43,10 +43,10 @@ struct Fixtureish {
   /// Fills a SharedTile with the CF layout rho(A ∪ pi(B)).
   void fill(gpusim::SharedTile<int>& tile, const RoundSchedule& sched) const {
     for (std::int64_t x = 0; x < shape.la; ++x)
-      tile.raw()[static_cast<std::size_t>(cf_position_of_a(sched.pi(), sched.rho(), x))] =
+      tile.raw()[static_cast<std::size_t>(sched.layout().pos_a(x))] =
           a_vals[static_cast<std::size_t>(x)];
     for (std::int64_t y = 0; y < shape.lb; ++y)
-      tile.raw()[static_cast<std::size_t>(cf_position_of_b(sched.pi(), sched.rho(), y))] =
+      tile.raw()[static_cast<std::size_t>(sched.layout().pos_b(y))] =
           b_vals[static_cast<std::size_t>(y)];
   }
 };
@@ -140,10 +140,10 @@ TEST(DualScatter, InverseOfGatherAndConflictFree) {
     RoundSchedule sched(fx.shape, fx.a_off, fx.a_size);
     std::vector<int> expect(static_cast<std::size_t>(u) * e, -7);
     for (std::int64_t x = 0; x < fx.shape.la; ++x)
-      expect[static_cast<std::size_t>(cf_position_of_a(sched.pi(), sched.rho(), x))] =
+      expect[static_cast<std::size_t>(sched.layout().pos_a(x))] =
           fx.a_vals[static_cast<std::size_t>(x)];
     for (std::int64_t y = 0; y < fx.shape.lb; ++y)
-      expect[static_cast<std::size_t>(cf_position_of_b(sched.pi(), sched.rho(), y))] =
+      expect[static_cast<std::size_t>(sched.layout().pos_b(y))] =
           fx.b_vals[static_cast<std::size_t>(y)];
     EXPECT_EQ(shared_after, expect) << "w=" << w << " e=" << e;
   }

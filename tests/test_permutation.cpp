@@ -1,18 +1,22 @@
-// Tests of the pi (B-reversal) and rho (circular shift) permutations.
+// Tests of the pi (B-reversal) and rho (circular shift) permutations and
+// of the PairLayout built on them.
 #include "gather/permutation.hpp"
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
 #include <vector>
 
+#include "gather/schedule.hpp"
 #include "numtheory/numtheory.hpp"
 
 using cfmerge::gather::BReversal;
 using cfmerge::gather::CircularShift;
+using cfmerge::gather::PairLayout;
 
 TEST(BReversalTest, MapsAIdentity) {
-  const BReversal pi(10, 6);
+  const BReversal pi = PairLayout::cf_no_rho(10, 6).pi();
   for (std::int64_t x = 0; x < 10; ++x) {
     EXPECT_EQ(pi.raw_of_a(x), x);
     EXPECT_TRUE(pi.is_a(x));
@@ -21,7 +25,7 @@ TEST(BReversalTest, MapsAIdentity) {
 }
 
 TEST(BReversalTest, ReversesB) {
-  const BReversal pi(10, 6);
+  const BReversal pi = PairLayout::cf_no_rho(10, 6).pi();
   EXPECT_EQ(pi.raw_of_b(0), 15);  // first B element goes last
   EXPECT_EQ(pi.raw_of_b(5), 10);  // last B element right after A
   for (std::int64_t y = 0; y < 6; ++y) {
@@ -32,9 +36,9 @@ TEST(BReversalTest, ReversesB) {
 }
 
 TEST(BReversalTest, EmptyLists) {
-  const BReversal no_b(8, 0);
+  const BReversal no_b = PairLayout::cf_no_rho(8, 0).pi();
   EXPECT_TRUE(no_b.is_a(7));
-  const BReversal no_a(0, 8);
+  const BReversal no_a = PairLayout::cf_no_rho(0, 8).pi();
   EXPECT_EQ(no_a.raw_of_b(0), 7);
   EXPECT_EQ(no_a.raw_of_b(7), 0);
 }
@@ -103,4 +107,92 @@ TEST(CircularShiftTest, RejectsBadShapes) {
   EXPECT_THROW(CircularShift(8, 0, 8), std::invalid_argument);
   EXPECT_THROW(CircularShift(8, 6, 25), std::invalid_argument);  // not multiple of P=24
   EXPECT_NO_THROW(CircularShift(8, 6, 48));
+}
+
+namespace {
+
+/// Checks that `layout` maps A's la and B's lb offsets one-to-one onto
+/// [0, la + lb).
+void expect_bijective(const PairLayout& layout, std::int64_t la, std::int64_t lb) {
+  ASSERT_EQ(layout.la(), la);
+  ASSERT_EQ(layout.lb(), lb);
+  ASSERT_EQ(layout.size(), la + lb);
+  std::vector<int> hits(static_cast<std::size_t>(la + lb), 0);
+  const auto hit = [&](std::int64_t pos) {
+    ASSERT_GE(pos, 0);
+    ASSERT_LT(pos, la + lb);
+    ++hits[static_cast<std::size_t>(pos)];
+  };
+  for (std::int64_t x = 0; x < la; ++x) hit(layout.pos_a(x));
+  for (std::int64_t y = 0; y < lb; ++y) hit(layout.pos_b(y));
+  for (const int h : hits) EXPECT_EQ(h, 1);
+}
+
+}  // namespace
+
+TEST(PairLayoutTest, EveryFactoryIsABijectionOntoItsRegion) {
+  // d = 1 and d > 1 shapes, with |A| in {0, 1, half, all} of two periods.
+  for (const auto& [w, e] :
+       std::vector<std::pair<int, int>>{{4, 3}, {8, 5}, {4, 2}, {8, 6}, {6, 4}, {8, 8}}) {
+    const std::int64_t total = 2 * static_cast<std::int64_t>(w) * e;
+    for (const std::int64_t la : {std::int64_t{0}, std::int64_t{1}, total / 2, total}) {
+      SCOPED_TRACE("w=" + std::to_string(w) + " E=" + std::to_string(e) +
+                   " la=" + std::to_string(la));
+      const std::int64_t lb = total - la;
+      expect_bijective(PairLayout::linear(la, lb), la, lb);
+      expect_bijective(PairLayout::cf(la, lb, w, e), la, lb);
+      expect_bijective(PairLayout::cf_no_rho(la, lb), la, lb);
+    }
+  }
+}
+
+TEST(PairLayoutTest, FactoriesPlaceListsAsDocumented) {
+  const PairLayout lin = PairLayout::linear(5, 3);
+  EXPECT_FALSE(lin.is_cf());
+  EXPECT_EQ(lin.b_step(), 1);
+  EXPECT_EQ(lin.pos_a(4), 4);
+  EXPECT_EQ(lin.pos_b(0), 5);
+  EXPECT_EQ(lin.pos_b(2), 7);
+  // pi only: B reversed after A.
+  const PairLayout no_rho = PairLayout::cf_no_rho(5, 3);
+  EXPECT_TRUE(no_rho.is_cf());
+  EXPECT_TRUE(no_rho.rho().identity());
+  EXPECT_EQ(no_rho.b_step(), -1);
+  EXPECT_EQ(no_rho.pos_b(0), 7);
+  EXPECT_EQ(no_rho.pos_b(2), 5);
+  // rho(pi(.)) with d = gcd(8, 6) = 2: the second partition is shifted.
+  const PairLayout cf = PairLayout::cf(30, 18, 8, 6);
+  const CircularShift rho(8, 6, 48);
+  EXPECT_FALSE(cf.rho().identity());
+  for (std::int64_t x = 0; x < 30; ++x) EXPECT_EQ(cf.pos_a(x), rho(x));
+  for (std::int64_t y = 0; y < 18; ++y) EXPECT_EQ(cf.pos_b(y), rho(47 - y));
+}
+
+TEST(PairLayoutTest, CfAgreesWithRoundScheduleReads) {
+  // Every read of a sampled schedule lands where PairLayout::cf places the
+  // element it reads.
+  std::mt19937_64 rng(7);
+  for (const auto& [w, e] : std::vector<std::pair<int, int>>{{4, 3}, {8, 6}, {8, 8}, {6, 4}}) {
+    const int u = 2 * w;
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<std::int64_t> off(static_cast<std::size_t>(u));
+      std::vector<std::int64_t> size(static_cast<std::size_t>(u));
+      std::int64_t la = 0;
+      for (int i = 0; i < u; ++i) {
+        off[static_cast<std::size_t>(i)] = la;
+        size[static_cast<std::size_t>(i)] = static_cast<std::int64_t>(rng() % (e + 1));
+        la += size[static_cast<std::size_t>(i)];
+      }
+      const std::int64_t lb = static_cast<std::int64_t>(u) * e - la;
+      const cfmerge::gather::RoundSchedule sched({w, e, u, la, lb}, off, size);
+      const PairLayout cf = PairLayout::cf(la, lb, w, e);
+      for (int i = 0; i < u; ++i) {
+        for (int j = 0; j < e; ++j) {
+          const cfmerge::gather::GatherRead r = sched.read(i, j);
+          EXPECT_EQ(r.phys, r.from_a ? cf.pos_a(r.offset) : cf.pos_b(r.offset))
+              << "w=" << w << " E=" << e << " thread " << i << " round " << j;
+        }
+      }
+    }
+  }
 }

@@ -190,7 +190,7 @@ TEST(PermutationAlgebra, RhoIsShiftHomomorphism) {
 }
 
 TEST(PermutationAlgebra, PiIsAnInvolutionOnB) {
-  const BReversal pi(10, 7);
+  const BReversal pi = PairLayout::cf_no_rho(10, 7).pi();
   for (std::int64_t y = 0; y < 7; ++y) {
     const std::int64_t m = pi.raw_of_b(y);
     EXPECT_EQ(pi.b_of_raw(m), y);

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <random>
@@ -36,15 +37,15 @@ struct Harness {
     const std::int64_t la = static_cast<std::int64_t>(a.size());
     const std::int64_t lb = static_cast<std::int64_t>(b.size());
     EXPECT_EQ(la + lb, static_cast<std::int64_t>(u) * e);
-    std::vector<MergeLaneDesc> descs(static_cast<std::size_t>(u));
+    std::vector<ThreadSplit> splits(static_cast<std::size_t>(u));
     std::int64_t prev = 0;
     for (int i = 0; i < u; ++i) {
       const std::int64_t next = mergepath::merge_path<int>(
           static_cast<std::int64_t>(i + 1) * e, std::span<const int>(a),
           std::span<const int>(b));
-      descs[static_cast<std::size_t>(i)] = {prev, next - prev,
+      splits[static_cast<std::size_t>(i)] = {prev, next - prev,
                                             static_cast<std::int64_t>(i) * e - prev,
-                                            e - (next - prev)};
+                                             e - (next - prev)};
       prev = next;
     }
     regs.assign(static_cast<std::size_t>(u) * static_cast<std::size_t>(e), -1);
@@ -56,10 +57,16 @@ struct Harness {
                       std::copy(a.begin(), a.end(), tile.raw().begin());
                       std::copy(b.begin(), b.end(),
                                 tile.raw().begin() + static_cast<std::ptrdiff_t>(la));
-                      warp_serial_merge(ctx, tile, std::span<const MergeLaneDesc>(descs), e,
-                                        [](std::int64_t x) { return x; },
-                                        [&](std::int64_t y) { return la + y; },
-                                        std::span<int>(regs));
+                      const auto layout = gather::PairLayout::linear(la, lb);
+                      serial_merge_core<2>(
+                          ctx, tile, 2, e,
+                          [&](int i, int s) {
+                            return split_window(splits[static_cast<std::size_t>(i)], s);
+                          },
+                          [&](int s, std::int64_t x) {
+                            return s == 0 ? layout.pos_a(x) : layout.pos_b(x);
+                          },
+                          kPairMergeCharge, std::span<int>(regs), std::less<int>{});
                     });
     counters = launcher.total_counters();
   }
@@ -154,7 +161,7 @@ TEST(SerialMerge, AlignedScansConflict) {
 }
 
 // ---------------------------------------------------------------------------
-// Reference model: the lockstep loop warp_serial_merge replaced.  Branchy
+// Reference model: the lockstep loop the 2-way serial_merge_core replaced.  Branchy
 // per-lane state, every head fetched through SharedTile::gather.  The
 // kernel decides on uncharged reads and reports rows through
 // charge_row_costed; it must reproduce this model's registers, counters,
@@ -164,7 +171,7 @@ namespace {
 
 template <typename T, typename APos, typename BPos, typename Cmp = std::less<T>>
 void reference_serial_merge(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem,
-                            std::span<const MergeLaneDesc> lanes, int e, APos&& a_pos,
+                            std::span<const ThreadSplit> lanes, int e, APos&& a_pos,
                             BPos&& b_pos, std::span<T> regs, Cmp cmp = Cmp{}) {
   const int w = ctx.lanes();
   std::array<std::int64_t, gpusim::kMaxLanes> addr_buf;
@@ -184,10 +191,10 @@ void reference_serial_merge(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& sh
     ctx.charge_compute(warp, cost::kThreadSetupInstrs);
     for (int lane = 0; lane < w; ++lane) {
       const auto& d = lanes[static_cast<std::size_t>(warp * w + lane)];
-      st[static_cast<std::size_t>(lane)] = LaneState{d.a_begin + 1, d.b_begin + 1, T{}, T{},
+      st[static_cast<std::size_t>(lane)] = LaneState{d.a_off + 1, d.b_off + 1, T{}, T{},
                                                      d.a_size > 0, d.b_size > 0};
       addr[static_cast<std::size_t>(lane)] =
-          d.a_size > 0 ? a_pos(d.a_begin) : gpusim::kInactiveLane;
+          d.a_size > 0 ? a_pos(d.a_off) : gpusim::kInactiveLane;
     }
     shmem.gather(warp, addr, fetched, true);
     for (int lane = 0; lane < w; ++lane)
@@ -196,7 +203,7 @@ void reference_serial_merge(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& sh
     for (int lane = 0; lane < w; ++lane) {
       const auto& d = lanes[static_cast<std::size_t>(warp * w + lane)];
       addr[static_cast<std::size_t>(lane)] =
-          d.b_size > 0 ? b_pos(d.b_begin) : gpusim::kInactiveLane;
+          d.b_size > 0 ? b_pos(d.b_off) : gpusim::kInactiveLane;
     }
     shmem.gather(warp, addr, fetched, true);
     for (int lane = 0; lane < w; ++lane)
@@ -213,14 +220,14 @@ void reference_serial_merge(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& sh
         regs[static_cast<std::size_t>(i) * static_cast<std::size_t>(e) +
              static_cast<std::size_t>(step)] = take_a ? s.head_a : s.head_b;
         if (take_a) {
-          if (s.next_a < d.a_begin + d.a_size) {
+          if (s.next_a < d.a_off + d.a_size) {
             addr[static_cast<std::size_t>(lane)] = a_pos(s.next_a++);
           } else {
             s.has_a = false;
             addr[static_cast<std::size_t>(lane)] = gpusim::kInactiveLane;
           }
         } else {
-          if (s.next_b < d.b_begin + d.b_size) {
+          if (s.next_b < d.b_off + d.b_size) {
             addr[static_cast<std::size_t>(lane)] = b_pos(s.next_b++);
           } else {
             s.has_b = false;
@@ -279,7 +286,7 @@ struct MergeRun {
 /// `la`, one block of u threads on DeviceSpec::tiny(w).
 template <typename T, typename Cmp = std::less<T>>
 MergeRun<T> run_merge(bool reference, int w, int e, int u, const std::vector<T>& tile,
-                      std::int64_t la, const std::vector<MergeLaneDesc>& descs,
+                      std::int64_t la, const std::vector<ThreadSplit>& descs,
                       Cmp cmp = Cmp{}) {
   MergeRun<T> run;
   run.regs.assign(tile.size(), T{});
@@ -290,15 +297,22 @@ MergeRun<T> run_merge(bool reference, int w, int e, int u, const std::vector<T>&
                   [&](gpusim::BlockContext& ctx) {
                     gpusim::SharedTile<T> shmem(ctx, tile.size());
                     std::copy(tile.begin(), tile.end(), shmem.raw().begin());
-                    const auto a_pos = [](std::int64_t x) { return x; };
-                    const auto b_pos = [la](std::int64_t y) { return la + y; };
-                    const std::span<const MergeLaneDesc> d(descs);
+                    const auto layout = gather::PairLayout::linear(
+                        la, static_cast<std::int64_t>(tile.size()) - la);
+                    const auto a_pos = [&](std::int64_t x) { return layout.pos_a(x); };
+                    const auto b_pos = [&](std::int64_t y) { return layout.pos_b(y); };
+                    const std::span<const ThreadSplit> d(descs);
                     if (reference)
                       reference_serial_merge(ctx, shmem, d, e, a_pos, b_pos,
                                              std::span<T>(run.regs), cmp);
                     else
-                      warp_serial_merge(ctx, shmem, d, e, a_pos, b_pos,
-                                        std::span<T>(run.regs), cmp);
+                      serial_merge_core<2>(
+                          ctx, shmem, 2, e,
+                          [&](int i, int s) {
+                            return split_window(d[static_cast<std::size_t>(i)], s);
+                          },
+                          [&](int s, std::int64_t x) { return s == 0 ? a_pos(x) : b_pos(x); },
+                          kPairMergeCharge, std::span<T>(run.regs), cmp);
                     run.chains = ctx.warp_chains();
                   });
   run.counters = launcher.total_counters();
@@ -307,9 +321,8 @@ MergeRun<T> run_merge(bool reference, int w, int e, int u, const std::vector<T>&
 }
 
 /// Contiguous splits with the given per-thread |A_i| (|B_i| = E - |A_i|).
-std::vector<MergeLaneDesc> splits_from_sizes(const std::vector<std::int64_t>& a_sizes,
-                                             int e) {
-  std::vector<MergeLaneDesc> d(a_sizes.size());
+std::vector<ThreadSplit> splits_from_sizes(const std::vector<std::int64_t>& a_sizes, int e) {
+  std::vector<ThreadSplit> d(a_sizes.size());
   std::int64_t a = 0, b = 0;
   for (std::size_t i = 0; i < a_sizes.size(); ++i) {
     d[i] = {a, a_sizes[i], b, e - a_sizes[i]};
@@ -335,7 +348,7 @@ std::uint64_t active_rows(const std::vector<Row>& rows) {
 
 template <typename T, typename Cmp = std::less<T>>
 void expect_matches_reference(int w, int e, int u, const std::vector<T>& tile,
-                              std::int64_t la, const std::vector<MergeLaneDesc>& descs,
+                              std::int64_t la, const std::vector<ThreadSplit>& descs,
                               Cmp cmp = Cmp{}) {
   const MergeRun<T> got = run_merge(false, w, e, u, tile, la, descs, cmp);
   const MergeRun<T> want = run_merge(true, w, e, u, tile, la, descs, cmp);

@@ -14,6 +14,7 @@
 #include "mergepath/merge_path.hpp"
 #include "numtheory/numtheory.hpp"
 #include "sort/merge_sort.hpp"
+#include "verify/analyzer.hpp"
 
 using namespace cfmerge;
 using namespace cfmerge::worstcase;
@@ -264,41 +265,8 @@ TEST(Measured, Theorem8PredictedVsMeasuredSingleWarpMerge) {
   // (the theorem counts only the last E banks).
   for (const Params& p : std::vector<Params>{{8, 5}, {8, 6}, {12, 5}, {12, 9}, {16, 12},
                                              {32, 15}, {32, 17}, {32, 16}}) {
-    const std::int64_t wE = static_cast<std::int64_t>(p.w) * p.e;
-    const MergeInput in = worst_case_merge_input(p, 2 * wE);
-    // Take only the first warp's window (the "normal" warp).
-    const auto tuples = warp_tuples(p, false);
-    const std::int64_t la = a_total(tuples);
-    const std::int64_t lb = wE - la;
-
-    gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(p.w));
-    std::uint64_t conflicts = 0;
-    launcher.launch("warp_merge", gpusim::LaunchShape{1, p.w, 0, 32},
-                    [&](gpusim::BlockContext& ctx) {
-                      gpusim::SharedTile<int> tile(ctx, static_cast<std::size_t>(wE));
-                      for (std::int64_t x = 0; x < la; ++x)
-                        tile.raw()[static_cast<std::size_t>(x)] =
-                            in.a[static_cast<std::size_t>(x)];
-                      for (std::int64_t y = 0; y < lb; ++y)
-                        tile.raw()[static_cast<std::size_t>(la + y)] =
-                            in.b[static_cast<std::size_t>(y)];
-                      std::vector<sort::MergeLaneDesc> descs(
-                          static_cast<std::size_t>(p.w));
-                      std::int64_t ao = 0, bo = 0;
-                      for (int i = 0; i < p.w; ++i) {
-                        const Tuple& t = tuples[static_cast<std::size_t>(i)];
-                        descs[static_cast<std::size_t>(i)] = {ao, t.a, bo, t.b};
-                        ao += t.a;
-                        bo += t.b;
-                      }
-                      std::vector<int> regs(static_cast<std::size_t>(wE));
-                      ctx.phase("merge");
-                      sort::warp_serial_merge(
-                          ctx, tile, std::span<const sort::MergeLaneDesc>(descs), p.e,
-                          [](std::int64_t x) { return x; },
-                          [la](std::int64_t y) { return la + y; }, std::span<int>(regs));
-                      conflicts = ctx.counters().total().bank_conflicts;
-                    });
+    // Only the first warp's window (the "normal" warp).
+    const std::uint64_t conflicts = verify::measure_worstcase_warp(p);
     // The theorem counts conflicts analytically (per-bank collisions in the
     // last E banks); the simulator counts hardware replays (max bank degree
     // minus one per access).  The replay count lands slightly below the

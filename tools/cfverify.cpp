@@ -141,41 +141,7 @@ verify::ShadowSummary run_shadow() {
     sort::merge_sort(launcher, data, cfg);
   }
 
-  {
-    const worstcase::Params p{8, 6};
-    const std::int64_t wE = static_cast<std::int64_t>(p.w) * p.e;
-    const worstcase::MergeInput in = worstcase::worst_case_merge_input(p, 2 * wE);
-    const auto tuples = worstcase::warp_tuples(p, false);
-    const std::int64_t la = worstcase::a_total(tuples);
-    const std::int64_t lb = wE - la;
-
-    gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(p.w));
-    launcher.set_audit(&checker);
-    launcher.launch("warp_merge", gpusim::LaunchShape{1, p.w, 0, 32},
-                    [&](gpusim::BlockContext& ctx) {
-                      gpusim::SharedTile<int> tile(ctx, static_cast<std::size_t>(wE));
-                      for (std::int64_t x = 0; x < la; ++x)
-                        tile.raw()[static_cast<std::size_t>(x)] =
-                            in.a[static_cast<std::size_t>(x)];
-                      for (std::int64_t y = 0; y < lb; ++y)
-                        tile.raw()[static_cast<std::size_t>(la + y)] =
-                            in.b[static_cast<std::size_t>(y)];
-                      std::vector<sort::MergeLaneDesc> descs(static_cast<std::size_t>(p.w));
-                      std::int64_t ao = 0, bo = 0;
-                      for (int i = 0; i < p.w; ++i) {
-                        const worstcase::Tuple& t = tuples[static_cast<std::size_t>(i)];
-                        descs[static_cast<std::size_t>(i)] = {ao, t.a, bo, t.b};
-                        ao += t.a;
-                        bo += t.b;
-                      }
-                      std::vector<int> regs(static_cast<std::size_t>(wE));
-                      sort::warp_serial_merge(ctx, tile,
-                                              std::span<const sort::MergeLaneDesc>(descs),
-                                              p.e, [](std::int64_t x) { return x; },
-                                              [la](std::int64_t y) { return la + y; },
-                                              std::span<int>(regs));
-                    });
-  }
+  verify::measure_worstcase_warp({8, 6}, &checker);
 
   return checker.summary();
 }
