@@ -19,6 +19,7 @@
 #include "analysis/plot.hpp"
 #include "analysis/table.hpp"
 #include "gpusim/parse_int.hpp"
+#include "worstcase/builder.hpp"
 
 using namespace cfmerge;
 
@@ -75,10 +76,7 @@ int main(int argc, char** argv) {
       // The worst-case builder needs a power-of-two number of full tiles
       // (u is a multiple of 2w for both parameter sets, so each tile holds
       // whole warp-pair pattern periods).  Round n to the nearest shape.
-      const std::int64_t tile = static_cast<std::int64_t>(ps.u) * ps.e;
-      std::int64_t tiles = std::max<std::int64_t>(n / tile, 1);
-      while (tiles & (tiles - 1)) ++tiles;
-      const std::int64_t shaped = tiles * tile;
+      const std::int64_t shaped = worstcase::sort_input_length(n, ps.u, ps.e);
       if (shaped == last_shaped) continue;  // tiny sizes round to the same shape
       last_shaped = shaped;
 

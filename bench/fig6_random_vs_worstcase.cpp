@@ -15,6 +15,7 @@
 #include "analysis/plot.hpp"
 #include "analysis/table.hpp"
 #include "gpusim/parse_int.hpp"
+#include "worstcase/builder.hpp"
 
 using namespace cfmerge;
 
@@ -60,10 +61,7 @@ int main(int argc, char** argv) {
 
     std::int64_t last_shaped = -1;
     for (const std::int64_t n : sweep.sizes(e)) {
-      const std::int64_t tile = static_cast<std::int64_t>(u) * e;
-      std::int64_t tiles = std::max<std::int64_t>(n / tile, 1);
-      while (tiles & (tiles - 1)) ++tiles;
-      const std::int64_t shaped = tiles * tile;
+      const std::int64_t shaped = worstcase::sort_input_length(n, u, e);
       if (shaped == last_shaped) continue;  // tiny sizes round to the same shape
       last_shaped = shaped;
 

@@ -72,13 +72,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "sorter_shootout: %s\n", e.what());
     return 2;
   }
-  while (tiles & (tiles - 1)) ++tiles;
 
   const int e = 16, u = 512;  // shared tile geometry comparable across sorters
   gpusim::Launcher launcher(gpusim::DeviceSpec::scaled_turing(4));
   launcher.set_threads(threads);
   const int w = launcher.device().warp_size;
-  const std::int64_t n = static_cast<std::int64_t>(tiles) * u * e;
+  const std::int64_t n = worstcase::sort_input_length(std::int64_t{tiles} * u * e, u, e);
 
   std::printf("Sorter shootout on %s, n = %lld (E=%d, u=%d)\n\n",
               launcher.device().name.c_str(), static_cast<long long>(n), e, u);

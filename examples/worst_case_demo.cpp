@@ -23,12 +23,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "worst_case_demo: %s\n", e.what());
     return 2;
   }
-  while (tiles & (tiles - 1)) ++tiles;  // builder needs a power of two
 
   const int e = 15, u = 512;
   gpusim::Launcher launcher(gpusim::DeviceSpec::scaled_turing(4));
   const int w = launcher.device().warp_size;
-  const std::int64_t n = tiles * u * e;
+  // The builder needs a power-of-two tile count.
+  const std::int64_t n = worstcase::sort_input_length(tiles * u * e, u, e);
 
   const worstcase::Params params{w, e};
   std::printf("worst-case construction for w=%d, E=%d: d=%lld, q=%lld, r=%lld\n", w, e,

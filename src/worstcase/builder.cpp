@@ -32,6 +32,12 @@ void validate_sort_input_shape(const Params& p, int u, std::int64_t n) {
         "worst_case_sort_input: u*E must be a multiple of 2wE (u a multiple of 2w)");
 }
 
+std::int64_t sort_input_length(std::int64_t n, int u, int e) {
+  const std::int64_t tile = static_cast<std::int64_t>(u) * e;
+  const std::int64_t tiles = std::max<std::int64_t>((n + tile - 1) / tile, 1);
+  return static_cast<std::int64_t>(std::bit_ceil(static_cast<std::uint64_t>(tiles))) * tile;
+}
+
 namespace {
 
 /// Recursively distributes the sorted values of a segment to its two child

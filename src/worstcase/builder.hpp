@@ -38,4 +38,8 @@ struct MergeInput {
 /// Checks the preconditions of worst_case_sort_input; throws on violation.
 void validate_sort_input_shape(const Params& p, int u, std::int64_t n);
 
+/// The length worst_case_sort_input takes for a request of `n` elements:
+/// ⌈n / (u·E)⌉ full tiles, at least one, rounded up to a power of two.
+[[nodiscard]] std::int64_t sort_input_length(std::int64_t n, int u, int e);
+
 }  // namespace cfmerge::worstcase

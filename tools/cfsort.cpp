@@ -311,10 +311,7 @@ int run(int argc, char** argv) {
 
   // The worst-case builder needs exact tile shapes; round up for the user.
   if (spec.dist == workloads::Distribution::WorstCase) {
-    const std::int64_t tile = static_cast<std::int64_t>(o.u) * o.e;
-    std::int64_t tiles = std::max<std::int64_t>((o.n + tile - 1) / tile, 1);
-    while (tiles & (tiles - 1)) ++tiles;
-    spec.n = tiles * tile;
+    spec.n = worstcase::sort_input_length(o.n, o.u, o.e);
     if (spec.n != o.n)
       std::fprintf(stderr, "cfsort: worst-case input rounded n to %lld\n",
                    static_cast<long long>(spec.n));
