@@ -91,10 +91,6 @@ class RoundSchedule {
     return r;
   }
 
-  /// Register slot the round-j element lands in: items[j] (identity —
-  /// documented here because the register file is indexed by round).
-  [[nodiscard]] static int register_slot(int j) { return j; }
-
   /// Where thread i's x-th element of A_i sits in its register file after
   /// the gather: slot (a_i + x) mod E.
   [[nodiscard]] int register_slot_of_a(int i, std::int64_t x) const;

@@ -57,8 +57,4 @@ ValidationResult validate_sizes(int w, int e, int u, const std::vector<std::int6
   return validate_schedule(sched);
 }
 
-std::int64_t round_of_raw(const GatherShape& shape, std::int64_t raw) {
-  return numtheory::mod(raw, shape.e);
-}
-
 }  // namespace cfmerge::gather

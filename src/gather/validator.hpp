@@ -33,8 +33,4 @@ struct ValidationResult {
 [[nodiscard]] ValidationResult validate_sizes(int w, int e, int u,
                                               const std::vector<std::int64_t>& a_sizes);
 
-/// The round in which the element at raw index m is read: m mod E after the
-/// rho-shift alignment (Section 3.2).  Exposed for the figure harnesses.
-[[nodiscard]] std::int64_t round_of_raw(const GatherShape& shape, std::int64_t raw);
-
 }  // namespace cfmerge::gather

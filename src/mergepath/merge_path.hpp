@@ -148,13 +148,4 @@ void warp_corank_search(std::span<LaneSearch> lanes, Probe&& probe, Cmp&& cmp) {
   }
 }
 
-/// Result of a serial (host) merge-path check; used in tests.
-struct CoRankBounds {
-  std::int64_t lo;
-  std::int64_t hi;
-};
-
-/// Valid co-rank interval for a diagonal (before searching).
-[[nodiscard]] CoRankBounds corank_bounds(std::int64_t diag, std::int64_t na, std::int64_t nb);
-
 }  // namespace cfmerge::mergepath

@@ -88,15 +88,6 @@ TEST(MergePath, ExtremesConsumeEverything) {
   EXPECT_EQ(mp::merge_path<int>(0, a, b), 0);
 }
 
-TEST(CoRankBounds, ClampToValidRectangle) {
-  const auto bounds = mp::corank_bounds(10, 4, 20);
-  EXPECT_EQ(bounds.lo, 0);
-  EXPECT_EQ(bounds.hi, 4);
-  const auto bounds2 = mp::corank_bounds(22, 4, 20);
-  EXPECT_EQ(bounds2.lo, 2);
-  EXPECT_EQ(bounds2.hi, 4);
-}
-
 TEST(Partition, ChunksCoverOutputExactly) {
   std::mt19937_64 rng(9);
   for (int trial = 0; trial < 20; ++trial) {
