@@ -18,8 +18,6 @@
 #include "gpusim/shared_memory.hpp"
 #include "numtheory/numtheory.hpp"
 #include "sort/bitonic.hpp"
-#include "sort/kernels.hpp"
-#include "worstcase/builder.hpp"
 #include "worstcase/predict.hpp"
 
 using namespace cfmerge;
