@@ -211,17 +211,20 @@ struct Plan {
 
   /// Rebind a padded plan: load the next input.  The sentinel tail is
   /// rewritten because a previous execution leaves buf holding that run's
-  /// intermediate data.
+  /// intermediate data.  A sort plan is keyed by the padded length, so the
+  /// block sort's real length is set here, per input.
   void load(const std::vector<T>& data) {
     std::copy(data.begin(), data.end(), buf.begin());
     std::fill(buf.begin() + static_cast<std::ptrdiff_t>(data.size()), buf.end(),
               padding_sentinel<T>::value());
+    batch.fill.n = static_cast<std::int64_t>(data.size());
   }
 
   [[nodiscard]] std::uint64_t footprint_bytes() const {
     return (buf.capacity() + tmp.capacity()) * sizeof(T) +
            batch.tiles.capacity() * sizeof(BatchTile) +
-           (batch.offsets.capacity() + boundaries.capacity()) * sizeof(std::int64_t);
+           (batch.offsets.capacity() + boundaries.capacity()) * sizeof(std::int64_t) +
+           batch.fill.lens.capacity() * sizeof(std::int32_t);
   }
 };
 

@@ -4,6 +4,8 @@
 // (linear for the baseline, rho(A ∪ pi(B)) for CF-Merge).
 //
 //  * FastDiv             — division by a loop-invariant divisor.
+//  * read_block_record   — a block's lane-0 read of its own per-block
+//                          record (tile descriptor, tile length).
 //  * warp_split_search   — one lockstep merge-path search per warp over the
 //                          w thread start diagonals plus the next thread's,
 //                          producing every thread's split (a_i, |A_i|, b_i,
@@ -78,6 +80,19 @@ struct FastDiv {
     return d == 1 ? n : q;
   }
 };
+
+/// Charges a block's read of its own record of `bytes` bytes, entry `index`
+/// of a device array (a tile descriptor, a tile's real length), on lane 0
+/// of warp 0.  It is addressed by the block id alone, so it issues
+/// non-dependent and adds no latency of its own.
+inline void read_block_record(gpusim::BlockContext& ctx, std::int64_t index, int bytes) {
+  std::array<std::int64_t, gpusim::kMaxLanes> addr;
+  addr.fill(gpusim::kInactiveLane);
+  addr[0] = index * bytes;
+  ctx.charge_gmem(0,
+                  std::span<const std::int64_t>(addr.data(), static_cast<std::size_t>(ctx.lanes())),
+                  bytes, /*dependent=*/false);
+}
 
 /// One thread's merge assignment within a block-local pair of lists.
 struct ThreadSplit {
@@ -350,10 +365,11 @@ inline constexpr SerialMergeCharge kPairMergeCharge{cost::kThreadSetupInstrs, 0,
                                                      cost::kMergeStepInstrs};
 
 /// The per-thread sequential merge out of shared memory, over k sorted
-/// lists: every thread of the block merges its windows into its E outputs,
-/// regs[i*E, i*E + E).  `window(i, s)` is thread i's ListWindow into list
-/// s, `pos(s, x)` the shared position of list s's element at offset x.  The
-/// windows of a thread hold E elements in all.  K > 0 fixes the list count
+/// lists: every thread of the first regs.size() / (w*E) warps merges its
+/// windows into its E outputs, regs[i*E, i*E + E).  `window(i, s)` is
+/// thread i's ListWindow into list s, `pos(s, x)` the shared position of
+/// list s's element at offset x.  The windows of a thread hold E elements
+/// in all.  K > 0 fixes the list count
 /// at compile time (the 2-way baseline); K = 0 takes it from `k` (at most
 /// kMaxMultiwayK).  Each output is the smallest head, ties going to the
 /// lowest list.
@@ -383,13 +399,14 @@ void serial_merge_core(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem, 
   const auto lk = static_cast<std::size_t>(K > 0 ? K : k);
   const auto lw = static_cast<std::size_t>(w);
   const auto le = static_cast<std::size_t>(e);
+  const auto warps = static_cast<int>(regs.size() / (lw * le));
   assert(lk >= 1 && lk <= kSlots && w <= gpusim::kMaxLanes);
-  assert(regs.size() == static_cast<std::size_t>(ctx.threads()) * le);
+  assert(static_cast<std::size_t>(warps) * lw * le == regs.size() && warps <= ctx.warps());
 
   // Row r at [r * w, r * w + w): rows [0, k) the list heads, row k + s the
   // fetches of step s.
   std::vector<std::int64_t> table((lk + le) * lw);
-  for (int warp = 0; warp < ctx.warps(); ++warp) {
+  for (int warp = 0; warp < warps; ++warp) {
     for (std::size_t l = 0; l < lw; ++l) {
       const int i = warp * w + static_cast<int>(l);
       std::array<std::int64_t, kSlots> ptr;

@@ -12,12 +12,16 @@
 //
 // Padding: ragged inputs are padded with the top of the key order (+inf for
 // floating keys, the maximum otherwise), so padding never sorts before a
-// real key and the tail truncation drops only sentinels.  Two cases remain
+// real key and the tail truncation drops only sentinels.  The block sort
+// no longer sorts padding: it knows each tile's real length and merges
+// only the run pairs that hold real elements (sort/block_sort.hpp).  The
+// pair that straddles the real length still merges the sentinels in its B
+// run, and the merge passes still merge sentinel tails, so two cases remain
 // open: NaN keys have no specified position, and CF-Merge sort_by_key with
 // real +inf keys can lose pairs — a sentinel pair ties with a real +inf
 // pair, and CF-Merge is stable only for distinct keys, so a sentinel may
-// land in front of it.  Clamping ragged tiles instead of padding by value
-// would close both.
+// land in front of it.  Clamping the merge passes' windows too would close
+// both.
 #pragma once
 
 #include <limits>

@@ -214,6 +214,8 @@ inline void add_run_group_tiles(std::vector<BatchTile>& tiles, std::int64_t at,
 struct BatchLayout {
   std::vector<BatchTile> tiles;
   std::vector<std::int64_t> offsets;
+  /// The block-sort tiles' real lengths (a sort or segmented plan).
+  TileFill fill;
 
   /// Start of pair or segment `i` in a staging or output buffer.
   template <typename Vec>
@@ -322,18 +324,6 @@ inline void read_boundary_rows(gpusim::BlockContext& ctx,
     bview.gather(0, std::span<const std::int64_t>(addr.data(), static_cast<std::size_t>(w)),
                  std::span<std::int64_t>(vals.data(), static_cast<std::size_t>(w)));
   }
-}
-
-/// Reads this block's own tile descriptor — index `desc`, all five fields —
-/// on lane 0 of warp 0.  Like the boundary rows it is addressed by the block
-/// id alone, so it issues behind their read and adds no latency of its own.
-inline void read_tile_descriptor(gpusim::BlockContext& ctx, std::int64_t desc) {
-  std::array<std::int64_t, gpusim::kMaxLanes> addr;
-  addr.fill(gpusim::kInactiveLane);
-  addr[0] = desc * static_cast<std::int64_t>(sizeof(detail::BatchTile));
-  ctx.charge_gmem(0,
-                  std::span<const std::int64_t>(addr.data(), static_cast<std::size_t>(ctx.lanes())),
-                  static_cast<int>(sizeof(detail::BatchTile)), /*dependent=*/false);
 }
 
 /// The merge kernels' store tail: thread i writes its E merged registers,
@@ -517,7 +507,10 @@ void enqueue_merge_pass(gpusim::KernelGraph& graph, const std::vector<T>& src,
         const bool ends_group = bt.ends_group(tile);
         ctx.phase("merge.load");
         read_boundary_rows(ctx, boundaries, static_cast<int>(width), ends_group);
-        read_tile_descriptor(ctx, t0 + static_cast<std::int64_t>(b));
+        // The block's own descriptor, all five fields: it issues behind the
+        // boundary rows' read.
+        read_block_record(ctx, t0 + static_cast<std::int64_t>(b),
+                          static_cast<int>(sizeof(BatchTile)));
         const int k = cfg.arity();
         std::array<std::int64_t, gpusim::kMaxLanes> seg_src{};
         std::array<std::int64_t, gpusim::kMaxLanes> seg_len{};

@@ -7,7 +7,8 @@
 // not grow with the segment count:
 //
 //   one block_sort over every tile of every segment (block sort is
-//   tile-local), then
+//   tile-local; each block reads its tile's real length and sorts no
+//   padding), then
 //   one merge pass per round p over the run groups of every segment that
 //   still has more than one run of tile·k^p (detail::enqueue_merge_pass,
 //   sort/merge_pass.hpp): merge_partition + merge_pass for a MergeConfig,
@@ -86,16 +87,20 @@ namespace detail {
 
 /// Enqueues the segmented pipeline for segments of the given lengths into
 /// `graph`: sizes `buf` (all sentinels) and `tmp` to the concatenated
-/// tile-padded segments, records each segment's offset in `layout`, sizes
-/// `boundaries` to the largest round's rows, adds one block_sort
-/// over every tile and one merge pass per round, and returns the round
-/// count via `passes`.  The config fixes the pass arity and row width (2
-/// and 1 for a MergeConfig, k and k for a MultiwayConfig); every round is
-/// one enqueue_merge_pass, whose kernel shapes depend on `warp_size`.  The
-/// caller loads segment s at layout.offsets[s] of `buf` (keeping its
-/// sentinel tail) before running the graph.  The segments must hold at
-/// least one element.  Every buffer must stay alive (and un-moved) until
-/// the graph executed.
+/// tile-padded segments, records each segment's offset and each tile's
+/// real length in `layout`, sizes `boundaries` to the largest round's rows,
+/// adds one block_sort over every tile and one merge pass per round, and
+/// returns the round count via `passes`.  The block sort reads
+/// layout.fill when the graph runs: one segment passes its length as a
+/// kernel argument (a sort plan is built for a padded length, so its
+/// caller sets the real one per input); several segments read each tile's
+/// length from a device array.  The config fixes the pass arity and row
+/// width (2 and 1 for a MergeConfig, k and k for a MultiwayConfig); every
+/// round is one enqueue_merge_pass, whose kernel shapes depend on
+/// `warp_size`.  The caller loads segment s at layout.offsets[s] of `buf`
+/// (keeping its sentinel tail) before running the graph.  The segments
+/// must hold at least one element.  Every buffer must stay alive (and
+/// un-moved) until the graph executed.
 template <typename T, typename Cfg>
 void enqueue_segmented_pipeline(gpusim::KernelGraph& graph, const std::vector<std::int64_t>& lens,
                                 std::vector<T>& buf, std::vector<T>& tmp, BatchLayout& layout,
@@ -109,7 +114,11 @@ void enqueue_segmented_pipeline(gpusim::KernelGraph& graph, const std::vector<st
     layout.offsets.push_back(total);
     total += (n + tile - 1) / tile * tile;
     passes = std::max(passes, merge_pass_count(n, tile, k));
+    if (lens.size() > 1)
+      for (std::int64_t at = 0; at < n; at += tile)
+        layout.fill.lens.push_back(static_cast<std::int32_t>(std::min(tile, n - at)));
   }
+  if (lens.size() == 1) layout.fill.n = lens[0];
   buf.assign(static_cast<std::size_t>(total), padding_sentinel<T>::value());
   tmp.resize(static_cast<std::size_t>(total));
 
@@ -132,7 +141,7 @@ void enqueue_segmented_pipeline(gpusim::KernelGraph& graph, const std::vector<st
                         static_cast<std::size_t>(cfg.row_width()),
                     0);
 
-  enqueue_block_sort(graph, buf, static_cast<int>(total / tile), cfg.u, cfg.e,
+  enqueue_block_sort(graph, buf, static_cast<int>(total / tile), layout.fill, cfg.u, cfg.e,
                      cfg.regs_per_thread(), cfg.cf_rounds(), cfg.certs);
   std::vector<T>* src = &buf;
   std::vector<T>* dst = &tmp;

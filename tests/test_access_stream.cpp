@@ -230,7 +230,7 @@ std::vector<StreamCase> cases() {
        0x20b8cc9f256888ccull, 0x223c29cb73b38e07ull, 18996, 17589, 64512, 4256},
       {"by_key_ragged_w32", w32,
        [](L& l) { return run_by_key(l, Variant::CFMerge, 7, 64, 3 * 448 + 101, 4); },
-       0xd5818acb2b5c5c2aull, 0xf9e8db144b1fefb0ull, 3298, 2948, 5376, 672},
+       0xd746bd2dea01a0c2ull, 0x21ce345977e8f997ull, 3002, 2642, 5376, 602},
       {"cf_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 5, 16, 8 * 80, 5); },
        0x2104e508be5804efull, 0x5e636a72fd30f774ull, 4863, 4168, 2560, 960},
@@ -241,31 +241,31 @@ std::vector<StreamCase> cases() {
        0x770ca804df92b402ull, 0x37d76daf464afe44ull, 12021, 10737, 11520, 2705},
       {"by_key_ragged_w8", w8,
        [](L& l) { return run_by_key(l, Variant::Baseline, 5, 16, 5 * 80 + 37, 8); },
-       0x7a5736630168d629ull, 0x2ea49dbf45e4e516ull, 3541, 3057, 1920, 540},
+       0xaef0d43a293d7051ull, 0x35e40ed6a85b4db1ull, 3402, 2911, 1920, 505},
       {"cf_blocksort_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 5, 16);
          cfg.cf_blocksort = true;
          return run_merge_sort(l, cfg, 8 * 80 + 13, 9);
        },
-       0xe23a0af282cfe85bull, 0x1e8b1f27c346dc7full, 6372, 5324, 4320, 1440},
+       0x66949cc8ec8f9192ull, 0xe75d0894e80fd756ull, 6168, 5118, 4320, 1380},
       {"cf_noncoprime_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 6, 16, 8 * 96 + 5, 10); },
-       0x45b1498beb9d415bull, 0xe1869ad4f15c5a8full, 6756, 5567, 4320, 864},
+       0xbd99ab4986d0a28cull, 0x0e27da932b3c0fa0ull, 6530, 5331, 4320, 864},
       {"cf_no_rho_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 6, 16);
          cfg.disable_rho = true;
          return run_merge_sort(l, cfg, 8 * 96 + 5, 18);
        },
-       0xee5c22eaba6a980dull, 0x8502bb688e19613cull, 6748, 5563, 4320, 0},
+       0x42c8623d2a7d12d6ull, 0xd131416ae2c82634ull, 6522, 5327, 4320, 0},
       {"cf_plain_scatter_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 6, 16);
          cfg.cf_output_scatter = false;
          return run_merge_sort(l, cfg, 8 * 96 + 5, 19);
        },
-       0x6f746a3c4bed0dbbull, 0x42f6154ccf11ab55ull, 6784, 5596, 4320, 432},
+       0xcdde1920a0698d7cull, 0xc446538144bb518bull, 6558, 5360, 4320, 432},
       {"losertree_k4_w8", w8,
        [](L& l) {
          return run_multiway(l, 5, 16, 16 * 80, 11, sort::MultiwayVariant::LoserTree);

@@ -273,8 +273,11 @@ void launch_by_launch_sort(Launcher& launcher, std::vector<T>& data,
     LaunchShape shape{num_tiles, cfg.u, static_cast<std::size_t>(tile) * sizeof(T), regs};
     const bool cf_rounds = cfg.variant == Variant::CFMerge && cfg.cf_blocksort;
     if (cf_rounds) shape.shared_bytes_per_block *= 2;
+    // The input length is a kernel argument, as in the one-segment
+    // pipeline: the block sort clamps the ragged last tile.
+    const TileFill fill{n, {}};
     launcher.launch("block_sort", shape, [&](BlockContext& ctx) {
-      block_sort_body<T>(ctx, std::span<T>(buf), cfg.e, cf_rounds);
+      block_sort_body<T>(ctx, std::span<T>(buf), cfg.e, cf_rounds, std::less<T>{}, {}, fill);
     });
   }
   std::vector<sort::detail::BatchTile> tiles;
