@@ -44,7 +44,7 @@ struct Observed {
 };
 
 /// The entry point a case drives.
-enum class Entry { kSort, kPermute, kTranspose, kBatched, kOnePair };
+enum class Entry { kSort, kPermute, kTranspose, kBatched, kOnePair, kSegmented };
 
 struct BulkCase {
   int w = 8;
@@ -69,6 +69,14 @@ MergeConfig merge_config(const BulkCase& c) {
   cfg.cf_blocksort = c.cf_blocksort;
   cfg.disable_rho = c.disable_rho;
   return cfg;
+}
+
+/// The segment lengths of a kSegmented case, around its tile: one element,
+/// one short of a tile, one past it and a tile and a half (n must be
+/// their sum, 3.5 tiles + 1).
+std::vector<std::int64_t> segment_lens(const BulkCase& c) {
+  const std::int64_t tile = static_cast<std::int64_t>(c.e) * c.u;
+  return {1, tile - 1, tile + 1, 3 * tile / 2};
 }
 
 /// Splits `data` into `pairs` sorted list pairs of ragged lengths (A and B
@@ -98,7 +106,7 @@ Observed run_sort(const BulkCase& c, bool bulk, int threads, std::vector<int> da
   const auto observe = [&obs](const auto& report) {
     obs.phases = report.phases;
     obs.totals = report.totals;
-    obs.microseconds = report.microseconds;
+    if constexpr (requires { report.microseconds; }) obs.microseconds = report.microseconds;
     for (const gpusim::KernelReport& k : report.kernels) {
       obs.mean_chains.push_back(k.mean_block_chain);
       obs.max_chains.push_back(k.max_block_chain);
@@ -138,6 +146,20 @@ Observed run_sort(const BulkCase& c, bool bulk, int threads, std::vector<int> da
       observe(engine.batched_merge(as, bs, outs, merge_config(c)));
       data.clear();
       for (const auto& o : outs) data.insert(data.end(), o.begin(), o.end());
+      break;
+    }
+    case Entry::kSegmented: {
+      std::vector<std::vector<int>> segs;
+      auto from = data.begin();
+      for (const std::int64_t len : segment_lens(c)) {
+        segs.emplace_back(from, from + static_cast<std::ptrdiff_t>(len));
+        from += static_cast<std::ptrdiff_t>(len);
+      }
+      const SegmentedSortReport r = engine.segmented_sort(segs, merge_config(c));
+      observe(r);
+      obs.microseconds = r.makespan_microseconds;
+      data.clear();
+      for (const auto& sg : segs) data.insert(data.end(), sg.begin(), sg.end());
       break;
     }
   }
@@ -187,6 +209,38 @@ std::vector<BulkCase> bulk_cases() {
     BulkCase c{8, 5, 16, 0, 16 * 5 * 8 + 7};
     c.cf_blocksort = true;
     add(c, "w8_E5_cf_blocksort");
+  }
+  // Ragged last tiles that the block sort clamps: half a tile or less real
+  // (search, merge and write-back skip whole warps), one element, and just
+  // past half.
+  add({8, 5, 16, 0, 16 * 5 * 3 + 40}, "w8_E5_ragged_half");
+  add({8, 6, 16, 0, 16 * 6 * 4 + 1}, "w8_E6_ragged_one");
+  add({32, 7, 64, 0, 64 * 7 * 2 + 64 * 7 / 2 + 1}, "w32_E7_ragged_half_plus_one");
+  {
+    BulkCase c{8, 5, 16, 0, 16 * 5 * 2 + 39};
+    c.variant = Variant::Baseline;
+    add(c, "w8_E5_baseline_ragged");
+  }
+  {
+    BulkCase c{8, 5, 16, 0, 16 * 5 * 2 + 39};
+    c.cf_blocksort = true;
+    add(c, "w8_E5_cf_blocksort_ragged");
+  }
+  {
+    BulkCase c{8, 5, 16, 4, 16 * 5 * 9 + 17};
+    add(c, "w8_E5_cascade_k4_ragged");
+  }
+  // Segmented: every segment's last tile is ragged, and the block sort
+  // reads each tile's real length.
+  for (const auto& [e, variant, cf_blocksort, name] :
+       {std::tuple{5, Variant::CFMerge, false, "cf"}, std::tuple{6, Variant::CFMerge, false, "cf"},
+        std::tuple{5, Variant::Baseline, false, "baseline"},
+        std::tuple{5, Variant::CFMerge, true, "cf_blocksort"}}) {
+    BulkCase c{8, e, 16, 0, 16 * e * 7 / 2 + 1};
+    c.variant = variant;
+    c.cf_blocksort = cf_blocksort;
+    c.entry = Entry::kSegmented;
+    add(c, "w8_E" + std::to_string(e) + "_" + name + "_segmented");
   }
   // Multiway: cascade at k in {2, 4, 8} plus the LoserTree fallthrough.
   for (const int k : {2, 4, 8}) {
@@ -254,6 +308,14 @@ TEST_P(BulkChargeCases, CountersBitIdenticalAcrossAccountingPaths) {
   if (c.entry == Entry::kSort) {
     std::vector<int> expect = input;
     std::sort(expect.begin(), expect.end());
+    EXPECT_EQ(lane.data, expect);
+  } else if (c.entry == Entry::kSegmented) {
+    std::vector<int> expect = input;
+    auto from = expect.begin();
+    for (const std::int64_t len : segment_lens(c)) {
+      std::sort(from, from + static_cast<std::ptrdiff_t>(len));
+      from += static_cast<std::ptrdiff_t>(len);
+    }
     EXPECT_EQ(lane.data, expect);
   }
   expect_identical(lane, bulk, "bulk vs lane, sequential");
