@@ -172,7 +172,7 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
                                                  static_cast<std::size_t>(2 * run)),
                       cmp);
       }
-    } else {
+    } else if (warps > 0) {
       // Thread i's pair starts at the multiple of 2*run below i*E; its A
       // list there, its B list run further on.
       serial_merge_core<2>(
