@@ -8,10 +8,11 @@
 //  * exec_stride_gather / exec_stride_scatter — the stride-E register
 //    staging instance of the CRS loops, moved as per-warp block copies.
 //  * exec_staged_copy — tile staging between two endpoints (shared tile,
-//    global view, or a constant Fill): warp k takes lanes [k*w, k*w + w) of
-//    each u-element chunk; one kCopyChunkInstrs, one read row and one write
-//    row per chunk.  The first chunk's read is dependent iff an endpoint is
-//    global.
+//    global view, a constant Fill, or a Guarded load that reads global
+//    memory only below its valid count): warp k takes lanes [k*w, k*w + w)
+//    of each u-element chunk; one kCopyChunkInstrs, one read row and one
+//    write row per chunk.  The first chunk's read is dependent iff an
+//    endpoint is global.
 //  * exec_cf_gather — the dual subsequence gather (cf_gather, paper §3) at
 //    gather cadence, moved as two raw runs per thread on the bulk path.
 //
@@ -99,11 +100,30 @@ struct Fill {
   }
 };
 
+/// Staged-copy source of a guarded load (CUB's LoadDirectBlocked with an
+/// out-of-bounds default): logical elements [0, valid) are read from `view`
+/// and the rest take `fill` in-kernel, reading nothing.  The chunk rows and
+/// every destination slot are those of the unguarded copy; only the global
+/// reads stop at `valid`.
+template <typename View>
+struct Guarded {
+  View& view;
+  std::int64_t valid;
+  typename View::value_type fill;
+};
+
 namespace detail {
+template <typename E>
+inline constexpr bool kIsGuarded = false;
+template <typename View>
+inline constexpr bool kIsGuarded<Guarded<View>> = true;
 template <typename E>
 inline constexpr bool kIsGlobal = false;
 template <typename T>
 inline constexpr bool kIsGlobal<gpusim::GlobalView<T>> = true;
+/// A guarded load reads global memory: it takes the global gates.
+template <typename View>
+inline constexpr bool kIsGlobal<Guarded<View>> = true;
 template <typename E>
 inline constexpr bool kIsShared = false;
 template <typename T>
@@ -165,12 +185,21 @@ struct Progression {
 /// The closed-form charging path of every certified executor.  Shared
 /// rounds are certified conflict-free, so their charge needs only the
 /// counts; each global round is one contiguous run (ascending or
-/// descending: the same transactions); a Fill charges nothing.
+/// descending: the same transactions); a Fill charges nothing, and a
+/// guarded load charges the rounds that hold an element below its `valid`.
 template <typename End, typename Map = UnitStep>
 void charge_certified(gpusim::BlockContext& ctx, int warp, End& end, const Progression& p,
                       const Map& map = {}) {
   using E = std::remove_cv_t<End>;
-  if constexpr (detail::kIsShared<E>) {
+  if constexpr (detail::kIsGuarded<E>) {
+    const std::int64_t count = std::min(p.count, end.valid);
+    const auto rounds = static_cast<int>(std::clamp<std::int64_t>(
+        (count - p.first + p.pitch - 1) / p.pitch, 0, p.rounds));
+    charge_certified(ctx, warp, end.view,
+                     {.rounds = rounds, .dependent = std::min(p.dependent, rounds),
+                      .first = p.first, .pitch = p.pitch, .count = count},
+                     map);
+  } else if constexpr (detail::kIsShared<E>) {
     ctx.charge_shared_crs(warp, gpusim::CrsAccessDesc{.rounds = p.rounds,
                                                       .dependent_rounds = p.dependent,
                                                       .active_lanes = ctx.lanes()});
@@ -380,7 +409,9 @@ void exec_stride_scatter(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem
 
 /// Staged copy of `count` elements: logical element t moves from
 /// `src_of(t)` of `src` to `dst_of(t)` of `dst`.  Endpoints are a
-/// SharedTile, a GlobalView, or (source only) a Fill.  All warps take part:
+/// SharedTile, a GlobalView, or (source only) a Fill or a Guarded load,
+/// whose elements from `valid` on are filled without a read (a chunk with
+/// no element below `valid` issues no read row).  All warps take part:
 /// warp k handles lanes [k*w, k*w + w) of each block-wide chunk of u
 /// elements, charging kCopyChunkInstrs, one read row and one write row per
 /// chunk.  The addresses are functions of the slot, not of loaded data, so
@@ -423,16 +454,27 @@ void exec_staged_copy(gpusim::BlockContext& ctx, Src&& src, Dst&& dst, std::int6
                          dst_of);
       }
       const auto out = detail::writable(dst);
+      std::int64_t read = count;  // elements moved from the source's memory
+      if constexpr (detail::kIsGuarded<S>) {
+        read = std::min(count, src.valid);
+        for (std::int64_t t = read; t < count; ++t)
+          out[static_cast<std::size_t>(dst_of(t))] = src.fill;
+      }
       if constexpr (!detail::kIsShared<S> && !detail::kIsGlobal<S>) {  // a Fill
         for (std::int64_t t = 0; t < count; ++t)
           out[static_cast<std::size_t>(dst_of(t))] = src.value;
-      } else {
-        const auto in = std::as_const(src).raw();
+      } else if (read > 0) {
+        const auto in = [&] {
+          if constexpr (detail::kIsGuarded<S>)
+            return std::as_const(src.view).raw();
+          else
+            return std::as_const(src).raw();
+        }();
         if constexpr (detail::kIsUnitStep<SrcOf> && detail::kIsUnitStep<DstOf>) {
-          const auto [slo, shi] = detail::span_of(src_of, count);
-          const auto dlo = detail::span_of(dst_of, count).first;
+          const auto [slo, shi] = detail::span_of(src_of, read);
+          const auto dlo = detail::span_of(dst_of, read).first;
           assert(slo >= 0 && static_cast<std::size_t>(shi) <= in.size());
-          assert(dlo >= 0 && static_cast<std::size_t>(dlo + count) <= out.size());
+          assert(dlo >= 0 && static_cast<std::size_t>(dlo + read) <= out.size());
           const auto from = in.begin() + static_cast<std::ptrdiff_t>(slo);
           const auto until = in.begin() + static_cast<std::ptrdiff_t>(shi);
           const auto to = out.begin() + static_cast<std::ptrdiff_t>(dlo);
@@ -441,7 +483,7 @@ void exec_staged_copy(gpusim::BlockContext& ctx, Src&& src, Dst&& dst, std::int6
           else
             std::reverse_copy(from, until, to);
         } else {
-          for (std::int64_t t = 0; t < count; ++t) {
+          for (std::int64_t t = 0; t < read; ++t) {
             const std::int64_t sa = src_of(t);
             const std::int64_t da = dst_of(t);
             assert(sa >= 0 && static_cast<std::size_t>(sa) < in.size());
@@ -479,7 +521,17 @@ void exec_staged_copy(gpusim::BlockContext& ctx, Src&& src, Dst&& dst, std::int6
         daddr[static_cast<std::size_t>(lane)] = active ? dst_of(t) : gpusim::kInactiveLane;
       }
       ctx.charge_compute(warp, sort::cost::kCopyChunkInstrs);
-      src.gather(warp, sspan, vspan, first && kDependentReads != 0);
+      if constexpr (detail::kIsGuarded<S>) {
+        // The chunk's elements below `valid` are a prefix of its lanes.
+        const std::int64_t reads = std::clamp<std::int64_t>(src.valid - base, 0, w);
+        for (std::int64_t lane = reads; lane < w; ++lane) {
+          saddr[static_cast<std::size_t>(lane)] = gpusim::kInactiveLane;
+          vals[static_cast<std::size_t>(lane)] = src.fill;
+        }
+        if (reads > 0) src.view.gather(warp, sspan, vspan, first);
+      } else {
+        src.gather(warp, sspan, vspan, first && kDependentReads != 0);
+      }
       dst.scatter(warp, dspan, std::span<const V>(vspan), /*dependent=*/false);
       first = false;
     }

@@ -6,12 +6,13 @@
 // output tile of every pair, then one merge_pass kernel with one block per
 // tile — ⌈(|A|+|B|)/tile⌉ tiles per pair, so neither list of a pair is
 // padded to the other's length.
-// Pair p is staged as [A | B | sentinel pad to the next tile multiple of
-// |A|+|B|] at one offset of the staging buffer, and its merged output lands
-// at the same offset of the packed output; the last tile of a pair reads
-// its B window on into the pad, whose +infinity sentinels merge behind
-// every real element and are dropped on unpack.  A one-pair batch is the
-// standalone merge of two sorted arrays — the primitive the paper studies.
+// Pair p is staged as [A | B] at a tile-aligned offset of the staging
+// buffer, and its merged output lands at the same offset of the packed
+// output.  The last tile of a pair reads B only up to its end: its window
+// past |A|+|B| is filled with +infinity sentinels in shared memory, which
+// merge behind every real element and are never stored.  A one-pair batch
+// is the standalone merge of two sorted arrays — the primitive the paper
+// studies.
 //
 // This header holds the report type and the pipeline enqueue
 // (enqueue_batched_pipeline); the entry point is a thin wrapper over
@@ -49,11 +50,13 @@ struct BatchedMergeReport {
 
 namespace detail {
 /// Enqueues the batched pipeline for the pairs (as[i], bs[i]) into
-/// `graph`: stages every pair as [A | B | pad] in `staging` (the sentinel
-/// pads are written here, once), fills `layout`, sizes `packed` and
-/// `boundaries` (one row per tile), and adds one merge pass — two
-/// kernels for the whole batch.  The batch must hold at least one element.
-/// Every buffer must stay alive (and un-moved) until the graph executed.
+/// `graph`: sizes `staging` and `packed` to the pairs at tile-aligned
+/// offsets, fills `layout` (the descriptors hold real lengths), sizes
+/// `boundaries` (one row per tile), and adds one merge pass — two kernels
+/// for the whole batch.  The caller stages pair p as [A | B] at
+/// layout.offsets[p] of `staging`.  The batch must hold at least one
+/// element.  Every buffer must stay alive (and un-moved) until the graph
+/// executed.
 template <typename T>
 void enqueue_batched_pipeline(gpusim::KernelGraph& graph, const std::vector<std::vector<T>>& as,
                               const std::vector<std::vector<T>>& bs, std::vector<T>& staging,
@@ -69,11 +72,12 @@ void enqueue_batched_pipeline(gpusim::KernelGraph& graph, const std::vector<std:
     add_group_tiles(layout.tiles, total, na, na + nb, total, tile);
     total += (na + nb + tile - 1) / tile * tile;
   }
-  staging.assign(static_cast<std::size_t>(total), padding_sentinel<T>::value());
+  staging.resize(static_cast<std::size_t>(total));
   packed.resize(static_cast<std::size_t>(total));
   boundaries.assign(layout.tiles.size(), 0);
   enqueue_merge_pass(graph, staging, packed, layout.tiles, 0,
-                     static_cast<int>(layout.tiles.size()), boundaries, cfg, warp_size);
+                     static_cast<int>(layout.tiles.size()), boundaries, cfg, warp_size,
+                     layout.fill);
 }
 }  // namespace detail
 

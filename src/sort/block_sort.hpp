@@ -11,16 +11,20 @@
 // E is coprime with w, so the stride-E register loads/stores here are
 // conflict-free by the classic heuristic).
 //
-// Ragged tiles: only the first m elements of a tile are real, the rest is
-// +inf padding already in place (a ragged input's last tile, the last tile
-// of each segment).  As Thrust and CUB do with a partial tile, the block
-// works only where the real elements are: the thread sort runs over the
-// warps that cover [0, m), and a round merges only the pairs whose B run
-// starts below m — a pair whose B run is all padding is already merged (a
-// stable A-first merge returns A then B).  The active pairs are a prefix,
-// rounded up to whole warps; the skip depends on m alone, never on key
-// values.  Load, store and barriers stay whole-tile, and a full tile
-// (m = u*E) does exactly the work of the unclamped sort.
+// Ragged tiles: only the first m elements of a tile are real (a ragged
+// input's last tile, the last tile of each segment).  As Thrust and CUB do
+// with a partial tile, the block reads and writes only the real elements:
+// the load is guarded (global [0, m) is copied, shared [m, u*E) is filled
+// with the +inf sentinel in-kernel) and the store writes [0, m), so global
+// memory past m is neither read nor written.  The block also works only
+// where the real elements are: the thread sort runs over the warps that
+// cover [0, m), and a round merges only the pairs whose B run starts below
+// m — a pair whose B run is all padding is already merged (a stable
+// A-first merge returns A then B).  The active pairs are a prefix, rounded
+// up to whole warps; the skip depends on m alone, never on key values.
+// The shared layout, the load's chunk rows and the barriers stay
+// whole-tile, and a full tile (m = u*E) does exactly the work of the
+// unclamped sort.
 //
 // Extension (not in the paper): `cf_rounds = true` applies the dual
 // subsequence gather inside the later block-sort rounds too — those whose
@@ -46,15 +50,18 @@
 #include "gpusim/memory_views.hpp"
 #include "sort/certs.hpp"
 #include "sort/kernels.hpp"
+#include "sort/key_value.hpp"
 
 namespace cfmerge::sort {
 
-/// The real length m of each tile of a block-sort launch (the elements
-/// past m are +inf padding).  One segment (`lens` empty): the array's first
-/// n elements are real, so tile b holds clamp(n - b*tile, 0, tile); n is a
-/// kernel argument (CUB's merge sort takes num_items) and charges nothing,
-/// and n < 0 means every tile is full.  Several segments: tile b holds
-/// lens[b], a device array that each block reads.
+/// The real length m of each tile of a block-sort launch (no kernel reads
+/// or writes global memory past m).  One segment (`lens` empty): the
+/// array's first n elements are real, so tile b holds clamp(n - b*tile, 0,
+/// tile); n is a kernel argument (CUB's merge sort takes num_items) and
+/// charges nothing, and n < 0 means every tile is full.  The merge passes
+/// of a one-segment plan clamp their descriptors with the same n
+/// (detail::BatchTile::real).  Several segments: tile b holds lens[b], a
+/// device array that each block reads.
 struct TileFill {
   std::int64_t n = -1;
   std::vector<std::int32_t> lens;
@@ -62,7 +69,8 @@ struct TileFill {
 
 /// Device body of the block sort for one block.  `data` is the full global
 /// array (a multiple of u*E elements); block b sorts elements
-/// [b*u*E, (b+1)*u*E), of which the first m are real (`fill`).
+/// [b*u*E, (b+1)*u*E), of which the first m are real (`fill`): it reads and
+/// writes only those, and leaves the rest of its tile as it found it.
 template <typename T, typename Cmp = std::less<T>>
 void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
                      bool cf_rounds = false, Cmp cmp = Cmp{},
@@ -95,10 +103,12 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
   std::vector<T> regs(static_cast<std::size_t>(tile));
 
   // --- load tile (coalesced reads, linear shared writes) ----------------
+  // Guarded: the slots past m take the sentinel without a global read.
   ctx.phase("bsort.load");
   if (!fill.lens.empty())
     read_block_record(ctx, ctx.block_id(), static_cast<int>(sizeof(std::int32_t)));
-  cfprims::exec_staged_copy(ctx, global, shmem, tile, certs.stage, cfprims::UnitStep{},
+  cfprims::exec_staged_copy(ctx, cfprims::Guarded{global, m, padding_sentinel<T>::value()},
+                            shmem, tile, certs.stage, cfprims::UnitStep{},
                             cfprims::UnitStep{});
   ctx.barrier();
 
@@ -193,9 +203,9 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
     ctx.barrier();
   }
 
-  // --- store tile --------------------------------------------------------
+  // --- store the tile's real elements ----------------------------------
   ctx.phase("bsort.store");
-  cfprims::exec_staged_copy(ctx, shmem, global, tile, certs.stage, cfprims::UnitStep{},
+  cfprims::exec_staged_copy(ctx, shmem, global, m, certs.stage, cfprims::UnitStep{},
                             cfprims::UnitStep{});
 }
 

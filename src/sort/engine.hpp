@@ -15,10 +15,11 @@
 //    bodies capture, which closes the latent lifetime footgun of the free
 //    functions: the storage a body references can no longer die or move
 //    while the graph is still runnable.  Executing a cached plan is "rebind
-//    by refilling": copy the new input into the plan's buffers (sentinel
-//    tails refreshed) and Launcher::run the graph again — the KernelGraph
-//    replay contract (kernel_graph.hpp) guarantees reports bit-identical to
-//    a freshly enqueued pipeline.
+//    by refilling": copy the new input into the plan's buffers (a sort
+//    plan also sets the real length its kernels clamp with; no sort kernel
+//    reads past it, so stale tails need no refresh) and Launcher::run the
+//    graph again — the KernelGraph replay contract (kernel_graph.hpp)
+//    guarantees reports bit-identical to a freshly enqueued pipeline.
 //
 //  * a **scratch arena**: a pool of typed, reusable vectors for per-call
 //    scratch that is not part of any plan (today: the *_by_key entry
@@ -202,21 +203,15 @@ struct Plan {
   std::vector<T>* result = nullptr;  ///< buf or tmp: holds the output after a run
   gpusim::KernelGraph graph;
 
-  /// A plan whose input buffer is `n_padded` sentinels (the merging kinds
-  /// size it themselves).
-  explicit Plan(std::int64_t n_padded = 0)
-      : buf(static_cast<std::size_t>(n_padded), padding_sentinel<T>::value()) {}
+  Plan() = default;
   Plan(const Plan&) = delete;
   Plan& operator=(const Plan&) = delete;
 
-  /// Rebind a padded plan: load the next input.  The sentinel tail is
-  /// rewritten because a previous execution leaves buf holding that run's
-  /// intermediate data.  A sort plan is keyed by the padded length, so the
-  /// block sort's real length is set here, per input.
+  /// Rebind a padded plan: load the next input.  A sort plan is keyed by
+  /// the padded length, so its kernels' real length is set here, per input;
+  /// they read nothing past it, so buf's tail may hold anything.
   void load(const std::vector<T>& data) {
     std::copy(data.begin(), data.end(), buf.begin());
-    std::fill(buf.begin() + static_cast<std::ptrdiff_t>(data.size()), buf.end(),
-              padding_sentinel<T>::value());
     batch.fill.n = static_cast<std::int64_t>(data.size());
   }
 
@@ -244,7 +239,8 @@ std::shared_ptr<Plan<T>> build_sort_plan(const Cfg& cfg, std::int64_t n_padded, 
 template <typename T>
 std::shared_ptr<Plan<T>> build_permute_plan(const cfprims::PermuteConfig& cfg,
                                             std::int64_t n_padded) {
-  auto plan = std::make_shared<Plan<T>>(n_padded);
+  auto plan = std::make_shared<Plan<T>>();
+  plan->buf.resize(static_cast<std::size_t>(n_padded));
   plan->tmp.assign(plan->buf.size(), padding_sentinel<T>::value());
   cfprims::enqueue_permute_pipeline(plan->graph, plan->buf, plan->tmp, n_padded, cfg);
   plan->result = &plan->tmp;
@@ -331,6 +327,12 @@ class SortEngine {
     execute_padded(
         report, data, kind, cfg,
         [&](std::int64_t np) { return detail::build_permute_plan<T>(cfg, np); },
+        [&](detail::Plan<T>& plan) {
+          // The permutation moves the padding too, so the sentinel tail is
+          // part of the input (a previous input may have left data there).
+          std::fill(std::copy(data.begin(), data.end(), plan.buf.begin()), plan.buf.end(),
+                    padding_sentinel<T>::value());
+        },
         [&](const detail::Plan<T>& plan) {
           data.assign(plan.result->begin(), plan.result->end());
         });
@@ -386,8 +388,6 @@ class SortEngine {
                                                  launcher_->device().warp_size);
         },
         [&](detail::Plan<T>& plan) {
-          // A previous run leaves intermediate data in the sentinel tails.
-          std::fill(plan.buf.begin(), plan.buf.end(), padding_sentinel<T>::value());
           for (std::size_t s = 0; s < segments.size(); ++s)
             std::copy(segments[s].begin(), segments[s].end(), plan.batch.at(plan.buf, s));
         },
@@ -438,8 +438,6 @@ class SortEngine {
                                                launcher_->device().warp_size);
         },
         [&](detail::Plan<T>& plan) {
-          // The sentinel pads persist from build time: kernels never write
-          // the staging buffer.
           for (std::size_t p = 0; p < as.size(); ++p)
             std::copy(bs[p].begin(), bs[p].end(),
                       std::copy(as[p].begin(), as[p].end(), plan.batch.at(plan.buf, p)));
@@ -548,19 +546,18 @@ class SortEngine {
     cache_plan(key, std::move(plan));
   }
 
-  /// execute() for the single-array kinds: pads `data` to the tile
-  /// multiple and loads it with a sentinel tail.  Empty input returns with
-  /// report.n = 0 and no plan traffic.
-  template <typename T, typename Report, typename Cfg, typename Build, typename Unpack>
+  /// execute() for the single-array kinds: keys the plan by `data`'s
+  /// length padded to the tile multiple, then loads `data` with `load`.
+  /// Empty input returns with report.n = 0 and no plan traffic.
+  template <typename T, typename Report, typename Cfg, typename Build, typename Load,
+            typename Unpack>
   void execute_padded(Report& report, const std::vector<T>& data, PlanKey::Kind kind,
-                      const Cfg& cfg, Build&& build, Unpack&& unpack) {
+                      const Cfg& cfg, Build&& build, Load&& load, Unpack&& unpack) {
     report.n = static_cast<std::int64_t>(data.size());
     if (report.n == 0) return;
     const PlanKey key = padded_key<T>(kind, report.n, cfg);
     report.n_padded = key.n_padded;
-    execute<T>(
-        report, key, [&] { return build(key.n_padded); },
-        [&](detail::Plan<T>& plan) { plan.load(data); }, unpack);
+    execute<T>(report, key, [&] { return build(key.n_padded); }, load, unpack);
   }
 
   /// sort / sort_multiway: execute_padded, then copy the sorted prefix back.
@@ -568,10 +565,12 @@ class SortEngine {
   SortReport sort_padded(std::vector<T>& data, PlanKey::Kind kind, const Cfg& cfg,
                          Build&& build) {
     SortReport report;
-    execute_padded(report, data, kind, cfg, build, [&](const detail::Plan<T>& plan) {
-      report.passes = plan.passes;
-      unpack_sorted(plan, data);
-    });
+    execute_padded(
+        report, data, kind, cfg, build, [&](detail::Plan<T>& plan) { plan.load(data); },
+        [&](const detail::Plan<T>& plan) {
+          report.passes = plan.passes;
+          unpack_sorted(plan, data);
+        });
     return report;
   }
 

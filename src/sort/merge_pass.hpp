@@ -32,7 +32,17 @@
 //
 // A tile's end co-rank is the next tile's start co-rank, except for the
 // group's last tile, which ends at the list ends (BatchTile::ends_group)
-// and so reads only its start row; both arities apply that rule.  Every
+// and so reads only its start row; both arities apply that rule.
+//
+// Ragged groups: a group's real length need not be a tile multiple, and no
+// kernel reads or writes global memory past it (Thrust and CUB give a
+// partial tile its valid-item count).  The partition probes search the
+// real list lengths.  The merge kernel keeps the windows, shared layout,
+// splits and merge of the group padded with +inf to a tile multiple
+// (padding sits at the tail of the group's last non-empty list), but each
+// window loads only its real elements from global memory — a guarded load
+// fills the rest in shared — and the store tail writes the tile's real
+// ranks only.  Every
 // 2-way entry point enqueues this pass: a merge_sort pass and a
 // segmented_sort round merge the run pairs of their segments
 // (add_run_group_tiles with k = 2; a lone run at the end is a pair with an
@@ -166,7 +176,9 @@ namespace detail {
 /// back to back in the source: list s starts at base + s·run, lists
 /// 0…k−2 hold clamp(len − s·run, 0, run) elements and the last list holds
 /// the rest.  A batched pair is run = |A|, len = |A|+|B|; a group of a pass
-/// over sorted runs has run = the run length.
+/// over sorted runs has run = the run length.  len is the group's real
+/// length, except in a one-segment plan, which is built for a padded length
+/// and clamps with the input length at run time (real()).
 struct BatchTile {
   std::int64_t base = 0;   ///< source offset of the group's first list
   std::int64_t run = 0;    ///< list stride (and cap of every list but the last)
@@ -182,6 +194,15 @@ struct BatchTile {
   /// True for the group's last tile, whose end co-ranks are the list ends
   /// (every other tile ends where the next tile of its group starts).
   [[nodiscard]] bool ends_group(std::int64_t tile) const { return diag0 + tile >= len; }
+  /// This descriptor with len cut to the group's real elements, given the
+  /// real length n of a one-segment source (TileFill::n; n < 0: len is
+  /// already real).  Padding is less than one tile, so every tile keeps a
+  /// real element and ends_group does not change.
+  [[nodiscard]] BatchTile real(std::int64_t n) const {
+    BatchTile t = *this;
+    if (n >= 0) t.len = std::min(len, n - base);
+    return t;
+  }
 };
 
 /// Bytes of a descriptor the partition kernels read: the leading base, run,
@@ -189,23 +210,20 @@ struct BatchTile {
 inline constexpr int kPartitionDescBytes = static_cast<int>(offsetof(BatchTile, out));
 
 /// Appends the ⌈len/tile⌉ tile descriptors of one group whose output
-/// starts at destination offset `out`.  The last tile's last-list window
-/// runs past the group's end up to the tile boundary, so the source must
-/// hold sentinels there whenever len is not a tile multiple.
+/// starts at destination offset `out`.
 inline void add_group_tiles(std::vector<BatchTile>& tiles, std::int64_t base, std::int64_t run,
                             std::int64_t len, std::int64_t out, std::int64_t tile) {
   for (std::int64_t d = 0; d < len; d += tile) tiles.push_back({base, run, len, d, out + d});
 }
 
-/// Appends the tiles of one k-way pass over the `padded` elements (a tile
-/// multiple) at offset `at`, sorted in runs of `run`: group g merges runs
+/// Appends the tiles of one k-way pass over the `len` elements at offset
+/// `at`, sorted in runs of `run` (a tile multiple): group g merges runs
 /// gk … gk + k − 1 into the same offsets of the destination; the last group
-/// may hold fewer runs, or a lone one.
+/// may hold fewer runs, or a lone one, and a ragged end.
 inline void add_run_group_tiles(std::vector<BatchTile>& tiles, std::int64_t at,
-                                std::int64_t padded, std::int64_t run, int k,
-                                std::int64_t tile) {
-  for (std::int64_t g = 0; g < padded; g += k * run)
-    add_group_tiles(tiles, at + g, run, std::min(k * run, padded - g), at + g, tile);
+                                std::int64_t len, std::int64_t run, int k, std::int64_t tile) {
+  for (std::int64_t g = 0; g < len; g += k * run)
+    add_group_tiles(tiles, at + g, run, std::min(k * run, len - g), at + g, tile);
 }
 
 /// Host-side layout of one batch shape: every pass's tile descriptors
@@ -269,34 +287,40 @@ void search_partition_rows(gpusim::BlockContext& ctx, int warp,
 
 /// The partition kernels' search, for both arities: row t of `out`
 /// (cfg.row_width() co-ranks) receives the co-rank row of tiles[t]'s start
-/// diagonal within its group.  Each warp resolves cfg.tiles_per_warp(w)
-/// consecutive tiles: it first fetches the four leading fields of their
-/// descriptors (lane q reads descriptor desc0 + t0 + q, one dependent
-/// read), then runs the config's row search (search_partition_rows: the
-/// co-rank search for a pair, multisequence selection for k lists).
+/// diagonal within its group, searched over the real list lengths
+/// (BatchTile::real with `real_n`, the input length of a one-segment
+/// source, or −1).  Each warp resolves cfg.tiles_per_warp(w) consecutive
+/// tiles: it first fetches the four leading fields of their descriptors
+/// (lane q reads descriptor desc0 + t0 + q, one dependent read), then runs
+/// the config's row search (search_partition_rows: the co-rank search for a
+/// pair, multisequence selection for k lists).
 template <typename T, typename Cfg, typename Cmp>
 void partition_search(gpusim::BlockContext& ctx, gpusim::GlobalView<const T>& global,
                       std::span<const detail::BatchTile> tiles, std::int64_t desc0,
-                      std::span<std::int64_t> out, const Cfg& cfg, Cmp cmp) {
+                      std::int64_t real_n, std::span<std::int64_t> out, const Cfg& cfg,
+                      Cmp cmp) {
   const int w = ctx.lanes();
   const int per_warp = cfg.tiles_per_warp(w);
   const auto width = static_cast<std::size_t>(cfg.row_width());
   const auto count = static_cast<std::int64_t>(tiles.size());
   assert(w <= gpusim::kMaxLanes && out.size() == tiles.size() * width);
   std::array<std::int64_t, gpusim::kMaxLanes> desc;
+  std::array<detail::BatchTile, gpusim::kMaxLanes> real;
   for (int warp = 0; warp < ctx.warps(); ++warp) {
     const std::int64_t t0 =
         (static_cast<std::int64_t>(ctx.block_id()) * ctx.warps() + warp) * per_warp;
     if (t0 >= count) break;
     const auto queries = static_cast<std::size_t>(std::min<std::int64_t>(per_warp, count - t0));
     desc.fill(gpusim::kInactiveLane);
-    for (std::size_t q = 0; q < queries; ++q)
+    for (std::size_t q = 0; q < queries; ++q) {
       desc[q] = (desc0 + t0 + static_cast<std::int64_t>(q)) *
                 static_cast<std::int64_t>(sizeof(detail::BatchTile));
+      real[q] = tiles[static_cast<std::size_t>(t0) + q].real(real_n);
+    }
     ctx.charge_gmem(warp, std::span<const std::int64_t>(desc.data(), static_cast<std::size_t>(w)),
                     detail::kPartitionDescBytes, /*dependent=*/true);
     search_partition_rows<T>(ctx, warp, global,
-                             tiles.subspan(static_cast<std::size_t>(t0), queries), cfg,
+                             std::span<const detail::BatchTile>(real.data(), queries), cfg,
                              out.subspan(static_cast<std::size_t>(t0) * width, queries * width),
                              cmp);
   }
@@ -330,13 +354,14 @@ inline void read_boundary_rows(gpusim::BlockContext& ctx,
 /// ranks iE … iE + E − 1 of the tile, to shared slots from `base` on —
 /// through the tile's output shift rho when `through_rho` (the inverse dual
 /// subsequence scatter of footnote 5), else stride E — at copy cadence,
-/// with no per-thread setup; then the block stores the u*E ranks coalesced
-/// to `gout`.  The raw stride-E pattern is only certified when
-/// gcd(w, E) = 1 (cf_stride).
+/// with no per-thread setup; then the block stores ranks [0, count), the
+/// tile's real elements, coalesced to `gout`.  The raw stride-E pattern is
+/// only certified when gcd(w, E) = 1 (cf_stride).
 template <typename T>
 void store_merged_tile(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem,
                        std::int64_t base, bool through_rho, const TileCerts& certs, int e,
-                       std::span<const T> regs, gpusim::GlobalView<T>& gout) {
+                       std::span<const T> regs, gpusim::GlobalView<T>& gout,
+                       std::int64_t count) {
   ctx.phase("merge.store");
   const int w = ctx.lanes();
   const std::int64_t tile = static_cast<std::int64_t>(ctx.threads()) * e;
@@ -347,7 +372,7 @@ void store_merged_tile(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem,
     cfprims::exec_stride_scatter(ctx, shmem, w, e, ctx.warps(), cfprims::kCopyCharge,
                                  through_rho ? certs.rank_scatter : certs.stride, regs, base);
     ctx.barrier();
-    cfprims::exec_staged_copy(ctx, shmem, gout, tile, certs.stage, cfprims::UnitStep{base},
+    cfprims::exec_staged_copy(ctx, shmem, gout, count, certs.stage, cfprims::UnitStep{base},
                               cfprims::UnitStep{});
     return;
   }
@@ -360,20 +385,22 @@ void store_merged_tile(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem,
       },
       regs);
   ctx.barrier();
-  cfprims::exec_staged_copy(ctx, shmem, gout, tile, /*cert=*/nullptr, out_pos,
+  cfprims::exec_staged_copy(ctx, shmem, gout, count, /*cert=*/nullptr, out_pos,
                             cfprims::UnitStep{});
 }
 
 /// The 2-way merge core, the block body of the merge_pass kernel: given a
 /// block's A/B source windows (global element offsets seg_src, lengths
-/// seg_len, Σ = tile) and its output window view, stages the lists into
-/// shared memory (CF layout when configured), searches the per-thread
-/// splits, merges (sequential or gather + network) and stores the merged
-/// tile.
+/// seg_len, Σ = tile, of which the first seg_real are real) and its output
+/// window view, stages the lists into shared memory (CF layout when
+/// configured; guarded loads fill each window past its real elements),
+/// searches the per-thread splits, merges (sequential or gather + network)
+/// and stores the merged tile's Σ seg_real real ranks.
 template <typename T, typename GIn, typename Cmp>
 void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T>& gout,
                        std::span<const std::int64_t> seg_src,
-                       std::span<const std::int64_t> seg_len, const MergeConfig& cfg, Cmp cmp) {
+                       std::span<const std::int64_t> seg_len,
+                       std::span<const std::int64_t> seg_real, const MergeConfig& cfg, Cmp cmp) {
   const int w = ctx.lanes();
   const int e = cfg.e;
   const std::int64_t tile = cfg.tile();
@@ -389,6 +416,9 @@ void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T
           : gather::PairLayout::linear(la, lb);
 
   gpusim::SharedTile<T> shmem(ctx, static_cast<std::size_t>(tile));
+  const T top = padding_sentinel<T>::value();
+  cfprims::Guarded<GIn> a_in{gin, seg_real[0], top};
+  cfprims::Guarded<GIn> b_in{gin, seg_real[1], top};
 
   // Load the two chunks; CF-Merge applies the layout permutation here
   // ("each thread block reorders elements during the initial transfer from
@@ -397,16 +427,16 @@ void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T
   // position maps are unit-step runs (pi reverses B), covered by the
   // cf_stage proof.
   if (!layout.is_cf() || layout.rho().identity()) {
-    cfprims::exec_staged_copy(ctx, gin, shmem, la, cfg.certs.stage,
+    cfprims::exec_staged_copy(ctx, a_in, shmem, la, cfg.certs.stage,
                               cfprims::UnitStep{a_src}, cfprims::UnitStep{layout.pos_a(0)});
-    cfprims::exec_staged_copy(ctx, gin, shmem, lb, cfg.certs.stage,
+    cfprims::exec_staged_copy(ctx, b_in, shmem, lb, cfg.certs.stage,
                               cfprims::UnitStep{b_src},
                               cfprims::UnitStep{layout.pos_b(0), layout.b_step()});
   } else {
-    cfprims::exec_staged_copy(ctx, gin, shmem, la, /*cert=*/nullptr,
+    cfprims::exec_staged_copy(ctx, a_in, shmem, la, /*cert=*/nullptr,
                               cfprims::UnitStep{a_src},
                               [&](std::int64_t t) { return layout.pos_a(t); });
-    cfprims::exec_staged_copy(ctx, gin, shmem, lb, /*cert=*/nullptr,
+    cfprims::exec_staged_copy(ctx, b_in, shmem, lb, /*cert=*/nullptr,
                               cfprims::UnitStep{b_src},
                               [&](std::int64_t t) { return layout.pos_b(t); });
   }
@@ -450,7 +480,7 @@ void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T
   store_merged_tile<T>(ctx, shmem, /*base=*/0,
                        cfg.variant == Variant::CFMerge && cfg.cf_output_scatter &&
                            !cfg.disable_rho,
-                       cfg.certs, e, std::span<const T>(regs), gout);
+                       cfg.certs, e, std::span<const T>(regs), gout, seg_real[0] + seg_real[1]);
 }
 
 namespace detail {
@@ -460,22 +490,26 @@ namespace detail {
 /// row t of `boundaries`, cfg.row_width() co-ranks a row) and one merge
 /// kernel (Cfg::kMergeKernel: block t merges tile t0 + t between rows t and
 /// t + 1, or from row t to the list ends when the tile ends its group).  A
-/// group's tiles must be consecutive, a k-way group's length a tile
-/// multiple, and `boundaries` must hold count rows; every pass of a
-/// pipeline reuses them from row 0.  `warp_size` fixes the partition's
-/// rows per block and the merge kernel's shared footprint.  Every buffer
-/// must stay alive (and un-moved) until the graph executed.
+/// group's tiles must be consecutive and `boundaries` must hold count rows;
+/// every pass of a pipeline reuses them from row 0.  Both kernels read
+/// `fill.n` when the graph runs: a one-segment plan's descriptors hold
+/// padded lengths and n is the real one (BatchTile::real); it is −1 when
+/// the descriptors are real.  `warp_size` fixes the partition's rows per
+/// block and the merge kernel's shared footprint.  Every buffer, and
+/// `fill`, must stay alive (and un-moved) until the graph executed.
 ///
 /// Lists s < k − 1 of a tile take their windows from its two rows (the
-/// group's last tile ends at the list ends).  The last list takes what
-/// those leave: it starts at diag0 − Σ starts and holds tile − Σ lengths
-/// elements — B's window of a pair, and the k-th co-rank of a k-way group,
-/// whose length is a tile multiple.
+/// group's last tile ends at the list ends of the group padded to a tile
+/// multiple).  The last list takes what those leave: it starts at
+/// diag0 − Σ starts and holds tile − Σ lengths slots — B's window of a
+/// pair, and the k-th co-rank of a k-way group.  Each window reads from
+/// global memory only the elements below its list's real length; the
+/// other slots are padding, filled in shared.
 template <typename T, typename Cfg>
 void enqueue_merge_pass(gpusim::KernelGraph& graph, const std::vector<T>& src,
                         std::vector<T>& dst, const std::vector<BatchTile>& tiles, int t0,
                         int count, std::vector<std::int64_t>& boundaries, const Cfg& cfg,
-                        int warp_size) {
+                        int warp_size, const TileFill& fill) {
   const auto width = static_cast<std::size_t>(cfg.row_width());
   assert(count > 0 && static_cast<std::size_t>(t0 + count) <= tiles.size() &&
          boundaries.size() >= static_cast<std::size_t>(count) * width);
@@ -485,14 +519,15 @@ void enqueue_merge_pass(gpusim::KernelGraph& graph, const std::vector<T>& src,
   graph.enqueue(
       Cfg::kPartitionKernel,
       gpusim::LaunchShape{pblocks, cfg.u, 0, cost::kPartitionRegsPerThread},
-      [&tiles, &src, &boundaries, cfg, t0, count, width](gpusim::BlockContext& ctx) {
+      [&tiles, &src, &boundaries, &fill, cfg, t0, count, width](gpusim::BlockContext& ctx) {
         gpusim::GlobalView<const T> g(ctx, std::span<const T>(src), 0);
         ctx.phase("partition.search");
         partition_search<T>(
             ctx, g,
             std::span<const BatchTile>(tiles).subspan(static_cast<std::size_t>(t0),
                                                       static_cast<std::size_t>(count)),
-            t0, std::span<std::int64_t>(boundaries).first(static_cast<std::size_t>(count) * width),
+            t0, fill.n,
+            std::span<std::int64_t>(boundaries).first(static_cast<std::size_t>(count) * width),
             cfg, std::less<T>{});
       });
 
@@ -501,9 +536,9 @@ void enqueue_merge_pass(gpusim::KernelGraph& graph, const std::vector<T>& src,
       static_cast<std::size_t>(cfg.merge_shared_elems(warp_size)) * sizeof(T);
   graph.enqueue(
       Cfg::kMergeKernel, gpusim::LaunchShape{count, cfg.u, mshared, cfg.regs_per_thread()},
-      [&tiles, &src, &dst, &boundaries, cfg, t0, tile, width](gpusim::BlockContext& ctx) {
+      [&tiles, &src, &dst, &boundaries, &fill, cfg, t0, tile, width](gpusim::BlockContext& ctx) {
         const auto b = static_cast<std::size_t>(ctx.block_id());
-        const BatchTile& bt = tiles[static_cast<std::size_t>(t0) + b];
+        const BatchTile bt = tiles[static_cast<std::size_t>(t0) + b].real(fill.n);
         const bool ends_group = bt.ends_group(tile);
         ctx.phase("merge.load");
         read_boundary_rows(ctx, boundaries, static_cast<int>(width), ends_group);
@@ -512,24 +547,30 @@ void enqueue_merge_pass(gpusim::KernelGraph& graph, const std::vector<T>& src,
         read_block_record(ctx, t0 + static_cast<std::int64_t>(b),
                           static_cast<int>(sizeof(BatchTile)));
         const int k = cfg.arity();
+        // The windows of the group padded to a tile multiple.
+        BatchTile padded = bt;
+        padded.len = (bt.len + tile - 1) / tile * tile;
         std::array<std::int64_t, gpusim::kMaxLanes> seg_src{};
         std::array<std::int64_t, gpusim::kMaxLanes> seg_len{};
+        std::array<std::int64_t, gpusim::kMaxLanes> seg_real{};
         std::int64_t starts = 0;
         std::int64_t lens = 0;
-        for (int s = 0; s + 1 < k; ++s) {
+        for (int s = 0; s < k; ++s) {
           const auto at = static_cast<std::size_t>(s);
-          const std::int64_t r0 = boundaries[b * width + at];
-          const std::int64_t r1 =
-              ends_group ? bt.list_len(s, k) : boundaries[(b + 1) * width + at];
+          std::int64_t r0 = bt.diag0 - starts;  // the last list: what the others leave
+          std::int64_t len = tile - lens;
+          if (s + 1 < k) {
+            r0 = boundaries[b * width + at];
+            len = (ends_group ? padded.list_len(s, k) : boundaries[(b + 1) * width + at]) - r0;
+            starts += r0;
+            lens += len;
+          }
           seg_src[at] = bt.list_base(s) + r0;
-          seg_len[at] = r1 - r0;
-          starts += r0;
-          lens += r1 - r0;
+          seg_len[at] = len;
+          seg_real[at] = std::clamp<std::int64_t>(bt.list_len(s, k) - r0, 0, len);
         }
-        const auto last = static_cast<std::size_t>(k - 1);
-        seg_src[last] = bt.list_base(k - 1) + bt.diag0 - starts;
-        seg_len[last] = tile - lens;
         assert(lens <= tile && bt.diag0 >= starts);
+        const auto lists = static_cast<std::size_t>(k);
 
         gpusim::GlobalView<const T> gin(ctx, std::span<const T>(src), 0);
         gpusim::GlobalView<T> gout(
@@ -537,9 +578,9 @@ void enqueue_merge_pass(gpusim::KernelGraph& graph, const std::vector<T>& src,
             std::span<T>(dst).subspan(static_cast<std::size_t>(bt.out),
                                       static_cast<std::size_t>(tile)),
             bt.out);
-        merge_window_core<T>(ctx, gin, gout,
-                             std::span<const std::int64_t>(seg_src.data(), last + 1),
-                             std::span<const std::int64_t>(seg_len.data(), last + 1), cfg,
+        merge_window_core<T>(ctx, gin, gout, std::span<const std::int64_t>(seg_src.data(), lists),
+                             std::span<const std::int64_t>(seg_len.data(), lists),
+                             std::span<const std::int64_t>(seg_real.data(), lists), cfg,
                              std::less<T>{});
       });
 }

@@ -315,14 +315,16 @@ void search_partition_rows(gpusim::BlockContext& ctx, int warp,
 }
 
 /// CFCascade merge core: merges the block's k segment windows (global
-/// element offsets seg_src, lengths seg_len, Σ = tile) into `gout` through
-/// the cascade of 2-way CF stages.  Every gather/scatter round goes through
-/// the bank-conflict screener with the conflict-free claim intact.
+/// element offsets seg_src, lengths seg_len, Σ = tile, of which the first
+/// seg_real are real) into `gout` through the cascade of 2-way CF stages.
+/// Every gather/scatter round goes through the bank-conflict screener with
+/// the conflict-free claim intact.
 template <typename T, typename GIn, typename Cmp>
 void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T>& gout,
                            std::span<const std::int64_t> seg_src,
                            std::span<const std::int64_t> seg_len,
-                           const MultiwayConfig& cfg, Cmp cmp) {
+                           std::span<const std::int64_t> seg_real, const MultiwayConfig& cfg,
+                           Cmp cmp) {
   const int w = ctx.lanes();
   const int e = cfg.e;
   const std::int64_t tile = cfg.tile();
@@ -331,8 +333,10 @@ void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalVi
   gpusim::SharedTile<T> shmem(ctx, static_cast<std::size_t>(2 * cap));
 
   // Level-0 load: pair p stages segments 2p (as A) and 2p+1 (as B) into its
-  // rho(A ∪ pi(B)) region of buffer 0, sentinel tail included.
+  // rho(A ∪ pi(B)) region of buffer 0, sentinel tail included.  Each
+  // segment's load is guarded at its real elements.
   {
+    const T top = padding_sentinel<T>::value();
     const std::int64_t rb = gather::CascadePlan::read_buffer(0) * cap;
     const auto& prs = plan.pairs(0);
     const auto& leaves = plan.runs(0);
@@ -341,14 +345,15 @@ void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalVi
       if (pr.layout.size() == 0) continue;
       const std::int64_t na = leaves[2 * p].len;
       const std::int64_t nbr = leaves[2 * p + 1].len;
-      cfprims::exec_staged_copy(ctx, gin, shmem, na, /*cert=*/nullptr,
-                                cfprims::UnitStep{seg_src[2 * p]},
+      cfprims::exec_staged_copy(ctx, cfprims::Guarded<GIn>{gin, seg_real[2 * p], top}, shmem,
+                                na, /*cert=*/nullptr, cfprims::UnitStep{seg_src[2 * p]},
                                 [&](std::int64_t t) { return rb + pr.pos_a(t); });
-      cfprims::exec_staged_copy(ctx, gin, shmem, nbr, /*cert=*/nullptr,
+      cfprims::exec_staged_copy(ctx, cfprims::Guarded<GIn>{gin, seg_real[2 * p + 1], top},
+                                shmem, nbr, /*cert=*/nullptr,
                                 cfprims::UnitStep{seg_src[2 * p + 1]},
                                 [&](std::int64_t t) { return rb + pr.pos_b(t); });
-      cfprims::exec_staged_copy(ctx, cfprims::Fill<T>{padding_sentinel<T>::value()}, shmem,
-                                pr.layout.lb() - nbr, /*cert=*/nullptr, cfprims::UnitStep{},
+      cfprims::exec_staged_copy(ctx, cfprims::Fill<T>{top}, shmem, pr.layout.lb() - nbr,
+                                /*cert=*/nullptr, cfprims::UnitStep{},
                                 [&](std::int64_t t) { return rb + pr.pos_b(nbr + t); });
     }
   }
@@ -395,10 +400,12 @@ void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalVi
         // The root (one pair, virtual warp i on warp i) writes back through
         // the 2-way store tail: its output map is the tile's output shift,
         // and only the first u threads' ranks are written — ranks
-        // >= tile are sentinels the final store never reads.
+        // >= tile are sentinels the final store never reads — of which the
+        // tile's real ones reach global memory.
         store_merged_tile<T>(ctx, shmem, wb, /*through_rho=*/true, cfg.certs, e,
                              std::span<const T>(regs).first(static_cast<std::size_t>(tile)),
-                             gout);
+                             gout, std::accumulate(seg_real.begin(), seg_real.end(),
+                                                   std::int64_t{0}));
         return;
       }
 
@@ -463,16 +470,17 @@ std::vector<std::int64_t> multiway_thread_coranks(gpusim::BlockContext& ctx,
   return co;
 }
 
-/// LoserTree merge core: linear shared layout, per-thread k-way replacement
-/// selection through serial_merge_core.  The head reads and every
-/// replacement read are data dependent across lanes — the merge phase is
-/// *not* conflict free (that is the point of the variant; cfverify refutes
-/// it with a witness).
+/// LoserTree merge core: linear shared layout (each segment's load guarded
+/// at its seg_real real elements), per-thread k-way replacement selection
+/// through serial_merge_core.  The head reads and every replacement read
+/// are data dependent across lanes — the merge phase is *not* conflict free
+/// (that is the point of the variant; cfverify refutes it with a witness).
 template <typename T, typename GIn, typename Cmp>
 void multiway_losertree_core(gpusim::BlockContext& ctx, GIn& gin,
                              gpusim::GlobalView<T>& gout,
                              std::span<const std::int64_t> seg_src,
                              std::span<const std::int64_t> seg_len,
+                             std::span<const std::int64_t> seg_real,
                              const MultiwayConfig& cfg, Cmp cmp) {
   const int u = ctx.threads();
   const int e = cfg.e;
@@ -485,11 +493,13 @@ void multiway_losertree_core(gpusim::BlockContext& ctx, GIn& gin,
   for (int s = 1; s < k; ++s)
     seg_off[static_cast<std::size_t>(s)] =
         seg_off[static_cast<std::size_t>(s - 1)] + seg_len[static_cast<std::size_t>(s - 1)];
-  for (int s = 0; s < k; ++s)
-    cfprims::exec_staged_copy(ctx, gin, shmem, seg_len[static_cast<std::size_t>(s)],
-                              /*cert=*/nullptr,
-                              cfprims::UnitStep{seg_src[static_cast<std::size_t>(s)]},
-                              cfprims::UnitStep{seg_off[static_cast<std::size_t>(s)]});
+  for (int s = 0; s < k; ++s) {
+    const auto at = static_cast<std::size_t>(s);
+    cfprims::exec_staged_copy(
+        ctx, cfprims::Guarded<GIn>{gin, seg_real[at], padding_sentinel<T>::value()}, shmem,
+        seg_len[at], /*cert=*/nullptr, cfprims::UnitStep{seg_src[at]},
+        cfprims::UnitStep{seg_off[at]});
+  }
   ctx.barrier();
 
   ctx.phase("merge.search");
@@ -521,7 +531,8 @@ void multiway_losertree_core(gpusim::BlockContext& ctx, GIn& gin,
   // Stride-E write-back, as the 2-way baseline, but on the lane path: the
   // loser tree is the uncertified baseline.
   store_merged_tile<T>(ctx, shmem, /*base=*/0, /*through_rho=*/false, TileCerts{}, e,
-                       std::span<const T>(regs), gout);
+                       std::span<const T>(regs), gout,
+                       std::accumulate(seg_real.begin(), seg_real.end(), std::int64_t{0}));
 }
 
 /// The k-way merge core, the block body of the multiway_merge kernel: the
@@ -529,12 +540,13 @@ void multiway_losertree_core(gpusim::BlockContext& ctx, GIn& gin,
 template <typename T, typename GIn, typename Cmp>
 void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T>& gout,
                        std::span<const std::int64_t> seg_src,
-                       std::span<const std::int64_t> seg_len, const MultiwayConfig& cfg,
+                       std::span<const std::int64_t> seg_len,
+                       std::span<const std::int64_t> seg_real, const MultiwayConfig& cfg,
                        Cmp cmp) {
   if (cfg.variant == MultiwayVariant::CFCascade)
-    multiway_cascade_core<T>(ctx, gin, gout, seg_src, seg_len, cfg, cmp);
+    multiway_cascade_core<T>(ctx, gin, gout, seg_src, seg_len, seg_real, cfg, cmp);
   else
-    multiway_losertree_core<T>(ctx, gin, gout, seg_src, seg_len, cfg, cmp);
+    multiway_losertree_core<T>(ctx, gin, gout, seg_src, seg_len, seg_real, cfg, cmp);
 }
 
 }  // namespace cfmerge::sort

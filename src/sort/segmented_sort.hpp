@@ -2,9 +2,10 @@
 // chain — the serving-shape workload (a request batch where every request
 // brings its own array to sort).
 //
-// The segments are concatenated, each padded to a tile multiple with
-// +infinity sentinels, and sorted by one pipeline whose launch count does
-// not grow with the segment count:
+// The segments are concatenated, each at a tile-aligned offset, and sorted
+// by one pipeline whose launch count does not grow with the segment count.
+// No kernel reads or writes past a segment's real length: the padding to a
+// tile multiple exists only in shared memory, filled in-kernel.
 //
 //   one block_sort over every tile of every segment (block sort is
 //   tile-local; each block reads its tile's real length and sorts no
@@ -86,21 +87,22 @@ struct SegmentedSortReport {
 namespace detail {
 
 /// Enqueues the segmented pipeline for segments of the given lengths into
-/// `graph`: sizes `buf` (all sentinels) and `tmp` to the concatenated
-/// tile-padded segments, records each segment's offset and each tile's
-/// real length in `layout`, sizes `boundaries` to the largest round's rows,
-/// adds one block_sort over every tile and one merge pass per round, and
-/// returns the round count via `passes`.  The block sort reads
-/// layout.fill when the graph runs: one segment passes its length as a
-/// kernel argument (a sort plan is built for a padded length, so its
-/// caller sets the real one per input); several segments read each tile's
-/// length from a device array.  The config fixes the pass arity and row
-/// width (2 and 1 for a MergeConfig, k and k for a MultiwayConfig); every
-/// round is one enqueue_merge_pass, whose kernel shapes depend on
-/// `warp_size`.  The caller loads segment s at layout.offsets[s] of `buf`
-/// (keeping its sentinel tail) before running the graph.  The segments
-/// must hold at least one element.  Every buffer must stay alive (and
-/// un-moved) until the graph executed.
+/// `graph`: sizes `buf` and `tmp` to the concatenated tile-padded segments,
+/// records each segment's offset and each tile's real length in `layout`,
+/// builds every round's tile descriptors over the segments' lengths, sizes
+/// `boundaries` to the largest round's rows, adds one block_sort over every
+/// tile and one merge pass per round, and returns the round count via
+/// `passes`.  Every kernel reads layout.fill when the graph runs: one
+/// segment passes its length as a kernel argument (a sort plan is built for
+/// a padded length, so its caller sets the real one per input, and the
+/// merge passes clamp their descriptors with it); several segments read
+/// each tile's length from a device array.  The config fixes the pass
+/// arity and row width (2 and 1 for a MergeConfig, k and k for a
+/// MultiwayConfig); every round is one enqueue_merge_pass, whose kernel
+/// shapes depend on `warp_size`.  The caller loads segment s at
+/// layout.offsets[s] of `buf` before running the graph; no kernel reads
+/// past its length.  The segments must hold at least one element.  Every
+/// buffer must stay alive (and un-moved) until the graph executed.
 template <typename T, typename Cfg>
 void enqueue_segmented_pipeline(gpusim::KernelGraph& graph, const std::vector<std::int64_t>& lens,
                                 std::vector<T>& buf, std::vector<T>& tmp, BatchLayout& layout,
@@ -119,7 +121,7 @@ void enqueue_segmented_pipeline(gpusim::KernelGraph& graph, const std::vector<st
         layout.fill.lens.push_back(static_cast<std::int32_t>(std::min(tile, n - at)));
   }
   if (lens.size() == 1) layout.fill.n = lens[0];
-  buf.assign(static_cast<std::size_t>(total), padding_sentinel<T>::value());
+  buf.resize(static_cast<std::size_t>(total));
   tmp.resize(static_cast<std::size_t>(total));
 
   // Every round's tile descriptors, round after round.  In round p (runs of
@@ -131,8 +133,7 @@ void enqueue_segmented_pipeline(gpusim::KernelGraph& graph, const std::vector<st
     round_t0.push_back(static_cast<int>(layout.tiles.size()));
     for (std::size_t s = 0; s < lens.size(); ++s)
       if (merge_pass_count(lens[s], tile, k) > p)
-        add_run_group_tiles(layout.tiles, layout.offsets[s],
-                            (lens[s] + tile - 1) / tile * tile, run, k, tile);
+        add_run_group_tiles(layout.tiles, layout.offsets[s], lens[s], run, k, tile);
   }
   round_t0.push_back(static_cast<int>(layout.tiles.size()));
   // Round 0 has the most tiles (every segment still merging takes part
@@ -148,7 +149,7 @@ void enqueue_segmented_pipeline(gpusim::KernelGraph& graph, const std::vector<st
   for (std::size_t p = 0; p + 1 < round_t0.size(); ++p) {
     const int count = round_t0[p + 1] - round_t0[p];
     enqueue_merge_pass(graph, *src, *dst, layout.tiles, round_t0[p], count, boundaries, cfg,
-                       warp_size);
+                       warp_size, layout.fill);
     std::swap(src, dst);
   }
 }

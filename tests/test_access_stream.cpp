@@ -230,7 +230,7 @@ std::vector<StreamCase> cases() {
        0x20b8cc9f256888ccull, 0x223c29cb73b38e07ull, 18996, 17589, 64512, 4256},
       {"by_key_ragged_w32", w32,
        [](L& l) { return run_by_key(l, Variant::CFMerge, 7, 64, 3 * 448 + 101, 4); },
-       0xd746bd2dea01a0c2ull, 0x21ce345977e8f997ull, 3002, 2642, 5376, 602},
+       0x5d58f75a1f0d1f1aull, 0x7236265c039fb4cbull, 2910, 2612, 5376, 602},
       {"cf_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 5, 16, 8 * 80, 5); },
        0x2104e508be5804efull, 0x5e636a72fd30f774ull, 4863, 4168, 2560, 960},
@@ -241,31 +241,31 @@ std::vector<StreamCase> cases() {
        0x770ca804df92b402ull, 0x37d76daf464afe44ull, 12021, 10737, 11520, 2705},
       {"by_key_ragged_w8", w8,
        [](L& l) { return run_by_key(l, Variant::Baseline, 5, 16, 5 * 80 + 37, 8); },
-       0xaef0d43a293d7051ull, 0x35e40ed6a85b4db1ull, 3402, 2911, 1920, 505},
+       0x8e435d24b9d1990bull, 0xe907ae830a00b33cull, 3338, 2891, 1920, 505},
       {"cf_blocksort_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 5, 16);
          cfg.cf_blocksort = true;
          return run_merge_sort(l, cfg, 8 * 80 + 13, 9);
        },
-       0x66949cc8ec8f9192ull, 0xe75d0894e80fd756ull, 6168, 5118, 4320, 1380},
+       0x789991ed07639a09ull, 0xe667357c9a82c31bull, 6035, 5078, 4320, 1380},
       {"cf_noncoprime_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 6, 16, 8 * 96 + 5, 10); },
-       0xbd99ab4986d0a28cull, 0x0e27da932b3c0fa0ull, 6530, 5331, 4320, 864},
+       0xdcf3dc36b91e6024ull, 0xb8f39cf401fb3a50ull, 6348, 5276, 4320, 864},
       {"cf_no_rho_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 6, 16);
          cfg.disable_rho = true;
          return run_merge_sort(l, cfg, 8 * 96 + 5, 18);
        },
-       0x42c8623d2a7d12d6ull, 0xd131416ae2c82634ull, 6522, 5327, 4320, 0},
+       0x9788372df5640affull, 0x7c12ac4a119f9fe2ull, 6341, 5272, 4320, 0},
       {"cf_plain_scatter_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 6, 16);
          cfg.cf_output_scatter = false;
          return run_merge_sort(l, cfg, 8 * 96 + 5, 19);
        },
-       0xcdde1920a0698d7cull, 0xc446538144bb518bull, 6558, 5360, 4320, 432},
+       0x4141c685f2edf9d0ull, 0xa566a49fb157ba81ull, 6376, 5305, 4320, 432},
       {"losertree_k4_w8", w8,
        [](L& l) {
          return run_multiway(l, 5, 16, 16 * 80, 11, sort::MultiwayVariant::LoserTree);
@@ -273,10 +273,10 @@ std::vector<StreamCase> cases() {
        0x450c31c6b8b2cd28ull, 0x5897068dc93d57f0ull, 9640, 8432, 3840, 960},
       {"batched_cf_w32", w32,
        [](L& l) { return run_batched(l, Variant::CFMerge, 7, 64, 4, 12); },
-       0xa4894395e717f533ull, 0xf3657afa629f3b93ull, 1547, 1160, 5376, 336},
+       0x793455e029dabafeull, 0xa9bbd6b03a7e9401ull, 1528, 1154, 5376, 336},
       {"batched_baseline_w8", w8,
        [](L& l) { return run_batched(l, Variant::Baseline, 5, 16, 3, 13); },
-       0x78b5135020aff542ull, 0x41ab0787542c066bull, 763, 573, 720, 90},
+       0x09dc3d3d72f0002cull, 0xcb963ccb8aa8074dull, 759, 572, 720, 90},
       {"permute_w32", w32,
        [](L& l) {
          return run_round_trip(l, cfprims::PermuteOp::kPermute, 8, 64, 3 * 512 + 45, 14);

@@ -269,13 +269,14 @@ void launch_by_launch_sort(Launcher& launcher, std::vector<T>& data,
   const int regs = cfg.variant == Variant::CFMerge ? cost::cfmerge_regs_per_thread(cfg.e)
                                                    : cost::baseline_regs_per_thread(cfg.e);
   const int num_tiles = static_cast<int>(n_padded / tile);
+  // The input length is a kernel argument, as in the one-segment pipeline:
+  // the block sort clamps the ragged last tile and the merge passes their
+  // descriptors.
+  const TileFill fill{n, {}};
   {
     LaunchShape shape{num_tiles, cfg.u, static_cast<std::size_t>(tile) * sizeof(T), regs};
     const bool cf_rounds = cfg.variant == Variant::CFMerge && cfg.cf_blocksort;
     if (cf_rounds) shape.shared_bytes_per_block *= 2;
-    // The input length is a kernel argument, as in the one-segment
-    // pipeline: the block sort clamps the ragged last tile.
-    const TileFill fill{n, {}};
     launcher.launch("block_sort", shape, [&](BlockContext& ctx) {
       block_sort_body<T>(ctx, std::span<T>(buf), cfg.e, cf_rounds, std::less<T>{}, {}, fill);
     });
@@ -289,7 +290,7 @@ void launch_by_launch_sort(Launcher& launcher, std::vector<T>& data,
     sort::detail::add_run_group_tiles(tiles, 0, n_padded, run, 2, tile);
     KernelGraph pass;
     sort::detail::enqueue_merge_pass(pass, *src, *dst, tiles, t0, num_tiles, boundaries, cfg,
-                                     launcher.device().warp_size);
+                                     launcher.device().warp_size, fill);
     for (const KernelNode& node : pass.nodes()) launcher.launch(node.name, node.shape, node.body);
     std::swap(src, dst);
   }

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <random>
+#include <string>
 
 using namespace cfmerge;
 using namespace cfmerge::sort;
@@ -23,19 +25,26 @@ struct PassResult {
 };
 
 // Runs one merge pass (merge_partition + merge_pass) over `data` whose runs
-// of length `run` are each sorted.
+// of length `run` are each sorted.  The pass covers the first `len`
+// elements of `data` (a tile multiple; all of it by default): its
+// descriptors hold `len`, or, with `one_segment`, the padded length, which
+// the kernels clamp with the kernel argument len as a sort plan's do.  The
+// output buffer starts out as `out_init`.
 PassResult run_pass(int w, const MergeConfig& cfg, const std::vector<int>& data,
-                    std::int64_t run) {
+                    std::int64_t run, std::int64_t len = -1, bool one_segment = false,
+                    int out_init = 0) {
   gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(w));
   const std::int64_t n = static_cast<std::int64_t>(data.size());
   EXPECT_EQ(n % cfg.tile(), 0);
+  if (len < 0) len = n;
   std::vector<detail::BatchTile> tiles;
-  detail::add_run_group_tiles(tiles, 0, n, run, 2, cfg.tile());
+  detail::add_run_group_tiles(tiles, 0, one_segment ? n : len, run, 2, cfg.tile());
   std::vector<std::int64_t> boundaries(tiles.size() + 1, -1);
-  std::vector<int> out(data.size());
+  std::vector<int> out(data.size(), out_init);
   gpusim::KernelGraph graph;
+  const TileFill fill{one_segment ? len : -1, {}};
   detail::enqueue_merge_pass(graph, data, out, tiles, 0, static_cast<int>(tiles.size()),
-                             boundaries, cfg, w);
+                             boundaries, cfg, w, fill);
   launcher.run(graph);
   PassResult r;
   r.out = std::move(out);
@@ -48,6 +57,12 @@ PassResult run_pass(int w, const MergeConfig& cfg, const std::vector<int>& data,
     }
   }
   return r;
+}
+
+gpusim::Counters phase(const PassResult& r, const std::string& name) {
+  for (const auto& [n, c] : r.phases.phases())
+    if (n == name) return c;
+  return {};
 }
 
 std::vector<int> make_runs(std::mt19937_64& rng, std::int64_t n, std::int64_t run) {
@@ -248,4 +263,74 @@ TEST(MergePass, CfOutputScatterKeepsStoreConflictFreeForNonCoprimeE) {
   EXPECT_GT(store_conflicts(base), 0u);
   EXPECT_EQ(store_conflicts(cf), 0u);
   EXPECT_EQ(cf.out, base.out);
+}
+
+// ---------------------------------------------------------------------------
+// Ragged passes: the real length is not a tile multiple.  The kernels read
+// and write only the real elements; the windows, splits and merge are those
+// of the same lists padded with sentinels.
+// ---------------------------------------------------------------------------
+
+TEST(MergePassRagged, ReadsAndWritesOnlyTheRealElements) {
+  std::mt19937_64 rng(10);
+  constexpr int kPoison = std::numeric_limits<int>::min();
+  struct Case {
+    int w, e, u;
+    std::int64_t tiles, run_tiles, real_off;  // real = n - real_off
+  };
+  // A lone last run holding the padding (its A list) and a last pair
+  // whose B holds it, at coprime and non-coprime E.
+  for (const Case c : std::vector<Case>{{8, 5, 16, 3, 1, 73},
+                                        {8, 5, 16, 4, 1, 79},
+                                        {8, 6, 16, 4, 1, 1},
+                                        {8, 6, 16, 6, 2, 50},
+                                        {16, 7, 32, 4, 1, 100}}) {
+    for (const Variant v : {Variant::Baseline, Variant::CFMerge}) {
+      for (const bool one_segment : {false, true}) {
+        MergeConfig cfg;
+        cfg.e = c.e;
+        cfg.u = c.u;
+        cfg.variant = v;
+        const std::int64_t tile = cfg.tile();
+        const std::int64_t n = c.tiles * tile;
+        const std::int64_t real = n - c.real_off;
+        const std::int64_t run = c.run_tiles * tile;
+        SCOPED_TRACE("w=" + std::to_string(c.w) + " E=" + std::to_string(c.e) +
+                     " real=" + std::to_string(real) + " variant=" +
+                     std::to_string(static_cast<int>(v)) +
+                     " one_segment=" + std::to_string(one_segment));
+        // The padded reference: sentinels past `real` (each run stays
+        // sorted), descriptors over n.  The ragged run: poison there.
+        std::vector<int> padded = make_runs(rng, n, run);
+        std::fill(padded.begin() + real, padded.end(), padding_sentinel<int>::value());
+        for (std::int64_t base = 0; base < n; base += run)
+          std::sort(padded.begin() + base, padded.begin() + base + run);
+        std::vector<int> ragged = padded;
+        std::fill(ragged.begin() + real, ragged.end(), kPoison);
+        const PassResult want = run_pass(c.w, cfg, padded, run);
+        const PassResult got = run_pass(c.w, cfg, ragged, run, real, one_segment, kPoison);
+
+        const std::vector<int> expect = merged_reference(
+            std::vector<int>(ragged.begin(), ragged.begin() + real), run);
+        EXPECT_TRUE(std::equal(expect.begin(), expect.end(), got.out.begin()));
+        EXPECT_TRUE(std::all_of(got.out.begin() + real, got.out.end(),
+                                [](int x) { return x == kPoison; }));
+        EXPECT_EQ(got.boundaries, want.boundaries);
+        for (const char* p : {"merge.search", "merge.merge"}) EXPECT_EQ(phase(got, p), phase(want, p)) << p;
+
+        // Global bytes: the real elements, plus each tile's descriptor and
+        // its boundary rows (one for a group's last tile, else two).
+        std::int64_t meta = 0;
+        for (std::int64_t d = 0; d < real; d += tile) {
+          const std::int64_t group_end = std::min(d / (2 * run) * (2 * run) + 2 * run, real);
+          meta += static_cast<std::int64_t>(sizeof(detail::BatchTile)) +
+                  (d + tile >= group_end ? 1 : 2) * static_cast<std::int64_t>(sizeof(std::int64_t));
+        }
+        const auto real_bytes = static_cast<std::uint64_t>(real) * sizeof(int);
+        EXPECT_EQ(phase(got, "merge.load").gmem_bytes, real_bytes + static_cast<std::uint64_t>(meta));
+        EXPECT_EQ(phase(got, "merge.store").gmem_bytes, real_bytes);
+        EXPECT_LT(phase(got, "merge.load").gmem_bytes, phase(want, "merge.load").gmem_bytes);
+      }
+    }
+  }
 }
