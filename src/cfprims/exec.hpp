@@ -141,6 +141,16 @@ std::span<T> writable(gpusim::GlobalView<T>& view) {
   return view.raw();
 }
 
+/// The memory an endpoint reads: a guarded load's view, else the endpoint.
+template <typename E>
+E& memory_of(E& end) {
+  return end;
+}
+template <typename View>
+View& memory_of(Guarded<View>& end) {
+  return end.view;
+}
+
 /// Lowest address and one past the highest `map` takes on [0, count).
 template <typename Map>
 std::pair<std::int64_t, std::int64_t> span_of(const Map& map, std::int64_t count) {
@@ -464,12 +474,7 @@ void exec_staged_copy(gpusim::BlockContext& ctx, Src&& src, Dst&& dst, std::int6
         for (std::int64_t t = 0; t < count; ++t)
           out[static_cast<std::size_t>(dst_of(t))] = src.value;
       } else if (read > 0) {
-        const auto in = [&] {
-          if constexpr (detail::kIsGuarded<S>)
-            return std::as_const(src.view).raw();
-          else
-            return std::as_const(src).raw();
-        }();
+        const auto in = std::as_const(detail::memory_of(src)).raw();
         if constexpr (detail::kIsUnitStep<SrcOf> && detail::kIsUnitStep<DstOf>) {
           const auto [slo, shi] = detail::span_of(src_of, read);
           const auto dlo = detail::span_of(dst_of, read).first;

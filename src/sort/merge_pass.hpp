@@ -556,20 +556,21 @@ void enqueue_merge_pass(gpusim::KernelGraph& graph, const std::vector<T>& src,
         std::int64_t starts = 0;
         std::int64_t lens = 0;
         for (int s = 0; s < k; ++s) {
+          // Lists s < k − 1 take their windows from the rows; the last list
+          // takes what those leave.
           const auto at = static_cast<std::size_t>(s);
-          std::int64_t r0 = bt.diag0 - starts;  // the last list: what the others leave
-          std::int64_t len = tile - lens;
-          if (s + 1 < k) {
-            r0 = boundaries[b * width + at];
-            len = (ends_group ? padded.list_len(s, k) : boundaries[(b + 1) * width + at]) - r0;
-            starts += r0;
-            lens += len;
-          }
+          const bool last = s + 1 == k;
+          assert(!last || (lens <= tile && bt.diag0 >= starts));
+          const std::int64_t r0 = last ? bt.diag0 - starts : boundaries[b * width + at];
+          const std::int64_t r1 = last         ? r0 + tile - lens
+                                  : ends_group ? padded.list_len(s, k)
+                                               : boundaries[(b + 1) * width + at];
           seg_src[at] = bt.list_base(s) + r0;
-          seg_len[at] = len;
-          seg_real[at] = std::clamp<std::int64_t>(bt.list_len(s, k) - r0, 0, len);
+          seg_len[at] = r1 - r0;
+          seg_real[at] = std::clamp<std::int64_t>(bt.list_len(s, k) - r0, 0, r1 - r0);
+          starts += r0;
+          lens += r1 - r0;
         }
-        assert(lens <= tile && bt.diag0 >= starts);
         const auto lists = static_cast<std::size_t>(k);
 
         gpusim::GlobalView<const T> gin(ctx, std::span<const T>(src), 0);
