@@ -10,18 +10,19 @@
 // flip — CF-Merge is stable only for distinct keys.  The paper sorts plain
 // (indistinguishable) integers where the difference is unobservable.
 //
-// Padding: ragged inputs are padded with the top of the key order (+inf for
-// floating keys, the maximum otherwise), so padding never sorts before a
-// real key and the tail truncation drops only sentinels.  The block sort
-// no longer sorts padding: it knows each tile's real length and merges
-// only the run pairs that hold real elements (sort/block_sort.hpp).  The
-// pair that straddles the real length still merges the sentinels in its B
-// run, and the merge passes still merge sentinel tails, so two cases remain
-// open: NaN keys have no specified position, and CF-Merge sort_by_key with
-// real +inf keys can lose pairs — a sentinel pair ties with a real +inf
-// pair, and CF-Merge is stable only for distinct keys, so a sentinel may
-// land in front of it.  Clamping the merge passes' windows too would close
-// both.
+// Padding: a ragged tile is padded to its full size with the top of the
+// key order (+inf for floating keys, the maximum otherwise), so padding
+// never sorts before a real key.  Padding exists only in shared memory: no
+// kernel reads or writes global memory past the real elements (guarded
+// loads fill the slots in-kernel, and stores write only the real ranks;
+// sort/block_sort.hpp, sort/merge_pass.hpp).  The block sort merges only
+// the run pairs that hold real elements, but the pair that straddles the
+// real length and every merge window still merge the in-shared sentinels
+// by value, so two cases remain open: NaN keys have no specified position,
+// and CF-Merge sort_by_key with real +inf keys can lose pairs — a sentinel
+// pair ties with a real +inf pair, and CF-Merge is stable only for
+// distinct keys, so a sentinel may land in front of it and the real pair
+// falls past the stored ranks.
 #pragma once
 
 #include <limits>

@@ -13,7 +13,11 @@
 // search with one lane per list (search_partition_rows over
 // detail::warp_multiseq_select, shared with the LoserTree's thread search).
 // Stage 2 (the multiway_merge kernel) produces one output tile of u*E
-// elements per block from its k list windows, in one of two variants:
+// elements per block from its k list windows, in one of two variants.
+// Both load each window through a guarded copy that reads only the window's
+// real elements (the rest is sentinel padding, filled in shared; see the
+// ragged-group rule in merge_pass.hpp) and store only the tile's real
+// ranks:
 //
 //  * CFCascade — the conflict-free schedule.  The tile's k windows are
 //    merged by a cascade of log2(k) in-shared pairwise stages, each an
