@@ -404,8 +404,7 @@ void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalVi
         // The root (one pair, virtual warp i on warp i) writes back through
         // the 2-way store tail: its output map is the tile's output shift,
         // and only the first u threads' ranks are written — ranks
-        // >= tile are sentinels the final store never reads — of which the
-        // tile's real ones reach global memory.
+        // >= tile are sentinels — of which the store keeps the real ones.
         store_merged_tile<T>(ctx, shmem, wb, /*through_rho=*/true, cfg.certs, e,
                              std::span<const T>(regs).first(static_cast<std::size_t>(tile)),
                              gout, std::accumulate(seg_real.begin(), seg_real.end(),

@@ -22,7 +22,10 @@
 #           failures.  The kernel suites (serial merge, block sort, merge
 #           pass, multiway, access stream) cover the merge-path search and
 #           serial merge, which read shared words at computed positions
-#           through SharedTile::peek — ASan sees any read past a tile.  The
+#           through SharedTile::peek — ASan sees any read past a tile; the
+#           poisoned-padding suite runs every pipeline over buffers whose
+#           tails no kernel may touch, so its guarded loads and clamped
+#           stores index global views at real lengths only.  The
 #           bulk-charge, cfprims and dual-gather suites drive the certified
 #           bulk movers, which index raw tile and view spans directly.  The
 #           two shared-memory suites drive the bank-conflict model, whose
@@ -51,7 +54,8 @@ case "$MODE" in
              test_segmented_sort test_batched_merge test_serial_merge \
              test_block_sort test_merge_pass test_multiway_sort test_access_stream \
              test_bulk_charge test_cfprims test_cfprims_golden test_dual_gather \
-             test_shared_memory test_shared_memory_oracle test_cfverify test_safety"
+             test_shared_memory test_shared_memory_oracle test_cfverify test_safety \
+             test_poisoned_padding"
     TOOLS="cfsort cfverify"  # for the usage-error ctests
     ;;
   undefined)
