@@ -440,6 +440,13 @@ void exec_staged_copy(gpusim::BlockContext& ctx, Src&& src, Dst&& dst, std::int6
   using S = std::remove_cvref_t<Src>;
   using D = std::remove_cvref_t<Dst>;
   using V = typename D::value_type;
+  if constexpr (detail::kIsGuarded<S>) {
+    // A guard at or past the last element is the unguarded copy (the same
+    // charges and data); running that instantiation keeps a full tile's
+    // host cost the unguarded copy's.
+    if (src.valid >= count)
+      return exec_staged_copy(ctx, src.view, dst, count, cert, src_of, dst_of);
+  }
   constexpr int kDependentReads = detail::kIsGlobal<S> || detail::kIsGlobal<D> ? 1 : 0;
   const int w = ctx.lanes();
   const int u = ctx.threads();
