@@ -8,11 +8,11 @@
 //  * exec_stride_gather / exec_stride_scatter — the stride-E register
 //    staging instance of the CRS loops, moved as per-warp block copies.
 //  * exec_staged_copy — tile staging between two endpoints (shared tile,
-//    global view, a constant Fill, or a Guarded load that reads global
-//    memory only below its valid count): warp k takes lanes [k*w, k*w + w)
-//    of each u-element chunk; one kCopyChunkInstrs, one read row and one
-//    write row per chunk.  The first chunk's read is dependent iff an
-//    endpoint is global.
+//    global view, or a constant Fill): warp k takes lanes [k*w, k*w + w) of
+//    each u-element chunk; one kCopyChunkInstrs, one read row and one write
+//    row per chunk.  The first chunk's read is dependent iff an endpoint is
+//    global.  exec_guarded_load is the staged copy of a partial tile: it
+//    reads only the elements below its valid count and fills the rest.
 //  * exec_cf_gather — the dual subsequence gather (cf_gather, paper §3) at
 //    gather cadence, moved as two raw runs per thread on the bulk path.
 //
@@ -100,30 +100,33 @@ struct Fill {
   }
 };
 
-/// Staged-copy source of a guarded load (CUB's LoadDirectBlocked with an
-/// out-of-bounds default): logical elements [0, valid) are read from `view`
-/// and the rest take `fill` in-kernel, reading nothing.  The chunk rows and
-/// every destination slot are those of the unguarded copy; only the global
-/// reads stop at `valid`.
-template <typename View>
-struct Guarded {
-  View& view;
-  std::int64_t valid;
-  typename View::value_type fill;
-};
-
 namespace detail {
-template <typename E>
-inline constexpr bool kIsGuarded = false;
-template <typename View>
-inline constexpr bool kIsGuarded<Guarded<View>> = true;
 template <typename E>
 inline constexpr bool kIsGlobal = false;
 template <typename T>
 inline constexpr bool kIsGlobal<gpusim::GlobalView<T>> = true;
-/// A guarded load reads global memory: it takes the global gates.
+
+/// exec_guarded_load's source: `view`, except that a lane the source map
+/// masks (kInactiveLane) takes `fill` and reads nothing.  It reads global
+/// memory, so it takes the global gates (lane path, dependent first read).
 template <typename View>
-inline constexpr bool kIsGlobal<Guarded<View>> = true;
+struct MaskedSource {
+  View& view;
+  typename View::value_type fill;
+  void gather(int warp, std::span<const std::int64_t> addrs,
+              std::span<typename View::value_type> out, bool dependent) const {
+    bool reads = false;
+    for (std::size_t l = 0; l < addrs.size(); ++l) {
+      if (addrs[l] == gpusim::kInactiveLane)
+        out[l] = fill;
+      else
+        reads = true;
+    }
+    if (reads) view.gather(warp, addrs, out, dependent);
+  }
+};
+template <typename View>
+inline constexpr bool kIsGlobal<MaskedSource<View>> = true;
 template <typename E>
 inline constexpr bool kIsShared = false;
 template <typename T>
@@ -139,16 +142,6 @@ std::span<T> writable(gpusim::SharedTile<T>& tile) {
 template <typename T>
 std::span<T> writable(gpusim::GlobalView<T>& view) {
   return view.raw();
-}
-
-/// The memory an endpoint reads: a guarded load's view, else the endpoint.
-template <typename E>
-E& memory_of(E& end) {
-  return end;
-}
-template <typename View>
-View& memory_of(Guarded<View>& end) {
-  return end.view;
 }
 
 /// Lowest address and one past the highest `map` takes on [0, count).
@@ -195,21 +188,12 @@ struct Progression {
 /// The closed-form charging path of every certified executor.  Shared
 /// rounds are certified conflict-free, so their charge needs only the
 /// counts; each global round is one contiguous run (ascending or
-/// descending: the same transactions); a Fill charges nothing, and a
-/// guarded load charges the rounds that hold an element below its `valid`.
+/// descending: the same transactions); a Fill charges nothing.
 template <typename End, typename Map = UnitStep>
 void charge_certified(gpusim::BlockContext& ctx, int warp, End& end, const Progression& p,
                       const Map& map = {}) {
   using E = std::remove_cv_t<End>;
-  if constexpr (detail::kIsGuarded<E>) {
-    const std::int64_t count = std::min(p.count, end.valid);
-    const auto rounds = static_cast<int>(std::clamp<std::int64_t>(
-        (count - p.first + p.pitch - 1) / p.pitch, 0, p.rounds));
-    charge_certified(ctx, warp, end.view,
-                     {.rounds = rounds, .dependent = std::min(p.dependent, rounds),
-                      .first = p.first, .pitch = p.pitch, .count = count},
-                     map);
-  } else if constexpr (detail::kIsShared<E>) {
+  if constexpr (detail::kIsShared<E>) {
     ctx.charge_shared_crs(warp, gpusim::CrsAccessDesc{.rounds = p.rounds,
                                                       .dependent_rounds = p.dependent,
                                                       .active_lanes = ctx.lanes()});
@@ -419,9 +403,7 @@ void exec_stride_scatter(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem
 
 /// Staged copy of `count` elements: logical element t moves from
 /// `src_of(t)` of `src` to `dst_of(t)` of `dst`.  Endpoints are a
-/// SharedTile, a GlobalView, or (source only) a Fill or a Guarded load,
-/// whose elements from `valid` on are filled without a read (a chunk with
-/// no element below `valid` issues no read row).  All warps take part:
+/// SharedTile, a GlobalView, or (source only) a Fill.  All warps take part:
 /// warp k handles lanes [k*w, k*w + w) of each block-wide chunk of u
 /// elements, charging kCopyChunkInstrs, one read row and one write row per
 /// chunk.  The addresses are functions of the slot, not of loaded data, so
@@ -440,13 +422,6 @@ void exec_staged_copy(gpusim::BlockContext& ctx, Src&& src, Dst&& dst, std::int6
   using S = std::remove_cvref_t<Src>;
   using D = std::remove_cvref_t<Dst>;
   using V = typename D::value_type;
-  if constexpr (detail::kIsGuarded<S>) {
-    // A guard at or past the last element is the unguarded copy (the same
-    // charges and data); running that instantiation keeps a full tile's
-    // host cost the unguarded copy's.
-    if (src.valid >= count)
-      return exec_staged_copy(ctx, src.view, dst, count, cert, src_of, dst_of);
-  }
   constexpr int kDependentReads = detail::kIsGlobal<S> || detail::kIsGlobal<D> ? 1 : 0;
   const int w = ctx.lanes();
   const int u = ctx.threads();
@@ -471,22 +446,16 @@ void exec_staged_copy(gpusim::BlockContext& ctx, Src&& src, Dst&& dst, std::int6
                          dst_of);
       }
       const auto out = detail::writable(dst);
-      std::int64_t read = count;  // elements moved from the source's memory
-      if constexpr (detail::kIsGuarded<S>) {
-        read = std::min(count, src.valid);
-        for (std::int64_t t = read; t < count; ++t)
-          out[static_cast<std::size_t>(dst_of(t))] = src.fill;
-      }
       if constexpr (!detail::kIsShared<S> && !detail::kIsGlobal<S>) {  // a Fill
         for (std::int64_t t = 0; t < count; ++t)
           out[static_cast<std::size_t>(dst_of(t))] = src.value;
-      } else if (read > 0) {
-        const auto in = std::as_const(detail::memory_of(src)).raw();
+      } else {
+        const auto in = std::as_const(src).raw();
         if constexpr (detail::kIsUnitStep<SrcOf> && detail::kIsUnitStep<DstOf>) {
-          const auto [slo, shi] = detail::span_of(src_of, read);
-          const auto dlo = detail::span_of(dst_of, read).first;
+          const auto [slo, shi] = detail::span_of(src_of, count);
+          const auto dlo = detail::span_of(dst_of, count).first;
           assert(slo >= 0 && static_cast<std::size_t>(shi) <= in.size());
-          assert(dlo >= 0 && static_cast<std::size_t>(dlo + read) <= out.size());
+          assert(dlo >= 0 && static_cast<std::size_t>(dlo + count) <= out.size());
           const auto from = in.begin() + static_cast<std::ptrdiff_t>(slo);
           const auto until = in.begin() + static_cast<std::ptrdiff_t>(shi);
           const auto to = out.begin() + static_cast<std::ptrdiff_t>(dlo);
@@ -495,7 +464,7 @@ void exec_staged_copy(gpusim::BlockContext& ctx, Src&& src, Dst&& dst, std::int6
           else
             std::reverse_copy(from, until, to);
         } else {
-          for (std::int64_t t = 0; t < read; ++t) {
+          for (std::int64_t t = 0; t < count; ++t) {
             const std::int64_t sa = src_of(t);
             const std::int64_t da = dst_of(t);
             assert(sa >= 0 && static_cast<std::size_t>(sa) < in.size());
@@ -533,21 +502,31 @@ void exec_staged_copy(gpusim::BlockContext& ctx, Src&& src, Dst&& dst, std::int6
         daddr[static_cast<std::size_t>(lane)] = active ? dst_of(t) : gpusim::kInactiveLane;
       }
       ctx.charge_compute(warp, sort::cost::kCopyChunkInstrs);
-      if constexpr (detail::kIsGuarded<S>) {
-        // The chunk's elements below `valid` are a prefix of its lanes.
-        const std::int64_t reads = std::clamp<std::int64_t>(src.valid - base, 0, w);
-        for (std::int64_t lane = reads; lane < w; ++lane) {
-          saddr[static_cast<std::size_t>(lane)] = gpusim::kInactiveLane;
-          vals[static_cast<std::size_t>(lane)] = src.fill;
-        }
-        if (reads > 0) src.view.gather(warp, sspan, vspan, first);
-      } else {
-        src.gather(warp, sspan, vspan, first && kDependentReads != 0);
-      }
+      src.gather(warp, sspan, vspan, first && kDependentReads != 0);
       dst.scatter(warp, dspan, std::span<const V>(vspan), /*dependent=*/false);
       first = false;
     }
   }
+}
+
+/// Guarded staged load (CUB's LoadDirectBlocked with an out-of-bounds
+/// default): a staged copy of `count` elements whose elements from `valid`
+/// on take `fill` in-kernel and read nothing.  The chunk rows, compute
+/// charges and destination writes are those of the plain copy; each read
+/// row has only the lanes below `valid` active, and a row without one is
+/// not issued.  A guard at or past `count` is the plain copy; a partial one
+/// runs on the lane path.
+template <typename Src, typename Dst, typename SrcOf, typename DstOf>
+void exec_guarded_load(gpusim::BlockContext& ctx, Src& src, Dst&& dst, std::int64_t count,
+                       std::int64_t valid, typename Src::value_type fill,
+                       const verify::CfCertificate* cert, SrcOf&& src_of, DstOf&& dst_of) {
+  if (valid >= count) {
+    exec_staged_copy(ctx, src, dst, count, cert, src_of, dst_of);
+    return;
+  }
+  exec_staged_copy(
+      ctx, detail::MaskedSource<Src>{src, fill}, dst, count, /*cert=*/nullptr,
+      [&](std::int64_t t) { return t < valid ? src_of(t) : gpusim::kInactiveLane; }, dst_of);
 }
 
 /// The cf_gather executor: the dual subsequence gather (paper §3,

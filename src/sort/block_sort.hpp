@@ -103,13 +103,12 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
   std::vector<T> regs(static_cast<std::size_t>(tile));
 
   // --- load tile (coalesced reads, linear shared writes) ----------------
-  // Guarded: the slots past m take the sentinel without a global read.
+  // Guarded: the slots past m take the sentinel in shared, reading nothing.
   ctx.phase("bsort.load");
   if (!fill.lens.empty())
     read_block_record(ctx, ctx.block_id(), static_cast<int>(sizeof(std::int32_t)));
-  cfprims::exec_staged_copy(ctx, cfprims::Guarded{global, m, padding_sentinel<T>::value()},
-                            shmem, tile, certs.stage, cfprims::UnitStep{},
-                            cfprims::UnitStep{});
+  cfprims::exec_guarded_load(ctx, global, shmem, tile, m, padding_sentinel<T>::value(),
+                             certs.stage, cfprims::UnitStep{}, cfprims::UnitStep{});
   ctx.barrier();
 
   // --- per-thread register sort -----------------------------------------

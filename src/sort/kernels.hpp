@@ -49,6 +49,7 @@
 #include "gather/schedule.hpp"
 #include "gpusim/memory_views.hpp"
 #include "sort/cost_model.hpp"
+#include "sort/key_value.hpp"
 #include "sort/odd_even.hpp"
 #include "verify/certificate.hpp"
 
@@ -331,7 +332,8 @@ void cf_merge_pair(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem, std:
   const int w = ctx.lanes();
   cfprims::exec_cf_gather(ctx, shmem, pair_schedule(w, na, nb, splits), base, cert, warp_of,
                           regs);
-  warp_network_sort(ctx, static_cast<int>(splits.size()) / w, warp_of, regs, cmp);
+  warp_network_sort(ctx, static_cast<int>(splits.size()) / w, warp_of, regs,
+                    padding_last<T>(cmp));
 }
 
 /// Largest number of lists one sequential merge (and one k-way pass)

@@ -18,11 +18,13 @@
 // sort/block_sort.hpp, sort/merge_pass.hpp).  The block sort merges only
 // the run pairs that hold real elements, but the pair that straddles the
 // real length and every merge window still merge the in-shared sentinels
-// by value, so two cases remain open: NaN keys have no specified position,
-// and CF-Merge sort_by_key with real +inf keys can lose pairs — a sentinel
-// pair ties with a real +inf pair, and CF-Merge is stable only for
-// distinct keys, so a sentinel may land in front of it and the real pair
-// falls past the stored ranks.
+// by value, so NaN keys have no specified position.  A sentinel pair ties
+// with a real +inf pair, and CF-Merge's network is stable only for
+// distinct keys, so it orders the pair equal to the sentinel last among
+// its ties (padding_last) and the real pair is never pushed past the
+// stored ranks.  The k-way cascade at k >= 4 can still lose one: its
+// plan's level-0 sentinel tails sit ahead of a later list's real +inf
+// pairs in the A-first order of the next level.
 #pragma once
 
 #include <limits>
@@ -62,5 +64,29 @@ template <typename K, typename V>
 struct padding_sentinel<KeyValue<K, V>> {
   static KeyValue<K, V> value() { return {padding_sentinel<K>::value(), V{}}; }
 };
+
+/// `cmp` with ties broken against the padding: an element equal to the
+/// sentinel in key and value sorts after every other element its key ties.
+/// CF-Merge sorts a thread's gathered items over a rotated arrangement, so
+/// without this a sentinel filled in shared could land ahead of a real pair
+/// whose key is the sentinel's and push it past the stored ranks.  A real
+/// pair equal to the sentinel is interchangeable with it, and plain keys
+/// need no tie-break.
+template <typename T, typename Cmp>
+auto padding_last(Cmp cmp) {
+  if constexpr (requires { typename T::key_type; typename T::value_type; }) {
+    return [cmp](const T& a, const T& b) {
+      if (cmp(a, b)) return true;
+      if (cmp(b, a)) return false;
+      const T top = padding_sentinel<T>::value();
+      const auto padding = [&top](const T& x) {
+        return x.key == top.key && x.value == top.value;
+      };
+      return padding(b) && !padding(a);
+    };
+  } else {
+    return cmp;
+  }
+}
 
 }  // namespace cfmerge::sort

@@ -36,8 +36,11 @@
 //
 // Ragged groups: a group's real length need not be a tile multiple, and no
 // kernel reads or writes global memory past it (Thrust and CUB give a
-// partial tile its valid-item count).  The partition probes search the
-// real list lengths.  The merge kernel keeps the windows, shared layout,
+// partial tile its valid-item count).  The partition search keeps the
+// probe path of the group padded to a tile multiple, but a probe past the
+// real end reads no memory and sees the sentinel (partition_search), so it
+// reads no more than over a padded source.  The merge kernel keeps the
+// windows, shared layout,
 // splits and merge of the group padded with +inf to a tile multiple
 // (padding sits at the tail of the group's last non-empty list), but each
 // window loads only its real elements from global memory — a guarded load
@@ -203,6 +206,13 @@ struct BatchTile {
     if (n >= 0) t.len = std::min(len, n - base);
     return t;
   }
+  /// This descriptor with len rounded up to a tile multiple: the group as
+  /// the merge kernel's windows see it, padded at its tail.
+  [[nodiscard]] BatchTile padded(std::int64_t tile) const {
+    BatchTile t = *this;
+    t.len = (len + tile - 1) / tile * tile;
+    return t;
+  }
 };
 
 /// Bytes of a descriptor the partition kernels read: the leading base, run,
@@ -248,30 +258,42 @@ struct BatchLayout {
 /// co-rank of tiles[q]'s start diagonal within its pair (a two-list group)
 /// into out[q] by one lockstep co-rank search over `global`; every round
 /// charges kSearchIterInstrs, the A probe row (dependent) and the B probe
-/// row.  Idle and finished lanes probe kInactiveLane.
+/// row.  Idle and finished lanes probe kInactiveLane, and so does a probe
+/// at or past its list's length in real[q]: it reads the +inf sentinel
+/// without touching memory.
 template <typename T, typename Cmp>
 void search_partition_rows(gpusim::BlockContext& ctx, int warp,
                            gpusim::GlobalView<const T>& global,
-                           std::span<const detail::BatchTile> tiles, const MergeConfig& /*cfg*/,
+                           std::span<const detail::BatchTile> tiles,
+                           std::span<const detail::BatchTile> real, const MergeConfig& /*cfg*/,
                            std::span<std::int64_t> out, Cmp cmp) {
   std::array<mergepath::LaneSearch, gpusim::kMaxLanes> lanes{};
   std::array<std::int64_t, gpusim::kMaxLanes> abase{};
   std::array<std::int64_t, gpusim::kMaxLanes> bbase{};
+  std::array<std::int64_t, gpusim::kMaxLanes> areal{};
+  std::array<std::int64_t, gpusim::kMaxLanes> breal{};
   std::array<std::int64_t, gpusim::kMaxLanes> pa;
   std::array<std::int64_t, gpusim::kMaxLanes> pb;
   for (std::size_t q = 0; q < tiles.size(); ++q) {
     lanes[q].init(tiles[q].diag0, tiles[q].list_len(0, 2), tiles[q].list_len(1, 2));
     abase[q] = tiles[q].base;
     bbase[q] = tiles[q].list_base(1);
+    areal[q] = real[q].list_len(0, 2);
+    breal[q] = real[q].list_len(1, 2);
   }
-  const auto at = [](std::int64_t base, std::int64_t idx) {
-    return idx == gpusim::kInactiveLane ? gpusim::kInactiveLane : base + idx;
+  const T top = padding_sentinel<T>::value();
+  // A probe below the list's real length reads base + idx; one past it is
+  // padding.  Done lanes probe kInactiveLane (negative), never padding.
+  const auto at = [](std::int64_t base, std::int64_t idx, std::int64_t len) {
+    return idx == gpusim::kInactiveLane || idx >= len ? gpusim::kInactiveLane : base + idx;
   };
   auto probe = [&](std::span<const std::int64_t> a_addr, std::span<T> a_val,
                    std::span<const std::int64_t> b_addr, std::span<T> b_val) {
     for (std::size_t l = 0; l < a_addr.size(); ++l) {
-      pa[l] = at(abase[l], a_addr[l]);
-      pb[l] = at(bbase[l], b_addr[l]);
+      pa[l] = at(abase[l], a_addr[l], areal[l]);
+      pb[l] = at(bbase[l], b_addr[l], breal[l]);
+      if (a_addr[l] >= areal[l]) a_val[l] = top;
+      if (b_addr[l] >= breal[l]) b_val[l] = top;
     }
     ctx.charge_compute(warp, cost::kSearchIterInstrs);
     global.gather(warp, std::span<const std::int64_t>(pa.data(), a_val.size()), a_val,
@@ -287,24 +309,31 @@ void search_partition_rows(gpusim::BlockContext& ctx, int warp,
 
 /// The partition kernels' search, for both arities: row t of `out`
 /// (cfg.row_width() co-ranks) receives the co-rank row of tiles[t]'s start
-/// diagonal within its group, searched over the real list lengths
-/// (BatchTile::real with `real_n`, the input length of a one-segment
-/// source, or −1).  Each warp resolves cfg.tiles_per_warp(w) consecutive
-/// tiles: it first fetches the four leading fields of their descriptors
-/// (lane q reads descriptor desc0 + t0 + q, one dependent read), then runs
-/// the config's row search (search_partition_rows: the co-rank search for a
-/// pair, multisequence selection for k lists).
+/// diagonal within its group.  Each warp resolves cfg.tiles_per_warp(w)
+/// consecutive tiles: it first fetches the four leading fields of their
+/// descriptors (lane q reads descriptor desc0 + t0 + q, one dependent
+/// read), then runs the config's row search (search_partition_rows: the
+/// co-rank search for a pair, multisequence selection for k lists).
+///
+/// The search runs over the group as the merge kernel's windows see it: a
+/// sort pipeline (one that sets `fill`) searches each group padded to a
+/// tile multiple, and a batched pass its pairs' lengths.  Probes past the
+/// group's real length (BatchTile::real with fill.n) read no memory and see
+/// the +inf sentinel, so the probe path and the co-ranks are those of a
+/// source that held the padding, and the search reads no more.
 template <typename T, typename Cfg, typename Cmp>
 void partition_search(gpusim::BlockContext& ctx, gpusim::GlobalView<const T>& global,
                       std::span<const detail::BatchTile> tiles, std::int64_t desc0,
-                      std::int64_t real_n, std::span<std::int64_t> out, const Cfg& cfg,
-                      Cmp cmp) {
+                      std::span<std::int64_t> out, const Cfg& cfg, Cmp cmp,
+                      const TileFill& fill = {}) {
   const int w = ctx.lanes();
   const int per_warp = cfg.tiles_per_warp(w);
   const auto width = static_cast<std::size_t>(cfg.row_width());
   const auto count = static_cast<std::int64_t>(tiles.size());
+  const bool padded = fill.n >= 0 || !fill.lens.empty();
   assert(w <= gpusim::kMaxLanes && out.size() == tiles.size() * width);
   std::array<std::int64_t, gpusim::kMaxLanes> desc;
+  std::array<detail::BatchTile, gpusim::kMaxLanes> group;
   std::array<detail::BatchTile, gpusim::kMaxLanes> real;
   for (int warp = 0; warp < ctx.warps(); ++warp) {
     const std::int64_t t0 =
@@ -315,11 +344,14 @@ void partition_search(gpusim::BlockContext& ctx, gpusim::GlobalView<const T>& gl
     for (std::size_t q = 0; q < queries; ++q) {
       desc[q] = (desc0 + t0 + static_cast<std::int64_t>(q)) *
                 static_cast<std::int64_t>(sizeof(detail::BatchTile));
-      real[q] = tiles[static_cast<std::size_t>(t0) + q].real(real_n);
+      const detail::BatchTile& bt = tiles[static_cast<std::size_t>(t0) + q];
+      group[q] = padded ? bt.padded(cfg.tile()) : bt;
+      real[q] = bt.real(fill.n);
     }
     ctx.charge_gmem(warp, std::span<const std::int64_t>(desc.data(), static_cast<std::size_t>(w)),
                     detail::kPartitionDescBytes, /*dependent=*/true);
     search_partition_rows<T>(ctx, warp, global,
+                             std::span<const detail::BatchTile>(group.data(), queries),
                              std::span<const detail::BatchTile>(real.data(), queries), cfg,
                              out.subspan(static_cast<std::size_t>(t0) * width, queries * width),
                              cmp);
@@ -417,8 +449,6 @@ void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T
 
   gpusim::SharedTile<T> shmem(ctx, static_cast<std::size_t>(tile));
   const T top = padding_sentinel<T>::value();
-  cfprims::Guarded<GIn> a_in{gin, seg_real[0], top};
-  cfprims::Guarded<GIn> b_in{gin, seg_real[1], top};
 
   // Load the two chunks; CF-Merge applies the layout permutation here
   // ("each thread block reorders elements during the initial transfer from
@@ -427,18 +457,18 @@ void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T
   // position maps are unit-step runs (pi reverses B), covered by the
   // cf_stage proof.
   if (!layout.is_cf() || layout.rho().identity()) {
-    cfprims::exec_staged_copy(ctx, a_in, shmem, la, cfg.certs.stage,
-                              cfprims::UnitStep{a_src}, cfprims::UnitStep{layout.pos_a(0)});
-    cfprims::exec_staged_copy(ctx, b_in, shmem, lb, cfg.certs.stage,
-                              cfprims::UnitStep{b_src},
-                              cfprims::UnitStep{layout.pos_b(0), layout.b_step()});
+    cfprims::exec_guarded_load(ctx, gin, shmem, la, seg_real[0], top, cfg.certs.stage,
+                               cfprims::UnitStep{a_src}, cfprims::UnitStep{layout.pos_a(0)});
+    cfprims::exec_guarded_load(ctx, gin, shmem, lb, seg_real[1], top, cfg.certs.stage,
+                               cfprims::UnitStep{b_src},
+                               cfprims::UnitStep{layout.pos_b(0), layout.b_step()});
   } else {
-    cfprims::exec_staged_copy(ctx, a_in, shmem, la, /*cert=*/nullptr,
-                              cfprims::UnitStep{a_src},
-                              [&](std::int64_t t) { return layout.pos_a(t); });
-    cfprims::exec_staged_copy(ctx, b_in, shmem, lb, /*cert=*/nullptr,
-                              cfprims::UnitStep{b_src},
-                              [&](std::int64_t t) { return layout.pos_b(t); });
+    cfprims::exec_guarded_load(ctx, gin, shmem, la, seg_real[0], top, /*cert=*/nullptr,
+                               cfprims::UnitStep{a_src},
+                               [&](std::int64_t t) { return layout.pos_a(t); });
+    cfprims::exec_guarded_load(ctx, gin, shmem, lb, seg_real[1], top, /*cert=*/nullptr,
+                               cfprims::UnitStep{b_src},
+                               [&](std::int64_t t) { return layout.pos_b(t); });
   }
   ctx.barrier();
 
@@ -468,7 +498,8 @@ void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T
         cfg.certs.stride != nullptr ? cfg.certs.gather : nullptr, cfprims::same_warp,
         [&](int vw, int lane, int j) { return sched.read(vw * w + lane, j).raw; },
         std::span<T>(regs));
-    warp_network_sort(ctx, ctx.warps(), cfprims::same_warp, std::span<T>(regs), cmp);
+    warp_network_sort(ctx, ctx.warps(), cfprims::same_warp, std::span<T>(regs),
+                      padding_last<T>(cmp));
   } else {
     serial_merge_core<2>(
         ctx, shmem, 2, e,
@@ -526,9 +557,8 @@ void enqueue_merge_pass(gpusim::KernelGraph& graph, const std::vector<T>& src,
             ctx, g,
             std::span<const BatchTile>(tiles).subspan(static_cast<std::size_t>(t0),
                                                       static_cast<std::size_t>(count)),
-            t0, fill.n,
-            std::span<std::int64_t>(boundaries).first(static_cast<std::size_t>(count) * width),
-            cfg, std::less<T>{});
+            t0, std::span<std::int64_t>(boundaries).first(static_cast<std::size_t>(count) * width),
+            cfg, std::less<T>{}, fill);
       });
 
   const std::int64_t tile = cfg.tile();

@@ -138,12 +138,16 @@ namespace detail {
 /// Lanes keep S[lo - 1] and S[hi] in registers, so a level costs one
 /// dependent gather (the middles) and every pop one dependent read: O(log n)
 /// rounds per query instead of the nested searches' O(k^2 log^2 n).
+/// When `seg_real` is given (slot-indexed), a probe at or past its
+/// sequence's seg_real reads no memory and sees the +inf sentinel, as if
+/// the sequence were padded with it up to seg_len.
 template <typename T, typename Gather, typename Cmp>
 void warp_multiseq_select(gpusim::BlockContext& ctx, int warp, int k, int queries,
                           std::span<const std::int64_t> seg_base,
                           std::span<const std::int64_t> seg_len,
                           std::span<const std::int64_t> diag, Gather&& gather, Cmp cmp,
-                          std::span<std::int64_t> out_co) {
+                          std::span<std::int64_t> out_co,
+                          std::span<const std::int64_t> seg_real = {}) {
   using gpusim::kInactiveLane;
   const auto w = static_cast<std::size_t>(ctx.lanes());
   const auto kk = static_cast<std::size_t>(k);
@@ -184,7 +188,10 @@ void warp_multiseq_select(gpusim::BlockContext& ctx, int warp, int k, int querie
       bool active = false;
       for (std::size_t l = 0; l < w; ++l) {
         const std::size_t f = f0 + l;
-        addr[l] = f < slots && idx[f] != kInactiveLane ? seg_base[f] + idx[f] : kInactiveLane;
+        const bool probed = f < slots && idx[f] != kInactiveLane;
+        const bool padding = probed && !seg_real.empty() && idx[f] >= seg_real[f];
+        addr[l] = probed && !padding ? seg_base[f] + idx[f] : kInactiveLane;
+        if (padding) got[f] = padding_sentinel<T>::value();
         active = active || addr[l] != kInactiveLane;
       }
       if (!active) continue;
@@ -289,21 +296,24 @@ void warp_multiseq_select(gpusim::BlockContext& ctx, int warp, int k, int querie
 /// The k-way row search of one partition warp: row q of `out` (k
 /// co-ranks) receives the co-rank vector of tiles[q]'s start diagonal
 /// within its group, by warp_multiseq_select over `global` with one lane
-/// per (tile, list).
+/// per (tile, list).  A probe at or past its list's length in real[q]
+/// reads no memory and sees the +inf sentinel.
 template <typename T, typename Cmp>
 void search_partition_rows(gpusim::BlockContext& ctx, int warp,
                            gpusim::GlobalView<const T>& global,
-                           std::span<const detail::BatchTile> tiles, const MultiwayConfig& cfg,
+                           std::span<const detail::BatchTile> tiles,
+                           std::span<const detail::BatchTile> real, const MultiwayConfig& cfg,
                            std::span<std::int64_t> out, Cmp cmp) {
   const int k = cfg.k;
   const int queries = static_cast<int>(tiles.size());
-  std::array<std::int64_t, gpusim::kMaxLanes> seg_len, seg_base, diag;
+  std::array<std::int64_t, gpusim::kMaxLanes> seg_len, seg_real, seg_base, diag;
   for (int q = 0; q < queries; ++q) {
     const detail::BatchTile& bt = tiles[static_cast<std::size_t>(q)];
     diag[static_cast<std::size_t>(q)] = bt.diag0;
     for (int s = 0; s < k; ++s) {
       const auto f = static_cast<std::size_t>(q * k + s);
       seg_len[f] = bt.list_len(s, k);
+      seg_real[f] = real[static_cast<std::size_t>(q)].list_len(s, k);
       seg_base[f] = bt.list_base(s);
     }
   }
@@ -315,7 +325,7 @@ void search_partition_rows(gpusim::BlockContext& ctx, int warp,
       [&](std::span<const std::int64_t> addrs, std::span<T> vals, bool dependent) {
         global.gather(warp, addrs, vals, dependent);
       },
-      cmp, out);
+      cmp, out, std::span<const std::int64_t>(seg_real.data(), slots));
 }
 
 /// CFCascade merge core: merges the block's k segment windows (global
@@ -349,13 +359,12 @@ void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalVi
       if (pr.layout.size() == 0) continue;
       const std::int64_t na = leaves[2 * p].len;
       const std::int64_t nbr = leaves[2 * p + 1].len;
-      cfprims::exec_staged_copy(ctx, cfprims::Guarded<GIn>{gin, seg_real[2 * p], top}, shmem,
-                                na, /*cert=*/nullptr, cfprims::UnitStep{seg_src[2 * p]},
-                                [&](std::int64_t t) { return rb + pr.pos_a(t); });
-      cfprims::exec_staged_copy(ctx, cfprims::Guarded<GIn>{gin, seg_real[2 * p + 1], top},
-                                shmem, nbr, /*cert=*/nullptr,
-                                cfprims::UnitStep{seg_src[2 * p + 1]},
-                                [&](std::int64_t t) { return rb + pr.pos_b(t); });
+      cfprims::exec_guarded_load(ctx, gin, shmem, na, seg_real[2 * p], top, /*cert=*/nullptr,
+                                 cfprims::UnitStep{seg_src[2 * p]},
+                                 [&](std::int64_t t) { return rb + pr.pos_a(t); });
+      cfprims::exec_guarded_load(ctx, gin, shmem, nbr, seg_real[2 * p + 1], top,
+                                 /*cert=*/nullptr, cfprims::UnitStep{seg_src[2 * p + 1]},
+                                 [&](std::int64_t t) { return rb + pr.pos_b(t); });
       cfprims::exec_staged_copy(ctx, cfprims::Fill<T>{top}, shmem, pr.layout.lb() - nbr,
                                 /*cert=*/nullptr, cfprims::UnitStep{},
                                 [&](std::int64_t t) { return rb + pr.pos_b(nbr + t); });
@@ -498,10 +507,9 @@ void multiway_losertree_core(gpusim::BlockContext& ctx, GIn& gin,
         seg_off[static_cast<std::size_t>(s - 1)] + seg_len[static_cast<std::size_t>(s - 1)];
   for (int s = 0; s < k; ++s) {
     const auto at = static_cast<std::size_t>(s);
-    cfprims::exec_staged_copy(
-        ctx, cfprims::Guarded<GIn>{gin, seg_real[at], padding_sentinel<T>::value()}, shmem,
-        seg_len[at], /*cert=*/nullptr, cfprims::UnitStep{seg_src[at]},
-        cfprims::UnitStep{seg_off[at]});
+    cfprims::exec_guarded_load(ctx, gin, shmem, seg_len[at], seg_real[at],
+                               padding_sentinel<T>::value(), /*cert=*/nullptr,
+                               cfprims::UnitStep{seg_src[at]}, cfprims::UnitStep{seg_off[at]});
   }
   ctx.barrier();
 

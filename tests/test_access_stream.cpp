@@ -230,7 +230,7 @@ std::vector<StreamCase> cases() {
        0x20b8cc9f256888ccull, 0x223c29cb73b38e07ull, 18996, 17589, 64512, 4256},
       {"by_key_ragged_w32", w32,
        [](L& l) { return run_by_key(l, Variant::CFMerge, 7, 64, 3 * 448 + 101, 4); },
-       0x5d58f75a1f0d1f1aull, 0x7236265c039fb4cbull, 2910, 2612, 5376, 602},
+       0x7c5ab5f861c86014ull, 0x9a31ddd340babc08ull, 2910, 2612, 5376, 602},
       {"cf_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 5, 16, 8 * 80, 5); },
        0x2104e508be5804efull, 0x5e636a72fd30f774ull, 4863, 4168, 2560, 960},
@@ -241,31 +241,31 @@ std::vector<StreamCase> cases() {
        0x770ca804df92b402ull, 0x37d76daf464afe44ull, 12021, 10737, 11520, 2705},
       {"by_key_ragged_w8", w8,
        [](L& l) { return run_by_key(l, Variant::Baseline, 5, 16, 5 * 80 + 37, 8); },
-       0x8e435d24b9d1990bull, 0xe907ae830a00b33cull, 3338, 2891, 1920, 505},
+       0xf133208707d76d29ull, 0xf171ab29990beffaull, 3342, 2891, 1920, 505},
       {"cf_blocksort_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 5, 16);
          cfg.cf_blocksort = true;
          return run_merge_sort(l, cfg, 8 * 80 + 13, 9);
        },
-       0x789991ed07639a09ull, 0xe667357c9a82c31bull, 6035, 5078, 4320, 1380},
+       0xcbf1b6ff2b8eca25ull, 0xaf6d07d1f865339full, 6041, 5078, 4320, 1380},
       {"cf_noncoprime_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 6, 16, 8 * 96 + 5, 10); },
-       0xdcf3dc36b91e6024ull, 0xb8f39cf401fb3a50ull, 6348, 5276, 4320, 864},
+       0xe299171af49d8590ull, 0xabde3a3058cd0779ull, 6356, 5276, 4320, 864},
       {"cf_no_rho_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 6, 16);
          cfg.disable_rho = true;
          return run_merge_sort(l, cfg, 8 * 96 + 5, 18);
        },
-       0x9788372df5640affull, 0x7c12ac4a119f9fe2ull, 6341, 5272, 4320, 0},
+       0x8008016644cc9323ull, 0xc49a93c6a1c3bb4bull, 6349, 5272, 4320, 0},
       {"cf_plain_scatter_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 6, 16);
          cfg.cf_output_scatter = false;
          return run_merge_sort(l, cfg, 8 * 96 + 5, 19);
        },
-       0x4141c685f2edf9d0ull, 0xa566a49fb157ba81ull, 6376, 5305, 4320, 432},
+       0x7ec4bd1b20ffee44ull, 0x29fcafe5de1e9bb7ull, 6384, 5305, 4320, 432},
       {"losertree_k4_w8", w8,
        [](L& l) {
          return run_multiway(l, 5, 16, 16 * 80, 11, sort::MultiwayVariant::LoserTree);

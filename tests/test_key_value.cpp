@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <numeric>
 #include <random>
 
 #include "gpusim/launcher.hpp"
@@ -202,6 +204,67 @@ TEST(SortByKey, CFMergeCorrectForDistinctKeys) {
     EXPECT_EQ(keys[i], static_cast<int>(i));
     EXPECT_EQ(values[i], -static_cast<std::int64_t>(i));
   }
+}
+
+TEST(SortByKey, CFMergeLosesNoRealPairTiedWithThePadding) {
+  // Real keys equal to the padding sentinel (INT_MAX) tie with the sentinels
+  // filled in shared memory.  CF-Merge's register network orders a sentinel
+  // after them (padding_last), so none is pushed past the stored ranks:
+  // every pair comes back, whatever order the ties take.
+  gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(8));
+  const int top = std::numeric_limits<int>::max();
+  for (const std::int64_t n : {247, 397, 721}) {
+    std::mt19937_64 rng(static_cast<std::uint64_t>(n));
+    std::vector<int> in_keys(static_cast<std::size_t>(n));
+    for (auto& k : in_keys) k = rng() % 20 == 0 ? top : static_cast<int>(rng() % 4);
+    std::vector<std::int64_t> in_values(in_keys.size());
+    std::iota(in_values.begin(), in_values.end(), std::int64_t{1});
+    const auto expect_pairs = [&](const std::vector<int>& keys,
+                                  const std::vector<std::int64_t>& values) {
+      ASSERT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+      std::vector<std::int64_t> seen = values;
+      std::sort(seen.begin(), seen.end());
+      EXPECT_EQ(seen, in_values) << "a real pair was lost";
+      for (std::size_t i = 0; i < keys.size(); ++i)
+        EXPECT_EQ(keys[i], in_keys[static_cast<std::size_t>(values[i] - 1)]) << "i=" << i;
+    };
+    for (const int mode : {0, 1, 2}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " mode=" + std::to_string(mode));
+      MergeConfig cfg;
+      cfg.e = 5;
+      cfg.u = 16;
+      cfg.variant = Variant::CFMerge;
+      cfg.cf_blocksort = mode == 1;
+      cfg.disable_rho = mode == 2;
+      auto keys = in_keys;
+      auto values = in_values;
+      merge_sort_by_key(launcher, keys, values, cfg);
+      expect_pairs(keys, values);
+    }
+    MultiwayConfig mcfg;
+    mcfg.e = 5;
+    mcfg.u = 16;
+    mcfg.k = 2;
+    mcfg.variant = MultiwayVariant::CFCascade;
+    auto keys = in_keys;
+    auto values = in_values;
+    merge_sort_multiway_by_key(launcher, keys, values, mcfg);
+    SCOPED_TRACE("cascade k=2 n=" + std::to_string(n));
+    expect_pairs(keys, values);
+  }
+}
+
+TEST(SortByKey, PaddingLastOrdersTheSentinelAfterItsTies) {
+  using KV = KeyValue<int, int>;
+  const auto less = padding_last<KV>(std::less<KV>{});
+  const KV pad = padding_sentinel<KV>::value();
+  const KV real{pad.key, 7};
+  EXPECT_TRUE(less(real, pad));
+  EXPECT_FALSE(less(pad, real));
+  EXPECT_FALSE(less(pad, pad));
+  EXPECT_TRUE(less(KV{1, 0}, pad));
+  EXPECT_FALSE(less(KV{2, 9}, KV{2, 0}));
+  EXPECT_FALSE(less(KV{2, 0}, KV{2, 9}));
 }
 
 TEST(SortByKey, MismatchedSizesRejected) {

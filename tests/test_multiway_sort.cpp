@@ -368,7 +368,7 @@ TEST(MultiwayPartition, KernelBoundariesMatchMultiwayPathOracle) {
                           [&](BlockContext& ctx) {
                             gpusim::GlobalView<const int> g(ctx, std::span<const int>(input), 0);
                             partition_search<int>(
-                                ctx, g, std::span<const detail::BatchTile>(tiles), 0, -1,
+                                ctx, g, std::span<const detail::BatchTile>(tiles), 0,
                                 std::span<std::int64_t>(boundaries), mcfg, std::less<int>{});
                           });
           for (std::int64_t t = 0; t < nb; ++t) {
