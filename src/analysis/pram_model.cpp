@@ -9,10 +9,9 @@ namespace cfmerge::analysis {
 namespace {
 std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
 
-std::int64_t log2_ceil(std::int64_t x) {
-  std::int64_t l = 0;
-  while ((std::int64_t{1} << l) < x) ++l;
-  return l;
+/// Rounds of a binary search over x + 1 candidates: bit_width(x).
+std::int64_t search_rounds(std::int64_t x) {
+  return std::bit_width(static_cast<std::uint64_t>(x));
 }
 }  // namespace
 
@@ -36,10 +35,14 @@ PramMergeKernel pram_merge_kernel(int w, int e, int u, std::int64_t la, std::int
   k.output_scatter_accesses = static_cast<std::int64_t>(e) * warps;
   k.store_shared_accesses = ceil_div(tile, w);
   k.store_gmem_requests = ceil_div(tile, w);
-  // Each lockstep search runs until the widest lane finishes: at most
-  // ceil(log2(range + 1)) iterations with range <= min(la, lb, tile);
-  // two searches (start and end diagonal) per warp.
-  k.search_iterations_bound = 2 * warps * (log2_ceil(std::min({la, lb, tile}) + 1) + 1);
+  // Per warp, one lockstep search over the start diagonals runs until the
+  // widest lane finishes: at most bit_width(range) iterations with range <=
+  // min(la, lb).  The end co-ranks come by shuffle, except the last lane's:
+  // its lone search is bracketed to E + 1 co-ranks within the same range,
+  // at most bit_width(min(E, la, lb)) iterations.
+  const std::int64_t range = std::min(la, lb);
+  k.search_iterations_bound =
+      warps * (search_rounds(range) + search_rounds(std::min<std::int64_t>(e, range)));
   return k;
 }
 

@@ -24,7 +24,8 @@ struct PramMergeKernel {
   /// Shared -> global streaming store accesses.
   std::int64_t store_shared_accesses = 0;
   std::int64_t store_gmem_requests = 0;
-  /// Upper bound on lockstep search iterations per warp (both diagonals).
+  /// Upper bound on the block's merge-path search iterations: per warp, the
+  /// start-diagonal search plus the last lane's lone end search.
   std::int64_t search_iterations_bound = 0;
 
   [[nodiscard]] std::int64_t deterministic_shared_accesses() const {

@@ -76,7 +76,7 @@ class BlockContext {
                                 dependent, is_write);
   }
   /// charge_shared with the access cost `c` already computed — by
-  /// shared_access_cost or shared_access_cost_pair over these exact
+  /// shared_access_cost (or a closed form equal to it) over these exact
   /// addresses on this device's bank count.  The one body that updates the
   /// shared counters, the warp chain and the trace; returns `c`.
   SharedAccessCost charge_shared_costed(int warp, std::span<const std::int64_t> addrs,

@@ -40,13 +40,6 @@ struct SharedAccessCost {
   int active_lanes = 0;
 };
 
-/// Costs of the two overlapping rows of one (n + 1)-lane row: `first` is
-/// lanes [0, n), `shifted` is lanes [1, n] (see shared_access_cost_pair).
-struct SharedAccessPairCost {
-  SharedAccessCost first;
-  SharedAccessCost shifted;
-};
-
 namespace detail {
 
 /// Addresses the bitmap dedup can index: [0, 2^16).  Shared tiles that
@@ -74,7 +67,6 @@ inline constexpr std::int64_t kDedupDomain = std::int64_t{1} << 16;
 /// lane; marking "address already seen" in a 64K-bit map makes the whole
 /// per-lane loop straight-line selects (~2.5x faster per call on the
 /// simulator's profile).  The constructor marks and counts the active lanes;
-/// while the object lives, degree_with() prices one more lane against them;
 /// the destructor wipes the marks again by re-walking the lanes, so the
 /// map's all-zero invariant holds across calls.
 template <int kBanks>
@@ -104,14 +96,6 @@ class BankDedup {
 
   /// Most distinct addresses in one bank (0 when no lane is active).
   [[nodiscard]] int max_degree() const { return max_degree_; }
-  /// max_degree() of the access extended by one more lane reading `a`
-  /// (in [0, kDedupDomain)); `a` is not marked.
-  [[nodiscard]] int degree_with(std::int64_t a) const {
-    const auto u = static_cast<std::uint32_t>(a);
-    const int fresh = ((map_[u >> 6] >> (u & 63u)) & 1u) == 0;
-    const int c = cnt_[bank_of(u)] + fresh;
-    return c > max_degree_ ? c : max_degree_;
-  }
 
  private:
   [[nodiscard]] std::size_t bank_of(std::uint32_t a) const {
@@ -138,6 +122,66 @@ class BankDedup {
     indexable &= dedup_indexable(a);
   }
   return m;
+}
+
+/// The general path of shared_access_cost_impl, and the whole of
+/// shared_access_cost_dedup: the branch-free bitmap dedup, or the per-bank
+/// chains for addresses outside its domain (negative or at least 2^16).
+template <int kBanks>
+[[nodiscard]] inline SharedAccessCost shared_access_cost_dedup_impl(
+    std::span<const std::int64_t> addrs, int banks) {
+  SharedAccessCost cost;
+  {
+    std::array<std::int32_t, kMaxLanes> act;
+    bool indexable = true;
+    const std::size_t m = compact_active(addrs, act, indexable);
+    cost.active_lanes = static_cast<int>(m);
+    if (m == 0) return cost;
+    if (indexable) {
+      const BankDedup<kBanks> dedup(act, m, banks);
+      cost.cycles = dedup.max_degree();
+      cost.conflicts = cost.cycles - 1;
+      return cost;
+    }
+  }
+
+  // Fallback: one pass with per-bank chains threaded through the lane
+  // indices — no counting sort and no per-bank zero-init (`used` gates the
+  // first touch of each bank).  Each lane walks its bank's chain
+  // of previously seen *distinct* addresses (same-address lanes are served
+  // by one broadcast); the walk is linear in the per-bank degree, which the
+  // replay cost this function is computing already bounds.
+  const auto nb = static_cast<std::uint64_t>(kBanks > 0 ? kBanks : banks);
+  std::array<int, kMaxLanes> head;  // lane index of each bank's chain head
+  std::array<int, kMaxLanes> next;  // next lane in the same bank's chain
+  std::array<int, kMaxLanes> cnt;   // distinct addresses per bank
+  std::uint64_t used = 0;
+  int max_degree = 1;
+  for (std::size_t i = 0; i < addrs.size(); ++i) {
+    const std::int64_t a = addrs[i];
+    if (a == kInactiveLane) continue;
+    if (a < 0) throw std::invalid_argument("shared_access_cost: negative shared address");
+    const auto b = static_cast<std::size_t>(static_cast<std::uint64_t>(a) % nb);
+    const std::uint64_t bbit = std::uint64_t{1} << b;
+    if ((used & bbit) == 0) {
+      used |= bbit;
+      head[b] = static_cast<int>(i);
+      next[i] = -1;
+      cnt[b] = 1;
+      continue;
+    }
+    int j = head[b];
+    while (j != -1 && addrs[static_cast<std::size_t>(j)] != a)
+      j = next[static_cast<std::size_t>(j)];
+    if (j == -1) {
+      next[i] = head[b];
+      head[b] = static_cast<int>(i);
+      max_degree = std::max(max_degree, ++cnt[b]);
+    }
+  }
+  cost.cycles = max_degree;
+  cost.conflicts = max_degree - 1;
+  return cost;
 }
 
 /// The cost computation, templated on the bank count.  kBanks > 0 bakes the
@@ -205,86 +249,8 @@ template <int kBanks>
     return cost;
   }
 
-  // General path, first attempt: the branch-free bitmap dedup.  Addresses
-  // outside its domain (negative or at least 2^16) fall through to the
-  // chains.
-  {
-    std::array<std::int32_t, kMaxLanes> act;
-    bool indexable = true;
-    const std::size_t m = compact_active(addrs, act, indexable);
-    if (indexable) {
-      const BankDedup<kBanks> dedup(act, m, banks);
-      cost.cycles = dedup.max_degree();
-      cost.conflicts = cost.cycles - 1;
-      return cost;
-    }
-  }
-
-  // General path, fallback: one pass with per-bank chains threaded through
-  // the lane indices — no counting sort and no per-bank zero-init (`used`
-  // gates the first touch of each bank).  Each lane walks its bank's chain
-  // of previously seen *distinct* addresses (same-address lanes are served
-  // by one broadcast); the walk is linear in the per-bank degree, which the
-  // replay cost this function is computing already bounds.
-  std::array<int, kMaxLanes> head;  // lane index of each bank's chain head
-  std::array<int, kMaxLanes> next;  // next lane in the same bank's chain
-  std::array<int, kMaxLanes> cnt;   // distinct addresses per bank
-  std::uint64_t used = 0;
-  int max_degree = 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int64_t a = addrs[i];
-    if (a == kInactiveLane) continue;
-    if (a < 0) throw std::invalid_argument("shared_access_cost: negative shared address");
-    const auto b = static_cast<std::size_t>(bank_of(a));
-    const std::uint64_t bbit = std::uint64_t{1} << b;
-    if ((used & bbit) == 0) {
-      used |= bbit;
-      head[b] = static_cast<int>(i);
-      next[i] = -1;
-      cnt[b] = 1;
-      continue;
-    }
-    int j = head[b];
-    while (j != -1 && addrs[static_cast<std::size_t>(j)] != a)
-      j = next[static_cast<std::size_t>(j)];
-    if (j == -1) {
-      next[i] = head[b];
-      head[b] = static_cast<int>(i);
-      max_degree = std::max(max_degree, ++cnt[b]);
-    }
-  }
-  cost.cycles = max_degree;
-  cost.conflicts = max_degree - 1;
-  return cost;
-}
-
-/// The pair computation behind shared_access_cost_pair: dedups the shared
-/// lanes [1, n) once, then prices lane 0 and lane n against them.  Rows
-/// with an address outside the dedup domain take two single-row calls.
-template <int kBanks>
-[[nodiscard]] inline SharedAccessPairCost shared_access_cost_pair_impl(
-    std::span<const std::int64_t> row, int banks) {
-  const std::size_t n = row.size() - 1;
-  const std::int64_t lead = row[0];
-  const std::int64_t tail = row[n];
-  std::array<std::int32_t, kMaxLanes> act;
-  bool indexable = dedup_indexable(lead) && dedup_indexable(tail);
-  const std::size_t m = compact_active(row.subspan(1, n - 1), act, indexable);
-  if (!indexable)
-    return {shared_access_cost_impl<kBanks>(row.first(n), banks),
-            shared_access_cost_impl<kBanks>(row.last(n), banks)};
-
-  const BankDedup<kBanks> dedup(act, m, banks);
-  const auto with_edge = [&](std::int64_t a) {
-    SharedAccessCost c;
-    const bool edge = a != kInactiveLane;
-    c.active_lanes = static_cast<int>(m) + static_cast<int>(edge);
-    if (c.active_lanes == 0) return c;
-    c.cycles = edge ? dedup.degree_with(a) : dedup.max_degree();
-    c.conflicts = c.cycles - 1;
-    return c;
-  };
-  return {with_edge(lead), with_edge(tail)};
+  // General path: dedup the addresses.
+  return shared_access_cost_dedup_impl<kBanks>(addrs, banks);
 }
 
 /// The computation behind shared_access_cost_distinct: a per-bank lane
@@ -364,20 +330,19 @@ template <typename F>
   });
 }
 
-/// Costs two overlapping warp-wide accesses in one pass: `row` holds n + 1
-/// lane addresses, `first` is the cost of lanes [0, n) and `shifted` the
-/// cost of lanes [1, n] — exactly shared_access_cost of each (with the same
-/// address contract), for 1 <= n <= kMaxLanes.  The n - 1 shared lanes are
-/// deduplicated once.  Made for merge-path searches, whose end rows are the
-/// start rows shifted by one lane (sort::warp_split_search).
-[[nodiscard]] inline SharedAccessPairCost shared_access_cost_pair(
-    std::span<const std::int64_t> row, int banks) {
+/// Costs one warp-wide shared access exactly as shared_access_cost does,
+/// with the same argument checks and address contract, but without its
+/// conflict-free screen.  Made for rows that usually conflict, where the
+/// screen is wasted work: the merge-path probe rows of
+/// sort::warp_split_search.
+[[nodiscard]] inline SharedAccessCost shared_access_cost_dedup(
+    std::span<const std::int64_t> addrs, int banks) {
   if (banks <= 0 || banks > kMaxLanes)
-    throw std::invalid_argument("shared_access_cost_pair: bank count out of range");
-  if (row.size() < 2 || row.size() > static_cast<std::size_t>(kMaxLanes) + 1)
-    throw std::invalid_argument("shared_access_cost_pair: lane count out of range");
+    throw std::invalid_argument("shared_access_cost_dedup: bank count out of range");
+  if (addrs.size() > static_cast<std::size_t>(kMaxLanes))
+    throw std::invalid_argument("shared_access_cost_dedup: too many lanes");
   return detail::with_bank_count(banks, [&](auto kb) {
-    return detail::shared_access_cost_pair_impl<decltype(kb)::value>(row, banks);
+    return detail::shared_access_cost_dedup_impl<decltype(kb)::value>(addrs, banks);
   });
 }
 

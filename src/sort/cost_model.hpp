@@ -22,6 +22,8 @@ inline constexpr int kCompareExchangeInstrs = 3;
 /// One iteration of the lockstep merge-path binary search
 /// (mid computation, compare, bound update) — excludes the two probes.
 inline constexpr int kSearchIterInstrs = 4;
+/// One warp shuffle (a register read from another lane of the warp).
+inline constexpr int kShuffleInstrs = 1;
 /// One level of the k-way stride-halving selection, excluding its probe:
 /// the window update plus two k-lane reductions (left maximum, left size).
 inline constexpr int multiseq_level_instrs(int k) {

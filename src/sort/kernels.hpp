@@ -6,12 +6,14 @@
 //  * FastDiv             — division by a loop-invariant divisor.
 //  * read_block_record   — a block's lane-0 read of its own per-block
 //                          record (tile descriptor, tile length).
-//  * warp_split_search   — one lockstep merge-path search per warp over the
-//                          w thread start diagonals plus the next thread's,
-//                          producing every thread's split (a_i, |A_i|, b_i,
-//                          |B_i|); decided on uncharged reads, charged as
-//                          the device's start and end probe rows (each
-//                          round's pair costed in one pass).
+//  * warp_split_search   — one merge-path search per thread: a lockstep
+//                          search over the warp's w start diagonals, a
+//                          shuffle handing each lane its successor's
+//                          co-rank as its end, and one lone bracketed
+//                          search for the last lane's end; produces every
+//                          thread's split (a_i, |A_i|, b_i, |B_i|), decided
+//                          on uncharged reads and charged as the device's
+//                          probe rows.
 //  * pair_split_search   — warp_split_search over every warp of P equal
 //                          list pairs laid out back to back, thread i
 //                          starting at offset i*E (the merge window and a
@@ -113,26 +115,29 @@ struct LanePair {
   std::int64_t diag = 0;  ///< the lane's start diagonal within its pair
 };
 
-/// Merge-path splits of one warp's threads, from one lockstep search.
+/// Merge-path splits of one warp's threads: one lockstep search over the
+/// start diagonals, a shuffle, and one lone search for the last lane.
 ///
 /// `pairs` holds w + 1 lanes: the warp's w threads plus the thread after
 /// them (the next warp's first thread, or one past the tile).  Merge-path
-/// partitions are contiguous, so thread l's end diagonal is thread l+1's
-/// start diagonal and its end co-rank is thread l+1's start co-rank — one
-/// search over w + 1 start diagonals resolves both ends of every split.  A
-/// lane whose successor starts a new list pair (diag 0) ends at its own
-/// pair end instead (co-rank na); both of those searches are empty.
+/// partitions are contiguous, so thread l's end co-rank is thread l+1's
+/// start co-rank.  The device runs one search per thread:
+///  * lanes [0, w) search their start diagonals in lockstep, each round one
+///    kSearchIterInstrs, an A probe row and a B probe row;
+///  * one warp shuffle (kShuffleInstrs) hands lane l < w-1 lane l+1's start
+///    co-rank as its end co-rank;
+///  * lane w-1 alone searches lane w's diagonal, bracketed to [a, a + E]
+///    (a its own start co-rank, E the diagonal distance) intersected with
+///    the diagonal's valid range: at most bit_width(E) rounds, each one
+///    kSearchIterInstrs and two one-lane rows (1 cycle, 0 conflicts).
+/// A lane whose successor starts a new list pair (diag 0) ends at its own
+/// pair end (co-rank na) and searches nothing.  For a strict weak order the
+/// bracket holds lane w's co-rank, so every split equals the full search's.
 ///
-/// Accounting: the device runs two lockstep searches per warp, start
-/// diagonals then end diagonals, each round one kSearchIterInstrs, an A
-/// probe row and a B probe row.  The host decides every lane on uncharged
-/// peek() reads, then reports those rows through the charged, audited
-/// SharedTile::charge_row_costed: the start rows are lanes [0, w) of each
-/// round, the end rows lanes [1, w].  The end search of lane l is lane
-/// l+1's start search step for step (or empty on both sides), so the
-/// shifted rows are exactly what a second search would issue — without
-/// assuming the comparison is monotone over the data.  Both rows of a
-/// round are costed in one gpusim::shared_access_cost_pair pass.
+/// The host decides every lane on uncharged peek() reads and reports each
+/// round's rows, as they are decided, through the charged, audited
+/// SharedTile::charge_row_costed: a start row costed by
+/// gpusim::shared_access_cost_dedup, a one-lane row at its known cost.
 ///
 /// `pos_a(lane, x)` / `pos_b(lane, y)` translate list offsets of lane
 /// 0..w to physical shared positions.  Writes splits[0, w).
@@ -140,42 +145,38 @@ template <typename T, typename PosA, typename PosB, typename Cmp>
 void warp_split_search(gpusim::BlockContext& ctx, int warp, gpusim::SharedTile<T>& shmem,
                        std::span<const LanePair> pairs, PosA&& pos_a, PosB&& pos_b, Cmp cmp,
                        std::span<ThreadSplit> splits) {
-  constexpr std::size_t kRow = gpusim::kMaxLanes + 1;
   // Longest search supported: list pairs below 2^32 elements per side, far
   // beyond any shared-memory tile.
   constexpr int kMaxSearchRounds = 32;
-  assert(pairs.size() >= 2 && pairs.size() <= kRow);
+  assert(pairs.size() >= 2 && pairs.size() <= gpusim::kMaxLanes + 1);
   const std::size_t w = pairs.size() - 1;
   assert(splits.size() >= w);
 
-  std::array<std::int64_t, kRow> lo;
-  std::array<std::int64_t, kRow> hi;
+  std::array<std::int64_t, gpusim::kMaxLanes> lo;
+  std::array<std::int64_t, gpusim::kMaxLanes> hi;
   std::int64_t widest = 0;
-  for (std::size_t j = 0; j <= w; ++j) {
+  for (std::size_t j = 0; j < w; ++j) {
     lo[j] = std::max<std::int64_t>(0, pairs[j].diag - pairs[j].nb);
     hi[j] = std::min(pairs[j].diag, pairs[j].na);
     widest = std::max(widest, hi[j] - lo[j]);
   }
-  const int max_rounds = std::bit_width(static_cast<std::uint64_t>(widest));
-  if (max_rounds > kMaxSearchRounds)
+  if (std::bit_width(static_cast<std::uint64_t>(widest)) > kMaxSearchRounds)
     throw std::length_error("warp_split_search: list pair exceeds 2^32 elements");
 
-  // Round r's probe positions of lane j, kInactiveLane once it is done.
-  std::array<std::int64_t, kMaxSearchRounds * kRow> rows_a;
-  std::array<std::int64_t, kMaxSearchRounds * kRow> rows_b;
-  int start_rounds = 0;  // rounds with a probing lane in [0, w)
-  int end_rounds = 0;    // rounds with a probing lane in [1, w]
-  for (int r = 0; r < max_rounds; ++r) {
-    std::int64_t* ra = rows_a.data() + static_cast<std::size_t>(r) * kRow;
-    std::int64_t* rb = rows_b.data() + static_cast<std::size_t>(r) * kRow;
-    for (std::size_t j = 0; j <= w; ++j) {
+  // Each round's probe positions, kInactiveLane for a lane that is done.
+  std::array<std::int64_t, gpusim::kMaxLanes> ra;
+  std::array<std::int64_t, gpusim::kMaxLanes> rb;
+  const std::span<const std::int64_t> row_a(ra.data(), w);
+  const std::span<const std::int64_t> row_b(rb.data(), w);
+  for (;;) {
+    bool probing = false;
+    for (std::size_t j = 0; j < w; ++j) {
       if (lo[j] >= hi[j]) {
         ra[j] = gpusim::kInactiveLane;
         rb[j] = gpusim::kInactiveLane;
         continue;
       }
-      if (j < w) start_rounds = r + 1;
-      if (j > 0) end_rounds = r + 1;
+      probing = true;
       const std::int64_t mid = lo[j] + (hi[j] - lo[j]) / 2;
       ra[j] = pos_a(static_cast<int>(j), mid);
       rb[j] = pos_b(static_cast<int>(j), pairs[j].diag - 1 - mid);
@@ -185,35 +186,43 @@ void warp_split_search(gpusim::BlockContext& ctx, int warp, gpusim::SharedTile<T
       else
         lo[j] = mid + 1;
     }
+    if (!probing) break;
+    // Probe rows usually conflict: cost them without the conflict-free screen.
+    ctx.charge_compute(warp, cost::kSearchIterInstrs);
+    shmem.charge_row_costed(warp, row_a, gpusim::shared_access_cost_dedup(row_a, ctx.lanes()),
+                            /*is_write=*/false);
+    shmem.charge_row_costed(warp, row_b, gpusim::shared_access_cost_dedup(row_b, ctx.lanes()),
+                            /*is_write=*/false);
   }
 
-  // Cost both rows of every round first, then charge in device order.
-  std::array<gpusim::SharedAccessPairCost, kMaxSearchRounds> cost_a;
-  std::array<gpusim::SharedAccessPairCost, kMaxSearchRounds> cost_b;
-  const int banks = ctx.lanes();
-  for (int r = 0; r < std::max(start_rounds, end_rounds); ++r) {
-    const std::size_t row = static_cast<std::size_t>(r) * kRow;
-    const auto ri = static_cast<std::size_t>(r);
-    cost_a[ri] = gpusim::shared_access_cost_pair(
-        std::span<const std::int64_t>(rows_a.data() + row, w + 1), banks);
-    cost_b[ri] = gpusim::shared_access_cost_pair(
-        std::span<const std::int64_t>(rows_b.data() + row, w + 1), banks);
-  }
+  ctx.charge_compute(warp, cost::kShuffleInstrs);
 
-  const auto report = [&](int rounds, std::size_t first_lane,
-                          gpusim::SharedAccessCost gpusim::SharedAccessPairCost::*side) {
-    for (int r = 0; r < rounds; ++r) {
-      const std::size_t row = static_cast<std::size_t>(r) * kRow + first_lane;
-      const auto ri = static_cast<std::size_t>(r);
+  // Lane w-1's end co-rank: its own pair end, or the lone bracketed search
+  // over lane w's diagonal.
+  const std::size_t last = w - 1;
+  const LanePair& next = pairs[w];
+  std::int64_t end_lo = pairs[last].na;
+  if (next.diag != 0) {
+    const std::int64_t e = next.diag - pairs[last].diag;
+    std::int64_t end_hi = std::min({lo[last] + e, next.diag, next.na});
+    end_lo = std::max(lo[last], next.diag - next.nb);
+    ra.fill(gpusim::kInactiveLane);
+    constexpr gpusim::SharedAccessCost kOneLane{1, 0, 1};
+    while (end_lo < end_hi) {
+      const std::int64_t mid = end_lo + (end_hi - end_lo) / 2;
+      const std::int64_t pa = pos_a(static_cast<int>(w), mid);
+      const std::int64_t pb = pos_b(static_cast<int>(w), next.diag - 1 - mid);
       ctx.charge_compute(warp, cost::kSearchIterInstrs);
-      shmem.charge_row_costed(warp, std::span<const std::int64_t>(rows_a.data() + row, w),
-                              cost_a[ri].*side, /*is_write=*/false);
-      shmem.charge_row_costed(warp, std::span<const std::int64_t>(rows_b.data() + row, w),
-                              cost_b[ri].*side, /*is_write=*/false);
+      ra[last] = pa;
+      shmem.charge_row_costed(warp, row_a, kOneLane, /*is_write=*/false);
+      ra[last] = pb;
+      shmem.charge_row_costed(warp, row_a, kOneLane, /*is_write=*/false);
+      if (cmp(shmem.peek(pb), shmem.peek(pa)))
+        end_hi = mid;
+      else
+        end_lo = mid + 1;
     }
-  };
-  report(start_rounds, 0, &gpusim::SharedAccessPairCost::first);
-  report(end_rounds, 1, &gpusim::SharedAccessPairCost::shifted);
+  }
 
   for (std::size_t l = 0; l < w; ++l) {
     const LanePair& p = pairs[l];
@@ -221,7 +230,7 @@ void warp_split_search(gpusim::BlockContext& ctx, int warp, gpusim::SharedTile<T
     assert(pair_end || (pairs[l + 1].na == p.na && pairs[l + 1].nb == p.nb &&
                         pairs[l + 1].diag > p.diag));
     const std::int64_t end_diag = pair_end ? p.na + p.nb : pairs[l + 1].diag;
-    const std::int64_t end_co = pair_end ? p.na : lo[l + 1];
+    const std::int64_t end_co = l == last ? end_lo : pair_end ? p.na : lo[l + 1];
     ThreadSplit& s = splits[l];
     s.a_off = lo[l];
     s.a_size = end_co - lo[l];

@@ -222,61 +222,61 @@ std::vector<StreamCase> cases() {
   return {
       {"cf_w32", w32,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 7, 64, 4 * 448, 1); },
-       0xc7f2d1e7f92589abull, 0x156c3ebf1a8afd41ull, 3368, 3016, 5376, 672},
+       0x490f99e7bc8cebe3ull, 0x793c21e9497212cbull, 2656, 2304, 5376, 672},
       {"baseline_w32", w32,
        [](L& l) { return run_merge_sort(l, Variant::Baseline, 7, 64, 4 * 448, 2); },
-       0xb50e24ff36dffca8ull, 0x32fa95b3e71aa1eaull, 3384, 3048, 5376, 560},
+       0x3fbe6005e809c0fcull, 0xc4ab164a58b74060ull, 2672, 2336, 5376, 560},
       {"multiway_k4_w32", w32, [](L& l) { return run_multiway(l, 7, 64, 16 * 448, 3); },
-       0x1d1f69856f794b32ull, 0xc8140423be448847ull, 18996, 17589, 28672, 4256},
+       0x6068a3c26619ea81ull, 0x2e9beccd3933f33dull, 14692, 13285, 28672, 4256},
       {"by_key_ragged_w32", w32,
        [](L& l) { return run_by_key(l, Variant::CFMerge, 7, 64, 3 * 448 + 101, 4); },
-       0x7c5ab5f861c86014ull, 0x9a31ddd340babc08ull, 2910, 2612, 5376, 602},
+       0x46cc9413b45cc774ull, 0x78587d23162992c2ull, 2296, 1998, 5376, 602},
       {"cf_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 5, 16, 8 * 80, 5); },
-       0x2104e508be5804efull, 0x5e636a72fd30f774ull, 4863, 4168, 2560, 960},
+       0x68cd178743ef2f32ull, 0x5571f37220ee0810ull, 3981, 3286, 2560, 960},
       {"baseline_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::Baseline, 5, 16, 8 * 80, 6); },
-       0xed6122679ba0b834ull, 0x0ed1042726e95876ull, 4940, 4292, 2560, 720},
+       0x178d730bf2e7170eull, 0xc52dff9c98f71e15ull, 4046, 3398, 2560, 720},
       {"multiway_k4_w8", w8, [](L& l) { return run_multiway(l, 5, 16, 16 * 80, 7); },
-       0x6acd76ae42ef5faeull, 0xc218dc5efeea5184ull, 12021, 10737, 5120, 2705},
+       0x90546965ea50a050ull, 0x0000a2caa7b8fc14ull, 9605, 8321, 5120, 2705},
       {"by_key_ragged_w8", w8,
        [](L& l) { return run_by_key(l, Variant::Baseline, 5, 16, 5 * 80 + 37, 8); },
-       0xf133208707d76d29ull, 0xf171ab29990beffaull, 3342, 2891, 1920, 505},
+       0x1b2801d55e534199ull, 0x96dc546041671eccull, 2772, 2321, 1920, 505},
       {"cf_blocksort_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 5, 16);
          cfg.cf_blocksort = true;
          return run_merge_sort(l, cfg, 8 * 80 + 13, 9);
        },
-       0xf63b5f102b959125ull, 0xf40c04b7a52fc4f9ull, 6041, 5078, 3600, 1380},
+       0x53f92ef40a73ec0eull, 0xa1ae33b87bed484full, 5103, 4140, 3600, 1380},
       {"cf_noncoprime_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 6, 16, 8 * 96 + 5, 10); },
-       0xe299171af49d8590ull, 0xabde3a3058cd0779ull, 6356, 5276, 4320, 864},
+       0x8cf3ad9cb5eecb36ull, 0x8fbd8ec4daa06f5aull, 5410, 4330, 4320, 864},
       {"cf_no_rho_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 6, 16);
          cfg.disable_rho = true;
          return run_merge_sort(l, cfg, 8 * 96 + 5, 18);
        },
-       0x8008016644cc9323ull, 0xc49a93c6a1c3bb4bull, 6349, 5272, 4320, 0},
+       0x936c8c819dbcddeaull, 0xc6e518910fc5c94full, 5411, 4334, 4320, 0},
       {"cf_plain_scatter_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 6, 16);
          cfg.cf_output_scatter = false;
          return run_merge_sort(l, cfg, 8 * 96 + 5, 19);
        },
-       0x7ec4bd1b20ffee44ull, 0x29fcafe5de1e9bb7ull, 6384, 5305, 4320, 432},
+       0x67397fe96dc90d29ull, 0xb300c1a482b96a87ull, 5436, 4357, 4320, 432},
       {"losertree_k4_w8", w8,
        [](L& l) {
          return run_multiway(l, 5, 16, 16 * 80, 11, sort::MultiwayVariant::LoserTree);
        },
-       0x450c31c6b8b2cd28ull, 0x5897068dc93d57f0ull, 9640, 8432, 3840, 960},
+       0x1524ebbad6e62ae6ull, 0xb1c5be067b96a355ull, 8658, 7450, 3840, 960},
       {"batched_cf_w32", w32,
        [](L& l) { return run_batched(l, Variant::CFMerge, 7, 64, 4, 12); },
-       0x793455e029dabafeull, 0xa9bbd6b03a7e9401ull, 1528, 1154, 5376, 336},
+       0x68fe8dd973a19137ull, 0x691ce0365ca41565ull, 1342, 968, 5376, 336},
       {"batched_baseline_w8", w8,
        [](L& l) { return run_batched(l, Variant::Baseline, 5, 16, 3, 13); },
-       0x09dc3d3d72f0002cull, 0xcb963ccb8aa8074dull, 759, 572, 720, 90},
+       0xf85e3c7e355fb854ull, 0xe546ef19e1575661ull, 701, 514, 720, 90},
       {"permute_w32", w32,
        [](L& l) {
          return run_round_trip(l, cfprims::PermuteOp::kPermute, 8, 64, 3 * 512 + 45, 14);

@@ -22,7 +22,12 @@
 // earlier capture.  The
 // two LoserTree rows (k = 3, not a power of two, and k = 8) were captured
 // before the loser tree's replacement selection moved onto the shared
-// sequential merge (sort::serial_merge_core), which must keep them.
+// sequential merge (sort::serial_merge_core), which must keep them.  Every
+// row's instruction, shared-access, shared-cycle and conflict counters were
+// re-captured when the merge-path split search moved to one search per
+// thread (start co-ranks, a shuffle for the end co-ranks, a lone bracketed
+// search for each warp's last lane); global-memory, barrier and merge-phase
+// conflict counters are the earlier capture.
 //
 // Timing (microseconds) is deliberately NOT pinned — it derives from the
 // counters, and pinning integers keeps the test immune to float printing.
@@ -112,40 +117,40 @@ sort::SortReport run_multiway(int k, bool cf_blocksort, std::int64_t n,
 
 TEST(CfprimsGolden, PairwiseCfMerge) {
   expect_golden(run_pairwise(sort::Variant::CFMerge, false, 8192),
-                {259068, 97381, 422169, 81197, 13162, 16137, 416800, 928, 0});
+                {218264, 75571, 303139, 56892, 13162, 16137, 416800, 928, 0});
 }
 
 TEST(CfprimsGolden, PairwiseCfMergeCfBlocksort) {
   expect_golden(run_pairwise(sort::Variant::CFMerge, true, 8192),
-                {289788, 104554, 409866, 76328, 13162, 16137, 416800, 1184, 0});
+                {248984, 82744, 290836, 52023, 13162, 16137, 416800, 1184, 0});
 }
 
 TEST(CfprimsGolden, PairwiseBaseline) {
   expect_golden(run_pairwise(sort::Variant::Baseline, false, 8192),
-                {230908, 98655, 500379, 100431, 13162, 16137, 416800, 928, 6159});
+                {190104, 76845, 386913, 77517, 13162, 16137, 416800, 928, 6159});
 }
 
 TEST(CfprimsGolden, MultiwayK4) {
   expect_golden(run_multiway(4, false, 8192),
-                {293696, 98028, 416356, 79582, 9655, 12274, 289024, 928, 0});
+                {252172, 75670, 300502, 56208, 9655, 12274, 289024, 928, 0});
 }
 
 TEST(CfprimsGolden, MultiwayK4CfBlocksort) {
   expect_golden(run_multiway(4, true, 8192),
-                {324416, 105201, 404053, 74713, 9655, 12274, 289024, 1184, 0});
+                {282892, 82843, 288199, 51339, 9655, 12274, 289024, 1184, 0});
 }
 
 TEST(CfprimsGolden, MultiwayK8) {
   expect_golden(run_multiway(8, false, 16384),
-                {685530, 216502, 880826, 166081, 17939, 26802, 469148, 1792, 0});
+                {588036, 164308, 629804, 116374, 17939, 26802, 469148, 1792, 0});
 }
 
 TEST(CfprimsGolden, LoserTreeK3) {
   expect_golden(run_multiway(3, false, 8192, sort::MultiwayVariant::LoserTree),
-                {601086, 113481, 435053, 80393, 12065, 14850, 357848, 832, 4578});
+                {580678, 102509, 380733, 69556, 12065, 14850, 357848, 832, 4578});
 }
 
 TEST(CfprimsGolden, LoserTreeK8) {
   expect_golden(run_multiway(8, false, 16384, sort::MultiwayVariant::LoserTree),
-                {1896695, 265810, 999318, 183377, 17939, 26802, 469148, 1280, 568});
+                {1855867, 243860, 890892, 161758, 17939, 26802, 469148, 1280, 568});
 }

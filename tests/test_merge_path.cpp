@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <limits>
 #include <random>
 #include <string>
@@ -169,25 +170,30 @@ TEST(WarpCorankSearch, InactiveLanesStayUntouched) {
 }
 
 // ---------------------------------------------------------------------------
-// Reference model: the two lockstep searches per warp that
-// sort::warp_split_search replaced — one over the w start diagonals, one
-// over the w end diagonals, each probe row fetched through
-// SharedTile::gather.  The fused search must reproduce its splits,
-// counters, chains and audited row stream exactly.
+// Reference model: the device's one search per thread, written out with
+// the host co-rank search.  The w start diagonals are searched in
+// lockstep, each probe row fetched through SharedTile::gather; one shuffle
+// hands lane l < w-1 lane l+1's start co-rank; lane w-1 alone searches the
+// next thread's diagonal, bracketed to [a, a + E] (a its own start co-rank)
+// within that diagonal's valid range, its rows fetched through gather with
+// every other lane idle.  sort::warp_split_search must reproduce its
+// splits, counters, chains and audited row stream exactly.
 
 namespace {
 
+/// One lockstep search of `lanes` (idle lanes: default LaneSearch) on
+/// `warp`, each probe row fetched through SharedTile::gather.  Returns the
+/// number of rounds.
 template <typename T, typename PosA, typename PosB, typename Cmp>
-void reference_corank(gpusim::BlockContext& ctx, int warp, gpusim::SharedTile<T>& shmem,
-                      std::span<const sort::LanePair> pairs, PosA&& pos_a, PosB&& pos_b,
-                      Cmp cmp, std::span<std::int64_t> out_co) {
-  const std::size_t w = pairs.size();
-  std::array<mp::LaneSearch, gpusim::kMaxLanes> lanes{};
-  for (std::size_t l = 0; l < w; ++l) lanes[l].init(pairs[l].diag, pairs[l].na, pairs[l].nb);
+int reference_search(gpusim::BlockContext& ctx, int warp, gpusim::SharedTile<T>& shmem,
+                     std::span<mp::LaneSearch> lanes, PosA&& pos_a, PosB&& pos_b, Cmp cmp) {
+  const std::size_t w = lanes.size();
   std::array<std::int64_t, gpusim::kMaxLanes> pa;
   std::array<std::int64_t, gpusim::kMaxLanes> pb;
+  int rounds = 0;
   auto probe = [&](std::span<const std::int64_t> a_addr, std::span<T> a_val,
                    std::span<const std::int64_t> b_addr, std::span<T> b_val) {
+    ++rounds;
     for (std::size_t l = 0; l < w; ++l) {
       pa[l] = a_addr[l] == gpusim::kInactiveLane ? gpusim::kInactiveLane
                                                   : pos_a(static_cast<int>(l), a_addr[l]);
@@ -198,8 +204,49 @@ void reference_corank(gpusim::BlockContext& ctx, int warp, gpusim::SharedTile<T>
     shmem.gather(warp, std::span<const std::int64_t>(pa.data(), w), a_val, true);
     shmem.gather(warp, std::span<const std::int64_t>(pb.data(), w), b_val, true);
   };
-  mp::warp_corank_search<T>(std::span<mp::LaneSearch>(lanes.data(), w), probe, cmp);
-  for (std::size_t l = 0; l < w; ++l) out_co[l] = lanes[l].lo;
+  mp::warp_corank_search<T>(lanes, probe, cmp);
+  return rounds;
+}
+
+/// The reference model of one warp: writes out[0, w) and returns the lone
+/// search's rounds.  Lane l translates with pos_a(l, .) / pos_b(l, .); the
+/// lone search runs on lane w-1, whose pair is lane w's.
+template <typename T, typename PosA, typename PosB, typename Cmp>
+int reference_split_search(gpusim::BlockContext& ctx, int warp, gpusim::SharedTile<T>& shmem,
+                           std::span<const sort::LanePair> pairs, PosA&& pos_a, PosB&& pos_b,
+                           Cmp cmp, std::span<sort::ThreadSplit> out) {
+  const std::size_t w = pairs.size() - 1;
+  std::array<mp::LaneSearch, gpusim::kMaxLanes> lanes{};
+  for (std::size_t l = 0; l < w; ++l) lanes[l].init(pairs[l].diag, pairs[l].na, pairs[l].nb);
+  reference_search(ctx, warp, shmem, std::span<mp::LaneSearch>(lanes.data(), w), pos_a, pos_b,
+                   cmp);
+  ctx.charge_compute(warp, sort::cost::kShuffleInstrs);
+
+  // co[l]: lane l's end co-rank (pair end: na; else lane l+1's start).
+  std::array<std::int64_t, gpusim::kMaxLanes> co;
+  for (std::size_t l = 0; l + 1 < w; ++l) co[l] = lanes[l + 1].lo;
+  const sort::LanePair& next = pairs[w];
+  const std::int64_t a = lanes[w - 1].lo;
+  int lone_rounds = 0;
+  if (next.diag != 0) {
+    std::array<mp::LaneSearch, gpusim::kMaxLanes> lone{};
+    mp::LaneSearch& s = lone[w - 1];
+    s.init(next.diag, next.na, next.nb);
+    s.lo = std::max(s.lo, a);
+    s.hi = std::min(s.hi, a + next.diag - pairs[w - 1].diag);
+    lone_rounds = reference_search(ctx, warp, shmem, std::span<mp::LaneSearch>(lone.data(), w),
+                                   pos_a, pos_b, cmp);
+    co[w - 1] = s.lo;
+  }
+  for (std::size_t l = 0; l < w; ++l) {
+    const sort::LanePair& p = pairs[l];
+    const bool pair_end = pairs[l + 1].diag == 0;
+    const std::int64_t end_diag = pair_end ? p.na + p.nb : pairs[l + 1].diag;
+    const std::int64_t end = pair_end ? p.na : co[l];
+    out[l] = {lanes[l].lo, end - lanes[l].lo, p.diag - lanes[l].lo,
+              end_diag - p.diag - (end - lanes[l].lo)};
+  }
+  return lone_rounds;
 }
 
 /// One warp-wide shared access as the auditor saw it.
@@ -242,6 +289,7 @@ struct SearchRun {
   gpusim::Counters counters;
   std::vector<double> chains;
   std::vector<Row> rows;
+  int lone_rounds = 0;  ///< most rounds of one lone search (reference only)
 };
 
 template <typename T, typename Cmp = std::less<T>>
@@ -277,26 +325,13 @@ SearchRun run_search(bool reference, const SearchShape& sh, const std::vector<T>
           const auto lanes = static_cast<std::size_t>(w);
           auto out = std::span<sort::ThreadSplit>(run.splits)
                          .subspan(static_cast<std::size_t>(warp * w), lanes);
-          if (!reference) {
-            sort::warp_split_search(ctx, warp, shmem,
-                                    std::span<const sort::LanePair>(pairs.data(), lanes + 1),
-                                    pos_a, pos_b, cmp, out);
-            continue;
-          }
-          std::array<sort::LanePair, gpusim::kMaxLanes> end_pairs;
-          for (std::size_t l = 0; l < lanes; ++l)
-            end_pairs[l] = {na, nb, pairs[l].diag + sh.e};
-          std::array<std::int64_t, gpusim::kMaxLanes> start;
-          std::array<std::int64_t, gpusim::kMaxLanes> end;
-          reference_corank(ctx, warp, shmem,
-                           std::span<const sort::LanePair>(pairs.data(), lanes), pos_a,
-                           pos_b, cmp, std::span<std::int64_t>(start.data(), lanes));
-          reference_corank(ctx, warp, shmem,
-                           std::span<const sort::LanePair>(end_pairs.data(), lanes), pos_a,
-                           pos_b, cmp, std::span<std::int64_t>(end.data(), lanes));
-          for (std::size_t l = 0; l < lanes; ++l)
-            out[l] = {start[l], end[l] - start[l], pairs[l].diag - start[l],
-                      sh.e - (end[l] - start[l])};
+          const auto lane_pairs = std::span<const sort::LanePair>(pairs.data(), lanes + 1);
+          if (reference)
+            run.lone_rounds = std::max(
+                run.lone_rounds,
+                reference_split_search(ctx, warp, shmem, lane_pairs, pos_a, pos_b, cmp, out));
+          else
+            sort::warp_split_search(ctx, warp, shmem, lane_pairs, pos_a, pos_b, cmp, out);
         }
         run.chains = ctx.warp_chains();
       });
@@ -330,6 +365,8 @@ SearchRun expect_matches_reference(const SearchShape& sh, const std::vector<T>& 
   EXPECT_EQ(got.rows, want.rows);
   // Every probe row has an active lane, so every row is charged.
   EXPECT_EQ(got.counters.shared_accesses, got.rows.size());
+  // The lone search is bracketed to E + 1 co-ranks.
+  EXPECT_LE(want.lone_rounds, std::bit_width(static_cast<unsigned>(sh.e)));
   return got;
 }
 
@@ -346,7 +383,7 @@ std::vector<int> sorted_pairs(std::mt19937_64& rng, const SearchShape& sh) {
   return tile;
 }
 
-/// Host merge-path co-ranks of every thread start, pair by pair.
+/// Host merge-path co-ranks of every thread's start and end, pair by pair.
 void expect_host_coranks(const SearchShape& sh, const std::vector<int>& tile,
                          const std::vector<sort::ThreadSplit>& splits) {
   for (int i = 0; i < sh.u; ++i) {
@@ -355,14 +392,16 @@ void expect_host_coranks(const SearchShape& sh, const std::vector<int>& tile,
     const std::span<const int> pair(tile.data() + base, static_cast<std::size_t>(sh.pair_len));
     const auto a = pair.first(static_cast<std::size_t>(sh.pair_la));
     const auto b = pair.subspan(static_cast<std::size_t>(sh.pair_la));
-    EXPECT_EQ(splits[static_cast<std::size_t>(i)].a_off, mp::merge_path<int>(out0 - base, a, b))
+    const sort::ThreadSplit& s = splits[static_cast<std::size_t>(i)];
+    EXPECT_EQ(s.a_off, mp::merge_path<int>(out0 - base, a, b)) << "thread " << i;
+    EXPECT_EQ(s.a_off + s.a_size, mp::merge_path<int>(out0 - base + sh.e, a, b))
         << "thread " << i;
   }
 }
 
 }  // namespace
 
-TEST(WarpSplitSearch, MatchesTwoSearchReferenceOnMergeWindows) {
+TEST(WarpSplitSearch, MatchesDeviceModelOnMergeWindows) {
   std::mt19937_64 rng(21);
   for (const auto& [w, e, warps] :
        std::vector<std::tuple<int, int, int>>{{4, 3, 2}, {8, 5, 2}, {64, 7, 1}, {64, 3, 2}}) {
@@ -380,9 +419,10 @@ TEST(WarpSplitSearch, MatchesTwoSearchReferenceOnMergeWindows) {
   }
 }
 
-TEST(WarpSplitSearch, MatchesTwoSearchReferenceOnBlockSortRounds) {
+TEST(WarpSplitSearch, MatchesDeviceModelOnBlockSortRounds) {
   // Several list pairs per warp: a lane whose successor starts a new pair
-  // ends at its own pair end, and both of those searches are empty.
+  // ends at its own pair end and searches nothing.  With runs below w*E,
+  // lane w starts a new pair and no lone search runs.
   std::mt19937_64 rng(22);
   for (const auto& [w, e, warps] :
        std::vector<std::tuple<int, int, int>>{{4, 3, 2}, {8, 5, 4}, {64, 3, 2}}) {
@@ -429,11 +469,60 @@ TEST(WarpSplitSearch, KeyValueTiesTakeA) {
   }
 }
 
+TEST(WarpSplitSearch, LoneSearchBracketClippedAtListEnds) {
+  // Disjoint key ranges put the co-ranks on the valid range's edges: with
+  // A below B, co-rank(d) = min(d, na), so a warp whose last thread starts
+  // just below na has its bracket [a, a + E] cut at na; with A above B,
+  // co-rank(d) = max(0, d - nb), so the bracket starts at 0 and a warp
+  // whose last thread starts just below nb has it raised to d - nb.
+  // Ragged splits na != nb throughout.
+  const int w = 4, e = 3, u = 16;
+  const std::int64_t total = u * e;
+  for (const bool a_first : {true, false}) {
+    for (std::int64_t la = 0; la <= total; ++la) {
+      SCOPED_TRACE(std::string(a_first ? "A below B" : "A above B") +
+                   " la=" + std::to_string(la));
+      const SearchShape sh{w, e, u, total, la};
+      std::vector<int> tile(static_cast<std::size_t>(total));
+      for (std::int64_t i = 0; i < total; ++i) {
+        const bool in_a = i < la;
+        tile[static_cast<std::size_t>(i)] =
+            static_cast<int>(i) + (in_a == a_first ? 0 : 1000);
+      }
+      const SearchRun got = expect_matches_reference(sh, tile);
+      expect_host_coranks(sh, tile, got.splits);
+    }
+  }
+}
+
+TEST(WarpSplitSearch, FewUniqueAndAllEqualKeys) {
+  // Long runs of equal keys: every tie takes A, so each co-rank sits at
+  // the end of a run of equals; the lone search must land there too.
+  std::mt19937_64 rng(25);
+  for (const auto& [w, e, warps] :
+       std::vector<std::tuple<int, int, int>>{{4, 5, 3}, {8, 7, 2}, {32, 15, 2}}) {
+    const int u = w * warps;
+    const std::int64_t total = static_cast<std::int64_t>(u) * e;
+    for (const int distinct : {1, 2, 3}) {
+      for (const std::int64_t la : {total / 2, total / 3 + 1, total - e - 1}) {
+        SCOPED_TRACE("w=" + std::to_string(w) + " distinct=" + std::to_string(distinct) +
+                     " la=" + std::to_string(la));
+        const SearchShape sh{w, e, u, total, la};
+        auto a = sorted_random(rng, static_cast<std::size_t>(la), 0, distinct - 1);
+        auto b = sorted_random(rng, static_cast<std::size_t>(total - la), 0, distinct - 1);
+        std::vector<int> tile = a;
+        tile.insert(tile.end(), b.begin(), b.end());
+        const SearchRun got = expect_matches_reference(sh, tile);
+        expect_host_coranks(sh, tile, got.splits);
+      }
+    }
+  }
+}
+
 TEST(WarpSplitSearch, NeedsNoMonotonePredicate) {
   // NaN, +-inf and -0.0 in unsorted lists make the probe predicate
-  // non-monotone along each diagonal.  The fused search still issues and
-  // decides exactly what the two separate searches did: lane l's end search
-  // *is* lane l+1's start search, whatever the data.
+  // non-monotone along each diagonal.  The host search still issues and
+  // decides exactly what the device model does, whatever the data.
   const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
                             std::numeric_limits<float>::infinity(),
                             -std::numeric_limits<float>::infinity(),

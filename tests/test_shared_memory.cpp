@@ -5,16 +5,14 @@
 
 #include <cstdint>
 #include <numeric>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "numtheory/numtheory.hpp"
 
 using cfmerge::gpusim::kInactiveLane;
-using cfmerge::gpusim::kMaxLanes;
 using cfmerge::gpusim::shared_access_cost;
-using cfmerge::gpusim::shared_access_cost_pair;
+using cfmerge::gpusim::shared_access_cost_dedup;
 using cfmerge::gpusim::shared_access_degrees;
 
 namespace {
@@ -117,6 +115,9 @@ TEST(SharedAccess, RejectsBadArguments) {
   std::vector<std::int64_t> addrs(4, 0);
   EXPECT_THROW((void)shared_access_cost(addrs, 0), std::invalid_argument);
   EXPECT_THROW((void)shared_access_cost(addrs, 100), std::invalid_argument);
+  EXPECT_THROW((void)shared_access_cost_dedup(addrs, 0), std::invalid_argument);
+  const std::vector<std::int64_t> wide(65, 0);
+  EXPECT_THROW((void)shared_access_cost_dedup(wide, 32), std::invalid_argument);
   std::vector<int> small(3);
   EXPECT_THROW((void)shared_access_degrees(addrs, 12, small), std::invalid_argument);
 }
@@ -133,38 +134,9 @@ TEST(SharedAccess, RejectsNegativeAddresses) {
     const std::vector<std::int64_t> alone{kInactiveLane, bad, kInactiveLane, kInactiveLane};
     for (const auto* addrs : {&distinct_banks, &conflicted, &large, &alone}) {
       EXPECT_THROW((void)shared_access_cost(*addrs, 4), std::invalid_argument) << bad;
+      EXPECT_THROW((void)shared_access_cost_dedup(*addrs, 4), std::invalid_argument) << bad;
       std::vector<int> scratch(4);
       EXPECT_THROW((void)shared_access_degrees(*addrs, 4, scratch), std::invalid_argument);
     }
-    // The pair form: a bad address in the shared core or in either edge.
-    for (std::size_t at = 0; at < 5; ++at) {
-      std::vector<std::int64_t> row{0, 4, 8, 1, 5};
-      row[at] = bad;
-      EXPECT_THROW((void)shared_access_cost_pair(row, 4), std::invalid_argument)
-          << bad << " at lane " << at;
-    }
   }
-}
-
-TEST(SharedAccessPair, CostsBothShiftedRows) {
-  // Lanes [0, 4) conflict twice in bank 0 (0, 4, 8); lanes [1, 4] replace
-  // lane 0's address by a broadcast of lane 1's.
-  const std::vector<std::int64_t> row{0, 4, 8, 1, 4};
-  const auto pair = shared_access_cost_pair(row, 4);
-  EXPECT_EQ(pair.first.cycles, 3);
-  EXPECT_EQ(pair.first.conflicts, 2);
-  EXPECT_EQ(pair.first.active_lanes, 4);
-  EXPECT_EQ(pair.shifted.cycles, 2);
-  EXPECT_EQ(pair.shifted.conflicts, 1);
-  EXPECT_EQ(pair.shifted.active_lanes, 4);
-}
-
-TEST(SharedAccessPair, RejectsBadArguments) {
-  const std::vector<std::int64_t> row(5, 0);
-  EXPECT_THROW((void)shared_access_cost_pair(row, 0), std::invalid_argument);
-  EXPECT_THROW((void)shared_access_cost_pair(row, 65), std::invalid_argument);
-  EXPECT_THROW((void)shared_access_cost_pair(std::span(row).first(1), 4),
-               std::invalid_argument);
-  const std::vector<std::int64_t> wide(static_cast<std::size_t>(kMaxLanes) + 2, 0);
-  EXPECT_THROW((void)shared_access_cost_pair(wide, 4), std::invalid_argument);
 }

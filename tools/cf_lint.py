@@ -28,9 +28,10 @@ Gate 3 has no allowlist either: the known-cost charge forms
 (BlockContext::charge_shared_costed, SharedTile::charge_row_costed) trust a
 cost computed elsewhere, so they may only be called under src/gpusim/
 (which defines them) and from src/sort/kernels.hpp (warp_split_search,
-which prices each start/end probe row pair with shared_access_cost_pair, and
-serial_merge_core, which prices its distinct-address head and fetch rows with
-shared_access_cost_distinct).
+which prices its start probe rows with shared_access_cost_dedup and its last
+lane's one-lane rows at their known cost of one cycle, and
+serial_merge_core, which prices its distinct-address head and fetch rows
+with shared_access_cost_distinct).
 Anywhere else a site could charge a cost it did not compute.
 
 Mechanics (gate 1): for each C++ file under src/ (excluding src/cfprims/,
