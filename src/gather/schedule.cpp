@@ -18,11 +18,15 @@ void GatherShape::validate() const {
 
 RoundSchedule::RoundSchedule(const GatherShape& shape, std::vector<std::int64_t> a_off,
                              std::vector<std::int64_t> a_size)
-    : shape_(shape),
-      layout_(PairLayout::cf(shape.la, shape.lb, shape.w, shape.e)),
-      a_off_(std::move(a_off)),
-      a_size_(std::move(a_size)) {
+    : RoundSchedule(shape, PairLayout::cf(shape.la, shape.lb, shape.w, shape.e),
+                    std::move(a_off), std::move(a_size)) {}
+
+RoundSchedule::RoundSchedule(const GatherShape& shape, const PairLayout& layout,
+                             std::vector<std::int64_t> a_off, std::vector<std::int64_t> a_size)
+    : shape_(shape), layout_(layout), a_off_(std::move(a_off)), a_size_(std::move(a_size)) {
   shape_.validate();
+  if (layout_.la() != shape_.la || layout_.lb() != shape_.lb)
+    throw std::invalid_argument("RoundSchedule: layout does not hold the pair's lists");
   if (a_off_.size() != static_cast<std::size_t>(shape_.u) || a_size_.size() != a_off_.size())
     throw std::invalid_argument("RoundSchedule: split arrays must have u entries");
   std::int64_t running = 0;

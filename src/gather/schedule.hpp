@@ -59,9 +59,14 @@ class RoundSchedule {
   /// schedule copies them.
   RoundSchedule(const GatherShape& shape, std::vector<std::int64_t> a_off,
                 std::vector<std::int64_t> a_size);
+  /// The same schedule over a given layout of the pair (la, lb): the CF
+  /// layout, or the no-rho ablation's PairLayout::cf_no_rho.
+  RoundSchedule(const GatherShape& shape, const PairLayout& layout,
+                std::vector<std::int64_t> a_off, std::vector<std::int64_t> a_size);
 
   [[nodiscard]] const GatherShape& shape() const { return shape_; }
-  /// The pair's CF layout rho(A ∪ pi(B)), which every read goes through.
+  /// The pair's layout, which every read goes through: rho(A ∪ pi(B)), or
+  /// pi alone for the no-rho ablation.
   [[nodiscard]] const PairLayout& layout() const { return layout_; }
 
   /// The element thread `i` reads in round `j` (0 <= j < E).

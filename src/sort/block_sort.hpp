@@ -182,7 +182,7 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
       for (std::int64_t pair_base = 0; pair_base < covered; pair_base += 2 * run) {
         const auto first_thread = static_cast<std::size_t>(pair_base / e);
         const int first_warp = static_cast<int>(first_thread) / w;
-        cf_merge_pair(ctx, shmem, pair_base, run, run,
+        cf_merge_pair(ctx, shmem, pair_base, pair,
                       std::span<const ThreadSplit>(splits).subspan(first_thread, per_pair),
                       certs.gather, [first_warp](int vw) { return first_warp + vw; },
                       std::span<T>(regs).subspan(static_cast<std::size_t>(pair_base),

@@ -289,9 +289,9 @@ std::vector<ThreadSplit> pair_split_search(gpusim::BlockContext& ctx,
   return splits;
 }
 
-/// The Algorithm 1 round schedule of one list pair (na, nb) from the
-/// merge-path splits of its threads (na + nb = splits.size() * E).
-inline gather::RoundSchedule pair_schedule(int w, std::int64_t na, std::int64_t nb,
+/// The Algorithm 1 round schedule of one list pair in `layout` from the
+/// merge-path splits of its threads (layout.size() = splits.size() * E).
+inline gather::RoundSchedule pair_schedule(int w, const gather::PairLayout& layout,
                                            std::span<const ThreadSplit> splits) {
   const std::size_t u = splits.size();
   std::vector<std::int64_t> a_off(u);
@@ -300,9 +300,9 @@ inline gather::RoundSchedule pair_schedule(int w, std::int64_t na, std::int64_t 
     a_off[i] = splits[i].a_off;
     a_size[i] = splits[i].a_size;
   }
-  const auto e = static_cast<int>((na + nb) / static_cast<std::int64_t>(u));
-  const gather::GatherShape shape{w, e, static_cast<int>(u), na, nb};
-  return gather::RoundSchedule(shape, std::move(a_off), std::move(a_size));
+  const auto e = static_cast<int>(layout.size() / static_cast<std::int64_t>(u));
+  const gather::GatherShape shape{w, e, static_cast<int>(u), layout.la(), layout.lb()};
+  return gather::RoundSchedule(shape, layout, std::move(a_off), std::move(a_size));
 }
 
 /// The register-network step: sorts the E registers of every thread of
@@ -327,19 +327,21 @@ void warp_network_sort(gpusim::BlockContext& ctx, int vwarps, WarpOf&& warp_of,
 }
 
 /// The CF merge of one list pair (paper §5): the pair's threads gather
-/// their merge-path subsequences from its rho(A ∪ pi(B)) layout at shared
-/// offset `base` (cfprims::exec_cf_gather), then run the register network,
-/// leaving thread i's E merged outputs in regs[i*E, i*E + E).  `splits`
-/// holds one split per thread (a multiple of w threads; na + nb =
-/// splits.size() * E = regs.size()); virtual warp vw issues on physical warp
-/// warp_of(vw).  `cert` is the cf_gather certificate (null: lane path).
+/// their merge-path subsequences from its `layout` at shared offset `base`
+/// (cfprims::exec_cf_gather), then run the register network, leaving
+/// thread i's E merged outputs in regs[i*E, i*E + E).  The layout is
+/// rho(A ∪ pi(B)), or PairLayout::cf_no_rho for the no-rho ablation.
+/// `splits` holds one split per thread (a multiple of w threads;
+/// layout.size() = splits.size() * E = regs.size()); virtual warp vw issues
+/// on physical warp warp_of(vw).  `cert` is the cf_gather certificate
+/// (null: lane path).
 template <typename T, typename WarpOf, typename Cmp>
 void cf_merge_pair(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem, std::int64_t base,
-                   std::int64_t na, std::int64_t nb, std::span<const ThreadSplit> splits,
+                   const gather::PairLayout& layout, std::span<const ThreadSplit> splits,
                    const verify::CfCertificate* cert, WarpOf&& warp_of, std::span<T> regs,
                    Cmp cmp) {
   const int w = ctx.lanes();
-  cfprims::exec_cf_gather(ctx, shmem, pair_schedule(w, na, nb, splits), base, cert, warp_of,
+  cfprims::exec_cf_gather(ctx, shmem, pair_schedule(w, layout, splits), base, cert, warp_of,
                           regs);
   warp_network_sort(ctx, static_cast<int>(splits.size()) / w, warp_of, regs,
                     padding_last<T>(cmp));

@@ -30,6 +30,10 @@
 //                                              or rho register->shared,
 //                                              then coalesced store)
 //
+// CF-Merge's window is the k-way CF cascade at k = 2 (cf_cascade_core, the
+// one CF tile merge, which the multiway_merge kernel runs at any k); the
+// baseline and the no-rho ablation keep merge_window_core's own body.
+//
 // A tile's end co-rank is the next tile's start co-rank, except for the
 // group's last tile, which ends at the list ends (BatchTile::ends_group)
 // and so reads only its start row; both arities apply that rule.
@@ -60,12 +64,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "cfprims/exec.hpp"
+#include "gather/multiway_schedule.hpp"
 #include "gather/schedule.hpp"
 #include "gpusim/kernel_graph.hpp"
 #include "gpusim/launcher.hpp"
@@ -421,55 +427,168 @@ void store_merged_tile(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem,
                             cfprims::UnitStep{});
 }
 
+/// The CF tile merge (paper §5) of the block's k = seg_len.size() list
+/// windows, k a power of two (global element offsets seg_src, lengths
+/// seg_len, Σ = tile, of which the first seg_real are real): a cascade of
+/// log2(k) in-shared 2-way CF stages, in place in one shared buffer of
+/// CascadePlan::capacity elements (gather/multiway_schedule.hpp).  At k = 2
+/// the cascade is one stage over the tile, the 2-way CF merge of
+/// merge_pass; the multiway_merge kernel's CFCascade runs it at any k.
+/// Every gather/scatter round goes through the bank-conflict screener with
+/// the conflict-free claim intact.  The root writes back through the store
+/// tail, through the tile's output shift when `through_rho`.
+template <typename T, typename GIn, typename Cmp>
+void cf_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T>& gout,
+                     std::span<const std::int64_t> seg_src,
+                     std::span<const std::int64_t> seg_len,
+                     std::span<const std::int64_t> seg_real, int e, const TileCerts& certs,
+                     bool through_rho, Cmp cmp) {
+  const int w = ctx.lanes();
+  const std::int64_t we = static_cast<std::int64_t>(w) * e;
+  const std::int64_t tile = static_cast<std::int64_t>(ctx.threads()) * e;
+  const gather::CascadePlan plan(w, e, seg_len);
+  const std::int64_t cap = gather::CascadePlan::capacity(tile, w, e, plan.k());
+  gpusim::SharedTile<T> shmem(ctx, static_cast<std::size_t>(cap));
+
+  // Level-0 load: pair p stages segments 2p (as A) and 2p+1 (as B) into its
+  // rho(A ∪ pi(B)) region, sentinel tail included — the layout permutation
+  // applied during the transfer ("each thread block reorders elements
+  // during the initial transfer from global memory into shared memory" —
+  // Section 5).  Each segment's load is guarded at its real elements.  When
+  // the pair's shift is the identity, both loads' position maps are
+  // unit-step runs (pi reverses B), covered by the cf_stage proof.  The
+  // sentinel tail is not certified, so a certified-skip audit still replays
+  // its writes.
+  const T top = padding_sentinel<T>::value();
+  for (std::size_t p = 0; p < plan.pairs(0).size(); ++p) {
+    const gather::CascadePair& pr = plan.pairs(0)[p];
+    const std::int64_t nb = seg_len[2 * p + 1];
+    const auto load = [&](const verify::CfCertificate* cert, const auto& pos_a,
+                          const auto& pos_b) {
+      cfprims::exec_guarded_load(ctx, gin, shmem, seg_len[2 * p], seg_real[2 * p], top, cert,
+                                 cfprims::UnitStep{seg_src[2 * p]}, pos_a);
+      cfprims::exec_guarded_load(ctx, gin, shmem, nb, seg_real[2 * p + 1], top, cert,
+                                 cfprims::UnitStep{seg_src[2 * p + 1]}, pos_b);
+    };
+    if (pr.layout.rho().identity())
+      load(certs.stage, cfprims::UnitStep{pr.pos_a(0)}, cfprims::UnitStep{pr.pos_b(0), -1});
+    else
+      load(nullptr, [pr](std::int64_t t) { return pr.pos_a(t); },
+           [pr](std::int64_t t) { return pr.pos_b(t); });
+    cfprims::exec_staged_copy(ctx, cfprims::Fill<T>{top}, shmem, pr.layout.lb() - nb,
+                              /*cert=*/nullptr, cfprims::UnitStep{},
+                              [pr, nb](std::int64_t t) { return pr.pos_b(nb + t); });
+  }
+  ctx.barrier();
+
+  // The cascade, in place: a parent pair's region is the union of its
+  // children's, so each level first runs the 2-way CF merge of every pair
+  // into registers, passes a barrier, and only then rank-scatters every
+  // pair into the buffer.  each_pair hands fn a non-empty pair's index, its
+  // virtual warps (pad/E simulated threads), their map onto the block's
+  // physical warps for charging (round-robin, the level's virtual warps
+  // from base/wE on) and its registers, [base, base + pad) of one
+  // block-wide register file.
+  std::vector<T> regfile(static_cast<std::size_t>(cap));
+  const auto each_pair = [&](int level, auto&& fn) {
+    const auto& prs = plan.pairs(level);
+    for (std::size_t p = 0; p < prs.size(); ++p) {
+      const std::int64_t pad = prs[p].layout.size();
+      if (pad == 0) continue;
+      fn(static_cast<int>(p), prs[p], static_cast<int>(pad / we),
+         [&ctx, first = prs[p].base / we](int vw) {
+           return static_cast<int>((first + vw) % ctx.warps());
+         },
+         std::span<T>(regfile.data() + prs[p].base, static_cast<std::size_t>(pad)));
+    }
+  };
+  for (int level = 0; level < plan.levels(); ++level) {
+    each_pair(level, [&](int, const gather::CascadePair& pr, int vwarps, auto warp_of,
+                         std::span<T> regs) {
+      // Per-virtual-thread merge-path splits within the pair.
+      ctx.phase("merge.search");
+      const std::vector<ThreadSplit> splits = pair_split_search(
+          ctx, shmem, /*npairs=*/1, pr.layout.la(), pr.layout.lb(), vwarps, warp_of,
+          [pr](std::int64_t, std::int64_t x) { return pr.pos_a(x); },
+          [pr](std::int64_t, std::int64_t y) { return pr.pos_b(y); }, cmp);
+      // Dual subsequence gather + register network (the proven 2-way core).
+      // Each pair is an instance of the proven 2-way schedule at a constant
+      // buffer offset (a uniform shift preserves bank distinctness), so the
+      // cf_gather certificate applies per pair.
+      ctx.phase("merge.merge");
+      cf_merge_pair(ctx, shmem, pr.base, pr.layout, std::span<const ThreadSplit>(splits),
+                    certs.gather, warp_of, regs, cmp);
+    });
+    // Every pair's gathers precede any scatter into the regions they read.
+    ctx.barrier();
+    if (level + 1 == plan.levels()) {
+      // The root (one pair, virtual warp i on warp i) writes back through
+      // the store tail: its output map is the tile's output shift, and only
+      // the first u threads' ranks are written — ranks >= tile are
+      // sentinels — of which the store keeps the real ones.
+      store_merged_tile<T>(ctx, shmem, through_rho, certs, e,
+                           std::span<const T>(regfile).first(static_cast<std::size_t>(tile)),
+                           gout,
+                           std::accumulate(seg_real.begin(), seg_real.end(), std::int64_t{0}));
+      return;
+    }
+    // Inter-stage rank scatter: rank r = iE + j of pair p lands at the
+    // parent's pos_a/pos_b(r) — data independent, so each round is a
+    // stride-E progression through rho' and conflict free.  The
+    // cf_rank_scatter primitive at gather cadence: the per-thread setup
+    // computes the parent's pos_a/pos_b bounds.  The cascade proof
+    // (verify/multiway.cpp) cites the cf_rank_scatter certificate for the
+    // piecewise parent map, both scatter directions included.
+    ctx.phase("merge.store");
+    each_pair(level, [&](int p, const gather::CascadePair&, int vwarps, auto warp_of,
+                         std::span<T> regs) {
+      cfprims::exec_crs_scatter(
+          ctx, shmem, w, e, vwarps, cfprims::kGatherCharge, certs.rank_scatter, warp_of,
+          [&](int vw, int lane, int j) {
+            const std::int64_t r = static_cast<std::int64_t>(vw * w + lane) * e + j;
+            return plan.scatter_pos(level, p, r);
+          },
+          std::span<const T>(regs));
+    });
+    ctx.barrier();
+  }
+}
+
 /// The 2-way merge core, the block body of the merge_pass kernel: given a
 /// block's A/B source windows (global element offsets seg_src, lengths
 /// seg_len, Σ = tile, of which the first seg_real are real) and its output
-/// window view, stages the lists into shared memory (CF layout when
-/// configured; guarded loads fill each window past its real elements),
-/// searches the per-thread splits, merges (sequential or gather + network)
-/// and stores the merged tile's Σ seg_real real ranks.
+/// window view, merges them and stores the merged tile's Σ seg_real real
+/// ranks.  CF-Merge is the cascade at k = 2 (cf_cascade_core).  The
+/// baseline and the no-rho ablation stage their lists in unit-step runs
+/// (linear, or pi alone; guarded loads fill each window past its real
+/// elements), search the per-thread splits and merge — sequentially, or by
+/// the CF pair merge over the unshifted layout — then store stride E.
 template <typename T, typename GIn, typename Cmp>
 void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T>& gout,
                        std::span<const std::int64_t> seg_src,
                        std::span<const std::int64_t> seg_len,
                        std::span<const std::int64_t> seg_real, const MergeConfig& cfg, Cmp cmp) {
-  const int w = ctx.lanes();
+  const bool cf = cfg.variant == Variant::CFMerge;
+  if (cf && !cfg.disable_rho) {
+    cf_cascade_core<T>(ctx, gin, gout, seg_src, seg_len, seg_real, cfg.e, cfg.certs,
+                       cfg.cf_output_scatter, cmp);
+    return;
+  }
   const int e = cfg.e;
-  const std::int64_t tile = cfg.tile();
-  const std::int64_t a_src = seg_src[0];
-  const std::int64_t b_src = seg_src[1];
   const std::int64_t la = seg_len[0];
   const std::int64_t lb = seg_len[1];
-
   const gather::PairLayout layout =
-      cfg.variant == Variant::CFMerge
-          ? (cfg.disable_rho ? gather::PairLayout::cf_no_rho(la, lb)
-                             : gather::PairLayout::cf(la, lb, w, e))
-          : gather::PairLayout::linear(la, lb);
+      cf ? gather::PairLayout::cf_no_rho(la, lb) : gather::PairLayout::linear(la, lb);
 
-  gpusim::SharedTile<T> shmem(ctx, static_cast<std::size_t>(tile));
+  gpusim::SharedTile<T> shmem(ctx, static_cast<std::size_t>(cfg.tile()));
   const T top = padding_sentinel<T>::value();
-
-  // Load the two chunks; CF-Merge applies the layout permutation here
-  // ("each thread block reorders elements during the initial transfer from
-  // global memory into shared memory" — Section 5).  When the layout's
-  // shift is the identity (linear, coprime CF, or the no-rho ablation) both
-  // position maps are unit-step runs (pi reverses B), covered by the
+  // Both position maps are unit-step runs (pi reverses B), covered by the
   // cf_stage proof.
-  if (!layout.is_cf() || layout.rho().identity()) {
-    cfprims::exec_guarded_load(ctx, gin, shmem, la, seg_real[0], top, cfg.certs.stage,
-                               cfprims::UnitStep{a_src}, cfprims::UnitStep{layout.pos_a(0)});
-    cfprims::exec_guarded_load(ctx, gin, shmem, lb, seg_real[1], top, cfg.certs.stage,
-                               cfprims::UnitStep{b_src},
-                               cfprims::UnitStep{layout.pos_b(0), layout.b_step()});
-  } else {
-    cfprims::exec_guarded_load(ctx, gin, shmem, la, seg_real[0], top, /*cert=*/nullptr,
-                               cfprims::UnitStep{a_src},
-                               [&](std::int64_t t) { return layout.pos_a(t); });
-    cfprims::exec_guarded_load(ctx, gin, shmem, lb, seg_real[1], top, /*cert=*/nullptr,
-                               cfprims::UnitStep{b_src},
-                               [&](std::int64_t t) { return layout.pos_b(t); });
-  }
+  cfprims::exec_guarded_load(ctx, gin, shmem, la, seg_real[0], top, cfg.certs.stage,
+                             cfprims::UnitStep{seg_src[0]}, cfprims::UnitStep{layout.pos_a(0)});
+  cfprims::exec_guarded_load(ctx, gin, shmem, lb, seg_real[1], top, cfg.certs.stage,
+                             cfprims::UnitStep{seg_src[1]},
+                             cfprims::UnitStep{layout.pos_b(0), layout.b_step()});
   ctx.barrier();
 
   // Per-thread merge-path search in shared memory.
@@ -481,25 +600,15 @@ void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T
 
   // Per-thread merge.
   ctx.phase("merge.merge");
-  std::vector<T> regs(static_cast<std::size_t>(tile));
-  if (cfg.variant == Variant::CFMerge && !cfg.disable_rho) {
-    cf_merge_pair(ctx, shmem, /*base=*/0, la, lb, std::span<const ThreadSplit>(splits),
-                  cfg.certs.gather, cfprims::same_warp, std::span<T>(regs), cmp);
-  } else if (cfg.variant == Variant::CFMerge) {
-    // Ablation path: emulate the schedule with rho = identity by reading
-    // through the layout's raw indices directly.  When gcd(w, E) = 1 the
-    // real rho is the identity too, so raw = phys and the cf_gather proof
-    // still covers the access; otherwise (the broken ablation) conflicts
-    // are real and the lane path must count them.
-    const gather::RoundSchedule sched =
-        pair_schedule(w, la, lb, std::span<const ThreadSplit>(splits));
-    cfprims::exec_crs_gather(
-        ctx, shmem, w, e, ctx.warps(), cfprims::kGatherCharge,
-        cfg.certs.stride != nullptr ? cfg.certs.gather : nullptr, cfprims::same_warp,
-        [&](int vw, int lane, int j) { return sched.read(vw * w + lane, j).raw; },
-        std::span<T>(regs));
-    warp_network_sort(ctx, ctx.warps(), cfprims::same_warp, std::span<T>(regs),
-                      padding_last<T>(cmp));
+  std::vector<T> regs(static_cast<std::size_t>(cfg.tile()));
+  if (cf) {
+    // The ablation: the CF pair merge with rho disabled.  When gcd(w, E) = 1
+    // the real rho is the identity too, so the cf_gather proof still covers
+    // the access; otherwise (the broken ablation) conflicts are real and the
+    // lane path must count them.
+    cf_merge_pair(ctx, shmem, /*base=*/0, layout, std::span<const ThreadSplit>(splits),
+                  cfg.certs.stride != nullptr ? cfg.certs.gather : nullptr, cfprims::same_warp,
+                  std::span<T>(regs), cmp);
   } else {
     serial_merge_core<2>(
         ctx, shmem, 2, e,
@@ -508,10 +617,8 @@ void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T
         kPairMergeCharge, std::span<T>(regs), cmp);
   }
   ctx.barrier();
-  store_merged_tile<T>(ctx, shmem,
-                       cfg.variant == Variant::CFMerge && cfg.cf_output_scatter &&
-                           !cfg.disable_rho,
-                       cfg.certs, e, std::span<const T>(regs), gout, seg_real[0] + seg_real[1]);
+  store_merged_tile<T>(ctx, shmem, /*through_rho=*/false, cfg.certs, e,
+                       std::span<const T>(regs), gout, seg_real[0] + seg_real[1]);
 }
 
 namespace detail {

@@ -19,13 +19,15 @@
 // ragged-group rule in merge_pass.hpp) and store only the tile's real
 // ranks:
 //
-//  * CFCascade — the conflict-free schedule.  The tile's k windows are
-//    merged by a cascade of log2(k) in-shared pairwise stages, each an
-//    instance of the proven 2-way dual-subsequence-gather schedule; stage
-//    outputs are scattered straight into the parent pair's rho(A ∪ pi(B))
-//    layout through a data-independent rank map (gather/multiway_schedule.hpp),
-//    so every gather *and* scatter round is conflict free — machine-checked
-//    by cfverify (verify/multiway.cpp) and screened at runtime by the
+//  * CFCascade — the conflict-free schedule, cf_cascade_core in
+//    merge_pass.hpp (the 2-way CF merge window is the same core at k = 2).
+//    The tile's k windows are merged by a cascade of log2(k) in-shared
+//    pairwise stages, each an instance of the proven 2-way
+//    dual-subsequence-gather schedule; stage outputs are scattered straight
+//    into the parent pair's rho(A ∪ pi(B)) layout through a
+//    data-independent rank map (gather/multiway_schedule.hpp), so every
+//    gather *and* scatter round is conflict free — machine-checked by
+//    cfverify (verify/multiway.cpp) and screened at runtime by the
 //    bank-conflict model.  The root writes back through the 2-way store
 //    tail (store_merged_tile).  Requires k to be a power of two.
 //  * LoserTree — the natural single-phase design: segments linear in shared,
@@ -337,118 +339,6 @@ void search_partition_rows(gpusim::BlockContext& ctx, int warp,
       cmp, out, std::span<const std::int64_t>(seg_real.data(), slots));
 }
 
-/// CFCascade merge core: merges the block's k segment windows (global
-/// element offsets seg_src, lengths seg_len, Σ = tile, of which the first
-/// seg_real are real) into `gout` through the cascade of 2-way CF stages,
-/// in place in one shared buffer of CascadePlan::capacity elements.
-/// Every gather/scatter round goes through the bank-conflict screener with
-/// the conflict-free claim intact.
-template <typename T, typename GIn, typename Cmp>
-void multiway_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T>& gout,
-                           std::span<const std::int64_t> seg_src,
-                           std::span<const std::int64_t> seg_len,
-                           std::span<const std::int64_t> seg_real, const MultiwayConfig& cfg,
-                           Cmp cmp) {
-  const int w = ctx.lanes();
-  const int e = cfg.e;
-  const std::int64_t we = static_cast<std::int64_t>(w) * e;
-  const gather::CascadePlan plan(w, e, seg_len);
-  const std::int64_t cap = gather::CascadePlan::capacity(cfg.tile(), w, e, cfg.k);
-  gpusim::SharedTile<T> shmem(ctx, static_cast<std::size_t>(cap));
-
-  // Level-0 load: pair p stages segments 2p (as A) and 2p+1 (as B) into its
-  // rho(A ∪ pi(B)) region, sentinel tail included.  Each segment's load is
-  // guarded at its real elements.
-  const T top = padding_sentinel<T>::value();
-  for (std::size_t p = 0; p < plan.pairs(0).size(); ++p) {
-    const gather::CascadePair& pr = plan.pairs(0)[p];
-    const std::int64_t nbr = seg_len[2 * p + 1];
-    cfprims::exec_guarded_load(ctx, gin, shmem, seg_len[2 * p], seg_real[2 * p], top,
-                               /*cert=*/nullptr, cfprims::UnitStep{seg_src[2 * p]},
-                               [&](std::int64_t t) { return pr.pos_a(t); });
-    cfprims::exec_guarded_load(ctx, gin, shmem, nbr, seg_real[2 * p + 1], top,
-                               /*cert=*/nullptr, cfprims::UnitStep{seg_src[2 * p + 1]},
-                               [&](std::int64_t t) { return pr.pos_b(t); });
-    cfprims::exec_staged_copy(ctx, cfprims::Fill<T>{top}, shmem, pr.layout.lb() - nbr,
-                              /*cert=*/nullptr, cfprims::UnitStep{},
-                              [&](std::int64_t t) { return pr.pos_b(nbr + t); });
-  }
-  ctx.barrier();
-
-  // The cascade, in place: a parent pair's region is the union of its
-  // children's, so each level first runs the 2-way CF merge of every pair
-  // into registers, passes a barrier, and only then rank-scatters every
-  // pair into the buffer.  each_pair hands fn a non-empty pair's index, its
-  // virtual warps (pad/E simulated threads), their map onto the block's
-  // physical warps for charging (round-robin, the level's virtual warps
-  // from base/wE on) and its registers, [base, base + pad) of one
-  // block-wide register file.
-  std::vector<T> regfile(static_cast<std::size_t>(cap));
-  const auto each_pair = [&](int level, auto&& fn) {
-    const auto& prs = plan.pairs(level);
-    for (std::size_t p = 0; p < prs.size(); ++p) {
-      const std::int64_t pad = prs[p].layout.size();
-      if (pad == 0) continue;
-      fn(static_cast<int>(p), prs[p], static_cast<int>(pad / we),
-         [&ctx, first = prs[p].base / we](int vw) {
-           return static_cast<int>((first + vw) % ctx.warps());
-         },
-         std::span<T>(regfile.data() + prs[p].base, static_cast<std::size_t>(pad)));
-    }
-  };
-  for (int level = 0; level < plan.levels(); ++level) {
-    each_pair(level, [&](int, const gather::CascadePair& pr, int vwarps, auto warp_of,
-                         std::span<T> regs) {
-      // Per-virtual-thread merge-path splits within the pair.
-      ctx.phase("merge.search");
-      const std::vector<ThreadSplit> splits = pair_split_search(
-          ctx, shmem, /*npairs=*/1, pr.layout.la(), pr.layout.lb(), vwarps, warp_of,
-          [&](std::int64_t, std::int64_t x) { return pr.pos_a(x); },
-          [&](std::int64_t, std::int64_t y) { return pr.pos_b(y); }, cmp);
-      // Dual subsequence gather + register network (the proven 2-way core).
-      // Each pair is an instance of the proven 2-way schedule at a constant
-      // buffer offset (a uniform shift preserves bank distinctness), so the
-      // cf_gather certificate applies per pair.
-      ctx.phase("merge.merge");
-      cf_merge_pair(ctx, shmem, pr.base, pr.layout.la(), pr.layout.lb(),
-                    std::span<const ThreadSplit>(splits), cfg.certs.gather, warp_of, regs,
-                    cmp);
-    });
-    // Every pair's gathers precede any scatter into the regions they read.
-    ctx.barrier();
-    if (level + 1 == plan.levels()) {
-      // The root (one pair, virtual warp i on warp i) writes back through
-      // the 2-way store tail: its output map is the tile's output shift,
-      // and only the first u threads' ranks are written — ranks >= tile
-      // are sentinels — of which the store keeps the real ones.
-      const auto tile = static_cast<std::size_t>(cfg.tile());
-      store_merged_tile<T>(ctx, shmem, /*through_rho=*/true, cfg.certs, e,
-                           std::span<const T>(regfile).first(tile), gout,
-                           std::accumulate(seg_real.begin(), seg_real.end(), std::int64_t{0}));
-      return;
-    }
-    // Inter-stage rank scatter: rank r = iE + j of pair p lands at the
-    // parent's pos_a/pos_b(r) — data independent, so each round is a
-    // stride-E progression through rho' and conflict free.  The
-    // cf_rank_scatter primitive at gather cadence: the per-thread setup
-    // computes the parent's pos_a/pos_b bounds.  The cascade proof
-    // (verify/multiway.cpp) cites the cf_rank_scatter certificate for the
-    // piecewise parent map, both scatter directions included.
-    ctx.phase("merge.store");
-    each_pair(level, [&](int p, const gather::CascadePair&, int vwarps, auto warp_of,
-                         std::span<T> regs) {
-      cfprims::exec_crs_scatter(
-          ctx, shmem, w, e, vwarps, cfprims::kGatherCharge, cfg.certs.rank_scatter, warp_of,
-          [&](int vw, int lane, int j) {
-            const std::int64_t r = static_cast<std::int64_t>(vw * w + lane) * e + j;
-            return plan.scatter_pos(level, p, r);
-          },
-          std::span<const T>(regs));
-    });
-    ctx.barrier();
-  }
-}
-
 /// LoserTree search step: the co-rank vector of every thread's start
 /// diagonal i*E in the block's tile, staged linearly in `shmem` (segment s
 /// at seg_off[s], seg_len[s] long).  Each warp resolves its w threads in
@@ -559,7 +449,8 @@ void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T
                        std::span<const std::int64_t> seg_real, const MultiwayConfig& cfg,
                        Cmp cmp) {
   if (cfg.variant == MultiwayVariant::CFCascade)
-    multiway_cascade_core<T>(ctx, gin, gout, seg_src, seg_len, seg_real, cfg, cmp);
+    cf_cascade_core<T>(ctx, gin, gout, seg_src, seg_len, seg_real, cfg.e, cfg.certs,
+                       /*through_rho=*/true, cmp);
   else
     multiway_losertree_core<T>(ctx, gin, gout, seg_src, seg_len, seg_real, cfg, cmp);
 }

@@ -49,12 +49,13 @@ namespace cfmerge::verify {
                                                ScheduleVariant::kFull);
 
 /// Machine-checked conflict-freedom proof for the k-way cascade merge
-/// (multiway_cascade_core): every cascade stage is an instance of the proven
-/// 2-way schedule, every inter-stage rank scatter is a round of the proven
-/// stride-E rank scatter, and the CascadePlan's pair bases and padded
-/// lengths are wE-aligned so none of it shifts banks.  The stage and scatter
-/// steps cite the memoized cf_gather and cf_rank_scatter certificates
-/// (verify::certify).  `k` must be a power of two in [2, sort::kMaxMultiwayK].
+/// (sort::cf_cascade_core, which is also the 2-way CF merge at k = 2):
+/// every cascade stage is an instance of the proven 2-way schedule, every
+/// inter-stage rank scatter is a round of the proven stride-E rank scatter,
+/// and the CascadePlan's pair bases and padded lengths are wE-aligned so
+/// none of it shifts banks.  The stage and scatter steps cite the memoized
+/// cf_gather and cf_rank_scatter certificates (verify::certify).  `k` must
+/// be a power of two in [2, sort::kMaxMultiwayK].
 [[nodiscard]] ProofObject verify_multiway_cascade(int w, int e, int k);
 
 /// Refutes the (false) claim that a *single-phase* k-ary gather over a linear

@@ -1,6 +1,6 @@
 // Pass 1 extension — conflict-freedom of the k-way cascade merge.
 //
-// verify_multiway_cascade machine-checks that multiway_cascade_core is
+// verify_multiway_cascade machine-checks that sort::cf_cascade_core is
 // conflict free for a whole (w, E, k) family at once.  It re-derives no bank
 // argument: both access patterns are registered primitives whose memoized
 // certificates it cites, and what is left is their glue:

@@ -206,6 +206,12 @@ std::vector<BulkCase> bulk_cases() {
     add(c, "w8_E6_disable_rho");
   }
   {
+    // At gcd(w, E) = 1 the ablation's CF pair merge is certified.
+    BulkCase c{8, 5, 16, 0, 16 * 5 * 8 + 7};
+    c.disable_rho = true;
+    add(c, "w8_E5_disable_rho");
+  }
+  {
     BulkCase c{8, 5, 16, 0, 16 * 5 * 8 + 7};
     c.cf_blocksort = true;
     add(c, "w8_E5_cf_blocksort");

@@ -175,14 +175,16 @@ TEST(MergePassConflicts, CFMergeHasZeroMergeConflicts) {
 
 TEST(MergePassConflicts, DisablingRhoBringsConflictsBack) {
   // Ablation of Section 3.2: with gcd(w, E) > 1 and rho disabled, the
-  // gather conflicts again; with rho it is conflict free.
+  // gather conflicts again; with rho it is conflict free.  With
+  // gcd(w, E) = 1 rho is the identity, so disabling it changes nothing the
+  // merge phase counts.
   std::mt19937_64 rng(6);
   MergeConfig cfg;
   cfg.e = 6;  // gcd(8, 6) = 2
   cfg.u = 16;
   cfg.variant = Variant::CFMerge;
-  const std::int64_t tile = cfg.tile();
-  const std::vector<int> data = make_runs(rng, 4 * tile, tile);
+  std::int64_t tile = cfg.tile();
+  std::vector<int> data = make_runs(rng, 4 * tile, tile);
 
   cfg.disable_rho = true;
   const auto broken = run_pass(8, cfg, data, tile);
@@ -192,6 +194,16 @@ TEST(MergePassConflicts, DisablingRhoBringsConflictsBack) {
   cfg.disable_rho = false;
   const auto fixed = run_pass(8, cfg, data, tile);
   EXPECT_EQ(fixed.merge_conflicts, 0u);
+
+  cfg.e = 5;  // gcd(8, 5) = 1
+  tile = cfg.tile();
+  data = make_runs(rng, 4 * tile, tile);
+  const auto with_rho = run_pass(8, cfg, data, tile);
+  cfg.disable_rho = true;
+  const auto without = run_pass(8, cfg, data, tile);
+  EXPECT_EQ(without.out, with_rho.out);
+  EXPECT_EQ(without.merge_conflicts, 0u);
+  EXPECT_EQ(phase(without, "merge.merge"), phase(with_rho, "merge.merge"));
 }
 
 TEST(MergePassConflicts, BaselineConflictsAreSmallOnRandomInputs) {

@@ -199,9 +199,14 @@ TEST(RoundSchedule, RoundOfRawIsModE) {
   }
   GatherShape shape{w, e, u, run, static_cast<std::int64_t>(u) * e - run};
   RoundSchedule sched(shape, off, sizes);
+  // The no-rho ablation's schedule reads the same raw indices, unshifted.
+  RoundSchedule no_rho(shape, PairLayout::cf_no_rho(shape.la, shape.lb), off, sizes);
   for (int i = 0; i < u; ++i)
-    for (int j = 0; j < e; ++j)
+    for (int j = 0; j < e; ++j) {
       EXPECT_EQ(nt::mod(sched.read(i, j).raw, e), j);
+      EXPECT_EQ(no_rho.read(i, j).raw, sched.read(i, j).raw);
+      EXPECT_EQ(no_rho.read(i, j).phys, sched.read(i, j).raw);
+    }
 }
 
 TEST(RoundSchedule, RejectsIllFormedShapes) {
@@ -214,4 +219,10 @@ TEST(RoundSchedule, RejectsIllFormedShapes) {
   std::vector<std::int64_t> off(8, 0);
   std::vector<std::int64_t> sz(8, 5);
   EXPECT_THROW(RoundSchedule(shape, off, sz), std::invalid_argument);
+  // A layout of other list lengths than the shape's.
+  const std::vector<std::int64_t> sizes{5, 5, 5, 5, 0, 0, 0, 0};
+  const std::vector<std::int64_t> offs{0, 5, 10, 15, 20, 20, 20, 20};
+  EXPECT_NO_THROW(RoundSchedule(shape, PairLayout::cf_no_rho(20, 20), offs, sizes));
+  EXPECT_THROW(RoundSchedule(shape, PairLayout::cf_no_rho(25, 15), offs, sizes),
+               std::invalid_argument);
 }
