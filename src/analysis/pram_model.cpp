@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 #include <stdexcept>
 
 namespace cfmerge::analysis {
@@ -12,6 +13,20 @@ std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; 
 /// Rounds of a binary search over x + 1 candidates: bit_width(x).
 std::int64_t search_rounds(std::int64_t x) {
   return std::bit_width(static_cast<std::uint64_t>(x));
+}
+
+/// Rounds of the lattice search's w-ary search over x + 1 sample
+/// candidates: each round strides by the least s >= ceil(x / w) coprime to
+/// w and leaves s candidates.
+std::int64_t wary_rounds(std::int64_t x, int w) {
+  std::int64_t rounds = 0;
+  while (x > 0) {
+    std::int64_t s = (x + w - 1) / w;
+    while (std::gcd(s, static_cast<std::int64_t>(w)) != 1) ++s;
+    x = s - 1;
+    ++rounds;
+  }
+  return rounds;
 }
 }  // namespace
 
@@ -35,14 +50,19 @@ PramMergeKernel pram_merge_kernel(int w, int e, int u, std::int64_t la, std::int
   k.output_scatter_accesses = static_cast<std::int64_t>(e) * warps;
   k.store_shared_accesses = ceil_div(tile, w);
   k.store_gmem_requests = ceil_div(tile, w);
-  // Per warp, one lockstep search over the start diagonals runs until the
-  // widest lane finishes: at most bit_width(range) iterations with range <=
-  // min(la, lb).  The end co-ranks come by shuffle, except the last lane's:
-  // its lone search is bracketed to E + 1 co-ranks within the same range,
-  // at most bit_width(min(E, la, lb)) iterations.
+  // Per warp, the lattice search (sort::lattice_split_search): the w-ary
+  // search of lane 0's sample co-rank over at most ceil(range / E) + 1
+  // samples (range <= min(la, lb)), the lockstep binary search of the other
+  // lanes' sample co-ranks over at most w candidates each, and the scan of
+  // at most min(E - 1, range) offsets.  The end co-ranks come by shuffle,
+  // except the last lane's: its lone search is bracketed to E + 1 co-ranks
+  // within the same range, at most bit_width(min(E, la, lb)) iterations.
   const std::int64_t range = std::min(la, lb);
   k.search_iterations_bound =
-      warps * (search_rounds(range) + search_rounds(std::min<std::int64_t>(e, range)));
+      warps * (wary_rounds((range + e - 1) / e, w) +
+               search_rounds(std::min<std::int64_t>(w - 1, range)) +
+               std::min<std::int64_t>(e - 1, range) +
+               search_rounds(std::min<std::int64_t>(e, range)));
   return k;
 }
 

@@ -24,8 +24,9 @@ struct PramMergeKernel {
   /// Shared -> global streaming store accesses.
   std::int64_t store_shared_accesses = 0;
   std::int64_t store_gmem_requests = 0;
-  /// Upper bound on the block's merge-path search iterations: per warp, the
-  /// start-diagonal search plus the last lane's lone end search.
+  /// Upper bound on the block's split search iterations: per warp, the
+  /// lattice search of the start co-ranks plus the last lane's lone end
+  /// search.
   std::int64_t search_iterations_bound = 0;
 
   [[nodiscard]] std::int64_t deterministic_shared_accesses() const {

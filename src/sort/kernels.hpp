@@ -6,15 +6,24 @@
 //  * FastDiv             — division by a loop-invariant divisor.
 //  * read_block_record   — a block's lane-0 read of its own per-block
 //                          record (tile descriptor, tile length).
-//  * warp_split_search   — one merge-path search per thread: a lockstep
-//                          search over the warp's w start diagonals, a
-//                          shuffle handing each lane its successor's
-//                          co-rank as its end, and one lone bracketed
-//                          search for the last lane's end; produces every
-//                          thread's split (a_i, |A_i|, b_i, |B_i|), decided
-//                          on uncharged reads and charged as the device's
-//                          probe rows.
-//  * pair_split_search   — warp_split_search over every warp of P equal
+//  * gather_probe_row    — a probe-row gather of a data-dependent search,
+//                          costed without the conflict-free screen (the
+//                          loser tree's k-way thread search).
+//  * warp_split_search   — Thrust's split search, one merge-path search per
+//                          thread: a lockstep search over the warp's w
+//                          start diagonals, a shuffle handing each lane its
+//                          successor's co-rank as its end, and one lone
+//                          bracketed search for the last lane's end;
+//                          produces every thread's split (a_i, |A_i|, b_i,
+//                          |B_i|), decided on uncharged reads and charged
+//                          as the device's probe rows.  Its rows conflict.
+//  * lattice_split_search — the CF tile merge's split search over one pair
+//                          in a CF layout: a w-ary and a lockstep search on
+//                          the stride-E sample lattice bracket each co-rank
+//                          to E candidates, a lockstep scan resolves it,
+//                          then the same shuffle and lone search.  Every
+//                          row is bank conflict free for every input.
+//  * pair_split_search   — either warp search over every warp of P equal
 //                          list pairs laid out back to back, thread i
 //                          starting at offset i*E (the merge window and a
 //                          cascade stage: P = 1; a block-sort round: P =
@@ -42,6 +51,7 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -97,6 +107,20 @@ inline void read_block_record(gpusim::BlockContext& ctx, std::int64_t index, int
                   bytes, /*dependent=*/false);
 }
 
+/// A warp-wide probe read of a data-dependent search: SharedTile::gather,
+/// costed by gpusim::shared_access_cost_dedup (probe rows usually conflict,
+/// so the conflict-free screen would be wasted work).  The loser tree's
+/// k-way thread search reads through it.
+template <typename T>
+void gather_probe_row(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem, int warp,
+                      std::span<const std::int64_t> addrs, std::span<T> out, bool dependent) {
+  assert(out.size() >= addrs.size());
+  shmem.charge_row_costed(warp, addrs, gpusim::shared_access_cost_dedup(addrs, ctx.lanes()),
+                          /*is_write=*/false, dependent);
+  for (std::size_t l = 0; l < addrs.size(); ++l)
+    if (addrs[l] != gpusim::kInactiveLane) out[l] = shmem.peek(addrs[l]);
+}
+
 /// One thread's merge assignment within a block-local pair of lists.
 struct ThreadSplit {
   std::int64_t a_off = 0;   ///< a_i: offset of A_i within the pair's A list
@@ -115,6 +139,114 @@ struct LanePair {
   std::int64_t diag = 0;  ///< the lane's start diagonal within its pair
 };
 
+namespace detail {
+/// The conflict-free screen of one probe row, accumulated as its lanes are
+/// placed: each bank remembers the first word an active lane reads in it,
+/// and a later lane reading another word there marks a conflict (one
+/// reading the same word is a broadcast).  cost() is
+/// gpusim::shared_access_cost of the row: one cycle when no bank holds two
+/// words, else the full costing.  Each cost() starts the next row.
+class RowScreen {
+ public:
+  explicit RowScreen(int banks)
+      : banks_(static_cast<std::uint64_t>(banks)),
+        mask_(std::has_single_bit(banks_) ? banks_ - 1 : 0) {}
+  /// Notes active lane address `a`; returns it.
+  std::int64_t add(std::int64_t a) {
+    const auto u = static_cast<std::uint64_t>(a);
+    std::uint64_t bank;
+    if (mask_ != 0) [[likely]]
+      bank = u & mask_;
+    else
+      bank = u % banks_;
+    const bool taken = (seen_ >> bank) & 1u;
+    conflict_ |= taken & (word_[bank] != a);
+    word_[bank] = taken ? word_[bank] : a;
+    seen_ |= std::uint64_t{1} << bank;
+    ++active_;
+    return a;
+  }
+  gpusim::SharedAccessCost cost(std::span<const std::int64_t> row) {
+    const gpusim::SharedAccessCost c =
+        conflict_ ? gpusim::shared_access_cost(row, static_cast<int>(banks_))
+                  : gpusim::SharedAccessCost{1, 0, active_};
+    seen_ = 0;
+    conflict_ = false;
+    active_ = 0;
+    return c;
+  }
+
+ private:
+  std::uint64_t banks_;
+  std::uint64_t mask_;
+  std::uint64_t seen_ = 0;
+  bool conflict_ = false;
+  int active_ = 0;
+  std::array<std::int64_t, gpusim::kMaxLanes> word_;
+};
+
+/// The tail of both warp searches, once lanes [0, w) hold their start
+/// co-ranks `start`: one warp shuffle (kShuffleInstrs) hands lane l < w-1
+/// lane l+1's start co-rank as its end co-rank; lane w-1 alone searches
+/// lane w's diagonal, bracketed to [a, a + E] (a its own start co-rank, E
+/// the diagonal distance) intersected with the diagonal's valid range: at
+/// most bit_width(E) rounds, each one kSearchIterInstrs and two one-lane
+/// rows (1 cycle, 0 conflicts).  A lane whose successor starts a new list
+/// pair (diag 0) ends at its own pair end (co-rank na) and searches
+/// nothing.  For a strict weak order the bracket holds lane w's co-rank.
+/// Writes splits[0, w).
+template <typename T, typename PosA, typename PosB, typename Cmp>
+void finish_warp_splits(gpusim::BlockContext& ctx, int warp, gpusim::SharedTile<T>& shmem,
+                        std::span<const LanePair> pairs, std::span<const std::int64_t> start,
+                        PosA&& pos_a, PosB&& pos_b, Cmp cmp, std::span<ThreadSplit> splits) {
+  const std::size_t w = pairs.size() - 1;
+  ctx.charge_compute(warp, cost::kShuffleInstrs);
+
+  // Lane w-1's end co-rank: its own pair end, or the lone bracketed search
+  // over lane w's diagonal.
+  const std::size_t last = w - 1;
+  const LanePair& next = pairs[w];
+  std::int64_t end_lo = pairs[last].na;
+  if (next.diag != 0) {
+    const std::int64_t e = next.diag - pairs[last].diag;
+    std::int64_t end_hi = std::min({start[last] + e, next.diag, next.na});
+    end_lo = std::max(start[last], next.diag - next.nb);
+    std::array<std::int64_t, gpusim::kMaxLanes> lone;
+    lone.fill(gpusim::kInactiveLane);
+    const std::span<const std::int64_t> row(lone.data(), w);
+    constexpr gpusim::SharedAccessCost kOneLane{1, 0, 1};
+    while (end_lo < end_hi) {
+      const std::int64_t mid = end_lo + (end_hi - end_lo) / 2;
+      const std::int64_t pa = pos_a(static_cast<int>(w), mid);
+      const std::int64_t pb = pos_b(static_cast<int>(w), next.diag - 1 - mid);
+      ctx.charge_compute(warp, cost::kSearchIterInstrs);
+      lone[last] = pa;
+      shmem.charge_row_costed(warp, row, kOneLane, /*is_write=*/false);
+      lone[last] = pb;
+      shmem.charge_row_costed(warp, row, kOneLane, /*is_write=*/false);
+      if (cmp(shmem.peek(pb), shmem.peek(pa)))
+        end_hi = mid;
+      else
+        end_lo = mid + 1;
+    }
+  }
+
+  for (std::size_t l = 0; l < w; ++l) {
+    const LanePair& p = pairs[l];
+    const bool pair_end = pairs[l + 1].diag == 0;
+    assert(pair_end || (pairs[l + 1].na == p.na && pairs[l + 1].nb == p.nb &&
+                        pairs[l + 1].diag > p.diag));
+    const std::int64_t end_diag = pair_end ? p.na + p.nb : pairs[l + 1].diag;
+    const std::int64_t end_co = l == last ? end_lo : pair_end ? p.na : start[l + 1];
+    ThreadSplit& s = splits[l];
+    s.a_off = start[l];
+    s.a_size = end_co - start[l];
+    s.b_off = p.diag - start[l];
+    s.b_size = end_diag - p.diag - s.a_size;
+  }
+}
+}  // namespace detail
+
 /// Merge-path splits of one warp's threads: one lockstep search over the
 /// start diagonals, a shuffle, and one lone search for the last lane.
 ///
@@ -124,15 +256,10 @@ struct LanePair {
 /// start co-rank.  The device runs one search per thread:
 ///  * lanes [0, w) search their start diagonals in lockstep, each round one
 ///    kSearchIterInstrs, an A probe row and a B probe row;
-///  * one warp shuffle (kShuffleInstrs) hands lane l < w-1 lane l+1's start
-///    co-rank as its end co-rank;
-///  * lane w-1 alone searches lane w's diagonal, bracketed to [a, a + E]
-///    (a its own start co-rank, E the diagonal distance) intersected with
-///    the diagonal's valid range: at most bit_width(E) rounds, each one
-///    kSearchIterInstrs and two one-lane rows (1 cycle, 0 conflicts).
-/// A lane whose successor starts a new list pair (diag 0) ends at its own
-/// pair end (co-rank na) and searches nothing.  For a strict weak order the
-/// bracket holds lane w's co-rank, so every split equals the full search's.
+///  * one warp shuffle hands lane l < w-1 lane l+1's start co-rank as its
+///    end co-rank, and lane w-1 alone searches lane w's diagonal, bracketed
+///    to [a, a + E] (detail::finish_warp_splits).
+/// For a strict weak order every split equals the full search's.
 ///
 /// The host decides every lane on uncharged peek() reads and reports each
 /// round's rows, as they are decided, through the charged, audited
@@ -195,49 +322,187 @@ void warp_split_search(gpusim::BlockContext& ctx, int warp, gpusim::SharedTile<T
                             /*is_write=*/false);
   }
 
-  ctx.charge_compute(warp, cost::kShuffleInstrs);
+  detail::finish_warp_splits(ctx, warp, shmem, pairs,
+                             std::span<const std::int64_t>(lo.data(), w), pos_a, pos_b, cmp,
+                             splits);
+}
 
-  // Lane w-1's end co-rank: its own pair end, or the lone bracketed search
-  // over lane w's diagonal.
-  const std::size_t last = w - 1;
-  const LanePair& next = pairs[w];
-  std::int64_t end_lo = pairs[last].na;
-  if (next.diag != 0) {
-    const std::int64_t e = next.diag - pairs[last].diag;
-    std::int64_t end_hi = std::min({lo[last] + e, next.diag, next.na});
-    end_lo = std::max(lo[last], next.diag - next.nb);
-    ra.fill(gpusim::kInactiveLane);
-    constexpr gpusim::SharedAccessCost kOneLane{1, 0, 1};
-    while (end_lo < end_hi) {
-      const std::int64_t mid = end_lo + (end_hi - end_lo) / 2;
-      const std::int64_t pa = pos_a(static_cast<int>(w), mid);
-      const std::int64_t pb = pos_b(static_cast<int>(w), next.diag - 1 - mid);
-      ctx.charge_compute(warp, cost::kSearchIterInstrs);
-      ra[last] = pa;
-      shmem.charge_row_costed(warp, row_a, kOneLane, /*is_write=*/false);
-      ra[last] = pb;
-      shmem.charge_row_costed(warp, row_a, kOneLane, /*is_write=*/false);
-      if (cmp(shmem.peek(pb), shmem.peek(pa)))
-        end_hi = mid;
-      else
-        end_lo = mid + 1;
+/// Merge-path splits of one warp's threads over one list pair in a CF
+/// layout rho(A ∪ pi(B)) at a wE-aligned base, bank conflict free for every
+/// input: the split search of the CF tile merge (cf_cascade_core).
+///
+/// `pairs` is as for warp_split_search, with lanes [0, w) in one pair and
+/// lane l on diagonal d_l = d_0 + l·E (lane w: the next thread, or a new
+/// pair).  T_l(x) — "B[d_l − 1 − x] < A[x]" — holds iff lane l's co-rank is
+/// at most x, for x in the diagonal's valid range [lo_l, hi_l).  Let J_l be
+/// the first sample index j with jE in that range and T_l(jE), or
+/// ⌈hi_l / E⌉ if none: the co-rank lies in the window
+/// [max(lo_l, (J_l − 1)E + 1), min(hi_l, J_l·E)], at most E co-ranks.  The
+/// device runs, each round one kSearchIterInstrs, an A probe row and a B
+/// probe row:
+///  1. J_0 by a warp-cooperative w-ary search: with J_0 in [a, b], lane q
+///     probes sample a + s(q + 1) − 1 < b, s the least stride at least
+///     ⌈(b − a) / w⌉ coprime to w; the first lane whose test holds leaves
+///     its stride's s samples, none leaves the tail (about 2 rounds);
+///  2. J_l for l ≥ 1 by one lockstep binary search: co-ranks grow by at
+///     most E per lane, so J_l lies in [J_0, J_0 + l] (at most
+///     bit_width(w − 1) rounds);
+///  3. the co-rank by a lockstep scan of offsets c = 1 … E − 1: lane l
+///     probes x = (J_l − 1)E + c within its window until its test holds,
+///     and its co-rank is that x, else the window's top;
+///  4. the shuffle and lone end search of warp_split_search
+///     (detail::finish_warp_splits).
+/// In rounds 1 and 2 the A row waits for the previous decision (dependent)
+/// and the B row issues with it; the scan's addresses are known when it
+/// starts, so only its first A row is dependent.
+///
+/// Conflict freedom: x and B's raw offset la + lb − d_l + x are both c + jE
+/// for one c per row (la + lb and d_l are multiples of E), and the distinct
+/// j of a row are an arithmetic progression with a stride coprime to w
+/// (round 1) or lie in w consecutive integers (rounds 2 and 3).  The gcd
+/// law (Fig. 1, Corollary 3) puts such offsets in distinct banks when
+/// gcd(w, E) = 1, and rho does so otherwise; lanes reading one word
+/// broadcast.  Each row is screened as its lanes are placed
+/// (detail::RowScreen), costed in full only if a bank holds two words.
+///
+/// The host decides every lane on uncharged peek() reads and charges each
+/// round's rows as they are decided.  Writes splits[0, w).
+template <typename T, typename PosA, typename PosB, typename Cmp>
+void lattice_split_search(gpusim::BlockContext& ctx, int warp, gpusim::SharedTile<T>& shmem,
+                          std::span<const LanePair> pairs, PosA&& pos_a, PosB&& pos_b, Cmp cmp,
+                          std::span<ThreadSplit> splits) {
+  assert(pairs.size() >= 3 && pairs.size() <= gpusim::kMaxLanes + 1);
+  const std::size_t w = pairs.size() - 1;
+  const auto lw = static_cast<std::int64_t>(w);
+  assert(splits.size() >= w);
+  const std::int64_t na = pairs[0].na;
+  const std::int64_t nb = pairs[0].nb;
+  const std::int64_t e = pairs[1].diag - pairs[0].diag;
+  const auto ceil_e = [e](std::int64_t x) { return (x + e - 1) / e; };
+
+  // Each round's probe positions, kInactiveLane for an idle lane.
+  std::array<std::int64_t, gpusim::kMaxLanes> ra;
+  std::array<std::int64_t, gpusim::kMaxLanes> rb;
+  const std::span<const std::int64_t> row_a(ra.data(), w);
+  const std::span<const std::int64_t> row_b(rb.data(), w);
+  const auto idle = [&](std::size_t l) {
+    ra[l] = gpusim::kInactiveLane;
+    rb[l] = gpusim::kInactiveLane;
+  };
+  detail::RowScreen screen_a(ctx.lanes());
+  detail::RowScreen screen_b(ctx.lanes());
+  // Lane l's probe at co-rank x on diagonal d, screened as it is placed;
+  // the test reads the words.
+  const auto place = [&](std::size_t l, std::int64_t d, std::int64_t x) {
+    ra[l] = screen_a.add(pos_a(0, x));
+    rb[l] = screen_b.add(pos_b(0, d - 1 - x));
+  };
+  const auto test = [&](std::size_t l) { return cmp(shmem.peek(rb[l]), shmem.peek(ra[l])); };
+  const auto charge_round = [&](bool dependent) {
+    ctx.charge_compute(warp, cost::kSearchIterInstrs);
+    shmem.charge_row_costed(warp, row_a, screen_a.cost(row_a), /*is_write=*/false, dependent);
+    shmem.charge_row_costed(warp, row_b, screen_b.cost(row_b), /*is_write=*/false,
+                            /*dependent=*/false);
+  };
+
+  // 1. Lane 0's sample co-rank J_0, in [ja, jb].
+  const std::int64_t d0 = pairs[0].diag;
+  std::int64_t ja = ceil_e(std::max<std::int64_t>(0, d0 - nb));
+  std::int64_t jb = ceil_e(std::min(d0, na));
+  while (ja < jb) {
+    std::int64_t s = (jb - ja + lw - 1) / lw;
+    while (std::gcd(s, lw) != 1) ++s;
+    std::int64_t hit = -1;
+    std::int64_t top = ja - 1;
+    for (std::size_t q = 0; q < w; ++q) {
+      const std::int64_t j = ja + s * static_cast<std::int64_t>(q + 1) - 1;
+      if (j >= jb) {
+        idle(q);
+        continue;
+      }
+      top = j;
+      place(q, d0, j * e);
+      if (hit < 0 && test(q)) hit = j;
+    }
+    charge_round(/*dependent=*/true);
+    if (hit >= 0) {
+      ja = hit - s + 1;
+      jb = hit;
+    } else {
+      ja = top + 1;
     }
   }
 
+  // 2. J_l in [max(J_0, first sample), min(J_0 + l, last sample + 1)]:
+  // diagonal d_l is d_0 + l·E, so lane l's first sample is lane 0's plus l
+  // (0 at the least) and its last sample + 1 is min(d_l / E, ⌈na / E⌉).
+  const std::int64_t under = d0 - nb;  // d_0 − nb, maybe negative
+  const std::int64_t first0 = under > 0 ? ceil_e(under) : -(-under / e);
+  const std::int64_t sample0 = d0 / e;
+  const std::int64_t samples_a = ceil_e(na);
+  std::array<std::int64_t, gpusim::kMaxLanes> jlo;
+  std::array<std::int64_t, gpusim::kMaxLanes> jhi;
   for (std::size_t l = 0; l < w; ++l) {
-    const LanePair& p = pairs[l];
-    const bool pair_end = pairs[l + 1].diag == 0;
-    assert(pair_end || (pairs[l + 1].na == p.na && pairs[l + 1].nb == p.nb &&
-                        pairs[l + 1].diag > p.diag));
-    const std::int64_t end_diag = pair_end ? p.na + p.nb : pairs[l + 1].diag;
-    const std::int64_t end_co = l == last ? end_lo : pair_end ? p.na : lo[l + 1];
-    ThreadSplit& s = splits[l];
-    s.a_off = lo[l];
-    s.a_size = end_co - lo[l];
-    s.b_off = p.diag - lo[l];
-    s.b_size = end_diag - p.diag - s.a_size;
+    const auto il = static_cast<std::int64_t>(l);
+    jlo[l] = std::max({ja, first0 + il, std::int64_t{0}});
+    jhi[l] = std::max(jlo[l], std::min({ja + il, sample0 + il, samples_a}));
   }
+  for (;;) {
+    bool probing = false;
+    for (std::size_t l = 0; l < w; ++l) {
+      if (jlo[l] >= jhi[l]) {
+        idle(l);
+        continue;
+      }
+      probing = true;
+      const std::int64_t mid = jlo[l] + (jhi[l] - jlo[l]) / 2;
+      place(l, pairs[l].diag, mid * e);
+      if (test(l))
+        jhi[l] = mid;
+      else
+        jlo[l] = mid + 1;
+    }
+    if (!probing) break;
+    charge_round(/*dependent=*/true);
+  }
+
+  // 3. The scan of each lane's window [first, top]: lane l probes x from
+  // first on until its test holds (start = x, its co-rank) or x reaches
+  // start = top.
+  std::array<std::int64_t, gpusim::kMaxLanes> first;
+  std::array<std::int64_t, gpusim::kMaxLanes> start;
+  for (std::size_t l = 0; l < w; ++l) {
+    const std::int64_t d = pairs[l].diag;
+    first[l] = std::max(std::max<std::int64_t>(0, d - nb), (jlo[l] - 1) * e + 1);
+    start[l] = std::min(std::min(d, na), jlo[l] * e);
+  }
+  bool dependent = true;
+  for (std::int64_t c = 1; c < e; ++c) {
+    bool probing = false;
+    for (std::size_t l = 0; l < w; ++l) {
+      const std::int64_t x = (jlo[l] - 1) * e + c;
+      if (x < first[l] || x >= start[l]) {
+        idle(l);
+        continue;
+      }
+      probing = true;
+      place(l, pairs[l].diag, x);
+      if (test(l)) start[l] = x;
+    }
+    if (!probing) continue;
+    charge_round(dependent);
+    dependent = false;
+  }
+
+  detail::finish_warp_splits(ctx, warp, shmem, pairs,
+                             std::span<const std::int64_t>(start.data(), w), pos_a, pos_b, cmp,
+                             splits);
 }
+
+/// The warp search pair_split_search runs: warp_split_search (Thrust's
+/// merge-path search, any layout) or lattice_split_search (one pair in a CF
+/// layout).
+enum class SplitSearch { kMergePath, kLattice };
 
 /// Merge-path splits of the vwarps*w threads of `npairs` equal list pairs
 /// (na, nb) laid out back to back: thread i starts at offset i*E of the
@@ -246,8 +511,10 @@ void warp_split_search(gpusim::BlockContext& ctx, int warp, gpusim::SharedTile<T
 /// warp_of(vw); pos_a(pair_base, x) / pos_b(pair_base, y) translate offsets
 /// of the pair starting at offset pair_base to physical shared positions.
 /// The merge window and a cascade stage are one pair; a block-sort round at
-/// run length r is tile / 2r pairs of (r, r).
-template <typename T, typename WarpOf, typename PosA, typename PosB, typename Cmp>
+/// run length r is tile / 2r pairs of (r, r).  Each warp runs kSearch (the
+/// lattice search needs one pair in a CF layout).
+template <SplitSearch kSearch = SplitSearch::kMergePath, typename T, typename WarpOf,
+          typename PosA, typename PosB, typename Cmp>
 std::vector<ThreadSplit> pair_split_search(gpusim::BlockContext& ctx,
                                            gpusim::SharedTile<T>& shmem, std::int64_t npairs,
                                            std::int64_t na, std::int64_t nb, int vwarps,
@@ -256,6 +523,7 @@ std::vector<ThreadSplit> pair_split_search(gpusim::BlockContext& ctx,
   const int w = ctx.lanes();
   const auto threads = static_cast<std::size_t>(vwarps) * static_cast<std::size_t>(w);
   const std::int64_t pair_len = na + nb;
+  assert(kSearch == SplitSearch::kMergePath || npairs == 1);
   assert(threads > 0 && npairs > 0 &&
          npairs * pair_len % static_cast<std::int64_t>(threads) == 0);
   const std::int64_t e = npairs * pair_len / static_cast<std::int64_t>(threads);
@@ -280,11 +548,14 @@ std::vector<ThreadSplit> pair_split_search(gpusim::BlockContext& ctx,
       pbase[l] = div_pair(out0) * pair_len;
       pairs[l] = {na, nb, out0 - pbase[l]};
     }
-    warp_split_search(ctx, warp_of(vw), shmem,
-                      std::span<const LanePair>(pairs.data(), static_cast<std::size_t>(w) + 1),
-                      lane_a, lane_b, cmp,
-                      std::span<ThreadSplit>(splits).subspan(
-                          static_cast<std::size_t>(vw * w), static_cast<std::size_t>(w)));
+    const auto lanes =
+        std::span<const LanePair>(pairs.data(), static_cast<std::size_t>(w) + 1);
+    const auto out = std::span<ThreadSplit>(splits).subspan(static_cast<std::size_t>(vw * w),
+                                                            static_cast<std::size_t>(w));
+    if constexpr (kSearch == SplitSearch::kLattice)
+      lattice_split_search(ctx, warp_of(vw), shmem, lanes, lane_a, lane_b, cmp, out);
+    else
+      warp_split_search(ctx, warp_of(vw), shmem, lanes, lane_a, lane_b, cmp, out);
   }
   return splits;
 }

@@ -20,7 +20,10 @@
 //   read the tile's boundary rows and descriptor
 //   load A-chunk and B-chunk into shared      (baseline: linear;
 //                                              CF-Merge: rho(A ∪ pi(B)))
-//   per-thread merge-path search in shared    (both variants)
+//   per-thread merge-path search in shared    (baseline: Thrust's search
+//                                              — bank conflicts; CF-Merge:
+//                                              the lattice search —
+//                                              conflict free)
 //   per-thread merge of A_i and B_i           (baseline: sequential merge
 //                                              from shared — bank conflicts;
 //                                              CF-Merge: dual subsequence
@@ -454,30 +457,30 @@ void cf_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T>&
   // rho(A ∪ pi(B)) region, sentinel tail included — the layout permutation
   // applied during the transfer ("each thread block reorders elements
   // during the initial transfer from global memory into shared memory" —
-  // Section 5).  Each segment's load is guarded at its real elements.  When
-  // the pair's shift is the identity, both loads' position maps are
-  // unit-step runs (pi reverses B), covered by the cf_stage proof.  The
-  // sentinel tail is not certified, so a certified-skip audit still replays
-  // its writes.
+  // Section 5).  Each segment's load is guarded at its real elements, and
+  // B's sentinel tail (B offsets nb … lb − 1) is filled in shared.  When the
+  // pair's shift is the identity, all three position maps are unit-step
+  // runs (pi reverses B), covered by the cf_stage proof.
   const T top = padding_sentinel<T>::value();
   for (std::size_t p = 0; p < plan.pairs(0).size(); ++p) {
     const gather::CascadePair& pr = plan.pairs(0)[p];
     const std::int64_t nb = seg_len[2 * p + 1];
-    const auto load = [&](const verify::CfCertificate* cert, const auto& pos_a,
-                          const auto& pos_b) {
+    const auto stage = [&](const verify::CfCertificate* cert, const auto& pos_a,
+                           const auto& pos_b, const auto& pos_tail) {
       cfprims::exec_guarded_load(ctx, gin, shmem, seg_len[2 * p], seg_real[2 * p], top, cert,
                                  cfprims::UnitStep{seg_src[2 * p]}, pos_a);
       cfprims::exec_guarded_load(ctx, gin, shmem, nb, seg_real[2 * p + 1], top, cert,
                                  cfprims::UnitStep{seg_src[2 * p + 1]}, pos_b);
+      cfprims::exec_staged_copy(ctx, cfprims::Fill<T>{top}, shmem, pr.layout.lb() - nb, cert,
+                                cfprims::UnitStep{}, pos_tail);
     };
     if (pr.layout.rho().identity())
-      load(certs.stage, cfprims::UnitStep{pr.pos_a(0)}, cfprims::UnitStep{pr.pos_b(0), -1});
+      stage(certs.stage, cfprims::UnitStep{pr.pos_a(0)}, cfprims::UnitStep{pr.pos_b(0), -1},
+            cfprims::UnitStep{pr.pos_b(nb), -1});
     else
-      load(nullptr, [pr](std::int64_t t) { return pr.pos_a(t); },
-           [pr](std::int64_t t) { return pr.pos_b(t); });
-    cfprims::exec_staged_copy(ctx, cfprims::Fill<T>{top}, shmem, pr.layout.lb() - nb,
-                              /*cert=*/nullptr, cfprims::UnitStep{},
-                              [pr, nb](std::int64_t t) { return pr.pos_b(nb + t); });
+      stage(nullptr, [pr](std::int64_t t) { return pr.pos_a(t); },
+            [pr](std::int64_t t) { return pr.pos_b(t); },
+            [pr, nb](std::int64_t t) { return pr.pos_b(nb + t); });
   }
   ctx.barrier();
 
@@ -507,7 +510,7 @@ void cf_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T>&
                          std::span<T> regs) {
       // Per-virtual-thread merge-path splits within the pair.
       ctx.phase("merge.search");
-      const std::vector<ThreadSplit> splits = pair_split_search(
+      const std::vector<ThreadSplit> splits = pair_split_search<SplitSearch::kLattice>(
           ctx, shmem, /*npairs=*/1, pr.layout.la(), pr.layout.lb(), vwarps, warp_of,
           [pr](std::int64_t, std::int64_t x) { return pr.pos_a(x); },
           [pr](std::int64_t, std::int64_t y) { return pr.pos_b(y); }, cmp);

@@ -370,7 +370,7 @@ std::vector<std::int64_t> multiway_thread_coranks(gpusim::BlockContext& ctx,
           std::span<const std::int64_t>(lens.data(), slots),
           std::span<const std::int64_t>(diag.data(), static_cast<std::size_t>(queries)),
           [&](std::span<const std::int64_t> addrs, std::span<T> vals, bool dependent) {
-            shmem.gather(warp, addrs, vals, dependent);
+            gather_probe_row(ctx, shmem, warp, addrs, vals, dependent);
           },
           cmp, std::span<std::int64_t>(co).subspan(static_cast<std::size_t>(t0 * k), slots));
     }

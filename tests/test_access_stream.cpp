@@ -222,23 +222,23 @@ std::vector<StreamCase> cases() {
   return {
       {"cf_w32", w32,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 7, 64, 4 * 448, 1); },
-       0x490f99e7bc8cebe3ull, 0x793c21e9497212cbull, 2656, 2304, 5376, 672},
+       0xc56aa1e40b87bf27ull, 0x3e1003f8151387d0ull, 2752, 2400, 5376, 672},
       {"baseline_w32", w32,
        [](L& l) { return run_merge_sort(l, Variant::Baseline, 7, 64, 4 * 448, 2); },
        0x3fbe6005e809c0fcull, 0xc4ab164a58b74060ull, 2672, 2336, 5376, 560},
       {"multiway_k4_w32", w32, [](L& l) { return run_multiway(l, 7, 64, 16 * 448, 3); },
-       0x6068a3c26619ea81ull, 0x2e9beccd3933f33dull, 14692, 13285, 28672, 4256},
+       0xc7520d038c2ee0c2ull, 0x75ce854a99c62a10ull, 15504, 14097, 28672, 4512},
       {"by_key_ragged_w32", w32,
        [](L& l) { return run_by_key(l, Variant::CFMerge, 7, 64, 3 * 448 + 101, 4); },
-       0x46cc9413b45cc774ull, 0x78587d23162992c2ull, 2296, 1998, 5376, 602},
+       0xa2a9e9fbf441edd0ull, 0x30041a16ea0062d9ull, 2386, 2088, 5376, 602},
       {"cf_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 5, 16, 8 * 80, 5); },
-       0x68cd178743ef2f32ull, 0x5571f37220ee0810ull, 3981, 3286, 2560, 960},
+       0x5da4b2f4366dfc70ull, 0x5b570509a386c16full, 4135, 3440, 2560, 960},
       {"baseline_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::Baseline, 5, 16, 8 * 80, 6); },
        0x178d730bf2e7170eull, 0xc52dff9c98f71e15ull, 4046, 3398, 2560, 720},
       {"multiway_k4_w8", w8, [](L& l) { return run_multiway(l, 5, 16, 16 * 80, 7); },
-       0x90546965ea50a050ull, 0x0000a2caa7b8fc14ull, 9605, 8321, 5120, 2705},
+       0xe9a660b92af4b194ull, 0xd281db9121caa22bull, 10019, 8735, 5120, 2888},
       {"by_key_ragged_w8", w8,
        [](L& l) { return run_by_key(l, Variant::Baseline, 5, 16, 5 * 80 + 37, 8); },
        0x1b2801d55e534199ull, 0x96dc546041671eccull, 2772, 2321, 1920, 505},
@@ -248,10 +248,10 @@ std::vector<StreamCase> cases() {
          cfg.cf_blocksort = true;
          return run_merge_sort(l, cfg, 8 * 80 + 13, 9);
        },
-       0x53f92ef40a73ec0eull, 0xa1ae33b87bed484full, 5103, 4140, 3600, 1380},
+       0x087b2a4adf933e87ull, 0xd2aa3ae028715e21ull, 5261, 4298, 3600, 1380},
       {"cf_noncoprime_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 6, 16, 8 * 96 + 5, 10); },
-       0x8cf3ad9cb5eecb36ull, 0x8fbd8ec4daa06f5aull, 5410, 4330, 4320, 864},
+       0xacf1f03bdfd2e6f1ull, 0x820b0c13a8fa3f20ull, 5644, 4564, 4320, 864},
       {"cf_no_rho_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 6, 16);
@@ -265,7 +265,7 @@ std::vector<StreamCase> cases() {
          cfg.cf_output_scatter = false;
          return run_merge_sort(l, cfg, 8 * 96 + 5, 19);
        },
-       0x67397fe96dc90d29ull, 0xb300c1a482b96a87ull, 5436, 4357, 4320, 432},
+       0x8379b99f2c726a80ull, 0x4df56a49814ecc68ull, 5664, 4585, 4320, 432},
       {"losertree_k4_w8", w8,
        [](L& l) {
          return run_multiway(l, 5, 16, 16 * 80, 11, sort::MultiwayVariant::LoserTree);
@@ -273,7 +273,7 @@ std::vector<StreamCase> cases() {
        0x1524ebbad6e62ae6ull, 0xb1c5be067b96a355ull, 8658, 7450, 3840, 960},
       {"batched_cf_w32", w32,
        [](L& l) { return run_batched(l, Variant::CFMerge, 7, 64, 4, 12); },
-       0x68fe8dd973a19137ull, 0x691ce0365ca41565ull, 1342, 968, 5376, 336},
+       0x1ce507bb6d5500a6ull, 0x7461ad27801eacddull, 1464, 1090, 5376, 336},
       {"batched_baseline_w8", w8,
        [](L& l) { return run_batched(l, Variant::Baseline, 5, 16, 3, 13); },
        0xf85e3c7e355fb854ull, 0xe546ef19e1575661ull, 701, 514, 720, 90},

@@ -8,11 +8,14 @@
 #include <array>
 #include <bit>
 #include <limits>
+#include <numeric>
 #include <random>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
+#include "gather/permutation.hpp"
 #include "gpusim/audit.hpp"
 #include "gpusim/launcher.hpp"
 #include "sort/key_value.hpp"
@@ -182,11 +185,13 @@ TEST(WarpCorankSearch, InactiveLanesStayUntouched) {
 namespace {
 
 /// One lockstep search of `lanes` (idle lanes: default LaneSearch) on
-/// `warp`, each probe row fetched through SharedTile::gather.  Returns the
-/// number of rounds.
+/// `warp`, each probe row fetched through SharedTile::gather (the B row
+/// waiting for the previous round iff `b_dependent`).  Returns the number
+/// of rounds.
 template <typename T, typename PosA, typename PosB, typename Cmp>
 int reference_search(gpusim::BlockContext& ctx, int warp, gpusim::SharedTile<T>& shmem,
-                     std::span<mp::LaneSearch> lanes, PosA&& pos_a, PosB&& pos_b, Cmp cmp) {
+                     std::span<mp::LaneSearch> lanes, PosA&& pos_a, PosB&& pos_b, Cmp cmp,
+                     bool b_dependent = true) {
   const std::size_t w = lanes.size();
   std::array<std::int64_t, gpusim::kMaxLanes> pa;
   std::array<std::int64_t, gpusim::kMaxLanes> pb;
@@ -202,31 +207,28 @@ int reference_search(gpusim::BlockContext& ctx, int warp, gpusim::SharedTile<T>&
     }
     ctx.charge_compute(warp, sort::cost::kSearchIterInstrs);
     shmem.gather(warp, std::span<const std::int64_t>(pa.data(), w), a_val, true);
-    shmem.gather(warp, std::span<const std::int64_t>(pb.data(), w), b_val, true);
+    shmem.gather(warp, std::span<const std::int64_t>(pb.data(), w), b_val, b_dependent);
   };
   mp::warp_corank_search<T>(lanes, probe, cmp);
   return rounds;
 }
 
-/// The reference model of one warp: writes out[0, w) and returns the lone
-/// search's rounds.  Lane l translates with pos_a(l, .) / pos_b(l, .); the
-/// lone search runs on lane w-1, whose pair is lane w's.
+/// The tail of both reference searches, given every lane's start co-rank:
+/// the shuffle, then lane w-1's lone search of lane w's diagonal (its pair
+/// is lane w's).  Writes out[0, w) and returns the lone search's rounds.
 template <typename T, typename PosA, typename PosB, typename Cmp>
-int reference_split_search(gpusim::BlockContext& ctx, int warp, gpusim::SharedTile<T>& shmem,
-                           std::span<const sort::LanePair> pairs, PosA&& pos_a, PosB&& pos_b,
-                           Cmp cmp, std::span<sort::ThreadSplit> out) {
+int reference_finish(gpusim::BlockContext& ctx, int warp, gpusim::SharedTile<T>& shmem,
+                     std::span<const sort::LanePair> pairs,
+                     std::span<const std::int64_t> start, PosA&& pos_a, PosB&& pos_b, Cmp cmp,
+                     std::span<sort::ThreadSplit> out) {
   const std::size_t w = pairs.size() - 1;
-  std::array<mp::LaneSearch, gpusim::kMaxLanes> lanes{};
-  for (std::size_t l = 0; l < w; ++l) lanes[l].init(pairs[l].diag, pairs[l].na, pairs[l].nb);
-  reference_search(ctx, warp, shmem, std::span<mp::LaneSearch>(lanes.data(), w), pos_a, pos_b,
-                   cmp);
   ctx.charge_compute(warp, sort::cost::kShuffleInstrs);
 
   // co[l]: lane l's end co-rank (pair end: na; else lane l+1's start).
   std::array<std::int64_t, gpusim::kMaxLanes> co;
-  for (std::size_t l = 0; l + 1 < w; ++l) co[l] = lanes[l + 1].lo;
+  for (std::size_t l = 0; l + 1 < w; ++l) co[l] = start[l + 1];
   const sort::LanePair& next = pairs[w];
-  const std::int64_t a = lanes[w - 1].lo;
+  const std::int64_t a = start[w - 1];
   int lone_rounds = 0;
   if (next.diag != 0) {
     std::array<mp::LaneSearch, gpusim::kMaxLanes> lone{};
@@ -243,10 +245,28 @@ int reference_split_search(gpusim::BlockContext& ctx, int warp, gpusim::SharedTi
     const bool pair_end = pairs[l + 1].diag == 0;
     const std::int64_t end_diag = pair_end ? p.na + p.nb : pairs[l + 1].diag;
     const std::int64_t end = pair_end ? p.na : co[l];
-    out[l] = {lanes[l].lo, end - lanes[l].lo, p.diag - lanes[l].lo,
-              end_diag - p.diag - (end - lanes[l].lo)};
+    const std::int64_t a_size = end - start[l];
+    out[l] = {start[l], a_size, p.diag - start[l], end_diag - p.diag - a_size};
   }
   return lone_rounds;
+}
+
+/// The reference model of one warp: writes out[0, w) and returns the lone
+/// search's rounds.  Lane l translates with pos_a(l, .) / pos_b(l, .).
+template <typename T, typename PosA, typename PosB, typename Cmp>
+int reference_split_search(gpusim::BlockContext& ctx, int warp, gpusim::SharedTile<T>& shmem,
+                           std::span<const sort::LanePair> pairs, PosA&& pos_a, PosB&& pos_b,
+                           Cmp cmp, std::span<sort::ThreadSplit> out) {
+  const std::size_t w = pairs.size() - 1;
+  std::array<mp::LaneSearch, gpusim::kMaxLanes> lanes{};
+  for (std::size_t l = 0; l < w; ++l) lanes[l].init(pairs[l].diag, pairs[l].na, pairs[l].nb);
+  reference_search(ctx, warp, shmem, std::span<mp::LaneSearch>(lanes.data(), w), pos_a, pos_b,
+                   cmp);
+  std::array<std::int64_t, gpusim::kMaxLanes> start;
+  for (std::size_t l = 0; l < w; ++l) start[l] = lanes[l].lo;
+  return reference_finish(ctx, warp, shmem, pairs,
+                          std::span<const std::int64_t>(start.data(), w), pos_a, pos_b, cmp,
+                          out);
 }
 
 /// One warp-wide shared access as the auditor saw it.
@@ -617,6 +637,296 @@ TEST(PairSplitSearch, MultiPairSplitsMatchHostMergePath) {
         EXPECT_EQ(got.counters.bank_conflicts, table.counters.bank_conflicts);
         EXPECT_EQ(got.chains, table.chains);
         EXPECT_EQ(got.rows, table.rows);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Reference model of the lattice search (sort::lattice_split_search, the CF
+// tile merge's split search): the w-ary search for lane 0's sample co-rank,
+// the lockstep binary search of every other lane's sample co-rank run by
+// mp::warp_corank_search over the sample lattice (sample x of A at offset
+// xE, sample y of B at yE + E - 1, lane l on sample diagonal d_l / E), the
+// scan of each lane's window, then the shuffle and lone search of the
+// reference above.  Every probe row is fetched through SharedTile::gather.
+
+namespace {
+
+template <typename T, typename PosA, typename PosB, typename Cmp>
+int reference_lattice_search(gpusim::BlockContext& ctx, int warp, gpusim::SharedTile<T>& shmem,
+                             std::span<const sort::LanePair> pairs, PosA&& pos_a, PosB&& pos_b,
+                             Cmp cmp, std::span<sort::ThreadSplit> out) {
+  const std::size_t w = pairs.size() - 1;
+  const auto lw = static_cast<std::int64_t>(w);
+  const std::int64_t e = pairs[1].diag - pairs[0].diag;
+  const auto ceil_e = [e](std::int64_t x) { return (x + e - 1) / e; };
+  std::array<mp::LaneSearch, gpusim::kMaxLanes> lanes{};  // co-rank ranges
+  for (std::size_t l = 0; l < w; ++l) lanes[l].init(pairs[l].diag, pairs[l].na, pairs[l].nb);
+
+  std::array<std::int64_t, gpusim::kMaxLanes> pa;
+  std::array<std::int64_t, gpusim::kMaxLanes> pb;
+  std::array<T, gpusim::kMaxLanes> av;
+  std::array<T, gpusim::kMaxLanes> bv;
+  const auto fetch = [&](bool a_dependent) {
+    ctx.charge_compute(warp, sort::cost::kSearchIterInstrs);
+    shmem.gather(warp, std::span<const std::int64_t>(pa.data(), w),
+                 std::span<T>(av.data(), w), a_dependent);
+    shmem.gather(warp, std::span<const std::int64_t>(pb.data(), w),
+                 std::span<T>(bv.data(), w), false);
+  };
+
+  // Lane 0's sample co-rank: each round lane q probes sample
+  // a + s(q + 1) - 1, for the least stride s >= ceil((b - a) / w) coprime
+  // to w.
+  const std::int64_t d0 = pairs[0].diag;
+  std::int64_t a = ceil_e(lanes[0].lo);
+  std::int64_t b = ceil_e(lanes[0].hi);
+  while (a < b) {
+    std::int64_t s = (b - a + lw - 1) / lw;
+    while (std::gcd(s, lw) != 1) ++s;
+    for (std::size_t q = 0; q < w; ++q) {
+      const std::int64_t j = a + s * static_cast<std::int64_t>(q + 1) - 1;
+      pa[q] = j < b ? pos_a(0, j * e) : gpusim::kInactiveLane;
+      pb[q] = j < b ? pos_b(0, d0 - 1 - j * e) : gpusim::kInactiveLane;
+    }
+    fetch(true);
+    std::int64_t next_a = b;  // no hit: past the last probe
+    std::int64_t next_b = b;
+    for (std::size_t q = 0; q < w; ++q) {
+      const std::int64_t j = a + s * static_cast<std::int64_t>(q + 1) - 1;
+      if (j >= b) break;
+      next_a = j + 1;
+      if (cmp(bv[q], av[q])) {
+        next_a = j - s + 1;
+        next_b = j;
+        break;
+      }
+    }
+    a = next_a;
+    b = next_b;
+  }
+
+  // The other lanes' sample co-ranks, in [max(a, ceil(lo/E)),
+  // min(a + l, ceil(hi/E))].
+  std::array<mp::LaneSearch, gpusim::kMaxLanes> samples{};
+  for (std::size_t l = 0; l < w; ++l) {
+    mp::LaneSearch& s = samples[l];
+    s.diag = pairs[l].diag / e;
+    s.active = true;
+    s.lo = std::max(a, ceil_e(lanes[l].lo));
+    s.hi = std::max(s.lo, std::min(a + static_cast<std::int64_t>(l), ceil_e(lanes[l].hi)));
+  }
+  reference_search(
+      ctx, warp, shmem, std::span<mp::LaneSearch>(samples.data(), w),
+      [&](int, std::int64_t x) { return pos_a(0, x * e); },
+      [&](int, std::int64_t y) { return pos_b(0, y * e + e - 1); }, cmp,
+      /*b_dependent=*/false);
+
+  // The scan: lane l probes (J_l - 1)E + c in its window for c = 1 .. E-1
+  // until a test holds; its co-rank is that probe, else the window's top.
+  std::array<std::int64_t, gpusim::kMaxLanes> first;
+  std::array<std::int64_t, gpusim::kMaxLanes> start;
+  std::array<bool, gpusim::kMaxLanes> found{};
+  for (std::size_t l = 0; l < w; ++l) {
+    first[l] = std::max(lanes[l].lo, (samples[l].lo - 1) * e + 1);
+    start[l] = std::min(lanes[l].hi, samples[l].lo * e);
+  }
+  const auto top = start;
+  bool a_dependent = true;
+  for (std::int64_t c = 1; c < e; ++c) {
+    bool any = false;
+    for (std::size_t l = 0; l < w; ++l) {
+      const std::int64_t x = (samples[l].lo - 1) * e + c;
+      const bool on = !found[l] && x >= first[l] && x < top[l];
+      any |= on;
+      pa[l] = on ? pos_a(0, x) : gpusim::kInactiveLane;
+      pb[l] = on ? pos_b(0, pairs[l].diag - 1 - x) : gpusim::kInactiveLane;
+    }
+    if (!any) continue;
+    fetch(a_dependent);
+    a_dependent = false;
+    for (std::size_t l = 0; l < w; ++l) {
+      if (pa[l] == gpusim::kInactiveLane || !cmp(bv[l], av[l])) continue;
+      found[l] = true;
+      start[l] = (samples[l].lo - 1) * e + c;
+    }
+  }
+  return reference_finish(ctx, warp, shmem, pairs,
+                          std::span<const std::int64_t>(start.data(), w), pos_a, pos_b, cmp,
+                          out);
+}
+
+/// One merge window of u threads, E outputs each, over lists a and b laid
+/// out in the CF layout rho(A ∪ pi(B)) of a w-lane device: the reference
+/// model warp by warp, or sort::pair_split_search with the lattice search.
+template <typename T, typename Cmp = std::less<T>>
+SearchRun run_lattice_search(bool reference, int w, int e, const std::vector<T>& a,
+                             const std::vector<T>& b, Cmp cmp = Cmp{}) {
+  const auto na = static_cast<std::int64_t>(a.size());
+  const auto nb = static_cast<std::int64_t>(b.size());
+  const std::int64_t total = na + nb;
+  const int u = static_cast<int>(total / e);
+  const auto layout = cfmerge::gather::PairLayout::cf(na, nb, w, e);
+  SearchRun run;
+  run.splits.resize(static_cast<std::size_t>(u));
+  RowRecorder rec;
+  gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(w));
+  launcher.set_audit(&rec);
+  launcher.launch(
+      "split_search", gpusim::LaunchShape{1, u, 0, 32}, [&](gpusim::BlockContext& ctx) {
+        gpusim::SharedTile<T> shmem(ctx, static_cast<std::size_t>(total));
+        const std::span<T> raw = shmem.raw();
+        for (std::int64_t x = 0; x < na; ++x)
+          raw[static_cast<std::size_t>(layout.pos_a(x))] = a[static_cast<std::size_t>(x)];
+        for (std::int64_t y = 0; y < nb; ++y)
+          raw[static_cast<std::size_t>(layout.pos_b(y))] = b[static_cast<std::size_t>(y)];
+        const auto pos_a = [&](auto, std::int64_t x) { return layout.pos_a(x); };
+        const auto pos_b = [&](auto, std::int64_t y) { return layout.pos_b(y); };
+        if (!reference) {
+          run.splits = sort::pair_split_search<sort::SplitSearch::kLattice>(
+              ctx, shmem, /*npairs=*/1, na, nb, ctx.warps(), cfmerge::cfprims::same_warp,
+              pos_a, pos_b, cmp);
+        } else {
+          std::array<sort::LanePair, gpusim::kMaxLanes + 1> pairs;
+          for (int warp = 0; warp < ctx.warps(); ++warp) {
+            for (int lane = 0; lane <= w; ++lane) {
+              const std::int64_t out0 = static_cast<std::int64_t>(warp * w + lane) * e;
+              pairs[static_cast<std::size_t>(lane)] = {na, nb, out0 == total ? 0 : out0};
+            }
+            const auto lanes = static_cast<std::size_t>(w);
+            run.lone_rounds = std::max(
+                run.lone_rounds,
+                reference_lattice_search(
+                    ctx, warp, shmem, std::span<const sort::LanePair>(pairs.data(), lanes + 1),
+                    pos_a, pos_b, cmp,
+                    std::span<sort::ThreadSplit>(run.splits)
+                        .subspan(static_cast<std::size_t>(warp * w), lanes)));
+          }
+        }
+        run.chains = ctx.warp_chains();
+      });
+  run.counters = launcher.total_counters();
+  run.rows = std::move(rec.rows);
+  return run;
+}
+
+/// The lattice search against its reference model and the host merge path
+/// (co-ranks by `cmp`, ties to A); every probe row is conflict free.
+template <typename T, typename Cmp = std::less<T>>
+SearchRun expect_lattice_matches(int w, int e, const std::vector<T>& a,
+                                 const std::vector<T>& b, Cmp cmp = Cmp{}) {
+  SearchRun got = run_lattice_search(false, w, e, a, b, cmp);
+  const SearchRun want = run_lattice_search(true, w, e, a, b, cmp);
+  expect_same_splits(got.splits, want.splits);
+  EXPECT_EQ(got.counters.warp_instructions, want.counters.warp_instructions);
+  EXPECT_EQ(got.counters.shared_accesses, want.counters.shared_accesses);
+  EXPECT_EQ(got.counters.shared_cycles, want.counters.shared_cycles);
+  EXPECT_EQ(got.counters.bank_conflicts, want.counters.bank_conflicts);
+  EXPECT_EQ(got.chains, want.chains);
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.counters.shared_accesses, got.rows.size());
+  EXPECT_EQ(got.counters.bank_conflicts, 0u);
+  EXPECT_EQ(got.counters.shared_cycles, got.counters.shared_accesses);
+  EXPECT_LE(want.lone_rounds, std::bit_width(static_cast<unsigned>(e)));
+  const auto co = [&](std::int64_t d) {
+    return mp::merge_path(
+        d, static_cast<std::int64_t>(a.size()), static_cast<std::int64_t>(b.size()),
+        [&](std::int64_t i) { return a[static_cast<std::size_t>(i)]; },
+        [&](std::int64_t i) { return b[static_cast<std::size_t>(i)]; }, cmp);
+  };
+  for (std::size_t i = 0; i < got.splits.size(); ++i) {
+    const std::int64_t d = static_cast<std::int64_t>(i) * e;
+    const sort::ThreadSplit& s = got.splits[i];
+    EXPECT_EQ(s.a_off, co(d)) << "thread " << i;
+    EXPECT_EQ(s.a_off + s.a_size, co(d + e)) << "thread " << i;
+    EXPECT_EQ(s.b_off, d - s.a_off) << "thread " << i;
+    EXPECT_EQ(s.a_size + s.b_size, e) << "thread " << i;
+  }
+  return got;
+}
+
+/// The (w, E, warps) shapes of the lattice tests: coprime and non-coprime
+/// E, and windows wide enough (warps >= 4) that the w-ary search strides
+/// by more than one sample.
+const std::vector<std::tuple<int, int, int>>& lattice_shapes() {
+  static const std::vector<std::tuple<int, int, int>> shapes{
+      {4, 3, 4},   {8, 5, 4},   {8, 6, 6},   {8, 1, 4},
+      {32, 15, 4}, {32, 16, 4}, {32, 17, 4}, {64, 7, 2}};
+  return shapes;
+}
+
+}  // namespace
+
+TEST(LatticeSplitSearch, MatchesDeviceModelAndHostMergePath) {
+  // Random lists with many ties and with wide keys, ragged na != nb.
+  std::mt19937_64 rng(31);
+  for (const auto& [w, e, warps] : lattice_shapes()) {
+    const std::int64_t total = static_cast<std::int64_t>(w) * warps * e;
+    for (const std::int64_t la : {std::int64_t{0}, total, total / 2, total / 3 + 1,
+                                  static_cast<std::int64_t>(rng() % (total + 1))}) {
+      for (const int hi : {20, 1000000}) {
+        SCOPED_TRACE("w=" + std::to_string(w) + " e=" + std::to_string(e) +
+                     " la=" + std::to_string(la) + " hi=" + std::to_string(hi));
+        const auto nb = static_cast<std::size_t>(total - la);
+        expect_lattice_matches(w, e, sorted_random(rng, static_cast<std::size_t>(la), 0, hi),
+                               sorted_random(rng, nb, 0, hi));
+      }
+    }
+  }
+}
+
+TEST(LatticeSplitSearch, FewUniqueAndAllEqualKeys) {
+  // Every tie takes A, so co-ranks sit at the ends of runs of equal keys.
+  std::mt19937_64 rng(32);
+  for (const auto& [w, e, warps] : lattice_shapes()) {
+    const std::int64_t total = static_cast<std::int64_t>(w) * warps * e;
+    for (const int distinct : {1, 2, 3}) {
+      for (const std::int64_t la : {total / 2, total / 3 + 1, total - e - 1}) {
+        SCOPED_TRACE("w=" + std::to_string(w) + " e=" + std::to_string(e) +
+                     " distinct=" + std::to_string(distinct) + " la=" + std::to_string(la));
+        expect_lattice_matches(
+            w, e, sorted_random(rng, static_cast<std::size_t>(la), 0, distinct - 1),
+            sorted_random(rng, static_cast<std::size_t>(total - la), 0, distinct - 1));
+      }
+    }
+  }
+}
+
+TEST(LatticeSplitSearch, KeyValueTiesTakeA) {
+  // All keys equal: co-rank(d) = min(d, |A|).
+  using KV = sort::KeyValue<int, int>;
+  const int w = 8, e = 5;
+  const std::int64_t total = 4 * w * e;
+  for (const std::int64_t la : {std::int64_t{7}, total / 2, total - 3}) {
+    std::vector<KV> a(static_cast<std::size_t>(la));
+    std::vector<KV> b(static_cast<std::size_t>(total - la));
+    for (std::size_t i = 0; i < a.size(); ++i) a[i] = {42, static_cast<int>(i)};
+    for (std::size_t i = 0; i < b.size(); ++i) b[i] = {42, static_cast<int>(1000 + i)};
+    const SearchRun got = expect_lattice_matches(w, e, a, b);
+    for (std::size_t i = 0; i < got.splits.size(); ++i) {
+      const std::int64_t d = static_cast<std::int64_t>(i) * e;
+      EXPECT_EQ(got.splits[i].a_off, std::min(d, la));
+    }
+  }
+}
+
+TEST(LatticeSplitSearch, BracketsClippedAtListEnds) {
+  // Disjoint key ranges put every co-rank on an edge of its diagonal's
+  // valid range — min(d, na) with A below B, max(0, d - nb) with A above
+  // B — so sample brackets and scan windows are cut at the list ends, for
+  // every split na.
+  for (const auto& [w, e] : std::vector<std::pair<int, int>>{{4, 3}, {8, 6}, {32, 15}}) {
+    const std::int64_t total = static_cast<std::int64_t>(4) * w * e;
+    for (const bool a_first : {true, false}) {
+      for (std::int64_t la = 0; la <= total; la += (w == 32 ? 37 : 1)) {
+        SCOPED_TRACE("w=" + std::to_string(w) + (a_first ? " A below B" : " A above B") +
+                     " la=" + std::to_string(la));
+        std::vector<int> a(static_cast<std::size_t>(la));
+        std::vector<int> b(static_cast<std::size_t>(total - la));
+        std::iota(a.begin(), a.end(), a_first ? 0 : 100000);
+        std::iota(b.begin(), b.end(), a_first ? 100000 : 0);
+        expect_lattice_matches(w, e, a, b);
       }
     }
   }

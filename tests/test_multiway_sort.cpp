@@ -12,9 +12,13 @@
 #include <cmath>
 #include <numeric>
 #include <random>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "mergepath/multiway_path.hpp"
+#include "workloads/generators.hpp"
 #include "sort/engine.hpp"
 #include "sort/merge_sort.hpp"
 
@@ -139,9 +143,10 @@ TEST(MultiwaySort, CascadeMergePhaseIsConflictFreeLoserTreeIsNot) {
   const SortReport loser = run(MultiwayVariant::LoserTree);
 
   // The cascade's loads, gather rounds and rank scatters are the proven CF
-  // schedule: zero conflicts outside the (data-dependent, both-variant)
-  // merge.search co-rank probes.  The loser tree's data-dependent head
-  // replacement gathers conflict — that is the point of the baseline.
+  // schedule, and its split search probes only the conflict-free sample
+  // lattice: zero conflicts in every merge phase.  The loser tree's
+  // data-dependent head replacement gathers conflict — that is the point
+  // of the baseline.
   auto phase_conflicts = [](const SortReport& r, const char* name) {
     std::uint64_t sum = 0;
     for (const auto& [phase, counters] : r.phases.phases())
@@ -149,6 +154,7 @@ TEST(MultiwaySort, CascadeMergePhaseIsConflictFreeLoserTreeIsNot) {
     return sum;
   };
   EXPECT_EQ(phase_conflicts(cascade, "merge.load"), 0u);
+  EXPECT_EQ(phase_conflicts(cascade, "merge.search"), 0u);
   EXPECT_EQ(phase_conflicts(cascade, "merge.merge"), 0u);
   EXPECT_EQ(phase_conflicts(cascade, "merge.store"), 0u);
   EXPECT_GT(phase_conflicts(loser, "merge.merge"), 0u);
@@ -631,5 +637,67 @@ TEST(MultiwayCascade, MergesInOneBufferOfCapacity) {
     EXPECT_EQ(merge.shape.shared_bytes_per_block, pass.shape.shared_bytes_per_block);
     EXPECT_EQ(merge.timing.occupancy.occupancy, 1.0);
     EXPECT_EQ(merge.timing.occupancy.occupancy, pass.timing.occupancy.occupancy);
+  }
+}
+
+TEST(CfSplitSearch, MergeSearchIsBankConflictFree) {
+  // The CF tile merge's split search (the lattice search) reads only
+  // conflict-free rows, at coprime and non-coprime (w, E), at every arity
+  // (k = 2 is the 2-way merge pass), whatever the input.  u = 4w makes the
+  // windows wide enough that the w-ary sample search strides by more than
+  // one sample, so an even stride would conflict.
+  for (const auto& [w, e] :
+       std::vector<std::pair<int, int>>{{32, 15}, {32, 16}, {32, 17}, {8, 5}, {8, 6}}) {
+    const int u = 4 * w;
+    const std::int64_t n = std::int64_t{8} * u * e;
+    std::mt19937_64 rng(static_cast<std::uint64_t>(w * 100 + e));
+    std::vector<std::pair<const char*, std::vector<int>>> inputs;
+    inputs.emplace_back("random", rand_vec(rng, n));
+    workloads::WorkloadSpec spec;
+    spec.dist = workloads::Distribution::WorstCase;
+    spec.n = n;
+    spec.w = w;
+    spec.e = e;
+    spec.u = u;
+    inputs.emplace_back("worst-case", workloads::generate(spec));
+    inputs.emplace_back("few-distinct", rand_vec(rng, n, 5));
+    std::vector<int> sorted(static_cast<std::size_t>(n));
+    std::iota(sorted.begin(), sorted.end(), 0);
+    inputs.emplace_back("sorted", sorted);
+    inputs.emplace_back("reversed", std::vector<int>(sorted.rbegin(), sorted.rend()));
+    // Alternating 8-element blocks from a low and a high key range.
+    std::vector<int> blocks(static_cast<std::size_t>(n));
+    for (std::int64_t i = 0; i < n; ++i)
+      blocks[static_cast<std::size_t>(i)] = static_cast<int>((i / 8) % 2 == 0 ? i : n + i);
+    inputs.emplace_back("alternating-blocks", blocks);
+
+    for (const int k : {2, 4, 8}) {
+      for (const auto& [name, input] : inputs) {
+        SCOPED_TRACE("w=" + std::to_string(w) + " e=" + std::to_string(e) +
+                     " k=" + std::to_string(k) + " input=" + name);
+        Launcher launcher(DeviceSpec::tiny(w));
+        std::vector<int> data = input;
+        SortReport report;
+        if (k == 2) {
+          MergeConfig cfg;
+          cfg.e = e;
+          cfg.u = u;
+          report = merge_sort(launcher, data, cfg);
+        } else {
+          MultiwayConfig cfg;
+          cfg.e = e;
+          cfg.u = u;
+          cfg.k = k;
+          report = merge_sort_multiway(launcher, data, cfg);
+        }
+        ASSERT_TRUE(std::is_sorted(data.begin(), data.end()));
+        const gpusim::Counters search = report.phases.phase("merge.search");
+        EXPECT_EQ(search.bank_conflicts, 0u);
+        EXPECT_EQ(search.shared_cycles, search.shared_accesses);
+        if (std::string_view(name) == "random") {
+          EXPECT_GT(search.shared_accesses, 0u);
+        }
+      }
+    }
   }
 }

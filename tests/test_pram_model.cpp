@@ -106,7 +106,7 @@ TEST(PramModel, SimulatorMatchesClosedFormExactly) {
       EXPECT_EQ(t.store_shared, static_cast<std::uint64_t>(k.output_scatter_accesses +
                                                            k.store_shared_accesses));
       EXPECT_EQ(t.store_gmem, static_cast<std::uint64_t>(k.store_gmem_requests));
-      // Search: two probe rows per iteration, within one start search per
+      // Search: two probe rows per iteration, within one lattice search per
       // warp plus the last lane's bracketed end search.
       EXPECT_EQ(t.search_shared % 2, 0u);
       EXPECT_LE(t.search_shared, static_cast<std::uint64_t>(2 * k.search_iterations_bound));

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <random>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "analysis/trace_replay.hpp"
@@ -97,9 +98,11 @@ TEST(Tracing, TraceConflictsMatchCounters) {
 namespace {
 
 /// Checks the recorded conflicts against the DMM direct-map replay, an
-/// independent cost implementation: in total, and for the merge-path search
-/// phases, whose rows conflict in every variant.
-void expect_direct_map_reproduces(const TraceSink& sink, int w, const char* what) {
+/// independent cost implementation: in total, and for the split search
+/// phases.  Their rows conflict, except in the CF tile merge (`cf`), whose
+/// lattice search (merge.search) is conflict free by construction.
+void expect_direct_map_reproduces(const TraceSink& sink, int w, const char* what,
+                                  bool cf = false) {
   const auto direct = analysis::replay_shared(sink, dmm::DirectMap(w));
   EXPECT_EQ(direct.total_conflicts, sink.shared_conflicts()) << what;
   const auto shared_events =
@@ -109,7 +112,10 @@ void expect_direct_map_reproduces(const TraceSink& sink, int w, const char* what
   EXPECT_EQ(direct.shared_accesses, shared_events) << what;
   for (const char* phase : {"bsort.search", "merge.search"}) {
     const auto search = analysis::replay_shared(sink, dmm::DirectMap(w), phase);
-    EXPECT_GT(search.total_conflicts, 0) << what << " " << phase;
+    if (cf && std::string_view(phase) == "merge.search")
+      EXPECT_EQ(search.total_conflicts, 0) << what << " " << phase;
+    else
+      EXPECT_GT(search.total_conflicts, 0) << what << " " << phase;
     EXPECT_EQ(search.total_conflicts, sink.shared_conflicts(phase)) << what << " " << phase;
   }
 }
@@ -151,8 +157,8 @@ TEST(TraceReplay, DirectMapReproducesRecordedConflicts) {
     std::vector<int> data = keys(4 * 448 + 101, 100000);
     sort::merge_sort(launcher, data, cfg);
     EXPECT_TRUE(std::is_sorted(data.begin(), data.end()));
-    expect_direct_map_reproduces(
-        sink, 32, variant == sort::Variant::CFMerge ? "cf w=32" : "baseline w=32");
+    const bool cf = variant == sort::Variant::CFMerge;
+    expect_direct_map_reproduces(sink, 32, cf ? "cf w=32" : "baseline w=32", cf);
   }
   Launcher launcher(w32);
   TraceSink sink;
@@ -165,7 +171,7 @@ TEST(TraceReplay, DirectMapReproducesRecordedConflicts) {
   std::vector<int> data = keys(9 * 448 + 37, 100000);
   sort::merge_sort_multiway(launcher, data, cfg);
   EXPECT_TRUE(std::is_sorted(data.begin(), data.end()));
-  expect_direct_map_reproduces(sink, 32, "k=4 cascade w=32");
+  expect_direct_map_reproduces(sink, 32, "k=4 cascade w=32", /*cf=*/true);
 }
 
 TEST(TraceReplay, AlternativeMappingsChangeThePicture) {

@@ -29,9 +29,12 @@ Gate 3 has no allowlist either: the known-cost charge forms
 cost computed elsewhere, so they may only be called under src/gpusim/
 (which defines them) and from src/sort/kernels.hpp (warp_split_search,
 which prices its start probe rows with shared_access_cost_dedup and its last
-lane's one-lane rows at their known cost of one cycle, and
-serial_merge_core, which prices its distinct-address head and fetch rows
-with shared_access_cost_distinct).
+lane's one-lane rows at their known cost of one cycle; lattice_split_search,
+which screens each row's banks as its lanes are placed (detail::RowScreen)
+and calls shared_access_cost only when a bank holds two words;
+gather_probe_row, the loser tree's probe reads, also priced with
+shared_access_cost_dedup; and serial_merge_core, which prices its
+distinct-address head and fetch rows with shared_access_cost_distinct).
 Anywhere else a site could charge a cost it did not compute.
 
 Mechanics (gate 1): for each C++ file under src/ (excluding src/cfprims/,
@@ -75,17 +78,13 @@ ALLOWLIST: dict[str, dict[str, str]] = {
              "is to show what uncertified stride patterns cost",
     },
     "src/sort/kernels.hpp": {
-        "peek": "merge-path probe reads of warp_split_search and head reads "
-                "of serial_merge_core: the next address comes from a key "
-                "comparison (diagonal search, serial merge step), outside any "
-                "affine family, so no certificate can cover it; every probe "
-                "row and every step's fetch row is charged and audited per "
-                "lane through charge_row_costed",
-    },
-    "src/sort/multiway_pass.hpp": {
-        "gather": "loser-tree baseline: its k-way co-rank probes pick "
-                  "addresses by key comparison, outside any affine family; "
-                  "charged and audited per lane",
+        "peek": "merge-path probe reads of warp_split_search and "
+                "lattice_split_search, the loser tree's k-way probe reads "
+                "(gather_probe_row) and head reads of serial_merge_core: the "
+                "next address comes from a key comparison (diagonal search, "
+                "serial merge step), outside any affine family, so no "
+                "certificate can cover it; every probe row and every step's "
+                "fetch row is charged and audited per lane",
     },
     "src/verify/analyzer.cpp": {
         "raw": "measure_worstcase_warp stages the Theorem 8 test input into "
