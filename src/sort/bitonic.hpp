@@ -25,6 +25,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "cfprims/exec.hpp"
 #include "gpusim/launcher.hpp"
 #include "gpusim/memory_views.hpp"
 #include "sort/cost_model.hpp"
@@ -80,31 +81,17 @@ void bitonic_tile_body(gpusim::BlockContext& ctx, std::span<T> data,
                                base);
   gpusim::SharedTile<T> shmem(ctx, static_cast<std::size_t>(padded_size));
 
+  // The tile's staged copies: unit-step in global, padded in shared.
+  const auto pad = [w, &cfg](std::int64_t t) { return bitonic_pad(t, w, cfg.padded); };
   ctx.phase("bitonic.load");
-  std::vector<std::int64_t> gaddr(static_cast<std::size_t>(w));
-  std::vector<std::int64_t> saddr(static_cast<std::size_t>(w));
-  std::vector<T> va(static_cast<std::size_t>(w)), vb(static_cast<std::size_t>(w));
-  for (int warp = 0; warp < ctx.warps(); ++warp) {
-    bool first = true;
-    for (std::int64_t b0 = static_cast<std::int64_t>(warp) * w; b0 < tile; b0 += u) {
-      for (int lane = 0; lane < w; ++lane) {
-        const std::int64_t t = b0 + lane;
-        gaddr[static_cast<std::size_t>(lane)] = t < tile ? t : gpusim::kInactiveLane;
-        saddr[static_cast<std::size_t>(lane)] =
-            t < tile ? bitonic_pad(t, w, cfg.padded) : gpusim::kInactiveLane;
-      }
-      ctx.charge_compute(warp, cost::kCopyChunkInstrs);
-      global.gather(warp, gaddr, va, first);
-      shmem.scatter(warp, saddr, va, false);
-      first = false;
-    }
-  }
+  cfprims::exec_staged_copy(ctx, global, shmem, tile, /*cert=*/nullptr, cfprims::UnitStep{}, pad);
   ctx.barrier();
 
   ctx.phase("bitonic.exchange");
   const std::int64_t pairs = tile / 2;
   std::vector<std::int64_t> addr_i(static_cast<std::size_t>(w));
   std::vector<std::int64_t> addr_j(static_cast<std::size_t>(w));
+  std::vector<T> va(static_cast<std::size_t>(w)), vb(static_cast<std::size_t>(w));
   for (std::int64_t k = k_lo; k <= k_hi; k *= 2)
   for (std::int64_t j = std::min(k / 2, tile / 2); j >= 1; j /= 2) {
     for (int warp = 0; warp < ctx.warps(); ++warp) {
@@ -143,21 +130,7 @@ void bitonic_tile_body(gpusim::BlockContext& ctx, std::span<T> data,
   }
 
   ctx.phase("bitonic.store");
-  for (int warp = 0; warp < ctx.warps(); ++warp) {
-    bool first = true;
-    for (std::int64_t b0 = static_cast<std::int64_t>(warp) * w; b0 < tile; b0 += u) {
-      for (int lane = 0; lane < w; ++lane) {
-        const std::int64_t t = b0 + lane;
-        saddr[static_cast<std::size_t>(lane)] =
-            t < tile ? bitonic_pad(t, w, cfg.padded) : gpusim::kInactiveLane;
-        gaddr[static_cast<std::size_t>(lane)] = t < tile ? t : gpusim::kInactiveLane;
-      }
-      ctx.charge_compute(warp, cost::kCopyChunkInstrs);
-      shmem.gather(warp, saddr, va, first);
-      global.scatter(warp, gaddr, va, false);
-      first = false;
-    }
-  }
+  cfprims::exec_staged_copy(ctx, shmem, global, tile, /*cert=*/nullptr, pad, cfprims::UnitStep{});
 }
 
 /// Global compare-exchange kernel for substage j >= tile.

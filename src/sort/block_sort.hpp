@@ -4,12 +4,12 @@
 // memory, sort E elements per thread in registers (odd-even transposition),
 // then log2(u) rounds of intra-block pair merging via merge path + the
 // per-thread sequential shared-memory merge.  A round at run length r is
-// one pair_split_search over the tile's list pairs of (r, r), the same
-// split search the merge window runs on its one pair.  The stage is
-// *identical* for the baseline and CF-Merge (the paper's modification is
-// confined to the pairwise-merge kernels, and for its software parameters
-// E is coprime with w, so the stride-E register loads/stores here are
-// conflict-free by the classic heuristic).
+// one pair_split_search over the tile's list pairs of (r, r), Thrust's
+// split search, which the baseline merge window runs on its one pair.  The
+// stage is *identical* for the baseline and CF-Merge (the paper's
+// modification is confined to the pairwise-merge kernels, and for its
+// software parameters E is coprime with w, so the stride-E register
+// loads/stores here are conflict-free by the classic heuristic).
 //
 // Ragged tiles: only the first m elements of a tile are real (a ragged
 // input's last tile, the last tile of each segment).  As Thrust and CUB do
@@ -26,15 +26,20 @@
 // whole-tile, and a full tile (m = u*E) does exactly the work of the
 // unclamped sort.
 //
-// Extension (not in the paper): `cf_rounds = true` applies the dual
-// subsequence gather inside the later block-sort rounds too — those whose
-// run pairs span at least a full warp.  Each such round re-lays its active
-// pairs into the CF layout in place: the block reads the rows into
-// registers (at most E per thread), passes a barrier, and writes them
-// through pi/rho, then gathers.  The block keeps one tile of shared memory;
-// the re-layout's rows, instructions and barriers are the overhead traded
-// against the conflicts of the sequential rounds — bench/ablation_parameters
-// quantifies it, the overhead-versus-conflicts tension the paper's Section 2
+// Extension (not in the paper): `cf_rounds = true` runs the later
+// block-sort rounds — those whose run pairs span at least a full warp — as
+// the CF tile merge does, conflict free.  Once the serial rounds have
+// sorted runs of wE/2, the block re-lays each real warp's pair of runs into
+// its rho(A ∪ pi(B)) layout in place, once (it reads the rows into
+// registers, at most E per thread, passes a barrier, and writes them
+// through pi/rho), then runs the remaining rounds as the levels of one
+// gather::CascadePlan over those runs (cf_cascade_levels: the lattice
+// split search and the CF pair merge of every pair, then a rank scatter
+// straight into the parent's layout), and writes the root back stride E.
+// The block keeps one tile of shared memory; the re-layout's rows and
+// barriers and the rank scatters are the overhead traded against the
+// conflicts of the sequential rounds — bench/ablation_parameters quantifies
+// it, the overhead-versus-conflicts tension the paper's Section 2
 // discusses.
 #pragma once
 
@@ -47,7 +52,7 @@
 #include <vector>
 
 #include "cfprims/exec.hpp"
-#include "gather/permutation.hpp"
+#include "gather/multiway_schedule.hpp"
 #include "gpusim/launcher.hpp"
 #include "gpusim/memory_views.hpp"
 #include "sort/certs.hpp"
@@ -127,7 +132,10 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
   ctx.barrier();
 
   // --- log2(u) intra-block merge rounds ----------------------------------
-  for (std::int64_t run = e; run < tile; run *= 2) {
+  // Serial rounds: all of them, or with cf_rounds those whose run pairs
+  // span less than a warp (2*run < wE).
+  const std::int64_t serial_end = cf_rounds ? warp_elems / 2 : tile;
+  for (std::int64_t run = e; run < serial_end; run *= 2) {
     // Pair p's B run starts at (2p + 1)*run: the pairs whose B run starts
     // below m are the active ones, a prefix.  Their threads round up to
     // whole warps, which w and u (powers of two) cut into whole pairs.
@@ -148,48 +156,7 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
           [run](std::int64_t pair_base, std::int64_t y) { return pair_base + run + y; }, cmp);
 
     ctx.phase("bsort.merge");
-    const std::int64_t threads_per_pair = 2 * run / e;
-    if (cf_rounds && threads_per_pair >= w && threads_per_pair % w == 0) {
-      // CF round: re-lay every active pair into the CF layout in place,
-      // then gather.  Row r = t / w of the warps*E rows the active pairs
-      // cover is read by warp r mod (u/w), lane t mod w — the rows of a
-      // block-wide staged copy, at most E per thread — into regs[t]; after
-      // a barrier the same warp writes regs[t] to its CF slot.  Reads are contiguous (conflict
-      // free), writes are contiguous runs through pi/rho (also conflict
-      // free); one copy-chunk instruction charge per row, as a staged copy.
-      const auto pair = gather::PairLayout::cf(run, run, w, e);
-      ctx.phase("bsort.cf_permute");
-      const auto row_warp = [n = ctx.warps()](int row) { return row % n; };
-      cfprims::exec_crs_gather(
-          ctx, shmem, w, 1, warps * e, cfprims::kCopyCharge, /*cert=*/nullptr, row_warp,
-          [w](int row, int lane, int) { return static_cast<std::int64_t>(row) * w + lane; },
-          round_regs);
-      ctx.barrier();
-      cfprims::exec_crs_scatter(
-          ctx, shmem, w, 1, warps * e, cfprims::CrsCharge{}, /*cert=*/nullptr, row_warp,
-          [&](int row, int lane, int) {
-            const std::int64_t pos = static_cast<std::int64_t>(row) * w + lane;
-            const std::int64_t local = pos - div_pair(pos) * (2 * run);
-            return pos - local + (local < run ? pair.pos_a(local) : pair.pos_b(local - run));
-          },
-          std::span<const T>(round_regs));
-      ctx.barrier();
-      ctx.phase("bsort.merge");
-      // Each pair's threads gather and merge on the pair's own warps.  The
-      // pair base is a multiple of w (2*run = u_pair*E, w | u_pair), so
-      // per-pair bank residues match the whole-tile cf_gather proof.
-      const auto per_pair = static_cast<std::size_t>(threads_per_pair);
-      for (std::int64_t pair_base = 0; pair_base < covered; pair_base += 2 * run) {
-        const auto first_thread = static_cast<std::size_t>(pair_base / e);
-        const int first_warp = static_cast<int>(first_thread) / w;
-        cf_merge_pair(ctx, shmem, pair_base, pair,
-                      std::span<const ThreadSplit>(splits).subspan(first_thread, per_pair),
-                      certs.gather, [first_warp](int vw) { return first_warp + vw; },
-                      std::span<T>(regs).subspan(static_cast<std::size_t>(pair_base),
-                                                 static_cast<std::size_t>(2 * run)),
-                      cmp);
-      }
-    } else if (warps > 0) {
+    if (warps > 0) {
       // Thread i's pair starts at the multiple of 2*run below i*E; its A
       // list there, its B list run further on.
       serial_merge_core<2>(
@@ -207,6 +174,53 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
     // Write merged outputs back, stride-E.
     cfprims::exec_stride_scatter(ctx, shmem, w, e, warps, cfprims::kCopyCharge, certs.stride,
                                  std::span<const T>(round_regs));
+    ctx.barrier();
+  }
+
+  if (cf_rounds) {
+    // The CF rounds are the levels of one cascade over the tile's runs of
+    // wE/2: level-0 pair p is runs 2p and 2p+1, one warp's elements.  The
+    // pairs over [0, m) take their runs, the rest are empty and skipped.
+    const std::int64_t run = warp_elems / 2;
+    const int warps = warps_over(m);
+    std::vector<std::int64_t> seg_len(2 * static_cast<std::size_t>(ctx.warps()), 0);
+    std::fill_n(seg_len.begin(), 2 * warps, run);
+    const gather::CascadePlan plan(w, e, seg_len);
+    const FastDiv div_pair(warp_elems);
+
+    // Re-lay the real warps' pairs into their CF layout in place, once.
+    // Row r = t / w of their warps*E rows is read by warp r mod (u/w), lane
+    // t mod w — the rows of a block-wide staged copy, at most E per thread
+    // — into regs[t]; after a barrier the same warp writes regs[t] to its
+    // CF slot.  Reads are contiguous (conflict free), writes are contiguous
+    // runs through pi/rho (also conflict free); one copy-chunk instruction
+    // charge per row, as a staged copy.
+    ctx.phase("bsort.cf_permute");
+    const auto row_warp = [n = ctx.warps()](int row) { return row % n; };
+    const std::span<T> real_regs =
+        std::span<T>(regs).first(static_cast<std::size_t>(warps * warp_elems));
+    cfprims::exec_crs_gather(
+        ctx, shmem, w, 1, warps * e, cfprims::kCopyCharge, /*cert=*/nullptr, row_warp,
+        [w](int row, int lane, int) { return static_cast<std::int64_t>(row) * w + lane; },
+        real_regs);
+    ctx.barrier();
+    cfprims::exec_crs_scatter(
+        ctx, shmem, w, 1, warps * e, cfprims::CrsCharge{}, /*cert=*/nullptr, row_warp,
+        [&](int row, int lane, int) {
+          const std::int64_t pos = static_cast<std::int64_t>(row) * w + lane;
+          const gather::CascadePair& pr = plan.pairs(0)[static_cast<std::size_t>(div_pair(pos))];
+          const std::int64_t local = pos - pr.base;
+          return local < run ? pr.pos_a(local) : pr.pos_b(local - run);
+        },
+        std::span<const T>(real_regs));
+    ctx.barrier();
+
+    cf_cascade_levels(ctx, shmem, plan, std::span<T>(regs), certs,
+                      {"bsort.search", "bsort.merge", "bsort.cf_permute"}, cmp);
+    // Write the root's merged ranks back, stride-E.
+    cfprims::exec_stride_scatter(
+        ctx, shmem, w, e, warps_over(plan.padded_len()), cfprims::kCopyCharge, certs.stride,
+        std::span<const T>(regs).first(static_cast<std::size_t>(plan.padded_len())));
     ctx.barrier();
   }
 

@@ -413,7 +413,7 @@ class SortEngine {
                                    const MergeConfig& cfg) {
     if (as.size() != bs.size())
       throw std::invalid_argument("batched_merge: pair count mismatch");
-    validate_merge_config(launcher_->device(), cfg, sizeof(T));
+    validate_merge_config(launcher_->device(), cfg, sizeof(T), /*block_sort=*/false);
     const MergeConfig certified = with_certs(cfg);
 
     BatchedMergeReport report;

@@ -57,9 +57,11 @@
 #include <vector>
 
 #include "cfprims/exec.hpp"
+#include "gather/multiway_schedule.hpp"
 #include "gather/permutation.hpp"
 #include "gather/schedule.hpp"
 #include "gpusim/memory_views.hpp"
+#include "sort/certs.hpp"
 #include "sort/cost_model.hpp"
 #include "sort/key_value.hpp"
 #include "sort/odd_even.hpp"
@@ -616,6 +618,89 @@ void cf_merge_pair(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem, std:
                           regs);
   warp_network_sort(ctx, static_cast<int>(splits.size()) / w, warp_of, regs,
                     padding_last<T>(cmp));
+}
+
+/// The phases cf_cascade_levels charges its split search, its pair merges
+/// and its rank scatters to.
+struct CascadePhases {
+  const char* search;
+  const char* merge;
+  const char* scatter;
+};
+
+/// The levels of a CF cascade (gather/multiway_schedule.hpp), in place in
+/// `shmem`, whose level-0 pairs already hold their lists in their
+/// rho(A ∪ pi(B)) regions: the one in-shared CF merge of the merge kernels
+/// (cf_cascade_core) and the CF block-sort rounds.  A parent pair's region
+/// is the union of its children's, so each level first runs the 2-way CF
+/// merge of every non-empty pair into registers — its lattice split search,
+/// then cf_merge_pair — passes a barrier, and only then rank-scatters every
+/// pair into its parent's layout and passes another barrier.  A pair of pad
+/// elements runs pad/E virtual threads on the block's physical warps
+/// round-robin, the level's virtual warps from base/wE on, and holds its
+/// registers in regfile[base, base + pad).  The root's merged ranks are
+/// left in regfile[0, plan.padded_len()), thread-major, past the barrier
+/// that closes its gathers; the caller writes them back.
+template <typename T, typename Cmp>
+void cf_cascade_levels(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem,
+                       const gather::CascadePlan& plan, std::span<T> regfile,
+                       const TileCerts& certs, const CascadePhases& phases, Cmp cmp) {
+  const int w = ctx.lanes();
+  const std::int64_t we = static_cast<std::int64_t>(w) * plan.e();
+  // Hands fn a non-empty pair's index, its virtual warps, their map onto
+  // physical warps and its registers.
+  const auto each_pair = [&](int level, auto&& fn) {
+    const auto& prs = plan.pairs(level);
+    for (std::size_t p = 0; p < prs.size(); ++p) {
+      const std::int64_t pad = prs[p].layout.size();
+      if (pad == 0) continue;
+      fn(static_cast<int>(p), prs[p], static_cast<int>(pad / we),
+         [&ctx, first = prs[p].base / we](int vw) {
+           return static_cast<int>((first + vw) % ctx.warps());
+         },
+         regfile.subspan(static_cast<std::size_t>(prs[p].base), static_cast<std::size_t>(pad)));
+    }
+  };
+  for (int level = 0; level < plan.levels(); ++level) {
+    each_pair(level, [&](int, const gather::CascadePair& pr, int vwarps, auto warp_of,
+                         std::span<T> regs) {
+      // Per-virtual-thread merge-path splits within the pair.
+      ctx.phase(phases.search);
+      const std::vector<ThreadSplit> splits = pair_split_search<SplitSearch::kLattice>(
+          ctx, shmem, /*npairs=*/1, pr.layout.la(), pr.layout.lb(), vwarps, warp_of,
+          [pr](std::int64_t, std::int64_t x) { return pr.pos_a(x); },
+          [pr](std::int64_t, std::int64_t y) { return pr.pos_b(y); }, cmp);
+      // Dual subsequence gather + register network (the proven 2-way core).
+      // Each pair is an instance of the proven 2-way schedule at a constant
+      // buffer offset (a uniform shift preserves bank distinctness), so the
+      // cf_gather certificate applies per pair.
+      ctx.phase(phases.merge);
+      cf_merge_pair(ctx, shmem, pr.base, pr.layout, std::span<const ThreadSplit>(splits),
+                    certs.gather, warp_of, regs, cmp);
+    });
+    // Every pair's gathers precede any scatter into the regions they read.
+    ctx.barrier();
+    if (level + 1 == plan.levels()) return;
+    // Inter-stage rank scatter: rank r = iE + j of pair p lands at the
+    // parent's pos_a/pos_b(r) — data independent, so each round is a
+    // stride-E progression through rho' and conflict free.  The
+    // cf_rank_scatter primitive at gather cadence: the per-thread setup
+    // computes the parent's pos_a/pos_b bounds.  The cascade proof
+    // (verify/multiway.cpp) cites the cf_rank_scatter certificate for the
+    // piecewise parent map, both scatter directions included.
+    ctx.phase(phases.scatter);
+    each_pair(level, [&](int p, const gather::CascadePair&, int vwarps, auto warp_of,
+                         std::span<T> regs) {
+      cfprims::exec_crs_scatter(
+          ctx, shmem, w, plan.e(), vwarps, cfprims::kGatherCharge, certs.rank_scatter, warp_of,
+          [&](int vw, int lane, int j) {
+            const std::int64_t r = static_cast<std::int64_t>(vw * w + lane) * plan.e() + j;
+            return plan.scatter_pos(level, p, r);
+          },
+          std::span<const T>(regs));
+    });
+    ctx.barrier();
+  }
 }
 
 /// Largest number of lists one sequential merge (and one k-way pass)

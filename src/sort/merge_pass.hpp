@@ -63,6 +63,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -104,9 +105,10 @@ struct MergeConfig {
   /// stride-E register->shared scatter stays conflict free (the inverse
   /// dual subsequence scatter of footnote 5).  Baseline never does this.
   bool cf_output_scatter = true;
-  /// Extension (off by default, matching the paper): use the dual gather in
-  /// the block-sort rounds whose run pairs span full warps.  Costs an
-  /// in-place re-layout of each such round; see block_sort.hpp.
+  /// Extension (off by default, matching the paper): run the block-sort
+  /// rounds whose run pairs span full warps as CF cascade levels.  Costs
+  /// one in-place re-layout per tile and a rank scatter per level; see
+  /// block_sort.hpp.
   bool cf_blocksort = false;
   /// Conflict-freedom certificates for this (w, E), resolved by the engine
   /// (or any pipeline entry point) via resolve_tile_certs.  Null members —
@@ -155,10 +157,13 @@ struct MergeConfig {
 /// whose shared buffer and registers are at least the block sort's one
 /// tile and register count, and a partition kernel's u threads — must fit
 /// on an SM, so a config that cannot run is rejected before any kernel
-/// does.  Throws std::invalid_argument naming the first violated
-/// constraint.
+/// does.  A pipeline that starts with the block sort (`block_sort`: every
+/// sort entry point, not batched_merge) also needs u to be a power of two,
+/// since its rounds halve the tile.  Throws std::invalid_argument naming
+/// the first violated constraint.
 template <typename Cfg>
-void validate_config(const gpusim::DeviceSpec& dev, const Cfg& cfg, std::size_t elem_bytes) {
+void validate_config(const gpusim::DeviceSpec& dev, const Cfg& cfg, std::size_t elem_bytes,
+                     bool block_sort) {
   const auto reject = [](const char* what) {
     throw std::invalid_argument(std::string(Cfg::kName) + ": " + what);
   };
@@ -174,12 +179,16 @@ void validate_config(const gpusim::DeviceSpec& dev, const Cfg& cfg, std::size_t 
                   cfg.merge_regs_per_thread(dev.warp_size)) ||
       !block_fits(dev, cfg.u, 0, cost::kPartitionRegsPerThread))
     reject("block does not fit on an SM");
+  if (block_sort && !std::has_single_bit(static_cast<unsigned>(cfg.u)))
+    reject("u must be a power of two");
 }
 
-/// validate_config for a MergeConfig.
+/// validate_config for a MergeConfig: of a sort pipeline unless
+/// `block_sort` is false (batched_merge takes any multiple of the warp
+/// size).
 inline void validate_merge_config(const gpusim::DeviceSpec& dev, const MergeConfig& cfg,
-                                  std::size_t elem_bytes) {
-  validate_config(dev, cfg, elem_bytes);
+                                  std::size_t elem_bytes, bool block_sort = true) {
+  validate_config(dev, cfg, elem_bytes, block_sort);
 }
 
 namespace detail {
@@ -433,8 +442,10 @@ void store_merged_tile(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem,
 /// The CF tile merge (paper §5) of the block's k = seg_len.size() list
 /// windows, k a power of two (global element offsets seg_src, lengths
 /// seg_len, Σ = tile, of which the first seg_real are real): a cascade of
-/// log2(k) in-shared 2-way CF stages, in place in one shared buffer of
-/// CascadePlan::capacity elements (gather/multiway_schedule.hpp).  At k = 2
+/// log2(k) in-shared 2-way CF stages (cf_cascade_levels), in place in one
+/// shared buffer of CascadePlan::capacity elements
+/// (gather/multiway_schedule.hpp): the level-0 loads, the levels, then the
+/// store tail.  At k = 2
 /// the cascade is one stage over the tile, the 2-way CF merge of
 /// merge_pass; the multiway_merge kernel's CFCascade runs it at any k.
 /// Every gather/scatter round goes through the bank-conflict screener with
@@ -446,11 +457,9 @@ void cf_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T>&
                      std::span<const std::int64_t> seg_len,
                      std::span<const std::int64_t> seg_real, int e, const TileCerts& certs,
                      bool through_rho, Cmp cmp) {
-  const int w = ctx.lanes();
-  const std::int64_t we = static_cast<std::int64_t>(w) * e;
   const std::int64_t tile = static_cast<std::int64_t>(ctx.threads()) * e;
-  const gather::CascadePlan plan(w, e, seg_len);
-  const std::int64_t cap = gather::CascadePlan::capacity(tile, w, e, plan.k());
+  const gather::CascadePlan plan(ctx.lanes(), e, seg_len);
+  const std::int64_t cap = gather::CascadePlan::capacity(tile, plan.w(), e, plan.k());
   gpusim::SharedTile<T> shmem(ctx, static_cast<std::size_t>(cap));
 
   // Level-0 load: pair p stages segments 2p (as A) and 2p+1 (as B) into its
@@ -484,77 +493,17 @@ void cf_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T>&
   }
   ctx.barrier();
 
-  // The cascade, in place: a parent pair's region is the union of its
-  // children's, so each level first runs the 2-way CF merge of every pair
-  // into registers, passes a barrier, and only then rank-scatters every
-  // pair into the buffer.  each_pair hands fn a non-empty pair's index, its
-  // virtual warps (pad/E simulated threads), their map onto the block's
-  // physical warps for charging (round-robin, the level's virtual warps
-  // from base/wE on) and its registers, [base, base + pad) of one
-  // block-wide register file.
+  // The levels, in place, into one block-wide register file.
   std::vector<T> regfile(static_cast<std::size_t>(cap));
-  const auto each_pair = [&](int level, auto&& fn) {
-    const auto& prs = plan.pairs(level);
-    for (std::size_t p = 0; p < prs.size(); ++p) {
-      const std::int64_t pad = prs[p].layout.size();
-      if (pad == 0) continue;
-      fn(static_cast<int>(p), prs[p], static_cast<int>(pad / we),
-         [&ctx, first = prs[p].base / we](int vw) {
-           return static_cast<int>((first + vw) % ctx.warps());
-         },
-         std::span<T>(regfile.data() + prs[p].base, static_cast<std::size_t>(pad)));
-    }
-  };
-  for (int level = 0; level < plan.levels(); ++level) {
-    each_pair(level, [&](int, const gather::CascadePair& pr, int vwarps, auto warp_of,
-                         std::span<T> regs) {
-      // Per-virtual-thread merge-path splits within the pair.
-      ctx.phase("merge.search");
-      const std::vector<ThreadSplit> splits = pair_split_search<SplitSearch::kLattice>(
-          ctx, shmem, /*npairs=*/1, pr.layout.la(), pr.layout.lb(), vwarps, warp_of,
-          [pr](std::int64_t, std::int64_t x) { return pr.pos_a(x); },
-          [pr](std::int64_t, std::int64_t y) { return pr.pos_b(y); }, cmp);
-      // Dual subsequence gather + register network (the proven 2-way core).
-      // Each pair is an instance of the proven 2-way schedule at a constant
-      // buffer offset (a uniform shift preserves bank distinctness), so the
-      // cf_gather certificate applies per pair.
-      ctx.phase("merge.merge");
-      cf_merge_pair(ctx, shmem, pr.base, pr.layout, std::span<const ThreadSplit>(splits),
-                    certs.gather, warp_of, regs, cmp);
-    });
-    // Every pair's gathers precede any scatter into the regions they read.
-    ctx.barrier();
-    if (level + 1 == plan.levels()) {
-      // The root (one pair, virtual warp i on warp i) writes back through
-      // the store tail: its output map is the tile's output shift, and only
-      // the first u threads' ranks are written — ranks >= tile are
-      // sentinels — of which the store keeps the real ones.
-      store_merged_tile<T>(ctx, shmem, through_rho, certs, e,
-                           std::span<const T>(regfile).first(static_cast<std::size_t>(tile)),
-                           gout,
-                           std::accumulate(seg_real.begin(), seg_real.end(), std::int64_t{0}));
-      return;
-    }
-    // Inter-stage rank scatter: rank r = iE + j of pair p lands at the
-    // parent's pos_a/pos_b(r) — data independent, so each round is a
-    // stride-E progression through rho' and conflict free.  The
-    // cf_rank_scatter primitive at gather cadence: the per-thread setup
-    // computes the parent's pos_a/pos_b bounds.  The cascade proof
-    // (verify/multiway.cpp) cites the cf_rank_scatter certificate for the
-    // piecewise parent map, both scatter directions included.
-    ctx.phase("merge.store");
-    each_pair(level, [&](int p, const gather::CascadePair&, int vwarps, auto warp_of,
-                         std::span<T> regs) {
-      cfprims::exec_crs_scatter(
-          ctx, shmem, w, e, vwarps, cfprims::kGatherCharge, certs.rank_scatter, warp_of,
-          [&](int vw, int lane, int j) {
-            const std::int64_t r = static_cast<std::int64_t>(vw * w + lane) * e + j;
-            return plan.scatter_pos(level, p, r);
-          },
-          std::span<const T>(regs));
-    });
-    ctx.barrier();
-  }
+  cf_cascade_levels(ctx, shmem, plan, std::span<T>(regfile), certs,
+                    {"merge.search", "merge.merge", "merge.store"}, cmp);
+  // The root (one pair, virtual warp i on warp i) writes back through the
+  // store tail: its output map is the tile's output shift, and only the
+  // first u threads' ranks are written — ranks >= tile are sentinels — of
+  // which the store keeps the real ones.
+  store_merged_tile<T>(ctx, shmem, through_rho, certs, e,
+                       std::span<const T>(regfile).first(static_cast<std::size_t>(tile)), gout,
+                       std::accumulate(seg_real.begin(), seg_real.end(), std::int64_t{0}));
 }
 
 /// The 2-way merge core, the block body of the merge_pass kernel: given a

@@ -119,10 +119,11 @@ struct MultiwayConfig {
   }
 };
 
-/// validate_config for a MultiwayConfig (arity_error's checks included).
+/// validate_config for a MultiwayConfig (arity_error's checks included;
+/// the k-way pipeline always starts with the block sort).
 inline void validate_multiway_config(const gpusim::DeviceSpec& dev,
                                      const MultiwayConfig& cfg, std::size_t elem_bytes) {
-  validate_config(dev, cfg, elem_bytes);
+  validate_config(dev, cfg, elem_bytes, /*block_sort=*/true);
 }
 
 namespace detail {

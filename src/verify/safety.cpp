@@ -531,16 +531,20 @@ const std::vector<CompositeKernel>& composite_kernels() {
        false},
       {"blocksort",
        "sort/block_sort.hpp composition: staged load, stride-E thread phases, "
-       "CF merge rounds with an in-place re-layout, staged store — each "
-       "barrier-separated; every component cites its memoized safety "
-       "certificate, the stride phase is scanned by hand",
+       "one in-place re-layout, then the CF rounds as cascade levels (CF "
+       "gather, rank scatter), staged store — each barrier-separated; every "
+       "component cites its memoized safety certificate, the stride phase is "
+       "scanned by hand",
        {{"load-component:cf_stage", "cf_stage"},
         {"thread-sort-stride-bijective", ""},
         {"merge-gather-component:cf_gather", "cf_gather"},
-        {"relayout-component:cf_stage", "cf_stage"}},
+        {"relayout-component:cf_stage", "cf_stage"},
+        {"level-scatter-component:cf_rank_scatter", "cf_rank_scatter"}},
        "epoch-order",
-       "barriers separate load -> thread sort -> each merge round (CF: row "
-       "reads -> pi/rho writes -> gather) -> store; every read is written first",
+       "barriers separate load -> thread sort -> each serial round -> (CF: "
+       "one re-layout, row reads -> pi/rho writes; then per level gather -> "
+       "rank scatter into the parent's region; the root's write-back) -> "
+       "store; every read is written first",
        false},
       {"multiway",
        "sort/multiway_pass.hpp cascade in one buffer: fill, then per level a "

@@ -30,6 +30,9 @@ if(tool_name STREQUAL "cfsort")
   run_case("cfsort: MultiwayConfig: block does not fit on an SM" --k=4 --e=32 --n=50000)
   run_case("cfsort: generate: negative n" --n=-5)
   run_case("cfsort: MergeConfig: E must be positive" --e=0)
+  # The block sort halves the tile: a sort's u must be a power of two.
+  run_case("cfsort: MergeConfig: u must be a power of two" --u=96 --n=1000)
+  run_case("cfsort: MultiwayConfig: u must be a power of two" --k=4 --u=96 --n=1000)
   # Integer flags are parsed whole: a suffix is an error, not ignored.
   run_case("cfsort: --n: not an integer: '100k'" --n=100k)
   run_case("cfsort: --threads: not an integer: '4x'" --threads=4x)

@@ -248,7 +248,7 @@ std::vector<StreamCase> cases() {
          cfg.cf_blocksort = true;
          return run_merge_sort(l, cfg, 8 * 80 + 13, 9);
        },
-       0x087b2a4adf933e87ull, 0xd2aa3ae028715e21ull, 5261, 4298, 3600, 1380},
+       0x6432bcd1165cff20ull, 0xc66fa16cbaec4987ull, 5243, 4280, 3600, 1400},
       {"cf_noncoprime_w8", w8,
        [](L& l) { return run_merge_sort(l, Variant::CFMerge, 6, 16, 8 * 96 + 5, 10); },
        0xacf1f03bdfd2e6f1ull, 0x820b0c13a8fa3f20ull, 5644, 4564, 4320, 864},

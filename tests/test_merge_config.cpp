@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "sort/batched_merge.hpp"
+#include "sort/engine.hpp"
 #include "sort/merge_sort.hpp"
 #include "sort/multiway_pass.hpp"
 #include "sort/segmented_sort.hpp"
@@ -157,5 +162,65 @@ TEST(MergeConfigValidation, EveryEntryPointRejectsWithTheSharedMessage) {
     gpusim::Launcher launcher(gpusim::DeviceSpec::tiny(8));
     std::vector<std::vector<int>> segments{{3, 1, 2}};
     EXPECT_EQ(rejection_message([&] { segmented_sort(launcher, segments, cfg); }), expected);
+  }
+}
+
+TEST(MergeConfigValidation, SortsRejectANonPowerOfTwoUBeforeAnyPlanIsBuilt) {
+  // The block sort's rounds halve the tile, so every sort entry point needs
+  // a power-of-two u; u = 96 is a multiple of the 32-lane warp and fits.
+  gpusim::Launcher launcher(gpusim::DeviceSpec::scaled_turing(4));
+  SortEngine engine(launcher);
+  MergeConfig cfg;
+  cfg.e = 5;
+  cfg.u = 96;
+  const std::string expected = "MergeConfig: u must be a power of two";
+  EXPECT_EQ(rejection_message([&] { validate_merge_config(launcher.device(), cfg, sizeof(int)); }),
+            expected);
+  std::vector<int> data(1000, 7);
+  EXPECT_EQ(rejection_message([&] { engine.sort(data, cfg); }), expected);
+  std::vector<int> keys(1000, 3);
+  std::vector<int> values(1000, 4);
+  EXPECT_EQ(rejection_message([&] { engine.sort_by_key(keys, values, cfg); }), expected);
+  std::vector<std::vector<int>> segments{{3, 1, 2}, {5, 4}};
+  EXPECT_EQ(rejection_message([&] { engine.segmented_sort(segments, cfg); }), expected);
+
+  MultiwayConfig mcfg;
+  mcfg.e = 5;
+  mcfg.u = 96;
+  const std::string mexpected = "MultiwayConfig: u must be a power of two";
+  EXPECT_EQ(rejection_message([&] { engine.sort_multiway(data, mcfg); }), mexpected);
+  EXPECT_EQ(rejection_message([&] { engine.sort_multiway_by_key(keys, values, mcfg); }),
+            mexpected);
+
+  // Rejected during validation: no plan was built and no kernel ran.
+  EXPECT_EQ(engine.stats().plan_misses, 0u);
+  EXPECT_EQ(engine.stats().plan_hits, 0u);
+  EXPECT_TRUE(launcher.history().empty());
+}
+
+TEST(MergeConfigValidation, BatchedMergeTakesAnyMultipleOfTheWarpSize) {
+  // batched_merge runs no block sort: u = 96 merges correctly.
+  gpusim::Launcher launcher(gpusim::DeviceSpec::scaled_turing(4));
+  SortEngine engine(launcher);
+  MergeConfig cfg;
+  cfg.e = 5;
+  cfg.u = 96;
+  EXPECT_NO_THROW(validate_merge_config(launcher.device(), cfg, sizeof(int),
+                                        /*block_sort=*/false));
+  std::vector<std::vector<int>> as(3);
+  std::vector<std::vector<int>> bs(3);
+  for (int p = 0; p < 3; ++p) {
+    for (int i = 0; i < 300 + 211 * p; ++i) as[static_cast<std::size_t>(p)].push_back(i % 97 + p);
+    for (int i = 0; i < 517 - 90 * p; ++i) bs[static_cast<std::size_t>(p)].push_back(i % 61);
+    std::sort(as[static_cast<std::size_t>(p)].begin(), as[static_cast<std::size_t>(p)].end());
+    std::sort(bs[static_cast<std::size_t>(p)].begin(), bs[static_cast<std::size_t>(p)].end());
+  }
+  std::vector<std::vector<int>> outs;
+  EXPECT_NO_THROW(engine.batched_merge(as, bs, outs, cfg));
+  ASSERT_EQ(outs.size(), as.size());
+  for (std::size_t p = 0; p < as.size(); ++p) {
+    std::vector<int> expect;
+    std::merge(as[p].begin(), as[p].end(), bs[p].begin(), bs[p].end(), std::back_inserter(expect));
+    EXPECT_EQ(outs[p], expect) << "pair " << p;
   }
 }

@@ -4,8 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <numeric>
 #include <random>
+#include <set>
+#include <string>
+
+#include "gpusim/trace.hpp"
+#include "workloads/generators.hpp"
 
 using namespace cfmerge;
 using namespace cfmerge::sort;
@@ -218,6 +224,71 @@ TEST(MergeSort, CfBlocksortExtensionSortsAndCutsConflicts) {
     for (const auto& [name, c] : cf.phases.phases())
       if (name == "bsort.merge") cf_bsort = c.bank_conflicts;
     EXPECT_LT(cf_bsort, plain_bsort) << "E=" << e;
+  }
+}
+
+TEST(MergeSort, CfBlocksortSearchIsConflictFreeOnceTheTileIsReLaid) {
+  // With cf_blocksort, the block sort's rounds whose pairs span a warp run
+  // as CF cascade levels, after one re-layout per tile: every bsort.search
+  // row a block issues after its first bsort.cf_permute row is a lattice
+  // search row, bank conflict free on every input (the serial rounds before
+  // it keep Thrust's conflicting search).
+  struct Shape {
+    int w, e, u;
+  };
+  for (const Shape sh : {Shape{32, 15, 128}, Shape{32, 16, 128}, Shape{8, 5, 64}, Shape{8, 6, 64}}) {
+    gpusim::Launcher launcher(sh.w == 32 ? gpusim::DeviceSpec::scaled_turing(2)
+                                         : gpusim::DeviceSpec::tiny(8));
+    SortEngine engine(launcher);
+    gpusim::TraceSink sink;
+    launcher.set_trace(&sink);
+    const std::int64_t full = 4LL * sh.u * sh.e;
+    for (const std::int64_t n : {full, full - sh.u * sh.e / 3 - 7}) {
+      for (const auto dist : {workloads::Distribution::UniformRandom,
+                              workloads::Distribution::WorstCase,
+                              workloads::Distribution::FewDistinct}) {
+        workloads::WorkloadSpec spec{dist, full, 91, sh.w, sh.e, sh.u};
+        std::vector<std::int32_t> input = workloads::generate(spec);
+        input.resize(static_cast<std::size_t>(n));
+        std::vector<std::int32_t> expect = input;
+        std::sort(expect.begin(), expect.end());
+        for (const int k : {2, 4}) {
+          SCOPED_TRACE("w=" + std::to_string(sh.w) + " E=" + std::to_string(sh.e) +
+                       " n=" + std::to_string(n) + " dist=" +
+                       workloads::distribution_name(dist) + " k=" + std::to_string(k));
+          std::vector<std::int32_t> data = input;
+          sink.clear();
+          if (k == 2) {
+            MergeConfig cfg;
+            cfg.e = sh.e;
+            cfg.u = sh.u;
+            cfg.cf_blocksort = true;
+            engine.sort(data, cfg);
+          } else {
+            MultiwayConfig cfg;
+            cfg.e = sh.e;
+            cfg.u = sh.u;
+            cfg.k = k;
+            cfg.cf_blocksort = true;
+            engine.sort_multiway(data, cfg);
+          }
+          EXPECT_EQ(data, expect);
+          // The bsort.* phases run in the block_sort kernel alone.
+          const auto& names = sink.phase_names();
+          std::set<std::int32_t> relaid;
+          std::int64_t after = 0;
+          for (const gpusim::TraceEvent& ev : sink.events()) {
+            const std::string& phase = names[static_cast<std::size_t>(ev.phase_id)];
+            if (phase == "bsort.cf_permute") relaid.insert(ev.block);
+            if (phase != "bsort.search" || relaid.count(ev.block) == 0) continue;
+            ++after;
+            EXPECT_EQ(ev.cost, 0) << "block " << ev.block << " warp " << ev.warp;
+          }
+          EXPECT_EQ(static_cast<std::int64_t>(relaid.size()), (n + sh.u * sh.e - 1) / (sh.u * sh.e));
+          EXPECT_GT(after, 0);
+        }
+      }
+    }
   }
 }
 

@@ -124,7 +124,7 @@ TEST(Safety, CompositeProofsCiteComponentCertificates) {
   // proof too.  The merge pass's store is the registered cf_rank_scatter.
   const std::map<std::string, std::set<std::string>> want = {
       {"merge", {"cf_stage", "cf_gather", "cf_rank_scatter"}},
-      {"blocksort", {"cf_stage", "cf_gather"}},
+      {"blocksort", {"cf_stage", "cf_gather", "cf_rank_scatter"}},
       {"multiway", {"cf_stage", "cf_gather", "cf_rank_scatter"}},
   };
   const std::string tag = "-component:";
