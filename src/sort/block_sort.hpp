@@ -217,10 +217,10 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
 
     cf_cascade_levels(ctx, shmem, plan, std::span<T>(regs), certs,
                       {"bsort.search", "bsort.merge", "bsort.cf_permute"}, cmp);
-    // Write the root's merged ranks back, stride-E.
-    cfprims::exec_stride_scatter(
-        ctx, shmem, w, e, warps_over(plan.padded_len()), cfprims::kCopyCharge, certs.stride,
-        std::span<const T>(regs).first(static_cast<std::size_t>(plan.padded_len())));
+    // Write the root's merged ranks (the real warps') back, stride-E.
+    assert(plan.padded_len() == static_cast<std::int64_t>(real_regs.size()));
+    cfprims::exec_stride_scatter(ctx, shmem, w, e, warps, cfprims::kCopyCharge, certs.stride,
+                                 std::span<const T>(real_regs));
     ctx.barrier();
   }
 

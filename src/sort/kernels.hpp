@@ -17,7 +17,7 @@
 //                          produces every thread's split (a_i, |A_i|, b_i,
 //                          |B_i|), decided on uncharged reads and charged
 //                          as the device's probe rows.  Its rows conflict.
-//  * lattice_split_search — the CF tile merge's split search over one pair
+//  * lattice_split_search — the CF cascade levels' split search over one pair
 //                          in a CF layout: a w-ary and a lockstep search on
 //                          the stride-E sample lattice bracket each co-rank
 //                          to E candidates, a lockstep scan resolves it,
@@ -26,20 +26,25 @@
 //  * pair_split_search   — either warp search over every warp of P equal
 //                          list pairs laid out back to back, thread i
 //                          starting at offset i*E (the merge window and a
-//                          cascade stage: P = 1; a block-sort round: P =
-//                          tile / 2·run).
+//                          cascade stage: P = 1; a serial block-sort
+//                          round: P = tile / 2·run).
 //  * warp_network_sort   — the register-network step: the odd-even network
 //                          on each thread's E registers, charged per warp.
 //  * cf_merge_pair       — the CF merge of one list pair (paper §5): the
 //                          dual subsequence gather of the pair's threads
 //                          into registers, then warp_network_sort.
+//  * cf_cascade_levels   — the one in-shared CF merge: the levels of a
+//                          CF cascade, each the lattice search and
+//                          cf_merge_pair of every pair, then a rank
+//                          scatter into the parents (the CF tile merge,
+//                          the CF block-sort rounds).
 //  * serial_merge_core   — the per-thread sequential merge out of shared
 //                          memory over k sorted lists (Thrust's for k = 2;
 //                          the routine whose bank conflicts the paper
 //                          eliminates); decided lane by lane on uncharged
 //                          reads, charged as the device's head and
 //                          per-step fetch rows.  The 2-way baseline (the
-//                          merge window, the block-sort rounds, over
+//                          merge window, the serial block-sort rounds, over
 //                          ThreadSplit windows) and the LoserTree's
 //                          replacement selection run through it.
 //
@@ -331,7 +336,7 @@ void warp_split_search(gpusim::BlockContext& ctx, int warp, gpusim::SharedTile<T
 
 /// Merge-path splits of one warp's threads over one list pair in a CF
 /// layout rho(A ∪ pi(B)) at a wE-aligned base, bank conflict free for every
-/// input: the split search of the CF tile merge (cf_cascade_core).
+/// input: the split search of every CF cascade level (cf_cascade_levels).
 ///
 /// `pairs` is as for warp_split_search, with lanes [0, w) in one pair and
 /// lane l on diagonal d_l = d_0 + l·E (lane w: the next thread, or a new
@@ -512,9 +517,9 @@ enum class SplitSearch { kMergePath, kLattice };
 /// on a thread boundary.  Virtual warp vw searches on physical warp
 /// warp_of(vw); pos_a(pair_base, x) / pos_b(pair_base, y) translate offsets
 /// of the pair starting at offset pair_base to physical shared positions.
-/// The merge window and a cascade stage are one pair; a block-sort round at
-/// run length r is tile / 2r pairs of (r, r).  Each warp runs kSearch (the
-/// lattice search needs one pair in a CF layout).
+/// The merge window and a cascade stage are one pair; a serial block-sort
+/// round at run length r is tile / 2r pairs of (r, r).  Each warp runs
+/// kSearch (the lattice search needs one pair in a CF layout).
 template <SplitSearch kSearch = SplitSearch::kMergePath, typename T, typename WarpOf,
           typename PosA, typename PosB, typename Cmp>
 std::vector<ThreadSplit> pair_split_search(gpusim::BlockContext& ctx,
