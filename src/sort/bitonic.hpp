@@ -84,7 +84,8 @@ void bitonic_tile_body(gpusim::BlockContext& ctx, std::span<T> data,
   // The tile's staged copies: unit-step in global, padded in shared.
   const auto pad = [w, &cfg](std::int64_t t) { return bitonic_pad(t, w, cfg.padded); };
   ctx.phase("bitonic.load");
-  cfprims::exec_staged_copy(ctx, global, shmem, tile, /*cert=*/nullptr, cfprims::UnitStep{}, pad);
+  cfprims::exec_staged_copy(ctx, global, shmem, tile, /*cert=*/nullptr, cfprims::UnitStep{},
+                            pad);
   ctx.barrier();
 
   ctx.phase("bitonic.exchange");
@@ -130,7 +131,8 @@ void bitonic_tile_body(gpusim::BlockContext& ctx, std::span<T> data,
   }
 
   ctx.phase("bitonic.store");
-  cfprims::exec_staged_copy(ctx, shmem, global, tile, /*cert=*/nullptr, pad, cfprims::UnitStep{});
+  cfprims::exec_staged_copy(ctx, shmem, global, tile, /*cert=*/nullptr, pad,
+                            cfprims::UnitStep{});
 }
 
 /// Global compare-exchange kernel for substage j >= tile.

@@ -119,16 +119,16 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
   // over [0, m) sort: the padding past them is already in order.
   ctx.phase("bsort.thread_sort");
   assert(w <= gpusim::kMaxLanes);
-  const int sort_warps = warps_over(m);
-  const std::span<T> sort_regs =
-      std::span<T>(regs).first(static_cast<std::size_t>(sort_warps * warp_elems));
-  cfprims::exec_stride_gather(ctx, shmem, w, e, sort_warps, cfprims::kCopyCharge,
-                              certs.stride, sort_regs);
+  const int real_warps = warps_over(m);
+  const std::span<T> real_regs =
+      std::span<T>(regs).first(static_cast<std::size_t>(real_warps * warp_elems));
+  cfprims::exec_stride_gather(ctx, shmem, w, e, real_warps, cfprims::kCopyCharge,
+                              certs.stride, real_regs);
   // Sort the E registers of each lane with the odd-even network.
-  warp_network_sort(ctx, sort_warps, cfprims::same_warp, sort_regs, cmp);
+  warp_network_sort(ctx, real_warps, cfprims::same_warp, real_regs, cmp);
   // Write the sorted runs back (same stride-E pattern).
-  cfprims::exec_stride_scatter(ctx, shmem, w, e, sort_warps, cfprims::kCopyCharge,
-                               certs.stride, std::span<const T>(sort_regs));
+  cfprims::exec_stride_scatter(ctx, shmem, w, e, real_warps, cfprims::kCopyCharge,
+                               certs.stride, std::span<const T>(real_regs));
   ctx.barrier();
 
   // --- log2(u) intra-block merge rounds ----------------------------------
@@ -182,33 +182,31 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
     // wE/2: level-0 pair p is runs 2p and 2p+1, one warp's elements.  The
     // pairs over [0, m) take their runs, the rest are empty and skipped.
     const std::int64_t run = warp_elems / 2;
-    const int warps = warps_over(m);
     std::vector<std::int64_t> seg_len(2 * static_cast<std::size_t>(ctx.warps()), 0);
-    std::fill_n(seg_len.begin(), 2 * warps, run);
+    std::fill_n(seg_len.begin(), 2 * real_warps, run);
     const gather::CascadePlan plan(w, e, seg_len);
     const FastDiv div_pair(warp_elems);
 
     // Re-lay the real warps' pairs into their CF layout in place, once.
-    // Row r = t / w of their warps*E rows is read by warp r mod (u/w), lane
-    // t mod w — the rows of a block-wide staged copy, at most E per thread
-    // — into regs[t]; after a barrier the same warp writes regs[t] to its
-    // CF slot.  Reads are contiguous (conflict free), writes are contiguous
+    // Row r = t / w of their real_warps*E rows is read by warp r mod (u/w),
+    // lane t mod w — the rows of a block-wide staged copy, at most E per
+    // thread — into regs[t]; after a barrier the same warp writes regs[t] to
+    // its CF slot.  Reads are contiguous (conflict free), writes are contiguous
     // runs through pi/rho (also conflict free); one copy-chunk instruction
     // charge per row, as a staged copy.
     ctx.phase("bsort.cf_permute");
     const auto row_warp = [n = ctx.warps()](int row) { return row % n; };
-    const std::span<T> real_regs =
-        std::span<T>(regs).first(static_cast<std::size_t>(warps * warp_elems));
     cfprims::exec_crs_gather(
-        ctx, shmem, w, 1, warps * e, cfprims::kCopyCharge, /*cert=*/nullptr, row_warp,
+        ctx, shmem, w, 1, real_warps * e, cfprims::kCopyCharge, /*cert=*/nullptr, row_warp,
         [w](int row, int lane, int) { return static_cast<std::int64_t>(row) * w + lane; },
         real_regs);
     ctx.barrier();
     cfprims::exec_crs_scatter(
-        ctx, shmem, w, 1, warps * e, cfprims::CrsCharge{}, /*cert=*/nullptr, row_warp,
+        ctx, shmem, w, 1, real_warps * e, cfprims::CrsCharge{}, /*cert=*/nullptr, row_warp,
         [&](int row, int lane, int) {
           const std::int64_t pos = static_cast<std::int64_t>(row) * w + lane;
-          const gather::CascadePair& pr = plan.pairs(0)[static_cast<std::size_t>(div_pair(pos))];
+          const gather::CascadePair& pr =
+              plan.pairs(0)[static_cast<std::size_t>(div_pair(pos))];
           const std::int64_t local = pos - pr.base;
           return local < run ? pr.pos_a(local) : pr.pos_b(local - run);
         },
@@ -219,8 +217,8 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
                       {"bsort.search", "bsort.merge", "bsort.cf_permute"}, cmp);
     // Write the root's merged ranks (the real warps') back, stride-E.
     assert(plan.padded_len() == static_cast<std::int64_t>(real_regs.size()));
-    cfprims::exec_stride_scatter(ctx, shmem, w, e, warps, cfprims::kCopyCharge, certs.stride,
-                                 std::span<const T>(real_regs));
+    cfprims::exec_stride_scatter(ctx, shmem, w, e, real_warps, cfprims::kCopyCharge,
+                                 certs.stride, std::span<const T>(real_regs));
     ctx.barrier();
   }
 

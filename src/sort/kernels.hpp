@@ -663,7 +663,8 @@ void cf_cascade_levels(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem,
          [&ctx, first = prs[p].base / we](int vw) {
            return static_cast<int>((first + vw) % ctx.warps());
          },
-         regfile.subspan(static_cast<std::size_t>(prs[p].base), static_cast<std::size_t>(pad)));
+         regfile.subspan(static_cast<std::size_t>(prs[p].base),
+                         static_cast<std::size_t>(pad)));
     }
   };
   for (int level = 0; level < plan.levels(); ++level) {

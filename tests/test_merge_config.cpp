@@ -174,8 +174,9 @@ TEST(MergeConfigValidation, SortsRejectANonPowerOfTwoUBeforeAnyPlanIsBuilt) {
   cfg.e = 5;
   cfg.u = 96;
   const std::string expected = "MergeConfig: u must be a power of two";
-  EXPECT_EQ(rejection_message([&] { validate_merge_config(launcher.device(), cfg, sizeof(int)); }),
-            expected);
+  EXPECT_EQ(
+      rejection_message([&] { validate_merge_config(launcher.device(), cfg, sizeof(int)); }),
+      expected);
   std::vector<int> data(1000, 7);
   EXPECT_EQ(rejection_message([&] { engine.sort(data, cfg); }), expected);
   std::vector<int> keys(1000, 3);
@@ -209,18 +210,20 @@ TEST(MergeConfigValidation, BatchedMergeTakesAnyMultipleOfTheWarpSize) {
                                         /*block_sort=*/false));
   std::vector<std::vector<int>> as(3);
   std::vector<std::vector<int>> bs(3);
-  for (int p = 0; p < 3; ++p) {
-    for (int i = 0; i < 300 + 211 * p; ++i) as[static_cast<std::size_t>(p)].push_back(i % 97 + p);
-    for (int i = 0; i < 517 - 90 * p; ++i) bs[static_cast<std::size_t>(p)].push_back(i % 61);
-    std::sort(as[static_cast<std::size_t>(p)].begin(), as[static_cast<std::size_t>(p)].end());
-    std::sort(bs[static_cast<std::size_t>(p)].begin(), bs[static_cast<std::size_t>(p)].end());
+  for (std::size_t p = 0; p < as.size(); ++p) {
+    const int q = static_cast<int>(p);
+    for (int i = 0; i < 300 + 211 * q; ++i) as[p].push_back(i % 97 + q);
+    for (int i = 0; i < 517 - 90 * q; ++i) bs[p].push_back(i % 61);
+    std::sort(as[p].begin(), as[p].end());
+    std::sort(bs[p].begin(), bs[p].end());
   }
   std::vector<std::vector<int>> outs;
   EXPECT_NO_THROW(engine.batched_merge(as, bs, outs, cfg));
   ASSERT_EQ(outs.size(), as.size());
   for (std::size_t p = 0; p < as.size(); ++p) {
     std::vector<int> expect;
-    std::merge(as[p].begin(), as[p].end(), bs[p].begin(), bs[p].end(), std::back_inserter(expect));
+    std::merge(as[p].begin(), as[p].end(), bs[p].begin(), bs[p].end(),
+               std::back_inserter(expect));
     EXPECT_EQ(outs[p], expect) << "pair " << p;
   }
 }

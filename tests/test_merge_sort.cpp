@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 #include <random>
 #include <set>
@@ -236,7 +235,8 @@ TEST(MergeSort, CfBlocksortSearchIsConflictFreeOnceTheTileIsReLaid) {
   struct Shape {
     int w, e, u;
   };
-  for (const Shape sh : {Shape{32, 15, 128}, Shape{32, 16, 128}, Shape{8, 5, 64}, Shape{8, 6, 64}}) {
+  for (const Shape sh :
+       {Shape{32, 15, 128}, Shape{32, 16, 128}, Shape{8, 5, 64}, Shape{8, 6, 64}}) {
     gpusim::Launcher launcher(sh.w == 32 ? gpusim::DeviceSpec::scaled_turing(2)
                                          : gpusim::DeviceSpec::tiny(8));
     SortEngine engine(launcher);
@@ -284,7 +284,8 @@ TEST(MergeSort, CfBlocksortSearchIsConflictFreeOnceTheTileIsReLaid) {
             ++after;
             EXPECT_EQ(ev.cost, 0) << "block " << ev.block << " warp " << ev.warp;
           }
-          EXPECT_EQ(static_cast<std::int64_t>(relaid.size()), (n + sh.u * sh.e - 1) / (sh.u * sh.e));
+          const std::int64_t tiles = (n + sh.u * sh.e - 1) / (sh.u * sh.e);
+          EXPECT_EQ(static_cast<std::int64_t>(relaid.size()), tiles);
           EXPECT_GT(after, 0);
         }
       }
