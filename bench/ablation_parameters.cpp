@@ -3,7 +3,9 @@
 //  1. Non-coprime E: the paper notes Thrust is "much worse" when gcd(w,E)>1
 //     (that is why Thrust picks E in {15, 17}); CF-Merge is insensitive.
 //  2. rho on/off: disabling the circular shift (Section 3.2) brings merge
-//     conflicts back for non-coprime E.
+//     conflicts back for non-coprime E, and split-search conflicts too (the
+//     ablation runs CF-Merge's lattice search, which rho keeps conflict
+//     free).
 //  3. CF output scatter: with gcd(w,E)>1 the stride-E register->shared
 //     output write conflicts unless routed through rho (footnote 5).
 //  4. Occupancy sweep over u for fixed E.
@@ -67,17 +69,19 @@ int main(int argc, char** argv) {
   std::printf("\nAblation 2: the circular shift rho (non-coprime E = 16)\n");
   {
     analysis::Table t("rho on/off");
-    t.set_header({"config", "merge conflicts", "conflicts/access", "e/us"});
+    t.set_header({"config", "search conflicts", "merge conflicts", "conflicts/access", "e/us"});
     const auto off = run(launcher, 16, 512, sort::Variant::CFMerge,
                          workloads::Distribution::UniformRandom, true, true, tiles,
                          sweep.reps);
     const auto on = run(launcher, 16, 512, sort::Variant::CFMerge,
                         workloads::Distribution::UniformRandom, false, true, tiles,
                         sweep.reps);
-    t.add_row({"pi only (rho disabled)", std::to_string(off.merge_conflicts),
+    t.add_row({"pi only (rho disabled)", std::to_string(off.search_conflicts),
+               std::to_string(off.merge_conflicts),
                analysis::Table::num(off.merge_conflicts_per_access, 2),
                analysis::Table::num(off.throughput, 1)});
-    t.add_row({"pi + rho (full CF-Merge)", std::to_string(on.merge_conflicts),
+    t.add_row({"pi + rho (full CF-Merge)", std::to_string(on.search_conflicts),
+               std::to_string(on.merge_conflicts),
                analysis::Table::num(on.merge_conflicts_per_access, 2),
                analysis::Table::num(on.throughput, 1)});
     t.print(std::cout);

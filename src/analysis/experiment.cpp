@@ -51,6 +51,7 @@ SortPoint run_sort_point(gpusim::Launcher& launcher, const workloads::WorkloadSp
   point.n = workload.n;
   double conflicts_per_access_sum = 0.0;
   std::uint64_t conflict_sum = 0;
+  std::uint64_t search_sum = 0;
   for (int rep = 0; rep < reps; ++rep) {
     workloads::WorkloadSpec spec = workload;
     spec.seed = workload.seed + static_cast<std::uint64_t>(rep) * 7919;
@@ -62,10 +63,13 @@ SortPoint run_sort_point(gpusim::Launcher& launcher, const workloads::WorkloadSp
     point.passes = report.passes;
     conflict_sum += report.merge_conflicts();
     conflicts_per_access_sum += merge_conflicts_per_access(report);
+    for (const auto& [name, c] : report.phases.phases())
+      if (name == "merge.search") search_sum += c.bank_conflicts;
   }
   point.microseconds /= reps;
   point.merge_conflicts = conflict_sum / static_cast<std::uint64_t>(reps);
   point.merge_conflicts_per_access = conflicts_per_access_sum / reps;
+  point.search_conflicts = search_sum / static_cast<std::uint64_t>(reps);
   point.throughput =
       point.microseconds > 0 ? static_cast<double>(point.n) / point.microseconds : 0.0;
   return point;

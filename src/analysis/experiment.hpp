@@ -43,6 +43,7 @@ struct SortPoint {
   double throughput = 0.0;  ///< elements per simulated microsecond
   std::uint64_t merge_conflicts = 0;
   double merge_conflicts_per_access = 0.0;
+  std::uint64_t search_conflicts = 0;  ///< merge.search bank conflicts
   int passes = 0;
 };
 

@@ -4,7 +4,7 @@
 
 namespace cfmerge::gather {
 
-CascadePlan::CascadePlan(int w, int e, std::span<const std::int64_t> seg_lens)
+CascadePlan::CascadePlan(int w, int e, std::span<const std::int64_t> seg_lens, bool rho)
     : w_(w), e_(e), k_(static_cast<int>(seg_lens.size())) {
   if (w <= 0 || e <= 0) throw std::invalid_argument("CascadePlan: w and E must be positive");
   if (k_ < 2 || (k_ & (k_ - 1)) != 0)
@@ -49,7 +49,8 @@ CascadePlan::CascadePlan(int w, int e, std::span<const std::int64_t> seg_lens)
         la = left.pad_len;
         lb = right.pad_len;
       }
-      prs.push_back({base, PairLayout::cf(la, lb, w, e)});
+      prs.push_back(
+          {base, rho ? PairLayout::cf(la, lb, w, e) : PairLayout::cf_no_rho(la, lb)});
       out[static_cast<std::size_t>(p)] = {real, la + lb};
       base += la + lb;
     }

@@ -71,8 +71,10 @@ struct CascadePair {
 class CascadePlan {
  public:
   /// `seg_lens` are the k per-segment window lengths of one output tile
-  /// (entries may be zero).  k must be a power of two >= 2.
-  CascadePlan(int w, int e, std::span<const std::int64_t> seg_lens);
+  /// (entries may be zero).  k must be a power of two >= 2.  With `rho`
+  /// false every pair is laid out in PairLayout::cf_no_rho (the no-rho
+  /// ablation: pi alone).
+  CascadePlan(int w, int e, std::span<const std::int64_t> seg_lens, bool rho = true);
 
   [[nodiscard]] int w() const { return w_; }
   [[nodiscard]] int e() const { return e_; }

@@ -24,7 +24,7 @@
 // and the verifier.  The simulated kernels do not transcribe it: they run a
 // different algorithm with the same answer, the stride-halving selection of
 // Varman et al. (sort::detail::warp_multiseq_select in
-// sort/multiway_pass.hpp), which needs O(log n) dependent probe rounds per
+// sort/kernels.hpp), which needs O(log n) dependent probe rounds per
 // co-rank vector instead of O(k^2 log^2 n).  tests/test_multiway_sort.cpp
 // checks the two against each other.
 #pragma once

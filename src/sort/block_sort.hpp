@@ -4,8 +4,8 @@
 // memory, sort E elements per thread in registers (odd-even transposition),
 // then log2(u) rounds of intra-block pair merging via merge path + the
 // per-thread sequential shared-memory merge.  A round at run length r is
-// one pair_split_search over the tile's list pairs of (r, r), Thrust's
-// split search, which the baseline merge window runs on its one pair.  The
+// one serial_merge_pairs over the tile's list pairs of (r, r), Thrust's
+// merge, which the baseline merge window runs on its one pair.  The
 // stage is *identical* for the baseline and CF-Merge (the paper's
 // modification is confined to the pairwise-merge kernels, and for its
 // software parameters E is coprime with w, so the stride-E register
@@ -142,33 +142,9 @@ void block_sort_body(gpusim::BlockContext& ctx, std::span<T> data, int e,
     const std::int64_t active_pairs = (m + run - 1) / (2 * run);
     const int warps = warps_over(active_pairs * 2 * run);
     const std::int64_t covered = warps * warp_elems;
-    const std::int64_t pairs = covered / (2 * run);
     assert(covered % (2 * run) == 0 && covered <= tile);
     const std::span<T> round_regs = std::span<T>(regs).first(static_cast<std::size_t>(covered));
-
-    ctx.phase("bsort.search");
-    const FastDiv div_pair(2 * run);
-    std::vector<ThreadSplit> splits;
-    if (warps > 0)
-      splits = pair_split_search(
-          ctx, shmem, pairs, run, run, warps, cfprims::same_warp,
-          [](std::int64_t pair_base, std::int64_t x) { return pair_base + x; },
-          [run](std::int64_t pair_base, std::int64_t y) { return pair_base + run + y; }, cmp);
-
-    ctx.phase("bsort.merge");
-    if (warps > 0) {
-      // Thread i's pair starts at the multiple of 2*run below i*E; its A
-      // list there, its B list run further on.
-      serial_merge_core<2>(
-          ctx, shmem, 2, e,
-          [&](int i, int s) {
-            const std::int64_t list0 = div_pair(static_cast<std::int64_t>(i) * e) * (2 * run) +
-                                       s * run;
-            const ListWindow win = split_window(splits[static_cast<std::size_t>(i)], s);
-            return ListWindow{list0 + win.begin, list0 + win.end};
-          },
-          [](int, std::int64_t x) { return x; }, kPairMergeCharge, round_regs, cmp);
-    }
+    serial_merge_pairs(ctx, shmem, run, run, e, round_regs, "bsort.search", "bsort.merge", cmp);
     ctx.barrier();
 
     // Write merged outputs back, stride-E.

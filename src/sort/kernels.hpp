@@ -1,14 +1,15 @@
 // Building blocks shared by the simulated sort kernels.
 //
 // A block's A/B lists live in shared memory in a gather::PairLayout
-// (linear for the baseline, rho(A ∪ pi(B)) for CF-Merge).
+// (linear for the baseline, rho(A ∪ pi(B)) for CF-Merge).  Two tile bodies
+// build on them (merge_pass.hpp): the CF cascade and the sequential merge.
 //
 //  * FastDiv             — division by a loop-invariant divisor.
 //  * read_block_record   — a block's lane-0 read of its own per-block
 //                          record (tile descriptor, tile length).
 //  * gather_probe_row    — a probe-row gather of a data-dependent search,
 //                          costed without the conflict-free screen (the
-//                          loser tree's k-way thread search).
+//                          k-way thread search).
 //  * warp_split_search   — Thrust's split search, one merge-path search per
 //                          thread: a lockstep search over the warp's w
 //                          start diagonals, a shuffle handing each lane its
@@ -25,9 +26,9 @@
 //                          row is bank conflict free for every input.
 //  * pair_split_search   — either warp search over every warp of P equal
 //                          list pairs laid out back to back, thread i
-//                          starting at offset i*E (the merge window and a
-//                          cascade stage: P = 1; a serial block-sort
-//                          round: P = tile / 2·run).
+//                          starting at offset i*E (a cascade stage and the
+//                          baseline's merge window: P = 1; a serial
+//                          block-sort round: P = tile / 2·run).
 //  * warp_network_sort   — the register-network step: the odd-even network
 //                          on each thread's E registers, charged per warp.
 //  * cf_merge_pair       — the CF merge of one list pair (paper §5): the
@@ -36,17 +37,24 @@
 //  * cf_cascade_levels   — the one in-shared CF merge: the levels of a
 //                          CF cascade, each the lattice search and
 //                          cf_merge_pair of every pair, then a rank
-//                          scatter into the parents (the CF tile merge,
-//                          the CF block-sort rounds).
+//                          scatter into the parents (the CF tile merge at
+//                          any k, the no-rho ablation, the CF block-sort
+//                          rounds).
 //  * serial_merge_core   — the per-thread sequential merge out of shared
 //                          memory over k sorted lists (Thrust's for k = 2;
 //                          the routine whose bank conflicts the paper
 //                          eliminates); decided lane by lane on uncharged
 //                          reads, charged as the device's head and
-//                          per-step fetch rows.  The 2-way baseline (the
-//                          merge window, the serial block-sort rounds, over
-//                          ThreadSplit windows) and the LoserTree's
-//                          replacement selection run through it.
+//                          per-step fetch rows.
+//  * serial_merge_pairs  — Thrust's merge of P equal linear list pairs:
+//                          pair_split_search with Thrust's search, then
+//                          serial_merge_core at k = 2 (the baseline's
+//                          merge window, the serial block-sort rounds).
+//  * multiway_thread_coranks — the k-way thread search of the sequential
+//                          tile merge at k > 2 (before serial_merge_core's
+//                          replacement selection), by the stride-halving
+//                          multisequence selection detail::warp_multiseq_select
+//                          that the k-way partition kernel also runs.
 //
 // Tile staging (global <-> shared copies) is cfprims::exec_staged_copy.
 #pragma once
@@ -846,6 +854,271 @@ void serial_merge_core(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem, 
       charge_row(lk + step);
     }
   }
+}
+
+/// Thrust's merge of the P = regs.size() / (na + nb) equal list pairs
+/// (na, nb) laid out linearly and back to back in `shmem` from offset 0:
+/// pair p's A list at p(na + nb), its B list na further on.  Under phase
+/// `search_phase`, pair_split_search with Thrust's search finds every
+/// thread's split; under `merge_phase`, serial_merge_core<2> merges each
+/// thread's windows into its E outputs, regs[iE, iE + E), charged as
+/// kPairMergeCharge.  The threads are those of the first regs.size() / (wE)
+/// warps, none when regs is empty.  The baseline's merge window (P = 1,
+/// serial_window_core) and every serial block-sort round (P = tile / 2·run
+/// pairs of (run, run)) run it.
+template <typename T, typename Cmp>
+void serial_merge_pairs(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem,
+                        std::int64_t na, std::int64_t nb, int e, std::span<T> regs,
+                        const char* search_phase, const char* merge_phase, Cmp cmp) {
+  const std::int64_t pair_len = na + nb;
+  const auto elems = static_cast<std::int64_t>(regs.size());
+  const auto warps = static_cast<int>(elems / (static_cast<std::int64_t>(ctx.lanes()) * e));
+  ctx.phase(search_phase);
+  std::vector<ThreadSplit> splits;
+  if (warps > 0)
+    splits = pair_split_search(
+        ctx, shmem, elems / pair_len, na, nb, warps, cfprims::same_warp,
+        [](std::int64_t pair_base, std::int64_t x) { return pair_base + x; },
+        [na](std::int64_t pair_base, std::int64_t y) { return pair_base + na + y; }, cmp);
+  ctx.phase(merge_phase);
+  if (warps == 0) return;
+  // Thread i's pair starts at the multiple of na + nb below iE: its A list
+  // there, its B list na further on.
+  const FastDiv div_pair(pair_len);
+  serial_merge_core<2>(
+      ctx, shmem, 2, e,
+      [&](int i, int s) {
+        const std::int64_t list0 =
+            div_pair(static_cast<std::int64_t>(i) * e) * pair_len + s * na;
+        const ListWindow win = split_window(splits[static_cast<std::size_t>(i)], s);
+        return ListWindow{list0 + win.begin, list0 + win.end};
+      },
+      [](int, std::int64_t x) { return x; }, kPairMergeCharge, regs, cmp);
+}
+
+/// Boundaries one warp resolves at once in warp_multiseq_select: one lane
+/// per (boundary, sequence), at least one boundary per warp.
+[[nodiscard]] inline int selections_per_warp(int w, int k) { return std::max(1, w / k); }
+static_assert(kMaxMultiwayK <= gpusim::kMaxLanes, "one selection's slots fit a lane array");
+
+namespace detail {
+
+/// Warp-lockstep stride-halving multisequence selection (Varman et al.; the
+/// host oracle is mergepath::multiway_path).  Resolves the co-rank vectors
+/// of `queries` diagonals at once with one lane per sequence: slot
+/// f = q*k + s holds query q's window into its sequence s and lives on lane
+/// f % w of read chunk f / w (one chunk unless k > w).  seg_base (the
+/// address of each sequence's first element), seg_len and out_co are
+/// slot-indexed; diag[q] < 0 masks query q.  `gather(addrs, vals,
+/// dependent)` issues one charged warp-wide read of w addresses
+/// (kInactiveLane masks idle lanes).
+///
+/// Every sequence is padded (conceptually, with +inf) to L = 2^R - 1 >= its
+/// query's longest one and keeps a window [lo, hi] of width h - 1, where lo
+/// counts its elements known to lie left of the split.  Each of the R levels
+/// halves the block size h: the window-middle element S[lo + h - 1] moves
+/// left (lo += h) if it precedes the largest element already left, else hi
+/// drops to it.  A skew correction then pops the smallest right-hand block
+/// ends (or the largest left-hand ones) until floor(diag / h) whole blocks
+/// lie left.  At h = 1 the lo are the co-ranks.  Order is the stable
+/// (value, sequence id) key; empty sequences never enter the selection.
+/// Lanes keep S[lo - 1] and S[hi] in registers, so a level costs one
+/// dependent gather (the middles) and every pop one dependent read: O(log n)
+/// rounds per query instead of the nested searches' O(k^2 log^2 n).
+/// When `seg_real` is given (slot-indexed), a probe at or past its
+/// sequence's seg_real reads no memory and sees the +inf sentinel, as if
+/// the sequence were padded with it up to seg_len.
+template <typename T, typename Gather, typename Cmp>
+void warp_multiseq_select(gpusim::BlockContext& ctx, int warp, int k, int queries,
+                          std::span<const std::int64_t> seg_base,
+                          std::span<const std::int64_t> seg_len,
+                          std::span<const std::int64_t> diag, Gather&& gather, Cmp cmp,
+                          std::span<std::int64_t> out_co,
+                          std::span<const std::int64_t> seg_real = {}) {
+  using gpusim::kInactiveLane;
+  const auto w = static_cast<std::size_t>(ctx.lanes());
+  const auto kk = static_cast<std::size_t>(k);
+  const std::size_t slots = static_cast<std::size_t>(queries) * kk;
+  assert(slots <= static_cast<std::size_t>(gpusim::kMaxLanes));
+  // Stable order of (value, sequence id) pairs.
+  const auto before = [&](const T& x, std::size_t sx, const T& y, std::size_t sy) {
+    return cmp(x, y) || (!cmp(y, x) && sx < sy);
+  };
+
+  std::array<std::int64_t, gpusim::kMaxLanes> lo{}, hi{}, idx, addr;
+  std::array<T, gpusim::kMaxLanes> lo_val{}, hi_val{}, got{};
+  std::array<bool, gpusim::kMaxLanes> to_lo{};  // a pop's read refreshes lo_val
+  // Per query: current block size minus one, blocks still to move, and
+  // whether the query takes part in the current level.
+  std::array<std::int64_t, gpusim::kMaxLanes> half{}, skew{};
+  std::array<bool, gpusim::kMaxLanes> live{};
+  idx.fill(kInactiveLane);
+  int levels = 0;
+  for (std::size_t q = 0; q < static_cast<std::size_t>(queries); ++q) {
+    const auto lens = seg_len.subspan(q * kk, kk);
+    const std::int64_t total = std::accumulate(lens.begin(), lens.end(), std::int64_t{0});
+    assert(diag[q] <= total);
+    for (std::size_t s = 0; s < kk; ++s) lo[q * kk + s] = diag[q] == total ? lens[s] : 0;
+    if (diag[q] <= 0 || diag[q] >= total) continue;  // masked, all left or all right
+    const auto longest = static_cast<std::uint64_t>(std::ranges::max(lens));
+    const int r = std::bit_width(longest);
+    half[q] = (std::int64_t{1} << r) - 1;
+    std::fill_n(hi.begin() + static_cast<std::ptrdiff_t>(q * kk), kk, half[q]);
+    levels = std::max(levels, r);
+  }
+
+  // One read round over the slots whose idx is set.  The first chunk with
+  // an active lane pays the dependent latency; later chunks pipeline behind.
+  const auto read = [&] {
+    bool first = true;
+    for (std::size_t f0 = 0; f0 < slots; f0 += w) {
+      bool active = false;
+      for (std::size_t l = 0; l < w; ++l) {
+        const std::size_t f = f0 + l;
+        const bool probed = f < slots && idx[f] != kInactiveLane;
+        const bool padding = probed && !seg_real.empty() && idx[f] >= seg_real[f];
+        addr[l] = probed && !padding ? seg_base[f] + idx[f] : kInactiveLane;
+        if (padding) got[f] = padding_sentinel<T>::value();
+        active = active || addr[l] != kInactiveLane;
+      }
+      if (!active) continue;
+      gather(std::span<const std::int64_t>(addr).first(w), std::span<T>(got).subspan(f0, w),
+             first);
+      first = false;
+    }
+  };
+
+  for (int level = 0; level < levels; ++level) {
+    // Halve every live window and gather its middle element.
+    for (std::size_t q = 0; q < static_cast<std::size_t>(queries); ++q) {
+      live[q] = half[q] > 0;
+      if (!live[q]) continue;
+      half[q] /= 2;
+      for (std::size_t f = q * kk; f < (q + 1) * kk; ++f)
+        idx[f] = lo[f] + half[q] < seg_len[f] ? lo[f] + half[q] : kInactiveLane;
+    }
+    ctx.charge_compute(warp, cost::multiseq_level_instrs(k));
+    read();
+
+    for (std::size_t q = 0; q < static_cast<std::size_t>(queries); ++q) {
+      if (!live[q]) continue;
+      const std::size_t f0 = q * kk;
+      // Largest element already left of the split (a k-lane reduction).
+      std::size_t top = kk;
+      for (std::size_t s = 0; s < kk; ++s)
+        if (lo[f0 + s] > 0 &&
+            (top == kk || !before(lo_val[f0 + s], s, lo_val[f0 + top], top)))
+          top = s;
+      std::int64_t left = 0;
+      for (std::size_t s = 0; s < kk; ++s) {
+        const std::size_t f = f0 + s;
+        const bool probed = idx[f] != kInactiveLane;
+        if (probed && top != kk && before(got[f], s, lo_val[f0 + top], top)) {
+          lo[f] = idx[f] + 1;  // never the top slot itself, so lo_val[top] holds
+          lo_val[f] = got[f];
+        } else {
+          hi[f] = lo[f] + half[q];
+          if (probed) hi_val[f] = got[f];
+        }
+        idx[f] = kInactiveLane;
+        left += lo[f] / (half[q] + 1);
+      }
+      skew[q] = diag[q] / (half[q] + 1) - left;
+    }
+
+    // Skew correction: every query with blocks to move pops one per round;
+    // the popped sequence reads the window end it just uncovered.
+    while (true) {
+      bool any = false;
+      for (std::size_t q = 0; q < static_cast<std::size_t>(queries); ++q) {
+        if (!live[q] || skew[q] == 0) continue;
+        const std::size_t f0 = q * kk;
+        std::size_t pick = kk;
+        for (std::size_t s = 0; s < kk; ++s) {
+          const std::size_t f = f0 + s;
+          if (skew[q] > 0 ? hi[f] < seg_len[f] &&
+                                (pick == kk || before(hi_val[f], s, hi_val[f0 + pick], pick))
+                          : lo[f] > 0 &&
+                                (pick == kk || !before(lo_val[f], s, lo_val[f0 + pick], pick)))
+            pick = s;
+        }
+        if (pick == kk) {  // every block right of the split is padding
+          skew[q] = 0;
+          continue;
+        }
+        const std::size_t f = f0 + pick;
+        const std::int64_t step = half[q] + 1;
+        if (skew[q] > 0) {  // the smallest right-hand block end moves left
+          lo[f] = hi[f] + 1;
+          lo_val[f] = hi_val[f];
+          hi[f] += step;
+          idx[f] = hi[f] < seg_len[f] ? hi[f] : kInactiveLane;
+          to_lo[f] = false;
+          --skew[q];
+        } else {  // the largest left-hand block end moves right
+          hi[f] = lo[f] - 1;
+          hi_val[f] = lo_val[f];
+          lo[f] -= step;
+          idx[f] = lo[f] > 0 ? lo[f] - 1 : kInactiveLane;
+          to_lo[f] = true;
+          ++skew[q];
+        }
+        any = true;
+      }
+      if (!any) break;
+      ctx.charge_compute(warp, cost::multiseq_pop_instrs(k));
+      read();
+      for (std::size_t f = 0; f < slots; ++f) {
+        if (idx[f] == kInactiveLane) continue;
+        (to_lo[f] ? lo_val[f] : hi_val[f]) = got[f];
+        idx[f] = kInactiveLane;
+      }
+    }
+  }
+  std::copy_n(lo.begin(), slots, out_co.begin());
+}
+
+}  // namespace detail
+
+/// The k-way thread search of the sequential tile merge (serial_window_core
+/// at k > 2, the LoserTree's): the co-rank vector of every thread's start
+/// diagonal i*E in the block's tile, staged linearly in `shmem` (segment s
+/// at seg_off[s], seg_len[s] long), by detail::warp_multiseq_select.  Each
+/// warp resolves its w threads in groups of selections_per_warp(w, k); the
+/// probes are data-dependent shared reads (gather_probe_row).  Returns the
+/// flat u x k table co[i*k + s].
+template <typename T, typename Cmp>
+std::vector<std::int64_t> multiway_thread_coranks(gpusim::BlockContext& ctx,
+                                                  gpusim::SharedTile<T>& shmem,
+                                                  std::span<const std::int64_t> seg_off,
+                                                  std::span<const std::int64_t> seg_len, int e,
+                                                  Cmp cmp) {
+  const int w = ctx.lanes();
+  const int k = static_cast<int>(seg_len.size());
+  const int per_warp = selections_per_warp(w, k);
+  std::vector<std::int64_t> co(static_cast<std::size_t>(ctx.threads() * k), 0);
+  std::array<std::int64_t, gpusim::kMaxLanes> base, lens, diag;
+  for (int f = 0; f < per_warp * k; ++f) {
+    base[static_cast<std::size_t>(f)] = seg_off[static_cast<std::size_t>(f % k)];
+    lens[static_cast<std::size_t>(f)] = seg_len[static_cast<std::size_t>(f % k)];
+  }
+  for (int warp = 0; warp < ctx.warps(); ++warp) {
+    for (int t0 = warp * w; t0 < (warp + 1) * w; t0 += per_warp) {
+      const int queries = std::min(per_warp, (warp + 1) * w - t0);
+      for (int q = 0; q < queries; ++q)
+        diag[static_cast<std::size_t>(q)] = static_cast<std::int64_t>(t0 + q) * e;
+      const auto slots = static_cast<std::size_t>(queries * k);
+      detail::warp_multiseq_select<T>(
+          ctx, warp, k, queries, std::span<const std::int64_t>(base.data(), slots),
+          std::span<const std::int64_t>(lens.data(), slots),
+          std::span<const std::int64_t>(diag.data(), static_cast<std::size_t>(queries)),
+          [&](std::span<const std::int64_t> addrs, std::span<T> vals, bool dependent) {
+            gather_probe_row(ctx, shmem, warp, addrs, vals, dependent);
+          },
+          cmp, std::span<std::int64_t>(co).subspan(static_cast<std::size_t>(t0 * k), slots));
+    }
+  }
+  return co;
 }
 
 }  // namespace cfmerge::sort

@@ -7,7 +7,7 @@
 // out}.  This header is the one place that decides how a pass is cut into
 // tiles and the one place that enqueues a pass, for both arities: a 2-way
 // group is a pair (A, B) (MergeConfig), a k-way group up to k runs
-// (MultiwayConfig; multiway_pass.hpp holds its row search and cores).
+// (MultiwayConfig; multiway_pass.hpp holds its config and row search).
 // detail::enqueue_merge_pass reads from the config type the kernel names,
 // tiles per partition warp, row width, merge-kernel shape and core.
 //
@@ -33,9 +33,11 @@
 //                                              or rho register->shared,
 //                                              then coalesced store)
 //
-// CF-Merge's window is the k-way CF cascade at k = 2 (cf_cascade_core, the
-// one CF tile merge, which the multiway_merge kernel runs at any k); the
-// baseline and the no-rho ablation keep merge_window_core's own body.
+// The merge kernel has two tile bodies, one per schedule, each at any k:
+// CF-Merge's window (and its no-rho ablation) is the CF cascade at k = 2
+// (cf_cascade_core), the baseline's the sequential tile merge at k = 2
+// (serial_window_core); the multiway_merge kernel runs the same two at its
+// k (CFCascade, LoserTree).
 //
 // A tile's end co-rank is the next tile's start co-rank, except for the
 // group's last tile, which ends at the list ends (BatchTile::ends_group)
@@ -445,22 +447,31 @@ void store_merged_tile(gpusim::BlockContext& ctx, gpusim::SharedTile<T>& shmem,
 /// log2(k) in-shared 2-way CF stages (cf_cascade_levels), in place in one
 /// shared buffer of CascadePlan::capacity elements
 /// (gather/multiway_schedule.hpp): the level-0 loads, the levels, then the
-/// store tail.  At k = 2
-/// the cascade is one stage over the tile, the 2-way CF merge of
-/// merge_pass; the multiway_merge kernel's CFCascade runs it at any k.
-/// Every gather/scatter round goes through the bank-conflict screener with
-/// the conflict-free claim intact.  The root writes back through the store
-/// tail, through the tile's output shift when `through_rho`.
+/// store tail.  At k = 2 the cascade is one stage over the tile, the 2-way
+/// CF merge of merge_pass; the multiway_merge kernel's CFCascade runs it at
+/// any k.  Every gather/scatter round goes through the bank-conflict
+/// screener with the conflict-free claim intact.  The root writes back
+/// through the store tail, through the tile's output shift when
+/// `through_rho`.
+///
+/// With `rho` false the pairs are laid out in A ∪ pi(B), pi alone
+/// (PairLayout::cf_no_rho): the no-rho ablation of paper §3.2, which must
+/// store stride E.  Where gcd(w, E) = 1 rho is the identity anyway, so the
+/// cf_gather proof still covers the gathers; elsewhere (cf_stride is not
+/// certified) they conflict and take the lane path.
 template <typename T, typename GIn, typename Cmp>
 void cf_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T>& gout,
                      std::span<const std::int64_t> seg_src,
                      std::span<const std::int64_t> seg_len,
                      std::span<const std::int64_t> seg_real, int e, const TileCerts& certs,
-                     bool through_rho, Cmp cmp) {
+                     bool through_rho, Cmp cmp, bool rho = true) {
+  assert(rho || !through_rho);
   const std::int64_t tile = static_cast<std::int64_t>(ctx.threads()) * e;
-  const gather::CascadePlan plan(ctx.lanes(), e, seg_len);
+  const gather::CascadePlan plan(ctx.lanes(), e, seg_len, rho);
   const std::int64_t cap = gather::CascadePlan::capacity(tile, plan.w(), e, plan.k());
   gpusim::SharedTile<T> shmem(ctx, static_cast<std::size_t>(cap));
+  TileCerts level_certs = certs;
+  if (!rho && certs.stride == nullptr) level_certs.gather = level_certs.rank_scatter = nullptr;
 
   // Level-0 load: pair p stages segments 2p (as A) and 2p+1 (as B) into its
   // rho(A ∪ pi(B)) region, sentinel tail included — the layout permutation
@@ -495,7 +506,7 @@ void cf_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T>&
 
   // The levels, in place, into one block-wide register file.
   std::vector<T> regfile(static_cast<std::size_t>(cap));
-  cf_cascade_levels(ctx, shmem, plan, std::span<T>(regfile), certs,
+  cf_cascade_levels(ctx, shmem, plan, std::span<T>(regfile), level_certs,
                     {"merge.search", "merge.merge", "merge.store"}, cmp);
   // The root (one pair, virtual warp i on warp i) writes back through the
   // store tail: its output map is the tile's output shift, and only the
@@ -506,71 +517,83 @@ void cf_cascade_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T>&
                        std::accumulate(seg_real.begin(), seg_real.end(), std::int64_t{0}));
 }
 
-/// The 2-way merge core, the block body of the merge_pass kernel: given a
-/// block's A/B source windows (global element offsets seg_src, lengths
-/// seg_len, Σ = tile, of which the first seg_real are real) and its output
-/// window view, merges them and stores the merged tile's Σ seg_real real
-/// ranks.  CF-Merge is the cascade at k = 2 (cf_cascade_core).  The
-/// baseline and the no-rho ablation stage their lists in unit-step runs
-/// (linear, or pi alone; guarded loads fill each window past its real
-/// elements), search the per-thread splits and merge — sequentially, or by
-/// the CF pair merge over the unshifted layout — then store stride E.
+/// The sequential tile merge of the block's k = seg_len.size() list windows
+/// (seg_src, seg_len, seg_real as for cf_cascade_core), k in [2,
+/// kMaxMultiwayK]: each window staged linearly in shared, window s from the
+/// sum of the windows before it (a guarded load, unit step, covered by the
+/// cf_stage proof), then every thread's splits and sequential merge, then
+/// the stride-E store tail.  At k = 2 it is Thrust's merge, the baseline's
+/// (serial_merge_pairs over the one pair); above, the LoserTree's k-way
+/// replacement selection: multiway_thread_coranks, then serial_merge_core
+/// over the k lists, charging per warp the setup, a gather round per head
+/// row, and per output step a selection (floor(log2 k) merge steps) plus the
+/// replacement read's gather round.  The head reads and every replacement
+/// read are data dependent across lanes, so the merge phase is *not*
+/// conflict free (that is the point of the schedule; cfverify refutes the
+/// k-way one with a witness).
+template <typename T, typename GIn, typename Cmp>
+void serial_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T>& gout,
+                        std::span<const std::int64_t> seg_src,
+                        std::span<const std::int64_t> seg_len,
+                        std::span<const std::int64_t> seg_real, int e, const TileCerts& certs,
+                        Cmp cmp) {
+  const int u = ctx.threads();
+  const auto k = static_cast<int>(seg_len.size());
+  const std::int64_t tile = static_cast<std::int64_t>(u) * e;
+  assert(k >= 2 && k <= kMaxMultiwayK);
+  gpusim::SharedTile<T> shmem(ctx, static_cast<std::size_t>(tile));
+
+  // Linear layout: segment s occupies [seg_off[s], seg_off[s] + len_s).
+  std::array<std::int64_t, kMaxMultiwayK> seg_off{};
+  std::exclusive_scan(seg_len.begin(), seg_len.end(), seg_off.begin(), std::int64_t{0});
+  for (std::size_t s = 0; s < seg_len.size(); ++s)
+    cfprims::exec_guarded_load(ctx, gin, shmem, seg_len[s], seg_real[s],
+                               padding_sentinel<T>::value(), certs.stage,
+                               cfprims::UnitStep{seg_src[s]}, cfprims::UnitStep{seg_off[s]});
+  ctx.barrier();
+
+  std::vector<T> regs(static_cast<std::size_t>(tile));
+  if (k == 2) {
+    serial_merge_pairs(ctx, shmem, seg_len[0], seg_len[1], e, std::span<T>(regs), "merge.search",
+                       "merge.merge", cmp);
+  } else {
+    ctx.phase("merge.search");
+    const std::vector<std::int64_t> co = multiway_thread_coranks<T>(
+        ctx, shmem, std::span<const std::int64_t>(seg_off.data(), seg_len.size()), seg_len, e,
+        cmp);
+    ctx.phase("merge.merge");
+    const auto sel = static_cast<std::uint64_t>(
+        std::max(1, static_cast<int>(std::bit_width(static_cast<unsigned>(k))) - 1));
+    const SerialMergeCharge charge{cost::kThreadSetupInstrs, cost::kGatherRoundInstrs,
+                                   sel * cost::kMergeStepInstrs + cost::kGatherRoundInstrs};
+    serial_merge_core<0>(
+        ctx, shmem, k, e,
+        [&](int i, int s) {
+          const auto at = static_cast<std::size_t>(i * k + s);
+          return ListWindow{co[at], i + 1 < u ? co[at + static_cast<std::size_t>(k)]
+                                              : seg_len[static_cast<std::size_t>(s)]};
+        },
+        [&](int s, std::int64_t x) { return seg_off[static_cast<std::size_t>(s)] + x; }, charge,
+        std::span<T>(regs), cmp);
+  }
+  ctx.barrier();
+  store_merged_tile<T>(ctx, shmem, /*through_rho=*/false, certs, e, std::span<const T>(regs),
+                       gout, std::accumulate(seg_real.begin(), seg_real.end(), std::int64_t{0}));
+}
+
+/// The 2-way merge core, the block body of the merge_pass kernel: the
+/// baseline runs the sequential tile merge, CF-Merge (and its no-rho
+/// ablation) the CF cascade at k = 2.
 template <typename T, typename GIn, typename Cmp>
 void merge_window_core(gpusim::BlockContext& ctx, GIn& gin, gpusim::GlobalView<T>& gout,
                        std::span<const std::int64_t> seg_src,
                        std::span<const std::int64_t> seg_len,
                        std::span<const std::int64_t> seg_real, const MergeConfig& cfg, Cmp cmp) {
-  const bool cf = cfg.variant == Variant::CFMerge;
-  if (cf && !cfg.disable_rho) {
-    cf_cascade_core<T>(ctx, gin, gout, seg_src, seg_len, seg_real, cfg.e, cfg.certs,
-                       cfg.cf_output_scatter, cmp);
-    return;
-  }
-  const int e = cfg.e;
-  const std::int64_t la = seg_len[0];
-  const std::int64_t lb = seg_len[1];
-  const gather::PairLayout layout =
-      cf ? gather::PairLayout::cf_no_rho(la, lb) : gather::PairLayout::linear(la, lb);
-
-  gpusim::SharedTile<T> shmem(ctx, static_cast<std::size_t>(cfg.tile()));
-  const T top = padding_sentinel<T>::value();
-  // Both position maps are unit-step runs (pi reverses B), covered by the
-  // cf_stage proof.
-  cfprims::exec_guarded_load(ctx, gin, shmem, la, seg_real[0], top, cfg.certs.stage,
-                             cfprims::UnitStep{seg_src[0]}, cfprims::UnitStep{layout.pos_a(0)});
-  cfprims::exec_guarded_load(ctx, gin, shmem, lb, seg_real[1], top, cfg.certs.stage,
-                             cfprims::UnitStep{seg_src[1]},
-                             cfprims::UnitStep{layout.pos_b(0), layout.b_step()});
-  ctx.barrier();
-
-  // Per-thread merge-path search in shared memory.
-  ctx.phase("merge.search");
-  const std::vector<ThreadSplit> splits = pair_split_search(
-      ctx, shmem, /*npairs=*/1, la, lb, ctx.warps(), cfprims::same_warp,
-      [&](std::int64_t, std::int64_t x) { return layout.pos_a(x); },
-      [&](std::int64_t, std::int64_t y) { return layout.pos_b(y); }, cmp);
-
-  // Per-thread merge.
-  ctx.phase("merge.merge");
-  std::vector<T> regs(static_cast<std::size_t>(cfg.tile()));
-  if (cf) {
-    // The ablation: the CF pair merge with rho disabled.  When gcd(w, E) = 1
-    // the real rho is the identity too, so the cf_gather proof still covers
-    // the access; otherwise (the broken ablation) conflicts are real and the
-    // lane path must count them.
-    cf_merge_pair(ctx, shmem, /*base=*/0, layout, std::span<const ThreadSplit>(splits),
-                  cfg.certs.stride != nullptr ? cfg.certs.gather : nullptr, cfprims::same_warp,
-                  std::span<T>(regs), cmp);
-  } else {
-    serial_merge_core<2>(
-        ctx, shmem, 2, e,
-        [&](int i, int s) { return split_window(splits[static_cast<std::size_t>(i)], s); },
-        [&](int s, std::int64_t x) { return s == 0 ? layout.pos_a(x) : layout.pos_b(x); },
-        kPairMergeCharge, std::span<T>(regs), cmp);
-  }
-  ctx.barrier();
-  store_merged_tile<T>(ctx, shmem, /*through_rho=*/false, cfg.certs, e,
-                       std::span<const T>(regs), gout, seg_real[0] + seg_real[1]);
+  if (cfg.variant == Variant::Baseline)
+    return serial_window_core<T>(ctx, gin, gout, seg_src, seg_len, seg_real, cfg.e, cfg.certs,
+                                 cmp);
+  cf_cascade_core<T>(ctx, gin, gout, seg_src, seg_len, seg_real, cfg.e, cfg.certs,
+                     cfg.cf_output_scatter && !cfg.disable_rho, cmp, !cfg.disable_rho);
 }
 
 namespace detail {

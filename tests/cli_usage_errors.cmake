@@ -42,6 +42,14 @@ if(tool_name STREQUAL "cfsort")
   run_case("cfsort: --tune: out of range: '-5'" --tune=-5)
   # The kernel graph has one execution policy; its switch is an unknown argument.
   run_case("cfsort: unknown argument: --serial-graph" --serial-graph)
+  # Flags that only one pipeline reads are errors elsewhere, not ignored.
+  run_case("cfsort: --cf-blocksort requires --op=sort with --algo=cf"
+           --algo=baseline --cf-blocksort --n=1000)
+  run_case("cfsort: --cf-blocksort requires --op=sort with --algo=cf"
+           --algo=bitonic --cf-blocksort --n=1000)
+  run_case("cfsort: --cf-blocksort requires --op=sort with --algo=cf"
+           --op=permute --cf-blocksort --n=1000)
+  run_case("cfsort: --multiway requires --k" --multiway=losertree --n=1000)
 elseif(tool_name STREQUAL "cfverify")
   run_case("cfverify: --w: not an integer: 'abc'" --w=abc --e=4)
   run_case("cfverify: --w: not an integer: '8x'" --w=8x --e=4)

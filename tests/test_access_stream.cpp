@@ -258,7 +258,7 @@ std::vector<StreamCase> cases() {
          cfg.disable_rho = true;
          return run_merge_sort(l, cfg, 8 * 96 + 5, 18);
        },
-       0x936c8c819dbcddeaull, 0xc6e518910fc5c94full, 5411, 4334, 4320, 0},
+       0x6d072d97f7fc2df6ull, 0xe62a5a5a6290fe5aull, 5643, 4566, 4320, 0},
       {"cf_plain_scatter_w8", w8,
        [](L& l) {
          sort::MergeConfig cfg = merge_config(Variant::CFMerge, 6, 16);
@@ -270,7 +270,7 @@ std::vector<StreamCase> cases() {
        [](L& l) {
          return run_multiway(l, 5, 16, 16 * 80, 11, sort::MultiwayVariant::LoserTree);
        },
-       0x1524ebbad6e62ae6ull, 0xb1c5be067b96a355ull, 8658, 7450, 3840, 960},
+       0x1524ebbad6e62ae6ull, 0xb1c5be067b96a355ull, 8658, 7450, 3840, 1280},
       {"batched_cf_w32", w32,
        [](L& l) { return run_batched(l, Variant::CFMerge, 7, 64, 4, 12); },
        0x1ce507bb6d5500a6ull, 0x7461ad27801eacddull, 1464, 1090, 5376, 336},

@@ -175,9 +175,10 @@ TEST(MergePassConflicts, CFMergeHasZeroMergeConflicts) {
 
 TEST(MergePassConflicts, DisablingRhoBringsConflictsBack) {
   // Ablation of Section 3.2: with gcd(w, E) > 1 and rho disabled, the
-  // gather conflicts again; with rho it is conflict free.  With
-  // gcd(w, E) = 1 rho is the identity, so disabling it changes nothing the
-  // merge phase counts.
+  // gather conflicts again, and so does the lattice split search; with rho
+  // both are conflict free.  With gcd(w, E) = 1 rho is the identity, so
+  // disabling it changes nothing the search, merge or store phase counts:
+  // the ablation is CF-Merge minus rho.
   std::mt19937_64 rng(6);
   MergeConfig cfg;
   cfg.e = 6;  // gcd(8, 6) = 2
@@ -194,6 +195,8 @@ TEST(MergePassConflicts, DisablingRhoBringsConflictsBack) {
   cfg.disable_rho = false;
   const auto fixed = run_pass(8, cfg, data, tile);
   EXPECT_EQ(fixed.merge_conflicts, 0u);
+  EXPECT_GT(phase(broken, "merge.search").bank_conflicts, 0u);
+  EXPECT_EQ(phase(fixed, "merge.search").bank_conflicts, 0u);
 
   cfg.e = 5;  // gcd(8, 5) = 1
   tile = cfg.tile();
@@ -203,7 +206,9 @@ TEST(MergePassConflicts, DisablingRhoBringsConflictsBack) {
   const auto without = run_pass(8, cfg, data, tile);
   EXPECT_EQ(without.out, with_rho.out);
   EXPECT_EQ(without.merge_conflicts, 0u);
+  EXPECT_EQ(phase(without, "merge.search"), phase(with_rho, "merge.search"));
   EXPECT_EQ(phase(without, "merge.merge"), phase(with_rho, "merge.merge"));
+  EXPECT_EQ(phase(without, "merge.store"), phase(with_rho, "merge.store"));
 }
 
 TEST(MergePassConflicts, BaselineConflictsAreSmallOnRandomInputs) {

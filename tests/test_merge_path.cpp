@@ -295,8 +295,9 @@ class RowRecorder final : public gpusim::MemoryAuditor {
 /// A block of u threads, E outputs each, over a tile cut into list pairs of
 /// `pair_len` elements: each pair holds A (its first `pair_la`) then B.
 /// Thread i starts at output i*E of its pair — pair_len = u*E is one merge
-/// window (merge_window_core's baseline and ablation, or a stage of the CF
-/// cascade, cf_cascade_core); pair_len = 2*run < u*E is a block-sort round.
+/// window (the baseline's, serial_merge_pairs over one pair, or a stage of
+/// the CF cascade, cf_cascade_core, with or without rho); pair_len =
+/// 2*run < u*E is a block-sort round.
 struct SearchShape {
   int w;
   int e;

@@ -548,10 +548,14 @@ const gpusim::Counters& phase_of(const SortReport& r, const std::string& name) {
 }  // namespace
 
 TEST(MultiwayCascade, AtKEqualsTwoDoesTheTwoWayCfMerge) {
-  // One cascade level is the 2-way dual-subsequence-gather schedule: the
-  // k = 2 cascade stages, searches, merges and stores every tile as
+  // Each k-way variant at k = 2 runs its schedule's 2-way tile body.  One
+  // cascade level is the 2-way dual-subsequence-gather schedule: the k = 2
+  // cascade stages, searches, merges and stores every tile as CF-Merge's
   // merge_pass does (its root writes back through the 2-way store tail).
-  // E = 16 on 32 lanes is the gcd(w, E) > 1 case.
+  // The loser tree at k = 2 is the sequential tile merge at k = 2, Thrust's
+  // split search and sequential merge: it merges every tile as the
+  // baseline's merge_pass does.  E = 16 on 32 lanes is the gcd(w, E) > 1
+  // case.
   struct Shape {
     DeviceSpec dev;
     int e, u;
@@ -561,39 +565,47 @@ TEST(MultiwayCascade, AtKEqualsTwoDoesTheTwoWayCfMerge) {
                           {DeviceSpec::scaled_turing(4), 17, 256},
                           {DeviceSpec::scaled_turing(4), 15, 512},
                           {DeviceSpec::tiny(8, 2), 6, 16}};
-  std::mt19937_64 rng(26);
-  for (const Shape& s : shapes) {
-    SCOPED_TRACE("w=" + std::to_string(s.dev.warp_size) + " E=" + std::to_string(s.e) +
-                 " u=" + std::to_string(s.u));
-    const std::int64_t tile = static_cast<std::int64_t>(s.e) * s.u;
-    const std::vector<int> input = rand_vec(rng, 5 * tile + 77);
-    Launcher launcher(s.dev);
-    MergeConfig cfg;
-    cfg.e = s.e;
-    cfg.u = s.u;
-    auto two_way = input;
-    const SortReport cf = merge_sort(launcher, two_way, cfg);
-    MultiwayConfig mcfg;
-    mcfg.e = s.e;
-    mcfg.u = s.u;
-    mcfg.k = 2;
-    auto cascade = input;
-    const SortReport kw = merge_sort_multiway(launcher, cascade, mcfg);
-    ASSERT_EQ(two_way, cascade);
-    ASSERT_EQ(cf.passes, kw.passes);
+  const std::pair<Variant, MultiwayVariant> schedules[] = {
+      {Variant::CFMerge, MultiwayVariant::CFCascade},
+      {Variant::Baseline, MultiwayVariant::LoserTree}};
+  for (const auto& [variant, multiway] : schedules) {
+    std::mt19937_64 rng(26);
+    for (const Shape& s : shapes) {
+      SCOPED_TRACE(std::string(variant == Variant::CFMerge ? "cascade" : "loser tree") +
+                   " w=" + std::to_string(s.dev.warp_size) + " E=" + std::to_string(s.e) +
+                   " u=" + std::to_string(s.u));
+      const std::int64_t tile = static_cast<std::int64_t>(s.e) * s.u;
+      const std::vector<int> input = rand_vec(rng, 5 * tile + 77);
+      Launcher launcher(s.dev);
+      MergeConfig cfg;
+      cfg.e = s.e;
+      cfg.u = s.u;
+      cfg.variant = variant;
+      auto two_way = input;
+      const SortReport pair = merge_sort(launcher, two_way, cfg);
+      MultiwayConfig mcfg;
+      mcfg.e = s.e;
+      mcfg.u = s.u;
+      mcfg.k = 2;
+      mcfg.variant = multiway;
+      auto k_way = input;
+      const SortReport kw = merge_sort_multiway(launcher, k_way, mcfg);
+      ASSERT_EQ(two_way, k_way);
+      ASSERT_EQ(pair.passes, kw.passes);
 
-    // merge.load's global fields differ: a k = 2 boundary row holds both
-    // co-ranks, a 2-way row A's alone.
-    const gpusim::Counters& load_cf = phase_of(cf, "merge.load");
-    const gpusim::Counters& load_kw = phase_of(kw, "merge.load");
-    EXPECT_EQ(load_cf.warp_instructions, load_kw.warp_instructions);
-    EXPECT_EQ(load_cf.shared_accesses, load_kw.shared_accesses);
-    EXPECT_EQ(load_cf.shared_cycles, load_kw.shared_cycles);
-    EXPECT_EQ(load_cf.bank_conflicts, load_kw.bank_conflicts);
-    EXPECT_EQ(load_cf.barriers, load_kw.barriers);
-    EXPECT_EQ(phase_of(cf, "merge.search"), phase_of(kw, "merge.search"));
-    EXPECT_EQ(phase_of(cf, "merge.merge"), phase_of(kw, "merge.merge"));
-    EXPECT_EQ(phase_of(cf, "merge.store"), phase_of(kw, "merge.store"));
+      // merge.load's global fields differ: a k = 2 boundary row holds both
+      // co-ranks, a 2-way row A's alone.
+      const gpusim::Counters& load_pair = phase_of(pair, "merge.load");
+      const gpusim::Counters& load_kw = phase_of(kw, "merge.load");
+      EXPECT_EQ(load_pair.warp_instructions, load_kw.warp_instructions);
+      EXPECT_EQ(load_pair.shared_accesses, load_kw.shared_accesses);
+      EXPECT_EQ(load_pair.shared_cycles, load_kw.shared_cycles);
+      EXPECT_EQ(load_pair.bank_conflicts, load_kw.bank_conflicts);
+      EXPECT_EQ(load_pair.barriers, load_kw.barriers);
+      EXPECT_EQ(phase_of(pair, "merge.search"), phase_of(kw, "merge.search"));
+      EXPECT_EQ(phase_of(pair, "merge.merge"), phase_of(kw, "merge.merge"));
+      EXPECT_EQ(phase_of(pair, "merge.store"), phase_of(kw, "merge.store"));
+    }
   }
 }
 

@@ -117,7 +117,7 @@ struct Options {
   int e = 15;
   int u = 512;
   int k = 0;  // 0 = pairwise pipeline; >= 2 = k-way multiway sort
-  std::string multiway = "cascade";
+  std::string multiway;  // empty = not given (the cascade with --k)
   std::string device = "turing:4";
   std::uint64_t seed = 42;
   int threads = 0;  // 0 = CFMERGE_SIM_THREADS env or sequential
@@ -325,9 +325,10 @@ int run(int argc, char** argv) {
   if (o.k != 0 && o.k < 2) usage("--k must be 0 (pairwise) or an arity >= 2");
   if (o.k > 0 && o.algo != "cf") usage("--k requires --algo=cf");
   if (o.k > 0 && o.segments > 0) usage("--k and --segments are mutually exclusive");
-  if (o.multiway != "cascade" && o.multiway != "losertree")
+  if (!o.multiway.empty() && o.multiway != "cascade" && o.multiway != "losertree")
     usage(("unknown multiway variant: " + o.multiway +
            " (valid: cascade, losertree)").c_str());
+  if (!o.multiway.empty() && o.k == 0) usage("--multiway requires --k");
   if (o.op != "sort" && o.op != "permute" && o.op != "transpose")
     usage(("unknown op: " + o.op + " (valid: sort, permute, transpose)").c_str());
   if (o.algo != "cf" && o.algo != "baseline" && o.algo != "bitonic" &&
@@ -338,6 +339,8 @@ int run(int argc, char** argv) {
     usage("--op=permute|transpose requires --algo=cf");
   if (o.op != "sort" && (o.k > 0 || o.segments > 0))
     usage("--op=permute|transpose is incompatible with --k and --segments");
+  if (o.cf_blocksort && (o.op != "sort" || o.algo != "cf"))
+    usage("--cf-blocksort requires --op=sort with --algo=cf");
 
   // Runs the sort `o.repeat` times, each on a fresh copy of the unsorted
   // input, and prints min/median host wall-clock to stderr (simulated
@@ -507,8 +510,8 @@ int run(int argc, char** argv) {
     cfg.e = o.e;
     cfg.u = o.u;
     cfg.k = o.k;
-    cfg.variant = o.multiway == "cascade" ? sort::MultiwayVariant::CFCascade
-                                          : sort::MultiwayVariant::LoserTree;
+    cfg.variant = o.multiway == "losertree" ? sort::MultiwayVariant::LoserTree
+                                            : sort::MultiwayVariant::CFCascade;
     cfg.cf_blocksort = o.cf_blocksort;
     const auto report = repeat_wall([&](std::vector<std::int32_t>& work) {
       return engine.sort_multiway(work, cfg);
@@ -522,8 +525,9 @@ int run(int argc, char** argv) {
       const sort::EngineStats es = engine.stats();
       analysis::write_json(std::cout, report, cfg, launcher.device().name, o.dist, &es);
     } else {
-      const std::string label =
-          o.algo + "/" + o.multiway + "-k" + std::to_string(o.k);
+      const std::string label = o.algo + "/" +
+                                (o.multiway.empty() ? "cascade" : o.multiway) + "-k" +
+                                std::to_string(o.k);
       std::printf("%s\n", analysis::summarize(report, label).c_str());
       if (o.profile) analysis::print_phase_profile(std::cout, report.phases, report.n_padded);
     }
